@@ -58,7 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="cap on enumeration nodes for root-decomposition searches",
+        help="cap on search nodes: each box vector 0 <= beta <= alpha, then "
+             "each decomposition node (default 2,000,000); both readings of "
+             "unramified-ds share one box walk",
     )
 
     ap = argparse.ArgumentParser(
@@ -144,14 +146,18 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _parse_orbit_list(doc: dict[str, Any]) -> tuple[list[OrbitSpec], list[list[Scalar]] | None]:
+def _parse_orbit_list(
+    doc: dict[str, Any],
+) -> tuple[list[OrbitSpec], list[list[Scalar]] | None, dict[str, Any]]:
+    """The orbits, the factor sequences if given, and the digest payload."""
     orbits_json = doc.get("orbits")
     if not isinstance(orbits_json, list) or not orbits_json:
         raise InputError("orbits: must be a nonempty array")
     orbits = [jsonio.parse_orbit(o, f"orbits[{k}]") for k, o in enumerate(orbits_json)]
+    payload: dict[str, Any] = {"orbits": [jsonio.orbit_json(o) for o in orbits]}
     seqs_json = doc.get("sequences")
     if seqs_json is None:
-        return orbits, None
+        return orbits, None, payload
     if not isinstance(seqs_json, list) or len(seqs_json) != len(orbits):
         raise InputError("sequences: must be an array, one entry per orbit")
     seqs = []
@@ -161,14 +167,17 @@ def _parse_orbit_list(doc: dict[str, Any]) -> tuple[list[OrbitSpec], list[list[S
         seqs.append(
             [jsonio.parse_scalar(c, f"sequences[{k}][{m}]") for m, c in enumerate(seq)]
         )
-    return orbits, seqs
+    payload["sequences"] = [[jsonio.scalar_json(c) for c in seq] for seq in seqs]
+    return orbits, seqs, payload
 
 
-def _parse_type_list(doc: dict[str, Any]) -> list:
+def _parse_type_list(doc: dict[str, Any]) -> tuple[list, dict[str, Any]]:
+    """The formal types and the digest payload."""
     types_json = doc.get("types")
     if not isinstance(types_json, list) or not types_json:
         raise InputError("types: must be a nonempty array")
-    return [jsonio.parse_unram_type(t, f"types[{k}]") for k, t in enumerate(types_json)]
+    types = [jsonio.parse_unram_type(t, f"types[{k}]") for k, t in enumerate(types_json)]
+    return types, {"types": [jsonio.unram_type_json(t) for t in types]}
 
 
 def _require(doc: dict[str, Any], key: str) -> Any:
@@ -214,10 +223,7 @@ def quiver_dot(data: CBData | HiroeData) -> str:
 
 def _cmd_fuchsian_ds(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.input)
-    orbits, seqs = _parse_orbit_list(doc)
-    payload: dict[str, Any] = {"orbits": [jsonio.orbit_json(o) for o in orbits]}
-    if seqs is not None:
-        payload["sequences"] = [[jsonio.scalar_json(c) for c in seq] for seq in seqs]
+    orbits, seqs, payload = _parse_orbit_list(doc)
     ctx["digest"] = jsonio.digest_of(payload)
     rigidity = fuchsian_rigidity(orbits, seqs, budget=ns.budget)
     exists = rigidity is not FuchsianRigidity.EMPTY
@@ -226,16 +232,15 @@ def _cmd_fuchsian_ds(ns, ctx) -> tuple[Any, int]:
 
 def _cmd_unramified_ds(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.input)
-    types = _parse_type_list(doc)
-    ctx["digest"] = jsonio.digest_of(
-        {"types": [jsonio.unram_type_json(t) for t in types]}
-    )
+    types, payload = _parse_type_list(doc)
+    ctx["digest"] = jsonio.digest_of(payload)
     budget = ns.budget if ns.budget is not None else DEFAULT_BUDGET
     use_two = "ell-ge-2" in ns.flag
     data = build_hiroe_data(types)
-    selected = _exists_on_data(data, ell_ge_2=use_two, budget=budget)
+    candidates = data.candidates(budget)
+    selected = _exists_on_data(data, candidates, ell_ge_2=use_two, budget=budget)
     try:
-        other = _exists_on_data(data, ell_ge_2=not use_two, budget=budget)
+        other = _exists_on_data(data, candidates, ell_ge_2=not use_two, budget=budget)
     except BudgetExceededError:
         ctx["notes"].append(
             "flag-sensitivity comparison skipped: enumeration budget exceeded"
@@ -347,16 +352,10 @@ def _cmd_count_rank2(ns, ctx) -> tuple[Any, int]:
 def _cmd_quiver_export(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.input)
     if "orbits" in doc:
-        orbits, seqs = _parse_orbit_list(doc)
-        payload: dict[str, Any] = {"orbits": [jsonio.orbit_json(o) for o in orbits]}
-        if seqs is not None:
-            payload["sequences"] = [
-                [jsonio.scalar_json(c) for c in seq] for seq in seqs
-            ]
+        orbits, seqs, payload = _parse_orbit_list(doc)
         data: CBData | HiroeData = build_cb_data(orbits, seqs)
     elif "types" in doc:
-        types = _parse_type_list(doc)
-        payload = {"types": [jsonio.unram_type_json(t) for t in types]}
+        types, payload = _parse_type_list(doc)
         data = build_hiroe_data(types)
     else:
         raise InputError("input document needs 'orbits' or 'types'")

@@ -41,8 +41,6 @@ class CBData:
     cartan: CartanMatrix
     alpha: dict[Vertex, int]
     lam: dict[Vertex, Scalar]
-    factor_seqs: tuple[tuple[Scalar, ...], ...]
-    orbits: tuple[OrbitSpec, ...]
 
     def alpha_vector(self) -> tuple[int, ...]:
         return self.cartan.as_vector(self.alpha)
@@ -105,8 +103,6 @@ def build_cb_data(
         cartan=cartan_of_quiver(quiver),
         alpha=alpha,
         lam=lam,
-        factor_seqs=chosen,
-        orbits=orbits,
     )
 
 
@@ -116,9 +112,7 @@ def fuchsian_ds_exists(
     budget: int | None = None,
 ) -> bool:
     """Whether an irreducible tuple A_i in O_i with sum zero exists."""
-    data = build_cb_data(orbits, seqs)
-    kwargs = {} if budget is None else {"budget": budget}
-    return in_sigma_lambda(data.cartan, data.alpha, data.lam, **kwargs)
+    return fuchsian_rigidity(orbits, seqs, budget) is not FuchsianRigidity.EMPTY
 
 
 def fuchsian_rigidity(

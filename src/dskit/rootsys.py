@@ -1,17 +1,22 @@
 """Quivers, symmetric generalized Cartan matrices, and Kac root combinatorics.
 
-This is the shared engine behind both middle-of-the-road existence criteria:
-everything reduces to classifying dimension vectors as roots and searching
-decompositions of a vector into positive roots pairing to zero with a
-deformation vector.
+This is the shared engine behind both existence criteria: one search walks the
+box 0 <= beta <= alpha, keeps the candidates that pair to zero with lambda,
+and scans decompositions of alpha into candidates for one that does not drop
+p.  Its budget counts each box vector, then each decomposition node; the
+default is DEFAULT_BUDGET = 2,000,000.  Both readings of unramified-ds share
+one box walk.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Hashable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Hashable, Iterator, Mapping, Sequence, Union
 
 from .core import Scalar, ScalarLike
 from .errors import BudgetExceededError, DescentGuardError, InputError
@@ -42,10 +47,6 @@ class Quiver:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "arrows", tuple(arrs))
 
-    def arrow_multiplicity(self, a: Vertex, b: Vertex) -> int:
-        """Number of arrows between a and b, either direction."""
-        return sum(1 for t, h in self.arrows if {t, h} == {a, b})
-
 
 @dataclass(frozen=True)
 class CartanMatrix:
@@ -72,9 +73,6 @@ class CartanMatrix:
             return self.vertices.index(v)
         except ValueError:
             raise InputError(f"unknown vertex {v!r}") from None
-
-    def size(self) -> int:
-        return len(self.vertices)
 
     def as_vector(self, beta: VecLike) -> tuple[int, ...]:
         """Coerce a mapping or sequence to a tuple aligned with self.vertices."""
@@ -192,45 +190,55 @@ def classify_root(c: CartanMatrix, beta: VecLike) -> RootClass:
     )
 
 
-def positive_roots_leq(c: CartanMatrix, alpha: VecLike) -> list[tuple[int, ...]]:
+def box_vectors(alpha: Sequence[int], budget: int | None) -> Iterator[tuple[int, ...]]:
+    """Every vector 0 <= beta <= alpha in lexicographic order; each costs one
+    node, charged before the walk so that a box over budget fails at once."""
+    _after_box(alpha, budget)
+    return itertools.product(*(range(x + 1) for x in alpha))
+
+
+def _after_box(alpha: Sequence[int], budget: int | None) -> int | None:
+    """What the budget has left once the box under alpha is paid for."""
+    left = None if budget is None else budget - math.prod(x + 1 for x in alpha)
+    if left is not None and left < 0:
+        raise BudgetExceededError(f"lattice-point enumeration exceeded budget of {budget}")
+    return left
+
+
+def positive_roots_leq(
+    c: CartanMatrix, alpha: VecLike, budget: int | None = None
+) -> list[tuple[int, ...]]:
     """All positive roots beta with beta <= alpha componentwise, sorted."""
     a = c.as_vector(alpha)
     if any(x < 0 for x in a):
         raise InputError("alpha must be componentwise nonnegative")
-    n = len(a)
-    found: list[tuple[int, ...]] = []
-
-    def walk(i: int, prefix: list[int]) -> None:
-        if i == n:
-            if any(prefix):
-                b = tuple(prefix)
-                if classify_root(c, b) is not RootClass.NOT_ROOT:
-                    found.append(b)
-            return
-        for x in range(a[i] + 1):
-            walk(i + 1, prefix + [x])
-
-    walk(0, [])
-    found.sort()
-    return found
+    return [
+        b for b in box_vectors(a, budget)
+        if any(b) and classify_root(c, b) is not RootClass.NOT_ROOT
+    ]
 
 
-def _scalar_vec(c: CartanMatrix, lam: Mapping[Vertex, ScalarLike]) -> tuple[Scalar, ...]:
+def lambda_pairing(
+    c: CartanMatrix, lam: Mapping[Vertex, ScalarLike]
+) -> Callable[[Sequence[int]], Scalar]:
+    """beta -> beta . lambda for vectors aligned with c.vertices.  lambda is
+    put over one common denominator here, so each pairing is integer sums."""
     unknown = set(lam) - set(c.vertices)
     if unknown:
         raise InputError(f"unknown vertices in deformation vector: {sorted(map(repr, unknown))}")
-    return tuple(Scalar.of(lam.get(v, 0)) for v in c.vertices)
+    lv = [Scalar.of(lam.get(v, 0)) for v in c.vertices]
+    den = math.lcm(*(x.denominator for s in lv for x in (s.re, s.im)))
+    re = [int(s.re * den) for s in lv]
+    im = [int(s.im * den) for s in lv]
+    return lambda b: Scalar(
+        Fraction(sum(map(operator.mul, b, re)), den),
+        Fraction(sum(map(operator.mul, b, im)), den),
+    )
 
 
 def dot_lambda(c: CartanMatrix, beta: VecLike, lam: Mapping[Vertex, ScalarLike]) -> Scalar:
     """The pairing beta . lambda."""
-    b = c.as_vector(beta)
-    lv = _scalar_vec(c, lam)
-    total = Scalar(0)
-    for x, l in zip(b, lv):
-        if x:
-            total = total + l * x
-    return total
+    return lambda_pairing(c, lam)(c.as_vector(beta))
 
 
 def decompositions(
@@ -245,21 +253,17 @@ def decompositions(
     pruning. The budget counts search nodes; exceeding it raises.
     """
     nodes = 0
+    n = len(alpha)
 
-    def spend() -> None:
+    def walk(
+        remaining: tuple[int, ...], start: int, chosen: list[tuple[int, ...]]
+    ) -> Iterator[list[tuple[int, ...]]]:
         nonlocal nodes
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetExceededError(
                 f"decomposition search exceeded budget of {budget} nodes"
             )
-
-    n = len(alpha)
-
-    def walk(
-        remaining: tuple[int, ...], start: int, chosen: list[tuple[int, ...]]
-    ) -> Iterator[list[tuple[int, ...]]]:
-        spend()
         if all(x == 0 for x in remaining):
             if len(chosen) >= min_parts:
                 yield list(chosen)
@@ -279,6 +283,50 @@ def decompositions(
 DEFAULT_BUDGET = 2_000_000
 
 
+def sigma_candidates(
+    c: CartanMatrix,
+    alpha: tuple[int, ...],
+    lam: Mapping[Vertex, ScalarLike],
+    budget: int | None,
+    in_lattice: Callable[[Sequence[int]], bool] | None = None,
+) -> list[tuple[int, ...]] | None:
+    """The parts a Sigma-criterion search may use: the positive roots below
+    alpha, or with in_lattice the nonzero lattice vectors below alpha, other
+    than alpha and pairing to zero with lambda.  None when alpha is not a
+    root or alpha.lambda != 0, so that no search is due."""
+    if classify_root(c, alpha) is RootClass.NOT_ROOT:
+        return None
+    pair = lambda_pairing(c, lam)
+    if pair(alpha):
+        return None
+    if in_lattice is None:
+        vectors = positive_roots_leq(c, alpha, budget)
+    else:
+        vectors = (b for b in box_vectors(alpha, budget) if any(b) and in_lattice(b))
+    return [b for b in vectors if b != alpha and not pair(b)]
+
+
+def p_drop_search(
+    c: CartanMatrix,
+    alpha: tuple[int, ...],
+    candidates: list[tuple[int, ...]],
+    budget: int | None,
+    min_parts: int,
+) -> tuple[bool, bool]:
+    """Scan the decompositions of alpha into >= min_parts candidates, on what
+    the box under alpha left of the budget.
+
+    Returns whether any exists and whether every one strictly lowers p.
+    """
+    p_alpha = p_value(c, alpha)
+    found = False
+    for decomp in decompositions(alpha, candidates, _after_box(alpha, budget), min_parts):
+        found = True
+        if sum(p_value(c, g) for g in decomp) >= p_alpha:
+            return True, False
+    return found, True
+
+
 def in_sigma_lambda(
     c: CartanMatrix,
     alpha: VecLike,
@@ -295,30 +343,12 @@ def in_sigma_lambda(
     a = c.as_vector(alpha)
     if any(x < 0 for x in a) or not any(a):
         raise InputError("alpha must be a nonzero nonnegative vector")
-    cls = classify_root(c, a)
-    if cls is RootClass.NOT_ROOT:
+    candidates = sigma_candidates(c, a, lam, budget)
+    if candidates is None:
         return False
-    if dot_lambda(c, a, lam):
-        return False
-    p_alpha = p_value(c, a)
-    candidates = [
-        b
-        for b in positive_roots_leq(c, a)
-        if b != a and not dot_lambda(c, b, lam)
-    ]
-    found_any = False
-    found_flat = False  # a decomposition with sum p(gamma_j) >= p(alpha)
-    for decomp in decompositions(a, candidates, budget):
-        found_any = True
-        if sum(p_value(c, g) for g in decomp) >= p_alpha:
-            found_flat = True
-            break
-        # keep scanning: a later decomposition may still fail the strict drop
-    verdict = not found_flat
-    if cls is RootClass.REAL:
-        shortcut = not found_any
-        if shortcut != verdict:
-            raise AssertionError(
-                "real-root shortcut disagrees with the general criterion"
-            )
+    found_any, verdict = p_drop_search(c, a, candidates, budget, min_parts=2)
+    if found_any and verdict and classify_root(c, a) is RootClass.REAL:
+        raise AssertionError(
+            "real-root shortcut disagrees with the general criterion"
+        )
     return verdict

@@ -9,23 +9,20 @@ criterion on (alpha, lambda) plus decompositions inside a sublattice L.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import OrbitSpec, Scalar, ScalarLike, rank_after_factors
-from .errors import BudgetExceededError, InputError, ResonantError
+from .errors import InputError, ResonantError
 from .rootsys import (
     DEFAULT_BUDGET,
     CartanMatrix,
     Quiver,
-    RootClass,
     Vertex,
     cartan_of_quiver,
-    classify_root,
-    decompositions,
     dot_lambda,
-    p_value,
+    p_drop_search,
+    sigma_candidates,
 )
 
 
@@ -110,18 +107,24 @@ def _q_diff_degree(q1: tuple[Scalar, ...], q2: tuple[Scalar, ...]) -> int:
     return 0
 
 
+def _intra_type_arrows(
+    t: UnramFormalType, vertex: Callable[[int], Vertex]
+) -> list[tuple[Vertex, Vertex]]:
+    """deg_{z^-1}(q_j - q_j') - 1 arrows vertex(j) -> vertex(j') for j < j'."""
+    return [
+        (vertex(j), vertex(jp))
+        for j in range(1, t.ell + 1)
+        for jp in range(j + 1, t.ell + 1)
+        for _ in range(_q_diff_degree(t.blocks[j - 1].q, t.blocks[jp - 1].q) - 1)
+    ]
+
+
 def build_base_quiver(d: UnramFormalType) -> Quiver:
     """Base quiver of a single irregular type: vertices 1..ell, and
     deg_{z^-1}(q_j - q_j') - 1 arrows j -> j' for j < j'."""
     if not d.is_irregular():
         raise InputError("base quiver is defined for irregular formal types")
-    ell = d.ell
-    arrows: list[tuple[Vertex, Vertex]] = []
-    for j in range(1, ell + 1):
-        for jp in range(j + 1, ell + 1):
-            mult = _q_diff_degree(d.blocks[j - 1].q, d.blocks[jp - 1].q) - 1
-            arrows.extend([(j, jp)] * mult)
-    return Quiver(list(range(1, ell + 1)), arrows)
+    return Quiver(list(range(1, d.ell + 1)), _intra_type_arrows(d, lambda j: j))
 
 
 @dataclass
@@ -141,21 +144,31 @@ class HiroeData:
     alpha: dict[Vertex, int]
     lam: dict[Vertex, Scalar]
     lattice_pairs: tuple[tuple[tuple[Vertex, ...], tuple[Vertex, ...]], ...]
-    types: tuple[UnramFormalType, ...]
 
     def alpha_vector(self) -> tuple[int, ...]:
         return self.cartan.as_vector(self.alpha)
 
-    def in_lattice(self, beta) -> bool:
-        vec = self.cartan.as_vector(beta)
+    def lattice_test(self) -> Callable[[Sequence[int]], bool]:
+        """Membership in L of vectors aligned with cartan.vertices; the vertex
+        indices are looked up once, here."""
         pos = {v: k for k, v in enumerate(self.cartan.vertices)}
-        for lhs, rhs in self.lattice_pairs:
-            if sum(vec[pos[v]] for v in lhs) != sum(vec[pos[v]] for v in rhs):
-                return False
-        return True
+        idx = [([pos[v] for v in lhs], [pos[v] for v in rhs]) for lhs, rhs in self.lattice_pairs]
+        return lambda vec: all(
+            sum(vec[i] for i in lhs) == sum(vec[i] for i in rhs) for lhs, rhs in idx
+        )
+
+    def in_lattice(self, beta) -> bool:
+        return self.lattice_test()(self.cartan.as_vector(beta))
 
     def alpha_dot_lambda(self) -> Scalar:
         return dot_lambda(self.cartan, self.alpha, self.lam)
+
+    def candidates(self, budget: int | None) -> list[tuple[int, ...]] | None:
+        """The vectors of L that the search may use; one list serves both
+        readings of condition (2)."""
+        return sigma_candidates(
+            self.cartan, self.alpha_vector(), self.lam, budget, self.lattice_test()
+        )
 
 
 def build_hiroe_data(
@@ -199,10 +212,7 @@ def build_hiroe_data(
         for j in range(1, t.ell + 1):
             base_vertices.append((i, j))
             alpha[(i, j)] = t.blocks[j - 1].dim
-        for j in range(1, t.ell + 1):
-            for jp in range(j + 1, t.ell + 1):
-                mult = _q_diff_degree(t.blocks[j - 1].q, t.blocks[jp - 1].q) - 1
-                arrows.extend([((i, j), (i, jp))] * mult)
+        arrows.extend(_intra_type_arrows(t, lambda j: (i, j)))
 
     # cross arrows from every type-0 base vertex to every other base vertex
     ell0 = types[0].ell
@@ -259,7 +269,6 @@ def build_hiroe_data(
         alpha=alpha,
         lam=lam,
         lattice_pairs=lattice_pairs,
-        types=types,
     )
     assert data.in_lattice(data.alpha), "alpha must lie in the sublattice L"
     return data
@@ -280,56 +289,21 @@ def unramified_ds_exists(
     modes genuinely differ on some inputs; the CLI reports disagreements.
     """
     data = build_hiroe_data(types)
-    return _exists_on_data(data, ell_ge_2=ell_ge_2, budget=budget)
+    return _exists_on_data(data, data.candidates(budget), ell_ge_2=ell_ge_2, budget=budget)
 
 
 def _exists_on_data(
-    data: HiroeData, ell_ge_2: bool, budget: int | None
+    data: HiroeData,
+    candidates: list[tuple[int, ...]] | None,
+    ell_ge_2: bool,
+    budget: int | None,
 ) -> bool:
-    a = data.alpha_vector()
-    if classify_root(data.cartan, a) is RootClass.NOT_ROOT:
+    """The criterion for one reading, on the list from HiroeData.candidates
+    (None when condition (1) fails)."""
+    if candidates is None:
         return False
-    if data.alpha_dot_lambda():
-        return False
-    pos = {v: k for k, v in enumerate(data.cartan.vertices)}
-    lam_vec = [data.lam.get(v, Scalar(0)) for v in data.cartan.vertices]
-    lattice_idx = [
-        ([pos[v] for v in lhs], [pos[v] for v in rhs])
-        for lhs, rhs in data.lattice_pairs
-    ]
-
-    def lam_dot(vec: tuple[int, ...]) -> Scalar:
-        t = Scalar(0)
-        for x, l in zip(vec, lam_vec):
-            if x:
-                t = t + l * x
-        return t
-
-    def in_lattice(vec: tuple[int, ...]) -> bool:
-        return all(
-            sum(vec[i] for i in lhs) == sum(vec[i] for i in rhs)
-            for lhs, rhs in lattice_idx
-        )
-
-    candidates: list[tuple[int, ...]] = []
-    used = 0
-    for vec in itertools.product(*(range(x + 1) for x in a)):
-        used += 1
-        if budget is not None and used > budget:
-            raise BudgetExceededError(
-                f"lattice-point enumeration exceeded budget of {budget}"
-            )
-        if not any(vec) or vec == a:
-            continue
-        if in_lattice(vec) and not lam_dot(vec):
-            candidates.append(vec)
-    remaining = None if budget is None else budget - used
-    p_alpha = p_value(data.cartan, a)
     min_parts = 2 if ell_ge_2 else 3
-    for decomp in decompositions(a, candidates, remaining, min_parts=min_parts):
-        if sum(p_value(data.cartan, g) for g in decomp) >= p_alpha:
-            return False
-    return True
+    return p_drop_search(data.cartan, data.alpha_vector(), candidates, budget, min_parts)[1]
 
 
 def count_rank2_moduli(d: UnramFormalType, orbit: OrbitSpec) -> int:

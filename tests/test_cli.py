@@ -171,6 +171,29 @@ def test_unramified_ds_requires_irregular_first(tmp_path, capsys):
     assert "irregular" in err
 
 
+# The witness box 0 <= beta <= alpha holds 8 vectors.  A budget of 11 leaves
+# 3 decomposition nodes: enough for the parts>=2 reading to find a flat
+# decomposition, not enough for the parts>=3 reading to rule one out.
+
+
+def test_unramified_ds_budget_fits_selected_reading_only(tmp_path, capsys):
+    path = _write(tmp_path, "unram.json", types=WITNESS_TYPES)
+    argv = ["unramified-ds", "--input", path, "--flag", "ell-ge-2", "--budget", "11"]
+    v = _verdict(capsys, argv, 0)
+    assert v["result"] == {"exists": False}
+    assert v["notes"] == [
+        "flag-sensitivity comparison skipped: enumeration budget exceeded"
+    ]
+
+
+def test_unramified_ds_budget_below_box_is_inconclusive(tmp_path, capsys):
+    path = _write(tmp_path, "unram.json", types=WITNESS_TYPES)
+    v = _verdict(capsys, ["unramified-ds", "--input", path, "--budget", "7"], 3)
+    reason = "lattice-point enumeration exceeded budget of 7"
+    assert v["result"] == {"kind": "Inconclusive", "reason": reason}
+    assert v["notes"] == [reason]
+
+
 # ---------------------------------------------------------------------------
 # coxeter-ds and rigidity
 # ---------------------------------------------------------------------------

@@ -230,7 +230,7 @@ def test_all_regular_tuple_degenerates_to_star(orbits):
     assert {_h2f(v): l for v, l in h.lam.items()} == f.lam
     h_arrows = sorted((_h2f(a), _h2f(b)) for a, b in h.quiver.arrows)
     assert h_arrows == sorted(f.quiver.arrows)
-    assert _exists_on_data(h, ell_ge_2=True, budget=None) == fuchsian_ds_exists(orbits)
+    assert _exists_on_data(h, h.candidates(None), ell_ge_2=True, budget=None) == fuchsian_ds_exists(orbits)
 
 
 # ---------------------------------------------------------------------------
