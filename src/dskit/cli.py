@@ -14,6 +14,7 @@ bound); the exit-3 verdict is still emitted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Sequence
@@ -43,7 +44,9 @@ from .unramified import HiroeData, _exists_on_data, build_hiroe_data
 _FLAG_CHOICES = ("ell-ge-2", "table-conjunction")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first run and reused by every later one."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--flag",
@@ -59,8 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="cap on search nodes: each box vector 0 <= beta <= alpha, then "
-             "each decomposition node (default 2,000,000); both readings of "
-             "unramified-ds share one box walk",
+             "each decomposition node; for slope, each of the 2^(n-1) standard "
+             "parahorics (default 2,000,000); both readings of unramified-ds "
+             "share one box walk",
     )
 
     ap = argparse.ArgumentParser(
@@ -302,7 +306,8 @@ def _cmd_slope(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.matrix)
     m = jsonio.parse_laurent(_require(doc, "matrix"), "matrix")
     ctx["digest"] = jsonio.digest_of({"matrix": jsonio.laurent_json(m)})
-    verdict = certify_slope(FormalConnection(m))
+    budget = ns.budget if ns.budget is not None else DEFAULT_BUDGET
+    verdict = certify_slope(FormalConnection(m), budget)
     if isinstance(verdict, CertifiedSlope):
         return {
             "kind": "CertifiedSlope",

@@ -16,7 +16,7 @@ from typing import Iterable, Union
 
 from . import linalg
 from .core import Scalar, ScalarLike
-from .errors import InputError, ResonantError, TruncationError
+from .errors import BudgetExceededError, InputError, ResonantError, TruncationError
 from .laurent import LaurentMatrix
 
 
@@ -325,7 +325,7 @@ class RegularSingularCandidate:
 SlopeVerdict = Union[CertifiedSlope, UpperBoundOnly, RegularSingularCandidate]
 
 
-def certify_slope(c: FormalConnection) -> SlopeVerdict:
+def certify_slope(c: FormalConnection, budget: int | None = None) -> SlopeVerdict:
     """Scan the standard parahorics in a FIXED trivialization.
 
     Every stratum contained in the connection bounds the slope from above,
@@ -342,6 +342,10 @@ def certify_slope(c: FormalConnection) -> SlopeVerdict:
     UpperBoundOnly with the minimal depth as bound and the lexicographically
     first stratum of that depth as witness.  A matrix with valuation >= 0
     short-circuits to RegularSingularCandidate.
+
+    The scan costs one budget node per standard parahoric, 2^(n-1) in all,
+    charged before any is built; BudgetExceededError if they do not fit.
+    None means no budget.
     """
     m = c.matrix
     if m.trunc is not None and m.trunc < 1:
@@ -351,6 +355,12 @@ def certify_slope(c: FormalConnection) -> SlopeVerdict:
     v = m.valuation()
     if v is None or v >= 0:
         return RegularSingularCandidate()
+    count = 1 << (m.n - 1)
+    if budget is not None and count > budget:
+        raise BudgetExceededError(
+            f"parahoric scan exceeded budget of {budget}: "
+            f"{count} standard parahorics at n = {m.n}"
+        )
     monos = list(m.monomials())
     parahorics = standard_parahorics(m.n)
     depths = [

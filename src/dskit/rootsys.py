@@ -3,9 +3,11 @@
 This is the shared engine behind both existence criteria: one search walks the
 box 0 <= beta <= alpha, keeps the candidates that pair to zero with lambda,
 and scans decompositions of alpha into candidates for one that does not drop
-p.  Its budget counts each box vector, then each decomposition node; the
-default is DEFAULT_BUDGET = 2,000,000.  Both readings of unramified-ds share
-one box walk.
+p.  The filters run cheapest first: each box vector is tested for
+beta.lambda = 0 in integer arithmetic, and only the survivors are classified
+as roots (or tested against the lattice).  Its budget counts each box vector,
+then each decomposition node; the default is DEFAULT_BUDGET = 2,000,000.
+Both readings of unramified-ds share one box walk.
 """
 
 from __future__ import annotations
@@ -218,27 +220,27 @@ def positive_roots_leq(
     ]
 
 
-def lambda_pairing(
+def _lambda_numerators(
     c: CartanMatrix, lam: Mapping[Vertex, ScalarLike]
-) -> Callable[[Sequence[int]], Scalar]:
-    """beta -> beta . lambda for vectors aligned with c.vertices.  lambda is
-    put over one common denominator here, so each pairing is integer sums."""
+) -> tuple[list[int], list[int], int]:
+    """lambda over one common denominator den, aligned with c.vertices: the
+    integers re, im with lambda_v = (re_v + i im_v) / den."""
     unknown = set(lam) - set(c.vertices)
     if unknown:
         raise InputError(f"unknown vertices in deformation vector: {sorted(map(repr, unknown))}")
     lv = [Scalar.of(lam.get(v, 0)) for v in c.vertices]
     den = math.lcm(*(x.denominator for s in lv for x in (s.re, s.im)))
-    re = [int(s.re * den) for s in lv]
-    im = [int(s.im * den) for s in lv]
-    return lambda b: Scalar(
-        Fraction(sum(map(operator.mul, b, re)), den),
-        Fraction(sum(map(operator.mul, b, im)), den),
-    )
+    return [int(s.re * den) for s in lv], [int(s.im * den) for s in lv], den
 
 
 def dot_lambda(c: CartanMatrix, beta: VecLike, lam: Mapping[Vertex, ScalarLike]) -> Scalar:
     """The pairing beta . lambda."""
-    return lambda_pairing(c, lam)(c.as_vector(beta))
+    re, im, den = _lambda_numerators(c, lam)
+    b = c.as_vector(beta)
+    return Scalar(
+        Fraction(sum(map(operator.mul, b, re)), den),
+        Fraction(sum(map(operator.mul, b, im)), den),
+    )
 
 
 def decompositions(
@@ -293,17 +295,28 @@ def sigma_candidates(
     """The parts a Sigma-criterion search may use: the positive roots below
     alpha, or with in_lattice the nonzero lattice vectors below alpha, other
     than alpha and pairing to zero with lambda.  None when alpha is not a
-    root or alpha.lambda != 0, so that no search is due."""
+    root or alpha.lambda != 0, so that no search is due.
+
+    The box walk tests beta.lambda = 0 first, on the integer numerators of
+    lambda, and runs classify_root (or in_lattice) only on the vectors that
+    pass.  Both tests are predicates on the same lexicographic walk, so the
+    list and its order do not depend on their order; classify_root cannot
+    raise on a nonnegative vector, so skipping it cannot hide an error.
+    """
     if classify_root(c, alpha) is RootClass.NOT_ROOT:
         return None
-    pair = lambda_pairing(c, lam)
-    if pair(alpha):
+    re, im, _ = _lambda_numerators(c, lam)
+
+    def orthogonal(b: Sequence[int]) -> bool:
+        return not sum(map(operator.mul, b, re)) and not sum(map(operator.mul, b, im))
+
+    if not orthogonal(alpha):
         return None
-    if in_lattice is None:
-        vectors = positive_roots_leq(c, alpha, budget)
-    else:
-        vectors = (b for b in box_vectors(alpha, budget) if any(b) and in_lattice(b))
-    return [b for b in vectors if b != alpha and not pair(b)]
+    is_part = in_lattice or (lambda b: classify_root(c, b) is not RootClass.NOT_ROOT)
+    return [
+        b for b in box_vectors(alpha, budget)
+        if orthogonal(b) and any(b) and b != alpha and is_part(b)
+    ]
 
 
 def p_drop_search(

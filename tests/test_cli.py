@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -301,6 +305,22 @@ def test_slope_upper_bound_exits_3(tmp_path, capsys):
     assert v["notes"]
 
 
+def test_slope_budget_below_parahoric_count_is_inconclusive(tmp_path, capsys):
+    # E_15 z^-1 is nilpotent at every parahoric; n = 5 has 2^4 = 16 of them
+    entries = [[_sc(0)] * 5 for _ in range(5)]
+    entries[0][4] = _sc(1)
+    path = _write(tmp_path, "e15.json", matrix=_laurent_doc(5, [(-1, entries)]))
+    v = _verdict(capsys, ["slope", "--matrix", path, "--budget", "4"], 3)
+    reason = "parahoric scan exceeded budget of 4: 16 standard parahorics at n = 5"
+    assert v["result"] == {"kind": "Inconclusive", "reason": reason}
+    assert v["notes"] == [reason]
+
+    v = _verdict(capsys, ["slope", "--matrix", path], 3)
+    assert v["result"] == {
+        "kind": "UpperBoundOnly", "bound": "1/5", "witness_parahoric": [0, 1, 2, 3, 4],
+    }
+
+
 def test_slope_regular_singular_candidate(tmp_path, capsys):
     doc = _laurent_doc(2, [(0, [[_sc(1), _sc(0)], [_sc(0), _sc(1, 2)]])])
     path = _write(tmp_path, "rs.json", matrix=doc)
@@ -427,3 +447,57 @@ def test_unknown_command_and_flag(capsys):
     assert run(["rigidity-table", "--type", "A", "--rank", "6", "--r", "5",
                 "--flag", "bogus"]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# one parser for every run in a process
+# ---------------------------------------------------------------------------
+
+
+def test_flag_does_not_leak_into_the_next_run(tmp_path, capsys):
+    path = _write(tmp_path, "unram.json", types=WITNESS_TYPES)
+    v = _verdict(capsys, ["unramified-ds", "--input", path, "--flag", "ell-ge-2"], 0)
+    assert v["result"] == {"exists": False}
+    v = _verdict(capsys, ["unramified-ds", "--input", path], 0)
+    assert v["result"] == {"exists": True}
+    assert "follows the parts>=3" in v["notes"][0]
+
+
+def test_malformed_arguments_after_a_run_still_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, "d4.json", orbits=D4_GENERIC)
+    _verdict(capsys, ["fuchsian-ds", "--input", path], 0)
+    for argv in (
+        ["fuchsian-ds"],
+        ["fuchsian-ds", "--input", path, "--budget", "many"],
+        ["fuchsian-ds", "--input", path, "--flag", "bogus"],
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage:" in captured.err
+    _verdict(capsys, ["fuchsian-ds", "--input", path], 0)
+
+
+def test_help_exits_0_after_a_run(tmp_path, capsys):
+    path = _write(tmp_path, "d4.json", orbits=D4_GENERIC)
+    _verdict(capsys, ["fuchsian-ds", "--input", path], 0)
+    assert run(["--help"]) == 0
+    assert "fuchsian-ds" in capsys.readouterr().out
+    assert run(["slope", "--help"]) == 0
+    assert "parahorics" in capsys.readouterr().out
+
+
+def test_parser_is_built_on_the_first_run_not_at_import():
+    code = (
+        "import dskit.cli as cli\n"
+        "assert cli._build_parser.cache_info().currsize == 0\n"
+        "assert cli.run(['--help']) == 0\n"
+        "assert cli.run(['--help']) == 0\n"
+        "info = cli._build_parser.cache_info()\n"
+        "assert (info.misses, info.hits) == (1, 1), info\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,12 +1,13 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from dskit import linalg
 from dskit.core import Scalar
-from dskit.errors import InputError, ResonantError, TruncationError
+from dskit.errors import BudgetExceededError, InputError, ResonantError, TruncationError
 from dskit.formal import (
     CertifiedSlope,
     CoxeterFormalType,
@@ -26,6 +27,7 @@ from dskit.formal import (
     standard_parahorics,
 )
 from dskit.laurent import LaurentMatrix
+from dskit.rootsys import DEFAULT_BUDGET
 
 mono = LaurentMatrix.monomial
 
@@ -216,6 +218,22 @@ def test_certify_slope_nilpotent_pole_gives_upper_bound():
     assert v.bound == Fraction(1, 2)
     assert v.witness.parahoric.J == (0, 1)
     assert not is_fundamental(v.witness)
+
+
+def test_certify_slope_charges_every_parahoric_to_the_budget():
+    c = _conn(mono(5, -1, 1, 5, 1))
+    want = certify_slope(c)
+    got = certify_slope(c, budget=16)
+    assert (got.bound, got.witness.parahoric.J) == (want.bound, want.witness.parahoric.J)
+    with pytest.raises(BudgetExceededError, match="16 standard parahorics"):
+        certify_slope(c, budget=15)
+    # without a pole nothing is scanned, so nothing is charged
+    assert isinstance(certify_slope(_conn(_diag(1, 2, 3)), budget=0), RegularSingularCandidate)
+    # 2^21 parahorics at n = 22 exceed the default budget before any is built
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="2097152 standard parahorics"):
+        certify_slope(_conn(mono(22, -1, 1, 22, 1)), budget=DEFAULT_BUDGET)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_certify_slope_truncation_guard():

@@ -17,13 +17,17 @@ import pytest
 
 from dskit.core import OrbitSpec, Scalar
 from dskit.errors import BudgetExceededError
-from dskit.fuchsian import build_cb_data, fuchsian_rigidity
+from dskit.fuchsian import FuchsianRigidity, build_cb_data, fuchsian_rigidity
 from dskit.rootsys import (
+    DEFAULT_BUDGET,
     RootClass,
+    box_vectors,
     classify_root,
     decompositions,
+    dot_lambda,
     in_sigma_lambda,
     p_value,
+    positive_roots_leq,
     sigma_candidates,
 )
 from dskit.unramified import (
@@ -267,21 +271,78 @@ def test_exists_on_data_matches_former_search():
 
 
 # ---------------------------------------------------------------------------
+# the candidate list against the classify-first composition
+# ---------------------------------------------------------------------------
+
+
+def _classify_first_candidates(c, a, lam, in_lattice=None):
+    """sigma_candidates as it was composed before the lambda test moved ahead
+    of classify_root: every box vector classified (or tested against the
+    lattice) first, lambda tested on what is left."""
+    if classify_root(c, a) is RootClass.NOT_ROOT or dot_lambda(c, a, lam):
+        return None
+    if in_lattice is None:
+        vectors = positive_roots_leq(c, a)
+    else:
+        vectors = [b for b in box_vectors(a, None) if any(b) and in_lattice(b)]
+    return [b for b in vectors if b != a and not dot_lambda(c, b, lam)]
+
+
+def test_sigma_candidates_match_classify_first_on_star_tuples():
+    nonempty = 0
+    for data in _fuchsian_cases(seed=20261020, count=150):
+        a = data.alpha_vector()
+        want = _classify_first_candidates(data.cartan, a, data.lam)
+        assert sigma_candidates(data.cartan, a, data.lam, None) == want, data.alpha
+        nonempty += bool(want)
+    # non-generic tuples: lambda-orthogonal proper sub-roots are common
+    assert nonempty >= 30
+
+
+def test_sigma_candidates_match_classify_first_on_unramified_tuples():
+    nonempty = 0
+    ranks = set()
+    for types, data in _unramified_cases(seed=20261021, count=100):
+        ranks.add(types[0].n)
+        a = data.alpha_vector()
+        in_lattice = data.lattice_test()
+        want = _classify_first_candidates(data.cartan, a, data.lam, in_lattice)
+        assert sigma_candidates(data.cartan, a, data.lam, None, in_lattice) == want, types
+        nonempty += bool(want)
+    assert nonempty >= 20
+    assert ranks == {2, 3, 4}
+
+
+# ---------------------------------------------------------------------------
 # the box walk draws on the budget
 # ---------------------------------------------------------------------------
 
 
-def test_budget_stops_rank4_triple_before_the_box_walk():
-    # a generic rank-4 triple: the box under alpha = (4, 3,2,1, 3,2,1, 3,2,1)
-    # holds 5 * 24**3 = 69,120 vectors, far over a budget of 10
+def _generic_rank4_triple():
+    # the box under alpha = (4, 3,2,1, 3,2,1, 3,2,1) holds 5 * 24**3 = 69,120
+    # vectors; generic eigenvalues leave no proper sub-root orthogonal to lambda
     eigs = [
         [Fraction(1, 7), Fraction(2, 11), Fraction(3, 13), Fraction(-5, 17)],
         [Fraction(4, 19), Fraction(-6, 23), Fraction(7, 29), Fraction(1, 31)],
         [Fraction(2, 37), Fraction(3, 41), Fraction(-1, 43)],
     ]
     eigs[2].append(-sum(sum(e) for e in eigs))
-    orbits = [OrbitSpec(4, [(e, (1,)) for e in es]) for es in eigs]
+    return [OrbitSpec(4, [(e, (1,)) for e in es]) for es in eigs]
+
+
+def test_budget_stops_rank4_triple_before_the_box_walk():
+    orbits = _generic_rank4_triple()
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceededError, match="lattice-point enumeration"):
         fuchsian_rigidity(orbits, budget=10)
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_rank4_triple_decides_under_the_default_budget_in_a_second():
+    # classifying every one of the 69,120 box vectors takes seconds, so only
+    # the lambda-orthogonal ones may reach classify_root
+    orbits = _generic_rank4_triple()
+    t0 = time.perf_counter()
+    rigidity = fuchsian_rigidity(orbits, budget=DEFAULT_BUDGET)
+    assert time.perf_counter() - t0 < 1.0
+    assert rigidity is FuchsianRigidity.INFINITE
