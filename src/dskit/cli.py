@@ -41,29 +41,19 @@ from .fuchsian import CBData, FuchsianRigidity, build_cb_data, fuchsian_rigidity
 from .rootsys import DEFAULT_BUDGET
 from .unramified import HiroeData, _exists_on_data, build_hiroe_data
 
-_FLAG_CHOICES = ("ell-ge-2", "table-conjunction")
-
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first run and reused by every later one."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--flag",
-        action="append",
-        default=[],
-        choices=_FLAG_CHOICES,
-        help="opt into an alternative reading of an ambiguous printed "
-             "criterion; disagreements with the default surface in notes",
-    )
-    common.add_argument(
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
         "--budget",
         type=int,
-        default=None,
+        default=DEFAULT_BUDGET,
         metavar="N",
         help="cap on search nodes: each box vector 0 <= beta <= alpha, then "
              "each decomposition node; for slope, each of the 2^(n-1) standard "
-             "parahorics (default 2,000,000); both readings of unramified-ds "
+             f"parahorics (default {DEFAULT_BUDGET:,}); both readings of unramified-ds "
              "share one box walk",
     )
 
@@ -74,19 +64,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "fuchsian-ds", parents=[common],
+        "fuchsian-ds", parents=[budget],
         help="decide the additive problem for residue orbits at sum zero",
     )
     p.add_argument("--input", required=True, help="JSON file with 'orbits'")
 
     p = sub.add_parser(
-        "unramified-ds", parents=[common],
+        "unramified-ds", parents=[budget],
         help="decide existence for a tuple of unramified formal types",
     )
     p.add_argument("--input", required=True, help="JSON file with 'types'")
+    p.add_argument(
+        "--flag", choices=("ell-ge-2",),
+        help="follow the parts>=2 reading of condition (2), decompositions "
+             "into two or more parts, instead of the printed parts>=3; a "
+             "disagreement between the two readings surfaces in notes",
+    )
 
     p = sub.add_parser(
-        "coxeter-ds", parents=[common],
+        "coxeter-ds",
         help="decide existence for a Coxeter formal type plus one orbit",
     )
     p.add_argument("--n", type=int, required=True)
@@ -95,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orbit", required=True, help="JSON file with 'orbit'")
 
     p = sub.add_parser(
-        "rigidity", parents=[common],
+        "rigidity",
         help="rigidity of a nilpotent orbit for slope r/n (gl_n)",
     )
     p.add_argument("--n", type=int, required=True)
@@ -103,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orbit", required=True, help="JSON file with 'orbit'")
 
     p = sub.add_parser(
-        "rigidity-table", parents=[common],
+        "rigidity-table",
         help="rigidity of the homogeneous type of slope r/h for a simple type",
     )
     p.add_argument("--type", required=True, dest="family",
@@ -112,15 +108,21 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="rank parameter as the table prints it "
                         "(family A is keyed by matrix size n)")
     p.add_argument("--r", type=int, required=True)
+    p.add_argument(
+        "--flag", choices=("table-conjunction",),
+        help="follow the both-divisors reading of the two-condition rows "
+             "(types B and D) instead of the either-divisor one; a "
+             "disagreement between the two readings surfaces in notes",
+    )
 
     p = sub.add_parser(
-        "slope", parents=[common],
+        "slope", parents=[budget],
         help="certify the slope of d + M dz/z from a fixed trivialization",
     )
     p.add_argument("--matrix", required=True, help="JSON file with 'matrix'")
 
     p = sub.add_parser(
-        "normalize-regsing", parents=[common],
+        "normalize-regsing",
         help="gauge a simple-pole connection to its residue term",
     )
     p.add_argument("--matrix", required=True, help="JSON file with 'matrix'")
@@ -128,14 +130,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="work modulo z^order")
 
     p = sub.add_parser(
-        "count-rank2", parents=[common],
+        "count-rank2",
         help="moduli count for rank-2 slope-1 unramified data plus one orbit",
     )
     p.add_argument("--input", required=True,
                    help="JSON file with 'formal_type' and 'orbit'")
 
     p = sub.add_parser(
-        "quiver-export", parents=[common],
+        "quiver-export",
         help="render the decision quiver (with alpha/lambda labels) as DOT",
     )
     p.add_argument("--input", required=True,
@@ -225,6 +227,22 @@ def quiver_dot(data: CBData | HiroeData) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _flag_note(
+    ctx, flag: str, readings: tuple[str, str], flagged: bool, selected: Any, other: Any
+) -> None:
+    """Note that the two readings of an ambiguous criterion disagree, when
+    they do; readings names the default one, then the one --flag selects."""
+    if other == selected:
+        return
+    default, alt = readings
+    by_default, by_flag = (other, selected) if flagged else (selected, other)
+    ctx["notes"].append(
+        f"flag-sensitive: the {default} reading gives {by_default}, the {alt} "
+        f"reading (--flag {flag}) gives {by_flag}; this verdict follows the "
+        f"{alt if flagged else default} reading"
+    )
+
+
 def _cmd_fuchsian_ds(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.input)
     orbits, seqs, payload = _parse_orbit_list(doc)
@@ -238,26 +256,18 @@ def _cmd_unramified_ds(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.input)
     types, payload = _parse_type_list(doc)
     ctx["digest"] = jsonio.digest_of(payload)
-    budget = ns.budget if ns.budget is not None else DEFAULT_BUDGET
-    use_two = "ell-ge-2" in ns.flag
+    use_two = ns.flag is not None
     data = build_hiroe_data(types)
-    candidates = data.candidates(budget)
-    selected = _exists_on_data(data, candidates, ell_ge_2=use_two, budget=budget)
+    candidates = data.candidates(ns.budget)
+    selected = _exists_on_data(data, candidates, ell_ge_2=use_two, budget=ns.budget)
     try:
-        other = _exists_on_data(data, candidates, ell_ge_2=not use_two, budget=budget)
+        other = _exists_on_data(data, candidates, ell_ge_2=not use_two, budget=ns.budget)
     except BudgetExceededError:
         ctx["notes"].append(
             "flag-sensitivity comparison skipped: enumeration budget exceeded"
         )
     else:
-        if other != selected:
-            three = other if use_two else selected
-            two = selected if use_two else other
-            ctx["notes"].append(
-                f"flag-sensitive: the parts>=3 reading gives {three}, the "
-                f"parts>=2 reading (--flag ell-ge-2) gives {two}; this verdict "
-                f"follows the {'parts>=2' if use_two else 'parts>=3'} reading"
-            )
+        _flag_note(ctx, "ell-ge-2", ("parts>=3", "parts>=2"), use_two, selected, other)
     return {"exists": selected}, 0
 
 
@@ -287,18 +297,10 @@ def _cmd_rigidity_table(ns, ctx) -> tuple[Any, int]:
     ctx["digest"] = jsonio.digest_of(
         {"family": qy.family, "rank": qy.rank, "r": qy.r}
     )
-    conj = "table-conjunction" in ns.flag
+    conj = ns.flag is not None
     val = rigid_table_simple_type(qy, conjunction=conj)
     other = rigid_table_simple_type(qy, conjunction=not conj)
-    if other != val:
-        disj = other if conj else val
-        both = val if conj else other
-        ctx["notes"].append(
-            f"flag-sensitive: the either-divisor reading gives {disj}, the "
-            f"both-divisors reading (--flag table-conjunction) gives {both}; "
-            f"this verdict follows the "
-            f"{'both-divisors' if conj else 'either-divisor'} reading"
-        )
+    _flag_note(ctx, "table-conjunction", ("either-divisor", "both-divisors"), conj, val, other)
     return {"rigid": val}, 0
 
 
@@ -306,8 +308,7 @@ def _cmd_slope(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.matrix)
     m = jsonio.parse_laurent(_require(doc, "matrix"), "matrix")
     ctx["digest"] = jsonio.digest_of({"matrix": jsonio.laurent_json(m)})
-    budget = ns.budget if ns.budget is not None else DEFAULT_BUDGET
-    verdict = certify_slope(FormalConnection(m), budget)
+    verdict = certify_slope(FormalConnection(m), ns.budget)
     if isinstance(verdict, CertifiedSlope):
         return {
             "kind": "CertifiedSlope",

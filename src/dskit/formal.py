@@ -18,6 +18,7 @@ from . import linalg
 from .core import Scalar, ScalarLike
 from .errors import BudgetExceededError, InputError, ResonantError, TruncationError
 from .laurent import LaurentMatrix
+from .rootsys import DEFAULT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -29,10 +30,6 @@ class FormalConnection:
     @property
     def n(self) -> int:
         return self.matrix.n
-
-    @property
-    def trunc_order(self) -> int | None:
-        return self.matrix.trunc
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +88,11 @@ def regsing_normalize(c: FormalConnection, order: int) -> LaurentMatrix:
 
     Coefficient k solves the Sylvester equation
     (B_0 + kI) g_k - g_k B_0 = sum_{i<k} g_i B_{k-i}, whose left side is
-    singular exactly when two eigenvalues of B_0 differ by k; resonance is
-    therefore detected by the solver itself, with no eigenvalue computation.
+    singular exactly when two eigenvalues of B_0 differ by k.  Resonance is
+    not tested as such: ResonantError is raised only at a step whose
+    equation is inconsistent.  At a singular but consistent step the free
+    coordinates of g_k are set to zero, so a resonant residue can still get
+    a gauge (a constant M = diag(0, 1) gets the identity).
     """
     if order < 1:
         raise InputError(f"need order >= 1, got {order}")
@@ -325,7 +325,7 @@ class RegularSingularCandidate:
 SlopeVerdict = Union[CertifiedSlope, UpperBoundOnly, RegularSingularCandidate]
 
 
-def certify_slope(c: FormalConnection, budget: int | None = None) -> SlopeVerdict:
+def certify_slope(c: FormalConnection, budget: int | None = DEFAULT_BUDGET) -> SlopeVerdict:
     """Scan the standard parahorics in a FIXED trivialization.
 
     Every stratum contained in the connection bounds the slope from above,
@@ -345,7 +345,7 @@ def certify_slope(c: FormalConnection, budget: int | None = None) -> SlopeVerdic
 
     The scan costs one budget node per standard parahoric, 2^(n-1) in all,
     charged before any is built; BudgetExceededError if they do not fit.
-    None means no budget.
+    The default DEFAULT_BUDGET fits every n <= 21; None means no budget.
     """
     m = c.matrix
     if m.trunc is not None and m.trunc < 1:

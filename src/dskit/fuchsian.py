@@ -14,6 +14,7 @@ from typing import Sequence
 from .core import OrbitSpec, Scalar, ScalarLike, rank_after_factors
 from .errors import InputError, ResonantError
 from .rootsys import (
+    DEFAULT_BUDGET,
     CartanMatrix,
     Quiver,
     RootClass,
@@ -109,7 +110,7 @@ def build_cb_data(
 def fuchsian_ds_exists(
     orbits: Sequence[OrbitSpec],
     seqs: Sequence[Sequence[ScalarLike]] | None = None,
-    budget: int | None = None,
+    budget: int | None = DEFAULT_BUDGET,
 ) -> bool:
     """Whether an irreducible tuple A_i in O_i with sum zero exists."""
     return fuchsian_rigidity(orbits, seqs, budget) is not FuchsianRigidity.EMPTY
@@ -118,7 +119,7 @@ def fuchsian_ds_exists(
 def fuchsian_rigidity(
     orbits: Sequence[OrbitSpec],
     seqs: Sequence[Sequence[ScalarLike]] | None = None,
-    budget: int | None = None,
+    budget: int | None = DEFAULT_BUDGET,
 ) -> FuchsianRigidity:
     """Empty / RigidSingleton / Infinite for the stable moduli of solutions.
 
@@ -126,8 +127,7 @@ def fuchsian_rigidity(
     infinite for alpha imaginary.
     """
     data = build_cb_data(orbits, seqs)
-    kwargs = {} if budget is None else {"budget": budget}
-    if not in_sigma_lambda(data.cartan, data.alpha, data.lam, **kwargs):
+    if not in_sigma_lambda(data.cartan, data.alpha, data.lam, budget):
         return FuchsianRigidity.EMPTY
     cls = classify_root(data.cartan, data.cartan.as_vector(data.alpha))
     if cls is RootClass.REAL:

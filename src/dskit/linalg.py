@@ -227,40 +227,41 @@ def nullspace(a: Matrix) -> list[Vector]:
     return basis
 
 
-def vec_rows(x: Matrix) -> Vector:
-    """Stack the rows of x into one vector."""
-    return [entry for row in x for entry in row]
-
-
-def unvec_rows(v: Vector, rows: int, cols: int) -> Matrix:
-    if len(v) != rows * cols:
-        raise InputError("vector length does not match shape")
-    return [list(v[i * cols : (i + 1) * cols]) for i in range(rows)]
+def _sylvester_operator(p: Matrix, q: Matrix) -> Matrix:
+    """The matrix of x -> p x - x q on n x m matrices x stacked by rows: entry
+    ((i, j), (a, b)) is p_ia [j = b] - [i = a] q_bj."""
+    n = len(p)
+    m = len(q)
+    zero = Scalar(0)
+    op = [[zero] * (n * m) for _ in range(n * m)]
+    for i in range(n):
+        for j in range(m):
+            row = op[i * m + j]
+            for a in range(n):
+                row[a * m + j] = p[i][a]
+            for b in range(m):
+                row[i * m + b] = row[i * m + b] - q[b][j]
+    return op
 
 
 def sylvester_solve(p: Matrix, q: Matrix, rhs: Matrix) -> Matrix | None:
-    """Solve p x - x q = rhs for x, or None when the operator is singular.
+    """One solution x of p x - x q = rhs, or None if the system is inconsistent.
 
-    Row-stacking turns the operator into p (x) I - I (x) q^t, since
-    vec(p x) = (p (x) I) vec(x) and vec(x q) = (I (x) q^t) vec(x).
+    When the operator is singular but the system consistent, the free
+    coordinates of x are set to zero.
     """
-    n = len(p)
     m = len(q)
-    op = mat_sub(kron(p, identity(m)), kron(identity(n), transpose(q)))
-    sol = solve(op, vec_rows(rhs))
+    sol = solve(_sylvester_operator(p, q), [entry for row in rhs for entry in row])
     if sol is None:
         return None
-    return unvec_rows(sol, n, m)
+    return [sol[i * m : (i + 1) * m] for i in range(len(p))]
 
 
 def ad_eigen_shift_singular(b: Matrix, k: int) -> bool:
     """Whether x -> b x - x b - k x is singular, i.e. whether k is a
     difference of two eigenvalues of b."""
     n = len(b)
-    op = mat_sub(kron(b, identity(n)), kron(identity(n), transpose(b)))
-    for i in range(n * n):
-        op[i][i] = op[i][i] - k
-    return rank(op) < n * n
+    return rank(_sylvester_operator(mat_sub(b, mat_scale(k, identity(n))), b)) < n * n
 
 
 def jordan_matrix(o: OrbitSpec) -> Matrix:

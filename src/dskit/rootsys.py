@@ -6,8 +6,9 @@ and scans decompositions of alpha into candidates for one that does not drop
 p.  The filters run cheapest first: each box vector is tested for
 beta.lambda = 0 in integer arithmetic, and only the survivors are classified
 as roots (or tested against the lattice).  Its budget counts each box vector,
-then each decomposition node; the default is DEFAULT_BUDGET = 2,000,000.
-Both readings of unramified-ds share one box walk.
+then each decomposition node.  Every public search and decider defaults to
+DEFAULT_BUDGET = 2,000,000 and reads budget=None as no budget.  Both readings
+of unramified-ds share one box walk.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from typing import Callable, Hashable, Iterator, Mapping, Sequence, Union
 
 from .core import Scalar, ScalarLike
 from .errors import BudgetExceededError, DescentGuardError, InputError
+
+DEFAULT_BUDGET = 2_000_000
 
 Vertex = Hashable
 VecLike = Union[Mapping[Vertex, int], Sequence[int]]
@@ -107,13 +110,8 @@ class RootClass(Enum):
     NOT_ROOT = "NotRoot"
 
 
-def cartan_of_quiver(q: Quiver, directed: bool = False) -> CartanMatrix:
-    """C_ij = 2 delta_ij - #{edges between i and j}, arrows counted undirected.
-
-    directed=True counts only arrows i -> j (a sensitivity check, not the
-    default reading); the result must still come out symmetric or the
-    CartanMatrix validation rejects it.
-    """
+def cartan_of_quiver(q: Quiver) -> CartanMatrix:
+    """C_ij = 2 delta_ij - #{edges between i and j}, arrows counted undirected."""
     verts = q.vertices
     pos = {v: k for k, v in enumerate(verts)}
     n = len(verts)
@@ -121,8 +119,7 @@ def cartan_of_quiver(q: Quiver, directed: bool = False) -> CartanMatrix:
     for tail, head in q.arrows:
         a, b = pos[tail], pos[head]
         counts[a][b] += 1
-        if not directed:
-            counts[b][a] += 1
+        counts[b][a] += 1
     rows = tuple(
         tuple(2 if i == j else -counts[i][j] for j in range(n)) for i in range(n)
     )
@@ -208,7 +205,7 @@ def _after_box(alpha: Sequence[int], budget: int | None) -> int | None:
 
 
 def positive_roots_leq(
-    c: CartanMatrix, alpha: VecLike, budget: int | None = None
+    c: CartanMatrix, alpha: VecLike, budget: int | None = DEFAULT_BUDGET
 ) -> list[tuple[int, ...]]:
     """All positive roots beta with beta <= alpha componentwise, sorted."""
     a = c.as_vector(alpha)
@@ -280,9 +277,6 @@ def decompositions(
                 chosen.pop()
 
     yield from walk(alpha, 0, [])
-
-
-DEFAULT_BUDGET = 2_000_000
 
 
 def sigma_candidates(

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from dskit.cli import run
+from dskit.cli import _build_parser, run
+from dskit.rootsys import DEFAULT_BUDGET
 
 SCHEMA = "ds-kit/1"
 
@@ -148,16 +150,15 @@ def test_fuchsian_ds_with_explicit_sequences(tmp_path, capsys):
 
 def test_unramified_ds_flag_sensitivity_both_directions(tmp_path, capsys):
     path = _write(tmp_path, "unram.json", types=WITNESS_TYPES)
+    note = ("flag-sensitive: the parts>=3 reading gives True, the parts>=2 "
+            "reading (--flag ell-ge-2) gives False; this verdict follows the {} reading")
     v = _verdict(capsys, ["unramified-ds", "--input", path], 0)
     assert v["result"] == {"exists": True}
-    assert len(v["notes"]) == 1
-    assert "parts>=3 reading gives True" in v["notes"][0]
-    assert "parts>=2 reading (--flag ell-ge-2) gives False" in v["notes"][0]
-    assert "follows the parts>=3" in v["notes"][0]
+    assert v["notes"] == [note.format("parts>=3")]
 
     v2 = _verdict(capsys, ["unramified-ds", "--input", path, "--flag", "ell-ge-2"], 0)
     assert v2["result"] == {"exists": False}
-    assert "follows the parts>=2" in v2["notes"][0]
+    assert v2["notes"] == [note.format("parts>=2")]
     assert v2["inputs_digest"] == v["inputs_digest"]  # flags are not inputs
 
 
@@ -244,16 +245,17 @@ def test_rigidity(tmp_path, capsys):
 
 
 def test_rigidity_table_flag_sensitivity(capsys):
+    note = ("flag-sensitive: the either-divisor reading gives True, the both-divisors "
+            "reading (--flag table-conjunction) gives False; this verdict follows the "
+            "{} reading")
     v = _verdict(capsys, ["rigidity-table", "--type", "B", "--rank", "4", "--r", "3"], 0)
     assert v["result"] == {"rigid": True}
-    assert len(v["notes"]) == 1
-    assert "either-divisor reading gives True" in v["notes"][0]
-    assert "both-divisors reading (--flag table-conjunction) gives False" in v["notes"][0]
+    assert v["notes"] == [note.format("either-divisor")]
 
     v2 = _verdict(capsys, ["rigidity-table", "--type", "B", "--rank", "4",
                            "--r", "3", "--flag", "table-conjunction"], 0)
     assert v2["result"] == {"rigid": False}
-    assert "follows the both-divisors" in v2["notes"][0]
+    assert v2["notes"] == [note.format("both-divisors")]
 
 
 def test_rigidity_table_agreeing_row(capsys):
@@ -447,6 +449,59 @@ def test_unknown_command_and_flag(capsys):
     assert run(["rigidity-table", "--type", "A", "--rank", "6", "--r", "5",
                 "--flag", "bogus"]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# each option only on the subcommands that read it
+# ---------------------------------------------------------------------------
+
+
+def _option_layout():
+    """{subcommand: {option: choices or the default}} for --budget and --flag."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {a.option_strings[0]: tuple(a.choices) if a.choices else a.default
+               for a in p._actions if a.dest in ("budget", "flag")}
+        for name, p in sub.choices.items()
+    }
+
+
+def test_budget_and_flag_appear_only_where_they_act():
+    layout = _option_layout()
+    assert layout == {
+        "fuchsian-ds": {"--budget": DEFAULT_BUDGET},
+        "unramified-ds": {"--budget": DEFAULT_BUDGET, "--flag": ("ell-ge-2",)},
+        "coxeter-ds": {},
+        "rigidity": {},
+        "rigidity-table": {"--flag": ("table-conjunction",)},
+        "slope": {"--budget": DEFAULT_BUDGET},
+        "normalize-regsing": {},
+        "count-rank2": {},
+        "quiver-export": {},
+    }
+    # one value per --budget, one per --flag choice
+    values = sum(len(v) if isinstance(v, tuple) else 1
+                 for opts in layout.values() for v in opts.values())
+    assert values == 5
+
+
+def test_options_a_subcommand_does_not_read_exit_2(tmp_path, capsys):
+    orbit = _write(tmp_path, "orb.json", orbit=NILP2)
+    z = _sc(0)
+    matrix = _write(tmp_path, "m.json", matrix=_laurent_doc(2, [(0, [[z, z], [z, z]])]))
+    orbits = _write(tmp_path, "d4.json", orbits=D4_GENERIC)
+    types = _write(tmp_path, "unram.json", types=WITNESS_TYPES)
+    for argv in (
+        ["coxeter-ds", "--n", "2", "--r", "1", "--p0", "0", "--orbit", orbit,
+         "--budget", "5"],
+        ["normalize-regsing", "--matrix", matrix, "--order", "3", "--budget", "5"],
+        ["fuchsian-ds", "--input", orbits, "--flag", "ell-ge-2"],
+        ["unramified-ds", "--input", types, "--flag", "table-conjunction"],
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage:" in captured.err, argv
 
 
 # ---------------------------------------------------------------------------

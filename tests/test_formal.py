@@ -236,6 +236,14 @@ def test_certify_slope_charges_every_parahoric_to_the_budget():
     assert time.perf_counter() - t0 < 0.1
 
 
+def test_certify_slope_defaults_to_the_default_budget():
+    # the 2^21 parahorics at n = 22 do not fit the budget a bare call gets
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="exceeded budget of 2000000"):
+        certify_slope(_conn(mono(22, -1, 1, 22, 1)))
+    assert time.perf_counter() - t0 < 0.1
+
+
 def test_certify_slope_truncation_guard():
     m = LaurentMatrix(2, {-1: linalg.identity(2)}, trunc=0)
     with pytest.raises(TruncationError):
@@ -406,6 +414,20 @@ def test_regsing_normalize_errors():
     truncated = LaurentMatrix(2, {0: linalg.zeros(2, 2)}, trunc=2)
     with pytest.raises(TruncationError):
         regsing_normalize(_conn(truncated), 3)
+
+
+def test_regsing_normalize_resonant_residue_with_consistent_steps_gets_a_gauge():
+    # the eigenvalues 0 and 1 differ by 1, but with no higher terms every step
+    # is consistent; its free coordinates are set to zero, giving the identity
+    g = regsing_normalize(_conn(_diag(0, 1)), 4)
+    assert g.eq_mod(LaurentMatrix.one(2), 4)
+    assert g.trunc == 4
+
+
+def test_regsing_normalize_resonant_residue_raises_at_an_inconsistent_step():
+    ones = LaurentMatrix(2, {1: linalg.mat_of([[1, 1], [1, 1]])})
+    with pytest.raises(ResonantError, match="differ by 1"):
+        regsing_normalize(_conn(_diag(0, 1) + ones), 4)
 
 
 def test_regsing_normalize_resonant_gap_with_vanishing_obstruction():

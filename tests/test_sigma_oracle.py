@@ -7,6 +7,7 @@ second also keeps its own lattice test.  On seeded inputs with no budget the
 engine must give the same verdicts.
 """
 
+import inspect
 import itertools
 import math
 import random
@@ -17,7 +18,13 @@ import pytest
 
 from dskit.core import OrbitSpec, Scalar
 from dskit.errors import BudgetExceededError
-from dskit.fuchsian import FuchsianRigidity, build_cb_data, fuchsian_rigidity
+from dskit.formal import certify_slope
+from dskit.fuchsian import (
+    FuchsianRigidity,
+    build_cb_data,
+    fuchsian_ds_exists,
+    fuchsian_rigidity,
+)
 from dskit.rootsys import (
     DEFAULT_BUDGET,
     RootClass,
@@ -346,3 +353,14 @@ def test_rank4_triple_decides_under_the_default_budget_in_a_second():
     rigidity = fuchsian_rigidity(orbits, budget=DEFAULT_BUDGET)
     assert time.perf_counter() - t0 < 1.0
     assert rigidity is FuchsianRigidity.INFINITE
+
+
+def test_rank4_triple_without_a_budget_matches_the_default():
+    orbits = _generic_rank4_triple()
+    assert fuchsian_rigidity(orbits, budget=None) is fuchsian_rigidity(orbits)
+
+
+def test_every_budgeted_search_defaults_to_the_default_budget():
+    for fn in (in_sigma_lambda, positive_roots_leq, fuchsian_ds_exists, fuchsian_rigidity,
+               unramified_ds_exists, certify_slope):
+        assert inspect.signature(fn).parameters["budget"].default == DEFAULT_BUDGET, fn
