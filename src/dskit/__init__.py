@@ -49,9 +49,7 @@ from .formal import (
     UpperBoundOnly,
     certify_slope,
     coxeter_canonical_type,
-    filtration_degree,
     is_fundamental,
-    is_nonresonant,
     leading_stratum,
     omega_power,
     regsing_normalize,
@@ -130,13 +128,11 @@ __all__ = [
     "dominance_leq",
     "ds_generator",
     "dual_partition",
-    "filtration_degree",
     "fuchsian_ds_exists",
     "fuchsian_rigidity",
     "h1_dimension",
     "in_sigma_lambda",
     "is_fundamental",
-    "is_nonresonant",
     "is_rigid_coxeter_gl",
     "leading_stratum",
     "min_partition_with_r_parts",

@@ -144,6 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="JSON file with 'orbits' or 'types'")
     p.add_argument("--out", default=None,
                    help="write DOT here and emit a verdict instead of raw DOT")
+    for p in sub.choices.values():
+        p.set_defaults(subparser=p)
     return ap
 
 
@@ -390,7 +392,10 @@ _HANDLERS = {
 
 def run(argv: Sequence[str]) -> int:
     try:
-        ns = _build_parser().parse_args(list(argv))
+        ns, extra = _build_parser().parse_known_args(list(argv))
+        if extra:
+            # the subcommand's own usage lists the options it does take
+            ns.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     ctx: dict[str, Any] = {"digest": None, "notes": [], "raw": None}

@@ -129,20 +129,12 @@ class Scalar:
         first, second, tail_i = m.groups()
         try:
             if tail_i:  # has an imaginary part
-                if second is not None:
+                if second is not None:  # "1+i", "-i", "7-2/3i"; a bare sign stands for 1
                     re_part = Fraction(first) if first else Fraction(0)
-                    im_part = Fraction(1) if second in "+-" else Fraction(second)
-                    if second.startswith("-") and second != "-":
-                        pass  # Fraction already carries the sign
-                    elif second == "-":
-                        im_part = Fraction(-1)
+                    im_part = Fraction({"+": "1", "-": "-1"}.get(second, second))
                     return Scalar(re_part, im_part)
-                # pure imaginary: "i", "-i", "2i", "-3/4i"
-                if first is None or first in ("+", "-"):
-                    im_part = Fraction(-1) if first == "-" else Fraction(1)
-                else:
-                    im_part = Fraction(first)
-                return Scalar(0, im_part)
+                # pure imaginary: "i", "2i", "-3/4i"
+                return Scalar(0, Fraction(first) if first else Fraction(1))
             if second is not None:
                 raise InputError(f"cannot parse scalar {text!r}")
             if first is None:

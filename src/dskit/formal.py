@@ -1,9 +1,8 @@
 """Formal connections on the punctured disk.
 
-Covers the local analysis the decision modules lean on: exact nonresonance
-testing, the regular-singular gauge recursion, standard parahoric lattice-chain
-filtrations, fundamental strata, slope certification, and the Coxeter
-canonical form p(omega^{-1}).
+Covers the local analysis the decision modules lean on: the regular-singular
+gauge recursion, standard parahoric lattice-chain filtrations, fundamental
+strata, slope certification, and the Coxeter canonical form p(omega^{-1}).
 """
 
 from __future__ import annotations
@@ -30,52 +29,6 @@ class FormalConnection:
     @property
     def n(self) -> int:
         return self.matrix.n
-
-
-# ---------------------------------------------------------------------------
-# Exact nonresonance.
-# ---------------------------------------------------------------------------
-
-
-def is_nonresonant(b0: linalg.Matrix) -> bool:
-    """No two eigenvalues of b0 differ by a nonzero rational integer.
-
-    Eigenvalues are computed exactly by factoring the characteristic
-    polynomial over the Gaussian rationals; a matrix with eigenvalues outside
-    Q(i) is rejected rather than approximated.
-    """
-    import sympy
-
-    rows, cols = linalg.dims(b0)
-    if rows != cols:
-        raise InputError("nonresonance is defined for square matrices")
-    x = sympy.Symbol("x")
-    sm = sympy.Matrix(
-        [[sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im) for c in row]
-         for row in b0]
-    )
-    charpoly = sm.charpoly(x).as_expr()
-    _, factors = sympy.factor_list(charpoly, gaussian=True)
-    eigs: list[Scalar] = []
-    for fac, _mult in factors:
-        poly = sympy.Poly(fac, x)
-        if poly.degree() == 0:
-            continue
-        if poly.degree() > 1:
-            raise InputError(
-                "matrix has eigenvalues outside Q(i): irreducible factor "
-                f"{fac} of the characteristic polynomial"
-            )
-        root = sympy.together(-poly.nth(0) / poly.nth(1))
-        re_part, im_part = root.as_real_imag()
-        re_q = sympy.Rational(re_part)
-        im_q = sympy.Rational(im_part)
-        eigs.append(Scalar(Fraction(re_q.p, re_q.q), Fraction(im_q.p, im_q.q)))
-    for i in range(len(eigs)):
-        for j in range(i + 1, len(eigs)):
-            if eigs[i].differs_by_nonzero_int(eigs[j]):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -206,25 +159,6 @@ def standard_parahorics(n: int) -> list[StandardParahoric]:
         for combo in itertools.combinations(rest, size)
     )
     return [StandardParahoric(n, j) for j in js]
-
-
-def filtration_degree(p: StandardParahoric, a: int, b: int, k: int) -> int:
-    """Largest s with E_ab z^k . L^i contained in L^{i+s} for every i.
-
-    Computed directly from the lattice-chain bases: the monomial sends
-    z^{nu_i(b)} e_b to z^{k + nu_i(b)} e_a, so the containment at i asks
-    nu_{i+s}(a) <= k + nu_i(b), checked over one period.
-    """
-    if not (1 <= a <= p.n and 1 <= b <= p.n):
-        raise InputError(f"entry ({a},{b}) outside 1..{p.n}")
-    e = p.e
-    for s in range(k * e + e, k * e - e - 1, -1):
-        if all(
-            p.lattice_exponent(j + s, a) <= k + p.lattice_exponent(j, b)
-            for j in range(e)
-        ):
-            return s
-    raise AssertionError("unreachable: the degree lies within k*e +- (e-1)")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .rootsys import (
     Vertex,
     cartan_of_quiver,
     classify_root,
-    dot_lambda,
     in_sigma_lambda,
 )
 
@@ -45,9 +44,6 @@ class CBData:
 
     def alpha_vector(self) -> tuple[int, ...]:
         return self.cartan.as_vector(self.alpha)
-
-    def alpha_dot_lambda(self) -> Scalar:
-        return dot_lambda(self.cartan, self.alpha, self.lam)
 
 
 def build_cb_data(

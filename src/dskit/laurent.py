@@ -11,7 +11,7 @@ reported when it is actually determined by the inputs.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import linalg
 from .core import Scalar, ScalarLike
@@ -49,10 +49,6 @@ class LaurentMatrix:
         return LaurentMatrix(n, {}, trunc)
 
     @staticmethod
-    def one(n: int, trunc: int | None = None) -> "LaurentMatrix":
-        return LaurentMatrix(n, {0: linalg.identity(n)}, trunc)
-
-    @staticmethod
     def monomial(
         n: int, deg: int, i: int, j: int, value: ScalarLike = 1
     ) -> "LaurentMatrix":
@@ -62,20 +58,6 @@ class LaurentMatrix:
         m = linalg.zeros(n, n)
         m[i - 1][j - 1] = Scalar.of(value)
         return LaurentMatrix(n, {deg: m})
-
-    @staticmethod
-    def from_terms(
-        n: int,
-        terms: Iterable[tuple[int, linalg.Matrix]],
-        trunc: int | None = None,
-    ) -> "LaurentMatrix":
-        acc: dict[int, linalg.Matrix] = {}
-        for deg, mat in terms:
-            if deg in acc:
-                acc[deg] = linalg.mat_add(acc[deg], mat)
-            else:
-                acc[deg] = linalg.copy_matrix(mat)
-        return LaurentMatrix(n, acc, trunc)
 
     # -- views ----------------------------------------------------------------
 
@@ -147,14 +129,6 @@ class LaurentMatrix:
             self.trunc,
         )
 
-    def shift(self, k: int) -> "LaurentMatrix":
-        """Multiply by z^k."""
-        return LaurentMatrix(
-            self.n,
-            {deg + k: linalg.copy_matrix(mat) for deg, mat in self.coeffs.items()},
-            None if self.trunc is None else self.trunc + k,
-        )
-
     def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         self._check_same_size(other)
         # a term of the product at degree d needs every split d = i + j with
@@ -177,20 +151,6 @@ class LaurentMatrix:
                     acc[d] = prod
         return LaurentMatrix(self.n, acc, trunc)
 
-    def power(self, k: int) -> "LaurentMatrix":
-        if k < 0:
-            raise InputError("negative powers: use series_inverse, then power")
-        result = LaurentMatrix.one(self.n)
-        base = self
-        kk = k
-        while kk:
-            if kk & 1:
-                result = result * base
-            kk >>= 1
-            if kk:
-                base = base * base
-        return result
-
     def z_ddz(self) -> "LaurentMatrix":
         """Apply z d/dz: the coefficient at z^k picks up a factor k."""
         return LaurentMatrix(
@@ -202,44 +162,6 @@ class LaurentMatrix:
             },
             self.trunc,
         )
-
-    def truncated(self, trunc: int) -> "LaurentMatrix":
-        if self.trunc is not None and trunc > self.trunc:
-            raise TruncationError(
-                f"cannot extend truncation {self.trunc} to {trunc}"
-            )
-        return LaurentMatrix(self.n, self.coeffs, trunc)
-
-    def series_inverse(self) -> "LaurentMatrix":
-        """Inverse of a series with invertible constant term (valuation 0).
-
-        Known to the same truncation order as the input; exact inputs with a
-        non-polynomial inverse raise, so pass a truncated series for those.
-        """
-        c0 = self.coeffs.get(0)
-        if c0 is None or (self.valuation() is not None and self.valuation() < 0):
-            raise InputError("series_inverse needs valuation exactly 0")
-        c0_inv = linalg.mat_inv(c0)
-        if c0_inv is None:
-            raise InputError("constant term is singular")
-        if self.trunc is None:
-            if self.support() == (0,):
-                return LaurentMatrix(self.n, {0: c0_inv})
-            raise InputError(
-                "exact inverse of a non-constant series is not a Laurent "
-                "polynomial; truncate first"
-            )
-        out: dict[int, linalg.Matrix] = {0: c0_inv}
-        for m in range(1, self.trunc):
-            acc = linalg.zeros(self.n, self.n)
-            for i in range(0, m):
-                g = self.coeffs.get(m - i)
-                if g is not None and i in out:
-                    acc = linalg.mat_add(acc, linalg.mat_mul(out[i], g))
-            term = linalg.mat_scale(-1, linalg.mat_mul(acc, c0_inv))
-            if not linalg.is_zero_matrix(term):
-                out[m] = term
-        return LaurentMatrix(self.n, out, self.trunc)
 
     # -- comparisons ------------------------------------------------------------
 

@@ -7,9 +7,7 @@ arithmetic is exact.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from .core import OrbitSpec, Scalar, ScalarLike
+from .core import Scalar, ScalarLike
 from .errors import InputError
 
 Matrix = list[list[Scalar]]
@@ -24,13 +22,6 @@ def identity(n: int) -> Matrix:
     return [[Scalar(1) if i == j else Scalar(0) for j in range(n)] for i in range(n)]
 
 
-def mat_of(rows: Sequence[Sequence[ScalarLike]]) -> Matrix:
-    out = [[Scalar.of(x) for x in row] for row in rows]
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise InputError("ragged matrix")
-    return out
-
-
 def dims(a: Matrix) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
 
@@ -41,10 +32,6 @@ def copy_matrix(a: Matrix) -> Matrix:
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(s: ScalarLike, a: Matrix) -> Matrix:
@@ -88,17 +75,6 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     return result
 
 
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
-
-
-def trace(a: Matrix) -> Scalar:
-    t = Scalar(0)
-    for i in range(len(a)):
-        t = t + a[i][i]
-    return t
-
-
 def is_zero_matrix(a: Matrix) -> bool:
     return all(not x for row in a for x in row)
 
@@ -107,20 +83,6 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     return dims(a) == dims(b) and all(
         x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
     )
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = dims(a)
-    rb, cb = dims(b)
-    out = zeros(ra * rb, ca * cb)
-    for i in range(ra):
-        for j in range(ca):
-            if not a[i][j]:
-                continue
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k][j * cb + l] = a[i][j] * b[k][l]
-    return out
 
 
 def _row_echelon(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -153,28 +115,6 @@ def rank(a: Matrix) -> int:
     return len(_row_echelon(a)[1])
 
 
-def det(a: Matrix) -> Scalar:
-    n, m = dims(a)
-    if n != m:
-        raise InputError("determinant needs a square matrix")
-    mat = copy_matrix(a)
-    result = Scalar(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if mat[i][c]), None)
-        if pivot is None:
-            return Scalar(0)
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            result = -result
-        result = result * mat[c][c]
-        inv = Scalar(1) / mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c]:
-                f = inv * mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
-    return result
-
-
 def solve(a: Matrix, b: Vector) -> Vector | None:
     """One solution of a x = b, or None if the system is inconsistent.
 
@@ -191,40 +131,6 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     for r, c in enumerate(pivots):
         x[c] = ech[r][cols]
     return x
-
-
-def mat_inv(a: Matrix) -> Matrix | None:
-    """Inverse of a square matrix, or None if singular."""
-    n, m = dims(a)
-    if n != m:
-        raise InputError("inverse needs a square matrix")
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
-    ech, pivots = _row_echelon(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in ech]
-
-
-def nullspace(a: Matrix) -> list[Vector]:
-    """A basis of the kernel of a."""
-    rows, cols = dims(a)
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [
-            [Scalar(1) if i == j else Scalar(0) for i in range(cols)]
-            for j in range(cols)
-        ]
-    ech, pivots = _row_echelon(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis: list[Vector] = []
-    for f in free:
-        v = [Scalar(0)] * cols
-        v[f] = Scalar(1)
-        for r, c in enumerate(pivots):
-            v[c] = -ech[r][f]
-        basis.append(v)
-    return basis
 
 
 def _sylvester_operator(p: Matrix, q: Matrix) -> Matrix:
@@ -255,28 +161,6 @@ def sylvester_solve(p: Matrix, q: Matrix, rhs: Matrix) -> Matrix | None:
     if sol is None:
         return None
     return [sol[i * m : (i + 1) * m] for i in range(len(p))]
-
-
-def ad_eigen_shift_singular(b: Matrix, k: int) -> bool:
-    """Whether x -> b x - x b - k x is singular, i.e. whether k is a
-    difference of two eigenvalues of b."""
-    n = len(b)
-    return rank(_sylvester_operator(mat_sub(b, mat_scale(k, identity(n))), b)) < n * n
-
-
-def jordan_matrix(o: OrbitSpec) -> Matrix:
-    """The block-diagonal Jordan representative of an orbit specification."""
-    n = o.n
-    m = zeros(n, n)
-    pos = 0
-    for eig, part in o.blocks:
-        for size in part:
-            for t in range(size):
-                m[pos + t][pos + t] = eig
-                if t + 1 < size:
-                    m[pos + t][pos + t + 1] = Scalar(1)
-            pos += size
-    return m
 
 
 def jordan_type_of_nilpotent(a: Matrix) -> tuple[int, ...]:

@@ -230,16 +230,6 @@ def _lambda_numerators(
     return [int(s.re * den) for s in lv], [int(s.im * den) for s in lv], den
 
 
-def dot_lambda(c: CartanMatrix, beta: VecLike, lam: Mapping[Vertex, ScalarLike]) -> Scalar:
-    """The pairing beta . lambda."""
-    re, im, den = _lambda_numerators(c, lam)
-    b = c.as_vector(beta)
-    return Scalar(
-        Fraction(sum(map(operator.mul, b, re)), den),
-        Fraction(sum(map(operator.mul, b, im)), den),
-    )
-
-
 def decompositions(
     alpha: tuple[int, ...],
     parts: list[tuple[int, ...]],

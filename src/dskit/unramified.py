@@ -20,7 +20,6 @@ from .rootsys import (
     Quiver,
     Vertex,
     cartan_of_quiver,
-    dot_lambda,
     p_drop_search,
     sigma_candidates,
 )
@@ -159,9 +158,6 @@ class HiroeData:
 
     def in_lattice(self, beta) -> bool:
         return self.lattice_test()(self.cartan.as_vector(beta))
-
-    def alpha_dot_lambda(self) -> Scalar:
-        return dot_lambda(self.cartan, self.alpha, self.lam)
 
     def candidates(self, budget: int | None) -> list[tuple[int, ...]] | None:
         """The vectors of L that the search may use; one list serves both

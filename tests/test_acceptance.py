@@ -36,7 +36,6 @@ from dskit.formal import (
     FormalConnection,
     StandardParahoric,
     certify_slope,
-    filtration_degree,
     omega_power,
     regsing_normalize,
 )
@@ -45,12 +44,21 @@ from dskit.laurent import LaurentMatrix
 from dskit.rootsys import (
     Quiver,
     cartan_of_quiver,
-    dot_lambda,
     in_sigma_lambda,
     p_value,
     positive_roots_leq,
 )
 from dskit.unramified import UnramBlock, UnramFormalType, count_rank2_moduli
+from exact_oracles import (
+    dot_lambda,
+    filtration_degree,
+    from_terms,
+    jordan_matrix,
+    kron,
+    mat_sub,
+    nullspace,
+    transpose,
+)
 
 
 def _pass(num, detail):
@@ -225,9 +233,9 @@ def test_criterion_5_certified_slopes():
         assert isinstance(w, CertifiedSlope) and w.slope == Fraction(n + 1, n)
         assert w.witness.depth == w.slope
     for r in (1, 2, 3):
-        m = LaurentMatrix.from_terms(3, [(-r, [[Scalar(i) if i == j else Scalar(0)
-                                                for j in range(1, 4)]
-                                               for i in range(1, 4)])])
+        m = from_terms(3, [(-r, [[Scalar(i) if i == j else Scalar(0)
+                                 for j in range(1, 4)]
+                                for i in range(1, 4)])])
         m = m + LaurentMatrix.monomial(3, -r + 1, 1, 2, 1)
         v = certify_slope(FormalConnection(m))
         assert isinstance(v, CertifiedSlope) and v.slope == Fraction(r)
@@ -453,12 +461,12 @@ def test_criterion_9_substrate_definitions():
         orbits += [OrbitSpec(n, [(0, p)]) for p in partitions_of(n)]
     orbits += [_random_orbit(rng, n) for n in (2, 3, 4, 5) for _ in range(5)]
     for o in orbits:
-        x = linalg.jordan_matrix(o)
-        ad = linalg.mat_sub(
-            linalg.kron(x, linalg.identity(o.n)),
-            linalg.kron(linalg.identity(o.n), linalg.transpose(x)),
+        x = jordan_matrix(o)
+        ad = mat_sub(
+            kron(x, linalg.identity(o.n)),
+            kron(linalg.identity(o.n), transpose(x)),
         )
-        assert orbit_dim(o) == o.n * o.n - len(linalg.nullspace(ad))
+        assert orbit_dim(o) == o.n * o.n - len(nullspace(ad))
 
     _pass(9, f"dominance lattice (m <= 10), Iwahori degrees (n <= 6), "
              f"{agreements} membership cross-checks, {len(orbits)} orbit dimensions")

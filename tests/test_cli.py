@@ -502,6 +502,11 @@ def test_options_a_subcommand_does_not_read_exit_2(tmp_path, capsys):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "usage:" in captured.err, argv
+        # the subcommand refuses, with its own usage, and names the option
+        assert captured.err.startswith(f"usage: ds-kit {argv[0]} "), captured.err
+        option, value = argv[-2:]
+        assert f"ds-kit {argv[0]}: error: " in captured.err, captured.err
+        assert option in captured.err and value in captured.err, captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -554,5 +559,72 @@ def test_parser_is_built_on_the_first_run_not_at_import():
     proc = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the package needs only the standard library
+# ---------------------------------------------------------------------------
+
+_BLOCK_SYMPY = """
+import importlib.abc
+import json
+import sys
+
+
+class NoSympy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "sympy" or name.startswith("sympy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoSympy())
+import dskit
+
+assert "sympy" not in sys.modules
+import dskit.cli
+
+for argv, code in json.loads(sys.argv[1]):
+    assert dskit.cli.run(argv) == code, argv
+assert not [m for m in sys.modules if m == "sympy" or m.startswith("sympy.")]
+try:
+    import sympy
+except ImportError:
+    pass
+else:
+    raise AssertionError("sympy was not blocked")
+"""
+
+
+def test_every_subcommand_runs_with_sympy_blocked(tmp_path):
+    z = _sc(0)
+    orbits = _write(tmp_path, "d4.json", orbits=D4_GENERIC)
+    types = _write(tmp_path, "unram.json", types=WITNESS_TYPES)
+    orbit = _write(tmp_path, "orb.json", orbit=NILP2)
+    balanced = _write(tmp_path, "bal.json", orbit=_orbit(5, [(z, (2, 2, 1))]))
+    fg = _write(tmp_path, "fg.json", matrix=_laurent_doc(2, [
+        (-1, [[z, _sc(1)], [z, z]]), (0, [[z, z], [_sc(1), z]])]))
+    regsing = _write(tmp_path, "m.json", matrix=_laurent_doc(2, [
+        (0, [[z, z], [z, _sc(1, 2)]]), (1, [[z, _sc(1)], [z, z]])]))
+    count = _write(tmp_path, "count.json", formal_type=WITNESS_TYPES[0],
+                   orbit=_orbit(2, [(_sc(-1, 3), (1,)), (_sc(-2, 3), (1,))]))
+    requests = [
+        (["fuchsian-ds", "--input", orbits], 0),
+        (["unramified-ds", "--input", types], 0),
+        (["coxeter-ds", "--n", "2", "--r", "1", "--p0", "0", "--orbit", orbit], 0),
+        (["rigidity", "--n", "5", "--r", "3", "--orbit", balanced], 0),
+        (["rigidity-table", "--type", "B", "--rank", "4", "--r", "3"], 0),
+        (["slope", "--matrix", fg], 0),
+        (["normalize-regsing", "--matrix", regsing, "--order", "3"], 0),
+        (["count-rank2", "--input", count], 0),
+        (["quiver-export", "--input", orbits], 0),
+    ]
+    assert {argv[0] for argv, _ in requests} == set(_option_layout())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCK_SYMPY, json.dumps(requests)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr

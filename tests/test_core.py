@@ -18,6 +18,7 @@ from dskit.core import (
     weight,
 )
 from dskit.errors import InputError
+from exact_oracles import jordan_matrix, kron, mat_sub, nullspace, transpose
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +69,11 @@ def test_scalar_bool_and_predicates():
         ("2-i", Scalar(2, -1)),
         ("1/2+3/4i", Scalar(Fraction(1, 2), Fraction(3, 4))),
         ("0", Scalar(0)),
+        ("+i", Scalar(0, 1)),
+        ("2i", Scalar(0, 2)),
+        ("-3/4i", Scalar(0, Fraction(-3, 4))),
+        ("1+i", Scalar(1, 1)),
+        ("7-2/3i", Scalar(7, Fraction(-2, 3))),
     ],
 )
 def test_scalar_parse(text, expected):
@@ -75,7 +81,7 @@ def test_scalar_parse(text, expected):
 
 
 def test_scalar_parse_rejects_garbage():
-    for bad in ("", "one", "1+", "i2", "1//2"):
+    for bad in ("", "one", "1+", "i2", "1//2", "1/0"):
         with pytest.raises(InputError):
             Scalar.parse(bad)
 
@@ -235,11 +241,11 @@ def test_default_factor_sequence_properties():
 
 def _rank_oracle(o: OrbitSpec, seq, j: int) -> int:
     """Multiply (J - eta_1) ... (J - eta_j) for the actual Jordan matrix."""
-    jm = linalg.jordan_matrix(o)
+    jm = jordan_matrix(o)
     n = o.n
     acc = linalg.identity(n)
     for eta in seq[:j]:
-        shifted = linalg.mat_sub(jm, linalg.mat_scale(Scalar.of(eta), linalg.identity(n)))
+        shifted = mat_sub(jm, linalg.mat_scale(Scalar.of(eta), linalg.identity(n)))
         acc = linalg.mat_mul(acc, shifted)
     return linalg.rank(acc)
 
@@ -283,13 +289,13 @@ def test_orbit_dim_known_values():
 
 
 def _centralizer_dim(o: OrbitSpec) -> int:
-    x = linalg.jordan_matrix(o)
+    x = jordan_matrix(o)
     n = o.n
-    ad = linalg.mat_sub(
-        linalg.kron(x, linalg.identity(n)),
-        linalg.kron(linalg.identity(n), linalg.transpose(x)),
+    ad = mat_sub(
+        kron(x, linalg.identity(n)),
+        kron(linalg.identity(n), transpose(x)),
     )
-    return len(linalg.nullspace(ad))
+    return len(nullspace(ad))
 
 
 def test_orbit_dim_matches_ad_kernel():

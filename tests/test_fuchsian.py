@@ -12,6 +12,7 @@ from dskit.fuchsian import (
     fuchsian_rigidity,
 )
 from dskit.rootsys import RootClass, classify_root, p_value
+from exact_oracles import alpha_dot_lambda
 
 
 def _rss2(a, b):
@@ -57,7 +58,7 @@ def test_d4_shape_from_three_regular_orbits():
     data = build_cb_data(orbits)
     assert len(data.quiver.vertices) == 4
     assert data.alpha_vector() == (2, 1, 1, 1)
-    assert data.alpha_dot_lambda() == 0
+    assert alpha_dot_lambda(data) == 0
 
 
 def test_alpha_dot_lambda_is_minus_trace_sum():
@@ -95,7 +96,7 @@ def test_alpha_dot_lambda_is_minus_trace_sum():
         total = Scalar(0)
         for o in orbits:
             total = total + o.trace()
-        assert data.alpha_dot_lambda() == -total
+        assert alpha_dot_lambda(data) == -total
 
 
 # ---------------------------------------------------------------------------

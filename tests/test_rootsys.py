@@ -11,12 +11,12 @@ from dskit.rootsys import (
     cartan_of_quiver,
     classify_root,
     decompositions,
-    dot_lambda,
     in_sigma_lambda,
     p_value,
     positive_roots_leq,
     reflect,
 )
+from exact_oracles import dot_lambda
 
 
 def _star(k: int) -> Quiver:

@@ -31,7 +31,6 @@ from dskit.rootsys import (
     box_vectors,
     classify_root,
     decompositions,
-    dot_lambda,
     in_sigma_lambda,
     p_value,
     positive_roots_leq,
@@ -44,6 +43,7 @@ from dskit.unramified import (
     build_hiroe_data,
     unramified_ds_exists,
 )
+from exact_oracles import dot_lambda
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from dskit.unramified import (
     count_rank2_moduli,
     unramified_ds_exists,
 )
+from exact_oracles import alpha_dot_lambda
 
 
 def _scalar_res(c):
@@ -117,7 +118,7 @@ def test_witness_quiver_shape():
     }
     assert sorted(data.quiver.arrows) == [((1, 1, 1), (0, 1)), ((1, 1, 1), (0, 2))]
     assert data.lattice_pairs == ()
-    assert not data.alpha_dot_lambda()
+    assert not alpha_dot_lambda(data)
 
 
 def test_two_irregular_types_lattice():
@@ -139,7 +140,7 @@ def test_two_irregular_types_lattice():
     a = data.alpha_vector()
     assert classify_root(data.cartan, a) is RootClass.IMAGINARY
     assert p_value(data.cartan, a) == 1
-    assert not data.alpha_dot_lambda()
+    assert not alpha_dot_lambda(data)
     # residue pairings are all nonzero, so no candidate summands at all
     assert unramified_ds_exists([t0, t1])
     assert unramified_ds_exists([t0, t1], ell_ge_2=True)
@@ -163,7 +164,7 @@ def test_alpha_dot_lambda_is_minus_residue_traces():
         total = Scalar(0)
         for t in types:
             total = total + t.residue_trace()
-        assert data.alpha_dot_lambda() == -total
+        assert alpha_dot_lambda(data) == -total
         assert data.in_lattice(data.alpha)
 
 
@@ -179,7 +180,7 @@ def test_intra_type_arrows_from_higher_slope():
     )
     data = build_hiroe_data([t])
     assert sorted(data.quiver.arrows) == [((0, 1), (0, 2))]
-    assert not data.alpha_dot_lambda()
+    assert not alpha_dot_lambda(data)
     # A2 with alpha = (1,1): a real root, no lambda-killed proper summands
     assert unramified_ds_exists([t])
     assert unramified_ds_exists([t], ell_ge_2=True)
