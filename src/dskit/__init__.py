@@ -145,6 +145,7 @@ __all__ = [
     "regsing_normalize",
     "residue_representative",
     "rigid_table_simple_type",
+    "standard_parahorics",
     "unramified_ds_exists",
     "__version__",
 ]

@@ -390,9 +390,26 @@ _HANDLERS = {
 }
 
 
+def _option_before_command(argv: list[str]) -> str | None:
+    """The first option before the subcommand other than -h/--help.  The top
+    level takes no other, and would read the option's value as the
+    subcommand."""
+    for tok in argv:
+        if tok in _HANDLERS or tok == "--":
+            return None
+        if tok.startswith("-") and tok != "-h" and not (len(tok) > 2 and "--help".startswith(tok)):
+            return tok
+    return None
+
+
 def run(argv: Sequence[str]) -> int:
+    args = list(argv)
     try:
-        ns, extra = _build_parser().parse_known_args(list(argv))
+        parser = _build_parser()
+        misplaced = _option_before_command(args)
+        if misplaced is not None:
+            parser.error(f"unrecognized arguments: {misplaced}")
+        ns, extra = parser.parse_known_args(args)
         if extra:
             # the subcommand's own usage lists the options it does take
             ns.subparser.error(f"unrecognized arguments: {' '.join(extra)}")

@@ -230,7 +230,7 @@ def is_fundamental(s: Stratum) -> bool:
     beta1 = linalg.zeros(n, n)
     for _deg, i, j, val in s.leading.monomials():
         beta1[i - 1][j - 1] = val
-    return not linalg.is_zero_matrix(linalg.mat_pow(beta1, n))
+    return not linalg.is_nilpotent(beta1)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,18 @@
 """Dense exact linear algebra over the Gaussian rationals.
 
-Matrices are plain lists of lists of Scalar. Everything here is textbook
-Gaussian elimination; no pivoting heuristics are needed because the
-arithmetic is exact.
+Matrices are plain lists of lists of Scalar.  Products and sums work on
+Scalars directly.  Elimination (`rank`, `solve`, `sylvester_solve`) and the
+nilpotency test first scale the matrix to Gaussian integers, held as
+parallel lists of Python ints for the real and imaginary parts, and then
+work fraction-free, so no `Fraction` is made until a solution is read off.
+No pivoting heuristics are needed because the arithmetic is exact.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .core import Scalar, ScalarLike
 from .errors import InputError
@@ -58,23 +65,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    n, m = dims(a)
-    if n != m:
-        raise InputError("matrix power needs a square matrix")
-    if k < 0:
-        raise InputError("negative matrix power not supported here")
-    result = identity(n)
-    base = copy_matrix(a)
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        k >>= 1
-        if k:
-            base = mat_mul(base, base)
-    return result
-
-
 def is_zero_matrix(a: Matrix) -> bool:
     return all(not x for row in a for x in row)
 
@@ -85,34 +75,70 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     )
 
 
-def _row_echelon(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = copy_matrix(a)
-    rows, cols = dims(m)
+def _gaussian_rows(a: Matrix) -> tuple[list[list[int]], list[list[int]]]:
+    """Real and imaginary parts of each row times the lcm of its denominators.
+
+    Scaling a row by a nonzero number keeps its row space, so elimination
+    on these Gaussian-integer rows finds the same pivots as on `a`.
+    """
+    re_rows: list[list[int]] = []
+    im_rows: list[list[int]] = []
+    for row in a:
+        den = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
+        re_rows.append([x.re.numerator * (den // x.re.denominator) for x in row])
+        im_rows.append([x.im.numerator * (den // x.im.denominator) for x in row])
+    return re_rows, im_rows
+
+
+def _gauss_jordan(re: list[list[int]], im: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination over Z[i], in place.
+
+    Rows are held as parallel lists of real and imaginary parts.  A step with
+    pivot d in column c replaces every other row b, at every column, by
+    (d b - f a) / p, where a is the pivot row, f is b's entry in column c and
+    p is the previous pivot (1 before the first step).  By Sylvester's
+    determinant identity every entry stays a minor of the input, so the
+    division is exact in Z[i] (Bareiss 1968; Nakos, Turner and Williams
+    1997).  On return the first len(pivots) rows form the reduced echelon
+    form times the last pivot: each holds that pivot in its own pivot column
+    and 0 in the others.  Returns the pivot columns.
+    """
+    rows = len(re)
+    cols = len(re[0]) if rows else 0
+    pr, pi = 1, 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
+        piv = next((i for i in range(r, rows) if re[i][c] or im[i][c]), None)
+        if piv is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Scalar(1) / m[r][c]
-        m[r] = [inv * x for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        re[r], re[piv] = re[piv], re[r]
+        im[r], im[piv] = im[piv], im[r]
+        ar, ai = re[r], im[r]
+        dr, di = ar[c], ai[c]
+        nrm = pr * pr + pi * pi
+        for k in range(rows):
+            if k == r:
+                continue
+            br, bi = re[k], im[k]
+            fr, fi = br[c], bi[c]
+            xr = [dr * u - di * v - fr * s + fi * t for u, v, s, t in zip(br, bi, ar, ai)]
+            xi = [dr * v + di * u - fr * t - fi * s for u, v, s, t in zip(br, bi, ar, ai)]
+            # divide by p: multiply by its conjugate, then divide by its norm
+            re[k] = [(x * pr + y * pi) // nrm for x, y in zip(xr, xi)]
+            im[k] = [(y * pr - x * pi) // nrm for x, y in zip(xr, xi)]
+        pr, pi = dr, di
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return m, pivots
+    return pivots
 
 
 def rank(a: Matrix) -> int:
     if not a or not a[0]:
         return 0
-    return len(_row_echelon(a)[1])
+    return len(_gauss_jordan(*_gaussian_rows(a)))
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
@@ -123,14 +149,45 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     rows, cols = dims(a)
     if len(b) != rows:
         raise InputError("right-hand side has wrong length")
-    aug = [a[i][:] + [Scalar.of(b[i])] for i in range(rows)]
-    ech, pivots = _row_echelon(aug)
+    re, im = _gaussian_rows([a[i] + [Scalar.of(b[i])] for i in range(rows)])
+    pivots = _gauss_jordan(re, im)
     if cols in pivots:
         return None
     x = [Scalar(0)] * cols
     for r, c in enumerate(pivots):
-        x[c] = ech[r][cols]
+        # x_c = (last column) / (pivot entry), both Gaussian integers
+        dr, di = re[r][c], im[r][c]
+        nrm = dr * dr + di * di
+        ur, ui = re[r][cols], im[r][cols]
+        x[c] = Scalar(Fraction(ur * dr + ui * di, nrm), Fraction(ui * dr - ur * di, nrm))
     return x
+
+
+def is_nilpotent(a: Matrix) -> bool:
+    """Whether some power of the square matrix a is zero.
+
+    a is scaled to Z[i] by the lcm of all its denominators, which keeps
+    nilpotency, and squared until the exponent reaches n: an n x n matrix
+    is nilpotent exactly when its n-th power, or any higher one, is zero.
+    """
+    n, m = dims(a)
+    if n != m:
+        raise InputError("nilpotency needs a square matrix")
+    # all n * n entries as one row share one denominator
+    (flat_re,), (flat_im,) = _gaussian_rows([[x for row in a for x in row]])
+    re = [flat_re[i * n : (i + 1) * n] for i in range(n)]
+    im = [flat_im[i * n : (i + 1) * n] for i in range(n)]
+    k = 1
+    while k < n:
+        re_t, im_t = list(zip(*re)), list(zip(*im))
+        re, im = (
+            [[sum(map(mul, ar, br)) - sum(map(mul, ai, bi)) for br, bi in zip(re_t, im_t)]
+             for ar, ai in zip(re, im)],
+            [[sum(map(mul, ar, bi)) + sum(map(mul, ai, br)) for br, bi in zip(re_t, im_t)]
+             for ar, ai in zip(re, im)],
+        )
+        k *= 2
+    return not any(map(any, re)) and not any(map(any, im))
 
 
 def _sylvester_operator(p: Matrix, q: Matrix) -> Matrix:

@@ -3,10 +3,12 @@
 The package answers its questions with `Scalar`, `linalg` and
 `LaurentMatrix` alone; the functions here give the tests independent ways to
 build inputs and to check answers: matrix algebra the deciders do not need,
-series algebra on `LaurentMatrix` (free functions taking the series first),
-the lattice-chain definition of the filtration degree, the pairing
-beta . lambda, and sympy's factorization for nonresonance.  sympy is a test
-dependency; it is imported only when `is_nonresonant` runs.
+elimination and matrix powers on Scalars (the oracles for `linalg`'s
+Gaussian-integer kernels), series algebra on `LaurentMatrix` (free functions
+taking the series first), the lattice-chain definition of the filtration
+degree, the pairing beta . lambda, and sympy's factorization for
+nonresonance.  sympy is a test dependency; it is imported only when
+`is_nonresonant` runs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,17 @@ from dskit.core import OrbitSpec, Scalar, ScalarLike
 from dskit.errors import InputError
 from dskit.formal import StandardParahoric
 from dskit.laurent import LaurentMatrix
-from dskit.linalg import Matrix, Vector, copy_matrix, dims, identity, mat_scale, rank, zeros
+from dskit.linalg import (
+    Matrix,
+    Vector,
+    copy_matrix,
+    dims,
+    identity,
+    mat_mul,
+    mat_scale,
+    rank,
+    zeros,
+)
 from dskit.rootsys import CartanMatrix, Vertex, VecLike, _lambda_numerators
 
 # ---------------------------------------------------------------------------
@@ -86,13 +98,77 @@ def det(a: Matrix) -> Scalar:
     return result
 
 
+def mat_pow(a: Matrix, k: int) -> Matrix:
+    n, m = dims(a)
+    if n != m:
+        raise InputError("matrix power needs a square matrix")
+    if k < 0:
+        raise InputError("negative matrix power not supported here")
+    result = identity(n)
+    base = copy_matrix(a)
+    while k:
+        if k & 1:
+            result = mat_mul(result, base)
+        k >>= 1
+        if k:
+            base = mat_mul(base, base)
+    return result
+
+
+def _row_echelon(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and the list of pivot columns."""
+    m = copy_matrix(a)
+    rows, cols = dims(m)
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = Scalar(1) / m[r][c]
+        m[r] = [inv * x for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def echelon_rank(a: Matrix) -> int:
+    """Rank by `_row_echelon` on Scalars: the oracle for `linalg.rank`."""
+    if not a or not a[0]:
+        return 0
+    return len(_row_echelon(a)[1])
+
+
+def echelon_solve(a: Matrix, b: Vector) -> Vector | None:
+    """`linalg.solve`'s contract by `_row_echelon` on Scalars: one solution of
+    a x = b with its free coordinates set to zero, or None if inconsistent."""
+    rows, cols = dims(a)
+    if len(b) != rows:
+        raise InputError("right-hand side has wrong length")
+    aug = [a[i][:] + [Scalar.of(b[i])] for i in range(rows)]
+    ech, pivots = _row_echelon(aug)
+    if cols in pivots:
+        return None
+    x = [Scalar(0)] * cols
+    for r, c in enumerate(pivots):
+        x[c] = ech[r][cols]
+    return x
+
+
 def mat_inv(a: Matrix) -> Matrix | None:
     """Inverse of a square matrix, or None if singular."""
     n, m = dims(a)
     if n != m:
         raise InputError("inverse needs a square matrix")
     aug = [a[i][:] + identity(n)[i] for i in range(n)]
-    ech, pivots = linalg._row_echelon(aug)
+    ech, pivots = _row_echelon(aug)
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in ech]
@@ -108,7 +184,7 @@ def nullspace(a: Matrix) -> list[Vector]:
             [Scalar(1) if i == j else Scalar(0) for i in range(cols)]
             for j in range(cols)
         ]
-    ech, pivots = linalg._row_echelon(a)
+    ech, pivots = _row_echelon(a)
     free = [c for c in range(cols) if c not in pivots]
     basis: list[Vector] = []
     for f in free:

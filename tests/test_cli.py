@@ -509,6 +509,27 @@ def test_options_a_subcommand_does_not_read_exit_2(tmp_path, capsys):
         assert option in captured.err and value in captured.err, captured.err
 
 
+def test_option_before_the_subcommand_is_named(tmp_path, capsys):
+    orbit = _write(tmp_path, "orb.json", orbit=NILP2)
+    cox = ["coxeter-ds", "--n", "2", "--r", "1", "--p0", "0", "--orbit", orbit]
+    for argv, option in (
+        (["--budget", "5", *cox], "--budget"),
+        (["--flag", "ell-ge-2", "unramified-ds", "--input", orbit], "--flag"),
+        (["--budget=5", *cox], "--budget=5"),
+        (["--budget", "5"], "--budget"),
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("usage: ds-kit "), captured.err
+        assert f"ds-kit: error: unrecognized arguments: {option}\n" in captured.err, captured.err
+        assert "invalid choice" not in captured.err
+    assert run(["--help"]) == 0
+    assert "coxeter-ds" in capsys.readouterr().out
+    assert run(["--budget", "5", "--help"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------------------
 # one parser for every run in a process
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dskit.formal import (
 )
 from dskit.laurent import LaurentMatrix
 from dskit.rootsys import DEFAULT_BUDGET
-from exact_oracles import filtration_degree, is_nonresonant, mat_of, one, power
+from exact_oracles import echelon_solve, filtration_degree, is_nonresonant, mat_of, one, power
 
 mono = LaurentMatrix.monomial
 
@@ -434,6 +434,54 @@ def test_regsing_normalize_resonant_gap_with_vanishing_obstruction():
     g = regsing_normalize(_conn(m), 4)
     assert g.coeff(1)[0][1] == Scalar(-1)
     assert _substitution_holds(m, g, 4)
+
+
+def _random_regsing(rng, n, order, kind):
+    """An upper-triangular residue with Gaussian-integer coefficients below
+    the order.  "generic": distinct eigenvalues, some non-real, no two
+    differing by an integer; "resonant": some pairs differ by 1 or 2;
+    "diagonal": resonant, but every coefficient is diagonal, so each singular
+    step is consistent and its free coordinates are set to zero."""
+    pool = [Scalar(Fraction(k, 7)) for k in range(-3, 4)] + [
+        Scalar(0, 1), Scalar(Fraction(1, 7), Fraction(-2, 7))]
+    eigs = rng.sample(pool, n)
+    if kind != "generic":
+        eigs[rng.randrange(n)] = eigs[0] + rng.choice([1, 2])
+    residue = [[eigs[i] if i == j else Scalar(rng.randint(-2, 2)) if j > i and kind != "diagonal"
+                else Scalar(0) for j in range(n)] for i in range(n)]
+    coeffs = {0: residue}
+    for k in range(1, order):
+        coeffs[k] = [[Scalar(rng.randint(-3, 3), rng.choice([0, 0, 0, 1]))
+                      if i == j or kind != "diagonal" else Scalar(0)
+                      for j in range(n)] for i in range(n)]
+    return LaurentMatrix(n, coeffs)
+
+
+def _gauge_or_error(m, order):
+    try:
+        return regsing_normalize(_conn(m), order)
+    except ResonantError as exc:
+        return str(exc)
+
+
+def test_regsing_normalize_matches_the_echelon_solve_oracle(monkeypatch):
+    rng = random.Random(2026)
+    # n = 5 with a dense generic residue is left out at order 8 only to
+    # keep the Scalar oracle fast
+    inputs = [
+        (_random_regsing(rng, n, order, kind), order)
+        for order in (6, 8)
+        for n, kind in [(1, "generic"), (2, "generic"), (3, "generic"), (4, "generic"),
+                        (5, "generic"), (2, "resonant"), (3, "resonant"), (4, "resonant"),
+                        (3, "diagonal"), (5, "diagonal")]
+        if (n, kind, order) != (5, "generic", 8)
+    ]
+    got = [_gauge_or_error(m, order) for m, order in inputs]
+    monkeypatch.setattr(linalg, "solve", echelon_solve)
+    want = [_gauge_or_error(m, order) for m, order in inputs]
+    assert got == want
+    raised = sum(isinstance(g, str) for g in got)
+    assert 2 <= raised <= len(got) - 13, got
 
 
 # ---------------------------------------------------------------------------

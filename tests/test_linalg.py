@@ -6,10 +6,13 @@ from dskit.core import OrbitSpec, Scalar
 from exact_oracles import (
     ad_eigen_shift_singular,
     det,
+    echelon_rank,
+    echelon_solve,
     jordan_matrix,
     kron,
     mat_inv,
     mat_of,
+    mat_pow,
     mat_sub,
     nullspace,
     trace,
@@ -28,7 +31,7 @@ def test_mat_of_and_basic_ops():
     assert linalg.mat_add(a, linalg.mat_scale(-1, a)) == linalg.zeros(2, 2)
     assert transpose(a) == mat_of([[1, 3], [2, 4]])
     assert trace(a) == 5
-    assert linalg.mat_pow(b, 2) == linalg.identity(2)
+    assert mat_pow(b, 2) == linalg.identity(2)
 
 
 def test_rank_det_known():
@@ -142,3 +145,115 @@ def test_jordan_matrix_charpoly_data():
     j = jordan_matrix(o)
     assert trace(j) == o.trace()
     assert det(j) == o.determinant()
+
+
+SIZES = (1, 2, 2, 3, 3, 3, 4, 4, 5)
+
+
+def _gaussian_entry(rng):
+    """A Gaussian rational, zero a third of the time, non-real a third."""
+    if rng.random() < 1 / 3:
+        return Scalar(0)
+    re = Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+    im = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2])) if rng.random() < 0.5 else 0
+    return Scalar(re, im)
+
+
+def _combination(rng, rows):
+    """A random Gaussian-integer combination of the given rows."""
+    out = [Scalar(0)] * len(rows[0])
+    for row in rows:
+        c = Scalar(rng.randint(-2, 2), rng.randint(-1, 1))
+        out = [x + c * y for x, y in zip(out, row)]
+    return out
+
+
+def _random_system(rng):
+    """A rectangular system a x = b, often with dependent rows, and with b
+    often in the column space, so that singular consistent systems are as
+    common as inconsistent ones."""
+    rows, cols = rng.choice(SIZES), rng.choice(SIZES)
+    a = [[_gaussian_entry(rng) for _ in range(cols)] for _ in range(rows)]
+    for i in range(1, rows):
+        if rng.random() < 0.35:
+            a[i] = _combination(rng, a[:i])
+    if rng.random() < 0.6:
+        x0 = [_gaussian_entry(rng) for _ in range(cols)]
+        b = [sum((p * q for p, q in zip(row, x0)), Scalar(0)) for row in a]
+    else:
+        b = [_gaussian_entry(rng) for _ in range(rows)]
+    return a, b
+
+
+def _first_pivot_is_nonreal(a):
+    """Whether elimination's first pivot, which every later step divides by
+    (scaled to Z[i] by a positive integer), has a nonzero imaginary part."""
+    for c in range(len(a[0])):
+        for row in a:
+            if row[c]:
+                return bool(row[c].im)
+    return False
+
+
+def test_solve_and_rank_match_echelon_oracle():
+    rng = random.Random(2024)
+    kinds = {"inconsistent": 0, "singular_consistent": 0, "nonreal_previous_pivot": 0}
+    for _ in range(3000):
+        a, b = _random_system(rng)
+        cols = len(a[0])
+        want = echelon_solve(a, b)
+        assert linalg.solve(a, b) == want, (a, b)
+        r = echelon_rank(a)
+        assert linalg.rank(a) == r
+        # consistent exactly when b adds nothing to the column space
+        aug = [row + [y] for row, y in zip(a, b)]
+        assert linalg.rank(aug) == r + (want is None)
+        if want is None:
+            kinds["inconsistent"] += 1
+        elif r < cols:
+            kinds["singular_consistent"] += 1
+        if r >= 2 and _first_pivot_is_nonreal(a):
+            kinds["nonreal_previous_pivot"] += 1
+    assert min(kinds.values()) >= 300, kinds
+
+
+def test_solve_degenerate_shapes():
+    assert linalg.solve([], []) == []
+    assert linalg.solve([[], []], [Scalar(0), Scalar(0)]) == []
+    assert linalg.solve([[], []], [Scalar(0), Scalar(1)]) is None
+    assert linalg.solve([[Scalar(0, 2)]], [Scalar(1)]) == [Scalar(0, Fraction(-1, 2))]
+    assert linalg.rank([]) == 0 and linalg.rank([[]]) == 0
+
+
+def _random_square(rng, n):
+    kind = rng.randrange(3)
+    if kind == 0:  # generic, rarely nilpotent
+        return [[_gaussian_entry(rng) for _ in range(n)] for _ in range(n)]
+    # strictly upper triangular, sometimes with one diagonal entry spoiled,
+    # then hidden by elementary similarities (row i += c row j, column j -=
+    # c column i) and scaled by a Gaussian rational
+    a = [[Scalar(rng.randint(-2, 2), rng.choice([0, 0, 1])) if j > i else Scalar(0)
+          for j in range(n)] for i in range(n)]
+    if kind == 2:
+        i = rng.randrange(n)
+        a[i][i] = Scalar(rng.choice([-1, 1]), rng.choice([0, 1]))
+    for _ in range(n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = Scalar(rng.randint(-1, 1), rng.randint(-1, 1))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[j] = row[j] - c * row[i]
+    s = Scalar(Fraction(rng.randint(1, 3), rng.randint(1, 3)), rng.choice([0, Fraction(1, 2)]))
+    return [[s * x for x in row] for row in a]
+
+
+def test_is_nilpotent_matches_mat_pow():
+    rng = random.Random(2025)
+    nilpotent = 0
+    for _ in range(3000):
+        n = rng.choice(SIZES[:-1])  # mat_pow on Scalars makes 5 x 5 slow
+        a = _random_square(rng, n)
+        want = linalg.is_zero_matrix(mat_pow(a, n))
+        assert linalg.is_nilpotent(a) == want, a
+        nilpotent += want
+    assert 600 <= nilpotent <= 2400, nilpotent
