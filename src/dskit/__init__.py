@@ -15,10 +15,10 @@ from .core import (
     as_partition,
     dominance_leq,
     dual_partition,
+    factor_ranks,
     min_partition_with_r_parts,
     orbit_dim,
     partitions_of,
-    rank_after_factors,
 )
 from .coxeter import (
     CharPolySpec,
@@ -128,6 +128,7 @@ __all__ = [
     "dominance_leq",
     "ds_generator",
     "dual_partition",
+    "factor_ranks",
     "fuchsian_ds_exists",
     "fuchsian_rigidity",
     "h1_dimension",
@@ -141,7 +142,6 @@ __all__ = [
     "p_value",
     "partitions_of",
     "positive_roots_leq",
-    "rank_after_factors",
     "regsing_normalize",
     "residue_representative",
     "rigid_table_simple_type",

@@ -39,7 +39,7 @@ from .formal import (
 )
 from .fuchsian import CBData, FuchsianRigidity, build_cb_data, fuchsian_rigidity
 from .rootsys import DEFAULT_BUDGET
-from .unramified import HiroeData, _exists_on_data, build_hiroe_data
+from .unramified import _exists_on_data, build_hiroe_data
 
 
 @functools.cache
@@ -87,7 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--p0", required=True, help="scalar, e.g. 0, -1/2, 2-i")
+    p.add_argument("--p0", required=True,
+                   help="scalar, e.g. 0 or 2-i; a negative one takes =, as in --p0=-1/2")
     p.add_argument("--orbit", required=True, help="JSON file with 'orbit'")
 
     p = sub.add_parser(
@@ -205,7 +206,7 @@ def _vertex_name(v: Any) -> str:
     return str(v)
 
 
-def quiver_dot(data: CBData | HiroeData) -> str:
+def quiver_dot(data: CBData) -> str:
     """Deterministic DOT text for a decision quiver: one node line per vertex
     (labelled with its alpha and lambda values) and one edge line per arrow
     instance, in construction order."""
@@ -361,7 +362,7 @@ def _cmd_quiver_export(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.input)
     if "orbits" in doc:
         orbits, seqs, payload = _parse_orbit_list(doc)
-        data: CBData | HiroeData = build_cb_data(orbits, seqs)
+        data: CBData = build_cb_data(orbits, seqs)
     elif "types" in doc:
         types, payload = _parse_type_list(doc)
         data = build_hiroe_data(types)

@@ -338,24 +338,24 @@ class OrbitSpec:
         return tuple(got)
 
 
-def rank_after_factors(o: OrbitSpec, seq: Sequence[ScalarLike], j: int) -> int:
-    """Rank of prod_{l<=j} (C - seq[l-1]) for any C in the orbit.
+def factor_ranks(o: OrbitSpec, seq: Sequence[ScalarLike]) -> list[int]:
+    """Ranks of the partial products prod_{l<=j} (C - seq[l-1]), j = 0..d,
+    for any C in the orbit.
 
     A Jordan block of size mu at eigenvalue eta loses one rank per factor
-    (C - eta) already applied, and is untouched by the other factors, so the
-    rank is sum over eigenvalues of sum_a max(mu_a - t_eta(j), 0).
+    (C - eta) until it vanishes, and is untouched by the other factors.  So
+    factor j lowers the rank by the number of blocks at seq[j-1] larger than
+    the count t of earlier factors there: entry t of the dual partition.
     """
     factors = o.validate_factor_sequence(seq)
-    if not 0 <= j <= len(factors):
-        raise InputError(f"factor index j={j} out of range 0..{len(factors)}")
-    hits: dict[tuple[Fraction, Fraction], int] = {}
-    for x in factors[:j]:
-        hits[x.sort_key()] = hits.get(x.sort_key(), 0) + 1
-    total = 0
-    for e, part in o.blocks:
-        t = hits.get(e.sort_key(), 0)
-        total += sum(max(mu - t, 0) for mu in part)
-    return total
+    drops = {e.sort_key(): dual_partition(part) for e, part in o.blocks}
+    used = dict.fromkeys(drops, 0)
+    ranks = [o.n]
+    for x in factors:
+        key = x.sort_key()
+        ranks.append(ranks[-1] - drops[key][used[key]])
+        used[key] += 1
+    return ranks
 
 
 def orbit_dim(o: OrbitSpec) -> int:

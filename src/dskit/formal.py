@@ -213,7 +213,9 @@ def leading_stratum(p: StandardParahoric, c: FormalConnection) -> Stratum:
     coeffs: dict[int, linalg.Matrix] = {}
     for (deg, i, j, val), d in zip(monos, degs):
         if d == dmin:
-            coeffs.setdefault(deg, linalg.zeros(p.n, p.n))[i - 1][j - 1] = val
+            if deg not in coeffs:
+                coeffs[deg] = linalg.zeros(p.n, p.n)
+            coeffs[deg][i - 1][j - 1] = val
     return Stratum(p, -dmin, LaurentMatrix(p.n, coeffs))
 
 

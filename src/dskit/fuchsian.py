@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .core import OrbitSpec, Scalar, ScalarLike, rank_after_factors
+from .core import OrbitSpec, Scalar, ScalarLike, factor_ranks
 from .errors import InputError, ResonantError
 from .rootsys import (
     DEFAULT_BUDGET,
@@ -33,9 +33,9 @@ class FuchsianRigidity(Enum):
 
 @dataclass
 class CBData:
-    """Star quiver with dimension and deformation vectors for one residue
-    problem. Vertices are the sink 0 and arm nodes (i, j) with i the 1-based
-    orbit index and 1 <= j <= d_i - 1."""
+    """A decision quiver with its dimension and deformation vectors.  For the
+    star quiver of one residue problem, the vertices are the sink 0 and arm
+    nodes (i, j) with i the 1-based orbit index and 1 <= j <= d_i - 1."""
 
     quiver: Quiver
     cartan: CartanMatrix
@@ -84,8 +84,7 @@ def build_cb_data(
     lam: dict[Vertex, Scalar] = {}
     for i, (o, seq) in enumerate(zip(orbits, chosen), start=1):
         d = len(seq)
-        ranks = [rank_after_factors(o, seq, j) for j in range(d + 1)]
-        assert ranks[0] == n and ranks[d] == 0
+        ranks = factor_ranks(o, seq)
         lam_0 = lam_0 - seq[0]
         for j in range(1, d):
             v = (i, j)

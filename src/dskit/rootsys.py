@@ -18,8 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Callable, Hashable, Iterator, Mapping, Sequence, Union
+from typing import Hashable, Iterator, Mapping, Sequence, Union
 
 from .core import Scalar, ScalarLike
 from .errors import BudgetExceededError, DescentGuardError, InputError
@@ -126,10 +125,11 @@ def cartan_of_quiver(q: Quiver) -> CartanMatrix:
     return CartanMatrix(verts, rows)
 
 
-def p_value(c: CartanMatrix, beta: VecLike) -> Fraction:
-    """p(beta) = 1 - (1/2) beta^t C beta; an integer for integral beta."""
+def p_value(c: CartanMatrix, beta: VecLike) -> int:
+    """p(beta) = 1 - (1/2) beta^t C beta; beta^t C beta is even because C is
+    symmetric with 2 on the diagonal."""
     b = c.as_vector(beta)
-    return Fraction(1) - Fraction(c.bilinear(b, b), 2)
+    return 1 - c.bilinear(b, b) // 2
 
 
 def reflect(c: CartanMatrix, i: Vertex, beta: VecLike) -> tuple[int, ...]:
@@ -274,17 +274,18 @@ def sigma_candidates(
     alpha: tuple[int, ...],
     lam: Mapping[Vertex, ScalarLike],
     budget: int | None,
-    in_lattice: Callable[[Sequence[int]], bool] | None = None,
+    lattice: Sequence[Sequence[int]] | None = None,
 ) -> list[tuple[int, ...]] | None:
     """The parts a Sigma-criterion search may use: the positive roots below
-    alpha, or with in_lattice the nonzero lattice vectors below alpha, other
-    than alpha and pairing to zero with lambda.  None when alpha is not a
-    root or alpha.lambda != 0, so that no search is due.
+    alpha, or given the integer forms of a lattice the nonzero vectors below
+    alpha on which every form vanishes, other than alpha and pairing to zero
+    with lambda.  None when alpha is not a root or alpha.lambda != 0, so that
+    no search is due.
 
     The box walk tests beta.lambda = 0 first, on the integer numerators of
-    lambda, and runs classify_root (or in_lattice) only on the vectors that
-    pass.  Both tests are predicates on the same lexicographic walk, so the
-    list and its order do not depend on their order; classify_root cannot
+    lambda, and runs classify_root (or the lattice forms) only on the vectors
+    that pass.  Both tests are predicates on the same lexicographic walk, so
+    the list and its order do not depend on their order; classify_root cannot
     raise on a nonnegative vector, so skipping it cannot hide an error.
     """
     if classify_root(c, alpha) is RootClass.NOT_ROOT:
@@ -296,7 +297,12 @@ def sigma_candidates(
 
     if not orthogonal(alpha):
         return None
-    is_part = in_lattice or (lambda b: classify_root(c, b) is not RootClass.NOT_ROOT)
+    if lattice is None:
+        def is_part(b: Sequence[int]) -> bool:
+            return classify_root(c, b) is not RootClass.NOT_ROOT
+    else:
+        def is_part(b: Sequence[int]) -> bool:
+            return not any(sum(map(operator.mul, b, f)) for f in lattice)
     return [
         b for b in box_vectors(alpha, budget)
         if orthogonal(b) and any(b) and b != alpha and is_part(b)

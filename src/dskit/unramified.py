@@ -9,14 +9,15 @@ criterion on (alpha, lambda) plus decompositions inside a sublattice L.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .core import OrbitSpec, Scalar, ScalarLike, rank_after_factors
+from .core import OrbitSpec, Scalar, ScalarLike, factor_ranks
 from .errors import InputError, ResonantError
+from .fuchsian import CBData
 from .rootsys import (
     DEFAULT_BUDGET,
-    CartanMatrix,
     Quiver,
     Vertex,
     cartan_of_quiver,
@@ -127,43 +128,37 @@ def build_base_quiver(d: UnramFormalType) -> Quiver:
 
 
 @dataclass
-class HiroeData:
-    """Quiver, dimension/deformation vectors, and lattice constraints for a
-    tuple of unramified types (index 0 irregular).
+class HiroeData(CBData):
+    """The decision quiver of a tuple of unramified types (index 0
+    irregular), with the lattice constraints of the sublattice L.
 
     Base vertices are (i, j); path vertices (i, j, k). lattice_pairs lists,
     for each i != 0 with ell_i >= 2, the pair (vertices of type 0, vertices of
     type i) whose coordinate sums the sublattice L requires to be equal.
     """
 
-    quiver: Quiver
-    cartan: CartanMatrix
     base_vertices: tuple[Vertex, ...]
     path_vertices: tuple[Vertex, ...]
-    alpha: dict[Vertex, int]
-    lam: dict[Vertex, Scalar]
     lattice_pairs: tuple[tuple[tuple[Vertex, ...], tuple[Vertex, ...]], ...]
 
-    def alpha_vector(self) -> tuple[int, ...]:
-        return self.cartan.as_vector(self.alpha)
-
-    def lattice_test(self) -> Callable[[Sequence[int]], bool]:
-        """Membership in L of vectors aligned with cartan.vertices; the vertex
-        indices are looked up once, here."""
-        pos = {v: k for k, v in enumerate(self.cartan.vertices)}
-        idx = [([pos[v] for v in lhs], [pos[v] for v in rhs]) for lhs, rhs in self.lattice_pairs]
-        return lambda vec: all(
-            sum(vec[i] for i in lhs) == sum(vec[i] for i in rhs) for lhs, rhs in idx
-        )
+    def lattice_forms(self) -> list[list[int]]:
+        """L as integer forms aligned with cartan.vertices, one per lattice
+        pair: the sum of the first side minus the sum of the second.  A
+        vector lies in L iff every form vanishes on it."""
+        return [
+            [(v in lhs) - (v in rhs) for v in self.cartan.vertices]
+            for lhs, rhs in self.lattice_pairs
+        ]
 
     def in_lattice(self, beta) -> bool:
-        return self.lattice_test()(self.cartan.as_vector(beta))
+        b = self.cartan.as_vector(beta)
+        return not any(sum(map(operator.mul, b, f)) for f in self.lattice_forms())
 
     def candidates(self, budget: int | None) -> list[tuple[int, ...]] | None:
         """The vectors of L that the search may use; one list serves both
         readings of condition (2)."""
         return sigma_candidates(
-            self.cartan, self.alpha_vector(), self.lam, budget, self.lattice_test()
+            self.cartan, self.alpha_vector(), self.lam, budget, self.lattice_forms()
         )
 
 
@@ -222,15 +217,10 @@ def build_hiroe_data(
     # residue paths
     shift_0 = Scalar(0)  # accumulated -eta^1 of the baseless types
     for i, t in enumerate(types):
-        if not has_base[i] and i != 0:
-            for b in t.blocks:  # ell_i == 1 here
-                shift_0 = shift_0 - b.residue.default_factor_sequence()[0]
-    for i, t in enumerate(types):
         for j, b in enumerate(t.blocks, start=1):
             seq = b.residue.default_factor_sequence()
             d = len(seq)
-            ranks = [rank_after_factors(b.residue, seq, k) for k in range(d + 1)]
-            assert ranks[0] == b.dim and ranks[d] == 0
+            ranks = factor_ranks(b.residue, seq)
             for k in range(1, d):
                 v = (i, j, k)
                 path_vertices.append(v)
@@ -242,11 +232,12 @@ def build_hiroe_data(
                 if d > 1:
                     arrows.append(((i, j, 1), (i, j)))
                 lam[(i, j)] = -seq[0]
-                if i == 0:
-                    lam[(0, j)] = lam[(0, j)] + shift_0
-            elif d > 1:
-                for jj in range(1, ell0 + 1):
-                    arrows.append(((i, j, 1), (0, jj)))
+            else:  # ell_i == 1 here
+                shift_0 = shift_0 - seq[0]
+                if d > 1:
+                    arrows.extend(((i, j, 1), (0, jj)) for jj in range(1, ell0 + 1))
+    for j in range(1, ell0 + 1):
+        lam[(0, j)] += shift_0
 
     quiver = Quiver(base_vertices + path_vertices, arrows)
     lattice_pairs = tuple(

@@ -221,6 +221,29 @@ def test_coxeter_ds(tmp_path, capsys):
     assert v3["result"] == {"exists": False}
 
 
+def test_coxeter_ds_negative_p0_needs_equals(tmp_path, capsys):
+    path = _write(tmp_path, "orb.json", orbit=NILP2)
+    v = _verdict(capsys, ["coxeter-ds", "--n", "2", "--r", "1", "--p0=-1/2",
+                          "--orbit", path], 0)
+    assert v["result"] == {"exists": False}
+    # the mirror image of the p0 = 1/4 case of test_coxeter_ds
+    mirrored = _write(
+        tmp_path, "orb2.json",
+        orbit=_orbit(2, [(_sc(0), (1,)), (_sc(1, 2), (1,))]),
+    )
+    v2 = _verdict(capsys, ["coxeter-ds", "--n", "2", "--r", "1", "--p0=-1/4",
+                           "--orbit", mirrored], 0)
+    assert v2["result"] == {"exists": True}
+    # after a space argparse reads -1/2 as an option, so --p0 has no value
+    assert run(["coxeter-ds", "--n", "2", "--r", "1", "--p0", "-1/2",
+                "--orbit", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--p0: expected one argument" in captured.err
+    assert run(["coxeter-ds", "--help"]) == 0
+    assert "--p0=-1/2" in capsys.readouterr().out
+
+
 def test_coxeter_ds_gcd_guard(tmp_path, capsys):
     path = _write(tmp_path, "orb.json", orbit=NILP2)
     err = _error(capsys, ["coxeter-ds", "--n", "2", "--r", "2", "--p0", "0",
@@ -441,6 +464,99 @@ def test_unreadable_and_invalid_files(tmp_path, capsys):
     bad.write_text("{not json")
     err2 = _error(capsys, ["fuchsian-ds", "--input", str(bad)])
     assert "invalid JSON" in err2
+
+
+def _doc(**fields):
+    return {"schema": SCHEMA, **fields}
+
+
+_FUCHSIAN = ["fuchsian-ds", "--input"]
+_UNRAM = ["unramified-ds", "--input"]
+_SLOPE = ["slope", "--matrix"]
+_COXETER = ["coxeter-ds", "--n", "2", "--r", "1", "--p0", "0", "--orbit"]
+_BLOCK = {"eig": _sc(0), "partition": [2]}
+_SCALAR_SHAPE = "scalar must be a 4-tuple of integers [re_num, re_den, im_num, im_den]"
+
+
+def _unram_block(**change):
+    return {"q": [_sc(1)], "dim": 1, "residue": _orbit(1, [(_sc(0), (1,))]), **change}
+
+
+def _term(**change):
+    return {"deg": -1, "entries": [[_sc(1)]], **change}
+
+
+# (argv before the document path, document, stderr after "error: ")
+MALFORMED_DOCUMENTS = [
+    (_FUCHSIAN, [1], "$: document must be a JSON object"),
+    (_FUCHSIAN, {"schema": "ds-kit/2"}, "schema: expected 'ds-kit/1', got 'ds-kit/2'"),
+    (_FUCHSIAN, _doc(orbits=[]), "orbits: must be a nonempty array"),
+    (_FUCHSIAN, _doc(orbits=[5]), "orbits[0]: orbit must be an object"),
+    (_FUCHSIAN, _doc(orbits=[{"n": "2", "blocks": [_BLOCK]}]), "orbits[0].n: must be an integer"),
+    (_FUCHSIAN, _doc(orbits=[{"n": 2, "blocks": []}]),
+     "orbits[0].blocks: must be a nonempty array"),
+    (_FUCHSIAN, _doc(orbits=[{"n": 2, "blocks": [7]}]),
+     "orbits[0].blocks[0]: block must be an object"),
+    (_FUCHSIAN, _doc(orbits=[{"n": 2, "blocks": [{"partition": [2]}]}]),
+     "orbits[0].blocks[0].eig: missing"),
+    (_FUCHSIAN, _doc(orbits=[{"n": 2, "blocks": [{"eig": _sc(0), "partition": []}]}]),
+     "orbits[0].blocks[0].partition: must be a nonempty array of integers"),
+    (_FUCHSIAN, _doc(orbits=[{"n": 2, "blocks": [{"eig": [0, 1, 0], "partition": [2]}]}]),
+     f"orbits[0].blocks[0].eig: {_SCALAR_SHAPE}"),
+    (_FUCHSIAN, _doc(orbits=[{"n": 2, "blocks": [{"eig": [1, 0, 0, 1], "partition": [2]}]}]),
+     "orbits[0].blocks[0].eig: scalar denominator must be nonzero"),
+    (_FUCHSIAN, _doc(orbits=[{"n": 3, "blocks": [_BLOCK]}]),
+     "orbits[0]: partition weights sum to 2, expected n=3"),
+    (_FUCHSIAN, _doc(orbits=[NILP2], sequences=[5]), "sequences[0]: must be an array of scalars"),
+    (_FUCHSIAN, _doc(orbits=[NILP2], sequences=[]),
+     "sequences: must be an array, one entry per orbit"),
+    (_UNRAM, _doc(types=[]), "types: must be a nonempty array"),
+    (_UNRAM, _doc(types=[5]), "types[0]: formal type must be an object"),
+    (_UNRAM, _doc(types=[{"blocks": []}]), "types[0].blocks: must be a nonempty array"),
+    (_UNRAM, _doc(types=[{"blocks": [5]}]), "types[0].blocks[0]: block must be an object"),
+    (_UNRAM, _doc(types=[{"blocks": [_unram_block(q="1/z")]}]),
+     "types[0].blocks[0].q: must be an array of scalars (coefficients of z^-1, z^-2, ...)"),
+    (_UNRAM, _doc(types=[{"blocks": [_unram_block(q=[[1, 1]])]}]),
+     f"types[0].blocks[0].q[0]: {_SCALAR_SHAPE}"),
+    (_UNRAM, _doc(types=[{"blocks": [_unram_block(dim=True)]}]),
+     "types[0].blocks[0].dim: must be an integer"),
+    (_UNRAM, _doc(types=[{"blocks": [{"q": [], "dim": 1}]}]),
+     "types[0].blocks[0].residue: missing"),
+    (_UNRAM, _doc(types=[{"blocks": [_unram_block(residue={"n": 1})]}]),
+     "types[0].blocks[0].residue.blocks: must be a nonempty array"),
+    (_UNRAM, _doc(types=[{"blocks": [_unram_block(dim=2)]}]),
+     "types[0].blocks[0]: residue orbit lives on gl_1, block has dim 2"),
+    (_UNRAM, _doc(types=[{"blocks": [_unram_block(), _unram_block()]}]),
+     "types[0]: blocks must have pairwise distinct q_j"),
+    (_SLOPE, _doc(), "matrix: missing"),
+    (_SLOPE, _doc(matrix=5), "matrix: matrix must be an object"),
+    (_SLOPE, _doc(matrix={"n": 0, "terms": []}), "matrix.n: must be a positive integer"),
+    (_SLOPE, _doc(matrix={"n": 1, "trunc": 1.5, "terms": []}),
+     "matrix.trunc: must be an integer or null"),
+    (_SLOPE, _doc(matrix={"n": 1}), "matrix.terms: must be an array"),
+    (_SLOPE, _doc(matrix={"n": 1, "terms": [5]}), "matrix.terms[0]: term must be an object"),
+    (_SLOPE, _doc(matrix={"n": 1, "terms": [_term(deg="-1")]}),
+     "matrix.terms[0].deg: must be an integer"),
+    (_SLOPE, _doc(matrix={"n": 1, "terms": [_term(), _term()]}),
+     "matrix.terms[1].deg: duplicate degree -1"),
+    (_SLOPE, _doc(matrix={"n": 1, "terms": [_term(entries=[])]}),
+     "matrix.terms[0].entries: must be an array of 1 rows"),
+    (_SLOPE, _doc(matrix={"n": 1, "terms": [_term(entries=[[_sc(1), _sc(1)]])]}),
+     "matrix.terms[0].entries[0]: must be an array of 1 scalars"),
+    (_SLOPE, _doc(matrix={"n": 1, "terms": [_term(entries=[[[1, 1, 0]]])]}),
+     f"matrix.terms[0].entries[0][0]: {_SCALAR_SHAPE}"),
+    (_COXETER, _doc(), "orbit: missing"),
+]
+
+
+def test_every_malformed_document_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    for argv, doc, message in MALFORMED_DOCUMENTS:
+        path.write_text(json.dumps(doc))
+        assert run(argv + [str(path)]) == 2, message
+        captured = capsys.readouterr()
+        assert captured.out == "", message
+        assert captured.err == f"error: {message}\n"
 
 
 def test_unknown_command_and_flag(capsys):

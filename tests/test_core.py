@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,10 +13,10 @@ from dskit.core import (
     as_partition,
     dominance_leq,
     dual_partition,
+    factor_ranks,
     min_partition_with_r_parts,
     orbit_dim,
     partitions_of,
-    rank_after_factors,
     weight,
 )
 from dskit.errors import InputError
@@ -235,7 +237,7 @@ def test_default_factor_sequence_properties():
 
 
 # ---------------------------------------------------------------------------
-# rank_after_factors against a matrix oracle
+# factor_ranks against a matrix oracle and the per-j definition
 # ---------------------------------------------------------------------------
 
 
@@ -261,14 +263,62 @@ def test_rank_after_factors_matches_matrix_oracle():
     ]
     for o in cases:
         seq = o.default_factor_sequence()
+        ranks = factor_ranks(o, seq)
+        assert len(ranks) == len(seq) + 1
         for j in range(len(seq) + 1):
-            assert rank_after_factors(o, seq, j) == _rank_oracle(o, seq, j), (o, j)
+            assert ranks[j] == _rank_oracle(o, seq, j), (o, j)
 
 
 def test_rank_after_factors_zero_at_full_length():
     o = OrbitSpec(4, [(0, (2, 1)), (1, (1,))])
     seq = o.default_factor_sequence()
-    assert rank_after_factors(o, seq, len(seq)) == 0
+    assert factor_ranks(o, seq)[len(seq)] == 0
+
+
+def _rank_by_definition(o: OrbitSpec, seq, j: int) -> int:
+    """sum over eigenvalues eta of sum_a max(mu_a - t_eta(j), 0), where
+    t_eta(j) counts the factors at eta among the first j."""
+    return sum(
+        max(mu - sum(1 for x in seq[:j] if Scalar.of(x) == e), 0)
+        for e, part in o.blocks for mu in part
+    )
+
+
+def _random_orbit(rng: random.Random) -> OrbitSpec:
+    """One to three distinct eigenvalues, each with a partition of 1..6."""
+    eigs = rng.sample([Scalar(Fraction(k, 3), k % 2) for k in range(-4, 5)], rng.randint(1, 3))
+    blocks = [(e, rng.choice(list(partitions_of(rng.randint(1, 6))))) for e in eigs]
+    return OrbitSpec(sum(weight(p) for _, p in blocks), blocks)
+
+
+def test_factor_ranks_match_per_j_definition_on_seeded_orbits():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        o = _random_orbit(rng)
+        seq = list(o.default_factor_sequence())
+        rng.shuffle(seq)  # any order of the factors is a valid sequence
+        ranks = factor_ranks(o, seq)
+        assert ranks == [_rank_by_definition(o, seq, j) for j in range(len(seq) + 1)], o
+        assert ranks[0] == o.n and ranks[-1] == 0
+
+
+def test_factor_ranks_reject_a_bad_sequence():
+    o = OrbitSpec(3, [(0, (2,)), (1, (1,))])
+    with pytest.raises(InputError):
+        factor_ranks(o, [0, 1])
+    with pytest.raises(InputError):
+        factor_ranks(o, [0, 0, 1, 1])
+
+
+def test_factor_ranks_one_pass_on_a_long_arm():
+    # a regular nilpotent orbit at n = 2000 has an arm of 2000 ranks; one
+    # validation per arm keeps this linear in the arm length
+    o = OrbitSpec(2000, [(0, (2000,))])
+    seq = o.default_factor_sequence()
+    t = time.perf_counter()
+    ranks = factor_ranks(o, seq)
+    assert time.perf_counter() - t < 0.5
+    assert ranks == list(range(2000, -1, -1))
 
 
 # ---------------------------------------------------------------------------

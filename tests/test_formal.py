@@ -167,6 +167,17 @@ def test_leading_stratum_selects_minimal_degree():
     assert not is_fundamental(s2)
 
 
+def test_leading_stratum_builds_one_matrix_per_degree(monkeypatch):
+    n = 4
+    m = LaurentMatrix(n, {-1: [[Scalar(i + j + 1) for j in range(n)] for i in range(n)]})
+    built = []
+    zeros = linalg.zeros
+    monkeypatch.setattr(linalg, "zeros", lambda *shape: built.append(shape) or zeros(*shape))
+    s = leading_stratum(StandardParahoric.maximal(n), _conn(m))
+    assert s.leading == m
+    assert built == [(n, n)]  # 16 monomials of minimal degree, all at z^-1
+
+
 def test_leading_stratum_guards():
     iw = StandardParahoric.iwahori(2)
     with pytest.raises(InputError):

@@ -312,9 +312,9 @@ def test_sigma_candidates_match_classify_first_on_unramified_tuples():
     for types, data in _unramified_cases(seed=20261021, count=100):
         ranks.add(types[0].n)
         a = data.alpha_vector()
-        in_lattice = data.lattice_test()
-        want = _classify_first_candidates(data.cartan, a, data.lam, in_lattice)
-        assert sigma_candidates(data.cartan, a, data.lam, None, in_lattice) == want, types
+        want = _classify_first_candidates(
+            data.cartan, a, data.lam, lambda b: _reference_in_lattice(data, b))
+        assert sigma_candidates(data.cartan, a, data.lam, None, data.lattice_forms()) == want, types
         nonempty += bool(want)
     assert nonempty >= 20
     assert ranks == {2, 3, 4}
