@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cap on search nodes: each box vector 0 <= beta <= alpha, then "
              "each decomposition node; for slope, each of the 2^(n-1) standard "
              f"parahorics (default {DEFAULT_BUDGET:,}); both readings of unramified-ds "
-             "share one box walk",
+             "share one candidate list",
     )
 
     ap = argparse.ArgumentParser(

@@ -198,15 +198,15 @@ def min_partition_with_r_parts(r: int, m: int) -> Partition:
     """The dominance-least partition of m with at most r parts.
 
     Writing m = k*r + r' with 0 <= r' < r, this is (k+1) repeated r' times
-    followed by k repeated r - r' times, zero parts dropped.
+    followed by k repeated r - r' times, zero parts dropped; only the
+    min(r, m) nonzero parts are built.
     """
     if r < 1:
         raise InputError(f"need r >= 1, got {r}")
     if m < 0:
         raise InputError(f"need m >= 0, got {m}")
     k, rp = divmod(m, r)
-    parts = (k + 1,) * rp + (k,) * (r - rp)
-    return tuple(x for x in parts if x > 0)
+    return (k + 1,) * rp + (k,) * (r - rp if k else 0)
 
 
 def partitions_of(m: int, max_part: int | None = None) -> Iterator[Partition]:

@@ -1,14 +1,17 @@
 """Quivers, symmetric generalized Cartan matrices, and Kac root combinatorics.
 
-This is the shared engine behind both existence criteria: one search walks the
-box 0 <= beta <= alpha, keeps the candidates that pair to zero with lambda,
-and scans decompositions of alpha into candidates for one that does not drop
-p.  The filters run cheapest first: each box vector is tested for
-beta.lambda = 0 in integer arithmetic, and only the survivors are classified
-as roots (or tested against the lattice).  Its budget counts each box vector,
-then each decomposition node.  Every public search and decider defaults to
+This is the shared engine behind both existence criteria: one search finds
+the vectors 0 <= beta <= alpha on which lambda (and the lattice, if any)
+vanishes, and scans decompositions of alpha into them for one that does not
+drop p.  lambda's real and imaginary integer numerators and the lattice rows
+are integer forms, so the search meets in the middle: the coordinates are
+split where the suffix box holds at most isqrt of the whole box, the suffix
+box is tabulated by its form values, and the prefix box is walked in order
+and joined on the negated values.  Only the joined vectors are classified as
+roots.  The budget charges the whole box before anything is tabulated, then
+each decomposition node.  Every public search and decider defaults to
 DEFAULT_BUDGET = 2,000,000 and reads budget=None as no budget.  Both readings
-of unramified-ds share one box walk.
+of unramified-ds share one candidate list.
 """
 
 from __future__ import annotations
@@ -269,6 +272,39 @@ def decompositions(
     yield from walk(alpha, 0, [])
 
 
+def _split_point(alpha: Sequence[int]) -> int:
+    """The least h whose suffix box (beta[h:] <= alpha[h:]) is no larger than
+    its prefix box.  That h has the least prefix + suffix among such splits,
+    and its suffix box holds at most isqrt of the whole box."""
+    suffix = math.prod(x + 1 for x in alpha)
+    prefix = 1
+    for h, x in enumerate(alpha):
+        if suffix <= prefix:
+            return h
+        prefix *= x + 1
+        suffix //= x + 1
+    return len(alpha)
+
+
+def _form_zeros(
+    alpha: Sequence[int], forms: Sequence[Sequence[int]]
+) -> Iterator[tuple[int, ...]]:
+    """Every vector 0 <= beta <= alpha on which all the forms vanish, in
+    lexicographic order, found by meeting in the middle (Horowitz-Sahni):
+    the suffix box is tabulated by its form values, and each vector of the
+    prefix box, walked in order, is joined with the suffixes stored under
+    the negated values."""
+    h = _split_point(alpha)
+    table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    tails = [f[h:] for f in forms]
+    for s in itertools.product(*(range(x + 1) for x in alpha[h:])):
+        table.setdefault(tuple(sum(map(operator.mul, s, f)) for f in tails), []).append(s)
+    heads = [[-x for x in f[:h]] for f in forms]
+    for p in itertools.product(*(range(x + 1) for x in alpha[:h])):
+        for s in table.get(tuple(sum(map(operator.mul, p, f)) for f in heads), ()):
+            yield p + s
+
+
 def sigma_candidates(
     c: CartanMatrix,
     alpha: tuple[int, ...],
@@ -282,30 +318,25 @@ def sigma_candidates(
     with lambda.  None when alpha is not a root or alpha.lambda != 0, so that
     no search is due.
 
-    The box walk tests beta.lambda = 0 first, on the integer numerators of
-    lambda, and runs classify_root (or the lattice forms) only on the vectors
-    that pass.  Both tests are predicates on the same lexicographic walk, so
-    the list and its order do not depend on their order; classify_root cannot
-    raise on a nonnegative vector, so skipping it cannot hide an error.
+    The whole box is charged to the budget first.  The forms are the nonzero
+    rows among lambda's real and imaginary numerators and the lattice rows;
+    _form_zeros splits the coordinates so that the suffix box is at most
+    isqrt of the box, tabulates it by form values and joins each prefix on
+    them, so it visits prefix + suffix vectors instead of their product.  The
+    joined vectors come in lexicographic order, and only they reach
+    classify_root, which cannot raise on a nonnegative vector.
     """
     if classify_root(c, alpha) is RootClass.NOT_ROOT:
         return None
     re, im, _ = _lambda_numerators(c, lam)
-
-    def orthogonal(b: Sequence[int]) -> bool:
-        return not sum(map(operator.mul, b, re)) and not sum(map(operator.mul, b, im))
-
-    if not orthogonal(alpha):
+    if sum(map(operator.mul, alpha, re)) or sum(map(operator.mul, alpha, im)):
         return None
-    if lattice is None:
-        def is_part(b: Sequence[int]) -> bool:
-            return classify_root(c, b) is not RootClass.NOT_ROOT
-    else:
-        def is_part(b: Sequence[int]) -> bool:
-            return not any(sum(map(operator.mul, b, f)) for f in lattice)
+    _after_box(alpha, budget)
+    forms = [f for f in (re, im, *(lattice or ())) if any(f)]
     return [
-        b for b in box_vectors(alpha, budget)
-        if orthogonal(b) and any(b) and b != alpha and is_part(b)
+        b for b in _form_zeros(alpha, forms)
+        if any(b) and b != alpha
+        and (lattice is not None or classify_root(c, b) is not RootClass.NOT_ROOT)
     ]
 
 

@@ -154,6 +154,13 @@ def test_min_partition_with_r_parts():
     assert min_partition_with_r_parts(7, 7) == (1,) * 7
     assert min_partition_with_r_parts(9, 7) == (1,) * 7
     assert min_partition_with_r_parts(2, 5) == (3, 2)
+    assert min_partition_with_r_parts(5, 0) == ()
+
+
+def test_min_partition_builds_only_the_nonzero_parts():
+    # all but seven of the 10**12 parts are zero; a tuple of all of them
+    # cannot be allocated
+    assert min_partition_with_r_parts(10**12, 7) == (1,) * 7
 
 
 def test_min_partition_is_dominance_least_with_few_parts():

@@ -10,6 +10,7 @@ engine must give the same verdicts.
 import inspect
 import itertools
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -26,8 +27,11 @@ from dskit.fuchsian import (
     fuchsian_rigidity,
 )
 from dskit.rootsys import (
+    CartanMatrix,
     DEFAULT_BUDGET,
     RootClass,
+    _form_zeros,
+    _split_point,
     box_vectors,
     classify_root,
     decompositions,
@@ -320,6 +324,131 @@ def test_sigma_candidates_match_classify_first_on_unramified_tuples():
     assert ranks == {2, 3, 4}
 
 
+def _random_cartan(rng, n):
+    """A symmetric generalized Cartan matrix on n vertices, not only a star."""
+    rows = [[2] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        rows[i][j] = rows[j][i] = rng.choice([0, 0, -1, -1, -1, -2])
+    return CartanMatrix(tuple(range(n)), tuple(map(tuple, rows)))
+
+
+def _random_root(rng, c, max_box):
+    while True:
+        a = tuple(rng.randint(0, 4) for _ in c.vertices)
+        if any(a) and math.prod(x + 1 for x in a) <= max_box \
+                and classify_root(c, a) is not RootClass.NOT_ROOT:
+            return a
+
+
+def _orthogonal_lambda(rng, c, a, kind):
+    """lambda on c.vertices with a.lambda = 0: zero, real, or with imaginary
+    parts; the last vertex in the support of a absorbs the pairing."""
+    if kind == "zero":
+        return {}
+    small = [Fraction(p, q) for q in (1, 2, 3) for p in range(-2, 3)]
+    lam = {
+        v: Scalar(rng.choice(small), rng.choice(small) if kind == "complex" else 0)
+        for v in c.vertices
+    }
+    k = max(i for i, x in enumerate(a) if x)
+    rest = sum((lam[v] * x for v, x in zip(c.vertices, a) if v != k), Scalar(0))
+    lam[k] = -rest / a[k]
+    return lam
+
+
+def _random_lattice(rng, n, kind):
+    if kind == "none":
+        return None
+    if kind == "zero":
+        return [[0] * n for _ in range(rng.randint(1, 2))]
+    return [[rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+
+
+def _rows_vanish(rows):
+    return lambda b: not any(sum(map(operator.mul, b, f)) for f in rows)
+
+
+def _check_against_classify_first(c, a, lam, lattice):
+    want = _classify_first_candidates(
+        c, a, lam, None if lattice is None else _rows_vanish(lattice))
+    assert sigma_candidates(c, a, lam, None, lattice) == want, (c.rows, a, lam, lattice)
+    return want
+
+
+def test_sigma_candidates_match_classify_first_on_random_cartan_matrices():
+    rng = random.Random(20261022)
+    seen = set()
+    nonempty = 0
+    for _ in range(240):
+        n = rng.randint(2, 5)
+        c = _random_cartan(rng, n)
+        a = _random_root(rng, c, 200)
+        lam_kind = rng.choice(["zero", "real", "complex"])
+        lattice_kind = rng.choice(["none", "zero", "rows"])
+        lam = _orthogonal_lambda(rng, c, a, lam_kind)
+        lattice = _random_lattice(rng, n, lattice_kind)
+        want = _check_against_classify_first(c, a, lam, lattice)
+        nonempty += bool(want)
+        seen.add((n, lam_kind, lattice_kind))
+    assert {k[0] for k in seen} == {2, 3, 4, 5}
+    assert len(seen) >= 30
+    assert nonempty >= 80
+
+
+def test_sigma_candidates_edge_cases():
+    # one vertex: the only positive root is 1, with nothing below it
+    c1 = CartanMatrix((0,), ((2,),))
+    for lattice in (None, [[0]], [[1]]):
+        assert _check_against_classify_first(c1, (1,), {}, lattice) == []
+    # lambda = 0 and no forms: every root below alpha is a part
+    c = CartanMatrix((0, 1, 2), ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)))
+    a = (2, 2, 2)
+    assert _check_against_classify_first(c, a, {}, None) == [
+        b for b in positive_roots_leq(c, a) if b != a]
+    # all-zero lattice rows: every nonzero proper box vector is a part
+    every = [b for b in box_vectors(a, None) if any(b) and b != a]
+    assert _check_against_classify_first(c, a, {}, [[0, 0, 0]]) == every
+    # real numerators ask b0 = b1, imaginary ones b0 = b2: only delta is left
+    lam = {0: Scalar(1, 1), 1: Scalar(-1), 2: Scalar(0, -1)}
+    assert _check_against_classify_first(c, a, lam, None) == [(1, 1, 1)]
+    # one dominant coordinate, which the split keeps in the prefix
+    big = CartanMatrix((0, 1, 2), ((2, -1, -20), (-1, 2, -20), (-20, -20, 2)))
+    a = (1, 1, 40)
+    assert classify_root(big, a) is not RootClass.NOT_ROOT
+    assert _split_point(a) == 3
+    for lam in ({}, {0: 1, 1: -1}, {0: 40, 2: -1}, {0: Scalar(1, 1), 1: Scalar(-1, -1)}):
+        for lattice in (None, [[1, -1, 0]]):
+            _check_against_classify_first(big, a, lam, lattice)
+
+
+def test_split_keeps_the_table_within_the_square_root_of_the_box():
+    rng = random.Random(20261023)
+    shapes = [(1,), (5,), (1, 1, 40), (40, 1, 1), (4, 3, 2, 1, 3, 2, 1, 3, 2, 1)]
+    shapes += [tuple(rng.randint(0, 9) for _ in range(rng.randint(1, 8))) for _ in range(200)]
+    for a in shapes:
+        h = _split_point(a)
+        box = math.prod(x + 1 for x in a)
+        prefix = math.prod(x + 1 for x in a[:h])
+        suffix = math.prod(x + 1 for x in a[h:])
+        assert suffix <= prefix and suffix <= math.isqrt(box), a
+        # the least prefix + suffix over every split with suffix <= prefix
+        best = min(
+            math.prod(x + 1 for x in a[:k]) + math.prod(x + 1 for x in a[k:])
+            for k in range(len(a) + 1)
+            if math.prod(x + 1 for x in a[k:]) <= math.prod(x + 1 for x in a[:k])
+        )
+        assert prefix + suffix == best, a
+
+
+def test_form_zeros_is_the_filtered_box_walk():
+    rng = random.Random(20261024)
+    for _ in range(300):
+        a = tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 5)))
+        forms = [[rng.randint(-3, 3) for _ in a] for _ in range(rng.randint(0, 3))]
+        want = [b for b in box_vectors(a, None) if _rows_vanish(forms)(b)]
+        assert list(_form_zeros(a, forms)) == want, (a, forms)
+
+
 # ---------------------------------------------------------------------------
 # the box walk draws on the budget
 # ---------------------------------------------------------------------------
@@ -358,6 +487,35 @@ def test_rank4_triple_decides_under_the_default_budget_in_a_second():
 def test_rank4_triple_without_a_budget_matches_the_default():
     orbits = _generic_rank4_triple()
     assert fuchsian_rigidity(orbits, budget=None) is fuchsian_rigidity(orbits)
+
+
+def _generic_rank5_triple():
+    # alpha = (5, 4,3,2,1, 4,3,2,1, 4,3,2,1): a box of 6 * 120**3 = 10,368,000
+    # vectors, far over the default budget
+    eigs = [
+        [Fraction(1, 7), Fraction(2, 11), Fraction(3, 13), Fraction(-5, 17), Fraction(1, 53)],
+        [Fraction(4, 19), Fraction(-6, 23), Fraction(7, 29), Fraction(1, 31), Fraction(2, 59)],
+        [Fraction(2, 37), Fraction(3, 41), Fraction(-1, 43), Fraction(5, 47)],
+    ]
+    eigs[2].append(-sum(sum(e) for e in eigs))
+    return [OrbitSpec(5, [(e, (1,)) for e in es]) for es in eigs]
+
+
+def test_rank5_triple_without_a_budget_decides_in_a_second():
+    # walking the 10.4 M box vectors takes about 20 s; the join visits a
+    # prefix box of 3,600 and a suffix box of 2,880
+    orbits = _generic_rank5_triple()
+    assert math.prod(x + 1 for x in build_cb_data(orbits).alpha_vector()) == 10_368_000
+    t0 = time.perf_counter()
+    rigidity = fuchsian_rigidity(orbits, budget=None)
+    assert time.perf_counter() - t0 < 1.0
+    assert rigidity is FuchsianRigidity.INFINITE
+
+
+def test_rank5_triple_under_the_default_budget_stops_at_the_box():
+    with pytest.raises(BudgetExceededError) as err:
+        fuchsian_rigidity(_generic_rank5_triple())
+    assert str(err.value) == "lattice-point enumeration exceeded budget of 2000000"
 
 
 def test_every_budgeted_search_defaults_to_the_default_budget():
