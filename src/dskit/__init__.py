@@ -65,10 +65,8 @@ from .fuchsian import (
 from .laurent import LaurentMatrix
 from .rootsys import (
     DEFAULT_BUDGET,
-    CartanMatrix,
     Quiver,
     RootClass,
-    cartan_of_quiver,
     classify_root,
     in_sigma_lambda,
     p_value,
@@ -89,7 +87,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError",
     "CBData",
-    "CartanMatrix",
     "CertifiedSlope",
     "CharPolySpec",
     "CoxeterFormalType",
@@ -119,7 +116,6 @@ __all__ = [
     "build_base_quiver",
     "build_cb_data",
     "build_hiroe_data",
-    "cartan_of_quiver",
     "certify_slope",
     "classify_root",
     "count_rank2_moduli",

@@ -15,11 +15,9 @@ from .core import OrbitSpec, Scalar, ScalarLike, factor_ranks
 from .errors import InputError, ResonantError
 from .rootsys import (
     DEFAULT_BUDGET,
-    CartanMatrix,
     Quiver,
     RootClass,
     Vertex,
-    cartan_of_quiver,
     classify_root,
     in_sigma_lambda,
 )
@@ -38,12 +36,11 @@ class CBData:
     nodes (i, j) with i the 1-based orbit index and 1 <= j <= d_i - 1."""
 
     quiver: Quiver
-    cartan: CartanMatrix
     alpha: dict[Vertex, int]
     lam: dict[Vertex, Scalar]
 
     def alpha_vector(self) -> tuple[int, ...]:
-        return self.cartan.as_vector(self.alpha)
+        return self.quiver.as_vector(self.alpha)
 
 
 def build_cb_data(
@@ -93,13 +90,7 @@ def build_cb_data(
             lam[v] = seq[j - 1] - seq[j]
             arrows.append((v, 0 if j == 1 else (i, j - 1)))
     lam[0] = lam_0
-    quiver = Quiver(vertices, arrows)
-    return CBData(
-        quiver=quiver,
-        cartan=cartan_of_quiver(quiver),
-        alpha=alpha,
-        lam=lam,
-    )
+    return CBData(quiver=Quiver(vertices, arrows), alpha=alpha, lam=lam)
 
 
 def fuchsian_ds_exists(
@@ -122,9 +113,9 @@ def fuchsian_rigidity(
     infinite for alpha imaginary.
     """
     data = build_cb_data(orbits, seqs)
-    if not in_sigma_lambda(data.cartan, data.alpha, data.lam, budget):
+    if not in_sigma_lambda(data.quiver, data.alpha, data.lam, budget):
         return FuchsianRigidity.EMPTY
-    cls = classify_root(data.cartan, data.cartan.as_vector(data.alpha))
+    cls = classify_root(data.quiver, data.alpha_vector())
     if cls is RootClass.REAL:
         return FuchsianRigidity.RIGID_SINGLETON
     return FuchsianRigidity.INFINITE

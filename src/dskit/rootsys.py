@@ -1,5 +1,7 @@
-"""Quivers, symmetric generalized Cartan matrices, and Kac root combinatorics.
+"""Quivers and Kac root combinatorics.
 
+A loop-free quiver is its own symmetric generalized Cartan matrix, which
+Quiver stores as neighbour lists; every root function takes the quiver.
 This is the shared engine behind both existence criteria: one search finds
 the vectors 0 <= beta <= alpha on which lambda (and the lattice, if any)
 vanishes, and scans decompositions of alpha into them for one that does not
@@ -19,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Hashable, Iterator, Mapping, Sequence, Union
 
@@ -34,76 +36,77 @@ VecLike = Union[Mapping[Vertex, int], Sequence[int]]
 
 @dataclass(frozen=True)
 class Quiver:
-    """A finite loop-free quiver; parallel arrows are allowed."""
+    """A finite loop-free quiver, parallel arrows allowed, which is its own
+    symmetric generalized Cartan matrix C = 2 I - (adjacency, arrows counted
+    undirected).  C is stored as one neighbour list per vertex, a neighbour
+    joined by m arrows listed m times, so (C beta)_i = 2 beta_i - the sum of
+    beta_j over the neighbours j of i."""
 
     vertices: tuple[Vertex, ...]
     arrows: tuple[tuple[Vertex, Vertex], ...]
+    _index: dict[Vertex, int] = field(init=False, repr=False, compare=False)
+    _neighbours: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, vertices: Sequence[Vertex], arrows: Sequence[tuple[Vertex, Vertex]]):
         verts = tuple(vertices)
-        if len(set(verts)) != len(verts):
+        index = {v: k for k, v in enumerate(verts)}
+        if len(index) != len(verts):
             raise InputError("duplicate vertex ids")
-        vset = set(verts)
+        neighbours: list[list[int]] = [[] for _ in verts]
         arrs = []
         for tail, head in arrows:
-            if tail not in vset or head not in vset:
+            if tail not in index or head not in index:
                 raise InputError(f"arrow ({tail!r}, {head!r}) uses unknown vertex")
             if tail == head:
                 raise InputError(f"loop detected at vertex {tail!r}")
             arrs.append((tail, head))
+            neighbours[index[tail]].append(index[head])
+            neighbours[index[head]].append(index[tail])
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "arrows", tuple(arrs))
-
-
-@dataclass(frozen=True)
-class CartanMatrix:
-    """Symmetric generalized Cartan matrix over an ordered vertex set."""
-
-    vertices: tuple[Vertex, ...]
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.vertices)
-        if len(self.rows) != n or any(len(r) != n for r in self.rows):
-            raise InputError("Cartan matrix shape does not match vertex set")
-        for i in range(n):
-            if self.rows[i][i] != 2:
-                raise InputError("Cartan diagonal entries must equal 2")
-            for j in range(n):
-                if self.rows[i][j] != self.rows[j][i]:
-                    raise InputError("Cartan matrix must be symmetric")
-                if i != j and self.rows[i][j] > 0:
-                    raise InputError("off-diagonal Cartan entries must be <= 0")
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_neighbours", tuple(map(tuple, neighbours)))
 
     def index(self, v: Vertex) -> int:
         try:
-            return self.vertices.index(v)
-        except ValueError:
+            return self._index[v]
+        except (KeyError, TypeError):
             raise InputError(f"unknown vertex {v!r}") from None
 
     def as_vector(self, beta: VecLike) -> tuple[int, ...]:
-        """Coerce a mapping or sequence to a tuple aligned with self.vertices."""
+        """Coerce a mapping or sequence of integers to a tuple aligned with
+        self.vertices."""
         if isinstance(beta, Mapping):
-            unknown = set(beta) - set(self.vertices)
+            unknown = set(beta) - self._index.keys()
             if unknown:
                 raise InputError(f"unknown vertices in vector: {sorted(map(repr, unknown))}")
-            return tuple(int(beta.get(v, 0)) for v in self.vertices)
-        vec = tuple(int(x) for x in beta)
-        if len(vec) != len(self.vertices):
-            raise InputError(
-                f"vector length {len(vec)} does not match {len(self.vertices)} vertices"
-            )
-        return vec
+            entries = [(v, beta.get(v, 0)) for v in self.vertices]
+        else:
+            entries = list(enumerate(beta))
+            if len(entries) != len(self.vertices):
+                raise InputError(
+                    f"vector length {len(entries)} does not match {len(self.vertices)} vertices"
+                )
+        vec = []
+        for key, x in entries:
+            try:
+                vec.append(operator.index(x))
+            except TypeError:
+                raise InputError(f"vector entry {key!r} is not an integer: {x!r}") from None
+        return tuple(vec)
+
+    def _pair(self, b: Sequence[int]) -> tuple[int, ...]:
+        """C b, for integers b aligned with self.vertices."""
+        return tuple(
+            2 * x - sum(map(b.__getitem__, nb)) for x, nb in zip(b, self._neighbours)
+        )
 
     def pairing(self, beta: VecLike) -> tuple[int, ...]:
         """The vector C beta."""
-        b = self.as_vector(beta)
-        return tuple(sum(row[j] * b[j] for j in range(len(b))) for row in self.rows)
+        return self._pair(self.as_vector(beta))
 
     def bilinear(self, beta: VecLike, gamma: VecLike) -> int:
-        b = self.as_vector(beta)
-        cg = self.pairing(gamma)
-        return sum(x * y for x, y in zip(b, cg))
+        return sum(map(operator.mul, self.as_vector(beta), self.pairing(gamma)))
 
 
 class RootClass(Enum):
@@ -112,54 +115,36 @@ class RootClass(Enum):
     NOT_ROOT = "NotRoot"
 
 
-def cartan_of_quiver(q: Quiver) -> CartanMatrix:
-    """C_ij = 2 delta_ij - #{edges between i and j}, arrows counted undirected."""
-    verts = q.vertices
-    pos = {v: k for k, v in enumerate(verts)}
-    n = len(verts)
-    counts = [[0] * n for _ in range(n)]
-    for tail, head in q.arrows:
-        a, b = pos[tail], pos[head]
-        counts[a][b] += 1
-        counts[b][a] += 1
-    rows = tuple(
-        tuple(2 if i == j else -counts[i][j] for j in range(n)) for i in range(n)
-    )
-    return CartanMatrix(verts, rows)
-
-
-def p_value(c: CartanMatrix, beta: VecLike) -> int:
+def p_value(q: Quiver, beta: VecLike) -> int:
     """p(beta) = 1 - (1/2) beta^t C beta; beta^t C beta is even because C is
     symmetric with 2 on the diagonal."""
-    b = c.as_vector(beta)
-    return 1 - c.bilinear(b, b) // 2
+    b = q.as_vector(beta)
+    return 1 - sum(map(operator.mul, b, q._pair(b))) // 2
 
 
-def reflect(c: CartanMatrix, i: Vertex, beta: VecLike) -> tuple[int, ...]:
+def reflect(q: Quiver, i: Vertex, beta: VecLike) -> tuple[int, ...]:
     """Simple reflection s_i(beta) = beta - (beta^t C e_i) e_i."""
-    b = list(c.as_vector(beta))
-    k = c.index(i)
-    b[k] -= c.pairing(b)[k]
+    b = list(q.as_vector(beta))
+    k = q.index(i)
+    b[k] -= q._pair(b)[k]
     return tuple(b)
 
 
-def _support_connected(c: CartanMatrix, b: Sequence[int]) -> bool:
-    support = [i for i, x in enumerate(b) if x != 0]
+def _support_connected(q: Quiver, b: Sequence[int]) -> bool:
+    support = {i for i, x in enumerate(b) if x != 0}
     if not support:
         return False
-    seen = {support[0]}
-    frontier = [support[0]]
-    supp = set(support)
+    frontier = [min(support)]
+    seen = set(frontier)
     while frontier:
-        i = frontier.pop()
-        for j in supp - seen:
-            if c.rows[i][j] != 0:
+        for j in q._neighbours[frontier.pop()]:
+            if j in support and j not in seen:
                 seen.add(j)
                 frontier.append(j)
-    return seen == supp
+    return seen == support
 
 
-def classify_root(c: CartanMatrix, beta: VecLike) -> RootClass:
+def classify_root(q: Quiver, beta: VecLike) -> RootClass:
     """Classify an integer vector as a real root, imaginary root, or neither.
 
     Standard descent: normalize the sign, repeatedly reflect at a vertex with
@@ -167,7 +152,7 @@ def classify_root(c: CartanMatrix, beta: VecLike) -> RootClass:
     root (real), a negative entry (not a root), or the fundamental region
     (imaginary iff the support is connected).
     """
-    b = list(c.as_vector(beta))
+    b = list(q.as_vector(beta))
     if all(x == 0 for x in b):
         raise InputError("classify_root needs a nonzero vector")
     if all(x <= 0 for x in b):
@@ -178,10 +163,10 @@ def classify_root(c: CartanMatrix, beta: VecLike) -> RootClass:
     for _ in range(guard + 1):
         if sum(b) == 1:
             return RootClass.REAL
-        pair = c.pairing(b)
+        pair = q._pair(b)
         k = next((i for i, p in enumerate(pair) if p > 0), None)
         if k is None:
-            if _support_connected(c, b):
+            if _support_connected(q, b):
                 return RootClass.IMAGINARY
             return RootClass.NOT_ROOT
         b[k] -= pair[k]
@@ -192,15 +177,9 @@ def classify_root(c: CartanMatrix, beta: VecLike) -> RootClass:
     )
 
 
-def box_vectors(alpha: Sequence[int], budget: int | None) -> Iterator[tuple[int, ...]]:
-    """Every vector 0 <= beta <= alpha in lexicographic order; each costs one
-    node, charged before the walk so that a box over budget fails at once."""
-    _after_box(alpha, budget)
-    return itertools.product(*(range(x + 1) for x in alpha))
-
-
 def _after_box(alpha: Sequence[int], budget: int | None) -> int | None:
-    """What the budget has left once the box under alpha is paid for."""
+    """What the budget has left once the box under alpha is paid for, one
+    node per vector; a box over budget fails before it is walked."""
     left = None if budget is None else budget - math.prod(x + 1 for x in alpha)
     if left is not None and left < 0:
         raise BudgetExceededError(f"lattice-point enumeration exceeded budget of {budget}")
@@ -208,27 +187,28 @@ def _after_box(alpha: Sequence[int], budget: int | None) -> int | None:
 
 
 def positive_roots_leq(
-    c: CartanMatrix, alpha: VecLike, budget: int | None = DEFAULT_BUDGET
+    q: Quiver, alpha: VecLike, budget: int | None = DEFAULT_BUDGET
 ) -> list[tuple[int, ...]]:
     """All positive roots beta with beta <= alpha componentwise, sorted."""
-    a = c.as_vector(alpha)
+    a = q.as_vector(alpha)
     if any(x < 0 for x in a):
         raise InputError("alpha must be componentwise nonnegative")
+    _after_box(a, budget)
     return [
-        b for b in box_vectors(a, budget)
-        if any(b) and classify_root(c, b) is not RootClass.NOT_ROOT
+        b for b in _form_zeros(a, ())
+        if any(b) and classify_root(q, b) is not RootClass.NOT_ROOT
     ]
 
 
 def _lambda_numerators(
-    c: CartanMatrix, lam: Mapping[Vertex, ScalarLike]
+    q: Quiver, lam: Mapping[Vertex, ScalarLike]
 ) -> tuple[list[int], list[int], int]:
-    """lambda over one common denominator den, aligned with c.vertices: the
+    """lambda over one common denominator den, aligned with q.vertices: the
     integers re, im with lambda_v = (re_v + i im_v) / den."""
-    unknown = set(lam) - set(c.vertices)
+    unknown = set(lam) - q._index.keys()
     if unknown:
         raise InputError(f"unknown vertices in deformation vector: {sorted(map(repr, unknown))}")
-    lv = [Scalar.of(lam.get(v, 0)) for v in c.vertices]
+    lv = [Scalar.of(lam.get(v, 0)) for v in q.vertices]
     den = math.lcm(*(x.denominator for s in lv for x in (s.re, s.im)))
     return [int(s.re * den) for s in lv], [int(s.im * den) for s in lv], den
 
@@ -306,7 +286,7 @@ def _form_zeros(
 
 
 def sigma_candidates(
-    c: CartanMatrix,
+    q: Quiver,
     alpha: tuple[int, ...],
     lam: Mapping[Vertex, ScalarLike],
     budget: int | None,
@@ -326,9 +306,9 @@ def sigma_candidates(
     joined vectors come in lexicographic order, and only they reach
     classify_root, which cannot raise on a nonnegative vector.
     """
-    if classify_root(c, alpha) is RootClass.NOT_ROOT:
+    if classify_root(q, alpha) is RootClass.NOT_ROOT:
         return None
-    re, im, _ = _lambda_numerators(c, lam)
+    re, im, _ = _lambda_numerators(q, lam)
     if sum(map(operator.mul, alpha, re)) or sum(map(operator.mul, alpha, im)):
         return None
     _after_box(alpha, budget)
@@ -336,12 +316,12 @@ def sigma_candidates(
     return [
         b for b in _form_zeros(alpha, forms)
         if any(b) and b != alpha
-        and (lattice is not None or classify_root(c, b) is not RootClass.NOT_ROOT)
+        and (lattice is not None or classify_root(q, b) is not RootClass.NOT_ROOT)
     ]
 
 
 def p_drop_search(
-    c: CartanMatrix,
+    q: Quiver,
     alpha: tuple[int, ...],
     candidates: list[tuple[int, ...]],
     budget: int | None,
@@ -352,17 +332,17 @@ def p_drop_search(
 
     Returns whether any exists and whether every one strictly lowers p.
     """
-    p_alpha = p_value(c, alpha)
+    p_alpha = p_value(q, alpha)
     found = False
     for decomp in decompositions(alpha, candidates, _after_box(alpha, budget), min_parts):
         found = True
-        if sum(p_value(c, g) for g in decomp) >= p_alpha:
+        if sum(p_value(q, g) for g in decomp) >= p_alpha:
             return True, False
     return found, True
 
 
 def in_sigma_lambda(
-    c: CartanMatrix,
+    q: Quiver,
     alpha: VecLike,
     lam: Mapping[Vertex, ScalarLike],
     budget: int | None = DEFAULT_BUDGET,
@@ -374,14 +354,14 @@ def in_sigma_lambda(
     lambda, strictly lowers p. For real alpha this is equivalent to "no such
     decomposition exists at all"; both routes are evaluated and must agree.
     """
-    a = c.as_vector(alpha)
+    a = q.as_vector(alpha)
     if any(x < 0 for x in a) or not any(a):
         raise InputError("alpha must be a nonzero nonnegative vector")
-    candidates = sigma_candidates(c, a, lam, budget)
+    candidates = sigma_candidates(q, a, lam, budget)
     if candidates is None:
         return False
-    found_any, verdict = p_drop_search(c, a, candidates, budget, min_parts=2)
-    if found_any and verdict and classify_root(c, a) is RootClass.REAL:
+    found_any, verdict = p_drop_search(q, a, candidates, budget, min_parts=2)
+    if found_any and verdict and classify_root(q, a) is RootClass.REAL:
         raise AssertionError(
             "real-root shortcut disagrees with the general criterion"
         )

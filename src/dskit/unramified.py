@@ -20,7 +20,6 @@ from .rootsys import (
     DEFAULT_BUDGET,
     Quiver,
     Vertex,
-    cartan_of_quiver,
     p_drop_search,
     sigma_candidates,
 )
@@ -142,23 +141,23 @@ class HiroeData(CBData):
     lattice_pairs: tuple[tuple[tuple[Vertex, ...], tuple[Vertex, ...]], ...]
 
     def lattice_forms(self) -> list[list[int]]:
-        """L as integer forms aligned with cartan.vertices, one per lattice
+        """L as integer forms aligned with quiver.vertices, one per lattice
         pair: the sum of the first side minus the sum of the second.  A
         vector lies in L iff every form vanishes on it."""
         return [
-            [(v in lhs) - (v in rhs) for v in self.cartan.vertices]
+            [(v in lhs) - (v in rhs) for v in self.quiver.vertices]
             for lhs, rhs in self.lattice_pairs
         ]
 
     def in_lattice(self, beta) -> bool:
-        b = self.cartan.as_vector(beta)
+        b = self.quiver.as_vector(beta)
         return not any(sum(map(operator.mul, b, f)) for f in self.lattice_forms())
 
     def candidates(self, budget: int | None) -> list[tuple[int, ...]] | None:
         """The vectors of L that the search may use; one list serves both
         readings of condition (2)."""
         return sigma_candidates(
-            self.cartan, self.alpha_vector(), self.lam, budget, self.lattice_forms()
+            self.quiver, self.alpha_vector(), self.lam, budget, self.lattice_forms()
         )
 
 
@@ -239,7 +238,6 @@ def build_hiroe_data(
     for j in range(1, ell0 + 1):
         lam[(0, j)] += shift_0
 
-    quiver = Quiver(base_vertices + path_vertices, arrows)
     lattice_pairs = tuple(
         (
             tuple((0, j) for j in range(1, ell0 + 1)),
@@ -249,8 +247,7 @@ def build_hiroe_data(
         if i != 0 and t.ell >= 2
     )
     data = HiroeData(
-        quiver=quiver,
-        cartan=cartan_of_quiver(quiver),
+        quiver=Quiver(base_vertices + path_vertices, arrows),
         base_vertices=tuple(base_vertices),
         path_vertices=tuple(path_vertices),
         alpha=alpha,
@@ -290,7 +287,7 @@ def _exists_on_data(
     if candidates is None:
         return False
     min_parts = 2 if ell_ge_2 else 3
-    return p_drop_search(data.cartan, data.alpha_vector(), candidates, budget, min_parts)[1]
+    return p_drop_search(data.quiver, data.alpha_vector(), candidates, budget, min_parts)[1]
 
 
 def count_rank2_moduli(d: UnramFormalType, orbit: OrbitSpec) -> int:

@@ -6,7 +6,8 @@ build inputs and to check answers: matrix algebra the deciders do not need,
 elimination and matrix powers on Scalars (the oracles for `linalg`'s
 Gaussian-integer kernels), series algebra on `LaurentMatrix` (free functions
 taking the series first), the lattice-chain definition of the filtration
-degree, the pairing beta . lambda, and sympy's factorization for
+degree, the dense Cartan matrix of a quiver (the oracle for `Quiver`'s
+neighbour lists), the pairing beta . lambda, and sympy's factorization for
 nonresonance.  sympy is a test dependency; it is imported only when
 `is_nonresonant` runs.
 """
@@ -33,7 +34,7 @@ from dskit.linalg import (
     rank,
     zeros,
 )
-from dskit.rootsys import CartanMatrix, Vertex, VecLike, _lambda_numerators
+from dskit.rootsys import Quiver, Vertex, VecLike, _lambda_numerators
 
 # ---------------------------------------------------------------------------
 # Matrices.
@@ -321,10 +322,26 @@ def filtration_degree(p: StandardParahoric, a: int, b: int, k: int) -> int:
     raise AssertionError("unreachable: the degree lies within k*e +- (e-1)")
 
 
-def dot_lambda(c: CartanMatrix, beta: VecLike, lam: Mapping[Vertex, ScalarLike]) -> Scalar:
+def cartan_rows(q: Quiver) -> tuple[tuple[int, ...], ...]:
+    """The dense Cartan matrix of q, by definition: C_ij = 2 delta_ij -
+    #{arrows between i and j}, arrows counted undirected."""
+    verts = q.vertices
+    pos = {v: k for k, v in enumerate(verts)}
+    n = len(verts)
+    counts = [[0] * n for _ in range(n)]
+    for tail, head in q.arrows:
+        a, b = pos[tail], pos[head]
+        counts[a][b] += 1
+        counts[b][a] += 1
+    return tuple(
+        tuple(2 if i == j else -counts[i][j] for j in range(n)) for i in range(n)
+    )
+
+
+def dot_lambda(q: Quiver, beta: VecLike, lam: Mapping[Vertex, ScalarLike]) -> Scalar:
     """The pairing beta . lambda."""
-    re, im, den = _lambda_numerators(c, lam)
-    b = c.as_vector(beta)
+    re, im, den = _lambda_numerators(q, lam)
+    b = q.as_vector(beta)
     return Scalar(
         Fraction(sum(map(operator.mul, b, re)), den),
         Fraction(sum(map(operator.mul, b, im)), den),
@@ -333,7 +350,7 @@ def dot_lambda(c: CartanMatrix, beta: VecLike, lam: Mapping[Vertex, ScalarLike])
 
 def alpha_dot_lambda(data) -> Scalar:
     """alpha . lambda of a `CBData` or a `HiroeData`."""
-    return dot_lambda(data.cartan, data.alpha, data.lam)
+    return dot_lambda(data.quiver, data.alpha, data.lam)
 
 
 def is_nonresonant(b0: Matrix) -> bool:

@@ -43,7 +43,6 @@ from dskit.fuchsian import FuchsianRigidity, fuchsian_ds_exists, fuchsian_rigidi
 from dskit.laurent import LaurentMatrix
 from dskit.rootsys import (
     Quiver,
-    cartan_of_quiver,
     in_sigma_lambda,
     p_value,
     positive_roots_leq,
@@ -134,8 +133,7 @@ def test_criterion_1_rank2_triple_grid():
 
 def test_criterion_2_star_positive_roots():
     q = Quiver([0, 1, 2, 3], [(1, 0), (2, 0), (3, 0)])
-    c = cartan_of_quiver(q)
-    roots = positive_roots_leq(c, (2, 1, 1, 1))
+    roots = positive_roots_leq(q, (2, 1, 1, 1))
     expected = {
         (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
         (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1),
@@ -374,14 +372,14 @@ def _dominance_meet(p, q):
     return tuple(x for x in diffs if x > 0)
 
 
-def _sigma_brute(c, alpha, lam):
+def _sigma_brute(q, alpha, lam):
     """Direct evaluation of the membership definition, no shortcuts."""
-    a = c.as_vector(alpha)
-    roots = positive_roots_leq(c, a)
-    if a not in roots or dot_lambda(c, a, lam):
+    a = q.as_vector(alpha)
+    roots = positive_roots_leq(q, a)
+    if a not in roots or dot_lambda(q, a, lam):
         return False
-    cands = [b for b in roots if b != a and not dot_lambda(c, b, lam)]
-    pa = p_value(c, a)
+    cands = [b for b in roots if b != a and not dot_lambda(q, b, lam)]
+    pa = p_value(q, a)
     strict = True
 
     def rec(rem, start, count, psum):
@@ -396,7 +394,7 @@ def _sigma_brute(c, alpha, lam):
             b = cands[i]
             if all(b[j] <= rem[j] for j in range(len(rem))):
                 rec(tuple(x - y for x, y in zip(rem, b)), i, count + 1,
-                    psum + p_value(c, b))
+                    psum + p_value(q, b))
 
     rec(a, 0, 0, Fraction(0))
     return strict
@@ -432,11 +430,9 @@ def test_criterion_9_substrate_definitions():
                     assert filtration_degree(iw, a, b, k) == d
 
     # (c) root-membership: implementation vs the raw definition
-    star = cartan_of_quiver(Quiver([0, 1, 2, 3], [(1, 0), (2, 0), (3, 0)]))
-    path = cartan_of_quiver(Quiver([0, 1, 2], [(0, 1), (1, 2)]))
-    wide = cartan_of_quiver(
-        Quiver([0, 1, 2, 3, 4], [(1, 0), (2, 0), (3, 0), (4, 0)])
-    )
+    star = Quiver([0, 1, 2, 3], [(1, 0), (2, 0), (3, 0)])
+    path = Quiver([0, 1, 2], [(0, 1), (1, 2)])
+    wide = Quiver([0, 1, 2, 3, 4], [(1, 0), (2, 0), (3, 0), (4, 0)])
     h = Fraction(1, 7)
     cases = [
         (star, (2, 1, 1, 1), {0: h, 1: -2 * h, 2: h, 3: -h}),   # generic, killed
@@ -450,8 +446,8 @@ def test_criterion_9_substrate_definitions():
         (wide, (2, 1, 1, 1, 1), {0: h, 1: -h, 2: -h, 3: 0, 4: 0}),
     ]
     agreements = 0
-    for c, alpha, lam in cases:
-        assert in_sigma_lambda(c, alpha, lam) == _sigma_brute(c, alpha, lam)
+    for q, alpha, lam in cases:
+        assert in_sigma_lambda(q, alpha, lam) == _sigma_brute(q, alpha, lam)
         agreements += 1
 
     # (d) orbit dimension vs the kernel of ad on matrices, n <= 5

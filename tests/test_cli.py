@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -404,6 +405,23 @@ def test_count_rank2(tmp_path, capsys):
     assert v2["result"] == {"count": 0}
 
 
+# three regular nilpotent orbits at n = 1000: a star with arms of 999 vertices,
+# 2,998 in all, whose box under alpha is far over any budget
+NILP1000 = _orbit(1000, [(_sc(0), (1000,))])
+
+
+def test_fuchsian_ds_large_star_over_budget_answers_at_once(tmp_path, capsys):
+    # a dense 2,998 x 2,998 Cartan matrix took seconds and 160 MB here
+    path = _write(tmp_path, "nilp1000.json", orbits=[NILP1000] * 3)
+    t0 = time.perf_counter()
+    v = _verdict(capsys, ["fuchsian-ds", "--input", path], 3)
+    assert time.perf_counter() - t0 < 1.0
+    assert v["result"] == {
+        "kind": "Inconclusive",
+        "reason": "lattice-point enumeration exceeded budget of 2000000",
+    }
+
+
 # ---------------------------------------------------------------------------
 # quiver-export
 # ---------------------------------------------------------------------------
@@ -437,6 +455,16 @@ def test_quiver_export_types_document(tmp_path, capsys):
     assert out.count("alpha=") == 3
     assert '"[0,1]"' in out and '"[1,1,1]"' in out
     assert out.count("->") == 2
+
+
+def test_quiver_export_large_star_at_once(tmp_path, capsys):
+    path = _write(tmp_path, "nilp1000.json", orbits=[NILP1000] * 3)
+    t0 = time.perf_counter()
+    assert run(["quiver-export", "--input", path]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr().out
+    assert out.count("alpha=") == 2998
+    assert out.count("->") == 2997
 
 
 def test_quiver_export_needs_orbits_or_types(tmp_path, capsys):

@@ -145,7 +145,7 @@ def test_four_nilpotent_rank2_orbits_give_painleve_family():
     orbits = [NILP2] * 4
     data = build_cb_data(orbits)
     assert data.alpha_vector() == (2, 1, 1, 1, 1)
-    assert classify_root(data.cartan, data.alpha_vector()) is RootClass.IMAGINARY
+    assert classify_root(data.quiver, data.alpha_vector()) is RootClass.IMAGINARY
     assert fuchsian_ds_exists(orbits)
     assert fuchsian_rigidity(orbits) is FuchsianRigidity.INFINITE
 
@@ -193,7 +193,7 @@ def test_rank3_hypergeometric_is_rigid():
     data = build_cb_data([o1, o2, o3], seqs)
     alpha = data.alpha_vector()
     assert sorted(data.alpha.values(), reverse=True) == [3, 2, 2, 1, 1, 1]
-    assert p_value(data.cartan, alpha) == 0
+    assert p_value(data.quiver, alpha) == 0
     assert fuchsian_rigidity([o1, o2, o3], seqs) is FuchsianRigidity.RIGID_SINGLETON
     assert fuchsian_rigidity([o1, o2, o3]) is FuchsianRigidity.RIGID_SINGLETON
 

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,10 +7,9 @@ import pytest
 from dskit.core import Scalar
 from dskit.errors import BudgetExceededError, InputError
 from dskit.rootsys import (
-    CartanMatrix,
     Quiver,
     RootClass,
-    cartan_of_quiver,
+    _support_connected,
     classify_root,
     decompositions,
     in_sigma_lambda,
@@ -16,7 +17,7 @@ from dskit.rootsys import (
     positive_roots_leq,
     reflect,
 )
-from exact_oracles import dot_lambda
+from exact_oracles import cartan_rows, dot_lambda
 
 
 def _star(k: int) -> Quiver:
@@ -38,41 +39,117 @@ def _kronecker() -> Quiver:
     return Quiver(vertices=[0, 1], arrows=[(0, 1), (0, 1)])
 
 
+def _unit(n: int, i: int) -> tuple[int, ...]:
+    return tuple(int(j == i) for j in range(n))
+
+
 def test_cartan_of_star():
-    c = cartan_of_quiver(_star(3))
-    assert c.rows[0] == (2, -1, -1, -1)
-    assert c.rows[1] == (-1, 2, 0, 0)
-    assert c.rows[2][2] == 2 and c.rows[2][0] == -1
+    c = _star(3)
+    assert c.pairing(_unit(4, 0)) == (2, -1, -1, -1)
+    assert c.pairing(_unit(4, 1)) == (-1, 2, 0, 0)
+    row2 = c.pairing(_unit(4, 2))
+    assert row2[2] == 2 and row2[0] == -1
 
 
 def test_cartan_directed_flag():
     # arrows count undirected: the double arrow of the Kronecker quiver gives -2
-    c = cartan_of_quiver(_kronecker())
-    assert c.rows == ((2, -2), (-2, 2))
+    c = _kronecker()
+    assert (c.pairing((1, 0)), c.pairing((0, 1))) == ((2, -2), (-2, 2))
 
 
 def test_as_vector_mapping_and_sequence():
-    c = cartan_of_quiver(_path(3))
+    c = _path(3)
     assert c.as_vector({0: 1, 2: 5}) == (1, 0, 5)
     assert c.as_vector((1, 2, 3)) == (1, 2, 3)
     with pytest.raises(InputError):
         c.as_vector((1, 2))
 
 
+def test_as_vector_refuses_non_integers():
+    c = _path(2)
+    assert c.as_vector((1, 0)) == (1, 0)
+    assert c.as_vector({1: 2}) == (0, 2)
+    for beta in ((1.5, 0), {0: Fraction(3, 2)}):
+        with pytest.raises(InputError, match="vector entry 0 is not an integer"):
+            c.as_vector(beta)
+    with pytest.raises(InputError, match="vector entry 0 is not an integer: 1.9"):
+        classify_root(c, (1.9, 0))
+    with pytest.raises(InputError, match="vector entry 0 is not an integer: 0.5"):
+        p_value(c, (0.5, 0.5))
+    with pytest.raises(InputError, match="vector entry 0 is not an integer: 0.5"):
+        classify_root(c, (0.5, 0))
+    # a mapping names the vertex
+    with pytest.raises(InputError, match=r"vector entry \(2, 1\) is not an integer"):
+        _star(3).as_vector({(2, 1): 0.5})
+
+
+def _random_quiver(rng: random.Random) -> Quiver:
+    """1-6 vertices with shuffled tuple ids; 0-3 arrows per pair, each in a
+    random direction, so parallel arrows run both ways and some vertices are
+    isolated."""
+    verts = [(k, "v") for k in rng.sample(range(10), rng.randint(1, 6))]
+    arrows = []
+    for u, v in itertools.combinations(verts, 2):
+        arrows += [(u, v) if rng.random() < 0.5 else (v, u)
+                   for _ in range(rng.choice([0, 0, 0, 1, 1, 2, 3]))]
+    rng.shuffle(arrows)
+    return Quiver(verts, arrows)
+
+
+def _rows_connected(rows, b) -> bool:
+    """Whether the support of b is connected, by a BFS over the dense rows."""
+    support = [i for i, x in enumerate(b) if x]
+    if not support:
+        return False
+    seen = {support[0]}
+    frontier = [support[0]]
+    while frontier:
+        i = frontier.pop()
+        for j in support:
+            if j not in seen and rows[i][j]:
+                seen.add(j)
+                frontier.append(j)
+    return len(seen) == len(support)
+
+
+def test_neighbour_lists_match_the_dense_cartan_matrix():
+    rng = random.Random(20261018)
+    both_ways = isolated = connected = disconnected = 0
+    for _ in range(300):
+        q = _random_quiver(rng)
+        n = len(q.vertices)
+        rows = cartan_rows(q)
+        for i in range(n):
+            assert q.pairing(_unit(n, i)) == rows[i], q
+        for _ in range(5):
+            b = tuple(rng.choice([0, 0, 1, 2, 3, -1]) for _ in range(n))
+            btcb = sum(b[i] * rows[i][j] * b[j] for i in range(n) for j in range(n))
+            assert q.bilinear(b, b) == btcb, (q, b)
+            assert p_value(q, b) == 1 - Fraction(btcb, 2), (q, b)
+            want = _rows_connected(rows, b)
+            assert _support_connected(q, b) == want, (q, b)
+            connected += want
+            disconnected += any(b) and not want
+        both_ways += any((v, u) in q.arrows for u, v in q.arrows)
+        isolated += any(all(x == 2 * (i == j) for j, x in enumerate(r)) for i, r in enumerate(rows))
+    assert both_ways >= 100 and isolated >= 60
+    assert connected >= 600 and disconnected >= 200
+
+
 def test_p_value():
-    c = cartan_of_quiver(_star(3))
+    c = _star(3)
     assert p_value(c, (1, 0, 0, 0)) == 0
     assert p_value(c, (2, 1, 1, 1)) == 0
     assert p_value(c, (1, 1, 0, 0)) == 0
     assert p_value(c, (2, 2, 1, 1)) == -1
-    k = cartan_of_quiver(_kronecker())
+    k = _kronecker()
     assert p_value(k, (1, 1)) == 1
     assert p_value(k, (2, 2)) == 1
     assert p_value(k, (1, 2)) == 0
 
 
 def test_reflect():
-    c = cartan_of_quiver(_path(2))
+    c = _path(2)
     assert reflect(c, 0, (1, 0)) == (-1, 0)
     assert reflect(c, 1, (1, 0)) == (1, 1)
     assert reflect(c, 0, (1, 1)) == (0, 1)
@@ -82,7 +159,7 @@ def test_reflect():
 
 
 def test_classify_simple_and_real():
-    c = cartan_of_quiver(_path(3))  # A3
+    c = _path(3)  # A3
     for i in range(3):
         e = tuple(1 if j == i else 0 for j in range(3))
         assert classify_root(c, e) is RootClass.REAL
@@ -93,7 +170,7 @@ def test_classify_simple_and_real():
 
 
 def test_classify_not_root():
-    c = cartan_of_quiver(_path(3))
+    c = _path(3)
     assert classify_root(c, (1, 0, 1)) is RootClass.NOT_ROOT  # disconnected
     assert classify_root(c, (1, -1, 0)) is RootClass.NOT_ROOT  # mixed sign
     assert classify_root(c, (2, 1, 0)) is RootClass.NOT_ROOT
@@ -103,7 +180,7 @@ def test_classify_not_root():
 
 
 def test_classify_imaginary_kronecker():
-    k = cartan_of_quiver(_kronecker())
+    k = _kronecker()
     assert classify_root(k, (1, 1)) is RootClass.IMAGINARY
     assert classify_root(k, (3, 3)) is RootClass.IMAGINARY
     assert classify_root(k, (1, 2)) is RootClass.REAL
@@ -113,13 +190,13 @@ def test_classify_imaginary_kronecker():
 
 def test_classify_imaginary_affine_star():
     # star with four arms: affine D4, delta = (2,1,1,1,1)
-    c = cartan_of_quiver(_star(4))
+    c = _star(4)
     delta = (2, 1, 1, 1, 1)
     assert p_value(c, delta) == 1
     assert classify_root(c, delta) is RootClass.IMAGINARY
     assert classify_root(c, tuple(2 * x for x in delta)) is RootClass.IMAGINARY
     # five arms: strictly hyperbolic vector
-    c5 = cartan_of_quiver(_star(5))
+    c5 = _star(5)
     beta = (2, 1, 1, 1, 1, 1)
     assert p_value(c5, beta) == 2
     assert classify_root(c5, beta) is RootClass.IMAGINARY
@@ -127,7 +204,7 @@ def test_classify_imaginary_affine_star():
 
 def test_a3_exhaustive_root_table():
     """Every vector in a box around the A3 roots classifies correctly."""
-    c = cartan_of_quiver(_path(3))
+    c = _path(3)
     intervals = {(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)}
     for x in range(-2, 3):
         for y in range(-2, 3):
@@ -158,7 +235,7 @@ D4_POSITIVE_ROOTS = [
 
 
 def test_d4_positive_roots_below_highest():
-    c = cartan_of_quiver(_star(3))
+    c = _star(3)
     roots = positive_roots_leq(c, (2, 1, 1, 1))
     assert roots == D4_POSITIVE_ROOTS
     assert len(roots) == 12
@@ -168,7 +245,7 @@ def test_d4_positive_roots_below_highest():
 
 
 def test_positive_roots_leq_includes_imaginary():
-    c = cartan_of_quiver(_star(4))
+    c = _star(4)
     roots = positive_roots_leq(c, (2, 1, 1, 1, 1))
     assert (2, 1, 1, 1, 1) in roots
     assert (1, 1, 0, 0, 0) in roots
@@ -202,12 +279,12 @@ def test_decompositions_budget():
 # -- Sigma-lambda membership ----------------------------------------------
 
 
-def _d4_cartan():
-    return cartan_of_quiver(_star(3))
+def _d4():
+    return _star(3)
 
 
 def test_sigma_lambda_generic_real_root():
-    c = _d4_cartan()
+    c = _d4()
     lam = {0: Scalar(Fraction(3, 7)), (1, 1): Scalar(Fraction(-1, 7)),
            (2, 1): Scalar(Fraction(-1, 7)), (3, 1): Scalar(Fraction(-4, 7))}
     alpha = (2, 1, 1, 1)
@@ -216,7 +293,7 @@ def test_sigma_lambda_generic_real_root():
 
 
 def test_sigma_lambda_fails_if_pairing_nonzero():
-    c = _d4_cartan()
+    c = _d4()
     lam = {0: Scalar(1)}
     assert dot_lambda(c, (2, 1, 1, 1), lam) != 0
     assert not in_sigma_lambda(c, (2, 1, 1, 1), lam)
@@ -225,20 +302,20 @@ def test_sigma_lambda_fails_if_pairing_nonzero():
 def test_sigma_lambda_killed_subroot_blocks():
     # lambda = 0 kills every sub-root: alpha = (2,1,1,1) decomposes into
     # lambda-killed roots with equal p-sum, so membership fails
-    c = _d4_cartan()
+    c = _d4()
     lam = {v: Scalar(0) for v in c.vertices}
     assert not in_sigma_lambda(c, (2, 1, 1, 1), lam)
 
 
 def test_sigma_lambda_not_root_rejected():
-    c = _d4_cartan()
+    c = _d4()
     lam = {0: Scalar(0)}
     assert not in_sigma_lambda(c, (2, 2, 0, 0), lam)
 
 
 def test_sigma_lambda_imaginary_generic():
     # affine D4 delta with generic lambda killing only delta itself
-    c = cartan_of_quiver(_star(4))
+    c = _star(4)
     delta = (2, 1, 1, 1, 1)
     lam = {0: Scalar(2), (1, 1): Scalar(-1), (2, 1): Scalar(-1),
            (3, 1): Scalar(-1), (4, 1): Scalar(Fraction(-1))}
@@ -249,7 +326,7 @@ def test_sigma_lambda_imaginary_generic():
 def test_sigma_lambda_imaginary_degenerate():
     # lambda = 0: delta = (1,1,0,0,0)-type decompositions exist but p drops;
     # the root itself has p = 1 > 0 so flat decompositions must beat it
-    c = cartan_of_quiver(_star(4))
+    c = _star(4)
     delta = (2, 1, 1, 1, 1)
     lam = {v: Scalar(0) for v in c.vertices}
     # all 24 real roots below delta are lambda-killed; any two of them

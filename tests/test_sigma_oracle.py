@@ -27,12 +27,11 @@ from dskit.fuchsian import (
     fuchsian_rigidity,
 )
 from dskit.rootsys import (
-    CartanMatrix,
     DEFAULT_BUDGET,
+    Quiver,
     RootClass,
     _form_zeros,
     _split_point,
-    box_vectors,
     classify_root,
     decompositions,
     in_sigma_lambda,
@@ -105,7 +104,7 @@ def _reference_in_sigma_lambda(c, alpha, lam):
 
 
 def _reference_in_lattice(data, vec):
-    pos = {v: k for k, v in enumerate(data.cartan.vertices)}
+    pos = {v: k for k, v in enumerate(data.quiver.vertices)}
     return all(
         sum(vec[pos[v]] for v in lhs) == sum(vec[pos[v]] for v in rhs)
         for lhs, rhs in data.lattice_pairs
@@ -114,21 +113,21 @@ def _reference_in_lattice(data, vec):
 
 def _reference_exists_on_data(data, ell_ge_2):
     a = data.alpha_vector()
-    if classify_root(data.cartan, a) is RootClass.NOT_ROOT:
+    if classify_root(data.quiver, a) is RootClass.NOT_ROOT:
         return False
-    if _reference_dot(data.cartan, a, data.lam):
+    if _reference_dot(data.quiver, a, data.lam):
         return False
     candidates = [
         vec
         for vec in itertools.product(*(range(x + 1) for x in a))
         if any(vec) and vec != a
         and _reference_in_lattice(data, vec)
-        and not _reference_dot(data.cartan, vec, data.lam)
+        and not _reference_dot(data.quiver, vec, data.lam)
     ]
-    p_alpha = p_value(data.cartan, a)
+    p_alpha = p_value(data.quiver, a)
     min_parts = 2 if ell_ge_2 else 3
     for decomp in decompositions(a, candidates, None, min_parts=min_parts):
-        if sum(p_value(data.cartan, g) for g in decomp) >= p_alpha:
+        if sum(p_value(data.quiver, g) for g in decomp) >= p_alpha:
             return False
     return True
 
@@ -253,10 +252,10 @@ def test_in_sigma_lambda_matches_former_search():
     verdicts = []
     searched = 0
     for data in _fuchsian_cases(seed=20261018, count=300):
-        want = _reference_in_sigma_lambda(data.cartan, data.alpha, data.lam)
-        assert in_sigma_lambda(data.cartan, data.alpha, data.lam, budget=None) == want, data.alpha
+        want = _reference_in_sigma_lambda(data.quiver, data.alpha, data.lam)
+        assert in_sigma_lambda(data.quiver, data.alpha, data.lam, budget=None) == want, data.alpha
         verdicts.append(want)
-        searched += bool(sigma_candidates(data.cartan, data.alpha_vector(), data.lam, None))
+        searched += bool(sigma_candidates(data.quiver, data.alpha_vector(), data.lam, None))
     # both verdicts occur, and many tuples have lambda-orthogonal sub-roots
     assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
     assert searched >= 60
@@ -286,6 +285,11 @@ def test_exists_on_data_matches_former_search():
 # ---------------------------------------------------------------------------
 
 
+def _box(a):
+    """Every vector 0 <= b <= a in lexicographic order."""
+    return itertools.product(*(range(x + 1) for x in a))
+
+
 def _classify_first_candidates(c, a, lam, in_lattice=None):
     """sigma_candidates as it was composed before the lambda test moved ahead
     of classify_root: every box vector classified (or tested against the
@@ -293,9 +297,9 @@ def _classify_first_candidates(c, a, lam, in_lattice=None):
     if classify_root(c, a) is RootClass.NOT_ROOT or dot_lambda(c, a, lam):
         return None
     if in_lattice is None:
-        vectors = positive_roots_leq(c, a)
+        vectors = [b for b in _box(a) if any(b) and classify_root(c, b) is not RootClass.NOT_ROOT]
     else:
-        vectors = [b for b in box_vectors(a, None) if any(b) and in_lattice(b)]
+        vectors = [b for b in _box(a) if any(b) and in_lattice(b)]
     return [b for b in vectors if b != a and not dot_lambda(c, b, lam)]
 
 
@@ -303,8 +307,8 @@ def test_sigma_candidates_match_classify_first_on_star_tuples():
     nonempty = 0
     for data in _fuchsian_cases(seed=20261020, count=150):
         a = data.alpha_vector()
-        want = _classify_first_candidates(data.cartan, a, data.lam)
-        assert sigma_candidates(data.cartan, a, data.lam, None) == want, data.alpha
+        want = _classify_first_candidates(data.quiver, a, data.lam)
+        assert sigma_candidates(data.quiver, a, data.lam, None) == want, data.alpha
         nonempty += bool(want)
     # non-generic tuples: lambda-orthogonal proper sub-roots are common
     assert nonempty >= 30
@@ -317,19 +321,19 @@ def test_sigma_candidates_match_classify_first_on_unramified_tuples():
         ranks.add(types[0].n)
         a = data.alpha_vector()
         want = _classify_first_candidates(
-            data.cartan, a, data.lam, lambda b: _reference_in_lattice(data, b))
-        assert sigma_candidates(data.cartan, a, data.lam, None, data.lattice_forms()) == want, types
+            data.quiver, a, data.lam, lambda b: _reference_in_lattice(data, b))
+        assert sigma_candidates(data.quiver, a, data.lam, None, data.lattice_forms()) == want, types
         nonempty += bool(want)
     assert nonempty >= 20
     assert ranks == {2, 3, 4}
 
 
-def _random_cartan(rng, n):
-    """A symmetric generalized Cartan matrix on n vertices, not only a star."""
-    rows = [[2] * n for _ in range(n)]
+def _random_quiver(rng, n):
+    """A quiver on n vertices, not only a star: 0, 1 or 2 arrows per pair."""
+    arrows = []
     for i, j in itertools.combinations(range(n), 2):
-        rows[i][j] = rows[j][i] = rng.choice([0, 0, -1, -1, -1, -2])
-    return CartanMatrix(tuple(range(n)), tuple(map(tuple, rows)))
+        arrows += [(i, j)] * rng.choice([0, 0, 1, 1, 1, 2])
+    return Quiver(range(n), arrows)
 
 
 def _random_root(rng, c, max_box):
@@ -371,7 +375,7 @@ def _rows_vanish(rows):
 def _check_against_classify_first(c, a, lam, lattice):
     want = _classify_first_candidates(
         c, a, lam, None if lattice is None else _rows_vanish(lattice))
-    assert sigma_candidates(c, a, lam, None, lattice) == want, (c.rows, a, lam, lattice)
+    assert sigma_candidates(c, a, lam, None, lattice) == want, (c.arrows, a, lam, lattice)
     return want
 
 
@@ -381,7 +385,7 @@ def test_sigma_candidates_match_classify_first_on_random_cartan_matrices():
     nonempty = 0
     for _ in range(240):
         n = rng.randint(2, 5)
-        c = _random_cartan(rng, n)
+        c = _random_quiver(rng, n)
         a = _random_root(rng, c, 200)
         lam_kind = rng.choice(["zero", "real", "complex"])
         lattice_kind = rng.choice(["none", "zero", "rows"])
@@ -397,22 +401,22 @@ def test_sigma_candidates_match_classify_first_on_random_cartan_matrices():
 
 def test_sigma_candidates_edge_cases():
     # one vertex: the only positive root is 1, with nothing below it
-    c1 = CartanMatrix((0,), ((2,),))
+    c1 = Quiver((0,), ())
     for lattice in (None, [[0]], [[1]]):
         assert _check_against_classify_first(c1, (1,), {}, lattice) == []
     # lambda = 0 and no forms: every root below alpha is a part
-    c = CartanMatrix((0, 1, 2), ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)))
+    c = Quiver((0, 1, 2), [(0, 1), (0, 2), (1, 2)])
     a = (2, 2, 2)
     assert _check_against_classify_first(c, a, {}, None) == [
         b for b in positive_roots_leq(c, a) if b != a]
     # all-zero lattice rows: every nonzero proper box vector is a part
-    every = [b for b in box_vectors(a, None) if any(b) and b != a]
+    every = [b for b in _box(a) if any(b) and b != a]
     assert _check_against_classify_first(c, a, {}, [[0, 0, 0]]) == every
     # real numerators ask b0 = b1, imaginary ones b0 = b2: only delta is left
     lam = {0: Scalar(1, 1), 1: Scalar(-1), 2: Scalar(0, -1)}
     assert _check_against_classify_first(c, a, lam, None) == [(1, 1, 1)]
     # one dominant coordinate, which the split keeps in the prefix
-    big = CartanMatrix((0, 1, 2), ((2, -1, -20), (-1, 2, -20), (-20, -20, 2)))
+    big = Quiver((0, 1, 2), [(0, 1)] + [(0, 2)] * 20 + [(1, 2)] * 20)
     a = (1, 1, 40)
     assert classify_root(big, a) is not RootClass.NOT_ROOT
     assert _split_point(a) == 3
@@ -445,7 +449,7 @@ def test_form_zeros_is_the_filtered_box_walk():
     for _ in range(300):
         a = tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 5)))
         forms = [[rng.randint(-3, 3) for _ in a] for _ in range(rng.randint(0, 3))]
-        want = [b for b in box_vectors(a, None) if _rows_vanish(forms)(b)]
+        want = [b for b in _box(a) if _rows_vanish(forms)(b)]
         assert list(_form_zeros(a, forms)) == want, (a, forms)
 
 

@@ -138,8 +138,8 @@ def test_two_irregular_types_lattice():
     assert data.in_lattice({(0, 1): 1, (1, 2): 1})
     # alpha = (1,1,1,1) on the 4-cycle: the null root, p = 1
     a = data.alpha_vector()
-    assert classify_root(data.cartan, a) is RootClass.IMAGINARY
-    assert p_value(data.cartan, a) == 1
+    assert classify_root(data.quiver, a) is RootClass.IMAGINARY
+    assert p_value(data.quiver, a) == 1
     assert not alpha_dot_lambda(data)
     # residue pairings are all nonzero, so no candidate summands at all
     assert unramified_ds_exists([t0, t1])
