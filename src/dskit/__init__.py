@@ -13,7 +13,6 @@ from .core import (
     OrbitSpec,
     Scalar,
     as_partition,
-    dominance_leq,
     dual_partition,
     factor_ranks,
     min_partition_with_r_parts,
@@ -121,7 +120,6 @@ __all__ = [
     "count_rank2_moduli",
     "coxeter_canonical_type",
     "coxeter_ds_decide",
-    "dominance_leq",
     "ds_generator",
     "dual_partition",
     "factor_ranks",

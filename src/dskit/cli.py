@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Any, Sequence
 
@@ -441,7 +442,15 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    return run(sys.argv[1:] if argv is None else argv)
+    """The console-script entry.  If stdout was closed early, exit 1 in
+    silence, with stdout on os.devnull so the flush at shutdown cannot raise."""
+    try:
+        code = run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

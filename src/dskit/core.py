@@ -18,16 +18,18 @@ from .errors import InputError
 Rational = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scalar:
-    """A Gaussian rational a + bi with exact arithmetic."""
+    """A Gaussian rational a + bi with exact arithmetic: slotted, immutable,
+    with `Fraction` parts.  Arithmetic builds its result from the parts it
+    has (`_scalar`) and skips the work a zero part makes trivial."""
 
     re: Fraction
     im: Fraction
 
     def __init__(self, re: Rational = 0, im: Rational = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        _set_re(self, re if type(re) is Fraction else Fraction(re))
+        _set_im(self, im if type(im) is Fraction else Fraction(im))
 
     @staticmethod
     def of(value: "ScalarLike") -> "Scalar":
@@ -38,32 +40,38 @@ class Scalar:
         raise InputError(f"cannot interpret {value!r} as a Gaussian rational")
 
     def __add__(self, other: "ScalarLike") -> "Scalar":
-        o = Scalar.of(other)
-        return Scalar(self.re + o.re, self.im + o.im)
+        o = other if type(other) is Scalar else Scalar.of(other)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        return _scalar(a + c if a and c else a or c, b + d if b and d else b or d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _scalar(-self.re, -self.im if self.im else self.im)
 
     def __sub__(self, other: "ScalarLike") -> "Scalar":
-        return self + (-Scalar.of(other))
+        o = other if type(other) is Scalar else Scalar.of(other)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        return _scalar(a - c if a and c else a or -c, b - d if b and d else b or -d)
 
     def __rsub__(self, other: "ScalarLike") -> "Scalar":
-        return Scalar.of(other) + (-self)
+        return Scalar.of(other) - self
 
     def __mul__(self, other: "ScalarLike") -> "Scalar":
-        o = Scalar.of(other)
-        return Scalar(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        o = other if type(other) is Scalar else Scalar.of(other)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        if not d:  # a real factor
+            return _scalar(a * c, b * c if b else b)
+        return _scalar(a * c - b * d if b else a * c, a * d + b * c if b else a * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "ScalarLike") -> "Scalar":
-        o = Scalar.of(other)
-        nrm = o.re * o.re + o.im * o.im
-        if nrm == 0:
+        o = other if type(other) is Scalar else Scalar.of(other)
+        if not o:
             raise ZeroDivisionError("division by zero scalar")
-        return self * Scalar(o.re / nrm, -o.im / nrm)
+        nrm = o.re * o.re + o.im * o.im
+        return self * _scalar(o.re / nrm, -o.im / nrm)
 
     def __rtruediv__(self, other: "ScalarLike") -> "Scalar":
         return Scalar.of(other) / self
@@ -72,45 +80,39 @@ class Scalar:
         return bool(self.re) or bool(self.im)
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, Scalar):
+            return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            return not self.im and self.re == other
+        return NotImplemented
 
     def __hash__(self) -> int:
-        # Match the hash of plain rationals so Scalar(1,0) == Fraction(1) hashes alike.
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def is_rational(self) -> bool:
-        return self.im == 0
+        # Match the hash of plain rationals so Scalar(1,0) == Fraction(1) hashes
+        # alike; an integer hashes as its numerator, with no modular inverse.
+        re, im = self.re, self.im
+        if im:
+            return hash((re, im))
+        return hash(re.numerator) if re.denominator == 1 else hash(re)
 
     def is_integer(self) -> bool:
-        return self.im == 0 and self.re.denominator == 1
+        return not self.im and self.re.denominator == 1
 
     def differs_by_nonzero_int(self, other: "ScalarLike") -> bool:
         """Whether self - other is a nonzero rational integer (the resonance test)."""
-        d = self - Scalar.of(other)
+        d = self - other
         return bool(d) and d.is_integer()
 
     def sort_key(self) -> tuple[Fraction, Fraction]:
         return (self.re, self.im)
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.im == 1:
-            im_part = "i"
-        elif self.im == -1:
-            im_part = "-i"
-        else:
-            im_part = f"{self.im}i"
-        if self.re == 0:
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        im_part = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
+        if not re:
             return im_part
-        sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{im_part}"
+        return f"{re}{'+' if im > 0 else ''}{im_part}"
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
@@ -135,9 +137,7 @@ class Scalar:
                     return Scalar(re_part, im_part)
                 # pure imaginary: "i", "2i", "-3/4i"
                 return Scalar(0, Fraction(first) if first else Fraction(1))
-            if second is not None:
-                raise InputError(f"cannot parse scalar {text!r}")
-            if first is None:
+            if second is not None or first is None:
                 raise InputError(f"cannot parse scalar {text!r}")
             return Scalar(Fraction(first))
         except ZeroDivisionError as exc:
@@ -146,9 +146,19 @@ class Scalar:
 
 ScalarLike = Union[Scalar, int, Fraction]
 
+_set_re, _set_im = Scalar.re.__set__, Scalar.im.__set__
+
+
+def _scalar(re: Fraction, im: Fraction) -> Scalar:
+    """A Scalar from two `Fraction` parts, past `__init__`'s conversions."""
+    s = object.__new__(Scalar)
+    _set_re(s, re)
+    _set_im(s, im)
+    return s
+
+
 ZERO = Scalar(0)
 ONE = Scalar(1)
-I = Scalar(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -178,20 +188,6 @@ def dual_partition(p: Partition) -> Partition:
     if not p:
         return ()
     return tuple(sum(1 for part in p if part >= k) for k in range(1, p[0] + 1))
-
-
-def dominance_leq(p: Partition, q: Partition) -> bool:
-    """Whether p <= q in dominance order (all prefix sums of p at most those of q)."""
-    p, q = as_partition(p), as_partition(q)
-    if weight(p) != weight(q):
-        raise InputError(f"dominance compares equal weights only: {p} vs {q}")
-    ps = qs = 0
-    for k in range(max(len(p), len(q))):
-        ps += p[k] if k < len(p) else 0
-        qs += q[k] if k < len(q) else 0
-        if ps > qs:
-            return False
-    return True
 
 
 def min_partition_with_r_parts(r: int, m: int) -> Partition:
@@ -241,7 +237,7 @@ class OrbitSpec:
             items.append((Scalar.of(eig), as_partition(part)))
         items.sort(key=lambda ep: ep[0].sort_key())
         eigs = [e for e, _ in items]
-        if len({e.sort_key() for e in eigs}) != len(eigs):
+        if len(set(eigs)) != len(eigs):
             raise InputError("orbit eigenvalues must be pairwise distinct")
         total = sum(weight(part) for _, part in items)
         if total != n:
@@ -280,14 +276,8 @@ class OrbitSpec:
                 d = d * e
         return d
 
-    def max_block(self, eig: ScalarLike) -> int:
-        return self.partition_for(eig)[0]
-
     def block_count(self, eig: ScalarLike) -> int:
         return len(self.partition_for(eig))
-
-    def min_poly_degree(self) -> int:
-        return sum(part[0] for _, part in self.blocks)
 
     def is_scalar(self) -> bool:
         return len(self.blocks) == 1 and self.blocks[0][1] == (1,) * self.n
@@ -307,9 +297,6 @@ class OrbitSpec:
     def negated(self) -> "OrbitSpec":
         return OrbitSpec(self.n, [(-e, part) for e, part in self.blocks])
 
-    def translated(self, t: ScalarLike) -> "OrbitSpec":
-        return OrbitSpec(self.n, [(e + t, part) for e, part in self.blocks])
-
     # -- factor sequences for the minimal polynomial -------------------------
 
     def default_factor_sequence(self) -> tuple[Scalar, ...]:
@@ -327,10 +314,10 @@ class OrbitSpec:
 
     def validate_factor_sequence(self, seq: Sequence[ScalarLike]) -> tuple[Scalar, ...]:
         got = [Scalar.of(x) for x in seq]
-        counts: dict[tuple[Fraction, Fraction], int] = {}
+        counts: dict[Scalar, int] = {}
         for x in got:
-            counts[x.sort_key()] = counts.get(x.sort_key(), 0) + 1
-        expected = {e.sort_key(): part[0] for e, part in self.blocks}
+            counts[x] = counts.get(x, 0) + 1
+        expected = {e: part[0] for e, part in self.blocks}
         if counts != expected:
             raise InputError(
                 "factor sequence must list each eigenvalue exactly max-block-size times"
@@ -348,13 +335,12 @@ def factor_ranks(o: OrbitSpec, seq: Sequence[ScalarLike]) -> list[int]:
     the count t of earlier factors there: entry t of the dual partition.
     """
     factors = o.validate_factor_sequence(seq)
-    drops = {e.sort_key(): dual_partition(part) for e, part in o.blocks}
+    drops = {e: dual_partition(part) for e, part in o.blocks}
     used = dict.fromkeys(drops, 0)
     ranks = [o.n]
     for x in factors:
-        key = x.sort_key()
-        ranks.append(ranks[-1] - drops[key][used[key]])
-        used[key] += 1
+        ranks.append(ranks[-1] - drops[x][used[x]])
+        used[x] += 1
     return ranks
 
 

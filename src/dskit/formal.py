@@ -14,7 +14,7 @@ from math import gcd
 from typing import Iterable, Union
 
 from . import linalg
-from .core import Scalar, ScalarLike
+from .core import ONE, ZERO, Scalar, ScalarLike
 from .errors import BudgetExceededError, InputError, ResonantError, TruncationError
 from .laurent import LaurentMatrix
 from .rootsys import DEFAULT_BUDGET
@@ -346,46 +346,59 @@ def omega_power(n: int, k: int) -> LaurentMatrix:
 @dataclass(frozen=True)
 class CoxeterFormalType:
     """Coxeter canonical form d + p(omega_n^{-1}) dz/z: slope r/n with
-    gcd(r, n) = 1 and p of degree exactly r (leading coefficient nonzero)."""
+    gcd(r, n) = 1 and p of degree exactly r (leading coefficient nonzero).
+    p is kept by its nonzero terms (degree, coefficient), so it costs its
+    terms, not r."""
 
     n: int
     r: int
-    p_coeffs: tuple[Scalar, ...]
+    p_terms: tuple[tuple[int, Scalar], ...]
 
     def __init__(self, n: int, r: int, p_coeffs: Iterable[ScalarLike]):
         coeffs = tuple(Scalar.of(x) for x in p_coeffs)
+        self._init(n, r, tuple((k, c) for k, c in enumerate(coeffs) if c), len(coeffs))
+
+    def _init(self, n: int, r: int, terms: tuple[tuple[int, Scalar], ...], length: int) -> None:
+        """Check the slope, the coefficient count and the leading term; keep the terms."""
         if n < 1 or r < 1:
             raise InputError("need n >= 1 and r >= 1")
         if gcd(r, n) != 1:
             raise InputError(f"need gcd(r, n) = 1, got r={r}, n={n}")
-        if len(coeffs) != r + 1:
+        if length != r + 1:
             raise InputError(
                 f"p must have degree exactly {r}: expected {r + 1} "
-                f"coefficients, got {len(coeffs)}"
+                f"coefficients, got {length}"
             )
-        if not coeffs[-1]:
+        if not terms or terms[-1][0] != r:
             raise InputError("leading coefficient of p must be nonzero")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "r", int(r))
-        object.__setattr__(self, "p_coeffs", coeffs)
+        object.__setattr__(self, "p_terms", terms)
+
+    @property
+    def p_coeffs(self) -> tuple[Scalar, ...]:
+        """The dense coefficients of p, constant term first."""
+        terms = dict(self.p_terms)
+        return tuple(terms.get(k, ZERO) for k in range(self.r + 1))
 
     @property
     def p0(self) -> Scalar:
         """The constant term p(0); decisions depend only on it and deg p."""
-        return self.p_coeffs[0]
+        return dict(self.p_terms).get(0, ZERO)
 
     @classmethod
     def from_p0(cls, n: int, r: int, p0: ScalarLike) -> "CoxeterFormalType":
-        """The representative p(x) = x^r + p0."""
-        coeffs = (Scalar.of(p0),) + (Scalar(0),) * (r - 1) + (Scalar(1),)
-        return cls(n, r, coeffs)
+        """The representative p(x) = x^r + p0, built from its nonzero terms."""
+        p0 = Scalar.of(p0)
+        ftype = object.__new__(cls)
+        ftype._init(n, r, ((0, p0), (r, ONE)) if p0 else ((r, ONE),), r + 1)
+        return ftype
 
     def matrix(self) -> LaurentMatrix:
         """p(omega_n^{-1}) as an exact Laurent matrix."""
         acc = LaurentMatrix.zero(self.n)
-        for k, coeff in enumerate(self.p_coeffs):
-            if coeff:
-                acc = acc + omega_power(self.n, -k).scale(coeff)
+        for k, coeff in self.p_terms:
+            acc = acc + omega_power(self.n, -k).scale(coeff)
         return acc
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .core import Scalar, ScalarLike
+from .core import ONE, ZERO, Scalar, ScalarLike
 from .errors import InputError
 
 Matrix = list[list[Scalar]]
@@ -22,11 +22,11 @@ Vector = list[Scalar]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
-    return [[Scalar(0) for _ in range(cols)] for _ in range(rows)]
+    return [[ZERO] * cols for _ in range(rows)]
 
 
 def identity(n: int) -> Matrix:
-    return [[Scalar(1) if i == j else Scalar(0) for j in range(n)] for i in range(n)]
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def dims(a: Matrix) -> tuple[int, int]:
@@ -52,16 +52,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if ca != rb:
         raise InputError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
     bt = list(zip(*b)) if b else []
-    out = zeros(ra, cb)
-    for i in range(ra):
-        arow = a[i]
-        for j in range(cb):
-            s = Scalar(0)
-            bcol = bt[j]
-            for k in range(ca):
-                if arow[k]:
-                    s = s + arow[k] * bcol[k]
-            out[i][j] = s
+    out = []
+    for arow in a:
+        nonzero = [(k, x) for k, x in enumerate(arow) if x]
+        out.append([sum([x * bcol[k] for k, x in nonzero], ZERO) for bcol in bt])
     return out
 
 
@@ -153,7 +147,7 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     pivots = _gauss_jordan(re, im)
     if cols in pivots:
         return None
-    x = [Scalar(0)] * cols
+    x = [ZERO] * cols
     for r, c in enumerate(pivots):
         # x_c = (last column) / (pivot entry), both Gaussian integers
         dr, di = re[r][c], im[r][c]
@@ -195,8 +189,7 @@ def _sylvester_operator(p: Matrix, q: Matrix) -> Matrix:
     ((i, j), (a, b)) is p_ia [j = b] - [i = a] q_bj."""
     n = len(p)
     m = len(q)
-    zero = Scalar(0)
-    op = [[zero] * (n * m) for _ in range(n * m)]
+    op = zeros(n * m, n * m)
     for i in range(n):
         for j in range(m):
             row = op[i * m + j]

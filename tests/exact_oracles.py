@@ -2,7 +2,8 @@
 
 The package answers its questions with `Scalar`, `linalg` and
 `LaurentMatrix` alone; the functions here give the tests independent ways to
-build inputs and to check answers: matrix algebra the deciders do not need,
+build inputs and to check answers: the dominance order, small scalar and
+orbit views, and matrix algebra the deciders do not need,
 elimination and matrix powers on Scalars (the oracles for `linalg`'s
 Gaussian-integer kernels), series algebra on `LaurentMatrix` (free functions
 taking the series first), the lattice-chain definition of the filtration
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from dskit import linalg
-from dskit.core import OrbitSpec, Scalar, ScalarLike
+from dskit.core import OrbitSpec, Partition, Scalar, ScalarLike, as_partition, weight
 from dskit.errors import InputError
 from dskit.formal import StandardParahoric
 from dskit.laurent import LaurentMatrix
@@ -35,6 +36,41 @@ from dskit.linalg import (
     zeros,
 )
 from dskit.rootsys import Quiver, Vertex, VecLike, _lambda_numerators
+
+# ---------------------------------------------------------------------------
+# Scalars, partitions and orbits.
+# ---------------------------------------------------------------------------
+
+
+def is_rational(x: Scalar) -> bool:
+    return x.im == 0
+
+
+def dominance_leq(p: Partition, q: Partition) -> bool:
+    """Whether p <= q in dominance order (all prefix sums of p at most those of q)."""
+    p, q = as_partition(p), as_partition(q)
+    if weight(p) != weight(q):
+        raise InputError(f"dominance compares equal weights only: {p} vs {q}")
+    ps = qs = 0
+    for k in range(max(len(p), len(q))):
+        ps += p[k] if k < len(p) else 0
+        qs += q[k] if k < len(q) else 0
+        if ps > qs:
+            return False
+    return True
+
+
+def max_block(o: OrbitSpec, eig: ScalarLike) -> int:
+    return o.partition_for(eig)[0]
+
+
+def min_poly_degree(o: OrbitSpec) -> int:
+    return sum(part[0] for _, part in o.blocks)
+
+
+def translated(o: OrbitSpec, t: ScalarLike) -> OrbitSpec:
+    return OrbitSpec(o.n, [(e + t, part) for e, part in o.blocks])
+
 
 # ---------------------------------------------------------------------------
 # Matrices.

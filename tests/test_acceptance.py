@@ -18,7 +18,6 @@ from dskit.core import (
     OrbitSpec,
     Scalar,
     as_partition,
-    dominance_leq,
     min_partition_with_r_parts,
     orbit_dim,
     partitions_of,
@@ -49,6 +48,7 @@ from dskit.rootsys import (
 )
 from dskit.unramified import UnramBlock, UnramFormalType, count_rank2_moduli
 from exact_oracles import (
+    dominance_leq,
     dot_lambda,
     filtration_degree,
     from_terms,

@@ -252,6 +252,16 @@ def test_coxeter_ds_gcd_guard(tmp_path, capsys):
     assert "gcd" in err
 
 
+def test_coxeter_ds_large_r_at_once(tmp_path, capsys):
+    # p(x) = x^r + p0 is kept by its two terms, not by r + 1 coefficients
+    path = _write(tmp_path, "orb.json", orbit=NILP2)
+    t0 = time.perf_counter()
+    v = _verdict(capsys, ["coxeter-ds", "--n", "2", "--r", "4000001", "--p0", "0",
+                          "--orbit", path], 0)
+    assert time.perf_counter() - t0 < 0.5
+    assert v["result"] == {"exists": True}
+
+
 def test_rigidity(tmp_path, capsys):
     path = _write(tmp_path, "bal.json", orbit=_orbit(5, [(_sc(0), (2, 2, 1))]))
     v = _verdict(capsys, ["rigidity", "--n", "5", "--r", "3", "--orbit", path], 0)
@@ -465,6 +475,24 @@ def test_quiver_export_large_star_at_once(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("alpha=") == 2998
     assert out.count("->") == 2997
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # the reader goes away before the first byte: a 232 kB DOT file fails in
+    # `run`'s write, a short verdict only in the flush at shutdown
+    big = _write(tmp_path, "nilp1000.json", orbits=[NILP1000] * 3)
+    small = _write(tmp_path, "d4.json", orbits=D4_GENERIC)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for argv in (["quiver-export", "--input", big], ["fuchsian-ds", "--input", small]):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dskit.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1, argv
+        assert err == b"", err.decode()
 
 
 def test_quiver_export_needs_orbits_or_types(tmp_path, capsys):

@@ -1,8 +1,13 @@
+import copy
+import dataclasses
+import operator
+import pickle
 import random
 import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,7 +16,6 @@ from dskit.core import (
     OrbitSpec,
     Scalar,
     as_partition,
-    dominance_leq,
     dual_partition,
     factor_ranks,
     min_partition_with_r_parts,
@@ -20,7 +24,18 @@ from dskit.core import (
     weight,
 )
 from dskit.errors import InputError
-from exact_oracles import jordan_matrix, kron, mat_sub, nullspace, transpose
+from exact_oracles import (
+    dominance_leq,
+    is_rational,
+    jordan_matrix,
+    kron,
+    mat_sub,
+    max_block,
+    min_poly_degree,
+    nullspace,
+    translated,
+    transpose,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +67,89 @@ def test_scalar_bool_and_predicates():
     assert Scalar(0, 1)
     assert Scalar(2).is_integer()
     assert not Scalar(Fraction(1, 2)).is_integer()
-    assert not Scalar(0, 1).is_rational()
+    assert not is_rational(Scalar(0, 1))
     assert Scalar(5).differs_by_nonzero_int(Scalar(3))
     assert not Scalar(5).differs_by_nonzero_int(Scalar(5))
     assert not Scalar(Fraction(1, 2)).differs_by_nonzero_int(Scalar(0))
     # same imaginary part, integral real difference
     assert Scalar(1, Fraction(1, 3)).differs_by_nonzero_int(Scalar(0, Fraction(1, 3)))
     assert not Scalar(1, Fraction(1, 3)).differs_by_nonzero_int(Scalar(1, Fraction(2, 3)))
+
+
+def _draw_rational(rng):
+    # zero often, so the zero-part shortcuts of the arithmetic are taken
+    if rng.random() < 0.3:
+        return Fraction(0)
+    return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+
+def _draw_operand(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Scalar(_draw_rational(rng), _draw_rational(rng))
+    if kind == 1:
+        return rng.randint(-9, 9)
+    return _draw_rational(rng)
+
+
+def _as_sympy(x):
+    if isinstance(x, Scalar):
+        return sympy.Rational(x.re) + sympy.I * sympy.Rational(x.im)
+    return sympy.Rational(x)
+
+
+def test_scalar_arithmetic_matches_sympy():
+    binary = [operator.add, operator.sub, operator.mul, operator.truediv]
+    rng = random.Random(11)
+    for _ in range(2000):
+        s, x = Scalar(_draw_rational(rng), _draw_rational(rng)), _draw_operand(rng)
+        op = rng.choice(binary + [operator.neg])
+        if op is operator.neg:
+            args = (s,)
+        else:
+            args = (s, x) if rng.random() < 0.5 else (x, s)
+        if op is operator.truediv and not args[1]:
+            with pytest.raises(ZeroDivisionError):
+                op(*args)
+            continue
+        got = op(*args)
+        want = op(*map(_as_sympy, args))
+        assert isinstance(got, Scalar)
+        assert type(got.re) is Fraction and type(got.im) is Fraction
+        assert sympy.Rational(got.re) == sympy.re(want), (op, args)
+        assert sympy.Rational(got.im) == sympy.im(want), (op, args)
+
+
+def test_scalar_equals_and_hashes_like_rationals():
+    for n in [0, 1, -1, -2, 7, 2**61 - 1, 2**61, -(2**64) - 3]:
+        s, q = Scalar(n), Fraction(n)
+        assert s == n and s == q and n == s and q == s
+        assert hash(s) == hash(n) == hash(q)
+        assert s == Scalar(q) and hash(s) == hash(Scalar(q))
+    for q in [Fraction(1, 2), Fraction(-7, 3), Fraction(5, 2**61 - 1)]:
+        assert Scalar(q) == q and hash(Scalar(q)) == hash(q)
+    assert Scalar(1, 1) != 1 and Scalar(0, 1) != 0
+    assert len({Scalar(2), 2, Fraction(2), Scalar(Fraction(4, 2))}) == 1
+
+
+def test_scalar_is_frozen_and_copies():
+    s = Scalar(Fraction(1, 2), -3)
+    for name in ("re", "im"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, Fraction(0))
+    assert s == Scalar(Fraction(1, 2), -3)
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert twin == s and type(twin.re) is Fraction and type(twin.im) is Fraction
+
+
+def test_zeros_and_identity_rows_are_distinct_lists():
+    z = linalg.zeros(3, 2)
+    assert len({id(row) for row in z}) == 3
+    z[0][1] = Scalar(5)
+    assert z[1][1] == 0 and z[2][1] == 0
+    e = linalg.identity(3)
+    e[0][1] = Scalar(5)
+    assert e == [[1, 5, 0], [0, 1, 0], [0, 0, 1]]
 
 
 @pytest.mark.parametrize(
@@ -202,9 +293,9 @@ def test_orbit_invariants():
     assert o.trace() == Scalar(Fraction(1, 2)) * 3 + Scalar(-1)
     assert o.determinant() == Scalar(Fraction(1, 8)) * Scalar(-1)
     assert o.multiplicity(Fraction(1, 2)) == 3
-    assert o.max_block(Fraction(1, 2)) == 2
+    assert max_block(o, Fraction(1, 2)) == 2
     assert o.block_count(Fraction(1, 2)) == 2
-    assert o.min_poly_degree() == 3
+    assert min_poly_degree(o) == 3
     assert not o.is_scalar()
     assert not o.is_nilpotent()
 
@@ -224,7 +315,7 @@ def test_orbit_nonresonance():
 
 def test_orbit_translate_negate():
     o = OrbitSpec(3, [(1, (2,)), (0, (1,))])
-    t = o.translated(Fraction(1, 2))
+    t = translated(o, Fraction(1, 2))
     assert t.eigenvalues() == (Scalar(Fraction(1, 2)), Scalar(Fraction(3, 2)))
     assert t.partition_for(Fraction(3, 2)) == (2,)
     n = o.negated()
@@ -236,7 +327,7 @@ def test_default_factor_sequence_properties():
     o = OrbitSpec(5, [(0, (3, 1)), (2, (1,))])
     seq = o.default_factor_sequence()
     # one factor per step of the longest block, hitting each eigenvalue
-    assert len(seq) == o.min_poly_degree()
+    assert len(seq) == min_poly_degree(o)
     assert set(seq) == set(o.eigenvalues())
     o.validate_factor_sequence(seq)
     with pytest.raises(InputError):

@@ -6,7 +6,6 @@ import pytest
 from dskit.core import (
     OrbitSpec,
     Scalar,
-    dominance_leq,
     min_partition_with_r_parts,
     partitions_of,
 )
@@ -23,6 +22,7 @@ from dskit.coxeter import (
 from dskit.errors import InputError, ResonantError
 from dskit.formal import CoxeterFormalType
 from dskit.linalg import jordan_type_of_nilpotent
+from exact_oracles import dominance_leq
 
 
 def _nilp(n, parts):

@@ -531,6 +531,14 @@ def test_coxeter_type_validation():
     t = CoxeterFormalType.from_p0(3, 2, Fraction(1, 3))
     assert t.p_coeffs == (Scalar(Fraction(1, 3)), Scalar(0), Scalar(1))
     assert t.p0 == Scalar(Fraction(1, 3))
+    assert t.p_terms == ((0, Scalar(Fraction(1, 3))), (2, Scalar(1)))
+    big = CoxeterFormalType.from_p0(2, 4000001, 0)
+    assert big.p_terms == ((4000001, Scalar(1)),) and big.p0 == 0
+    assert CoxeterFormalType(3, 2, [0, 5, 1]).p_terms == ((1, Scalar(5)), (2, Scalar(1)))
+    with pytest.raises(InputError):
+        CoxeterFormalType.from_p0(2, 4000000, 1)  # gcd 2
+    with pytest.raises(InputError):
+        CoxeterFormalType.from_p0(0, 1, 1)
 
 
 def test_coxeter_type_matrix():

@@ -46,7 +46,7 @@ from dskit.unramified import (
     build_hiroe_data,
     unramified_ds_exists,
 )
-from exact_oracles import dot_lambda
+from exact_oracles import dot_lambda, translated
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def _draw_orbits(rng, n, k, trace_zero):
             total = sum((o.trace() for o in orbits), Scalar(0))
             last = orbits[-1]
             # shift the last orbit by -total/n to make the traces sum to zero
-            orbits[-1] = last.translated(-total / n)
+            orbits[-1] = translated(last, -total / n)
         return orbits
 
 
@@ -233,7 +233,7 @@ def _unramified_cases(seed, count):
         if rng.random() < 0.85:
             total = sum((t.residue_trace() for t in types), Scalar(0))
             last = types[-1].blocks[-1]
-            shifted = last.residue.translated(-total / last.dim)
+            shifted = translated(last.residue, -total / last.dim)
             types[-1] = UnramFormalType(
                 types[-1].blocks[:-1] + (UnramBlock(last.q, last.dim, shifted),)
             )
