@@ -47,7 +47,6 @@ from .formal import (
     Stratum,
     UpperBoundOnly,
     certify_slope,
-    coxeter_canonical_type,
     is_fundamental,
     leading_stratum,
     omega_power,
@@ -69,13 +68,11 @@ from .rootsys import (
     classify_root,
     in_sigma_lambda,
     p_value,
-    positive_roots_leq,
 )
 from .unramified import (
     HiroeData,
     UnramBlock,
     UnramFormalType,
-    build_base_quiver,
     build_hiroe_data,
     count_rank2_moduli,
     unramified_ds_exists,
@@ -112,13 +109,11 @@ __all__ = [
     "UnramFormalType",
     "UpperBoundOnly",
     "as_partition",
-    "build_base_quiver",
     "build_cb_data",
     "build_hiroe_data",
     "certify_slope",
     "classify_root",
     "count_rank2_moduli",
-    "coxeter_canonical_type",
     "coxeter_ds_decide",
     "ds_generator",
     "dual_partition",
@@ -135,7 +130,6 @@ __all__ = [
     "orbit_dim",
     "p_value",
     "partitions_of",
-    "positive_roots_leq",
     "regsing_normalize",
     "residue_representative",
     "rigid_table_simple_type",

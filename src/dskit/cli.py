@@ -40,7 +40,7 @@ from .formal import (
 )
 from .fuchsian import CBData, FuchsianRigidity, build_cb_data, fuchsian_rigidity
 from .rootsys import DEFAULT_BUDGET
-from .unramified import _exists_on_data, build_hiroe_data
+from .unramified import build_hiroe_data
 
 
 @functools.cache
@@ -53,9 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_BUDGET,
         metavar="N",
         help="cap on search nodes: each box vector 0 <= beta <= alpha, then "
-             "each decomposition node; for slope, each of the 2^(n-1) standard "
-             f"parahorics (default {DEFAULT_BUDGET:,}); both readings of unramified-ds "
-             "share one candidate list",
+             "each step of the table of best p-sums; for slope, each of the 2^(n-1) "
+             f"standard parahorics (default {DEFAULT_BUDGET:,}); both readings of "
+             "unramified-ds come from one table, so they fit together or not at all",
     )
 
     ap = argparse.ArgumentParser(
@@ -261,17 +261,9 @@ def _cmd_unramified_ds(ns, ctx) -> tuple[Any, int]:
     types, payload = _parse_type_list(doc)
     ctx["digest"] = jsonio.digest_of(payload)
     use_two = ns.flag is not None
-    data = build_hiroe_data(types)
-    candidates = data.candidates(ns.budget)
-    selected = _exists_on_data(data, candidates, ell_ge_2=use_two, budget=ns.budget)
-    try:
-        other = _exists_on_data(data, candidates, ell_ge_2=not use_two, budget=ns.budget)
-    except BudgetExceededError:
-        ctx["notes"].append(
-            "flag-sensitivity comparison skipped: enumeration budget exceeded"
-        )
-    else:
-        _flag_note(ctx, "ell-ge-2", ("parts>=3", "parts>=2"), use_two, selected, other)
+    by_three, by_two = build_hiroe_data(types).readings(ns.budget)
+    selected, other = (by_two, by_three) if use_two else (by_three, by_two)
+    _flag_note(ctx, "ell-ge-2", ("parts>=3", "parts>=2"), use_two, selected, other)
     return {"exists": selected}, 0
 
 

@@ -47,10 +47,6 @@ class CharPolySpec:
     def n(self) -> int:
         return sum(m for _, m in self.pairs)
 
-    @classmethod
-    def from_orbit(cls, o: OrbitSpec) -> "CharPolySpec":
-        return cls((e, o.multiplicity(e)) for e in o.eigenvalues())
-
 
 def ds_generator(r: int, q: CharPolySpec) -> OrbitSpec:
     """The dominance-least orbit with characteristic polynomial q among those

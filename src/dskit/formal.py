@@ -121,26 +121,6 @@ class StandardParahoric:
     def e(self) -> int:
         return len(self.J)
 
-    def block_sizes(self) -> tuple[int, ...]:
-        cuts = self.J + (self.n,)
-        return tuple(cuts[i + 1] - cuts[i] for i in range(len(self.J)))
-
-    @staticmethod
-    def iwahori(n: int) -> "StandardParahoric":
-        return StandardParahoric(n, range(n))
-
-    @staticmethod
-    def maximal(n: int) -> "StandardParahoric":
-        """GL_n(o): the one-lattice chain J = {0}."""
-        return StandardParahoric(n, (0,))
-
-    def lattice_exponent(self, j: int, i: int) -> int:
-        """nu_j(i): the z-exponent of basis vector e_i in L^j, any j in Z."""
-        if not 1 <= i <= self.n:
-            raise InputError(f"basis index {i} outside 1..{self.n}")
-        q, s = divmod(j, self.e)
-        return q + (1 if i > self.n - self.J[s] else 0)
-
     def graded_degree(self, a: int, b: int, k: int) -> int:
         """Closed form k*e + f_a - f_b for the filtration degree of E_ab z^k."""
         if not (1 <= a <= self.n and 1 <= b <= self.n):
@@ -400,14 +380,3 @@ class CoxeterFormalType:
         for k, coeff in self.p_terms:
             acc = acc + omega_power(self.n, -k).scale(coeff)
         return acc
-
-
-def coxeter_canonical_type(
-    n: int, r: int, p_coeffs: Iterable[ScalarLike]
-) -> CoxeterFormalType:
-    """Validated Coxeter canonical form; the Laurent matrix is materialized
-    once here so malformed coefficient data fails early, not downstream."""
-    ftype = CoxeterFormalType(n, r, p_coeffs)
-    mat = ftype.matrix()
-    assert not mat.is_zero()
-    return ftype

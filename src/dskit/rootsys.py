@@ -4,20 +4,24 @@ A loop-free quiver is its own symmetric generalized Cartan matrix, which
 Quiver stores as neighbour lists; every root function takes the quiver.
 This is the shared engine behind both existence criteria: one search finds
 the vectors 0 <= beta <= alpha on which lambda (and the lattice, if any)
-vanishes, and scans decompositions of alpha into them for one that does not
-drop p.  lambda's real and imaginary integer numerators and the lattice rows
-are integer forms, so the search meets in the middle: the coordinates are
-split where the suffix box holds at most isqrt of the whole box, the suffix
-box is tabulated by its form values, and the prefix box is walked in order
-and joined on the negated values.  Only the joined vectors are classified as
+vanishes, and one table of best p-sums over the sums of those vectors tells
+whether a decomposition of alpha into >= 2, or >= 3, of them does not drop
+p.  lambda's real and imaginary integer numerators and the lattice rows are
+integer forms, so the search meets in the middle: the coordinates are split
+where the suffix box holds at most isqrt of the whole box, the suffix box is
+tabulated by its form values, and the prefix box is walked in order and
+joined on the negated values.  Only the joined vectors are classified as
 roots.  The budget charges the whole box before anything is tabulated, then
-each decomposition node.  Every public search and decider defaults to
-DEFAULT_BUDGET = 2,000,000 and reads budget=None as no budget.  Both readings
-of unramified-ds share one candidate list.
+each step of the table, which is iterative, so a deep alpha cannot overflow
+the stack.  Every public search and decider defaults to DEFAULT_BUDGET =
+2,000,000 and reads budget=None as no budget.  Both readings of
+unramified-ds come from one table, so they fit the budget together or not
+at all.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import operator
@@ -105,9 +109,6 @@ class Quiver:
         """The vector C beta."""
         return self._pair(self.as_vector(beta))
 
-    def bilinear(self, beta: VecLike, gamma: VecLike) -> int:
-        return sum(map(operator.mul, self.as_vector(beta), self.pairing(gamma)))
-
 
 class RootClass(Enum):
     REAL = "RealRoot"
@@ -177,27 +178,14 @@ def classify_root(q: Quiver, beta: VecLike) -> RootClass:
     )
 
 
-def _after_box(alpha: Sequence[int], budget: int | None) -> int | None:
+def _after_box(alpha: Sequence[int], budget: int | None) -> float:
     """What the budget has left once the box under alpha is paid for, one
-    node per vector; a box over budget fails before it is walked."""
-    left = None if budget is None else budget - math.prod(x + 1 for x in alpha)
-    if left is not None and left < 0:
+    node per vector, inf with no budget; a box over budget fails before it
+    is walked."""
+    left = math.inf if budget is None else budget - math.prod(x + 1 for x in alpha)
+    if left < 0:
         raise BudgetExceededError(f"lattice-point enumeration exceeded budget of {budget}")
     return left
-
-
-def positive_roots_leq(
-    q: Quiver, alpha: VecLike, budget: int | None = DEFAULT_BUDGET
-) -> list[tuple[int, ...]]:
-    """All positive roots beta with beta <= alpha componentwise, sorted."""
-    a = q.as_vector(alpha)
-    if any(x < 0 for x in a):
-        raise InputError("alpha must be componentwise nonnegative")
-    _after_box(a, budget)
-    return [
-        b for b in _form_zeros(a, ())
-        if any(b) and classify_root(q, b) is not RootClass.NOT_ROOT
-    ]
 
 
 def _lambda_numerators(
@@ -211,45 +199,6 @@ def _lambda_numerators(
     lv = [Scalar.of(lam.get(v, 0)) for v in q.vertices]
     den = math.lcm(*(x.denominator for s in lv for x in (s.re, s.im)))
     return [int(s.re * den) for s in lv], [int(s.im * den) for s in lv], den
-
-
-def decompositions(
-    alpha: tuple[int, ...],
-    parts: list[tuple[int, ...]],
-    budget: int | None,
-    min_parts: int = 2,
-) -> Iterator[list[tuple[int, ...]]]:
-    """Multiset decompositions of alpha into >= min_parts vectors from parts.
-
-    Parts are chosen in nondecreasing lexicographic order with componentwise
-    pruning. The budget counts search nodes; exceeding it raises.
-    """
-    nodes = 0
-    n = len(alpha)
-
-    def walk(
-        remaining: tuple[int, ...], start: int, chosen: list[tuple[int, ...]]
-    ) -> Iterator[list[tuple[int, ...]]]:
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceededError(
-                f"decomposition search exceeded budget of {budget} nodes"
-            )
-        if all(x == 0 for x in remaining):
-            if len(chosen) >= min_parts:
-                yield list(chosen)
-            return
-        for idx in range(start, len(parts)):
-            cand = parts[idx]
-            if all(cand[i] <= remaining[i] for i in range(n)):
-                chosen.append(cand)
-                yield from walk(
-                    tuple(remaining[i] - cand[i] for i in range(n)), idx, chosen
-                )
-                chosen.pop()
-
-    yield from walk(alpha, 0, [])
 
 
 def _split_point(alpha: Sequence[int]) -> int:
@@ -320,25 +269,66 @@ def sigma_candidates(
     ]
 
 
-def p_drop_search(
+def best_p_sums(
     q: Quiver,
     alpha: tuple[int, ...],
     candidates: list[tuple[int, ...]],
     budget: int | None,
-    min_parts: int,
-) -> tuple[bool, bool]:
-    """Scan the decompositions of alpha into >= min_parts candidates, on what
-    the box under alpha left of the budget.
+) -> tuple[int | None, int | None]:
+    """The largest sum of p over the decompositions of alpha into >= 2 and
+    into >= 3 candidates, each None when there is no such decomposition.
 
-    Returns whether any exists and whether every one strictly lowers p.
+    One max-plus table, on what the box under alpha left of the budget, keeps
+    for each sum of candidates <= alpha its largest sum of p by 0, 1, 2 and
+    >= 3 parts.  A sum, the empty one first, is extended by every candidate
+    after all the sums it is built from, and each extension that stays under
+    alpha costs one node.
+    Vectors are packed into one integer, a field per coordinate with a spare
+    top bit, so an extension is one addition, and it stays under alpha iff
+    adding each field's headroom sets no top bit.
     """
-    p_alpha = p_value(q, alpha)
-    found = False
-    for decomp in decompositions(alpha, candidates, _after_box(alpha, budget), min_parts):
-        found = True
-        if sum(p_value(q, g) for g in decomp) >= p_alpha:
-            return True, False
-    return found, True
+    left = _after_box(alpha, budget)
+    widths = [x.bit_length() + 1 for x in alpha]
+    shifts = [0, *itertools.accumulate(widths)]
+
+    def pack(v: Sequence[int]) -> int:
+        return sum(x << s for x, s in zip(v, shifts))
+
+    tops = sum(1 << (s - 1) for s in shifts[1:])
+    headroom = tops - pack([x + 1 for x in alpha])
+    none = -math.inf
+    parts = [(pack(b), p_value(q, b)) for b in candidates]
+    goal = pack(alpha)
+    # packing keeps the order of vectors, so a sum pops after every sum that
+    # extends to it, and the last to pop is alpha
+    rows = {0: [0, none, none, none]}
+    heap = [0]
+    nodes = 0
+    while heap:
+        g = heapq.heappop(heap)
+        if g == goal:
+            break
+        zero, one, two, more = rows.pop(g)
+        more = max(two, more)
+        for b, p in parts:
+            s = g + b
+            if (s + headroom) & tops:
+                continue
+            nodes += 1
+            if nodes > left:
+                raise BudgetExceededError(
+                    f"decomposition search exceeded budget of {left} nodes"
+                )
+            row = rows.get(s)
+            if row is None:
+                rows[s] = [none, zero + p, one + p, more + p]
+                heapq.heappush(heap, s)
+            else:
+                row[1] = max(row[1], zero + p)
+                row[2] = max(row[2], one + p)
+                row[3] = max(row[3], more + p)
+    _, _, two, more = rows.get(goal, (none,) * 4)
+    return tuple(None if x == none else x for x in (max(two, more), more))
 
 
 def in_sigma_lambda(
@@ -360,8 +350,9 @@ def in_sigma_lambda(
     candidates = sigma_candidates(q, a, lam, budget)
     if candidates is None:
         return False
-    found_any, verdict = p_drop_search(q, a, candidates, budget, min_parts=2)
-    if found_any and verdict and classify_root(q, a) is RootClass.REAL:
+    best = best_p_sums(q, a, candidates, budget)[0]
+    verdict = best is None or best < p_value(q, a)
+    if best is not None and verdict and classify_root(q, a) is RootClass.REAL:
         raise AssertionError(
             "real-root shortcut disagrees with the general criterion"
         )

@@ -20,7 +20,8 @@ from .rootsys import (
     DEFAULT_BUDGET,
     Quiver,
     Vertex,
-    p_drop_search,
+    best_p_sums,
+    p_value,
     sigma_candidates,
 )
 
@@ -89,12 +90,6 @@ class UnramFormalType:
     def is_irregular(self) -> bool:
         return not self.is_regular_singular()
 
-    def residue_trace(self) -> Scalar:
-        t = Scalar(0)
-        for b in self.blocks:
-            t = t + b.residue.trace()
-        return t
-
 
 def _q_diff_degree(q1: tuple[Scalar, ...], q2: tuple[Scalar, ...]) -> int:
     top = max(len(q1), len(q2))
@@ -116,14 +111,6 @@ def _intra_type_arrows(
         for jp in range(j + 1, t.ell + 1)
         for _ in range(_q_diff_degree(t.blocks[j - 1].q, t.blocks[jp - 1].q) - 1)
     ]
-
-
-def build_base_quiver(d: UnramFormalType) -> Quiver:
-    """Base quiver of a single irregular type: vertices 1..ell, and
-    deg_{z^-1}(q_j - q_j') - 1 arrows j -> j' for j < j'."""
-    if not d.is_irregular():
-        raise InputError("base quiver is defined for irregular formal types")
-    return Quiver(list(range(1, d.ell + 1)), _intra_type_arrows(d, lambda j: j))
 
 
 @dataclass
@@ -153,12 +140,17 @@ class HiroeData(CBData):
         b = self.quiver.as_vector(beta)
         return not any(sum(map(operator.mul, b, f)) for f in self.lattice_forms())
 
-    def candidates(self, budget: int | None) -> list[tuple[int, ...]] | None:
-        """The vectors of L that the search may use; one list serves both
-        readings of condition (2)."""
-        return sigma_candidates(
-            self.quiver, self.alpha_vector(), self.lam, budget, self.lattice_forms()
-        )
+    def readings(self, budget: int | None) -> tuple[bool, bool]:
+        """The criterion by the parts>=3 and by the parts>=2 reading of
+        condition (2), both read off one table of best p-sums over the
+        vectors of L that the search may use."""
+        alpha = self.alpha_vector()
+        candidates = sigma_candidates(self.quiver, alpha, self.lam, budget, self.lattice_forms())
+        if candidates is None:
+            return False, False
+        p_alpha = p_value(self.quiver, alpha)
+        two, three = best_p_sums(self.quiver, alpha, candidates, budget)
+        return three is None or three < p_alpha, two is None or two < p_alpha
 
 
 def build_hiroe_data(
@@ -272,22 +264,8 @@ def unramified_ds_exists(
     ell_ge_2=True tightens it to two-part decompositions as well. The two
     modes genuinely differ on some inputs; the CLI reports disagreements.
     """
-    data = build_hiroe_data(types)
-    return _exists_on_data(data, data.candidates(budget), ell_ge_2=ell_ge_2, budget=budget)
-
-
-def _exists_on_data(
-    data: HiroeData,
-    candidates: list[tuple[int, ...]] | None,
-    ell_ge_2: bool,
-    budget: int | None,
-) -> bool:
-    """The criterion for one reading, on the list from HiroeData.candidates
-    (None when condition (1) fails)."""
-    if candidates is None:
-        return False
-    min_parts = 2 if ell_ge_2 else 3
-    return p_drop_search(data.quiver, data.alpha_vector(), candidates, budget, min_parts)[1]
+    by_three, by_two = build_hiroe_data(types).readings(budget)
+    return by_two if ell_ge_2 else by_three
 
 
 def count_rank2_moduli(d: UnramFormalType, orbit: OrbitSpec) -> int:

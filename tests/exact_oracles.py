@@ -7,22 +7,24 @@ orbit views, and matrix algebra the deciders do not need,
 elimination and matrix powers on Scalars (the oracles for `linalg`'s
 Gaussian-integer kernels), series algebra on `LaurentMatrix` (free functions
 taking the series first), the lattice-chain definition of the filtration
-degree, the dense Cartan matrix of a quiver (the oracle for `Quiver`'s
-neighbour lists), the pairing beta . lambda, and sympy's factorization for
-nonresonance.  sympy is a test dependency; it is imported only when
-`is_nonresonant` runs.
+degree and the parahoric helpers that only tests use, the dense Cartan
+matrix of a quiver (the oracle for `Quiver`'s neighbour lists), the root
+and decomposition enumerations (the oracles for the table of best p-sums),
+the pairing beta . lambda, and sympy's factorization for nonresonance.
+sympy is a test dependency; it is imported only when `is_nonresonant` runs.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from dskit import linalg
 from dskit.core import OrbitSpec, Partition, Scalar, ScalarLike, as_partition, weight
-from dskit.errors import InputError
-from dskit.formal import StandardParahoric
+from dskit.coxeter import CharPolySpec
+from dskit.errors import BudgetExceededError, InputError
+from dskit.formal import CoxeterFormalType, StandardParahoric
 from dskit.laurent import LaurentMatrix
 from dskit.linalg import (
     Matrix,
@@ -35,7 +37,18 @@ from dskit.linalg import (
     rank,
     zeros,
 )
-from dskit.rootsys import Quiver, Vertex, VecLike, _lambda_numerators
+from dskit.rootsys import (
+    DEFAULT_BUDGET,
+    Quiver,
+    RootClass,
+    Vertex,
+    VecLike,
+    _after_box,
+    _form_zeros,
+    _lambda_numerators,
+    classify_root,
+)
+from dskit.unramified import UnramFormalType, _intra_type_arrows
 
 # ---------------------------------------------------------------------------
 # Scalars, partitions and orbits.
@@ -70,6 +83,19 @@ def min_poly_degree(o: OrbitSpec) -> int:
 
 def translated(o: OrbitSpec, t: ScalarLike) -> OrbitSpec:
     return OrbitSpec(o.n, [(e + t, part) for e, part in o.blocks])
+
+
+def charpoly_from_orbit(o: OrbitSpec) -> CharPolySpec:
+    """The characteristic polynomial of o as its roots with multiplicities."""
+    return CharPolySpec((e, o.multiplicity(e)) for e in o.eigenvalues())
+
+
+def residue_trace(t: UnramFormalType) -> Scalar:
+    """The sum of the traces of the residue orbits of t's blocks."""
+    total = Scalar(0)
+    for b in t.blocks:
+        total = total + b.residue.trace()
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +365,39 @@ def series_inverse(m: LaurentMatrix) -> LaurentMatrix:
 # ---------------------------------------------------------------------------
 
 
+def block_sizes(p: StandardParahoric) -> tuple[int, ...]:
+    cuts = p.J + (p.n,)
+    return tuple(cuts[i + 1] - cuts[i] for i in range(len(p.J)))
+
+
+def iwahori(n: int) -> StandardParahoric:
+    return StandardParahoric(n, range(n))
+
+
+def maximal(n: int) -> StandardParahoric:
+    """GL_n(o): the one-lattice chain J = {0}."""
+    return StandardParahoric(n, (0,))
+
+
+def lattice_exponent(p: StandardParahoric, j: int, i: int) -> int:
+    """nu_j(i): the z-exponent of basis vector e_i in L^j, any j in Z."""
+    if not 1 <= i <= p.n:
+        raise InputError(f"basis index {i} outside 1..{p.n}")
+    q, s = divmod(j, p.e)
+    return q + (1 if i > p.n - p.J[s] else 0)
+
+
+def coxeter_canonical_type(
+    n: int, r: int, p_coeffs: Iterable[ScalarLike]
+) -> CoxeterFormalType:
+    """Validated Coxeter canonical form; the Laurent matrix is materialized
+    once here so malformed coefficient data fails early, not downstream."""
+    ftype = CoxeterFormalType(n, r, p_coeffs)
+    mat = ftype.matrix()
+    assert not mat.is_zero()
+    return ftype
+
+
 def filtration_degree(p: StandardParahoric, a: int, b: int, k: int) -> int:
     """Largest s with E_ab z^k . L^i contained in L^{i+s} for every i.
 
@@ -351,7 +410,7 @@ def filtration_degree(p: StandardParahoric, a: int, b: int, k: int) -> int:
     e = p.e
     for s in range(k * e + e, k * e - e - 1, -1):
         if all(
-            p.lattice_exponent(j + s, a) <= k + p.lattice_exponent(j, b)
+            lattice_exponent(p, j + s, a) <= k + lattice_exponent(p, j, b)
             for j in range(e)
         ):
             return s
@@ -372,6 +431,72 @@ def cartan_rows(q: Quiver) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(2 if i == j else -counts[i][j] for j in range(n)) for i in range(n)
     )
+
+
+def bilinear(q: Quiver, beta: VecLike, gamma: VecLike) -> int:
+    """beta^t C gamma."""
+    return sum(map(operator.mul, q.as_vector(beta), q.pairing(gamma)))
+
+
+def positive_roots_leq(
+    q: Quiver, alpha: VecLike, budget: int | None = DEFAULT_BUDGET
+) -> list[tuple[int, ...]]:
+    """All positive roots beta with beta <= alpha componentwise, sorted."""
+    a = q.as_vector(alpha)
+    if any(x < 0 for x in a):
+        raise InputError("alpha must be componentwise nonnegative")
+    _after_box(a, budget)
+    return [
+        b for b in _form_zeros(a, ())
+        if any(b) and classify_root(q, b) is not RootClass.NOT_ROOT
+    ]
+
+
+def decompositions(
+    alpha: tuple[int, ...],
+    parts: list[tuple[int, ...]],
+    budget: int | None,
+    min_parts: int = 2,
+) -> Iterator[list[tuple[int, ...]]]:
+    """Multiset decompositions of alpha into >= min_parts vectors from parts.
+
+    Parts are chosen in nondecreasing lexicographic order with componentwise
+    pruning. The budget counts search nodes; exceeding it raises.
+    """
+    nodes = 0
+    n = len(alpha)
+
+    def walk(
+        remaining: tuple[int, ...], start: int, chosen: list[tuple[int, ...]]
+    ) -> Iterator[list[tuple[int, ...]]]:
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceededError(
+                f"decomposition search exceeded budget of {budget} nodes"
+            )
+        if all(x == 0 for x in remaining):
+            if len(chosen) >= min_parts:
+                yield list(chosen)
+            return
+        for idx in range(start, len(parts)):
+            cand = parts[idx]
+            if all(cand[i] <= remaining[i] for i in range(n)):
+                chosen.append(cand)
+                yield from walk(
+                    tuple(remaining[i] - cand[i] for i in range(n)), idx, chosen
+                )
+                chosen.pop()
+
+    yield from walk(alpha, 0, [])
+
+
+def build_base_quiver(d: UnramFormalType) -> Quiver:
+    """Base quiver of a single irregular type: vertices 1..ell, and
+    deg_{z^-1}(q_j - q_j') - 1 arrows j -> j' for j < j'."""
+    if not d.is_irregular():
+        raise InputError("base quiver is defined for irregular formal types")
+    return Quiver(list(range(1, d.ell + 1)), _intra_type_arrows(d, lambda j: j))
 
 
 def dot_lambda(q: Quiver, beta: VecLike, lam: Mapping[Vertex, ScalarLike]) -> Scalar:

@@ -33,7 +33,6 @@ from dskit.formal import (
     CertifiedSlope,
     CoxeterFormalType,
     FormalConnection,
-    StandardParahoric,
     certify_slope,
     omega_power,
     regsing_normalize,
@@ -44,7 +43,6 @@ from dskit.rootsys import (
     Quiver,
     in_sigma_lambda,
     p_value,
-    positive_roots_leq,
 )
 from dskit.unramified import UnramBlock, UnramFormalType, count_rank2_moduli
 from exact_oracles import (
@@ -52,10 +50,12 @@ from exact_oracles import (
     dot_lambda,
     filtration_degree,
     from_terms,
+    iwahori,
     jordan_matrix,
     kron,
     mat_sub,
     nullspace,
+    positive_roots_leq,
     transpose,
 )
 
@@ -421,7 +421,7 @@ def test_criterion_9_substrate_definitions():
 
     # (b) the Iwahori grading: closed form == lattice-chain definition
     for n in range(1, 7):
-        iw = StandardParahoric.iwahori(n)
+        iw = iwahori(n)
         for a in range(1, n + 1):
             for b in range(1, n + 1):
                 for k in range(-2, 3):

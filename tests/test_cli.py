@@ -177,19 +177,25 @@ def test_unramified_ds_requires_irregular_first(tmp_path, capsys):
     assert "irregular" in err
 
 
-# The witness box 0 <= beta <= alpha holds 8 vectors.  A budget of 11 leaves
-# 3 decomposition nodes: enough for the parts>=2 reading to find a flat
-# decomposition, not enough for the parts>=3 reading to rule one out.
+# The witness box 0 <= beta <= alpha holds 8 vectors, and the table of best
+# p-sums takes 4 steps: from the empty sum to each of the two candidates, and
+# from each candidate to alpha.  Both readings are read off that one table,
+# so a budget of 12 decides both and a budget of 11 neither.
 
 
-def test_unramified_ds_budget_fits_selected_reading_only(tmp_path, capsys):
+def test_unramified_ds_budget_covers_both_readings_or_neither(tmp_path, capsys):
     path = _write(tmp_path, "unram.json", types=WITNESS_TYPES)
-    argv = ["unramified-ds", "--input", path, "--flag", "ell-ge-2", "--budget", "11"]
-    v = _verdict(capsys, argv, 0)
+    argv = ["unramified-ds", "--input", path, "--flag", "ell-ge-2", "--budget"]
+    v = _verdict(capsys, argv + ["12"], 0)
     assert v["result"] == {"exists": False}
     assert v["notes"] == [
-        "flag-sensitivity comparison skipped: enumeration budget exceeded"
+        "flag-sensitive: the parts>=3 reading gives True, the parts>=2 reading "
+        "(--flag ell-ge-2) gives False; this verdict follows the parts>=2 reading"
     ]
+    v = _verdict(capsys, argv + ["11"], 3)
+    reason = "decomposition search exceeded budget of 3 nodes"
+    assert v["result"] == {"kind": "Inconclusive", "reason": reason}
+    assert v["notes"] == [reason]
 
 
 def test_unramified_ds_budget_below_box_is_inconclusive(tmp_path, capsys):
@@ -198,6 +204,30 @@ def test_unramified_ds_budget_below_box_is_inconclusive(tmp_path, capsys):
     reason = "lattice-point enumeration exceeded budget of 7"
     assert v["result"] == {"kind": "Inconclusive", "reason": reason}
     assert v["notes"] == [reason]
+
+
+# The Kronecker quiver with alpha = 1000 delta: two blocks of dim 1000 whose
+# q differ in the z^-3 term, with scalar residues 1 and -1.  The candidates
+# are k delta for k < 1000, and the enumeration of decompositions recursed
+# once per part, past the interpreter's stack.
+
+
+def test_unramified_ds_deep_alpha_decides_without_a_traceback(tmp_path):
+    types = [{"blocks": [
+        {"q": [_sc(0), _sc(0), _sc(c)], "dim": 1000,
+         "residue": _orbit(1000, [(_sc(r), (1,) * 1000)])}
+        for c, r in ((1, 1), (2, -1))
+    ]}]
+    path = _write(tmp_path, "kronecker.json", types=types)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "dskit.cli", "unramified-ds", "--input", path],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    v = json.loads(proc.stdout)
+    assert v["result"] == {"exists": False}
+    assert v["notes"] == []
 
 
 # ---------------------------------------------------------------------------

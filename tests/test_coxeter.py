@@ -22,7 +22,7 @@ from dskit.coxeter import (
 from dskit.errors import InputError, ResonantError
 from dskit.formal import CoxeterFormalType
 from dskit.linalg import jordan_type_of_nilpotent
-from exact_oracles import dominance_leq
+from exact_oracles import charpoly_from_orbit, dominance_leq
 
 
 def _nilp(n, parts):
@@ -50,7 +50,7 @@ def test_charpoly_spec_validation():
 
 def test_charpoly_from_orbit():
     o = OrbitSpec(4, [(0, (2, 1)), (Fraction(1, 3), (1,))])
-    q = CharPolySpec.from_orbit(o)
+    q = charpoly_from_orbit(o)
     assert q.pairs == ((Scalar(0), 3), (Scalar(Fraction(1, 3)), 1))
 
 

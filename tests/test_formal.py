@@ -17,7 +17,6 @@ from dskit.formal import (
     Stratum,
     UpperBoundOnly,
     certify_slope,
-    coxeter_canonical_type,
     is_fundamental,
     leading_stratum,
     omega_power,
@@ -26,7 +25,19 @@ from dskit.formal import (
 )
 from dskit.laurent import LaurentMatrix
 from dskit.rootsys import DEFAULT_BUDGET
-from exact_oracles import echelon_solve, filtration_degree, is_nonresonant, mat_of, one, power
+from exact_oracles import (
+    block_sizes,
+    coxeter_canonical_type,
+    echelon_solve,
+    filtration_degree,
+    is_nonresonant,
+    iwahori,
+    lattice_exponent,
+    mat_of,
+    maximal,
+    one,
+    power,
+)
 
 mono = LaurentMatrix.monomial
 
@@ -59,10 +70,10 @@ def test_parahoric_validation_and_normalization():
     p = StandardParahoric(4, [2, 0, 2])
     assert p.J == (0, 2)
     assert p.e == 2
-    assert p.block_sizes() == (2, 2)
-    assert StandardParahoric.iwahori(3).J == (0, 1, 2)
-    assert StandardParahoric.maximal(3).J == (0,)
-    assert StandardParahoric.iwahori(4).block_sizes() == (1, 1, 1, 1)
+    assert block_sizes(p) == (2, 2)
+    assert iwahori(3).J == (0, 1, 2)
+    assert maximal(3).J == (0,)
+    assert block_sizes(iwahori(4)) == (1, 1, 1, 1)
 
 
 def test_standard_parahorics_enumeration():
@@ -76,31 +87,31 @@ def test_standard_parahorics_enumeration():
 
 
 def test_lattice_exponents_iwahori_chain():
-    p = StandardParahoric.iwahori(2)
+    p = iwahori(2)
     # L^0 = o + o, L^1 = o + z o, L^2 = z L^0
-    assert [p.lattice_exponent(0, i) for i in (1, 2)] == [0, 0]
-    assert [p.lattice_exponent(1, i) for i in (1, 2)] == [0, 1]
-    assert [p.lattice_exponent(2, i) for i in (1, 2)] == [1, 1]
-    assert [p.lattice_exponent(-1, i) for i in (1, 2)] == [-1, 0]
+    assert [lattice_exponent(p, 0, i) for i in (1, 2)] == [0, 0]
+    assert [lattice_exponent(p, 1, i) for i in (1, 2)] == [0, 1]
+    assert [lattice_exponent(p, 2, i) for i in (1, 2)] == [1, 1]
+    assert [lattice_exponent(p, -1, i) for i in (1, 2)] == [-1, 0]
     with pytest.raises(InputError):
-        p.lattice_exponent(0, 3)
+        lattice_exponent(p, 0, 3)
 
 
 def test_iwahori_degree_closed_form():
     for n in (2, 3, 4):
-        p = StandardParahoric.iwahori(n)
+        p = iwahori(n)
         for a in range(1, n + 1):
             for b in range(1, n + 1):
                 for k in (-2, -1, 0, 1):
                     assert p.graded_degree(a, b, k) == k * n + (b - a)
-    p3 = StandardParahoric.iwahori(3)
+    p3 = iwahori(3)
     assert p3.graded_degree(1, 3, -1) == -1
     assert p3.graded_degree(1, 2, -1) == -2
     assert p3.graded_degree(2, 3, -1) == -2
 
 
 def test_maximal_degree_is_z_exponent():
-    p = StandardParahoric.maximal(3)
+    p = maximal(3)
     for a, b in itertools.product(range(1, 4), repeat=2):
         for k in (-2, 0, 2):
             assert p.graded_degree(a, b, k) == k
@@ -133,7 +144,7 @@ FG2 = mono(2, -1, 1, 2, 1) + mono(2, 0, 2, 1, 1)
 
 
 def test_stratum_validation():
-    iw = StandardParahoric.iwahori(2)
+    iw = iwahori(2)
     s = Stratum(iw, 1, FG2)
     assert s.depth == Fraction(1, 2)
     with pytest.raises(InputError):  # not homogeneous: E11 z^-1 has degree -2
@@ -141,26 +152,26 @@ def test_stratum_validation():
     with pytest.raises(InputError):
         Stratum(iw, 1, LaurentMatrix.zero(2))
     with pytest.raises(InputError):
-        Stratum(StandardParahoric.maximal(3), 1, FG2)
+        Stratum(maximal(3), 1, FG2)
 
 
 def test_is_fundamental():
-    iw = StandardParahoric.iwahori(2)
+    iw = iwahori(2)
     assert is_fundamental(Stratum(iw, 1, FG2))  # square is z^-1 I
     assert not is_fundamental(Stratum(iw, 1, mono(2, -1, 1, 2, 1)))
-    gl = StandardParahoric.maximal(2)
+    gl = maximal(2)
     assert is_fundamental(Stratum(gl, 1, mono(2, -1, 1, 1, 1) + mono(2, -1, 2, 2, 2)))
     # scalar z^-1 leading term is as fundamental as it gets
     assert is_fundamental(Stratum(gl, 1, LaurentMatrix(2, {-1: linalg.identity(2)})))
 
 
 def test_leading_stratum_selects_minimal_degree():
-    iw = StandardParahoric.iwahori(2)
+    iw = iwahori(2)
     m = FG2 + mono(2, 0, 1, 1, 5)  # E11 has degree 0, off the leading part
     s = leading_stratum(iw, _conn(m))
     assert s.depth_num == 1
     assert s.leading == FG2
-    gl = StandardParahoric.maximal(2)
+    gl = maximal(2)
     s2 = leading_stratum(gl, _conn(m))
     assert s2.depth_num == 1
     assert s2.leading == mono(2, -1, 1, 2, 1)
@@ -173,17 +184,17 @@ def test_leading_stratum_builds_one_matrix_per_degree(monkeypatch):
     built = []
     zeros = linalg.zeros
     monkeypatch.setattr(linalg, "zeros", lambda *shape: built.append(shape) or zeros(*shape))
-    s = leading_stratum(StandardParahoric.maximal(n), _conn(m))
+    s = leading_stratum(maximal(n), _conn(m))
     assert s.leading == m
     assert built == [(n, n)]  # 16 monomials of minimal degree, all at z^-1
 
 
 def test_leading_stratum_guards():
-    iw = StandardParahoric.iwahori(2)
+    iw = iwahori(2)
     with pytest.raises(InputError):
         leading_stratum(iw, _conn(LaurentMatrix.zero(2)))
     with pytest.raises(InputError):
-        leading_stratum(StandardParahoric.maximal(3), _conn(FG2))
+        leading_stratum(maximal(3), _conn(FG2))
     # an unknown z^1 coefficient could reach the same degree as E12 z^0
     m = LaurentMatrix(2, {0: [[Scalar(0), Scalar(1)], [Scalar(0), Scalar(0)]]}, trunc=1)
     with pytest.raises(TruncationError):

@@ -11,13 +11,11 @@ from dskit.rootsys import (
     RootClass,
     _support_connected,
     classify_root,
-    decompositions,
     in_sigma_lambda,
     p_value,
-    positive_roots_leq,
     reflect,
 )
-from exact_oracles import cartan_rows, dot_lambda
+from exact_oracles import bilinear, cartan_rows, decompositions, dot_lambda, positive_roots_leq
 
 
 def _star(k: int) -> Quiver:
@@ -124,7 +122,7 @@ def test_neighbour_lists_match_the_dense_cartan_matrix():
         for _ in range(5):
             b = tuple(rng.choice([0, 0, 1, 2, 3, -1]) for _ in range(n))
             btcb = sum(b[i] * rows[i][j] * b[j] for i in range(n) for j in range(n))
-            assert q.bilinear(b, b) == btcb, (q, b)
+            assert bilinear(q, b, b) == btcb, (q, b)
             assert p_value(q, b) == 1 - Fraction(btcb, 2), (q, b)
             want = _rows_connected(rows, b)
             assert _support_connected(q, b) == want, (q, b)

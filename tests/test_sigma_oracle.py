@@ -1,10 +1,11 @@
-"""The shared Sigma-criterion engine against the two searches it replaced.
+"""The shared Sigma-criterion engine against the searches it replaced.
 
 `_reference_in_sigma_lambda` and `_reference_exists_on_data` are the former
-bodies of `rootsys.in_sigma_lambda` and `unramified._exists_on_data`, each
-with its own box walk and its own lambda pairing in `Scalar` arithmetic; the
-second also keeps its own lattice test.  On seeded inputs with no budget the
-engine must give the same verdicts.
+bodies of `rootsys.in_sigma_lambda` and of the unramified decider, each with
+its own box walk, its own lambda pairing in `Scalar` arithmetic and the
+enumeration of decompositions; the second also keeps its own lattice test.
+On seeded inputs with no budget the engine must give the same verdicts, and
+the table of best p-sums must read the same as the enumeration.
 """
 
 import inspect
@@ -32,21 +33,19 @@ from dskit.rootsys import (
     RootClass,
     _form_zeros,
     _split_point,
+    best_p_sums,
     classify_root,
-    decompositions,
     in_sigma_lambda,
     p_value,
-    positive_roots_leq,
     sigma_candidates,
 )
 from dskit.unramified import (
     UnramBlock,
     UnramFormalType,
-    _exists_on_data,
     build_hiroe_data,
     unramified_ds_exists,
 )
-from exact_oracles import dot_lambda, translated
+from exact_oracles import decompositions, dot_lambda, positive_roots_leq, residue_trace, translated
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +230,7 @@ def _unramified_cases(seed, count):
             types.append(UnramFormalType([UnramBlock([], n, o)]))
         # make the residue traces sum to zero most of the time
         if rng.random() < 0.85:
-            total = sum((t.residue_trace() for t in types), Scalar(0))
+            total = sum((residue_trace(t) for t in types), Scalar(0))
             last = types[-1].blocks[-1]
             shifted = translated(last.residue, -total / last.dim)
             types[-1] = UnramFormalType(
@@ -267,10 +266,8 @@ def test_exists_on_data_matches_former_search():
     ranks = set()
     for types, data in _unramified_cases(seed=20261019, count=200):
         ranks.add(types[0].n)
-        candidates = data.candidates(None)
-        for ell_ge_2 in (False, True):
+        for ell_ge_2, got in zip((False, True), data.readings(None)):
             want = _reference_exists_on_data(data, ell_ge_2)
-            got = _exists_on_data(data, candidates, ell_ge_2=ell_ge_2, budget=None)
             assert got == want, (types, ell_ge_2)
             assert unramified_ds_exists(types, ell_ge_2=ell_ge_2, budget=None) == want
             verdicts.append(want)
@@ -278,6 +275,54 @@ def test_exists_on_data_matches_former_search():
     assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
     assert lattices >= 20
     assert ranks == {2, 3, 4}
+
+
+# ---------------------------------------------------------------------------
+# the table of best p-sums against the enumeration
+# ---------------------------------------------------------------------------
+
+
+def _enumerated_best(q, a, candidates, min_parts):
+    """The largest sum of p over the decompositions of a into >= min_parts
+    candidates, None when there is none."""
+    sums = (sum(p_value(q, g) for g in d) for d in decompositions(a, candidates, None, min_parts))
+    return max(sums, default=None)
+
+
+def _random_root_searches(seed, count):
+    """Roots alpha of random quivers, lambda = 0: every root below alpha is a
+    candidate."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        q = _random_quiver(rng, rng.randint(2, 5))
+        a = _random_root(rng, q, 48)
+        yield q, a, sigma_candidates(q, a, {}, None)
+
+
+def test_best_p_sums_matches_the_enumeration():
+    searches = [
+        (d.quiver, d.alpha_vector(), sigma_candidates(d.quiver, d.alpha_vector(), d.lam, None))
+        for d in _fuchsian_cases(seed=20261025, count=300)
+    ]
+    searches += [
+        (d.quiver, d.alpha_vector(),
+         sigma_candidates(d.quiver, d.alpha_vector(), d.lam, None, d.lattice_forms()))
+        for _, d in _unramified_cases(seed=20261026, count=200)
+    ]
+    searches += _random_root_searches(seed=20261027, count=400)
+    outcomes = set()
+    negative = 0
+    for q, a, candidates in searches:
+        if candidates is None:
+            continue
+        p_alpha = p_value(q, a)
+        for best, min_parts in zip(best_p_sums(q, a, candidates, None), (2, 3)):
+            assert best == _enumerated_best(q, a, candidates, min_parts), (q, a, min_parts)
+            # the (found, all drop) pair that the criteria read off
+            outcomes.add((best is not None, best is None or best < p_alpha))
+        negative += any(p_value(q, b) < 0 for b in candidates)
+    assert outcomes == {(False, True), (True, True), (True, False)}
+    assert negative >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +565,16 @@ def test_rank5_triple_under_the_default_budget_stops_at_the_box():
     with pytest.raises(BudgetExceededError) as err:
         fuchsian_rigidity(_generic_rank5_triple())
     assert str(err.value) == "lattice-point enumeration exceeded budget of 2000000"
+
+
+def test_affine_d4_nilpotent_4delta_is_empty_within_three_seconds():
+    # four nilpotent (2^4) orbits of gl_8: affine D4 with alpha = 4 delta and
+    # lambda = 0, so delta + 3 delta does not drop p; enumerating the
+    # decompositions took about 9 s to reach one that shows it
+    orbits = [OrbitSpec(8, [(0, (2, 2, 2, 2))])] * 4
+    t0 = time.perf_counter()
+    assert fuchsian_rigidity(orbits) is FuchsianRigidity.EMPTY
+    assert time.perf_counter() - t0 < 3.0
 
 
 def test_every_budgeted_search_defaults_to_the_default_budget():

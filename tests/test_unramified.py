@@ -10,13 +10,11 @@ from dskit.unramified import (
     HiroeData,
     UnramBlock,
     UnramFormalType,
-    _exists_on_data,
-    build_base_quiver,
     build_hiroe_data,
     count_rank2_moduli,
     unramified_ds_exists,
 )
-from exact_oracles import alpha_dot_lambda
+from exact_oracles import alpha_dot_lambda, build_base_quiver, residue_trace
 
 
 def _scalar_res(c):
@@ -58,7 +56,7 @@ def test_type_validation_and_invariants():
     t = WITNESS[0]
     assert (t.n, t.ell, t.slope()) == (2, 2, 1)
     assert t.is_irregular() and not t.is_regular_singular()
-    assert t.residue_trace() == Scalar(1)
+    assert residue_trace(t) == Scalar(1)
     reg = WITNESS[1]
     assert reg.is_regular_singular()
     assert reg.slope() == 0
@@ -163,7 +161,7 @@ def test_alpha_dot_lambda_is_minus_residue_traces():
         data = build_hiroe_data(types)
         total = Scalar(0)
         for t in types:
-            total = total + t.residue_trace()
+            total = total + residue_trace(t)
         assert alpha_dot_lambda(data) == -total
         assert data.in_lattice(data.alpha)
 
@@ -231,7 +229,7 @@ def test_all_regular_tuple_degenerates_to_star(orbits):
     assert {_h2f(v): l for v, l in h.lam.items()} == f.lam
     h_arrows = sorted((_h2f(a), _h2f(b)) for a, b in h.quiver.arrows)
     assert h_arrows == sorted(f.quiver.arrows)
-    assert _exists_on_data(h, h.candidates(None), ell_ge_2=True, budget=None) == fuchsian_ds_exists(orbits)
+    assert h.readings(None)[1] == fuchsian_ds_exists(orbits)
 
 
 # ---------------------------------------------------------------------------
