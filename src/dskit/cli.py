@@ -407,6 +407,9 @@ def run(argv: Sequence[str]) -> int:
         if extra:
             # the subcommand's own usage lists the options it does take
             ns.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
+        if getattr(ns, "budget", 0) < 0:
+            # a count of nodes: a negative one is malformed, not a spent budget
+            ns.subparser.error(f"argument --budget: must be 0 or more, got {ns.budget}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     ctx: dict[str, Any] = {"digest": None, "notes": [], "raw": None}

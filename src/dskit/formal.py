@@ -7,11 +7,11 @@ strata, slope certification, and the Coxeter canonical form p(omega^{-1}).
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from . import linalg
 from .core import ONE, ZERO, Scalar, ScalarLike
@@ -104,17 +104,12 @@ class StandardParahoric:
             raise InputError(f"J must lie inside 0..{n - 1}")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "J", jj)
-        # f[m] = min{ j in 1..e : j = e or m > n - k_j }.  Within one period
-        # the exponent nu_j(m) jumps from 0 to 1 exactly at j = f[m], so the
-        # filtration degree of E_ab z^k has the closed form k e + f_a - f_b.
-        e = len(jj)
-        f = [0] * (n + 1)
-        for m in range(1, n + 1):
-            f[m] = e
-            for j in range(1, e):
-                if m > n - jj[j]:
-                    f[m] = j
-                    break
+        # f[m] = 1 + #{j >= 1 : k_j <= n - m}, the j at which the exponent
+        # nu_j(m) of e_m jumps from 0 to 1 within one period (e if it never
+        # does), so the filtration degree of E_ab z^k is k e + f_a - f_b.
+        # _parahoric_walk keeps the same table as J grows.  bisect_right
+        # counts k_0 = 0 as the leading 1.
+        f = [0] + [bisect_right(jj, n - m) for m in range(1, n + 1)]
         object.__setattr__(self, "_f", tuple(f))
 
     @property
@@ -128,17 +123,40 @@ class StandardParahoric:
         return k * self.e + self._f[a] - self._f[b]
 
 
+def _parahoric_walk(n: int) -> Iterator[tuple[list[int], list[int]]]:
+    """(J, f) for every standard parahoric at size n, in lexicographic order
+    of J: a depth-first walk that appends k > max J before it moves on.
+
+    f[m] = 1 + #{j >= 1 : k_j <= n - m} for 1 <= m <= n, as in
+    StandardParahoric; when k joins J, f[m] goes up by one for every
+    m <= n - k.  Both lists are updated in place and stay O(n) in size, so
+    a caller copies what it keeps past the next step.
+    """
+    J = [0]
+    f = [0] + [1] * n
+    yield J, f
+    k = 1
+    while True:
+        if k < n:
+            J.append(k)
+            for m in range(1, n - k + 1):
+                f[m] += 1
+            yield J, f
+            k += 1
+        elif len(J) > 1:
+            k = J.pop()
+            for m in range(1, n - k + 1):
+                f[m] -= 1
+            k += 1
+        else:
+            return
+
+
 def standard_parahorics(n: int) -> list[StandardParahoric]:
     """All 2^(n-1) standard parahorics, ordered lexicographically by J."""
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
-    rest = range(1, n)
-    js = sorted(
-        (0,) + combo
-        for size in range(n)
-        for combo in itertools.combinations(rest, size)
-    )
-    return [StandardParahoric(n, j) for j in js]
+    return [StandardParahoric(n, J) for J, _f in _parahoric_walk(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +259,16 @@ class RegularSingularCandidate:
 SlopeVerdict = Union[CertifiedSlope, UpperBoundOnly, RegularSingularCandidate]
 
 
+def _depths(n: int, entries: list[tuple[int, int, int]]) -> Iterator[tuple[list[int], int, int]]:
+    """(J, e, r) at every standard parahoric, in lexicographic order of J,
+    where r/e is the depth of the connection there: r is minus the least
+    graded degree k e + f_a - f_b over the entries (k, a, b), each entry
+    (a, b) of M with k its least z-degree.  J is updated in place."""
+    for J, f in _parahoric_walk(n):
+        e = len(J)
+        yield J, e, -min([k * e + f[a] - f[b] for k, a, b in entries])
+
+
 def certify_slope(c: FormalConnection, budget: int | None = DEFAULT_BUDGET) -> SlopeVerdict:
     """Scan the standard parahorics in a FIXED trivialization.
 
@@ -248,9 +276,15 @@ def certify_slope(c: FormalConnection, budget: int | None = DEFAULT_BUDGET) -> S
     and a fundamental stratum of positive depth attains it (Bremer-Sage,
     IMRN 2013 and IMRN 2018).  So a fundamental stratum can only sit at a
     parahoric of minimal depth.  The depth at each parahoric is read off the
-    graded degrees of the monomials of M, with no matrix products; strata
-    are built and tested for nilpotency only where that depth is minimal,
-    in lexicographic order of J.
+    least z-degree at each entry of M with integers alone: no matrix
+    products, no Fractions.  The scan walks the parahorics twice, depth
+    first, in lexicographic order of J (see _parahoric_walk).  The first
+    walk finds the least depth, comparing depths r/e by cross-multiplying.
+    The second builds the StandardParahoric and its leading stratum only
+    where the depth is least, tests it for nilpotency, and stops at the
+    first fundamental one.  Neither walk keeps the parahorics it has left,
+    so the scan holds O(n) integers beyond the entries of M, not 2^(n-1)
+    parahorics.
 
     The first fundamental stratum found certifies slope = depth, and it is
     the lexicographically first fundamental stratum over all parahorics.  If
@@ -260,7 +294,7 @@ def certify_slope(c: FormalConnection, budget: int | None = DEFAULT_BUDGET) -> S
     short-circuits to RegularSingularCandidate.
 
     The scan costs one budget node per standard parahoric, 2^(n-1) in all,
-    charged before any is built; BudgetExceededError if they do not fit.
+    charged before either walk; BudgetExceededError if they do not fit.
     The default DEFAULT_BUDGET fits every n <= 21; None means no budget.
     """
     m = c.matrix
@@ -271,32 +305,35 @@ def certify_slope(c: FormalConnection, budget: int | None = DEFAULT_BUDGET) -> S
     v = m.valuation()
     if v is None or v >= 0:
         return RegularSingularCandidate()
-    count = 1 << (m.n - 1)
+    n = m.n
+    count = 1 << (n - 1)
     if budget is not None and count > budget:
         raise BudgetExceededError(
             f"parahoric scan exceeded budget of {budget}: "
-            f"{count} standard parahorics at n = {m.n}"
+            f"{count} standard parahorics at n = {n}"
         )
-    monos = list(m.monomials())
-    parahorics = standard_parahorics(m.n)
-    depths = [
-        Fraction(-min(p.graded_degree(i, j, deg) for deg, i, j, _ in monos), p.e)
-        for p in parahorics
-    ]
-    least = min(depths)
+    least_deg: dict[tuple[int, int], int] = {}
+    for deg, i, j, _val in m.monomials():  # in increasing degree
+        least_deg.setdefault((i, j), deg)
+    entries = [(k, a, b) for (a, b), k in least_deg.items()]
+    depths = _depths(n, entries)
+    _J, least_e, least_r = next(depths)
+    for _J, e, r in depths:
+        if r * least_e < least_r * e:
+            least_r, least_e = r, e
     # a genuine pole forces positive depth at every standard parahoric
-    assert least > 0
+    assert least_r > 0
     first: Stratum | None = None
-    for p, depth in zip(parahorics, depths):
-        if depth != least:
+    for J, e, r in _depths(n, entries):
+        if r * least_e != least_r * e:
             continue
-        s = leading_stratum(p, c)
+        s = leading_stratum(StandardParahoric(n, J), c)
         if is_fundamental(s):
             return CertifiedSlope(s.depth, s)
         if first is None:
             first = s
     assert first is not None
-    return UpperBoundOnly(least, first)
+    return UpperBoundOnly(Fraction(least_r, least_e), first)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ orbit views, and matrix algebra the deciders do not need,
 elimination and matrix powers on Scalars (the oracles for `linalg`'s
 Gaussian-integer kernels), series algebra on `LaurentMatrix` (free functions
 taking the series first), the lattice-chain definition of the filtration
-degree and the parahoric helpers that only tests use, the dense Cartan
+degree and the parahoric helpers that only tests use, slope certification
+by a full scan of the parahorics (the oracle for `certify_slope`), the dense Cartan
 matrix of a quiver (the oracle for `Quiver`'s neighbour lists), the root
 and decomposition enumerations (the oracles for the table of best p-sums),
 the pairing beta . lambda, and sympy's factorization for nonresonance.
@@ -16,6 +17,7 @@ sympy is a test dependency; it is imported only when `is_nonresonant` runs.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -23,8 +25,16 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from dskit import linalg
 from dskit.core import OrbitSpec, Partition, Scalar, ScalarLike, as_partition, weight
 from dskit.coxeter import CharPolySpec
-from dskit.errors import BudgetExceededError, InputError
-from dskit.formal import CoxeterFormalType, StandardParahoric
+from dskit.errors import BudgetExceededError, InputError, TruncationError
+from dskit.formal import (
+    CertifiedSlope,
+    CoxeterFormalType,
+    RegularSingularCandidate,
+    SlopeVerdict,
+    StandardParahoric,
+    Stratum,
+    UpperBoundOnly,
+)
 from dskit.laurent import LaurentMatrix
 from dskit.linalg import (
     Matrix,
@@ -415,6 +425,69 @@ def filtration_degree(p: StandardParahoric, a: int, b: int, k: int) -> int:
         ):
             return s
     raise AssertionError("unreachable: the degree lies within k*e +- (e-1)")
+
+
+def parahoric_sets(n: int) -> list[tuple[int, ...]]:
+    """Every J inside 0..n-1 that contains 0, sorted lexicographically."""
+    return sorted(
+        (0,) + combo
+        for size in range(n)
+        for combo in itertools.combinations(range(1, n), size)
+    )
+
+
+def nested_loop_f(n: int, J: Sequence[int]) -> tuple[int, ...]:
+    """f[m] = min{ j in 1..e : j = e or m > n - k_j } for 1 <= m <= n, and
+    f[0] = 0: the step of one period of J's lattice chain at which the
+    z-exponent of e_m jumps from 0 to 1, found by trying each step."""
+    e = len(J)
+    f = [0] * (n + 1)
+    for m in range(1, n + 1):
+        f[m] = e
+        for j in range(1, e):
+            if m > n - J[j]:
+                f[m] = j
+                break
+    return tuple(f)
+
+
+def laurent_fundamental(s: Stratum) -> bool:
+    """Whether the leading term beta is non-nilpotent, by the Laurent power
+    beta^n itself."""
+    return not power(s.leading, s.leading.n).is_zero()
+
+
+def full_scan_slope(m: LaurentMatrix) -> tuple[SlopeVerdict, list[Stratum], list[bool]]:
+    """Slope certification by brute force: the leading stratum at every J of
+    `parahoric_sets`, read off the degrees k e + f_a - f_b of every monomial
+    with f from `nested_loop_f`.  The first stratum that `laurent_fundamental`
+    finds non-nilpotent certifies; if none is, the first stratum of least
+    depth bounds.  Returns the verdict, every stratum, and the outcomes of
+    the nilpotency tests, which stop at the first fundamental stratum."""
+    if m.trunc is not None and m.trunc < 1:
+        raise TruncationError("slope certification needs the matrix known through z^0")
+    v = m.valuation()
+    if v is None or v >= 0:
+        return RegularSingularCandidate(), [], []
+    n = m.n
+    monos = list(m.monomials())
+    strata = []
+    for J in parahoric_sets(n):
+        e, f = len(J), nested_loop_f(n, J)
+        degs = [k * e + f[a] - f[b] for k, a, b, _ in monos]
+        dmin = min(degs)
+        lead: dict[int, Matrix] = {}
+        for (k, a, b, val), d in zip(monos, degs):
+            if d == dmin:
+                lead.setdefault(k, linalg.zeros(n, n))[a - 1][b - 1] = val
+        strata.append(Stratum(StandardParahoric(n, J), -dmin, LaurentMatrix(n, lead)))
+    tested = []
+    for s in strata:
+        tested.append(laurent_fundamental(s))
+        if tested[-1]:
+            return CertifiedSlope(s.depth, s), strata, tested
+    least = min(s.depth for s in strata)
+    return UpperBoundOnly(least, next(s for s in strata if s.depth == least)), strata, tested
 
 
 def cartan_rows(q: Quiver) -> tuple[tuple[int, ...], ...]:

@@ -711,6 +711,30 @@ def test_options_a_subcommand_does_not_read_exit_2(tmp_path, capsys):
         assert option in captured.err and value in captured.err, captured.err
 
 
+def test_negative_budget_exits_2_with_the_subcommand_usage(tmp_path, capsys):
+    orbits = _write(tmp_path, "d4.json", orbits=D4_GENERIC)
+    types = _write(tmp_path, "unram.json", types=WITNESS_TYPES)
+    z = _sc(0)
+    matrix = _write(tmp_path, "m.json", matrix=_laurent_doc(2, [(-1, [[z, _sc(1)], [z, z]])]))
+    inputs = {"fuchsian-ds": ["--input", orbits], "unramified-ds": ["--input", types],
+              "slope": ["--matrix", matrix]}
+    for command, args in inputs.items():
+        for budget in (["--budget", "-1"], ["--budget=-7"]):
+            argv = [command, *args, *budget]
+            assert run(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.startswith(f"usage: ds-kit {command} "), captured.err
+            value = budget[-1].rsplit("=", 1)[-1]
+            assert captured.err.endswith(
+                f"ds-kit {command}: error: argument --budget: must be 0 or more, got {value}\n"
+            ), captured.err
+        # a budget of 0 is a count like any other: the search stops at once
+        v = _verdict(capsys, [command, *args, "--budget", "0"], 3)
+        assert v["result"]["kind"] == "Inconclusive"
+        assert "exceeded budget of 0" in v["result"]["reason"]
+
+
 def test_option_before_the_subcommand_is_named(tmp_path, capsys):
     orbit = _write(tmp_path, "orb.json", orbit=NILP2)
     cox = ["coxeter-ds", "--n", "2", "--r", "1", "--p0", "0", "--orbit", orbit]

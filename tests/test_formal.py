@@ -1,6 +1,8 @@
 import itertools
 import random
 import time
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,12 +32,15 @@ from exact_oracles import (
     coxeter_canonical_type,
     echelon_solve,
     filtration_degree,
+    full_scan_slope,
     is_nonresonant,
     iwahori,
     lattice_exponent,
     mat_of,
     maximal,
+    nested_loop_f,
     one,
+    parahoric_sets,
     power,
 )
 
@@ -77,12 +82,13 @@ def test_parahoric_validation_and_normalization():
 
 
 def test_standard_parahorics_enumeration():
-    for n in range(1, 6):
+    for n in range(1, 10):
         ps = standard_parahorics(n)
         assert len(ps) == 2 ** (n - 1)
-        js = [p.J for p in ps]
-        assert js == sorted(js)
-        assert js[0] == (0,)
+        # the walk's order is the sorted list of combinations, and its f the
+        # nested loop over the steps of one period
+        assert [p.J for p in ps] == parahoric_sets(n)
+        assert [p._f for p in ps] == [nested_loop_f(n, p.J) for p in ps]
     assert [p.J for p in standard_parahorics(3)] == [(0,), (0, 1), (0, 1, 2), (0, 2)]
 
 
@@ -287,60 +293,80 @@ def test_fundamental_depths_agree_across_parahorics():
         assert min(s.depth for s in strata) == v.slope
 
 
-def _laurent_fundamental(s):
-    return not power(s.leading, s.leading.n).is_zero()
-
-
-def _full_scan(c):
-    """Slope certification by brute force, kept as the oracle for the pruned
-    scan: the leading stratum at every standard parahoric, with the Laurent
-    power beta^n as nilpotency test.  Returns the verdict and the strata."""
-    m = c.matrix
-    v = m.valuation()
-    if v is None or v >= 0:
-        return RegularSingularCandidate(), []
-    strata = [leading_stratum(p, c) for p in standard_parahorics(m.n)]
-    fundamental = [s for s in strata if _laurent_fundamental(s)]
-    if fundamental:
-        return CertifiedSlope(fundamental[0].depth, fundamental[0]), strata
-    least = min(s.depth for s in strata)
-    return UpperBoundOnly(least, next(s for s in strata if s.depth == least)), strata
-
-
 def _random_connection(rng):
-    n = rng.randint(1, 5)
+    n = rng.randint(1, 7)
     pole = rng.randint(0, 3)
     density = rng.choice([0.2, 0.35, 0.5])
     # a strictly upper triangular leading coefficient is nilpotent at the
-    # maximal parahoric, so the scan has to look past J = (0,)
-    upper = rng.random() < 0.4
+    # maximal parahoric, so the scan has to look past J = (0,); a diagonal
+    # or scalar one ties every parahoric at depth = pole
+    lead = rng.choice(["any", "any", "upper", "upper", "diagonal", "scalar"])
+    allowed = {
+        "any": lambda i, j: True,
+        "upper": lambda i, j: j > i,
+        "diagonal": lambda i, j: i == j,
+    }
+
+    def draw():
+        return Scalar(rng.choice([-2, -1, 1, 2]), rng.choice([0] * 5 + [1]))
+
     coeffs = {}
     for k in range(-pole, 2):
+        if k == -pole and lead == "scalar":
+            coeffs[k] = linalg.mat_scale(draw(), linalg.identity(n))
+            continue
+        keep = allowed[lead] if k == -pole else allowed["any"]
         mat = linalg.zeros(n, n)
         for i in range(n):
             for j in range(n):
-                if (k == -pole and upper and j <= i) or rng.random() >= density:
-                    continue
-                mat[i][j] = Scalar(rng.choice([-2, -1, 1, 2]), rng.choice([0] * 5 + [1]))
+                if keep(i, j) and rng.random() < density:
+                    mat[i][j] = draw()
         coeffs[k] = mat
-    return _conn(LaurentMatrix(n, coeffs))
+    # a truncation at or below z^0 must be refused; above, it drops terms
+    trunc = rng.randint(-pole, 2) if rng.random() < 0.25 else None
+    return _conn(LaurentMatrix(n, coeffs, trunc))
 
 
 def test_certify_slope_matches_full_scan_oracle():
     rng = random.Random(2013)
-    kinds = {CertifiedSlope: 0, UpperBoundOnly: 0, RegularSingularCandidate: 0}
-    past_first = 0
-    for _ in range(300):
+    seen = Counter()
+    for _ in range(1000):
         c = _random_connection(rng)
-        want, strata = _full_scan(c)
+        try:
+            want, strata, tested = full_scan_slope(c.matrix)
+        except TruncationError as exc:
+            with pytest.raises(TruncationError) as got:
+                certify_slope(c)
+            assert str(got.value) == str(exc)
+            seen["TruncationError"] += 1
+            continue
         got = certify_slope(c)
         assert got == want  # slope or bound, and witness J, depth_num, leading
-        for s in strata:
-            assert is_fundamental(s) == _laurent_fundamental(s)
-        kinds[type(want)] += 1
+        for s, fundamental in zip(strata, tested):
+            assert is_fundamental(s) == fundamental
+        seen[type(want).__name__] += 1
         if isinstance(want, CertifiedSlope) and want.witness.parahoric.J != (0,):
-            past_first += 1
-    assert min(kinds.values()) >= 20 and past_first >= 20, (kinds, past_first)
+            seen["past_first"] += 1
+        if c.n >= 3 and len({s.depth for s in strata}) == 1:
+            seen["all_tie"] += 1
+        if c.matrix.trunc is not None:
+            seen["truncated"] += 1
+        if c.n == 7:
+            seen["n=7"] += 1
+    assert len(seen) == 8 and min(seen.values()) >= 20, seen
+
+
+def test_certify_slope_holds_o_of_n_memory():
+    # the 2^15 parahorics at n = 16 are walked, never kept
+    c = _conn(omega_power(16, -1))
+    tracemalloc.start()
+    try:
+        v = certify_slope(c)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v.slope == Fraction(1, 16)
+    assert peak < 1_000_000, peak
 
 
 # ---------------------------------------------------------------------------
