@@ -7,11 +7,10 @@ strata, slope certification, and the Coxeter canonical form p(omega^{-1}).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from . import linalg
 from .core import ONE, ZERO, Scalar, ScalarLike
@@ -104,13 +103,7 @@ class StandardParahoric:
             raise InputError(f"J must lie inside 0..{n - 1}")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "J", jj)
-        # f[m] = 1 + #{j >= 1 : k_j <= n - m}, the j at which the exponent
-        # nu_j(m) of e_m jumps from 0 to 1 within one period (e if it never
-        # does), so the filtration degree of E_ab z^k is k e + f_a - f_b.
-        # _parahoric_walk keeps the same table as J grows.  bisect_right
-        # counts k_0 = 0 as the leading 1.
-        f = [0] + [bisect_right(jj, n - m) for m in range(1, n + 1)]
-        object.__setattr__(self, "_f", tuple(f))
+        object.__setattr__(self, "_f", tuple(_f_table(n, jj)))
 
     @property
     def e(self) -> int:
@@ -123,31 +116,39 @@ class StandardParahoric:
         return k * self.e + self._f[a] - self._f[b]
 
 
-def _parahoric_walk(n: int) -> Iterator[tuple[list[int], list[int]]]:
-    """(J, f) for every standard parahoric at size n, in lexicographic order
-    of J: a depth-first walk that appends k > max J before it moves on.
+def _f_table(n: int, J: Sequence[int]) -> list[int]:
+    """f[m] = 1 + #{j >= 1 : k_j <= n - m} for 1 <= m <= n, and f[0] = 0.
 
-    f[m] = 1 + #{j >= 1 : k_j <= n - m} for 1 <= m <= n, as in
-    StandardParahoric; when k joins J, f[m] goes up by one for every
-    m <= n - k.  Both lists are updated in place and stay O(n) in size, so
-    a caller copies what it keeps past the next step.
+    f[m] is the j at which the exponent nu_j(m) of e_m jumps from 0 to 1
+    within one period (e if it never does), so the filtration degree of
+    E_ab z^k is k e + f_a - f_b.  f[m] = j exactly for
+    n - k_j < m <= n - k_{j-1}, with k_e = n, so the table is built one run
+    of equal values at a time, j = e first.
+    """
+    f = [0]
+    hi = n
+    for j in range(len(J), 0, -1):
+        f += [j] * (hi - J[j - 1])
+        hi = J[j - 1]
+    return f
+
+
+def _parahoric_walk(n: int) -> Iterator[list[int]]:
+    """J for every standard parahoric at size n, in lexicographic order: a
+    depth-first walk that appends k > max J before it moves on.  J is one
+    list updated in place, O(n) in size, so a caller copies what it keeps
+    past the next step.
     """
     J = [0]
-    f = [0] + [1] * n
-    yield J, f
+    yield J
     k = 1
     while True:
         if k < n:
             J.append(k)
-            for m in range(1, n - k + 1):
-                f[m] += 1
-            yield J, f
+            yield J
             k += 1
         elif len(J) > 1:
-            k = J.pop()
-            for m in range(1, n - k + 1):
-                f[m] -= 1
-            k += 1
+            k = J.pop() + 1
         else:
             return
 
@@ -156,7 +157,7 @@ def standard_parahorics(n: int) -> list[StandardParahoric]:
     """All 2^(n-1) standard parahorics, ordered lexicographically by J."""
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
-    return [StandardParahoric(n, J) for J, _f in _parahoric_walk(n)]
+    return [StandardParahoric(n, J) for J in _parahoric_walk(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +265,8 @@ def _depths(n: int, entries: list[tuple[int, int, int]]) -> Iterator[tuple[list[
     where r/e is the depth of the connection there: r is minus the least
     graded degree k e + f_a - f_b over the entries (k, a, b), each entry
     (a, b) of M with k its least z-degree.  J is updated in place."""
-    for J, f in _parahoric_walk(n):
-        e = len(J)
+    for J in _parahoric_walk(n):
+        e, f = len(J), _f_table(n, J)
         yield J, e, -min([k * e + f[a] - f[b] for k, a, b in entries])
 
 

@@ -462,8 +462,8 @@ def full_scan_slope(m: LaurentMatrix) -> tuple[SlopeVerdict, list[Stratum], list
     `parahoric_sets`, read off the degrees k e + f_a - f_b of every monomial
     with f from `nested_loop_f`.  The first stratum that `laurent_fundamental`
     finds non-nilpotent certifies; if none is, the first stratum of least
-    depth bounds.  Returns the verdict, every stratum, and the outcomes of
-    the nilpotency tests, which stop at the first fundamental stratum."""
+    depth bounds.  Returns the verdict, every stratum, and whether each
+    stratum is fundamental."""
     if m.trunc is not None and m.trunc < 1:
         raise TruncationError("slope certification needs the matrix known through z^0")
     v = m.valuation()
@@ -481,13 +481,12 @@ def full_scan_slope(m: LaurentMatrix) -> tuple[SlopeVerdict, list[Stratum], list
             if d == dmin:
                 lead.setdefault(k, linalg.zeros(n, n))[a - 1][b - 1] = val
         strata.append(Stratum(StandardParahoric(n, J), -dmin, LaurentMatrix(n, lead)))
-    tested = []
-    for s in strata:
-        tested.append(laurent_fundamental(s))
-        if tested[-1]:
-            return CertifiedSlope(s.depth, s), strata, tested
+    fundamental = [laurent_fundamental(s) for s in strata]
+    if True in fundamental:
+        s = strata[fundamental.index(True)]
+        return CertifiedSlope(s.depth, s), strata, fundamental
     least = min(s.depth for s in strata)
-    return UpperBoundOnly(least, next(s for s in strata if s.depth == least)), strata, tested
+    return UpperBoundOnly(least, next(s for s in strata if s.depth == least)), strata, fundamental
 
 
 def cartan_rows(q: Quiver) -> tuple[tuple[int, ...], ...]:
