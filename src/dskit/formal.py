@@ -40,7 +40,9 @@ def regsing_normalize(c: FormalConnection, order: int) -> LaurentMatrix:
 
     Coefficient k solves the Sylvester equation
     (B_0 + kI) g_k - g_k B_0 = sum_{i<k} g_i B_{k-i}, whose left side is
-    singular exactly when two eigenvalues of B_0 differ by k.  Resonance is
+    singular exactly when two eigenvalues of B_0 differ by k.  Its operator
+    is that of x -> B_0 x - x B_0 plus k on the diagonal, so it is scaled to
+    Gaussian integers once, and each order only shifts it.  Resonance is
     not tested as such: ResonantError is raised only at a step whose
     equation is inconsistent.  At a singular but consistent step the free
     coordinates of g_k are set to zero, so a resonant residue can still get
@@ -62,12 +64,13 @@ def regsing_normalize(c: FormalConnection, order: int) -> LaurentMatrix:
     n = m.n
     b = [m.coeff(k) for k in range(order)]
     g: list[linalg.Matrix] = [linalg.identity(n)]
+    # n^4 entries, so built only when some order needs it
+    ad = linalg.sylvester_operator(b[0]) if order > 1 else None
     for k in range(1, order):
         rhs = linalg.zeros(n, n)
         for i in range(k):
             rhs = linalg.mat_add(rhs, linalg.mat_mul(g[i], b[k - i]))
-        shifted = linalg.mat_add(b[0], linalg.mat_scale(k, linalg.identity(n)))
-        sol = linalg.sylvester_solve(shifted, b[0], rhs)
+        sol = linalg.sylvester_solve(ad, k, rhs)
         if sol is None:
             raise ResonantError(
                 f"resonant residue: two eigenvalues of B_0 differ by {k}"

@@ -5,6 +5,8 @@ Scalars directly.  Elimination (`rank`, `solve`, `sylvester_solve`) and the
 nilpotency test first scale the matrix to Gaussian integers, held as
 parallel lists of Python ints for the real and imaginary parts, and then
 work fraction-free, so no `Fraction` is made until a solution is read off.
+A right-hand side is scaled apart from the rows, so its denominators never
+enter the operator, and a Sylvester operator is scaled once for all shifts.
 No pivoting heuristics are needed because the arithmetic is exact.
 """
 
@@ -19,6 +21,8 @@ from .errors import InputError
 
 Matrix = list[list[Scalar]]
 Vector = list[Scalar]
+# rows scaled to Z[i]: real parts, imaginary parts, and each row's scale
+GaussianRows = tuple[list[list[int]], list[list[int]], list[int]]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -69,19 +73,21 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     )
 
 
-def _gaussian_rows(a: Matrix) -> tuple[list[list[int]], list[list[int]]]:
-    """Real and imaginary parts of each row times the lcm of its denominators.
+def _gaussian_rows(a: Matrix) -> GaussianRows:
+    """Real and imaginary parts of each row times the lcm of its denominators, and the lcms.
 
     Scaling a row by a nonzero number keeps its row space, so elimination
     on these Gaussian-integer rows finds the same pivots as on `a`.
     """
     re_rows: list[list[int]] = []
     im_rows: list[list[int]] = []
+    dens: list[int] = []
     for row in a:
         den = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
         re_rows.append([x.re.numerator * (den // x.re.denominator) for x in row])
         im_rows.append([x.im.numerator * (den // x.im.denominator) for x in row])
-    return re_rows, im_rows
+        dens.append(den)
+    return re_rows, im_rows, dens
 
 
 def _gauss_jordan(re: list[list[int]], im: list[list[int]]) -> list[int]:
@@ -132,7 +138,32 @@ def _gauss_jordan(re: list[list[int]], im: list[list[int]]) -> list[int]:
 def rank(a: Matrix) -> int:
     if not a or not a[0]:
         return 0
-    return len(_gauss_jordan(*_gaussian_rows(a)))
+    return len(_gauss_jordan(*_gaussian_rows(a)[:2]))
+
+
+def _solve_scaled(re: list[list[int]], im: list[list[int]], dens: list[int],
+                  b: Vector) -> Vector | None:
+    """`solve` on row i of a times dens[i], given in Z[i] and reduced in place.
+
+    Row i of b is scaled by dens[i] too, and all of b by the lcm D of its own
+    denominators; the pivots stay, and x is the scaled system's solution / D.
+    """
+    cols = len(re[0]) if re else 0
+    big = lcm(*(y.re.denominator for y in b), *(y.im.denominator for y in b))
+    for ar, ai, d, y in zip(re, im, dens, b):
+        ar.append(y.re.numerator * (big // y.re.denominator) * d)
+        ai.append(y.im.numerator * (big // y.im.denominator) * d)
+    pivots = _gauss_jordan(re, im)
+    if cols in pivots:
+        return None
+    x = [ZERO] * cols
+    for r, c in enumerate(pivots):
+        # x_c = (last column) / (pivot entry) / D, both entries Gaussian integers
+        dr, di = re[r][c], im[r][c]
+        nrm = (dr * dr + di * di) * big
+        ur, ui = re[r][cols], im[r][cols]
+        x[c] = Scalar(Fraction(ur * dr + ui * di, nrm), Fraction(ui * dr - ur * di, nrm))
+    return x
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
@@ -140,21 +171,9 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
 
     Free variables are set to zero.
     """
-    rows, cols = dims(a)
-    if len(b) != rows:
+    if len(b) != len(a):
         raise InputError("right-hand side has wrong length")
-    re, im = _gaussian_rows([a[i] + [Scalar.of(b[i])] for i in range(rows)])
-    pivots = _gauss_jordan(re, im)
-    if cols in pivots:
-        return None
-    x = [ZERO] * cols
-    for r, c in enumerate(pivots):
-        # x_c = (last column) / (pivot entry), both Gaussian integers
-        dr, di = re[r][c], im[r][c]
-        nrm = dr * dr + di * di
-        ur, ui = re[r][cols], im[r][cols]
-        x[c] = Scalar(Fraction(ur * dr + ui * di, nrm), Fraction(ui * dr - ur * di, nrm))
-    return x
+    return _solve_scaled(*_gaussian_rows(a), [Scalar.of(y) for y in b])
 
 
 def is_nilpotent(a: Matrix) -> bool:
@@ -168,7 +187,7 @@ def is_nilpotent(a: Matrix) -> bool:
     if n != m:
         raise InputError("nilpotency needs a square matrix")
     # all n * n entries as one row share one denominator
-    (flat_re,), (flat_im,) = _gaussian_rows([[x for row in a for x in row]])
+    (flat_re,), (flat_im,), _ = _gaussian_rows([[x for row in a for x in row]])
     re = [flat_re[i * n : (i + 1) * n] for i in range(n)]
     im = [flat_im[i * n : (i + 1) * n] for i in range(n)]
     k = 1
@@ -184,33 +203,39 @@ def is_nilpotent(a: Matrix) -> bool:
     return not any(map(any, re)) and not any(map(any, im))
 
 
-def _sylvester_operator(p: Matrix, q: Matrix) -> Matrix:
-    """The matrix of x -> p x - x q on n x m matrices x stacked by rows: entry
-    ((i, j), (a, b)) is p_ia [j = b] - [i = a] q_bj."""
-    n = len(p)
-    m = len(q)
-    op = zeros(n * m, n * m)
+def sylvester_operator(b: Matrix) -> GaussianRows:
+    """The operator of x -> b x - x b on n x n matrices x stacked by rows,
+    scaled to Z[i] row by row, for `sylvester_solve`."""
+    n = len(b)
+    re_rows: list[list[int]] = []
+    im_rows: list[list[int]] = []
+    dens: list[int] = []
     for i in range(n):
-        for j in range(m):
-            row = op[i * m + j]
-            for a in range(n):
-                row[a * m + j] = p[i][a]
-            for b in range(m):
-                row[i * m + b] = row[i * m + b] - q[b][j]
-    return op
+        for j in range(n):
+            # (b x - x b)_ij = sum_a b_ia x_aj - sum_c x_ic b_cj
+            entries = {a * n + j: b[i][a] for a in range(n)}
+            for c in range(n):
+                entries[i * n + c] = entries.get(i * n + c, ZERO) - b[c][j]
+            (re,), (im,), (den,) = _gaussian_rows([list(entries.values())])
+            re_rows.append([0] * (n * n))
+            im_rows.append([0] * (n * n))
+            for col, x, y in zip(entries, re, im):
+                re_rows[-1][col], im_rows[-1][col] = x, y
+            dens.append(den)
+    return re_rows, im_rows, dens
 
 
-def sylvester_solve(p: Matrix, q: Matrix, rhs: Matrix) -> Matrix | None:
-    """One solution x of p x - x q = rhs, or None if the system is inconsistent.
-
-    When the operator is singular but the system consistent, the free
-    coordinates of x are set to zero.
+def sylvester_solve(op: GaussianRows, k: int, rhs: Matrix) -> Matrix | None:
+    """One solution x of (b + k) x - x b = rhs for op = `sylvester_operator(b)`,
+    with free coordinates set to zero, or None if the system is inconsistent.
+    The shift adds k times each row's scale to the diagonal of op.
     """
-    m = len(q)
-    sol = solve(_sylvester_operator(p, q), [entry for row in rhs for entry in row])
-    if sol is None:
-        return None
-    return [sol[i * m : (i + 1) * m] for i in range(len(p))]
+    n = len(rhs)
+    re, im, dens = [row[:] for row in op[0]], [row[:] for row in op[1]], op[2]
+    for r, d in enumerate(dens):
+        re[r][r] += k * d
+    sol = _solve_scaled(re, im, dens, [y for row in rhs for y in row])
+    return None if sol is None else [sol[i * n : (i + 1) * n] for i in range(n)]
 
 
 def jordan_type_of_nilpotent(a: Matrix) -> tuple[int, ...]:

@@ -4,13 +4,14 @@ The package answers its questions with `Scalar`, `linalg` and
 `LaurentMatrix` alone; the functions here give the tests independent ways to
 build inputs and to check answers: the dominance order, small scalar and
 orbit views, and matrix algebra the deciders do not need,
-elimination and matrix powers on Scalars (the oracles for `linalg`'s
-Gaussian-integer kernels), series algebra on `LaurentMatrix` (free functions
-taking the series first), the lattice-chain definition of the filtration
-degree and the parahoric helpers that only tests use, slope certification
-by a full scan of the parahorics (the oracle for `certify_slope`), the dense Cartan
-matrix of a quiver (the oracle for `Quiver`'s neighbour lists), the root
-and decomposition enumerations (the oracles for the table of best p-sums),
+elimination, matrix powers and the Kronecker Sylvester operator on Scalars
+(the oracles for `linalg`'s Gaussian-integer kernels), series algebra on
+`LaurentMatrix` (free functions taking the series first), the lattice-chain
+definition of the filtration degree and the parahoric helpers that only
+tests use, slope certification by a full scan of the parahorics (the
+oracle for `certify_slope`), the dense Cartan matrix of a quiver (the
+oracle for `Quiver`'s neighbour lists), the root and decomposition
+enumerations (the oracles for the table of best p-sums),
 the pairing beta . lambda, and sympy's factorization for nonresonance.
 sympy is a test dependency; it is imported only when `is_nonresonant` runs.
 """
@@ -269,11 +270,39 @@ def nullspace(a: Matrix) -> list[Vector]:
     return basis
 
 
+def sylvester_kron(p: Matrix, q: Matrix) -> Matrix:
+    """The matrix of x -> p x - x q on n x m matrices x stacked by rows: entry
+    ((i, j), (a, b)) is p_ia [j = b] - [i = a] q_bj, built on Scalars."""
+    n = len(p)
+    m = len(q)
+    op = zeros(n * m, n * m)
+    for i in range(n):
+        for j in range(m):
+            row = op[i * m + j]
+            for a in range(n):
+                row[a * m + j] = p[i][a]
+            for b in range(m):
+                row[i * m + b] = row[i * m + b] - q[b][j]
+    return op
+
+
+def echelon_sylvester_solve(b: Matrix, k: int, rhs: Matrix) -> Matrix | None:
+    """`linalg.sylvester_solve`'s contract by `echelon_solve` on the Scalar
+    operator of x -> (b + k) x - x b: one solution with its free coordinates
+    set to zero, or None if inconsistent."""
+    n = len(b)
+    shifted = linalg.mat_add(b, mat_scale(k, identity(n)))
+    sol = echelon_solve(sylvester_kron(shifted, b), [y for row in rhs for y in row])
+    if sol is None:
+        return None
+    return [sol[i * n : (i + 1) * n] for i in range(n)]
+
+
 def ad_eigen_shift_singular(b: Matrix, k: int) -> bool:
     """Whether x -> b x - x b - k x is singular, i.e. whether k is a
     difference of two eigenvalues of b."""
     n = len(b)
-    return rank(linalg._sylvester_operator(mat_sub(b, mat_scale(k, identity(n))), b)) < n * n
+    return rank(sylvester_kron(mat_sub(b, mat_scale(k, identity(n))), b)) < n * n
 
 
 def jordan_matrix(o: OrbitSpec) -> Matrix:

@@ -30,7 +30,7 @@ from dskit.rootsys import DEFAULT_BUDGET
 from exact_oracles import (
     block_sizes,
     coxeter_canonical_type,
-    echelon_solve,
+    echelon_sylvester_solve,
     filtration_degree,
     full_scan_slope,
     is_nonresonant,
@@ -524,9 +524,18 @@ def test_regsing_normalize_matches_the_echelon_solve_oracle(monkeypatch):
         if (n, kind, order) != (5, "generic", 8)
     ]
     got = [_gauge_or_error(m, order) for m, order in inputs]
-    monkeypatch.setattr(linalg, "solve", echelon_solve)
+    shifts = []
+
+    def oracle(b0, k, rhs):
+        shifts.append(k)
+        return echelon_sylvester_solve(b0, k, rhs)
+
+    # the oracle gets B_0 itself in place of the prepared operator
+    monkeypatch.setattr(linalg, "sylvester_operator", lambda b0: b0)
+    monkeypatch.setattr(linalg, "sylvester_solve", oracle)
     want = [_gauge_or_error(m, order) for m, order in inputs]
     assert got == want
+    assert shifts.count(1) == len(inputs), shifts
     raised = sum(isinstance(g, str) for g in got)
     assert 2 <= raised <= len(got) - 13, got
 

@@ -8,6 +8,7 @@ from exact_oracles import (
     det,
     echelon_rank,
     echelon_solve,
+    echelon_sylvester_solve,
     jordan_matrix,
     kron,
     mat_inv,
@@ -107,21 +108,21 @@ def test_sylvester_solve_roundtrip():
     rng = random.Random(17)
     for _ in range(15):
         n = rng.randint(1, 3)
-        p = _rand_matrix(rng, n)
-        q = _rand_matrix(rng, n)
+        b = _rand_matrix(rng, n)
+        k = rng.randint(0, 4)
         x = _rand_matrix(rng, n)
-        rhs = mat_sub(linalg.mat_mul(p, x), linalg.mat_mul(x, q))
-        sol = linalg.sylvester_solve(p, q, rhs)
+        shifted = linalg.mat_add(b, linalg.mat_scale(k, linalg.identity(n)))
+        rhs = mat_sub(linalg.mat_mul(shifted, x), linalg.mat_mul(x, b))
+        sol = linalg.sylvester_solve(linalg.sylvester_operator(b), k, rhs)
         assert sol is not None
-        assert mat_sub(linalg.mat_mul(p, sol), linalg.mat_mul(sol, q)) == rhs
+        assert mat_sub(linalg.mat_mul(shifted, sol), linalg.mat_mul(sol, b)) == rhs
 
 
 def test_sylvester_singular_detected():
-    # p and q share the eigenvalue 0, so PX - XQ = E11 has no solution
-    p = mat_of([[0, 0], [0, 2]])
-    q = mat_of([[0, 0], [0, 3]])
-    rhs = mat_of([[1, 0], [0, 0]])
-    assert linalg.sylvester_solve(p, q, rhs) is None
+    # b + 3 and b share the eigenvalue 3, so (b + 3) x - x b = E12 has no solution
+    b = mat_of([[0, 0], [0, 3]])
+    rhs = mat_of([[0, 1], [0, 0]])
+    assert linalg.sylvester_solve(linalg.sylvester_operator(b), 3, rhs) is None
 
 
 def test_ad_eigen_shift_singular():
@@ -168,20 +169,32 @@ def _combination(rng, rows):
     return out
 
 
-def _random_system(rng):
+def _sevens_entry(rng):
+    """A Gaussian rational whose denominators are powers of 7, times 11 or 13
+    at times, so unrelated to those of `_gaussian_entry`; non-real half the
+    time, zero a sixth."""
+    if rng.random() < 1 / 6:
+        return Scalar(0)
+    den = lambda: 7 ** rng.randint(1, 4) * rng.choice([1, 1, 11, 13])
+    im = Fraction(rng.randint(-60, 60), den()) if rng.random() < 0.5 else 0
+    return Scalar(Fraction(rng.randint(-60, 60), den()), im)
+
+
+def _random_system(rng, rhs_entry=_gaussian_entry):
     """A rectangular system a x = b, often with dependent rows, and with b
     often in the column space, so that singular consistent systems are as
-    common as inconsistent ones."""
+    common as inconsistent ones.  The entries of b, or of the x it comes
+    from, are drawn by rhs_entry."""
     rows, cols = rng.choice(SIZES), rng.choice(SIZES)
     a = [[_gaussian_entry(rng) for _ in range(cols)] for _ in range(rows)]
     for i in range(1, rows):
         if rng.random() < 0.35:
             a[i] = _combination(rng, a[:i])
     if rng.random() < 0.6:
-        x0 = [_gaussian_entry(rng) for _ in range(cols)]
+        x0 = [rhs_entry(rng) for _ in range(cols)]
         b = [sum((p * q for p, q in zip(row, x0)), Scalar(0)) for row in a]
     else:
-        b = [_gaussian_entry(rng) for _ in range(rows)]
+        b = [rhs_entry(rng) for _ in range(rows)]
     return a, b
 
 
@@ -217,6 +230,72 @@ def test_solve_and_rank_match_echelon_oracle():
     assert min(kinds.values()) >= 300, kinds
 
 
+def test_solve_with_right_hand_side_denominators_matches_echelon_oracle():
+    # b is scaled by a denominator of its own, apart from the rows of a
+    rng = random.Random(2027)
+    kinds = {"inconsistent": 0, "singular_consistent": 0, "nonreal_rhs": 0}
+    for _ in range(2000):
+        a, b = _random_system(rng, _sevens_entry)
+        want = echelon_solve(a, b)
+        assert linalg.solve(a, b) == want, (a, b)
+        if want is None:
+            kinds["inconsistent"] += 1
+        elif echelon_rank(a) < len(a[0]):
+            kinds["singular_consistent"] += 1
+        kinds["nonreal_rhs"] += any(y.im for y in b)
+    assert min(kinds.values()) >= 300, kinds
+
+
+def _hide_by_similarities(rng, a):
+    """n elementary similarities of the square matrix a, in place: row i += c
+    row j, then column j -= c column i."""
+    n = len(a)
+    for _ in range(n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = Scalar(rng.randint(-1, 1), rng.randint(-1, 1))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[j] = row[j] - c * row[i]
+
+
+def _residue_with_gaps(rng, n):
+    """A dense n x n matrix with eigenvalues lam + d_i, the d_i drawn from
+    0..5 with repeats, lam non-real half the time: an upper-triangular
+    matrix hidden by elementary similarities.  Returns it and the d_i."""
+    lam = Scalar(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 7])),
+                 rng.choice([0, Fraction(1, 3)]))
+    gaps = [rng.randint(0, 5) for _ in range(n)]
+    b = [[lam + gaps[i] if i == j else _gaussian_entry(rng) if j > i else Scalar(0)
+          for j in range(n)] for i in range(n)]
+    _hide_by_similarities(rng, b)
+    return b, gaps
+
+
+def test_sylvester_solve_matches_the_kronecker_oracle():
+    # (b + k) x - x b is singular exactly when k is a difference of two gaps
+    rng = random.Random(2028)
+    kinds = {"resonant_inconsistent": 0, "resonant_consistent": 0, "regular": 0}
+    for _ in range(50):
+        n = rng.choice([1, 2, 2, 3, 3, 3, 4])
+        b, gaps = _residue_with_gaps(rng, n)
+        op = linalg.sylvester_operator(b)
+        for k in range(9):
+            shifted = linalg.mat_add(b, linalg.mat_scale(k, linalg.identity(n)))
+            x = [[_sevens_entry(rng) for _ in range(n)] for _ in range(n)]
+            image = mat_sub(linalg.mat_mul(shifted, x), linalg.mat_mul(x, b))
+            drawn = [[_sevens_entry(rng) for _ in range(n)] for _ in range(n)]
+            for rhs in (image, drawn):
+                want = echelon_sylvester_solve(b, k, rhs)
+                assert linalg.sylvester_solve(op, k, rhs) == want, (b, k, rhs)
+                if k not in {p - q for p in gaps for q in gaps}:
+                    kinds["regular"] += 1
+                elif want is None:
+                    kinds["resonant_inconsistent"] += 1
+                elif k > 0:
+                    kinds["resonant_consistent"] += 1
+    assert min(kinds.values()) >= 50, kinds
+
+
 def test_solve_degenerate_shapes():
     assert linalg.solve([], []) == []
     assert linalg.solve([[], []], [Scalar(0), Scalar(0)]) == []
@@ -230,19 +309,13 @@ def _random_square(rng, n):
     if kind == 0:  # generic, rarely nilpotent
         return [[_gaussian_entry(rng) for _ in range(n)] for _ in range(n)]
     # strictly upper triangular, sometimes with one diagonal entry spoiled,
-    # then hidden by elementary similarities (row i += c row j, column j -=
-    # c column i) and scaled by a Gaussian rational
+    # then hidden by elementary similarities and scaled by a Gaussian rational
     a = [[Scalar(rng.randint(-2, 2), rng.choice([0, 0, 1])) if j > i else Scalar(0)
           for j in range(n)] for i in range(n)]
     if kind == 2:
         i = rng.randrange(n)
         a[i][i] = Scalar(rng.choice([-1, 1]), rng.choice([0, 1]))
-    for _ in range(n if n > 1 else 0):
-        i, j = rng.sample(range(n), 2)
-        c = Scalar(rng.randint(-1, 1), rng.randint(-1, 1))
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        for row in a:
-            row[j] = row[j] - c * row[i]
+    _hide_by_similarities(rng, a)
     s = Scalar(Fraction(rng.randint(1, 3), rng.randint(1, 3)), rng.choice([0, Fraction(1, 2)]))
     return [[s * x for x in row] for row in a]
 
