@@ -31,7 +31,6 @@ from .coxeter import (
 )
 from .errors import (
     BudgetExceededError,
-    DescentGuardError,
     DsKitError,
     InputError,
     ResonantError,
@@ -87,7 +86,6 @@ __all__ = [
     "CharPolySpec",
     "CoxeterFormalType",
     "DEFAULT_BUDGET",
-    "DescentGuardError",
     "DsKitError",
     "FormalConnection",
     "FuchsianRigidity",

@@ -28,7 +28,7 @@ from .coxeter import (
     is_rigid_coxeter_gl,
     rigid_table_simple_type,
 )
-from .errors import BudgetExceededError, DescentGuardError, InputError
+from .errors import BudgetExceededError, InputError
 from .formal import (
     CertifiedSlope,
     CoxeterFormalType,
@@ -418,7 +418,7 @@ def run(argv: Sequence[str]) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceededError, DescentGuardError) as exc:
+    except BudgetExceededError as exc:
         result = {"kind": "Inconclusive", "reason": str(exc)}
         ctx["notes"].append(str(exc))
         code = 3

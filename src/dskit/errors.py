@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: InputError -> 2, BudgetExceededError and
-DescentGuardError -> 3. Everything else is a genuine bug.
+The CLI maps these onto exit codes: InputError -> 2, BudgetExceededError -> 3.
+Everything else is a genuine bug.
 """
 
 from __future__ import annotations
@@ -26,6 +26,3 @@ class TruncationError(InputError):
 class BudgetExceededError(DsKitError):
     """An exhaustive search hit its node budget before reaching a verdict."""
 
-
-class DescentGuardError(DsKitError):
-    """Root-classification descent exceeded its height bound (should not happen)."""

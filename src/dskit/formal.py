@@ -16,7 +16,7 @@ from . import linalg
 from .core import ONE, ZERO, Scalar, ScalarLike
 from .errors import BudgetExceededError, InputError, ResonantError, TruncationError
 from .laurent import LaurentMatrix
-from .rootsys import DEFAULT_BUDGET
+from .rootsys import DEFAULT_BUDGET, _check_budget
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,11 @@ def regsing_normalize(c: FormalConnection, order: int) -> LaurentMatrix:
     # n^4 entries, so built only when some order needs it
     ad = linalg.sylvester_operator(b[0]) if order > 1 else None
     for k in range(1, order):
-        rhs = linalg.zeros(n, n)
-        for i in range(k):
-            rhs = linalg.mat_add(rhs, linalg.mat_mul(g[i], b[k - i]))
+        # sum_{i<k} g_i B_{k-i} as one product: [g_0 ... g_{k-1}] times [B_k; ...; B_1]
+        rhs = linalg.mat_mul(
+            [[x for gi in g for x in gi[r]] for r in range(n)],
+            [row for bi in reversed(b[1 : k + 1]) for row in bi],
+        )
         sol = linalg.sylvester_solve(ad, k, rhs)
         if sol is None:
             raise ResonantError(
@@ -301,6 +303,7 @@ def certify_slope(c: FormalConnection, budget: int | None = DEFAULT_BUDGET) -> S
     charged before either walk; BudgetExceededError if they do not fit.
     The default DEFAULT_BUDGET fits every n <= 21; None means no budget.
     """
+    _check_budget(budget)
     m = c.matrix
     if m.trunc is not None and m.trunc < 1:
         raise TruncationError(

@@ -66,22 +66,19 @@ def build_cb_data(
                 f"orbit {idx} has two eigenvalues differing by a nonzero integer"
             )
     if seqs is None:
-        chosen = tuple(o.default_factor_sequence() for o in orbits)
-    else:
-        if len(seqs) != len(orbits):
-            raise InputError("one factor sequence per orbit required")
-        chosen = tuple(
-            o.validate_factor_sequence(s) for o, s in zip(orbits, seqs)
-        )
+        seqs = [o.default_factor_sequence() for o in orbits]
+    elif len(seqs) != len(orbits):
+        raise InputError("one factor sequence per orbit required")
 
     vertices: list[Vertex] = [0]
     arrows: list[tuple[Vertex, Vertex]] = []
     alpha: dict[Vertex, int] = {0: n}
     lam_0 = Scalar(0)
     lam: dict[Vertex, Scalar] = {}
-    for i, (o, seq) in enumerate(zip(orbits, chosen), start=1):
+    for i, (o, s) in enumerate(zip(orbits, seqs), start=1):
+        seq = [Scalar.of(x) for x in s]
         d = len(seq)
-        ranks = factor_ranks(o, seq)
+        ranks = factor_ranks(o, seq)  # validates seq
         lam_0 = lam_0 - seq[0]
         for j in range(1, d):
             v = (i, j)

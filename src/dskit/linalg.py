@@ -2,12 +2,13 @@
 
 Matrices are plain lists of lists of Scalar.  Products and sums work on
 Scalars directly.  Elimination (`rank`, `solve`, `sylvester_solve`) and the
-nilpotency test first scale the matrix to Gaussian integers, held as
-parallel lists of Python ints for the real and imaginary parts, and then
-work fraction-free, so no `Fraction` is made until a solution is read off.
-A right-hand side is scaled apart from the rows, so its denominators never
-enter the operator, and a Sylvester operator is scaled once for all shifts.
-No pivoting heuristics are needed because the arithmetic is exact.
+nilpotency test first scale the matrix to Gaussian integers by one common
+denominator (`gaussian`), held as parallel lists of Python ints for the real
+and imaginary parts, and then work fraction-free, so no `Fraction` is made
+until a solution is read off.  A right-hand side is scaled apart from the
+matrix, so its denominators never enter the operator, and a Sylvester
+operator is scaled once for all shifts.  No pivoting heuristics are needed
+because the arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .errors import InputError
 
 Matrix = list[list[Scalar]]
 Vector = list[Scalar]
-# rows scaled to Z[i]: real parts, imaginary parts, and each row's scale
-GaussianRows = tuple[list[list[int]], list[list[int]], list[int]]
+# a matrix scaled to Z[i]: real parts, imaginary parts, and the scale
+Gaussian = tuple[list[list[int]], list[list[int]], int]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -73,21 +74,19 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     )
 
 
-def _gaussian_rows(a: Matrix) -> GaussianRows:
-    """Real and imaginary parts of each row times the lcm of its denominators, and the lcms.
+def gaussian(a: Matrix) -> Gaussian:
+    """The real and imaginary parts of a times the lcm den of all its
+    denominators, and den, so that a = (re + i im) / den.
 
-    Scaling a row by a nonzero number keeps its row space, so elimination
-    on these Gaussian-integer rows finds the same pivots as on `a`.
+    One scale for the whole matrix keeps its row space, the solutions of a
+    system, its nilpotency and the zeros of a form.
     """
-    re_rows: list[list[int]] = []
-    im_rows: list[list[int]] = []
-    dens: list[int] = []
-    for row in a:
-        den = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
-        re_rows.append([x.re.numerator * (den // x.re.denominator) for x in row])
-        im_rows.append([x.im.numerator * (den // x.im.denominator) for x in row])
-        dens.append(den)
-    return re_rows, im_rows, dens
+    den = lcm(*(x.denominator for row in a for s in row for x in (s.re, s.im)))
+    return (
+        [[s.re.numerator * (den // s.re.denominator) for s in row] for row in a],
+        [[s.im.numerator * (den // s.im.denominator) for s in row] for row in a],
+        den,
+    )
 
 
 def _gauss_jordan(re: list[list[int]], im: list[list[int]]) -> list[int]:
@@ -138,21 +137,21 @@ def _gauss_jordan(re: list[list[int]], im: list[list[int]]) -> list[int]:
 def rank(a: Matrix) -> int:
     if not a or not a[0]:
         return 0
-    return len(_gauss_jordan(*_gaussian_rows(a)[:2]))
+    return len(_gauss_jordan(*gaussian(a)[:2]))
 
 
-def _solve_scaled(re: list[list[int]], im: list[list[int]], dens: list[int],
+def _solve_scaled(re: list[list[int]], im: list[list[int]], den: int,
                   b: Vector) -> Vector | None:
-    """`solve` on row i of a times dens[i], given in Z[i] and reduced in place.
+    """`solve` on a times den, given in Z[i] and reduced in place.
 
-    Row i of b is scaled by dens[i] too, and all of b by the lcm D of its own
-    denominators; the pivots stay, and x is the scaled system's solution / D.
+    b is scaled by den too, and by the lcm D of its own denominators; the
+    pivots stay, and x is the scaled system's solution / D.
     """
     cols = len(re[0]) if re else 0
-    big = lcm(*(y.re.denominator for y in b), *(y.im.denominator for y in b))
-    for ar, ai, d, y in zip(re, im, dens, b):
-        ar.append(y.re.numerator * (big // y.re.denominator) * d)
-        ai.append(y.im.numerator * (big // y.im.denominator) * d)
+    (bre,), (bim,), big = gaussian([b])
+    for ar, ai, yr, yi in zip(re, im, bre, bim):
+        ar.append(yr * den)
+        ai.append(yi * den)
     pivots = _gauss_jordan(re, im)
     if cols in pivots:
         return None
@@ -173,7 +172,7 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     """
     if len(b) != len(a):
         raise InputError("right-hand side has wrong length")
-    return _solve_scaled(*_gaussian_rows(a), [Scalar.of(y) for y in b])
+    return _solve_scaled(*gaussian(a), [Scalar.of(y) for y in b])
 
 
 def is_nilpotent(a: Matrix) -> bool:
@@ -186,10 +185,7 @@ def is_nilpotent(a: Matrix) -> bool:
     n, m = dims(a)
     if n != m:
         raise InputError("nilpotency needs a square matrix")
-    # all n * n entries as one row share one denominator
-    (flat_re,), (flat_im,), _ = _gaussian_rows([[x for row in a for x in row]])
-    re = [flat_re[i * n : (i + 1) * n] for i in range(n)]
-    im = [flat_im[i * n : (i + 1) * n] for i in range(n)]
+    re, im, _ = gaussian(a)
     k = 1
     while k < n:
         re_t, im_t = list(zip(*re)), list(zip(*im))
@@ -203,38 +199,35 @@ def is_nilpotent(a: Matrix) -> bool:
     return not any(map(any, re)) and not any(map(any, im))
 
 
-def sylvester_operator(b: Matrix) -> GaussianRows:
+def sylvester_operator(b: Matrix) -> Gaussian:
     """The operator of x -> b x - x b on n x n matrices x stacked by rows,
-    scaled to Z[i] row by row, for `sylvester_solve`."""
+    written from `gaussian(b)`: the operator times b's common denominator
+    den, and den, for `sylvester_solve`."""
     n = len(b)
-    re_rows: list[list[int]] = []
-    im_rows: list[list[int]] = []
-    dens: list[int] = []
-    for i in range(n):
-        for j in range(n):
-            # (b x - x b)_ij = sum_a b_ia x_aj - sum_c x_ic b_cj
-            entries = {a * n + j: b[i][a] for a in range(n)}
-            for c in range(n):
-                entries[i * n + c] = entries.get(i * n + c, ZERO) - b[c][j]
-            (re,), (im,), (den,) = _gaussian_rows([list(entries.values())])
-            re_rows.append([0] * (n * n))
-            im_rows.append([0] * (n * n))
-            for col, x, y in zip(entries, re, im):
-                re_rows[-1][col], im_rows[-1][col] = x, y
-            dens.append(den)
-    return re_rows, im_rows, dens
+    br, bi, den = gaussian(b)
+    ops: tuple[list[list[int]], list[list[int]]] = ([], [])
+    for parts, op in zip((br, bi), ops):
+        for i in range(n):
+            for j in range(n):
+                # (b x - x b)_ij = sum_a b_ia x_aj - sum_c x_ic b_cj
+                row = [0] * (n * n)
+                row[j::n] = parts[i]
+                block = slice(i * n, i * n + n)
+                row[block] = [x - bc[j] for x, bc in zip(row[block], parts)]
+                op.append(row)
+    return *ops, den
 
 
-def sylvester_solve(op: GaussianRows, k: int, rhs: Matrix) -> Matrix | None:
+def sylvester_solve(op: Gaussian, k: int, rhs: Matrix) -> Matrix | None:
     """One solution x of (b + k) x - x b = rhs for op = `sylvester_operator(b)`,
     with free coordinates set to zero, or None if the system is inconsistent.
-    The shift adds k times each row's scale to the diagonal of op.
+    The shift adds k times op's scale to its diagonal.
     """
     n = len(rhs)
-    re, im, dens = [row[:] for row in op[0]], [row[:] for row in op[1]], op[2]
-    for r, d in enumerate(dens):
-        re[r][r] += k * d
-    sol = _solve_scaled(re, im, dens, [y for row in rhs for y in row])
+    re, im, den = [row[:] for row in op[0]], [row[:] for row in op[1]], op[2]
+    for r, row in enumerate(re):
+        row[r] += k * den
+    sol = _solve_scaled(re, im, den, [y for row in rhs for y in row])
     return None if sol is None else [sol[i * n : (i + 1) * n] for i in range(n)]
 
 

@@ -29,8 +29,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Hashable, Iterator, Mapping, Sequence, Union
 
+from . import linalg
 from .core import Scalar, ScalarLike
-from .errors import BudgetExceededError, DescentGuardError, InputError
+from .errors import BudgetExceededError, InputError
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -160,8 +161,8 @@ def classify_root(q: Quiver, beta: VecLike) -> RootClass:
         b = [-x for x in b]
     if any(x < 0 for x in b):
         return RootClass.NOT_ROOT
-    guard = 4 * sum(b)
-    for _ in range(guard + 1):
+    # each reflection lowers the height sum(b) by at least 1, so this ends
+    while True:
         if sum(b) == 1:
             return RootClass.REAL
         pair = q._pair(b)
@@ -173,9 +174,12 @@ def classify_root(q: Quiver, beta: VecLike) -> RootClass:
         b[k] -= pair[k]
         if b[k] < 0:
             return RootClass.NOT_ROOT
-    raise DescentGuardError(
-        f"descent did not settle within {guard} reflections"
-    )
+
+
+def _check_budget(budget: int | None) -> None:
+    """A budget is a count of nodes, so a negative one is malformed."""
+    if budget is not None and budget < 0:
+        raise InputError(f"budget must be 0 or more, got {budget}")
 
 
 def _after_box(alpha: Sequence[int], budget: int | None) -> float:
@@ -196,9 +200,8 @@ def _lambda_numerators(
     unknown = set(lam) - q._index.keys()
     if unknown:
         raise InputError(f"unknown vertices in deformation vector: {sorted(map(repr, unknown))}")
-    lv = [Scalar.of(lam.get(v, 0)) for v in q.vertices]
-    den = math.lcm(*(x.denominator for s in lv for x in (s.re, s.im)))
-    return [int(s.re * den) for s in lv], [int(s.im * den) for s in lv], den
+    (re,), (im,), den = linalg.gaussian([[Scalar.of(lam.get(v, 0)) for v in q.vertices]])
+    return re, im, den
 
 
 def _split_point(alpha: Sequence[int]) -> int:
@@ -255,6 +258,7 @@ def sigma_candidates(
     joined vectors come in lexicographic order, and only they reach
     classify_root, which cannot raise on a nonnegative vector.
     """
+    _check_budget(budget)
     if classify_root(q, alpha) is RootClass.NOT_ROOT:
         return None
     re, im, _ = _lambda_numerators(q, lam)
@@ -287,6 +291,7 @@ def best_p_sums(
     top bit, so an extension is one addition, and it stays under alpha iff
     adding each field's headroom sets no top bit.
     """
+    _check_budget(budget)
     left = _after_box(alpha, budget)
     widths = [x.bit_length() + 1 for x in alpha]
     shifts = [0, *itertools.accumulate(widths)]

@@ -153,24 +153,16 @@ class HiroeData(CBData):
         return three is None or three < p_alpha, two is None or two < p_alpha
 
 
-def build_hiroe_data(
-    types: Sequence[UnramFormalType],
-    _allow_regular_type0: bool = False,
-) -> HiroeData:
+def build_hiroe_data(types: Sequence[UnramFormalType]) -> HiroeData:
     """Assemble the quiver, alpha, lambda, and lattice data for a tuple of
-    unramified formal types. The first type must be irregular.
-
-    _allow_regular_type0 drops that guard so an all-regular tuple can be fed
-    through the same construction (it then degenerates to the Fuchsian star);
-    used for structural cross-checks, not part of the public contract.
-    """
+    unramified formal types. The first type must be irregular."""
     types = tuple(types)
     if not types:
         raise InputError("need at least one formal type")
     n = types[0].n
     if any(t.n != n for t in types):
         raise InputError("all formal types must share the same rank n")
-    if not _allow_regular_type0 and not types[0].is_irregular():
+    if not types[0].is_irregular():
         raise InputError(
             "type 0 must be irregular (reorder so an irregular type comes first)"
         )

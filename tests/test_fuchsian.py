@@ -279,6 +279,21 @@ def test_invalid_factor_sequence_rejected():
         fuchsian_ds_exists(orbits, [[0, 1], [0, 0], [0, 0]])
 
 
+def test_explicit_factor_sequences_are_validated_once_per_orbit(monkeypatch):
+    calls = []
+    validate = OrbitSpec.validate_factor_sequence
+
+    def spy(self, seq):
+        calls.append(self)
+        return validate(self, seq)
+
+    monkeypatch.setattr(OrbitSpec, "validate_factor_sequence", spy)
+    orbits = [NILP2, NILP2, OrbitSpec(2, [(0, (1,)), (Fraction(1, 2), (1,))])]
+    data = build_cb_data(orbits, [[0, 0], [0, 0], [Fraction(1, 2), 0]])
+    assert calls == orbits
+    assert data.lam[(3, 1)] == Scalar(Fraction(1, 2))
+
+
 def test_budget_surfacing():
     big = OrbitSpec(4, [(0, (2, 2))])
     orbits = [big] * 4

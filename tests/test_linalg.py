@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from exact_oracles import (
     mat_pow,
     mat_sub,
     nullspace,
+    sylvester_kron,
     trace,
     transpose,
 )
@@ -294,6 +296,44 @@ def test_sylvester_solve_matches_the_kronecker_oracle():
                 elif k > 0:
                     kinds["resonant_consistent"] += 1
     assert min(kinds.values()) >= 50, kinds
+
+
+def test_gaussian_scales_by_the_least_common_denominator():
+    rng = random.Random(2031)
+    draws = [[[Scalar(0)] * 3] * 2, [[]]]
+    for _ in range(300):
+        rows, cols = rng.choice(SIZES), rng.choice(SIZES)
+        # denominators mixed within one matrix, on real and imaginary parts
+        draws.append([[rng.choice([_gaussian_entry, _sevens_entry])(rng) for _ in range(cols)]
+                      for _ in range(rows)])
+    for a in draws:
+        re, im, den = linalg.gaussian(a)
+        assert [[Scalar(Fraction(x, den), Fraction(y, den)) for x, y in zip(xr, yr)]
+                for xr, yr in zip(re, im)] == a
+        # every scale that makes a integral is a multiple of the least one, so
+        # a larger den would divide every part of den * a along with den
+        assert math.gcd(den, *(x for rows in (re, im) for row in rows for x in row)) == 1
+    assert linalg.gaussian(draws[0]) == ([[0] * 3] * 2, [[0] * 3] * 2, 1)
+
+
+def test_sylvester_operator_is_the_kronecker_oracle_over_one_denominator():
+    # b's diagonal is m/9 + (m mod 3)/2 i plus an integer, no two entries an
+    # integer apart, and the rest of b is integral: so the rows (i, i) of the
+    # operator are integral and the others are not, and all share b's scale
+    rng = random.Random(2032)
+    for _ in range(40):
+        n = rng.choice([2, 2, 3, 3, 4, 5])
+        b = [[Scalar(Fraction(i, 9) + rng.randint(-2, 2), Fraction(i % 3, 2)) if i == j
+              else Scalar(rng.randint(-3, 3), rng.randint(-1, 1)) for j in range(n)]
+             for i in range(n)]
+        want = sylvester_kron(b, b)
+        integral = [all(x.re.denominator == x.im.denominator == 1 for x in row) for row in want]
+        assert integral == [r % (n + 1) == 0 for r in range(n * n)]
+        re, im, den = linalg.sylvester_operator(b)
+        assert den == linalg.gaussian(b)[2] > 1
+        assert [[Scalar(x, y) for x, y in zip(xr, yr)] for xr, yr in zip(re, im)] == [
+            [den * x for x in row] for row in want
+        ]
 
 
 def test_solve_degenerate_shapes():

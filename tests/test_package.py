@@ -1,7 +1,18 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import dskit
+from dskit import (
+    FormalConnection,
+    InputError,
+    LaurentMatrix,
+    OrbitSpec,
+    Quiver,
+    UnramBlock,
+    UnramFormalType,
+)
 
 
 def test_every_public_name_imported_by_the_package_is_exported():
@@ -16,3 +27,32 @@ def test_every_public_name_imported_by_the_package_is_exported():
     assert "standard_parahorics" in imported
     assert sorted(imported - set(dskit.__all__)) == []
     assert all(hasattr(dskit, name) for name in dskit.__all__)
+
+
+
+def _scalar_orbit(c):
+    return OrbitSpec(1, [(c, (1,))])
+
+
+_TYPE = UnramFormalType([UnramBlock([q], 1, _scalar_orbit(1)) for q in (1, -1)])
+_NO_POLE = FormalConnection(LaurentMatrix.zero(2))
+
+# each input is decided without a search, so a budget is never charged
+_UNCHARGED = {
+    # (1, 1) is not a root of two vertices without arrows
+    "in_sigma_lambda": lambda b: dskit.in_sigma_lambda(Quiver([0, 1], []), (1, 1), {}, b),
+    # the eigenvalues sum to 2, so alpha . lambda != 0
+    "fuchsian_ds_exists": lambda b: dskit.fuchsian_ds_exists([_scalar_orbit(1)] * 2, budget=b),
+    "fuchsian_rigidity": lambda b: dskit.fuchsian_rigidity([_scalar_orbit(1)] * 2, budget=b),
+    "unramified_ds_exists": lambda b: dskit.unramified_ds_exists([_TYPE], budget=b),
+    # no pole, so no parahoric is scanned
+    "certify_slope": lambda b: dskit.certify_slope(_NO_POLE, b),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_UNCHARGED))
+def test_a_negative_budget_is_malformed_at_every_public_entry(entry):
+    decide = _UNCHARGED[entry]
+    with pytest.raises(InputError, match=r"^budget must be 0 or more, got -1$"):
+        decide(-1)
+    assert decide(0) == decide(None)

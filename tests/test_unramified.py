@@ -219,10 +219,12 @@ def _h2f(v):
         ],
     ],
 )
-def test_all_regular_tuple_degenerates_to_star(orbits):
+def test_all_regular_tuple_degenerates_to_star(orbits, monkeypatch):
     n = orbits[0].n
     types = [UnramFormalType([UnramBlock([], n, o)]) for o in orbits]
-    h = build_hiroe_data(types, _allow_regular_type0=True)
+    # past the guard that type 0 is irregular, the construction is the star's
+    monkeypatch.setattr(UnramFormalType, "is_irregular", lambda self: True)
+    h = build_hiroe_data(types)
     f = build_cb_data(orbits)
     assert h.lattice_pairs == ()
     assert {_h2f(v): a for v, a in h.alpha.items()} == f.alpha
