@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 from . import linalg
@@ -46,7 +46,9 @@ def regsing_normalize(c: FormalConnection, order: int) -> LaurentMatrix:
     not tested as such: ResonantError is raised only at a step whose
     equation is inconsistent.  At a singular but consistent step the free
     coordinates of g_k are set to zero, so a resonant residue can still get
-    a gauge (a constant M = diag(0, 1) gets the identity).
+    a gauge (a constant M = diag(0, 1) gets the identity).  The B_k share one
+    denominator, each g_k is held over Z[i] with its least denominator, and
+    Scalars are made only for the returned gauge.
     """
     if order < 1:
         raise InputError(f"need order >= 1, got {order}")
@@ -62,23 +64,24 @@ def regsing_normalize(c: FormalConnection, order: int) -> LaurentMatrix:
             f"matrix is known only below z^{m.trunc}, need order {order}"
         )
     n = m.n
-    b = [m.coeff(k) for k in range(order)]
-    g: list[linalg.Matrix] = [linalg.identity(n)]
+    # [B_{order-1}; ...; B_1] over one denominator, so [B_k; ...; B_1] is a tail
+    hr, hi, hden = linalg.gaussian([row for k in range(order - 1, 0, -1) for row in m.coeff(k)])
     # n^4 entries, so built only when some order needs it
-    ad = linalg.sylvester_operator(b[0]) if order > 1 else None
+    ad = linalg.sylvester_operator(m.coeff(0)) if order > 1 else None
+    g = [linalg.gaussian(linalg.identity(n))]
     for k in range(1, order):
-        # sum_{i<k} g_i B_{k-i} as one product: [g_0 ... g_{k-1}] times [B_k; ...; B_1]
-        rhs = linalg.mat_mul(
-            [[x for gi in g for x in gi[r]] for r in range(n)],
-            [row for bi in reversed(b[1 : k + 1]) for row in bi],
-        )
-        sol = linalg.sylvester_solve(ad, k, rhs)
+        # sum_{i<k} g_i B_{k-i} = [g_0 ... g_{k-1}] [B_k; ...; B_1], the g_i over one denominator
+        den = lcm(*(d for _, _, d in g))
+        lr = [[x * (den // d) for re, _, d in g for x in re[r]] for r in range(n)]
+        li = [[x * (den // d) for _, im, d in g for x in im[r]] for r in range(n)]
+        rhs = linalg.gaussian_mul(lr, li, hr[(order - 1 - k) * n :], hi[(order - 1 - k) * n :])
+        sol = linalg.sylvester_solve(ad, k, (*rhs, den * hden))
         if sol is None:
             raise ResonantError(
                 f"resonant residue: two eigenvalues of B_0 differ by {k}"
             )
         g.append(sol)
-    return LaurentMatrix(n, dict(enumerate(g)), trunc=order)
+    return LaurentMatrix(n, {k: linalg.from_gaussian(gk) for k, gk in enumerate(g)}, trunc=order)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any, NoReturn
 
 from . import linalg
-from .core import OrbitSpec, Scalar
+from .core import ZERO, OrbitSpec, Scalar
 from .errors import InputError
 from .laurent import LaurentMatrix
 from .unramified import UnramBlock, UnramFormalType
@@ -41,6 +41,8 @@ def parse_scalar(obj: Any, path: str) -> Scalar:
                     "[re_num, re_den, im_num, im_den]")
     if obj[1] == 0 or obj[3] == 0:
         _fail(path, "scalar denominator must be nonzero")
+    if obj[0] == 0 and obj[2] == 0:
+        return ZERO
     return Scalar(Fraction(obj[0], obj[1]), Fraction(obj[2], obj[3]))
 
 

@@ -1,20 +1,20 @@
 """Dense exact linear algebra over the Gaussian rationals.
 
-Matrices are plain lists of lists of Scalar.  Products and sums work on
-Scalars directly.  Elimination (`rank`, `solve`, `sylvester_solve`) and the
-nilpotency test first scale the matrix to Gaussian integers by one common
-denominator (`gaussian`), held as parallel lists of Python ints for the real
-and imaginary parts, and then work fraction-free, so no `Fraction` is made
-until a solution is read off.  A right-hand side is scaled apart from the
-matrix, so its denominators never enter the operator, and a Sylvester
-operator is scaled once for all shifts.  No pivoting heuristics are needed
-because the arithmetic is exact.
+Matrices are plain lists of lists of Scalar.  Elimination (`rank`, `solve`,
+`sylvester_solve`), the nilpotency test and the gauge recursion work on a
+matrix scaled to Gaussian integers by one common denominator (`gaussian`),
+held as parallel lists of Python ints for the real and imaginary parts, with
+products by `gaussian_mul` and fraction-free elimination, so no `Fraction` is
+made until a result is read back (`from_gaussian`).  A right-hand side is
+scaled apart from the matrix, so its denominators never enter the operator,
+and a Sylvester operator is scaled once for all shifts.  No pivoting
+heuristics are needed because the arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .core import ONE, ZERO, Scalar, ScalarLike
@@ -22,8 +22,9 @@ from .errors import InputError
 
 Matrix = list[list[Scalar]]
 Vector = list[Scalar]
+Ints = list[list[int]]
 # a matrix scaled to Z[i]: real parts, imaginary parts, and the scale
-Gaussian = tuple[list[list[int]], list[list[int]], int]
+Gaussian = tuple[Ints, Ints, int]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -89,7 +90,7 @@ def gaussian(a: Matrix) -> Gaussian:
     )
 
 
-def _gauss_jordan(re: list[list[int]], im: list[list[int]]) -> list[int]:
+def _gauss_jordan(re: Ints, im: Ints) -> list[int]:
     """Fraction-free Gauss-Jordan elimination over Z[i], in place.
 
     Rows are held as parallel lists of real and imaginary parts.  A step with
@@ -140,29 +141,39 @@ def rank(a: Matrix) -> int:
     return len(_gauss_jordan(*gaussian(a)[:2]))
 
 
-def _solve_scaled(re: list[list[int]], im: list[list[int]], den: int,
-                  b: Vector) -> Vector | None:
-    """`solve` on a times den, given in Z[i] and reduced in place.
+def from_gaussian(g: Gaussian) -> Matrix:
+    """The matrix (re + i im) / den of g = (re, im, den)."""
+    re, im, den = g
+    return [[Scalar(Fraction(x, den), Fraction(y, den)) if x or y else ZERO
+             for x, y in zip(xr, yr)] for xr, yr in zip(re, im)]
 
-    b is scaled by den too, and by the lcm D of its own denominators; the
-    pivots stay, and x is the scaled system's solution / D.
+
+def _solve_gaussian(re: Ints, im: Ints, den: int, rhs: Gaussian, width: int) -> Gaussian | None:
+    """One solution x of a x = b with free coordinates set to zero, in lowest
+    terms and in rows of `width`, or None if the system is inconsistent.
+
+    a = (re + i im) / den is reduced in place, and b = (bre + i bim) / big is
+    rhs read row by row, appended as bre den.  Every pivot row then ends with
+    the same last pivot p, so x = u conj(p) / (|p|^2 big), u that column.
     """
     cols = len(re[0]) if re else 0
-    (bre,), (bim,), big = gaussian([b])
-    for ar, ai, yr, yi in zip(re, im, bre, bim):
+    bre, bim, big = rhs
+    for ar, ai, yr, yi in zip(re, im, sum(bre, []), sum(bim, [])):
         ar.append(yr * den)
         ai.append(yi * den)
     pivots = _gauss_jordan(re, im)
     if cols in pivots:
         return None
-    x = [ZERO] * cols
+    pr, pi = (re[0][pivots[0]], im[0][pivots[0]]) if pivots else (1, 0)
+    xr, xi = [0] * cols, [0] * cols
     for r, c in enumerate(pivots):
-        # x_c = (last column) / (pivot entry) / D, both entries Gaussian integers
-        dr, di = re[r][c], im[r][c]
-        nrm = (dr * dr + di * di) * big
         ur, ui = re[r][cols], im[r][cols]
-        x[c] = Scalar(Fraction(ur * dr + ui * di, nrm), Fraction(ui * dr - ur * di, nrm))
-    return x
+        xr[c] = ur * pr + ui * pi
+        xi[c] = ui * pr - ur * pi
+    d = (pr * pr + pi * pi) * big
+    g = gcd(d, *xr, *xi)
+    return ([[x // g for x in xr[i : i + width]] for i in range(0, cols, width)],
+            [[x // g for x in xi[i : i + width]] for i in range(0, cols, width)], d // g)
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
@@ -172,7 +183,19 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     """
     if len(b) != len(a):
         raise InputError("right-hand side has wrong length")
-    return _solve_scaled(*gaussian(a), [Scalar.of(y) for y in b])
+    sol = _solve_gaussian(*gaussian(a), gaussian([[Scalar.of(y) for y in b]]), 1)
+    return None if sol is None else [row[0] for row in from_gaussian(sol)]
+
+
+def gaussian_mul(ar: Ints, ai: Ints, br: Ints, bi: Ints) -> tuple[Ints, Ints]:
+    """The parts of (ar + i ai)(br + i bi), for matrices over Z[i] in parts."""
+    br_t, bi_t = list(zip(*br)), list(zip(*bi))
+    return (
+        [[sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)) for yr, yi in zip(br_t, bi_t)]
+         for xr, xi in zip(ar, ai)],
+        [[sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)) for yr, yi in zip(br_t, bi_t)]
+         for xr, xi in zip(ar, ai)],
+    )
 
 
 def is_nilpotent(a: Matrix) -> bool:
@@ -188,13 +211,7 @@ def is_nilpotent(a: Matrix) -> bool:
     re, im, _ = gaussian(a)
     k = 1
     while k < n:
-        re_t, im_t = list(zip(*re)), list(zip(*im))
-        re, im = (
-            [[sum(map(mul, ar, br)) - sum(map(mul, ai, bi)) for br, bi in zip(re_t, im_t)]
-             for ar, ai in zip(re, im)],
-            [[sum(map(mul, ar, bi)) + sum(map(mul, ai, br)) for br, bi in zip(re_t, im_t)]
-             for ar, ai in zip(re, im)],
-        )
+        re, im = gaussian_mul(re, im, re, im)
         k *= 2
     return not any(map(any, re)) and not any(map(any, im))
 
@@ -205,7 +222,7 @@ def sylvester_operator(b: Matrix) -> Gaussian:
     den, and den, for `sylvester_solve`."""
     n = len(b)
     br, bi, den = gaussian(b)
-    ops: tuple[list[list[int]], list[list[int]]] = ([], [])
+    ops: tuple[Ints, Ints] = ([], [])
     for parts, op in zip((br, bi), ops):
         for i in range(n):
             for j in range(n):
@@ -218,17 +235,15 @@ def sylvester_operator(b: Matrix) -> Gaussian:
     return *ops, den
 
 
-def sylvester_solve(op: Gaussian, k: int, rhs: Matrix) -> Matrix | None:
+def sylvester_solve(op: Gaussian, k: int, rhs: Gaussian) -> Gaussian | None:
     """One solution x of (b + k) x - x b = rhs for op = `sylvester_operator(b)`,
-    with free coordinates set to zero, or None if the system is inconsistent.
-    The shift adds k times op's scale to its diagonal.
+    with free coordinates set to zero and in lowest terms, or None if the
+    system is inconsistent.  The shift adds k times op's scale to its diagonal.
     """
-    n = len(rhs)
     re, im, den = [row[:] for row in op[0]], [row[:] for row in op[1]], op[2]
     for r, row in enumerate(re):
         row[r] += k * den
-    sol = _solve_scaled(re, im, den, [y for row in rhs for y in row])
-    return None if sol is None else [sol[i * n : (i + 1) * n] for i in range(n)]
+    return _solve_gaussian(re, im, den, rhs, len(rhs[0]))
 
 
 def jordan_type_of_nilpotent(a: Matrix) -> tuple[int, ...]:

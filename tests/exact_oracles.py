@@ -5,7 +5,8 @@ The package answers its questions with `Scalar`, `linalg` and
 build inputs and to check answers: the dominance order, small scalar and
 orbit views, and matrix algebra the deciders do not need,
 elimination, matrix powers and the Kronecker Sylvester operator on Scalars
-(the oracles for `linalg`'s Gaussian-integer kernels), series algebra on
+(the oracles for `linalg`'s Gaussian-integer kernels), the gauge recursion
+on Scalars (the oracle for `regsing_normalize`), series algebra on
 `LaurentMatrix` (free functions taking the series first), the lattice-chain
 definition of the filtration degree and the parahoric helpers that only
 tests use, slope certification by a full scan of the parahorics (the
@@ -26,7 +27,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from dskit import linalg
 from dskit.core import OrbitSpec, Partition, Scalar, ScalarLike, as_partition, weight
 from dskit.coxeter import CharPolySpec
-from dskit.errors import BudgetExceededError, InputError, TruncationError
+from dskit.errors import BudgetExceededError, InputError, ResonantError, TruncationError
 from dskit.formal import (
     CertifiedSlope,
     CoxeterFormalType,
@@ -296,6 +297,26 @@ def echelon_sylvester_solve(b: Matrix, k: int, rhs: Matrix) -> Matrix | None:
     if sol is None:
         return None
     return [sol[i * n : (i + 1) * n] for i in range(n)]
+
+
+def scalar_regsing_normalize(m: LaurentMatrix, order: int) -> LaurentMatrix:
+    """`formal.regsing_normalize`'s recursion on Scalars, for M with no
+    negative powers known below the order: each right-hand side
+    sum_{i<k} g_i B_{k-i} is one `mat_mul` of [g_0 ... g_{k-1}] and
+    [B_k; ...; B_1], and each g_k comes from `echelon_sylvester_solve`."""
+    n = m.n
+    b = [m.coeff(k) for k in range(order)]
+    g = [identity(n)]
+    for k in range(1, order):
+        rhs = mat_mul(
+            [[x for gi in g for x in gi[r]] for r in range(n)],
+            [row for bi in reversed(b[1 : k + 1]) for row in bi],
+        )
+        sol = echelon_sylvester_solve(b[0], k, rhs)
+        if sol is None:
+            raise ResonantError(f"resonant residue: two eigenvalues of B_0 differ by {k}")
+        g.append(sol)
+    return LaurentMatrix(n, dict(enumerate(g)), trunc=order)
 
 
 def ad_eigen_shift_singular(b: Matrix, k: int) -> bool:

@@ -4,11 +4,15 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from dskit.cli import _build_parser, run
+from dskit.core import ZERO, Scalar
+from dskit.errors import InputError
+from dskit.jsonio import parse_scalar
 from dskit.rootsys import DEFAULT_BUDGET
 
 SCHEMA = "ds-kit/1"
@@ -643,6 +647,25 @@ def test_every_malformed_document_path_exits_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "", message
         assert captured.err == f"error: {message}\n"
+
+
+def test_parse_scalar_reads_zero_cells_as_zero_and_keeps_its_messages():
+    for cell in ([0, 5, 0, -3], [0, 1, 0, 1], [0, -7, 0, 2]):
+        assert parse_scalar(cell, "c") is ZERO
+    assert parse_scalar([3, 6, 0, 5], "c") == Scalar(Fraction(1, 2))
+    assert parse_scalar([0, 5, 2, -4], "c") == Scalar(0, Fraction(-1, 2))
+    denominator = "c: scalar denominator must be nonzero"
+    for cell, message in [
+        ([0, 0, 0, 1], denominator),
+        ([0, 1, 0, 0], denominator),
+        ([0, 0, 0, 0], denominator),
+        ([False, 1, 0, 1], f"c: {_SCALAR_SHAPE}"),
+        ([0, 1, False, 1], f"c: {_SCALAR_SHAPE}"),
+        ([0, True, 0, 1], f"c: {_SCALAR_SHAPE}"),
+    ]:
+        with pytest.raises(InputError) as exc:
+            parse_scalar(cell, "c")
+        assert str(exc.value) == message, cell
 
 
 def test_unknown_command_and_flag(capsys):

@@ -30,7 +30,6 @@ from dskit.rootsys import DEFAULT_BUDGET
 from exact_oracles import (
     block_sizes,
     coxeter_canonical_type,
-    echelon_sylvester_solve,
     filtration_degree,
     full_scan_slope,
     is_nonresonant,
@@ -42,6 +41,7 @@ from exact_oracles import (
     one,
     parahoric_sets,
     power,
+    scalar_regsing_normalize,
 )
 
 mono = LaurentMatrix.monomial
@@ -486,13 +486,19 @@ def test_regsing_normalize_resonant_gap_with_vanishing_obstruction():
 def _random_regsing(rng, n, order, kind):
     """An upper-triangular residue with Gaussian-integer coefficients below
     the order.  "generic": distinct eigenvalues, some non-real, no two
-    differing by an integer; "resonant": some pairs differ by 1 or 2;
-    "diagonal": resonant, but every coefficient is diagonal, so each singular
-    step is consistent and its free coordinates are set to zero."""
+    differing by an integer; "nonreal": the same with at least one non-real
+    eigenvalue, and coefficients above z^0 with denominators 1 to 3;
+    "resonant": some pairs differ by 1 or 2; "diagonal": resonant, but every
+    coefficient is diagonal, so each singular step is consistent and its
+    free coordinates are set to zero."""
     pool = [Scalar(Fraction(k, 7)) for k in range(-3, 4)] + [
         Scalar(0, 1), Scalar(Fraction(1, 7), Fraction(-2, 7))]
-    eigs = rng.sample(pool, n)
-    if kind != "generic":
+    if kind == "nonreal":
+        z = rng.choice(pool[-2:])
+        eigs = [z] + rng.sample([x for x in pool if x != z], n - 1)
+    else:
+        eigs = rng.sample(pool, n)
+    if kind in ("resonant", "diagonal"):
         eigs[rng.randrange(n)] = eigs[0] + rng.choice([1, 2])
     residue = [[eigs[i] if i == j else Scalar(rng.randint(-2, 2)) if j > i and kind != "diagonal"
                 else Scalar(0) for j in range(n)] for i in range(n)]
@@ -501,14 +507,20 @@ def _random_regsing(rng, n, order, kind):
         coeffs[k] = [[Scalar(rng.randint(-3, 3), rng.choice([0, 0, 0, 1]))
                       if i == j or kind != "diagonal" else Scalar(0)
                       for j in range(n)] for i in range(n)]
+        if kind == "nonreal":
+            coeffs[k] = [[x * Fraction(1, rng.randint(1, 3)) for x in row] for row in coeffs[k]]
     return LaurentMatrix(n, coeffs)
 
 
-def _gauge_or_error(m, order):
+def _gauge_or_error(normalize, m, order):
     try:
-        return regsing_normalize(_conn(m), order)
+        return normalize(m, order)
     except ResonantError as exc:
         return str(exc)
+
+
+def _normalize(m, order):
+    return regsing_normalize(_conn(m), order)
 
 
 def test_regsing_normalize_matches_the_echelon_solve_oracle(monkeypatch):
@@ -523,21 +535,42 @@ def test_regsing_normalize_matches_the_echelon_solve_oracle(monkeypatch):
                         (3, "diagonal"), (5, "diagonal")]
         if (n, kind, order) != (5, "generic", 8)
     ]
-    got = [_gauge_or_error(m, order) for m, order in inputs]
+    rng = random.Random(2040)
+    extra = []
+    while len(extra) < 120:
+        kind = rng.choice(["nonreal", "resonant", "diagonal"])
+        n, order = rng.randint(1, 5), rng.randint(2, 8)
+        if n < 5 or order <= 5:
+            extra.append((_random_regsing(rng, n, order, kind), order))
     shifts = []
+    solve = linalg.sylvester_solve
 
-    def oracle(b0, k, rhs):
+    def spy(op, k, rhs):
         shifts.append(k)
-        return echelon_sylvester_solve(b0, k, rhs)
+        return solve(op, k, rhs)
 
-    # the oracle gets B_0 itself in place of the prepared operator
-    monkeypatch.setattr(linalg, "sylvester_operator", lambda b0: b0)
-    monkeypatch.setattr(linalg, "sylvester_solve", oracle)
-    want = [_gauge_or_error(m, order) for m, order in inputs]
+    monkeypatch.setattr(linalg, "sylvester_solve", spy)
+    got = [_gauge_or_error(_normalize, m, order) for m, order in inputs + extra]
+    assert shifts.count(1) == len(inputs + extra), shifts
+    monkeypatch.undo()
+    want = [_gauge_or_error(scalar_regsing_normalize, m, order) for m, order in inputs + extra]
     assert got == want
-    assert shifts.count(1) == len(inputs), shifts
-    raised = sum(isinstance(g, str) for g in got)
-    assert 2 <= raised <= len(got) - 13, got
+    raised = sum(isinstance(g, str) for g in got[: len(inputs)])
+    assert 2 <= raised <= len(inputs) - 13, got
+    raised = sum(isinstance(g, str) for g in got[len(inputs) :])
+    assert 10 <= raised <= len(extra) - 60, raised
+
+
+def test_regsing_normalize_makes_no_scalar_products(monkeypatch):
+    m = _random_regsing(random.Random(2041), 4, 8, "nonreal")
+    want = scalar_regsing_normalize(m, 8)
+    assert any(x.im for k in range(8) for row in want.coeff(k) for x in row)
+
+    def no_product(a, b):
+        raise AssertionError("Scalar mat_mul in the gauge recursion")
+
+    monkeypatch.setattr(linalg, "mat_mul", no_product)
+    assert regsing_normalize(_conn(m), 8) == want
 
 
 # ---------------------------------------------------------------------------

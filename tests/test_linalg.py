@@ -115,8 +115,9 @@ def test_sylvester_solve_roundtrip():
         x = _rand_matrix(rng, n)
         shifted = linalg.mat_add(b, linalg.mat_scale(k, linalg.identity(n)))
         rhs = mat_sub(linalg.mat_mul(shifted, x), linalg.mat_mul(x, b))
-        sol = linalg.sylvester_solve(linalg.sylvester_operator(b), k, rhs)
-        assert sol is not None
+        got = linalg.sylvester_solve(linalg.sylvester_operator(b), k, linalg.gaussian(rhs))
+        assert got is not None
+        sol = linalg.from_gaussian(got)
         assert mat_sub(linalg.mat_mul(shifted, sol), linalg.mat_mul(sol, b)) == rhs
 
 
@@ -124,7 +125,7 @@ def test_sylvester_singular_detected():
     # b + 3 and b share the eigenvalue 3, so (b + 3) x - x b = E12 has no solution
     b = mat_of([[0, 0], [0, 3]])
     rhs = mat_of([[0, 1], [0, 0]])
-    assert linalg.sylvester_solve(linalg.sylvester_operator(b), 3, rhs) is None
+    assert linalg.sylvester_solve(linalg.sylvester_operator(b), 3, linalg.gaussian(rhs)) is None
 
 
 def test_ad_eigen_shift_singular():
@@ -288,7 +289,13 @@ def test_sylvester_solve_matches_the_kronecker_oracle():
             drawn = [[_sevens_entry(rng) for _ in range(n)] for _ in range(n)]
             for rhs in (image, drawn):
                 want = echelon_sylvester_solve(b, k, rhs)
-                assert linalg.sylvester_solve(op, k, rhs) == want, (b, k, rhs)
+                # rhs over a denominator that is not the least one at times;
+                # the solution comes back in lowest terms all the same
+                re, im, den = linalg.gaussian(rhs)
+                s = rng.choice([1, 1, 6, 7])
+                scaled = [[s * x for x in row] for row in re], [[s * x for x in row] for row in im]
+                got = linalg.sylvester_solve(op, k, (*scaled, s * den))
+                assert got == (None if want is None else linalg.gaussian(want)), (b, k, rhs)
                 if k not in {p - q for p in gaps for q in gaps}:
                     kinds["regular"] += 1
                 elif want is None:
