@@ -364,8 +364,11 @@ def _cmd_quiver_export(ns, ctx) -> tuple[Any, int]:
     ctx["digest"] = jsonio.digest_of(payload)
     dot = quiver_dot(data)
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        try:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(dot)
+        except OSError as exc:
+            raise InputError(f"cannot write {ns.out}: {exc}") from exc
         return {"written": ns.out, "vertices": len(data.quiver.vertices)}, 0
     ctx["raw"] = dot
     return None, 0

@@ -232,12 +232,11 @@ class OrbitSpec:
     blocks: tuple[tuple[Scalar, Partition], ...]
 
     def __init__(self, n: int, blocks: Iterable[tuple[ScalarLike, Iterable[int]]]):
-        items: list[tuple[Scalar, Partition]] = []
-        for eig, part in blocks:
-            items.append((Scalar.of(eig), as_partition(part)))
-        items.sort(key=lambda ep: ep[0].sort_key())
-        eigs = [e for e, _ in items]
-        if len(set(eigs)) != len(eigs):
+        items = sorted(
+            ((Scalar.of(e), as_partition(part)) for e, part in blocks),
+            key=lambda ep: ep[0].sort_key(),
+        )
+        if any(a[0] == b[0] for a, b in zip(items, items[1:])):
             raise InputError("orbit eigenvalues must be pairwise distinct")
         total = sum(weight(part) for _, part in items)
         if total != n:
@@ -287,12 +286,7 @@ class OrbitSpec:
 
     def is_nonresonant(self) -> bool:
         """No two distinct eigenvalues differ by a nonzero rational integer."""
-        eigs = self.eigenvalues()
-        for i in range(len(eigs)):
-            for j in range(i + 1, len(eigs)):
-                if eigs[i].differs_by_nonzero_int(eigs[j]):
-                    return False
-        return True
+        return congruent_pair(self.eigenvalues()) is None
 
     def negated(self) -> "OrbitSpec":
         return OrbitSpec(self.n, [(-e, part) for e, part in self.blocks])
@@ -300,48 +294,54 @@ class OrbitSpec:
     # -- factor sequences for the minimal polynomial -------------------------
 
     def default_factor_sequence(self) -> tuple[Scalar, ...]:
-        """Round-robin over distinct eigenvalues by decreasing max block size
-        (ties by eigenvalue sort key); eigenvalue count = its max block size."""
-        order = sorted(self.blocks, key=lambda ep: (-ep[1][0], ep[0].sort_key()))
-        remaining = [[e, part[0]] for e, part in order]
-        seq: list[Scalar] = []
-        while any(cnt > 0 for _, cnt in remaining):
-            for item in remaining:
-                if item[1] > 0:
-                    seq.append(item[0])
-                    item[1] -= 1
-        return tuple(seq)
+        """The round robin of `residue_arm` over the eigenvalues."""
+        return residue_arm(self)[1]
 
     def validate_factor_sequence(self, seq: Sequence[ScalarLike]) -> tuple[Scalar, ...]:
-        got = [Scalar.of(x) for x in seq]
-        counts: dict[Scalar, int] = {}
-        for x in got:
-            counts[x] = counts.get(x, 0) + 1
-        expected = {e: part[0] for e, part in self.blocks}
-        if counts != expected:
+        return residue_arm(self, seq)[1]
+
+
+def congruent_pair(values: Sequence[Scalar]) -> tuple[int, int] | None:
+    """The first i < j (i least, then j) with values[i] - values[j] in Z: the
+    resonance rule.  Two values are congruent mod Z iff they have the same
+    (re mod 1, im), so one sort by that key and index finds each class."""
+    keys = sorted((v.re % 1, v.im, i) for i, v in enumerate(values))
+    return min(((a[2], b[2]) for a, b in zip(keys, keys[1:]) if a[:2] == b[:2]), default=None)
+
+
+def residue_arm(
+    o: OrbitSpec, seq: Sequence[ScalarLike] | None = None
+) -> tuple[list[int], tuple[Scalar, ...]]:
+    """The ranks r_0..r_d of prod_{l<=j} (C - eta_l), for any C in the orbit,
+    and the factors eta_1..eta_d: seq, or the default sequence if it is None.
+
+    Factors are positions p in o.blocks.  The default is a round robin over
+    them by decreasing largest part (ties by position), each taken as often
+    as its largest part; an explicit sequence must match that count.  The
+    t-th factor at p lowers the rank by the number of blocks at p larger
+    than t (entry t of the dual partition): the others are untouched."""
+    blocks = o.blocks
+    top = [part[0] for _, part in blocks]
+    if seq is None:
+        order = sorted(range(len(blocks)), key=lambda p: -top[p])
+        positions = [p for t in range(top[order[0]]) for p in order if top[p] > t]
+    else:
+        index = {e.sort_key(): p for p, (e, _) in enumerate(blocks)}
+        positions = [index.get(Scalar.of(x).sort_key(), -1) for x in seq]
+        if sorted(positions) != [p for p, mu in enumerate(top) for _ in range(mu)]:
             raise InputError(
                 "factor sequence must list each eigenvalue exactly max-block-size times"
             )
-        return tuple(got)
+    drops = [iter(dual_partition(part)) for _, part in blocks]
+    ranks = [o.n]
+    for p in positions:
+        ranks.append(ranks[-1] - next(drops[p]))
+    return ranks, tuple(blocks[p][0] for p in positions)
 
 
 def factor_ranks(o: OrbitSpec, seq: Sequence[ScalarLike]) -> list[int]:
-    """Ranks of the partial products prod_{l<=j} (C - seq[l-1]), j = 0..d,
-    for any C in the orbit.
-
-    A Jordan block of size mu at eigenvalue eta loses one rank per factor
-    (C - eta) until it vanishes, and is untouched by the other factors.  So
-    factor j lowers the rank by the number of blocks at seq[j-1] larger than
-    the count t of earlier factors there: entry t of the dual partition.
-    """
-    factors = o.validate_factor_sequence(seq)
-    drops = {e: dual_partition(part) for e, part in o.blocks}
-    used = dict.fromkeys(drops, 0)
-    ranks = [o.n]
-    for x in factors:
-        ranks.append(ranks[-1] - drops[x][used[x]])
-        used[x] += 1
-    return ranks
+    """The ranks r_0..r_d of `residue_arm` for seq."""
+    return residue_arm(o, seq)[0]
 
 
 def orbit_dim(o: OrbitSpec) -> int:

@@ -13,7 +13,9 @@ from math import gcd
 from typing import Iterable
 
 from . import linalg
-from .core import OrbitSpec, Scalar, ScalarLike, min_partition_with_r_parts, orbit_dim
+from .core import (
+    OrbitSpec, Scalar, ScalarLike, congruent_pair, min_partition_with_r_parts, orbit_dim,
+)
 from .errors import InputError, ResonantError
 from .formal import CoxeterFormalType
 
@@ -34,13 +36,12 @@ class CharPolySpec:
             raise InputError("characteristic polynomial needs at least one root")
         if any(m < 1 for _, m in items):
             raise InputError("root multiplicities must be >= 1")
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                if (items[i][0] - items[j][0]).is_integer():
-                    raise ResonantError(
-                        "roots must be pairwise distinct modulo Z: "
-                        f"{items[i][0]} and {items[j][0]} are congruent"
-                    )
+        pair = congruent_pair([c for c, _ in items])
+        if pair is not None:
+            c, d = (items[k][0] for k in pair)
+            raise ResonantError(
+                f"roots must be pairwise distinct modulo Z: {c} and {d} are congruent"
+            )
         object.__setattr__(self, "pairs", tuple(items))
 
     @property

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .core import OrbitSpec, Scalar, ScalarLike, factor_ranks
+from .core import OrbitSpec, Scalar, ScalarLike, residue_arm
 from .errors import InputError, ResonantError
 from .rootsys import (
     DEFAULT_BUDGET,
@@ -66,7 +66,7 @@ def build_cb_data(
                 f"orbit {idx} has two eigenvalues differing by a nonzero integer"
             )
     if seqs is None:
-        seqs = [o.default_factor_sequence() for o in orbits]
+        seqs = [None] * len(orbits)
     elif len(seqs) != len(orbits):
         raise InputError("one factor sequence per orbit required")
 
@@ -76,15 +76,13 @@ def build_cb_data(
     lam_0 = Scalar(0)
     lam: dict[Vertex, Scalar] = {}
     for i, (o, s) in enumerate(zip(orbits, seqs), start=1):
-        seq = [Scalar.of(x) for x in s]
-        d = len(seq)
-        ranks = factor_ranks(o, seq)  # validates seq
-        lam_0 = lam_0 - seq[0]
-        for j in range(1, d):
+        ranks, eta = residue_arm(o, s)
+        lam_0 = lam_0 - eta[0]
+        for j in range(1, len(eta)):
             v = (i, j)
             vertices.append(v)
             alpha[v] = ranks[j]
-            lam[v] = seq[j - 1] - seq[j]
+            lam[v] = eta[j - 1] - eta[j]
             arrows.append((v, 0 if j == 1 else (i, j - 1)))
     lam[0] = lam_0
     return CBData(quiver=Quiver(vertices, arrows), alpha=alpha, lam=lam)

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .core import OrbitSpec, Scalar, ScalarLike, factor_ranks
+from .core import OrbitSpec, Scalar, ScalarLike, residue_arm
 from .errors import InputError, ResonantError
 from .fuchsian import CBData
 from .rootsys import (
@@ -66,11 +66,9 @@ class UnramFormalType:
         blocks = tuple(blocks)
         if not blocks:
             raise InputError("formal type needs at least one block")
-        seen = set()
-        for b in blocks:
-            if b.q in seen:
-                raise InputError("blocks must have pairwise distinct q_j")
-            seen.add(b.q)
+        qs = sorted([c.sort_key() for c in b.q] for b in blocks)
+        if any(a == b for a, b in zip(qs, qs[1:])):
+            raise InputError("blocks must have pairwise distinct q_j")
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -201,22 +199,21 @@ def build_hiroe_data(types: Sequence[UnramFormalType]) -> HiroeData:
     shift_0 = Scalar(0)  # accumulated -eta^1 of the baseless types
     for i, t in enumerate(types):
         for j, b in enumerate(t.blocks, start=1):
-            seq = b.residue.default_factor_sequence()
-            d = len(seq)
-            ranks = factor_ranks(b.residue, seq)
+            ranks, eta = residue_arm(b.residue)
+            d = len(eta)
             for k in range(1, d):
                 v = (i, j, k)
                 path_vertices.append(v)
                 alpha[v] = ranks[k]
-                lam[v] = seq[k - 1] - seq[k]
+                lam[v] = eta[k - 1] - eta[k]
                 if k > 1:
                     arrows.append((v, (i, j, k - 1)))
             if has_base[i]:
                 if d > 1:
                     arrows.append(((i, j, 1), (i, j)))
-                lam[(i, j)] = -seq[0]
+                lam[(i, j)] = -eta[0]
             else:  # ell_i == 1 here
-                shift_0 = shift_0 - seq[0]
+                shift_0 = shift_0 - eta[0]
                 if d > 1:
                     arrows.extend(((i, j, 1), (0, jj)) for jj in range(1, ell0 + 1))
     for j in range(1, ell0 + 1):

@@ -3,7 +3,9 @@
 The package answers its questions with `Scalar`, `linalg` and
 `LaurentMatrix` alone; the functions here give the tests independent ways to
 build inputs and to check answers: the dominance order, small scalar and
-orbit views, and matrix algebra the deciders do not need,
+orbit views, the Scalar-keyed factor sequences, factor ranks and
+pairwise resonance test (the oracles for `core.residue_arm` and
+`core.congruent_pair`), and matrix algebra the deciders do not need,
 elimination, matrix powers and the Kronecker Sylvester operator on Scalars
 (the oracles for `linalg`'s Gaussian-integer kernels), the gauge recursion
 on Scalars (the oracle for `regsing_normalize`), series algebra on
@@ -25,7 +27,15 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from dskit import linalg
-from dskit.core import OrbitSpec, Partition, Scalar, ScalarLike, as_partition, weight
+from dskit.core import (
+    OrbitSpec,
+    Partition,
+    Scalar,
+    ScalarLike,
+    as_partition,
+    dual_partition,
+    weight,
+)
 from dskit.coxeter import CharPolySpec
 from dskit.errors import BudgetExceededError, InputError, ResonantError, TruncationError
 from dskit.formal import (
@@ -100,6 +110,53 @@ def translated(o: OrbitSpec, t: ScalarLike) -> OrbitSpec:
 def charpoly_from_orbit(o: OrbitSpec) -> CharPolySpec:
     """The characteristic polynomial of o as its roots with multiplicities."""
     return CharPolySpec((e, o.multiplicity(e)) for e in o.eigenvalues())
+
+
+def scalar_default_factor_sequence(o: OrbitSpec) -> tuple[Scalar, ...]:
+    """Round-robin over distinct eigenvalues by decreasing max block size
+    (ties by eigenvalue sort key); eigenvalue count = its max block size.
+    The oracle for `core.residue_arm`'s default sequence."""
+    order = sorted(o.blocks, key=lambda ep: (-ep[1][0], ep[0].sort_key()))
+    remaining = [[e, part[0]] for e, part in order]
+    seq: list[Scalar] = []
+    while any(cnt > 0 for _, cnt in remaining):
+        for item in remaining:
+            if item[1] > 0:
+                seq.append(item[0])
+                item[1] -= 1
+    return tuple(seq)
+
+
+def scalar_factor_ranks(o: OrbitSpec, seq: Sequence[ScalarLike]) -> list[int]:
+    """Ranks of the partial products prod_{l<=j} (C - seq[l-1]), j = 0..d,
+    with the factors counted in dicts keyed by eigenvalue: the oracle for
+    `core.residue_arm`'s ranks and its check of an explicit sequence."""
+    factors = [Scalar.of(x) for x in seq]
+    counts: dict[Scalar, int] = {}
+    for x in factors:
+        counts[x] = counts.get(x, 0) + 1
+    if counts != {e: part[0] for e, part in o.blocks}:
+        raise InputError(
+            "factor sequence must list each eigenvalue exactly max-block-size times"
+        )
+    drops = {e: dual_partition(part) for e, part in o.blocks}
+    used = dict.fromkeys(drops, 0)
+    ranks = [o.n]
+    for x in factors:
+        ranks.append(ranks[-1] - drops[x][used[x]])
+        used[x] += 1
+    return ranks
+
+
+def pairwise_congruent_pair(values: Sequence[Scalar]) -> tuple[int, int] | None:
+    """The first pair i < j, in the order of a double loop, with
+    values[i] - values[j] a rational integer (zero included): the oracle
+    for `core.congruent_pair`."""
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if (values[i] - values[j]).is_integer():
+                return i, j
+    return None
 
 
 def residue_trace(t: UnramFormalType) -> Scalar:
@@ -670,8 +727,4 @@ def is_nonresonant(b0: Matrix) -> bool:
         re_q = sympy.Rational(re_part)
         im_q = sympy.Rational(im_part)
         eigs.append(Scalar(Fraction(re_q.p, re_q.q), Fraction(im_q.p, im_q.q)))
-    for i in range(len(eigs)):
-        for j in range(i + 1, len(eigs)):
-            if eigs[i].differs_by_nonzero_int(eigs[j]):
-                return False
-    return True
+    return pairwise_congruent_pair(eigs) is None  # the eigenvalues are distinct

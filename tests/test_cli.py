@@ -492,6 +492,13 @@ def test_quiver_export_to_file(tmp_path, capsys):
     assert out_file.read_text() == raw
 
 
+def test_quiver_export_to_an_unwritable_path(tmp_path, capsys):
+    path = _write(tmp_path, "d4.json", orbits=D4_GENERIC)
+    for out in (tmp_path / "missing" / "quiver.dot", tmp_path):
+        err = _error(capsys, ["quiver-export", "--input", path, "--out", str(out)])
+        assert err.startswith(f"error: cannot write {out}: ")
+
+
 def test_quiver_export_types_document(tmp_path, capsys):
     path = _write(tmp_path, "unram.json", types=WITNESS_TYPES)
     assert run(["quiver-export", "--input", path]) == 0
@@ -554,6 +561,28 @@ def test_unreadable_and_invalid_files(tmp_path, capsys):
     bad.write_text("{not json")
     err2 = _error(capsys, ["fuchsian-ds", "--input", str(bad)])
     assert "invalid JSON" in err2
+
+
+def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "bytes.json"
+    bad.write_bytes(b"\xff\xfe")
+    err = _error(capsys, ["fuchsian-ds", "--input", str(bad)])
+    assert err.startswith(f"error: {bad}: invalid JSON: 'utf-8' codec can't decode")
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    err = _error(capsys, ["fuchsian-ds", "--input", str(deep)])
+    assert err.startswith(f"error: {deep}: invalid JSON: maximum recursion depth exceeded")
+
+
+def test_integer_past_the_conversion_limit_is_an_input_error(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text('{"schema": "ds-kit/1", "orbits": [{"n": ' + "9" * 5000 + "}]}")
+    err = _error(capsys, ["fuchsian-ds", "--input", str(big)])
+    if hasattr(sys, "get_int_max_str_digits"):  # the limit came with 3.10.7 and 3.11
+        assert err.startswith(f"error: {big}: invalid JSON: Exceeds the limit")
 
 
 def _doc(**fields):

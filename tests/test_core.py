@@ -23,7 +23,8 @@ from dskit.core import (
     partitions_of,
     weight,
 )
-from dskit.errors import InputError
+from dskit.coxeter import CharPolySpec
+from dskit.errors import InputError, ResonantError
 from exact_oracles import (
     dominance_leq,
     is_rational,
@@ -33,6 +34,9 @@ from exact_oracles import (
     max_block,
     min_poly_degree,
     nullspace,
+    pairwise_congruent_pair,
+    scalar_default_factor_sequence,
+    scalar_factor_ranks,
     translated,
     transpose,
 )
@@ -382,22 +386,54 @@ def _rank_by_definition(o: OrbitSpec, seq, j: int) -> int:
     )
 
 
-def _random_orbit(rng: random.Random) -> OrbitSpec:
-    """One to three distinct eigenvalues, each with a partition of 1..6."""
-    eigs = rng.sample([Scalar(Fraction(k, 3), k % 2) for k in range(-4, 5)], rng.randint(1, 3))
+_EIGS = [Scalar(Fraction(k, 3), k % 2) for k in range(-4, 5)]
+# congruent mod Z across signs (-1/3, 2/3, 5/3) and with imaginary parts
+# (i/2, 1 + i/2, -1 + i/2); -i/2 is not congruent to i/2
+_CONGRUENT_EIGS = [Scalar(Fraction(-1, 3)), Scalar(Fraction(2, 3)), Scalar(Fraction(5, 3)),
+                   Scalar(0, Fraction(1, 2)), Scalar(1, Fraction(1, 2)),
+                   Scalar(-1, Fraction(1, 2)), Scalar(0, Fraction(-1, 2))]
+
+
+def _random_orbit(rng: random.Random, pool=_EIGS) -> OrbitSpec:
+    """One to three distinct eigenvalues from pool, each with a partition of 1..6."""
+    eigs = rng.sample(pool, rng.randint(1, 3))
     blocks = [(e, rng.choice(list(partitions_of(rng.randint(1, 6))))) for e in eigs]
     return OrbitSpec(sum(weight(p) for _, p in blocks), blocks)
 
 
 def test_factor_ranks_match_per_j_definition_on_seeded_orbits():
     rng = random.Random(20261018)
-    for _ in range(200):
-        o = _random_orbit(rng)
-        seq = list(o.default_factor_sequence())
-        rng.shuffle(seq)  # any order of the factors is a valid sequence
-        ranks = factor_ranks(o, seq)
-        assert ranks == [_rank_by_definition(o, seq, j) for j in range(len(seq) + 1)], o
-        assert ranks[0] == o.n and ranks[-1] == 0
+    resonant = 0
+    for pool in (_EIGS, _CONGRUENT_EIGS):
+        for _ in range(200):
+            o = _random_orbit(rng, pool)
+            assert o.default_factor_sequence() == scalar_default_factor_sequence(o), o
+            seq = list(o.default_factor_sequence())
+            rng.shuffle(seq)  # any order of the factors is a valid sequence
+            ranks = factor_ranks(o, seq)
+            assert ranks == [_rank_by_definition(o, seq, j) for j in range(len(seq) + 1)], o
+            assert ranks == scalar_factor_ranks(o, seq), o
+            assert ranks[0] == o.n and ranks[-1] == 0
+            for bad in (seq[:-1], seq + seq[:1], seq[:-1] + [seq[-1] + 1]):
+                for ranks_of in (factor_ranks, scalar_factor_ranks):
+                    with pytest.raises(InputError, match="max-block-size"):
+                        ranks_of(o, bad)
+            pair = pairwise_congruent_pair(o.eigenvalues())
+            assert o.is_nonresonant() is (pair is None), o
+            resonant += pair is not None
+            # CharPolySpec applies the same rule and names the oracle's pair
+            roots = [(e, weight(part)) for e, part in o.blocks]
+            if pair is None:
+                assert CharPolySpec(roots).pairs == tuple(roots)
+            else:
+                eigs = o.eigenvalues()
+                with pytest.raises(ResonantError) as err:
+                    CharPolySpec(roots)
+                assert str(err.value) == (
+                    "roots must be pairwise distinct modulo Z: "
+                    f"{eigs[pair[0]]} and {eigs[pair[1]]} are congruent"
+                )
+    assert 50 < resonant < 350  # both answers are drawn often
 
 
 def test_factor_ranks_reject_a_bad_sequence():

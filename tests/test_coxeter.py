@@ -48,6 +48,25 @@ def test_charpoly_spec_validation():
     assert q.pairs == ((Scalar(0), 3), (Scalar(Fraction(1, 2)), 2))
 
 
+def test_charpoly_spec_names_the_first_root_with_a_congruent_partner():
+    # 0 ~ 2 and 1/2 ~ 3/2: the message names the first root in sort order
+    # that has a partner, then that partner, not the first neighbours found
+    roots = [(Fraction(3, 2), 1), (2, 1), (Fraction(1, 2), 1), (0, 1)]
+    with pytest.raises(ResonantError) as err:
+        CharPolySpec(roots)
+    assert str(err.value) == "roots must be pairwise distinct modulo Z: 0 and 2 are congruent"
+    # 1/2 ~ 3/2 and 1 ~ 2: 1/2 comes first, though its class has the larger real part mod 1
+    with pytest.raises(ResonantError) as err:
+        CharPolySpec([(2, 1), (1, 1), (Fraction(3, 2), 1), (Fraction(1, 2), 1)])
+    assert str(err.value) == "roots must be pairwise distinct modulo Z: 1/2 and 3/2 are congruent"
+    with pytest.raises(ResonantError) as err:
+        CharPolySpec([(Fraction(-1, 3), 2), (Fraction(2, 3), 1), (Scalar(1, Fraction(1, 2)), 1)])
+    assert str(err.value) == "roots must be pairwise distinct modulo Z: -1/3 and 2/3 are congruent"
+    with pytest.raises(ResonantError) as err:
+        CharPolySpec([(Scalar(1, Fraction(1, 2)), 1), (Scalar(0, Fraction(1, 2)), 1)])
+    assert str(err.value) == "roots must be pairwise distinct modulo Z: 1/2i and 1+1/2i are congruent"
+
+
 def test_charpoly_from_orbit():
     o = OrbitSpec(4, [(0, (2, 1)), (Fraction(1, 3), (1,))])
     q = charpoly_from_orbit(o)

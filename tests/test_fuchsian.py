@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from dskit.core import OrbitSpec, Scalar
+from dskit import fuchsian
+from dskit.core import OrbitSpec, Scalar, residue_arm
 from dskit.errors import BudgetExceededError, InputError
 from dskit.fuchsian import (
     FuchsianRigidity,
@@ -12,6 +13,7 @@ from dskit.fuchsian import (
     fuchsian_rigidity,
 )
 from dskit.rootsys import RootClass, classify_root, p_value
+from dskit.unramified import UnramBlock, UnramFormalType, build_hiroe_data
 from exact_oracles import alpha_dot_lambda, translated
 
 
@@ -280,18 +282,45 @@ def test_invalid_factor_sequence_rejected():
 
 
 def test_explicit_factor_sequences_are_validated_once_per_orbit(monkeypatch):
+    # core.residue_arm is the one place a factor sequence is matched and checked
     calls = []
-    validate = OrbitSpec.validate_factor_sequence
 
-    def spy(self, seq):
-        calls.append(self)
-        return validate(self, seq)
+    def spy(o, seq=None):
+        calls.append(o)
+        return residue_arm(o, seq)
 
-    monkeypatch.setattr(OrbitSpec, "validate_factor_sequence", spy)
+    monkeypatch.setattr(fuchsian, "residue_arm", spy)
     orbits = [NILP2, NILP2, OrbitSpec(2, [(0, (1,)), (Fraction(1, 2), (1,))])]
     data = build_cb_data(orbits, [[0, 0], [0, 0], [Fraction(1, 2), 0]])
     assert calls == orbits
     assert data.lam[(3, 1)] == Scalar(Fraction(1, 2))
+
+
+def test_quiver_builders_hash_no_scalar(monkeypatch):
+    # orbits and arms are keyed by block position, never by a Scalar's hash
+    def build():
+        orbits = [
+            OrbitSpec(4, [(Fraction(1, 3), (2, 1)), (Scalar(1, Fraction(1, 2)), (1,))]),
+            OrbitSpec(4, [(0, (2, 2))]),
+            OrbitSpec(4, [(Fraction(-1, 5), (1, 1)), (Scalar(0, 2), (1,)), (3, (1,))]),
+        ]
+        res = OrbitSpec(2, [(Fraction(-1, 3), (1,)), (Scalar(0, 1), (1,))])
+        types = [
+            UnramFormalType([UnramBlock([1], 1, OrbitSpec(1, [(Fraction(1, 3), (1,))])),
+                             UnramBlock([-1], 1, OrbitSpec(1, [(Fraction(2, 3), (1,))]))]),
+            UnramFormalType([UnramBlock([], 2, res)]),
+        ]
+        return orbits, build_cb_data(orbits), build_hiroe_data(types)
+
+    expected = build()
+
+    def no_hash(self):
+        raise AssertionError("Scalar.__hash__ called")
+
+    monkeypatch.setattr(Scalar, "__hash__", no_hash)
+    with pytest.raises(AssertionError):
+        hash(Scalar(1, 1))
+    assert build() == expected
 
 
 def test_budget_surfacing():
