@@ -129,19 +129,21 @@ class Scalar:
         if not m:
             raise InputError(f"cannot parse scalar {text!r}")
         first, second, tail_i = m.groups()
+        if not tail_i and (second is not None or first is None):
+            raise InputError(f"cannot parse scalar {text!r}")
         try:
-            if tail_i:  # has an imaginary part
-                if second is not None:  # "1+i", "-i", "7-2/3i"; a bare sign stands for 1
-                    re_part = Fraction(first) if first else Fraction(0)
-                    im_part = Fraction({"+": "1", "-": "-1"}.get(second, second))
-                    return Scalar(re_part, im_part)
-                # pure imaginary: "i", "2i", "-3/4i"
-                return Scalar(0, Fraction(first) if first else Fraction(1))
-            if second is not None or first is None:
-                raise InputError(f"cannot parse scalar {text!r}")
-            return Scalar(Fraction(first))
+            if not tail_i:
+                return Scalar(Fraction(first))
+            if second is not None:  # "1+i", "-i", "7-2/3i"; a bare sign stands for 1
+                re_part = Fraction(first) if first else Fraction(0)
+                im_part = Fraction({"+": "1", "-": "-1"}.get(second, second))
+                return Scalar(re_part, im_part)
+            # pure imaginary: "i", "2i", "-3/4i"
+            return Scalar(0, Fraction(first) if first else Fraction(1))
         except ZeroDivisionError as exc:
             raise InputError(f"zero denominator in scalar {text!r}") from exc
+        except ValueError as exc:  # an integer past the interpreter's digit limit
+            raise InputError(f"cannot parse scalar: {exc}") from exc
 
 
 ScalarLike = Union[Scalar, int, Fraction]
@@ -184,10 +186,12 @@ def weight(p: Partition) -> int:
 
 def dual_partition(p: Partition) -> Partition:
     """Transpose of the Young diagram."""
-    p = as_partition(p)
-    if not p:
-        return ()
-    return tuple(sum(1 for part in p if part >= k) for k in range(1, p[0] + 1))
+    return _dual(as_partition(p))
+
+
+def _dual(p: Partition) -> Partition:
+    """Transpose of the Young diagram of a partition already validated."""
+    return tuple(sum(1 for part in p if part >= k) for k in range(1, p[0] + 1)) if p else ()
 
 
 def min_partition_with_r_parts(r: int, m: int) -> Partition:
@@ -332,7 +336,7 @@ def residue_arm(
             raise InputError(
                 "factor sequence must list each eigenvalue exactly max-block-size times"
             )
-    drops = [iter(dual_partition(part)) for _, part in blocks]
+    drops = [iter(_dual(part)) for _, part in blocks]
     ranks = [o.n]
     for p in positions:
         ranks.append(ranks[-1] - next(drops[p]))
@@ -349,5 +353,5 @@ def orbit_dim(o: OrbitSpec) -> int:
     sum over eigenvalues of the squared parts of the dual partition."""
     cent = 0
     for _, part in o.blocks:
-        cent += sum(d * d for d in dual_partition(part))
+        cent += sum(d * d for d in _dual(part))
     return o.n * o.n - cent

@@ -74,8 +74,9 @@ def regsing_normalize(c: FormalConnection, order: int) -> LaurentMatrix:
         den = lcm(*(d for _, _, d in g))
         lr = [[x * (den // d) for re, _, d in g for x in re[r]] for r in range(n)]
         li = [[x * (den // d) for _, im, d in g for x in im[r]] for r in range(n)]
-        rhs = linalg.gaussian_mul(lr, li, hr[(order - 1 - k) * n :], hi[(order - 1 - k) * n :])
-        sol = linalg.sylvester_solve(ad, k, (*rhs, den * hden))
+        t = (order - 1 - k) * n
+        rhs = linalg.gaussian_mul((lr, li, den), (hr[t:], hi[t:], hden))
+        sol = linalg.sylvester_solve(ad, k, rhs)
         if sol is None:
             raise ResonantError(
                 f"resonant residue: two eigenvalues of B_0 differ by {k}"

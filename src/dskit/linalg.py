@@ -1,27 +1,27 @@
 """Dense exact linear algebra over the Gaussian rationals.
 
-Matrices are plain lists of lists of Scalar.  Elimination (`rank`, `solve`,
-`sylvester_solve`), the nilpotency test and the gauge recursion work on a
-matrix scaled to Gaussian integers by one common denominator (`gaussian`),
-held as parallel lists of Python ints for the real and imaginary parts, with
-products by `gaussian_mul` and fraction-free elimination, so no `Fraction` is
-made until a result is read back (`from_gaussian`).  A right-hand side is
-scaled apart from the matrix, so its denominators never enter the operator,
-and a Sylvester operator is scaled once for all shifts.  No pivoting
-heuristics are needed because the arithmetic is exact.
+Matrices are plain lists of lists of Scalar.  Elimination (`rank`, the
+Jordan type, `sylvester_solve`), the nilpotency test and the gauge recursion
+work on a matrix scaled to Gaussian integers by one common denominator
+(`gaussian`): parallel lists of Python ints for the real and imaginary parts,
+and the scale.  Products (`gaussian_mul`) and fraction-free elimination make
+no `Fraction` until a result is read back (`from_gaussian`).  A right-hand
+side is scaled apart from the matrix, so its denominators never enter the
+operator, and a Sylvester operator is scaled once for all shifts.  No
+pivoting heuristics are needed because the arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd, lcm
 from operator import mul
 
-from .core import ONE, ZERO, Scalar, ScalarLike
+from .core import ONE, ZERO, Scalar, ScalarLike, dual_partition
 from .errors import InputError
 
 Matrix = list[list[Scalar]]
-Vector = list[Scalar]
 Ints = list[list[int]]
 # a matrix scaled to Z[i]: real parts, imaginary parts, and the scale
 Gaussian = tuple[Ints, Ints, int]
@@ -148,53 +148,17 @@ def from_gaussian(g: Gaussian) -> Matrix:
              for x, y in zip(xr, yr)] for xr, yr in zip(re, im)]
 
 
-def _solve_gaussian(re: Ints, im: Ints, den: int, rhs: Gaussian, width: int) -> Gaussian | None:
-    """One solution x of a x = b with free coordinates set to zero, in lowest
-    terms and in rows of `width`, or None if the system is inconsistent.
-
-    a = (re + i im) / den is reduced in place, and b = (bre + i bim) / big is
-    rhs read row by row, appended as bre den.  Every pivot row then ends with
-    the same last pivot p, so x = u conj(p) / (|p|^2 big), u that column.
-    """
-    cols = len(re[0]) if re else 0
-    bre, bim, big = rhs
-    for ar, ai, yr, yi in zip(re, im, sum(bre, []), sum(bim, [])):
-        ar.append(yr * den)
-        ai.append(yi * den)
-    pivots = _gauss_jordan(re, im)
-    if cols in pivots:
-        return None
-    pr, pi = (re[0][pivots[0]], im[0][pivots[0]]) if pivots else (1, 0)
-    xr, xi = [0] * cols, [0] * cols
-    for r, c in enumerate(pivots):
-        ur, ui = re[r][cols], im[r][cols]
-        xr[c] = ur * pr + ui * pi
-        xi[c] = ui * pr - ur * pi
-    d = (pr * pr + pi * pi) * big
-    g = gcd(d, *xr, *xi)
-    return ([[x // g for x in xr[i : i + width]] for i in range(0, cols, width)],
-            [[x // g for x in xi[i : i + width]] for i in range(0, cols, width)], d // g)
-
-
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One solution of a x = b, or None if the system is inconsistent.
-
-    Free variables are set to zero.
-    """
-    if len(b) != len(a):
-        raise InputError("right-hand side has wrong length")
-    sol = _solve_gaussian(*gaussian(a), gaussian([[Scalar.of(y) for y in b]]), 1)
-    return None if sol is None else [row[0] for row in from_gaussian(sol)]
-
-
-def gaussian_mul(ar: Ints, ai: Ints, br: Ints, bi: Ints) -> tuple[Ints, Ints]:
-    """The parts of (ar + i ai)(br + i bi), for matrices over Z[i] in parts."""
+def gaussian_mul(a: Gaussian, b: Gaussian) -> Gaussian:
+    """The product of a = (ar + i ai) / ad and b = (br + i bi) / bd, over the
+    product of their scales."""
+    (ar, ai, ad), (br, bi, bd) = a, b
     br_t, bi_t = list(zip(*br)), list(zip(*bi))
     return (
         [[sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)) for yr, yi in zip(br_t, bi_t)]
          for xr, xi in zip(ar, ai)],
         [[sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)) for yr, yi in zip(br_t, bi_t)]
          for xr, xi in zip(ar, ai)],
+        ad * bd,
     )
 
 
@@ -208,12 +172,12 @@ def is_nilpotent(a: Matrix) -> bool:
     n, m = dims(a)
     if n != m:
         raise InputError("nilpotency needs a square matrix")
-    re, im, _ = gaussian(a)
+    g = gaussian(a)
     k = 1
     while k < n:
-        re, im = gaussian_mul(re, im, re, im)
+        g = gaussian_mul(g, g)
         k *= 2
-    return not any(map(any, re)) and not any(map(any, im))
+    return not any(map(any, g[0])) and not any(map(any, g[1]))
 
 
 def sylvester_operator(b: Matrix) -> Gaussian:
@@ -238,28 +202,41 @@ def sylvester_operator(b: Matrix) -> Gaussian:
 def sylvester_solve(op: Gaussian, k: int, rhs: Gaussian) -> Gaussian | None:
     """One solution x of (b + k) x - x b = rhs for op = `sylvester_operator(b)`,
     with free coordinates set to zero and in lowest terms, or None if the
-    system is inconsistent.  The shift adds k times op's scale to its diagonal.
+    system is inconsistent.  A copy of op, k times its scale den added to the
+    diagonal, is augmented by rhs = (bre + i bim) / big, row by row, times den.
+    Every pivot row then ends in the same last pivot p, so x = u conj(p) /
+    (|p|^2 big), u that column.
     """
-    re, im, den = [row[:] for row in op[0]], [row[:] for row in op[1]], op[2]
+    re, im, den = op
+    bre, bim, big = rhs
+    n, cols = len(bre), len(re)
+    re = [row + [y * den] for row, y in zip(re, sum(bre, []))]
+    im = [row + [y * den] for row, y in zip(im, sum(bim, []))]
     for r, row in enumerate(re):
         row[r] += k * den
-    return _solve_gaussian(re, im, den, rhs, len(rhs[0]))
+    pivots = _gauss_jordan(re, im)
+    if cols in pivots:
+        return None
+    pr, pi = (re[0][pivots[0]], im[0][pivots[0]]) if pivots else (1, 0)
+    xr, xi = [0] * cols, [0] * cols
+    for r, c in enumerate(pivots):
+        ur, ui = re[r][cols], im[r][cols]
+        xr[c] = ur * pr + ui * pi
+        xi[c] = ui * pr - ur * pi
+    d = (pr * pr + pi * pi) * big
+    g = gcd(d, *xr, *xi)
+    return ([[x // g for x in xr[i : i + n]] for i in range(0, cols, n)],
+            [[x // g for x in xi[i : i + n]] for i in range(0, cols, n)], d // g)
 
 
 def jordan_type_of_nilpotent(a: Matrix) -> tuple[int, ...]:
-    """Jordan partition of a nilpotent matrix from its power-rank sequence."""
+    """Jordan partition of a nilpotent matrix from the ranks of its powers,
+    taken over Z[i] from `gaussian(a)` (scaling keeps every rank)."""
     n = len(a)
-    ranks = [n]
-    power = identity(n)
-    for _ in range(n):
-        power = mat_mul(power, a)
-        ranks.append(rank(power))
+    g = gaussian(a)
+    ranks = [n] + [len(_gauss_jordan([row[:] for row in re], [row[:] for row in im]))
+                   for re, im, _ in accumulate(repeat(g, n), gaussian_mul)]
     if ranks[-1] != 0:
         raise InputError("matrix is not nilpotent")
-    # parts of the dual partition: d_k = rank(a^{k-1}) - rank(a^k)
-    dual = [ranks[k - 1] - ranks[k] for k in range(1, n + 1)]
-    dual = [d for d in dual if d > 0]
-    # transpose back
-    if not dual:
-        return ()
-    return tuple(sum(1 for d in dual if d >= k) for k in range(1, dual[0] + 1))
+    # the drops rank(a^{k-1}) - rank(a^k) are the parts of the dual partition
+    return dual_partition([p - q for p, q in zip(ranks, ranks[1:]) if p > q])

@@ -50,7 +50,6 @@ from dskit.formal import (
 from dskit.laurent import LaurentMatrix
 from dskit.linalg import (
     Matrix,
-    Vector,
     copy_matrix,
     dims,
     identity,
@@ -71,6 +70,8 @@ from dskit.rootsys import (
     classify_root,
 )
 from dskit.unramified import UnramFormalType, _intra_type_arrows
+
+Vector = list[Scalar]
 
 # ---------------------------------------------------------------------------
 # Scalars, partitions and orbits.
@@ -279,8 +280,8 @@ def echelon_rank(a: Matrix) -> int:
 
 
 def echelon_solve(a: Matrix, b: Vector) -> Vector | None:
-    """`linalg.solve`'s contract by `_row_echelon` on Scalars: one solution of
-    a x = b with its free coordinates set to zero, or None if inconsistent."""
+    """One solution of a x = b by `_row_echelon` on Scalars, with its free
+    coordinates set to zero, or None if inconsistent."""
     rows, cols = dims(a)
     if len(b) != rows:
         raise InputError("right-hand side has wrong length")

@@ -286,6 +286,18 @@ def test_coxeter_ds_gcd_guard(tmp_path, capsys):
     assert "gcd" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the digit limit came with 3.10.7 and 3.11")
+def test_coxeter_ds_p0_past_the_conversion_limit_is_an_input_error(tmp_path, capsys):
+    path = _write(tmp_path, "orb.json", orbit=NILP2)
+    many = "9" * 5000
+    for p0 in (many, f"1/{many}", f"{many}i", f"1+{many}i"):
+        err = _error(capsys, ["coxeter-ds", "--n", "2", "--r", "1", "--p0", p0,
+                              "--orbit", path])
+        assert err.startswith("error: cannot parse scalar: Exceeds the limit")
+        assert err.count("\n") == 1
+
+
 def test_coxeter_ds_large_r_at_once(tmp_path, capsys):
     # p(x) = x^r + p0 is kept by its two terms, not by r + 1 coefficients
     path = _write(tmp_path, "orb.json", orbit=NILP2)

@@ -218,6 +218,8 @@ def test_dual_partition():
     assert dual_partition((2, 2, 1)) == (3, 2)
     assert dual_partition((5,)) == (1, 1, 1, 1, 1)
     assert dual_partition(()) == ()
+    with pytest.raises(InputError):
+        dual_partition([1, 2])
 
 
 @given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=7))

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from dskit import fuchsian
-from dskit.core import OrbitSpec, Scalar, residue_arm
+from dskit import core, fuchsian, jsonio
+from dskit.core import OrbitSpec, Scalar, as_partition, orbit_dim, residue_arm
 from dskit.errors import BudgetExceededError, InputError
 from dskit.fuchsian import (
     FuchsianRigidity,
@@ -294,6 +294,30 @@ def test_explicit_factor_sequences_are_validated_once_per_orbit(monkeypatch):
     data = build_cb_data(orbits, [[0, 0], [0, 0], [Fraction(1, 2), 0]])
     assert calls == orbits
     assert data.lam[(3, 1)] == Scalar(Fraction(1, 2))
+
+
+def test_each_block_partition_is_validated_once(monkeypatch):
+    # OrbitSpec validates its partitions; the arms and orbit_dim read them as held
+    calls = []
+
+    def spy(parts):
+        calls.append(parts)
+        return as_partition(parts)
+
+    monkeypatch.setattr(core, "as_partition", spy)
+    sc = lambda a, b=1, c=0, d=1: [a, b, c, d]
+    doc = [
+        {"n": 4, "blocks": [{"eig": sc(1, 3), "partition": [2, 1]},
+                            {"eig": sc(1, 1, 1, 2), "partition": [1]}]},
+        {"n": 4, "blocks": [{"eig": sc(0), "partition": [2, 2]}]},
+        {"n": 4, "blocks": [{"eig": sc(-1, 5), "partition": [1, 1]},
+                            {"eig": sc(0, 1, 2), "partition": [1]}, {"eig": sc(3), "partition": [1]}]},
+    ]
+    orbits = [jsonio.parse_orbit(o) for o in doc]
+    assert len(calls) == 6
+    build_cb_data(orbits)
+    assert [orbit_dim(o) for o in orbits] == [10, 8, 10]
+    assert len(calls) == 6
 
 
 def test_quiver_builders_hash_no_scalar(monkeypatch):

@@ -2,8 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from dskit import linalg
-from dskit.core import OrbitSpec, Scalar
+from dskit.core import OrbitSpec, Scalar, partitions_of
+from dskit.errors import InputError
 from exact_oracles import (
     ad_eigen_shift_singular,
     det,
@@ -74,16 +77,11 @@ def test_inverse_random():
     assert found > 10
 
 
-def test_solve_and_nullspace():
-    a = mat_of([[1, 2], [3, 4]])
-    x = linalg.solve(a, [Scalar(5), Scalar(11)])
-    assert x is not None
-    assert [sum((a[i][j] * x[j] for j in range(2)), Scalar(0)) for i in range(2)] == [
-        Scalar(5),
-        Scalar(11),
-    ]
+def test_inconsistent_rank_and_nullspace():
     sing = mat_of([[1, 1], [1, 1]])
-    assert linalg.solve(sing, [Scalar(0), Scalar(1)]) is None
+    # sing x = (0, 1) is inconsistent: the right-hand side raises the rank
+    assert linalg.rank(sing) == 1
+    assert linalg.rank(mat_of([[1, 1, 0], [1, 1, 1]])) == 2
     ns = nullspace(sing)
     assert len(ns) == 1
     v = ns[0]
@@ -183,21 +181,20 @@ def _sevens_entry(rng):
     return Scalar(Fraction(rng.randint(-60, 60), den()), im)
 
 
-def _random_system(rng, rhs_entry=_gaussian_entry):
+def _random_system(rng):
     """A rectangular system a x = b, often with dependent rows, and with b
     often in the column space, so that singular consistent systems are as
-    common as inconsistent ones.  The entries of b, or of the x it comes
-    from, are drawn by rhs_entry."""
+    common as inconsistent ones."""
     rows, cols = rng.choice(SIZES), rng.choice(SIZES)
     a = [[_gaussian_entry(rng) for _ in range(cols)] for _ in range(rows)]
     for i in range(1, rows):
         if rng.random() < 0.35:
             a[i] = _combination(rng, a[:i])
     if rng.random() < 0.6:
-        x0 = [rhs_entry(rng) for _ in range(cols)]
+        x0 = [_gaussian_entry(rng) for _ in range(cols)]
         b = [sum((p * q for p, q in zip(row, x0)), Scalar(0)) for row in a]
     else:
-        b = [rhs_entry(rng) for _ in range(rows)]
+        b = [_gaussian_entry(rng) for _ in range(rows)]
     return a, b
 
 
@@ -211,14 +208,13 @@ def _first_pivot_is_nonreal(a):
     return False
 
 
-def test_solve_and_rank_match_echelon_oracle():
+def test_rank_matches_echelon_oracle():
     rng = random.Random(2024)
     kinds = {"inconsistent": 0, "singular_consistent": 0, "nonreal_previous_pivot": 0}
     for _ in range(3000):
         a, b = _random_system(rng)
         cols = len(a[0])
         want = echelon_solve(a, b)
-        assert linalg.solve(a, b) == want, (a, b)
         r = echelon_rank(a)
         assert linalg.rank(a) == r
         # consistent exactly when b adds nothing to the column space
@@ -230,22 +226,6 @@ def test_solve_and_rank_match_echelon_oracle():
             kinds["singular_consistent"] += 1
         if r >= 2 and _first_pivot_is_nonreal(a):
             kinds["nonreal_previous_pivot"] += 1
-    assert min(kinds.values()) >= 300, kinds
-
-
-def test_solve_with_right_hand_side_denominators_matches_echelon_oracle():
-    # b is scaled by a denominator of its own, apart from the rows of a
-    rng = random.Random(2027)
-    kinds = {"inconsistent": 0, "singular_consistent": 0, "nonreal_rhs": 0}
-    for _ in range(2000):
-        a, b = _random_system(rng, _sevens_entry)
-        want = echelon_solve(a, b)
-        assert linalg.solve(a, b) == want, (a, b)
-        if want is None:
-            kinds["inconsistent"] += 1
-        elif echelon_rank(a) < len(a[0]):
-            kinds["singular_consistent"] += 1
-        kinds["nonreal_rhs"] += any(y.im for y in b)
     assert min(kinds.values()) >= 300, kinds
 
 
@@ -275,9 +255,11 @@ def _residue_with_gaps(rng, n):
 
 
 def test_sylvester_solve_matches_the_kronecker_oracle():
-    # (b + k) x - x b is singular exactly when k is a difference of two gaps
+    # (b + k) x - x b is singular exactly when k is a difference of two gaps;
+    # rhs has denominators 7^1..7^4, times 11 or 13 at times, of its own
     rng = random.Random(2028)
-    kinds = {"resonant_inconsistent": 0, "resonant_consistent": 0, "regular": 0}
+    kinds = {"resonant_inconsistent": 0, "resonant_consistent": 0, "regular": 0,
+             "nonreal_rhs": 0}
     for _ in range(50):
         n = rng.choice([1, 2, 2, 3, 3, 3, 4])
         b, gaps = _residue_with_gaps(rng, n)
@@ -296,6 +278,7 @@ def test_sylvester_solve_matches_the_kronecker_oracle():
                 scaled = [[s * x for x in row] for row in re], [[s * x for x in row] for row in im]
                 got = linalg.sylvester_solve(op, k, (*scaled, s * den))
                 assert got == (None if want is None else linalg.gaussian(want)), (b, k, rhs)
+                kinds["nonreal_rhs"] += any(y.im for row in rhs for y in row)
                 if k not in {p - q for p in gaps for q in gaps}:
                     kinds["regular"] += 1
                 elif want is None:
@@ -303,6 +286,39 @@ def test_sylvester_solve_matches_the_kronecker_oracle():
                 elif k > 0:
                     kinds["resonant_consistent"] += 1
     assert min(kinds.values()) >= 50, kinds
+
+
+def test_solve_with_right_hand_side_denominators_matches_echelon_oracle():
+    # rhs is scaled by a denominator of its own, apart from the operator of
+    # a dense b, often with dependent rows; k = 0 keeps the operator singular
+    rng = random.Random(2027)
+    kinds = {"inconsistent": 0, "singular_consistent": 0, "nonreal_rhs": 0}
+    for _ in range(600):
+        n = rng.choice([1, 2, 2, 3, 3])
+        b = [[_gaussian_entry(rng) for _ in range(n)] for _ in range(n)]
+        for i in range(1, n):
+            if rng.random() < 0.35:
+                b[i] = _combination(rng, b[:i])
+        k = rng.choice([0, 0, 1, 2])
+        shifted = linalg.mat_add(b, linalg.mat_scale(k, linalg.identity(n)))
+        if rng.random() < 0.6:
+            x0 = [[_sevens_entry(rng) for _ in range(n)] for _ in range(n)]
+            rhs = mat_sub(linalg.mat_mul(shifted, x0), linalg.mat_mul(x0, b))
+        else:
+            rhs = [[_sevens_entry(rng) for _ in range(n)] for _ in range(n)]
+        a = sylvester_kron(shifted, b)
+        want = echelon_solve(a, [y for row in rhs for y in row])
+        got = linalg.sylvester_solve(linalg.sylvester_operator(b), k, linalg.gaussian(rhs))
+        if want is None:
+            assert got is None, (b, k, rhs)
+            kinds["inconsistent"] += 1
+        else:
+            assert got == linalg.gaussian([want[i * n : (i + 1) * n] for i in range(n)]), (
+                b, k, rhs)
+            if echelon_rank(a) < n * n:
+                kinds["singular_consistent"] += 1
+        kinds["nonreal_rhs"] += any(y.im for row in rhs for y in row)
+    assert min(kinds.values()) >= 90, kinds
 
 
 def test_gaussian_scales_by_the_least_common_denominator():
@@ -343,12 +359,46 @@ def test_sylvester_operator_is_the_kronecker_oracle_over_one_denominator():
         ]
 
 
-def test_solve_degenerate_shapes():
-    assert linalg.solve([], []) == []
-    assert linalg.solve([[], []], [Scalar(0), Scalar(0)]) == []
-    assert linalg.solve([[], []], [Scalar(0), Scalar(1)]) is None
-    assert linalg.solve([[Scalar(0, 2)]], [Scalar(1)]) == [Scalar(0, Fraction(-1, 2))]
-    assert linalg.rank([]) == 0 and linalg.rank([[]]) == 0
+def test_rank_of_degenerate_shapes():
+    assert linalg.rank([]) == 0 and linalg.rank([[]]) == 0 and linalg.rank([[], []]) == 0
+    assert linalg.jordan_type_of_nilpotent([]) == ()
+
+
+def test_gaussian_mul_matches_mat_mul():
+    # the parts multiply over Z[i] and the scales multiply
+    rng = random.Random(2042)
+    for _ in range(300):
+        rows, inner, cols = rng.choice(SIZES), rng.choice(SIZES), rng.choice(SIZES)
+        if rng.random() < 1 / 3:  # the gauge's [g_0 ... g_{k-1}] [B_k; ...; B_1]
+            inner, cols = rows * rng.randint(1, 7), rows
+        entry = lambda: rng.choice([_gaussian_entry, _sevens_entry])(rng)
+        a = [[entry() for _ in range(inner)] for _ in range(rows)]
+        b = [[entry() for _ in range(cols)] for _ in range(inner)]
+        ga, gb = linalg.gaussian(a), linalg.gaussian(b)
+        prod = linalg.gaussian_mul(ga, gb)
+        assert prod[2] == ga[2] * gb[2]
+        assert linalg.from_gaussian(prod) == linalg.mat_mul(a, b), (a, b)
+
+
+def test_jordan_type_of_hidden_nilpotents_matches_the_jordan_matrix_oracle():
+    rng = random.Random(2043)
+    nonreal = 0
+    for n in range(1, 8):
+        for part in partitions_of(n):
+            for _ in range(3):
+                a = jordan_matrix(OrbitSpec(n, [(0, part)]))
+                _hide_by_similarities(rng, a)
+                s = Scalar(Fraction(rng.randint(1, 3), rng.randint(1, 3)), rng.choice([0, 1]))
+                a = [[s * x for x in row] for row in a]
+                nonreal += any(x.im for row in a for x in row)
+                assert linalg.jordan_type_of_nilpotent(a) == part, a
+    assert nonreal >= 66, nonreal  # of 132
+    for blocks in ([(1, (1,))], [(0, (2,)), (Scalar(0, 1), (1,))], [(Fraction(1, 2), (3,))]):
+        o = OrbitSpec(sum(sum(part) for _, part in blocks), blocks)
+        a = jordan_matrix(o)
+        _hide_by_similarities(rng, a)
+        with pytest.raises(InputError, match="^matrix is not nilpotent$"):
+            linalg.jordan_type_of_nilpotent(a)
 
 
 def _random_square(rng, n):
