@@ -17,7 +17,7 @@ from dskit.coxeter import (
     h1_dimension,
     is_rigid_coxeter_gl,
     residue_representative,
-    rigid_table_simple_type,
+    rigid_table_readings,
 )
 from dskit.formal import CoxeterFormalType
 
@@ -50,11 +50,12 @@ print()
 # families.  Type B genuinely depends on which reading of the two divisor
 # conditions one takes; both are exposed.
 q = SimpleTypeQuery("B", 4, 3)
+either, both = rigid_table_readings(q)
 print(f"B4, r=3 (Coxeter number {q.coxeter_number()}):",
-      f"either-divisor {rigid_table_simple_type(q)},",
-      f"both-divisors {rigid_table_simple_type(q, conjunction=True)}")
-q = SimpleTypeQuery("A", 6, 5)
-print(f"A6, r=5: both readings agree -> {rigid_table_simple_type(q)}")
+      f"either-divisor {either},", f"both-divisors {both}")
+either, both = rigid_table_readings(SimpleTypeQuery("A", 6, 5))
+assert either == both
+print(f"A6, r=5: both readings agree -> {either}")
 print()
 
 # Concrete matrix representatives of the distinguished residue orbits: a

@@ -16,7 +16,6 @@ from dskit.unramified import (
     UnramFormalType,
     build_hiroe_data,
     count_rank2_moduli,
-    unramified_ds_exists,
 )
 
 
@@ -37,10 +36,11 @@ t_reg = UnramFormalType([UnramBlock(
 witness = [t_irr, t_reg]
 
 data = build_hiroe_data(witness)
+by_three, by_two = data.readings()
 print("quiver vertices:", data.quiver.vertices)
 print("alpha:", data.alpha)
-print("summands >= 3 reading:", unramified_ds_exists(witness))
-print("summands >= 2 reading:", unramified_ds_exists(witness, ell_ge_2=True))
+print("summands >= 3 reading:", by_three)
+print("summands >= 2 reading:", by_two)
 print()
 
 # For a single rank-2 slope-1 point plus one regular orbit O, the moduli

@@ -1,11 +1,11 @@
 """Certifying slopes and normalizing regular-singular connections.
 
-The slope of z d/dz - M(z) measures how irregular the singularity at z = 0
+The slope of d + M(z) dz/z measures how irregular the singularity at z = 0
 is.  A slope certificate is a stratum in a standard parahoric filtration
 whose leading term is fundamental (non-nilpotent power); scanning the 2^(n-1)
 standard parahorics either certifies the slope exactly or reports an upper
-bound.  Slope 0 candidates can then be brought to the constant form z^-1 B_0
-by an explicit gauge transformation, computed term by term.
+bound.  Slope 0 candidates can then be brought to the constant form
+d + B_0 dz/z by an explicit gauge transformation, computed term by term.
 """
 
 from fractions import Fraction
@@ -13,7 +13,6 @@ from fractions import Fraction
 from dskit import linalg
 from dskit.formal import (
     CertifiedSlope,
-    FormalConnection,
     RegularSingularCandidate,
     UpperBoundOnly,
     certify_slope,
@@ -29,7 +28,7 @@ mono = LaurentMatrix.monomial
 # fractional slope: omega^-k has slope k/n.
 for n in (2, 3, 5):
     for k in (1, n + 1):
-        v = certify_slope(FormalConnection(omega_power(n, -k)))
+        v = certify_slope(omega_power(n, -k))
         assert isinstance(v, CertifiedSlope)
         print(f"n={n}  omega^-{k}:  slope {v.slope}  "
               f"(witness parahoric J={v.witness.parahoric.J}, depth {v.witness.depth})")
@@ -37,12 +36,12 @@ print()
 
 # A nilpotent polar part proves nothing by itself: the scan returns only an
 # upper bound, flagged as such.
-v = certify_slope(FormalConnection(mono(2, -1, 1, 2, 1)))
+v = certify_slope(mono(2, -1, 1, 2, 1))
 assert isinstance(v, UpperBoundOnly)
 print(f"nilpotent z^-1 E12: upper bound {v.bound}, not certified")
 
 # No polar part at all: a regular-singular candidate.
-v = certify_slope(FormalConnection(mono(2, 0, 1, 1, Fraction(1, 2))))
+v = certify_slope(mono(2, 0, 1, 1, Fraction(1, 2)))
 assert isinstance(v, RegularSingularCandidate)
 print("diag(1/2, 0) at z^0: regular-singular candidate")
 print()
@@ -54,7 +53,7 @@ print()
 order = 5
 b0 = mono(2, 0, 2, 2, Fraction(1, 2))          # diag(0, 1/2)
 m = b0 + mono(2, 1, 1, 2, 1)                    # one off-diagonal z-term
-g = regsing_normalize(FormalConnection(m), order)
+g = regsing_normalize(m, order)
 print(f"g_0 = identity: {g.coeff(0) == linalg.identity(2)}")
 print(f"g_1 = {g.coeff(1)}")
 lead = LaurentMatrix(2, {0: m.coeff(0)})

@@ -27,7 +27,7 @@ from .coxeter import (
     h1_dimension,
     is_rigid_coxeter_gl,
     residue_representative,
-    rigid_table_simple_type,
+    rigid_table_readings,
 )
 from .errors import (
     BudgetExceededError,
@@ -39,7 +39,6 @@ from .errors import (
 from .formal import (
     CertifiedSlope,
     CoxeterFormalType,
-    FormalConnection,
     RegularSingularCandidate,
     SlopeVerdict,
     StandardParahoric,
@@ -74,7 +73,6 @@ from .unramified import (
     UnramFormalType,
     build_hiroe_data,
     count_rank2_moduli,
-    unramified_ds_exists,
 )
 
 __version__ = "0.1.0"
@@ -87,7 +85,6 @@ __all__ = [
     "CoxeterFormalType",
     "DEFAULT_BUDGET",
     "DsKitError",
-    "FormalConnection",
     "FuchsianRigidity",
     "HiroeData",
     "InputError",
@@ -130,8 +127,7 @@ __all__ = [
     "partitions_of",
     "regsing_normalize",
     "residue_representative",
-    "rigid_table_simple_type",
+    "rigid_table_readings",
     "standard_parahorics",
-    "unramified_ds_exists",
     "__version__",
 ]

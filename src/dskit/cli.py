@@ -22,17 +22,11 @@ from typing import Any, Sequence
 
 from . import jsonio
 from .core import OrbitSpec, Scalar
-from .coxeter import (
-    SimpleTypeQuery,
-    coxeter_ds_decide,
-    is_rigid_coxeter_gl,
-    rigid_table_simple_type,
-)
+from .coxeter import SimpleTypeQuery, coxeter_ds_decide, is_rigid_coxeter_gl, rigid_table_readings
 from .errors import BudgetExceededError, InputError
 from .formal import (
     CertifiedSlope,
     CoxeterFormalType,
-    FormalConnection,
     RegularSingularCandidate,
     UpperBoundOnly,
     certify_slope,
@@ -41,6 +35,14 @@ from .formal import (
 from .fuchsian import CBData, FuchsianRigidity, build_cb_data, fuchsian_rigidity
 from .rootsys import DEFAULT_BUDGET
 from .unramified import build_hiroe_data
+
+
+# the --flag of each subcommand that has one: its value, the reading the
+# verdict follows by default, and the one the flag selects
+_READINGS = {
+    "unramified-ds": ("ell-ge-2", "parts>=3", "parts>=2"),
+    "rigidity-table": ("table-conjunction", "either-divisor", "both-divisors"),
+}
 
 
 @functools.cache
@@ -76,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--input", required=True, help="JSON file with 'types'")
     p.add_argument(
-        "--flag", choices=("ell-ge-2",),
+        "--flag", choices=_READINGS["unramified-ds"][:1],
         help="follow the parts>=2 reading of condition (2), decompositions "
              "into two or more parts, instead of the printed parts>=3; a "
              "disagreement between the two readings surfaces in notes",
@@ -111,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(family A is keyed by matrix size n)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument(
-        "--flag", choices=("table-conjunction",),
+        "--flag", choices=_READINGS["rigidity-table"][:1],
         help="follow the both-divisors reading of the two-condition rows "
              "(types B and D) instead of the either-divisor one; a "
              "disagreement between the two readings surfaces in notes",
@@ -231,20 +233,18 @@ def quiver_dot(data: CBData) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _flag_note(
-    ctx, flag: str, readings: tuple[str, str], flagged: bool, selected: Any, other: Any
-) -> None:
-    """Note that the two readings of an ambiguous criterion disagree, when
-    they do; readings names the default one, then the one --flag selects."""
-    if other == selected:
-        return
-    default, alt = readings
-    by_default, by_flag = (other, selected) if flagged else (selected, other)
-    ctx["notes"].append(
-        f"flag-sensitive: the {default} reading gives {by_default}, the {alt} "
-        f"reading (--flag {flag}) gives {by_flag}; this verdict follows the "
-        f"{alt if flagged else default} reading"
-    )
+def _flag_reading(ns, ctx, readings: tuple[Any, Any]) -> Any:
+    """The reading of an ambiguous criterion that --flag selects: the second
+    when given, else the first.  When the two disagree, a note gives both."""
+    flag, default, alt = _READINGS[ns.command]
+    by_default, by_flag = readings
+    if by_default != by_flag:
+        ctx["notes"].append(
+            f"flag-sensitive: the {default} reading gives {by_default}, the {alt} "
+            f"reading (--flag {flag}) gives {by_flag}; this verdict follows the "
+            f"{alt if ns.flag else default} reading"
+        )
+    return by_flag if ns.flag else by_default
 
 
 def _cmd_fuchsian_ds(ns, ctx) -> tuple[Any, int]:
@@ -260,11 +260,7 @@ def _cmd_unramified_ds(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.input)
     types, payload = _parse_type_list(doc)
     ctx["digest"] = jsonio.digest_of(payload)
-    use_two = ns.flag is not None
-    by_three, by_two = build_hiroe_data(types).readings(ns.budget)
-    selected, other = (by_two, by_three) if use_two else (by_three, by_two)
-    _flag_note(ctx, "ell-ge-2", ("parts>=3", "parts>=2"), use_two, selected, other)
-    return {"exists": selected}, 0
+    return {"exists": _flag_reading(ns, ctx, build_hiroe_data(types).readings(ns.budget))}, 0
 
 
 def _cmd_coxeter_ds(ns, ctx) -> tuple[Any, int]:
@@ -293,18 +289,14 @@ def _cmd_rigidity_table(ns, ctx) -> tuple[Any, int]:
     ctx["digest"] = jsonio.digest_of(
         {"family": qy.family, "rank": qy.rank, "r": qy.r}
     )
-    conj = ns.flag is not None
-    val = rigid_table_simple_type(qy, conjunction=conj)
-    other = rigid_table_simple_type(qy, conjunction=not conj)
-    _flag_note(ctx, "table-conjunction", ("either-divisor", "both-divisors"), conj, val, other)
-    return {"rigid": val}, 0
+    return {"rigid": _flag_reading(ns, ctx, rigid_table_readings(qy))}, 0
 
 
 def _cmd_slope(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.matrix)
     m = jsonio.parse_laurent(_require(doc, "matrix"), "matrix")
     ctx["digest"] = jsonio.digest_of({"matrix": jsonio.laurent_json(m)})
-    verdict = certify_slope(FormalConnection(m), ns.budget)
+    verdict = certify_slope(m, ns.budget)
     if isinstance(verdict, CertifiedSlope):
         return {
             "kind": "CertifiedSlope",
@@ -334,7 +326,7 @@ def _cmd_normalize_regsing(ns, ctx) -> tuple[Any, int]:
     ctx["digest"] = jsonio.digest_of(
         {"matrix": jsonio.laurent_json(m), "order": ns.order}
     )
-    gauge = regsing_normalize(FormalConnection(m), ns.order)
+    gauge = regsing_normalize(m, ns.order)
     return {"gauge": jsonio.laurent_json(gauge)}, 0
 
 

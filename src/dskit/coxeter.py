@@ -150,11 +150,12 @@ class SimpleTypeQuery:
         ]
 
 
-def rigid_table_simple_type(qy: SimpleTypeQuery, conjunction: bool = False) -> bool:
-    """Rigidity of the homogeneous type of slope r/h: true when r = 1 or
-    r = h + 1, false outside 1 <= r <= h + 1, and by the family row in
-    between.  The comma-separated divisibility rows (families B and D) are
-    read as a disjunction by default; conjunction=True reads them as AND.
+def rigid_table_readings(qy: SimpleTypeQuery) -> tuple[bool, bool]:
+    """Rigidity of the homogeneous type of slope r/h, by the either-divisor
+    and by the both-divisors reading of the comma-separated divisibility
+    rows (families B and D); the other rows read the same both ways.  True
+    when r = 1 or r = h + 1, false outside 1 <= r <= h + 1, and by the
+    family row in between.
     """
     h = qy.coxeter_number()
     r = qy.r
@@ -163,22 +164,22 @@ def rigid_table_simple_type(qy: SimpleTypeQuery, conjunction: bool = False) -> b
             f"slope numerator must be coprime to the Coxeter number: "
             f"gcd({r}, {h}) != 1"
         )
-    if r == 1 or r == h + 1:
-        return True
-    if not 1 < r < h:
-        return False
     n = qy.rank
-    if qy.family == "A":
-        return (n - 1) % r == 0 or (n + 1) % r == 0
-    if qy.family == "C":
-        return (2 * n - 1) % r == 0 or (2 * n + 1) % r == 0
-    if qy.family == "E7":
-        return r == 7
-    if qy.family == "B":
+    if r == 1 or r == h + 1:
+        conds = (True,)
+    elif not 1 < r < h:
+        conds = (False,)
+    elif qy.family == "A":
+        conds = ((n - 1) % r == 0 or (n + 1) % r == 0,)
+    elif qy.family == "C":
+        conds = ((2 * n - 1) % r == 0 or (2 * n + 1) % r == 0,)
+    elif qy.family == "E7":
+        conds = (r == 7,)
+    elif qy.family == "B":
         conds = ((n + 1) % r == 0, (2 * n + 1) % r == 0)
     else:  # D
         conds = ((2 * n) % r == 0, (2 * n - 1) % r == 0)
-    return all(conds) if conjunction else any(conds)
+    return any(conds), all(conds)
 
 
 def residue_representative(n: int, r: int) -> linalg.Matrix:

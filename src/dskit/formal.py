@@ -19,24 +19,14 @@ from .laurent import LaurentMatrix
 from .rootsys import DEFAULT_BUDGET, _check_budget
 
 
-@dataclass(frozen=True)
-class FormalConnection:
-    """d + M(z) dz/z; the matrix M carries the pole and the truncation."""
-
-    matrix: LaurentMatrix
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
-
-
 # ---------------------------------------------------------------------------
 # Regular-singular normalization.
 # ---------------------------------------------------------------------------
 
 
-def regsing_normalize(c: FormalConnection, order: int) -> LaurentMatrix:
-    """Gauge g = I + g_1 z + ... with g.(d + M dz/z) = d + B_0 dz/z mod z^order.
+def regsing_normalize(m: LaurentMatrix, order: int) -> LaurentMatrix:
+    """Gauge g = I + g_1 z + ... with g.(d + M dz/z) = d + B_0 dz/z mod z^order,
+    where M = m = B_0 + B_1 z + ... carries the pole and the truncation.
 
     Coefficient k solves the Sylvester equation
     (B_0 + kI) g_k - g_k B_0 = sum_{i<k} g_i B_{k-i}, whose left side is
@@ -52,7 +42,6 @@ def regsing_normalize(c: FormalConnection, order: int) -> LaurentMatrix:
     """
     if order < 1:
         raise InputError(f"need order >= 1, got {order}")
-    m = c.matrix
     v = m.valuation()
     if v is not None and v < 0:
         raise InputError(
@@ -201,11 +190,11 @@ class Stratum:
         return Fraction(self.depth_num, self.parahoric.e)
 
 
-def leading_stratum(p: StandardParahoric, c: FormalConnection) -> Stratum:
-    """The stratum the connection exhibits at p in the given trivialization:
-    depth = -(min graded degree over the monomials of M), with the monomials
-    achieving it as the homogeneous representative."""
-    m = c.matrix
+def leading_stratum(p: StandardParahoric, m: LaurentMatrix) -> Stratum:
+    """The stratum d + M dz/z exhibits at p in the given trivialization, where
+    M = m carries the pole and the truncation: depth = -(min graded degree
+    over the monomials of M), with the monomials achieving it as the
+    homogeneous representative."""
     if m.n != p.n:
         raise InputError("connection size does not match the parahoric")
     monos = list(m.monomials())
@@ -279,8 +268,9 @@ def _depths(n: int, entries: list[tuple[int, int, int]]) -> Iterator[tuple[list[
         yield J, e, -min([k * e + f[a] - f[b] for k, a, b in entries])
 
 
-def certify_slope(c: FormalConnection, budget: int | None = DEFAULT_BUDGET) -> SlopeVerdict:
-    """Scan the standard parahorics in a FIXED trivialization.
+def certify_slope(m: LaurentMatrix, budget: int | None = DEFAULT_BUDGET) -> SlopeVerdict:
+    """Scan the standard parahorics for d + M dz/z in a FIXED trivialization,
+    where M = m carries the pole and the truncation.
 
     Every stratum contained in the connection bounds the slope from above,
     and a fundamental stratum of positive depth attains it (Bremer-Sage,
@@ -308,7 +298,6 @@ def certify_slope(c: FormalConnection, budget: int | None = DEFAULT_BUDGET) -> S
     The default DEFAULT_BUDGET fits every n <= 21; None means no budget.
     """
     _check_budget(budget)
-    m = c.matrix
     if m.trunc is not None and m.trunc < 1:
         raise TruncationError(
             "slope certification needs the matrix known through z^0"
@@ -338,7 +327,7 @@ def certify_slope(c: FormalConnection, budget: int | None = DEFAULT_BUDGET) -> S
     for J, e, r in _depths(n, entries):
         if r * least_e != least_r * e:
             continue
-        s = leading_stratum(StandardParahoric(n, J), c)
+        s = leading_stratum(StandardParahoric(n, J), m)
         if is_fundamental(s):
             return CertifiedSlope(s.depth, s)
         if first is None:

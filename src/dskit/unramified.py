@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import OrbitSpec, Scalar, ScalarLike, residue_arm
 from .errors import InputError, ResonantError
@@ -99,12 +99,10 @@ def _q_diff_degree(q1: tuple[Scalar, ...], q2: tuple[Scalar, ...]) -> int:
     return 0
 
 
-def _intra_type_arrows(
-    t: UnramFormalType, vertex: Callable[[int], Vertex]
-) -> list[tuple[Vertex, Vertex]]:
-    """deg_{z^-1}(q_j - q_j') - 1 arrows vertex(j) -> vertex(j') for j < j'."""
+def _intra_type_arrows(t: UnramFormalType, i: int) -> list[tuple[Vertex, Vertex]]:
+    """deg_{z^-1}(q_j - q_j') - 1 arrows (i, j) -> (i, j') for j < j'."""
     return [
-        (vertex(j), vertex(jp))
+        ((i, j), (i, jp))
         for j in range(1, t.ell + 1)
         for jp in range(j + 1, t.ell + 1)
         for _ in range(_q_diff_degree(t.blocks[j - 1].q, t.blocks[jp - 1].q) - 1)
@@ -138,10 +136,18 @@ class HiroeData(CBData):
         b = self.quiver.as_vector(beta)
         return not any(sum(map(operator.mul, b, f)) for f in self.lattice_forms())
 
-    def readings(self, budget: int | None) -> tuple[bool, bool]:
-        """The criterion by the parts>=3 and by the parts>=2 reading of
-        condition (2), both read off one table of best p-sums over the
-        vectors of L that the search may use."""
+    def readings(self, budget: int | None = DEFAULT_BUDGET) -> tuple[bool, bool]:
+        """Whether an irreducible framable connection with these formal types
+        exists, by the parts>=3 and by the parts>=2 reading of condition (2).
+
+        Condition (1): alpha is a positive root of Q and alpha.lambda = 0.
+        Condition (2): every decomposition of alpha into at least three
+        nonzero vectors of L cap Z_{>=0}^I, each pairing to zero with lambda,
+        strictly drops p.  The printed criterion says "at least three"
+        (ell > 2); the parts>=2 reading also requires it of two-part
+        decompositions.  The readings genuinely differ on some inputs; both
+        are read off one table of best p-sums over the vectors of L that the
+        search may use.  None means no budget."""
         alpha = self.alpha_vector()
         candidates = sigma_candidates(self.quiver, alpha, self.lam, budget, self.lattice_forms())
         if candidates is None:
@@ -184,7 +190,7 @@ def build_hiroe_data(types: Sequence[UnramFormalType]) -> HiroeData:
         for j in range(1, t.ell + 1):
             base_vertices.append((i, j))
             alpha[(i, j)] = t.blocks[j - 1].dim
-        arrows.extend(_intra_type_arrows(t, lambda j: (i, j)))
+        arrows.extend(_intra_type_arrows(t, i))
 
     # cross arrows from every type-0 base vertex to every other base vertex
     ell0 = types[0].ell
@@ -237,24 +243,6 @@ def build_hiroe_data(types: Sequence[UnramFormalType]) -> HiroeData:
     )
     assert data.in_lattice(data.alpha), "alpha must lie in the sublattice L"
     return data
-
-
-def unramified_ds_exists(
-    types: Sequence[UnramFormalType],
-    ell_ge_2: bool = False,
-    budget: int | None = DEFAULT_BUDGET,
-) -> bool:
-    """Whether an irreducible framable connection with these formal types exists.
-
-    Condition (1): alpha is a positive root of Q and alpha.lambda = 0.
-    Condition (2): every decomposition of alpha into at least THREE nonzero
-    vectors of L cap Z_{>=0}^I, each pairing to zero with lambda, strictly
-    drops p. The printed criterion says "at least three" (ell > 2);
-    ell_ge_2=True tightens it to two-part decompositions as well. The two
-    modes genuinely differ on some inputs; the CLI reports disagreements.
-    """
-    by_three, by_two = build_hiroe_data(types).readings(budget)
-    return by_two if ell_ge_2 else by_three
 
 
 def count_rank2_moduli(d: UnramFormalType, orbit: OrbitSpec) -> int:

@@ -676,7 +676,8 @@ def build_base_quiver(d: UnramFormalType) -> Quiver:
     deg_{z^-1}(q_j - q_j') - 1 arrows j -> j' for j < j'."""
     if not d.is_irregular():
         raise InputError("base quiver is defined for irregular formal types")
-    return Quiver(list(range(1, d.ell + 1)), _intra_type_arrows(d, lambda j: j))
+    arrows = [(j, jp) for (_, j), (_, jp) in _intra_type_arrows(d, 0)]
+    return Quiver(list(range(1, d.ell + 1)), arrows)
 
 
 def dot_lambda(q: Quiver, beta: VecLike, lam: Mapping[Vertex, ScalarLike]) -> Scalar:

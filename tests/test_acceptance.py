@@ -32,7 +32,6 @@ from dskit.errors import ResonantError
 from dskit.formal import (
     CertifiedSlope,
     CoxeterFormalType,
-    FormalConnection,
     certify_slope,
     omega_power,
     regsing_normalize,
@@ -224,10 +223,10 @@ def test_criterion_4_rank2_moduli_counts():
 def test_criterion_5_certified_slopes():
     t0 = time.monotonic()
     for n in range(2, 11):
-        v = certify_slope(FormalConnection(omega_power(n, -1)))
+        v = certify_slope(omega_power(n, -1))
         assert isinstance(v, CertifiedSlope) and v.slope == Fraction(1, n)
         assert v.witness.depth == v.slope
-        w = certify_slope(FormalConnection(omega_power(n, -(n + 1))))
+        w = certify_slope(omega_power(n, -(n + 1)))
         assert isinstance(w, CertifiedSlope) and w.slope == Fraction(n + 1, n)
         assert w.witness.depth == w.slope
     for r in (1, 2, 3):
@@ -235,7 +234,7 @@ def test_criterion_5_certified_slopes():
                                  for j in range(1, 4)]
                                 for i in range(1, 4)])])
         m = m + LaurentMatrix.monomial(3, -r + 1, 1, 2, 1)
-        v = certify_slope(FormalConnection(m))
+        v = certify_slope(m)
         assert isinstance(v, CertifiedSlope) and v.slope == Fraction(r)
         assert v.witness.parahoric.J == (0,)
     elapsed = time.monotonic() - t0
@@ -269,7 +268,7 @@ def test_criterion_6_normalization_substitution():
                 coeffs[k] = [[Scalar(rng.randint(-3, 3)) for _ in range(n)]
                              for _ in range(n)]
         m = LaurentMatrix(n, coeffs)
-        g = regsing_normalize(FormalConnection(m), order)
+        g = regsing_normalize(m, order)
         lead = LaurentMatrix(n, {0: m.coeff(0)})
         assert (g * m - g.z_ddz()).eq_mod(lead * g, order)
         assert g.coeff(0) == linalg.identity(n)

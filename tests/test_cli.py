@@ -344,6 +344,33 @@ def test_rigidity_table_agreeing_row(capsys):
     assert v["notes"] == []
 
 
+def test_each_flag_subcommand_calls_its_decider_once(tmp_path, capsys, monkeypatch):
+    import dskit.cli
+    from dskit.unramified import HiroeData
+
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(HiroeData, "readings", spy("readings", HiroeData.readings))
+    monkeypatch.setattr(dskit.cli, "rigid_table_readings",
+                        spy("table", dskit.cli.rigid_table_readings))
+    types = _write(tmp_path, "types.json", types=WITNESS_TYPES)
+    table = ["rigidity-table", "--type", "B", "--rank", "4", "--r", "3"]
+    for argv, flag, name in [(["unramified-ds", "--input", types], "ell-ge-2", "readings"),
+                             (table, "table-conjunction", "table")]:
+        for extra in ([], ["--flag", flag]):
+            calls.clear()
+            v = _verdict(capsys, argv + extra, 0)
+            assert calls == [name], (argv, extra)
+            # both readings came from the one call: the two disagree here
+            assert len(v["notes"]) == 1 and v["notes"][0].startswith("flag-sensitive:")
+
+
 def test_rigidity_table_guards(capsys):
     err = _error(capsys, ["rigidity-table", "--type", "A", "--rank", "4", "--r", "2"])
     assert "gcd" in err or "coprime" in err

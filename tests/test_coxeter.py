@@ -17,7 +17,7 @@ from dskit.coxeter import (
     h1_dimension,
     is_rigid_coxeter_gl,
     residue_representative,
-    rigid_table_simple_type,
+    rigid_table_readings,
 )
 from dskit.errors import InputError, ResonantError
 from dskit.formal import CoxeterFormalType
@@ -233,40 +233,56 @@ def test_coxeter_numbers():
 def test_table_boundary_rows():
     for fam, rank in [("A", 5), ("B", 3), ("C", 3), ("D", 4), ("E7", 7)]:
         h = SimpleTypeQuery(fam, rank, 1).coxeter_number()
-        assert rigid_table_simple_type(SimpleTypeQuery(fam, rank, 1))
-        assert rigid_table_simple_type(SimpleTypeQuery(fam, rank, h + 1))
+        assert rigid_table_readings(SimpleTypeQuery(fam, rank, 1))[0]
+        assert rigid_table_readings(SimpleTypeQuery(fam, rank, h + 1))[0]
     # coprime but above h + 1
-    assert not rigid_table_simple_type(SimpleTypeQuery("A", 3, 5))
+    assert not rigid_table_readings(SimpleTypeQuery("A", 3, 5))[0]
 
 
 def test_table_requires_coprime_slope():
     with pytest.raises(InputError):
-        rigid_table_simple_type(SimpleTypeQuery("A", 4, 2))
+        rigid_table_readings(SimpleTypeQuery("A", 4, 2))
     with pytest.raises(InputError):
-        rigid_table_simple_type(SimpleTypeQuery("E7", 7, 3))
+        rigid_table_readings(SimpleTypeQuery("E7", 7, 3))
 
 
 def test_table_interior_rows():
-    assert rigid_table_simple_type(SimpleTypeQuery("A", 6, 5))  # 5 | 6 - 1
-    assert not rigid_table_simple_type(SimpleTypeQuery("A", 8, 5))
-    assert rigid_table_simple_type(SimpleTypeQuery("C", 3, 5))  # 5 | 2n - 1
-    assert not rigid_table_simple_type(SimpleTypeQuery("C", 4, 5))
-    assert rigid_table_simple_type(SimpleTypeQuery("E7", 7, 7))
-    assert not rigid_table_simple_type(SimpleTypeQuery("E7", 7, 5))
-    assert not rigid_table_simple_type(SimpleTypeQuery("E7", 7, 11))
+    assert rigid_table_readings(SimpleTypeQuery("A", 6, 5))[0]  # 5 | 6 - 1
+    assert not rigid_table_readings(SimpleTypeQuery("A", 8, 5))[0]
+    assert rigid_table_readings(SimpleTypeQuery("C", 3, 5))[0]  # 5 | 2n - 1
+    assert not rigid_table_readings(SimpleTypeQuery("C", 4, 5))[0]
+    assert rigid_table_readings(SimpleTypeQuery("E7", 7, 7))[0]
+    assert not rigid_table_readings(SimpleTypeQuery("E7", 7, 5))[0]
+    assert not rigid_table_readings(SimpleTypeQuery("E7", 7, 11))[0]
 
 
 def test_table_comma_rows_depend_on_reading():
     b43 = SimpleTypeQuery("B", 4, 3)  # 2n + 1 = 9 divisible, n + 1 = 5 not
-    assert rigid_table_simple_type(b43)
-    assert not rigid_table_simple_type(b43, conjunction=True)
+    assert rigid_table_readings(b43)[0]
+    assert not rigid_table_readings(b43)[1]
     d55 = SimpleTypeQuery("D", 5, 5)  # 2n = 10 divisible, 2n - 1 = 9 not
-    assert rigid_table_simple_type(d55)
-    assert not rigid_table_simple_type(d55, conjunction=True)
+    assert rigid_table_readings(d55)[0]
+    assert not rigid_table_readings(d55)[1]
     # a row where both clauses fail is false either way
     d45 = SimpleTypeQuery("D", 4, 5)
-    assert not rigid_table_simple_type(d45)
-    assert not rigid_table_simple_type(d45, conjunction=True)
+    assert not rigid_table_readings(d45)[0]
+    assert not rigid_table_readings(d45)[1]
+
+
+def test_table_readings_differ_only_on_the_comma_rows():
+    split = set()
+    for fam, ranks in [("A", range(2, 12)), ("B", range(2, 9)), ("C", range(2, 9)),
+                       ("D", range(3, 10)), ("E7", (7,))]:
+        for rank in ranks:
+            h = SimpleTypeQuery(fam, rank, 1).coxeter_number()
+            for r in range(1, h + 3):
+                if gcd(r, h) != 1:
+                    continue
+                either, both = rigid_table_readings(SimpleTypeQuery(fam, rank, r))
+                assert either or not both, (fam, rank, r)
+                if either != both:
+                    split.add(fam)
+    assert split == {"B", "D"}
 
 
 def test_table_a_row_matches_matrix_side():
@@ -274,7 +290,7 @@ def test_table_a_row_matches_matrix_side():
         for r in range(1, n + 2):
             if gcd(r, n) != 1:
                 continue
-            table = rigid_table_simple_type(SimpleTypeQuery("A", n, r))
+            table = rigid_table_readings(SimpleTypeQuery("A", n, r))[0]
             minimal = _nilp(n, min_partition_with_r_parts(r, n))
             assert table == is_rigid_coxeter_gl(n, r, minimal)
 

@@ -13,7 +13,6 @@ from dskit.errors import BudgetExceededError, InputError, ResonantError, Truncat
 from dskit.formal import (
     CertifiedSlope,
     CoxeterFormalType,
-    FormalConnection,
     RegularSingularCandidate,
     StandardParahoric,
     Stratum,
@@ -45,10 +44,6 @@ from exact_oracles import (
 )
 
 mono = LaurentMatrix.monomial
-
-
-def _conn(m):
-    return FormalConnection(m)
 
 
 def _diag(*entries):
@@ -174,11 +169,11 @@ def test_is_fundamental():
 def test_leading_stratum_selects_minimal_degree():
     iw = iwahori(2)
     m = FG2 + mono(2, 0, 1, 1, 5)  # E11 has degree 0, off the leading part
-    s = leading_stratum(iw, _conn(m))
+    s = leading_stratum(iw, m)
     assert s.depth_num == 1
     assert s.leading == FG2
     gl = maximal(2)
-    s2 = leading_stratum(gl, _conn(m))
+    s2 = leading_stratum(gl, m)
     assert s2.depth_num == 1
     assert s2.leading == mono(2, -1, 1, 2, 1)
     assert not is_fundamental(s2)
@@ -190,7 +185,7 @@ def test_leading_stratum_builds_one_matrix_per_degree(monkeypatch):
     built = []
     zeros = linalg.zeros
     monkeypatch.setattr(linalg, "zeros", lambda *shape: built.append(shape) or zeros(*shape))
-    s = leading_stratum(maximal(n), _conn(m))
+    s = leading_stratum(maximal(n), m)
     assert s.leading == m
     assert built == [(n, n)]  # 16 monomials of minimal degree, all at z^-1
 
@@ -198,13 +193,13 @@ def test_leading_stratum_builds_one_matrix_per_degree(monkeypatch):
 def test_leading_stratum_guards():
     iw = iwahori(2)
     with pytest.raises(InputError):
-        leading_stratum(iw, _conn(LaurentMatrix.zero(2)))
+        leading_stratum(iw, LaurentMatrix.zero(2))
     with pytest.raises(InputError):
-        leading_stratum(maximal(3), _conn(FG2))
+        leading_stratum(maximal(3), FG2)
     # an unknown z^1 coefficient could reach the same degree as E12 z^0
     m = LaurentMatrix(2, {0: [[Scalar(0), Scalar(1)], [Scalar(0), Scalar(0)]]}, trunc=1)
     with pytest.raises(TruncationError):
-        leading_stratum(iw, _conn(m))
+        leading_stratum(iw, m)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +210,7 @@ def test_leading_stratum_guards():
 def test_certify_slope_cyclic_powers():
     for n in range(2, 6):
         for k in range(1, n + 2):
-            v = certify_slope(_conn(omega_power(n, -k)))
+            v = certify_slope(omega_power(n, -k))
             assert isinstance(v, CertifiedSlope)
             assert v.slope == Fraction(k, n)
             assert is_fundamental(v.witness)
@@ -225,21 +220,21 @@ def test_certify_slope_cyclic_powers():
 def test_certify_slope_diagonal_leading():
     m = mono(3, -2, 1, 1, 1) + mono(3, -2, 2, 2, 2) + mono(3, -2, 3, 3, 3) \
         + mono(3, -1, 1, 2, 1) + mono(3, -1, 3, 1, 4)
-    v = certify_slope(_conn(m))
+    v = certify_slope(m)
     assert isinstance(v, CertifiedSlope)
     assert v.slope == 2
     assert v.witness.parahoric.J == (0,)
 
 
 def test_certify_slope_regular_singular_candidates():
-    assert isinstance(certify_slope(_conn(LaurentMatrix.zero(2))), RegularSingularCandidate)
-    assert isinstance(certify_slope(_conn(_diag(1, Fraction(1, 2)))), RegularSingularCandidate)
+    assert isinstance(certify_slope(LaurentMatrix.zero(2)), RegularSingularCandidate)
+    assert isinstance(certify_slope(_diag(1, Fraction(1, 2))), RegularSingularCandidate)
     m = _diag(1, 2) + mono(2, 3, 1, 2, 1)
-    assert isinstance(certify_slope(_conn(m)), RegularSingularCandidate)
+    assert isinstance(certify_slope(m), RegularSingularCandidate)
 
 
 def test_certify_slope_nilpotent_pole_gives_upper_bound():
-    v = certify_slope(_conn(mono(2, -1, 1, 2, 1)))
+    v = certify_slope(mono(2, -1, 1, 2, 1))
     assert isinstance(v, UpperBoundOnly)
     assert v.bound == Fraction(1, 2)
     assert v.witness.parahoric.J == (0, 1)
@@ -247,18 +242,18 @@ def test_certify_slope_nilpotent_pole_gives_upper_bound():
 
 
 def test_certify_slope_charges_every_parahoric_to_the_budget():
-    c = _conn(mono(5, -1, 1, 5, 1))
-    want = certify_slope(c)
-    got = certify_slope(c, budget=16)
+    m = mono(5, -1, 1, 5, 1)
+    want = certify_slope(m)
+    got = certify_slope(m, budget=16)
     assert (got.bound, got.witness.parahoric.J) == (want.bound, want.witness.parahoric.J)
     with pytest.raises(BudgetExceededError, match="16 standard parahorics"):
-        certify_slope(c, budget=15)
+        certify_slope(m, budget=15)
     # without a pole nothing is scanned, so nothing is charged
-    assert isinstance(certify_slope(_conn(_diag(1, 2, 3)), budget=0), RegularSingularCandidate)
+    assert isinstance(certify_slope(_diag(1, 2, 3), budget=0), RegularSingularCandidate)
     # 2^21 parahorics at n = 22 exceed the default budget before any is built
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceededError, match="2097152 standard parahorics"):
-        certify_slope(_conn(mono(22, -1, 1, 22, 1)), budget=DEFAULT_BUDGET)
+        certify_slope(mono(22, -1, 1, 22, 1), budget=DEFAULT_BUDGET)
     assert time.perf_counter() - t0 < 0.1
 
 
@@ -266,17 +261,17 @@ def test_certify_slope_defaults_to_the_default_budget():
     # the 2^21 parahorics at n = 22 do not fit the budget a bare call gets
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceededError, match="exceeded budget of 2000000"):
-        certify_slope(_conn(mono(22, -1, 1, 22, 1)))
+        certify_slope(mono(22, -1, 1, 22, 1))
     assert time.perf_counter() - t0 < 0.1
 
 
 def test_certify_slope_truncation_guard():
     m = LaurentMatrix(2, {-1: linalg.identity(2)}, trunc=0)
     with pytest.raises(TruncationError):
-        certify_slope(_conn(m))
+        certify_slope(m)
     # known through z^0 is enough for a depth-1 certificate
     ok = LaurentMatrix(2, {-1: linalg.identity(2)}, trunc=1)
-    v = certify_slope(_conn(ok))
+    v = certify_slope(ok)
     assert isinstance(v, CertifiedSlope) and v.slope == 1
 
 
@@ -284,9 +279,9 @@ def test_fundamental_depths_agree_across_parahorics():
     cases = [omega_power(n, -k) for n in (2, 3, 4) for k in range(1, n + 2)]
     cases.append(mono(3, -2, 1, 1, 1) + mono(3, -2, 2, 2, 2) + mono(3, -2, 3, 3, 3))
     for m in cases:
-        v = certify_slope(_conn(m))
+        v = certify_slope(m)
         assert isinstance(v, CertifiedSlope)
-        strata = [leading_stratum(p, _conn(m)) for p in standard_parahorics(m.n)]
+        strata = [leading_stratum(p, m) for p in standard_parahorics(m.n)]
         depths = {s.depth for s in strata if is_fundamental(s)}
         assert depths == {v.slope}
         # a fundamental stratum attains the least depth over all parahorics
@@ -324,43 +319,43 @@ def _random_connection(rng):
         coeffs[k] = mat
     # a truncation at or below z^0 must be refused; above, it drops terms
     trunc = rng.randint(-pole, 2) if rng.random() < 0.25 else None
-    return _conn(LaurentMatrix(n, coeffs, trunc))
+    return LaurentMatrix(n, coeffs, trunc)
 
 
 def test_certify_slope_matches_full_scan_oracle():
     rng = random.Random(2013)
     seen = Counter()
     for _ in range(1000):
-        c = _random_connection(rng)
+        m = _random_connection(rng)
         try:
-            want, strata, fundamental = full_scan_slope(c.matrix)
+            want, strata, fundamental = full_scan_slope(m)
         except TruncationError as exc:
             with pytest.raises(TruncationError) as got:
-                certify_slope(c)
+                certify_slope(m)
             assert str(got.value) == str(exc)
             seen["TruncationError"] += 1
             continue
-        got = certify_slope(c)
+        got = certify_slope(m)
         assert got == want  # slope or bound, and witness J, depth_num, leading
         assert [is_fundamental(s) for s in strata] == fundamental
         seen[type(want).__name__] += 1
         if isinstance(want, CertifiedSlope) and want.witness.parahoric.J != (0,):
             seen["past_first"] += 1
-        if c.n >= 3 and len({s.depth for s in strata}) == 1:
+        if m.n >= 3 and len({s.depth for s in strata}) == 1:
             seen["all_tie"] += 1
-        if c.matrix.trunc is not None:
+        if m.trunc is not None:
             seen["truncated"] += 1
-        if c.n == 7:
+        if m.n == 7:
             seen["n=7"] += 1
     assert len(seen) == 8 and min(seen.values()) >= 20, seen
 
 
 def test_certify_slope_holds_o_of_n_memory():
     # the 2^15 parahorics at n = 16 are walked, never kept
-    c = _conn(omega_power(16, -1))
+    m = omega_power(16, -1)
     tracemalloc.start()
     try:
-        v = certify_slope(c)
+        v = certify_slope(m)
         _size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -397,7 +392,7 @@ def test_is_nonresonant():
 def test_regsing_normalize_worked_example():
     b0 = _diag(0, Fraction(1, 2))
     m = b0 + mono(2, 1, 1, 2, 1)
-    g = regsing_normalize(_conn(m), 4)
+    g = regsing_normalize(m, 4)
     assert g.coeff(0) == linalg.identity(2)
     assert g.coeff(1)[0][1] == Scalar(2)
     assert sum(1 for _ in LaurentMatrix(2, {1: g.coeff(1)}).monomials()) == 1
@@ -408,7 +403,7 @@ def test_regsing_normalize_worked_example():
 
 def test_regsing_normalize_without_higher_terms_is_identity():
     b0 = _diag(Fraction(1, 3), Fraction(1, 7))
-    g = regsing_normalize(_conn(b0), 5)
+    g = regsing_normalize(b0, 5)
     assert g.eq_mod(one(2), 5)
 
 
@@ -431,40 +426,40 @@ def test_regsing_normalize_substitution_identity():
                 coeffs[k] = [[Scalar(rng.randint(-3, 3)) for _ in range(n)]
                              for _ in range(n)]
         m = LaurentMatrix(n, coeffs)
-        g = regsing_normalize(_conn(m), order)
+        g = regsing_normalize(m, order)
         assert _substitution_holds(m, g, order)
 
 
 def test_regsing_normalize_substitution_identity_nondiagonal_residue():
     b0 = LaurentMatrix(2, {0: [[Scalar(0), Scalar(1)], [Scalar(0), Scalar(Fraction(1, 2))]]})
     m = b0 + mono(2, 1, 2, 1, 3) + mono(2, 2, 1, 1, 1)
-    g = regsing_normalize(_conn(m), 6)
+    g = regsing_normalize(m, 6)
     assert _substitution_holds(m, g, 6)
 
 
 def test_regsing_normalize_errors():
     with pytest.raises(InputError):
-        regsing_normalize(_conn(_diag(0, Fraction(1, 2))), 0)
+        regsing_normalize(_diag(0, Fraction(1, 2)), 0)
     with pytest.raises(InputError):  # genuine pole
-        regsing_normalize(_conn(mono(2, -1, 1, 2, 1)), 3)
+        regsing_normalize(mono(2, -1, 1, 2, 1), 3)
     resonant = _diag(0, 1) + mono(2, 1, 1, 2, 1)
     with pytest.raises(ResonantError, match="differ by 1"):
-        regsing_normalize(_conn(resonant), 3)
+        regsing_normalize(resonant, 3)
     wide = _diag(0, 2) + mono(2, 2, 1, 2, 1)  # obstruction enters at k = 2
     with pytest.raises(ResonantError, match="differ by 2"):
-        regsing_normalize(_conn(wide), 3)
+        regsing_normalize(wide, 3)
     # resonance only matters up to the requested order
-    g = regsing_normalize(_conn(wide), 2)
+    g = regsing_normalize(wide, 2)
     assert g.coeff(1) == linalg.zeros(2, 2)
     truncated = LaurentMatrix(2, {0: linalg.zeros(2, 2)}, trunc=2)
     with pytest.raises(TruncationError):
-        regsing_normalize(_conn(truncated), 3)
+        regsing_normalize(truncated, 3)
 
 
 def test_regsing_normalize_resonant_residue_with_consistent_steps_gets_a_gauge():
     # the eigenvalues 0 and 1 differ by 1, but with no higher terms every step
     # is consistent; its free coordinates are set to zero, giving the identity
-    g = regsing_normalize(_conn(_diag(0, 1)), 4)
+    g = regsing_normalize(_diag(0, 1), 4)
     assert g.eq_mod(one(2), 4)
     assert g.trunc == 4
 
@@ -472,13 +467,13 @@ def test_regsing_normalize_resonant_residue_with_consistent_steps_gets_a_gauge()
 def test_regsing_normalize_resonant_residue_raises_at_an_inconsistent_step():
     ones = LaurentMatrix(2, {1: mat_of([[1, 1], [1, 1]])})
     with pytest.raises(ResonantError, match="differ by 1"):
-        regsing_normalize(_conn(_diag(0, 1) + ones), 4)
+        regsing_normalize(_diag(0, 1) + ones, 4)
 
 
 def test_regsing_normalize_resonant_gap_with_vanishing_obstruction():
     # eigenvalue gap 2, but the z^2 obstruction cancels: the gauge exists
     m = _diag(0, 2) + mono(2, 1, 1, 2, 1)
-    g = regsing_normalize(_conn(m), 4)
+    g = regsing_normalize(m, 4)
     assert g.coeff(1)[0][1] == Scalar(-1)
     assert _substitution_holds(m, g, 4)
 
@@ -520,7 +515,7 @@ def _gauge_or_error(normalize, m, order):
 
 
 def _normalize(m, order):
-    return regsing_normalize(_conn(m), order)
+    return regsing_normalize(m, order)
 
 
 def test_regsing_normalize_matches_the_echelon_solve_oracle(monkeypatch):
@@ -570,7 +565,7 @@ def test_regsing_normalize_makes_no_scalar_products(monkeypatch):
         raise AssertionError("Scalar mat_mul in the gauge recursion")
 
     monkeypatch.setattr(linalg, "mat_mul", no_product)
-    assert regsing_normalize(_conn(m), 8) == want
+    assert regsing_normalize(m, 8) == want
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +626,7 @@ def test_coxeter_type_matrix():
 def test_coxeter_type_slope_is_r_over_n():
     for n, r in [(2, 1), (3, 2), (2, 3), (5, 2), (4, 3)]:
         t = CoxeterFormalType.from_p0(n, r, Fraction(1, 5))
-        v = certify_slope(_conn(t.matrix()))
+        v = certify_slope(t.matrix())
         assert isinstance(v, CertifiedSlope)
         assert v.slope == Fraction(r, n)
 

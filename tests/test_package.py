@@ -5,7 +5,6 @@ import pytest
 
 import dskit
 from dskit import (
-    FormalConnection,
     InputError,
     LaurentMatrix,
     OrbitSpec,
@@ -35,7 +34,7 @@ def _scalar_orbit(c):
 
 
 _TYPE = UnramFormalType([UnramBlock([q], 1, _scalar_orbit(1)) for q in (1, -1)])
-_NO_POLE = FormalConnection(LaurentMatrix.zero(2))
+_NO_POLE = LaurentMatrix.zero(2)
 
 # each input is decided without a search, so a budget is never charged
 _UNCHARGED = {
@@ -44,7 +43,7 @@ _UNCHARGED = {
     # the eigenvalues sum to 2, so alpha . lambda != 0
     "fuchsian_ds_exists": lambda b: dskit.fuchsian_ds_exists([_scalar_orbit(1)] * 2, budget=b),
     "fuchsian_rigidity": lambda b: dskit.fuchsian_rigidity([_scalar_orbit(1)] * 2, budget=b),
-    "unramified_ds_exists": lambda b: dskit.unramified_ds_exists([_TYPE], budget=b),
+    "HiroeData.readings": lambda b: dskit.build_hiroe_data([_TYPE]).readings(b),
     # no pole, so no parahoric is scanned
     "certify_slope": lambda b: dskit.certify_slope(_NO_POLE, b),
 }

@@ -39,12 +39,7 @@ from dskit.rootsys import (
     p_value,
     sigma_candidates,
 )
-from dskit.unramified import (
-    UnramBlock,
-    UnramFormalType,
-    build_hiroe_data,
-    unramified_ds_exists,
-)
+from dskit.unramified import HiroeData, UnramBlock, UnramFormalType, build_hiroe_data
 from exact_oracles import decompositions, dot_lambda, positive_roots_leq, residue_trace, translated
 
 
@@ -266,10 +261,11 @@ def test_exists_on_data_matches_former_search():
     ranks = set()
     for types, data in _unramified_cases(seed=20261019, count=200):
         ranks.add(types[0].n)
-        for ell_ge_2, got in zip((False, True), data.readings(None)):
+        rebuilt = build_hiroe_data(types).readings(None)
+        for ell_ge_2, got, again in zip((False, True), data.readings(None), rebuilt):
             want = _reference_exists_on_data(data, ell_ge_2)
             assert got == want, (types, ell_ge_2)
-            assert unramified_ds_exists(types, ell_ge_2=ell_ge_2, budget=None) == want
+            assert again == want
             verdicts.append(want)
         lattices += bool(data.lattice_pairs)
     assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
@@ -579,5 +575,5 @@ def test_affine_d4_nilpotent_4delta_is_empty_within_three_seconds():
 
 def test_every_budgeted_search_defaults_to_the_default_budget():
     for fn in (in_sigma_lambda, positive_roots_leq, fuchsian_ds_exists, fuchsian_rigidity,
-               unramified_ds_exists, certify_slope):
+               HiroeData.readings, certify_slope):
         assert inspect.signature(fn).parameters["budget"].default == DEFAULT_BUDGET, fn

@@ -12,7 +12,6 @@ from dskit.unramified import (
     UnramFormalType,
     build_hiroe_data,
     count_rank2_moduli,
-    unramified_ds_exists,
 )
 from exact_oracles import alpha_dot_lambda, build_base_quiver, residue_trace
 
@@ -140,8 +139,9 @@ def test_two_irregular_types_lattice():
     assert p_value(data.quiver, a) == 1
     assert not alpha_dot_lambda(data)
     # residue pairings are all nonzero, so no candidate summands at all
-    assert unramified_ds_exists([t0, t1])
-    assert unramified_ds_exists([t0, t1], ell_ge_2=True)
+    by_three, by_two = data.readings()
+    assert by_three
+    assert by_two
 
 
 def test_alpha_dot_lambda_is_minus_residue_traces():
@@ -168,7 +168,7 @@ def test_alpha_dot_lambda_is_minus_residue_traces():
 
 def test_single_irregular_type_with_unbalanced_trace():
     t = _slope1_pair(Fraction(1, 3), Fraction(2, 3))
-    assert not unramified_ds_exists([t])  # alpha.lambda = -1 != 0
+    assert not build_hiroe_data([t]).readings()[0]  # alpha.lambda = -1 != 0
 
 
 def test_intra_type_arrows_from_higher_slope():
@@ -180,8 +180,9 @@ def test_intra_type_arrows_from_higher_slope():
     assert sorted(data.quiver.arrows) == [((0, 1), (0, 2))]
     assert not alpha_dot_lambda(data)
     # A2 with alpha = (1,1): a real root, no lambda-killed proper summands
-    assert unramified_ds_exists([t])
-    assert unramified_ds_exists([t], ell_ge_2=True)
+    by_three, by_two = data.readings()
+    assert by_three
+    assert by_two
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +191,9 @@ def test_intra_type_arrows_from_higher_slope():
 
 
 def test_mode_disagreement_witness():
-    assert unramified_ds_exists(WITNESS)
-    assert not unramified_ds_exists(WITNESS, ell_ge_2=True)
+    by_three, by_two = build_hiroe_data(WITNESS).readings()
+    assert by_three
+    assert not by_two
 
 
 # ---------------------------------------------------------------------------
@@ -284,4 +286,4 @@ def test_count_zero_matches_nonexistence_on_trace_mismatch():
     t = _slope1_pair(Fraction(1, 3), Fraction(2, 3))
     bad = OrbitSpec(2, [(0, (1,)), (Fraction(1, 3), (1,))])
     assert count_rank2_moduli(t, bad) == 0
-    assert not unramified_ds_exists([t, UnramFormalType([UnramBlock([], 2, bad)])])
+    assert not build_hiroe_data([t, UnramFormalType([UnramBlock([], 2, bad)])]).readings()[0]
