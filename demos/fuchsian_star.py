@@ -9,12 +9,7 @@ orbit, with arm lengths and weights read off from the eigenvalue structure.
 from fractions import Fraction
 
 from dskit.core import OrbitSpec
-from dskit.fuchsian import (
-    FuchsianRigidity,
-    build_cb_data,
-    fuchsian_ds_exists,
-    fuchsian_rigidity,
-)
+from dskit.fuchsian import FuchsianRigidity, build_cb_data, fuchsian_rigidity
 
 
 def show(title, orbits):
@@ -26,7 +21,7 @@ def show(title, orbits):
     for v, x in data.lam.items():
         print(f"    lambda[{v}] = {x}")
     verdict = fuchsian_rigidity(orbits)
-    print(f"  exists: {fuchsian_ds_exists(orbits)}   rigidity: {verdict.value}")
+    print(f"  exists: {verdict is not FuchsianRigidity.EMPTY}   rigidity: {verdict.value}")
     print()
     return verdict
 

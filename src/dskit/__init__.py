@@ -14,10 +14,10 @@ from .core import (
     Scalar,
     as_partition,
     dual_partition,
-    factor_ranks,
     min_partition_with_r_parts,
     orbit_dim,
     partitions_of,
+    residue_arm,
 )
 from .coxeter import (
     CharPolySpec,
@@ -55,7 +55,6 @@ from .fuchsian import (
     CBData,
     FuchsianRigidity,
     build_cb_data,
-    fuchsian_ds_exists,
     fuchsian_rigidity,
 )
 from .laurent import LaurentMatrix
@@ -112,8 +111,6 @@ __all__ = [
     "coxeter_ds_decide",
     "ds_generator",
     "dual_partition",
-    "factor_ranks",
-    "fuchsian_ds_exists",
     "fuchsian_rigidity",
     "h1_dimension",
     "in_sigma_lambda",
@@ -126,6 +123,7 @@ __all__ = [
     "p_value",
     "partitions_of",
     "regsing_normalize",
+    "residue_arm",
     "residue_representative",
     "rigid_table_readings",
     "standard_parahorics",

@@ -97,11 +97,6 @@ class Scalar:
     def is_integer(self) -> bool:
         return not self.im and self.re.denominator == 1
 
-    def differs_by_nonzero_int(self, other: "ScalarLike") -> bool:
-        """Whether self - other is a nonzero rational integer (the resonance test)."""
-        d = self - other
-        return bool(d) and d.is_integer()
-
     def sort_key(self) -> tuple[Fraction, Fraction]:
         return (self.re, self.im)
 
@@ -295,15 +290,6 @@ class OrbitSpec:
     def negated(self) -> "OrbitSpec":
         return OrbitSpec(self.n, [(-e, part) for e, part in self.blocks])
 
-    # -- factor sequences for the minimal polynomial -------------------------
-
-    def default_factor_sequence(self) -> tuple[Scalar, ...]:
-        """The round robin of `residue_arm` over the eigenvalues."""
-        return residue_arm(self)[1]
-
-    def validate_factor_sequence(self, seq: Sequence[ScalarLike]) -> tuple[Scalar, ...]:
-        return residue_arm(self, seq)[1]
-
 
 def congruent_pair(values: Sequence[Scalar]) -> tuple[int, int] | None:
     """The first i < j (i least, then j) with values[i] - values[j] in Z: the
@@ -341,11 +327,6 @@ def residue_arm(
     for p in positions:
         ranks.append(ranks[-1] - next(drops[p]))
     return ranks, tuple(blocks[p][0] for p in positions)
-
-
-def factor_ranks(o: OrbitSpec, seq: Sequence[ScalarLike]) -> list[int]:
-    """The ranks r_0..r_d of `residue_arm` for seq."""
-    return residue_arm(o, seq)[0]
 
 
 def orbit_dim(o: OrbitSpec) -> int:

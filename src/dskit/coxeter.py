@@ -106,6 +106,8 @@ def is_rigid_coxeter_gl(n: int, r: int, o: OrbitSpec) -> bool:
     """Rigidity in the unipotent-monodromy regime: true exactly when O is the
     minimal orbit with <= r blocks and r divides n - 1 or n + 1."""
     _check_unipotent_filter(n, r, o)
+    if o.block_count(0) != min(r, n):  # the minimal orbit has min(r, n) blocks
+        return False
     minimal = OrbitSpec(n, [(0, min_partition_with_r_parts(r, n))])
     return o == minimal and ((n - 1) % r == 0 or (n + 1) % r == 0)
 

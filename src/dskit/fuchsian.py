@@ -88,15 +88,6 @@ def build_cb_data(
     return CBData(quiver=Quiver(vertices, arrows), alpha=alpha, lam=lam)
 
 
-def fuchsian_ds_exists(
-    orbits: Sequence[OrbitSpec],
-    seqs: Sequence[Sequence[ScalarLike]] | None = None,
-    budget: int | None = DEFAULT_BUDGET,
-) -> bool:
-    """Whether an irreducible tuple A_i in O_i with sum zero exists."""
-    return fuchsian_rigidity(orbits, seqs, budget) is not FuchsianRigidity.EMPTY
-
-
 def fuchsian_rigidity(
     orbits: Sequence[OrbitSpec],
     seqs: Sequence[Sequence[ScalarLike]] | None = None,

@@ -185,11 +185,15 @@ def _check_budget(budget: int | None) -> None:
 def _after_box(alpha: Sequence[int], budget: int | None) -> float:
     """What the budget has left once the box under alpha is paid for, one
     node per vector, inf with no budget; a box over budget fails before it
-    is walked."""
-    left = math.inf if budget is None else budget - math.prod(x + 1 for x in alpha)
-    if left < 0:
-        raise BudgetExceededError(f"lattice-point enumeration exceeded budget of {budget}")
-    return left
+    is walked, as soon as the product of its sides so far passes the budget."""
+    if budget is None:
+        return math.inf
+    box = 1
+    for x in alpha:
+        box *= x + 1
+        if box > budget:
+            raise BudgetExceededError(f"lattice-point enumeration exceeded budget of {budget}")
+    return budget - box
 
 
 def _lambda_numerators(

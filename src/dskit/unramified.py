@@ -52,9 +52,6 @@ class UnramBlock:
                 f"residue orbit lives on gl_{residue.n}, block has dim {self.dim}"
             )
 
-    def q_degree(self) -> int:
-        return len(self.q)
-
 
 @dataclass(frozen=True)
 class UnramFormalType:
@@ -80,13 +77,10 @@ class UnramFormalType:
         return len(self.blocks)
 
     def slope(self) -> int:
-        return max(b.q_degree() for b in self.blocks)
-
-    def is_regular_singular(self) -> bool:
-        return self.ell == 1 and self.blocks[0].q == ()
+        return max(len(b.q) for b in self.blocks)
 
     def is_irregular(self) -> bool:
-        return not self.is_regular_singular()
+        return self.ell > 1 or self.blocks[0].q != ()
 
 
 def _q_diff_degree(q1: tuple[Scalar, ...], q2: tuple[Scalar, ...]) -> int:
@@ -112,29 +106,15 @@ def _intra_type_arrows(t: UnramFormalType, i: int) -> list[tuple[Vertex, Vertex]
 @dataclass
 class HiroeData(CBData):
     """The decision quiver of a tuple of unramified types (index 0
-    irregular), with the lattice constraints of the sublattice L.
+    irregular), with the sublattice L.
 
-    Base vertices are (i, j); path vertices (i, j, k). lattice_pairs lists,
-    for each i != 0 with ell_i >= 2, the pair (vertices of type 0, vertices of
-    type i) whose coordinate sums the sublattice L requires to be equal.
+    Base vertices are (i, j); path vertices (i, j, k).  lattice_forms is L as
+    integer forms aligned with quiver.vertices, one for each i != 0 with
+    ell_i >= 2: +1 at the base vertices of type 0, -1 at those of type i.
+    A vector lies in L iff every form vanishes on it.
     """
 
-    base_vertices: tuple[Vertex, ...]
-    path_vertices: tuple[Vertex, ...]
-    lattice_pairs: tuple[tuple[tuple[Vertex, ...], tuple[Vertex, ...]], ...]
-
-    def lattice_forms(self) -> list[list[int]]:
-        """L as integer forms aligned with quiver.vertices, one per lattice
-        pair: the sum of the first side minus the sum of the second.  A
-        vector lies in L iff every form vanishes on it."""
-        return [
-            [(v in lhs) - (v in rhs) for v in self.quiver.vertices]
-            for lhs, rhs in self.lattice_pairs
-        ]
-
-    def in_lattice(self, beta) -> bool:
-        b = self.quiver.as_vector(beta)
-        return not any(sum(map(operator.mul, b, f)) for f in self.lattice_forms())
+    lattice_forms: tuple[tuple[int, ...], ...]
 
     def readings(self, budget: int | None = DEFAULT_BUDGET) -> tuple[bool, bool]:
         """Whether an irreducible framable connection with these formal types
@@ -149,7 +129,7 @@ class HiroeData(CBData):
         are read off one table of best p-sums over the vectors of L that the
         search may use.  None means no budget."""
         alpha = self.alpha_vector()
-        candidates = sigma_candidates(self.quiver, alpha, self.lam, budget, self.lattice_forms())
+        candidates = sigma_candidates(self.quiver, alpha, self.lam, budget, self.lattice_forms)
         if candidates is None:
             return False, False
         p_alpha = p_value(self.quiver, alpha)
@@ -177,8 +157,7 @@ def build_hiroe_data(types: Sequence[UnramFormalType]) -> HiroeData:
 
     has_base = [i == 0 or t.ell >= 2 for i, t in enumerate(types)]
 
-    base_vertices: list[Vertex] = []
-    path_vertices: list[Vertex] = []
+    vertices: list[Vertex] = []  # the base vertices, then the path vertices
     arrows: list[tuple[Vertex, Vertex]] = []
     alpha: dict[Vertex, int] = {}
     lam: dict[Vertex, Scalar] = {}
@@ -188,7 +167,7 @@ def build_hiroe_data(types: Sequence[UnramFormalType]) -> HiroeData:
         if not has_base[i]:
             continue
         for j in range(1, t.ell + 1):
-            base_vertices.append((i, j))
+            vertices.append((i, j))
             alpha[(i, j)] = t.blocks[j - 1].dim
         arrows.extend(_intra_type_arrows(t, i))
 
@@ -209,7 +188,7 @@ def build_hiroe_data(types: Sequence[UnramFormalType]) -> HiroeData:
             d = len(eta)
             for k in range(1, d):
                 v = (i, j, k)
-                path_vertices.append(v)
+                vertices.append(v)
                 alpha[v] = ranks[k]
                 lam[v] = eta[k - 1] - eta[k]
                 if k > 1:
@@ -225,23 +204,16 @@ def build_hiroe_data(types: Sequence[UnramFormalType]) -> HiroeData:
     for j in range(1, ell0 + 1):
         lam[(0, j)] += shift_0
 
-    lattice_pairs = tuple(
-        (
-            tuple((0, j) for j in range(1, ell0 + 1)),
-            tuple((i, j) for j in range(1, t.ell + 1)),
-        )
+    lattice_forms = tuple(
+        tuple((len(v) == 2) * ((v[0] == 0) - (v[0] == i)) for v in vertices)
         for i, t in enumerate(types)
         if i != 0 and t.ell >= 2
     )
     data = HiroeData(
-        quiver=Quiver(base_vertices + path_vertices, arrows),
-        base_vertices=tuple(base_vertices),
-        path_vertices=tuple(path_vertices),
-        alpha=alpha,
-        lam=lam,
-        lattice_pairs=lattice_pairs,
+        quiver=Quiver(vertices, arrows), alpha=alpha, lam=lam, lattice_forms=lattice_forms
     )
-    assert data.in_lattice(data.alpha), "alpha must lie in the sublattice L"
+    a = data.alpha_vector()
+    assert not any(sum(map(operator.mul, a, f)) for f in lattice_forms), "alpha must lie in L"
     return data
 
 

@@ -36,7 +36,7 @@ from dskit.formal import (
     omega_power,
     regsing_normalize,
 )
-from dskit.fuchsian import FuchsianRigidity, fuchsian_ds_exists, fuchsian_rigidity
+from dskit.fuchsian import FuchsianRigidity, fuchsian_rigidity
 from dskit.laurent import LaurentMatrix
 from dskit.rootsys import (
     Quiver,
@@ -90,14 +90,14 @@ def test_criterion_1_rank2_triple_grid():
         for _ in range(3):
             while True:
                 x, y = draw(), draw()
-                if x != y and not x.differs_by_nonzero_int(y):
+                if x != y and not (x - y).is_integer():
                     break
             eigs.append((x, y))
         if checked % 2 == 0:
             # force the trace condition so both verdicts appear in bulk
             x = eigs[2][0]
             c2 = -(eigs[0][0] + eigs[0][1] + eigs[1][0] + eigs[1][1] + x)
-            if c2 == x or c2.differs_by_nonzero_int(x):
+            if (c2 - x).is_integer():  # equal to x, or resonant with it
                 continue
             eigs[2] = (x, c2)
         orbits = [OrbitSpec(2, [(x, (1,)), (y, (1,))]) for x, y in eigs]
@@ -110,9 +110,10 @@ def test_criterion_1_rank2_triple_grid():
             for c in eigs[2]
         )
         expected = trace_zero and cross_ok
-        assert fuchsian_ds_exists(orbits) == expected
+        rigidity = fuchsian_rigidity(orbits)
+        assert (rigidity is not FuchsianRigidity.EMPTY) == expected
         if expected:
-            assert fuchsian_rigidity(orbits) is FuchsianRigidity.RIGID_SINGLETON
+            assert rigidity is FuchsianRigidity.RIGID_SINGLETON
             seen_true += 1
         else:
             seen_false += 1
@@ -171,7 +172,7 @@ def test_criterion_3_pairs_are_always_empty():
     for n in (2, 3, 4):
         for _ in range(15):
             pair = [_random_orbit(rng, n), _random_orbit(rng, n)]
-            assert fuchsian_ds_exists(pair) is False
+            assert fuchsian_rigidity(pair) is FuchsianRigidity.EMPTY
             checked += 1
     assert checked == 45
     _pass(3, f"all {checked} random nonscalar pairs (n = 2, 3, 4) unsolvable")

@@ -192,6 +192,12 @@ def test_is_rigid_examples():
         assert is_rigid_coxeter_gl(n, n + 1, _nilp(n, (1,) * n))
 
 
+def test_rigidity_counts_blocks_before_it_builds_the_minimal_orbit():
+    # the minimal orbit would have 10**9 Jordan blocks; one block rules it out
+    n = 10**9 + 1
+    assert not is_rigid_coxeter_gl(n, 10**9, _nilp(n, (n,)))
+
+
 def test_rigid_agrees_with_h1_when_coprime():
     for n in range(1, 13):
         for r in range(1, n + 2):

@@ -6,12 +6,7 @@ import pytest
 from dskit import core, fuchsian, jsonio
 from dskit.core import OrbitSpec, Scalar, as_partition, orbit_dim, residue_arm
 from dskit.errors import BudgetExceededError, InputError
-from dskit.fuchsian import (
-    FuchsianRigidity,
-    build_cb_data,
-    fuchsian_ds_exists,
-    fuchsian_rigidity,
-)
+from dskit.fuchsian import FuchsianRigidity, build_cb_data, fuchsian_rigidity
 from dskit.rootsys import RootClass, classify_root, p_value
 from dskit.unramified import UnramBlock, UnramFormalType, build_hiroe_data
 from exact_oracles import alpha_dot_lambda, translated
@@ -109,28 +104,28 @@ def test_alpha_dot_lambda_is_minus_trace_sum():
 def test_rank_one_pairs():
     a = OrbitSpec(1, [(Fraction(2, 3), (1,))])
     b = OrbitSpec(1, [(Fraction(-2, 3), (1,))])
-    assert fuchsian_ds_exists([a, b])
+    assert fuchsian_rigidity([a, b]) is not FuchsianRigidity.EMPTY
     assert fuchsian_rigidity([a, b]) is FuchsianRigidity.RIGID_SINGLETON
     c = OrbitSpec(1, [(Fraction(1, 3), (1,))])
-    assert not fuchsian_ds_exists([a, c])
+    assert fuchsian_rigidity([a, c]) is FuchsianRigidity.EMPTY
 
 
 def test_single_orbit_cases():
     # the zero 1x1 orbit: the empty connection exists and is rigid
     zero1 = OrbitSpec(1, [(0, (1,))])
-    assert fuchsian_ds_exists([zero1])
+    assert fuchsian_rigidity([zero1]) is not FuchsianRigidity.EMPTY
     # a rank-2 scalar zero orbit is reducible: alpha = (2) is not a root
     zero2 = OrbitSpec(2, [(0, (1, 1))])
-    assert not fuchsian_ds_exists([zero2])
+    assert fuchsian_rigidity([zero2]) is FuchsianRigidity.EMPTY
     # a single nonscalar orbit never sums to zero irreducibly
-    assert not fuchsian_ds_exists([NILP2])
+    assert fuchsian_rigidity([NILP2]) is FuchsianRigidity.EMPTY
 
 
 def test_two_nonscalar_orbits_empty():
-    assert not fuchsian_ds_exists([NILP2, NILP2])
-    assert not fuchsian_ds_exists(
+    assert fuchsian_rigidity([NILP2, NILP2]) is FuchsianRigidity.EMPTY
+    assert fuchsian_rigidity(
         [_rss2(Fraction(1, 3), Fraction(-1, 3)), _rss2(Fraction(1, 5), Fraction(-1, 5))]
-    )
+    ) is FuchsianRigidity.EMPTY
 
 
 def test_three_nilpotent_rank2_orbits_empty():
@@ -148,7 +143,7 @@ def test_four_nilpotent_rank2_orbits_give_painleve_family():
     data = build_cb_data(orbits)
     assert data.alpha_vector() == (2, 1, 1, 1, 1)
     assert classify_root(data.quiver, data.alpha_vector()) is RootClass.IMAGINARY
-    assert fuchsian_ds_exists(orbits)
+    assert fuchsian_rigidity(orbits) is not FuchsianRigidity.EMPTY
     assert fuchsian_rigidity(orbits) is FuchsianRigidity.INFINITE
 
 
@@ -158,7 +153,7 @@ def test_generic_rank2_triple_is_hypergeometric():
         _rss2(Fraction(3, 7), Fraction(4, 7)),
         _rss2(Fraction(-3, 7), -1),
     ]
-    assert fuchsian_ds_exists(orbits)
+    assert fuchsian_rigidity(orbits) is not FuchsianRigidity.EMPTY
     assert fuchsian_rigidity(orbits) is FuchsianRigidity.RIGID_SINGLETON
 
 
@@ -173,7 +168,7 @@ def test_rank2_triple_with_zero_cross_sum_is_empty():
     for o in orbits:
         total = total + o.trace()
     assert total == 0
-    assert not fuchsian_ds_exists(orbits)
+    assert fuchsian_rigidity(orbits) is FuchsianRigidity.EMPTY
 
 
 def test_rank3_hypergeometric_is_rigid():
@@ -188,8 +183,8 @@ def test_rank3_hypergeometric_is_rigid():
     # take the repeated eigenvalue first at the third point so its arm is the
     # short one; the verdict itself is ordering-independent
     seqs = [
-        list(o1.default_factor_sequence()),
-        list(o2.default_factor_sequence()),
+        list(residue_arm(o1)[1]),
+        list(residue_arm(o2)[1]),
         [c, d],
     ]
     data = build_cb_data([o1, o2, o3], seqs)
@@ -233,7 +228,9 @@ def test_translation_invariance():
         moved = [translated(o, t) for o, t in zip(orbits, shifts)]
         if any(not o.is_nonresonant() for o in moved):
             continue
-        assert fuchsian_ds_exists(moved) == fuchsian_ds_exists(orbits)
+        assert (fuchsian_rigidity(moved) is FuchsianRigidity.EMPTY) == (
+            fuchsian_rigidity(orbits) is FuchsianRigidity.EMPTY
+        )
         assert fuchsian_rigidity(moved) is fuchsian_rigidity(orbits)
 
 
@@ -247,7 +244,9 @@ def test_scalar_orbit_absorption():
         absorbed = [translated(orbits[0], s)] + orbits[1:]
         if any(not o.is_nonresonant() for o in absorbed):
             continue
-        assert fuchsian_ds_exists(with_scalar) == fuchsian_ds_exists(absorbed)
+        assert (fuchsian_rigidity(with_scalar) is FuchsianRigidity.EMPTY) == (
+            fuchsian_rigidity(absorbed) is FuchsianRigidity.EMPTY
+        )
         assert fuchsian_rigidity(with_scalar) is fuchsian_rigidity(absorbed)
 
 
@@ -257,7 +256,7 @@ def test_factor_sequence_choice_does_not_change_verdict():
         OrbitSpec(3, [(Fraction(1, 3), (1, 1)), (Fraction(-1, 5), (1,))]),
         OrbitSpec(3, [(0, (3,))]),
     ]
-    default = [list(o.default_factor_sequence()) for o in orbits]
+    default = [list(residue_arm(o)[1]) for o in orbits]
     base = fuchsian_rigidity(orbits, default)
     assert base is fuchsian_rigidity(orbits)
     # reverse the order of factors at the third point (0,0,0 stays 0,0,0;
@@ -269,16 +268,16 @@ def test_factor_sequence_choice_does_not_change_verdict():
         _rss2(Fraction(3, 7), Fraction(4, 7)),
         _rss2(Fraction(-3, 7), -1),
     ]
-    seqs = [list(o.default_factor_sequence())[::-1] for o in hyper]
+    seqs = [list(residue_arm(o)[1])[::-1] for o in hyper]
     assert fuchsian_rigidity(hyper, seqs) is FuchsianRigidity.RIGID_SINGLETON
 
 
 def test_invalid_factor_sequence_rejected():
     orbits = [NILP2, NILP2, NILP2]
     with pytest.raises(InputError):
-        fuchsian_ds_exists(orbits, [[0, 0], [0], [0, 0]])
+        fuchsian_rigidity(orbits, [[0, 0], [0], [0, 0]])
     with pytest.raises(InputError):
-        fuchsian_ds_exists(orbits, [[0, 1], [0, 0], [0, 0]])
+        fuchsian_rigidity(orbits, [[0, 1], [0, 0], [0, 0]])
 
 
 def test_explicit_factor_sequences_are_validated_once_per_orbit(monkeypatch):
@@ -351,6 +350,6 @@ def test_budget_surfacing():
     big = OrbitSpec(4, [(0, (2, 2))])
     orbits = [big] * 4
     with pytest.raises(BudgetExceededError):
-        fuchsian_ds_exists(orbits, budget=10)
+        fuchsian_rigidity(orbits, budget=10)
     # with the default budget this instance decides cleanly
-    assert not fuchsian_ds_exists(orbits)
+    assert fuchsian_rigidity(orbits) is FuchsianRigidity.EMPTY

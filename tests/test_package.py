@@ -41,7 +41,6 @@ _UNCHARGED = {
     # (1, 1) is not a root of two vertices without arrows
     "in_sigma_lambda": lambda b: dskit.in_sigma_lambda(Quiver([0, 1], []), (1, 1), {}, b),
     # the eigenvalues sum to 2, so alpha . lambda != 0
-    "fuchsian_ds_exists": lambda b: dskit.fuchsian_ds_exists([_scalar_orbit(1)] * 2, budget=b),
     "fuchsian_rigidity": lambda b: dskit.fuchsian_rigidity([_scalar_orbit(1)] * 2, budget=b),
     "HiroeData.readings": lambda b: dskit.build_hiroe_data([_TYPE]).readings(b),
     # no pole, so no parahoric is scanned

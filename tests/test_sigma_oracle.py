@@ -3,7 +3,8 @@
 `_reference_in_sigma_lambda` and `_reference_exists_on_data` are the former
 bodies of `rootsys.in_sigma_lambda` and of the unramified decider, each with
 its own box walk, its own lambda pairing in `Scalar` arithmetic and the
-enumeration of decompositions; the second also keeps its own lattice test.
+enumeration of decompositions; the second also keeps its own lattice test,
+read off the types.
 On seeded inputs with no budget the engine must give the same verdicts, and
 the table of best p-sums must read the same as the enumeration.
 """
@@ -21,12 +22,7 @@ import pytest
 from dskit.core import OrbitSpec, Scalar
 from dskit.errors import BudgetExceededError
 from dskit.formal import certify_slope
-from dskit.fuchsian import (
-    FuchsianRigidity,
-    build_cb_data,
-    fuchsian_ds_exists,
-    fuchsian_rigidity,
-)
+from dskit.fuchsian import FuchsianRigidity, build_cb_data, fuchsian_rigidity
 from dskit.rootsys import (
     DEFAULT_BUDGET,
     Quiver,
@@ -97,15 +93,18 @@ def _reference_in_sigma_lambda(c, alpha, lam):
     return verdict
 
 
-def _reference_in_lattice(data, vec):
+def _reference_in_lattice(types, data, vec):
+    """L by its definition on the types: for each later type i with
+    ell_i >= 2, vec sums alike over the base vertices of type 0 and of i."""
     pos = {v: k for k, v in enumerate(data.quiver.vertices)}
-    return all(
-        sum(vec[pos[v]] for v in lhs) == sum(vec[pos[v]] for v in rhs)
-        for lhs, rhs in data.lattice_pairs
-    )
+
+    def base_sum(i):
+        return sum(vec[pos[(i, j)]] for j in range(1, types[i].ell + 1))
+
+    return all(base_sum(0) == base_sum(i) for i in range(1, len(types)) if types[i].ell >= 2)
 
 
-def _reference_exists_on_data(data, ell_ge_2):
+def _reference_exists_on_data(types, data, ell_ge_2):
     a = data.alpha_vector()
     if classify_root(data.quiver, a) is RootClass.NOT_ROOT:
         return False
@@ -115,7 +114,7 @@ def _reference_exists_on_data(data, ell_ge_2):
         vec
         for vec in itertools.product(*(range(x + 1) for x in a))
         if any(vec) and vec != a
-        and _reference_in_lattice(data, vec)
+        and _reference_in_lattice(types, data, vec)
         and not _reference_dot(data.quiver, vec, data.lam)
     ]
     p_alpha = p_value(data.quiver, a)
@@ -263,11 +262,11 @@ def test_exists_on_data_matches_former_search():
         ranks.add(types[0].n)
         rebuilt = build_hiroe_data(types).readings(None)
         for ell_ge_2, got, again in zip((False, True), data.readings(None), rebuilt):
-            want = _reference_exists_on_data(data, ell_ge_2)
+            want = _reference_exists_on_data(types, data, ell_ge_2)
             assert got == want, (types, ell_ge_2)
             assert again == want
             verdicts.append(want)
-        lattices += bool(data.lattice_pairs)
+        lattices += any(t.ell >= 2 for t in types[1:])
     assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
     assert lattices >= 20
     assert ranks == {2, 3, 4}
@@ -302,7 +301,7 @@ def test_best_p_sums_matches_the_enumeration():
     ]
     searches += [
         (d.quiver, d.alpha_vector(),
-         sigma_candidates(d.quiver, d.alpha_vector(), d.lam, None, d.lattice_forms()))
+         sigma_candidates(d.quiver, d.alpha_vector(), d.lam, None, d.lattice_forms))
         for _, d in _unramified_cases(seed=20261026, count=200)
     ]
     searches += _random_root_searches(seed=20261027, count=400)
@@ -362,8 +361,8 @@ def test_sigma_candidates_match_classify_first_on_unramified_tuples():
         ranks.add(types[0].n)
         a = data.alpha_vector()
         want = _classify_first_candidates(
-            data.quiver, a, data.lam, lambda b: _reference_in_lattice(data, b))
-        assert sigma_candidates(data.quiver, a, data.lam, None, data.lattice_forms()) == want, types
+            data.quiver, a, data.lam, lambda b: _reference_in_lattice(types, data, b))
+        assert sigma_candidates(data.quiver, a, data.lam, None, data.lattice_forms) == want, types
         nonempty += bool(want)
     assert nonempty >= 20
     assert ranks == {2, 3, 4}
@@ -563,6 +562,20 @@ def test_rank5_triple_under_the_default_budget_stops_at_the_box():
     assert str(err.value) == "lattice-point enumeration exceeded budget of 2000000"
 
 
+def test_a_huge_box_over_a_small_budget_stops_within_a_second():
+    # three nilpotent orbits with one Jordan block of size n: the box under
+    # alpha = (n, n-1..1, n-1..1, n-1..1) holds (n + 1) (n!)^3 vectors, a
+    # number of 390,815 digits that took 4.1 s to form in full (2-core x86-64)
+    n = 32_000
+    data = build_cb_data([OrbitSpec(n, [(0, (n,))])] * 3)
+    alpha = data.alpha_vector()
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as err:
+        best_p_sums(data.quiver, alpha, [], 1000)
+    assert time.perf_counter() - t0 < 1.0
+    assert str(err.value) == "lattice-point enumeration exceeded budget of 1000"
+
+
 def test_affine_d4_nilpotent_4delta_is_empty_within_three_seconds():
     # four nilpotent (2^4) orbits of gl_8: affine D4 with alpha = 4 delta and
     # lambda = 0, so delta + 3 delta does not drop p; enumerating the
@@ -574,6 +587,6 @@ def test_affine_d4_nilpotent_4delta_is_empty_within_three_seconds():
 
 
 def test_every_budgeted_search_defaults_to_the_default_budget():
-    for fn in (in_sigma_lambda, positive_roots_leq, fuchsian_ds_exists, fuchsian_rigidity,
-               HiroeData.readings, certify_slope):
+    for fn in (in_sigma_lambda, positive_roots_leq, fuchsian_rigidity, HiroeData.readings,
+               certify_slope):
         assert inspect.signature(fn).parameters["budget"].default == DEFAULT_BUDGET, fn

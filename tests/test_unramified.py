@@ -1,10 +1,11 @@
+import operator
 from fractions import Fraction
 
 import pytest
 
 from dskit.core import OrbitSpec, Scalar
 from dskit.errors import InputError, ResonantError
-from dskit.fuchsian import build_cb_data, fuchsian_ds_exists
+from dskit.fuchsian import FuchsianRigidity, build_cb_data, fuchsian_rigidity
 from dskit.rootsys import RootClass, classify_root, p_value
 from dskit.unramified import (
     HiroeData,
@@ -32,6 +33,16 @@ WITNESS = [_slope1_pair(Fraction(1, 3), Fraction(2, 3)),
            UnramFormalType([UnramBlock([], 2, REG_ORBIT)])]
 
 
+def _vertices(data, size):
+    """The base vertices (i, j) for size 2, the path vertices (i, j, k) for 3."""
+    return tuple(v for v in data.quiver.vertices if len(v) == size)
+
+
+def _in_lattice(data, beta):
+    b = data.quiver.as_vector(beta)
+    return not any(sum(map(operator.mul, b, f)) for f in data.lattice_forms)
+
+
 # ---------------------------------------------------------------------------
 # formal types
 # ---------------------------------------------------------------------------
@@ -44,7 +55,7 @@ def test_block_validation():
         UnramBlock([1], 2, _scalar_res(0))
     b = UnramBlock([1, 0], 1, _scalar_res(0))
     assert b.q == (Scalar(1),)
-    assert b.q_degree() == 1
+    assert len(b.q) == 1
 
 
 def test_type_validation_and_invariants():
@@ -54,10 +65,10 @@ def test_type_validation_and_invariants():
         UnramFormalType([UnramBlock([1], 1, _scalar_res(0)), UnramBlock([1, 0], 1, _scalar_res(1))])
     t = WITNESS[0]
     assert (t.n, t.ell, t.slope()) == (2, 2, 1)
-    assert t.is_irregular() and not t.is_regular_singular()
+    assert t.is_irregular()
     assert residue_trace(t) == Scalar(1)
     reg = WITNESS[1]
-    assert reg.is_regular_singular()
+    assert not reg.is_irregular()
     assert reg.slope() == 0
 
 
@@ -105,8 +116,8 @@ def test_build_validation():
 
 def test_witness_quiver_shape():
     data = build_hiroe_data(WITNESS)
-    assert data.base_vertices == ((0, 1), (0, 2))
-    assert data.path_vertices == ((1, 1, 1),)
+    assert _vertices(data, 2) == ((0, 1), (0, 2))
+    assert _vertices(data, 3) == ((1, 1, 1),)
     assert data.alpha == {(0, 1): 1, (0, 2): 1, (1, 1, 1): 1}
     assert {k: v for k, v in data.lam.items()} == {
         (0, 1): Scalar(Fraction(1, 3)),
@@ -114,7 +125,7 @@ def test_witness_quiver_shape():
         (1, 1, 1): Scalar(Fraction(-1, 3)),
     }
     assert sorted(data.quiver.arrows) == [((1, 1, 1), (0, 1)), ((1, 1, 1), (0, 2))]
-    assert data.lattice_pairs == ()
+    assert data.lattice_forms == ()
     assert not alpha_dot_lambda(data)
 
 
@@ -123,16 +134,17 @@ def test_two_irregular_types_lattice():
     t1 = _slope1_pair(Fraction(-1, 4), Fraction(-3, 4))
     # reuse leading coefficients 1,-1? q tuples live per type, so fine
     data = build_hiroe_data([t0, t1])
-    assert data.base_vertices == ((0, 1), (0, 2), (1, 1), (1, 2))
-    assert data.path_vertices == ()
+    assert _vertices(data, 2) == ((0, 1), (0, 2), (1, 1), (1, 2))
+    assert _vertices(data, 3) == ()
     # cross arrows: every type-0 base vertex to every type-1 base vertex
     assert sorted(data.quiver.arrows) == [
         ((0, 1), (1, 1)), ((0, 1), (1, 2)), ((0, 2), (1, 1)), ((0, 2), (1, 2))
     ]
-    assert data.lattice_pairs == ((((0, 1), (0, 2)), ((1, 1), (1, 2))),)
-    assert data.in_lattice(data.alpha)
-    assert not data.in_lattice({(0, 1): 1})
-    assert data.in_lattice({(0, 1): 1, (1, 2): 1})
+    # L: the type-0 base coordinates sum like the type-1 ones
+    assert data.lattice_forms == ((1, 1, -1, -1),)
+    assert _in_lattice(data, data.alpha)
+    assert not _in_lattice(data, {(0, 1): 1})
+    assert _in_lattice(data, {(0, 1): 1, (1, 2): 1})
     # alpha = (1,1,1,1) on the 4-cycle: the null root, p = 1
     a = data.alpha_vector()
     assert classify_root(data.quiver, a) is RootClass.IMAGINARY
@@ -163,7 +175,7 @@ def test_alpha_dot_lambda_is_minus_residue_traces():
         for t in types:
             total = total + residue_trace(t)
         assert alpha_dot_lambda(data) == -total
-        assert data.in_lattice(data.alpha)
+        assert _in_lattice(data, data.alpha)
 
 
 def test_single_irregular_type_with_unbalanced_trace():
@@ -228,12 +240,12 @@ def test_all_regular_tuple_degenerates_to_star(orbits, monkeypatch):
     monkeypatch.setattr(UnramFormalType, "is_irregular", lambda self: True)
     h = build_hiroe_data(types)
     f = build_cb_data(orbits)
-    assert h.lattice_pairs == ()
+    assert h.lattice_forms == ()
     assert {_h2f(v): a for v, a in h.alpha.items()} == f.alpha
     assert {_h2f(v): l for v, l in h.lam.items()} == f.lam
     h_arrows = sorted((_h2f(a), _h2f(b)) for a, b in h.quiver.arrows)
     assert h_arrows == sorted(f.quiver.arrows)
-    assert h.readings(None)[1] == fuchsian_ds_exists(orbits)
+    assert h.readings(None)[1] == (fuchsian_rigidity(orbits) is not FuchsianRigidity.EMPTY)
 
 
 # ---------------------------------------------------------------------------
