@@ -30,15 +30,17 @@ def regsing_normalize(m: LaurentMatrix, order: int) -> LaurentMatrix:
 
     Coefficient k solves the Sylvester equation
     (B_0 + kI) g_k - g_k B_0 = sum_{i<k} g_i B_{k-i}, whose left side is
-    singular exactly when two eigenvalues of B_0 differ by k.  Its operator
-    is that of x -> B_0 x - x B_0 plus k on the diagonal, so it is scaled to
-    Gaussian integers once, and each order only shifts it.  Resonance is
-    not tested as such: ResonantError is raised only at a step whose
-    equation is inconsistent.  At a singular but consistent step the free
-    coordinates of g_k are set to zero, so a resonant residue can still get
-    a gauge (a constant M = diag(0, 1) gets the identity).  The B_k share one
-    denominator, each g_k is held over Z[i] with its least denominator, and
-    Scalars are made only for the returned gauge.
+    singular exactly when two eigenvalues of B_0 differ by k.  B_0 is scaled
+    to Gaussian integers once, with its characteristic polynomial
+    (Faddeev-LeVerrier), and each order is one `linalg.sylvester_solve`: an
+    n x n system by Cayley-Hamilton (Jameson 1968), and only at a singular
+    shift the n^2 x n^2 Kronecker system.  Resonance is not tested as such:
+    ResonantError is raised only at a step whose equation is inconsistent.
+    At a singular but consistent step the free coordinates of g_k are set
+    to zero, so a resonant residue can still get a gauge (a constant
+    M = diag(0, 1) gets the identity).  The B_k share one denominator, each
+    g_k is held over Z[i] with its least denominator, and Scalars are made
+    only for the returned gauge.
     """
     if order < 1:
         raise InputError(f"need order >= 1, got {order}")
@@ -55,7 +57,7 @@ def regsing_normalize(m: LaurentMatrix, order: int) -> LaurentMatrix:
     n = m.n
     # [B_{order-1}; ...; B_1] over one denominator, so [B_k; ...; B_1] is a tail
     hr, hi, hden = linalg.gaussian([row for k in range(order - 1, 0, -1) for row in m.coeff(k)])
-    # n^4 entries, so built only when some order needs it
+    # B_0 over Z[i] with its characteristic polynomial, built only when some order needs it
     ad = linalg.sylvester_operator(m.coeff(0)) if order > 1 else None
     g = [linalg.gaussian(linalg.identity(n))]
     for k in range(1, order):

@@ -7,14 +7,20 @@ work on a matrix scaled to Gaussian integers by one common denominator
 and the scale.  Products (`gaussian_mul`) and fraction-free elimination make
 no `Fraction` until a result is read back (`from_gaussian`).  A right-hand
 side is scaled apart from the matrix, so its denominators never enter the
-operator, and a Sylvester operator is scaled once for all shifts.  No
-pivoting heuristics are needed because the arithmetic is exact.
+operator.  The shifted Sylvester equation (b + k) x - x b = rhs is readied
+once for all shifts k (`sylvester_operator`): b = b' / den over Z[i], with
+the characteristic polynomial p of b' by Faddeev-LeVerrier.  Each shift is
+then the n x n system p(b' + k den) y = R by Cayley-Hamilton (Jameson, SIAM
+J. Appl. Math. 16, 1968).  Only when that matrix is singular, that is when
+two eigenvalues of b differ by k, is the n^2 x n^2 Kronecker system
+eliminated instead.  No pivoting heuristics are needed because the
+arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import mul
 
@@ -180,12 +186,99 @@ def is_nilpotent(a: Matrix) -> bool:
     return not any(map(any, g[0])) and not any(map(any, g[1]))
 
 
-def sylvester_operator(b: Matrix) -> Gaussian:
+# x -> b x - x b readied once for every shift by `sylvester_operator`:
+# gaussian(b) = (b', den), the coefficients p_0..p_n of the characteristic
+# polynomial of b' as (re, im) pairs, and H_0..H_{n-1} over scale 1
+Sylvester = tuple[Gaussian, list[tuple[int, int]], list[Gaussian]]
+
+
+def sylvester_operator(b: Matrix) -> Sylvester:
+    """x -> b x - x b readied for `sylvester_solve` at every shift: b scaled
+    to Z[i] (`gaussian`, b = b' / den), the characteristic polynomial
+    p = sum_j p_j t^j of b', and H_m = sum_{j>m} p_j b'^{j-1-m} for
+    m = 0..n-1.
+
+    Both come from Faddeev-LeVerrier: H_{n-1} = I, p_m = -tr(b' H_m) /
+    (n - m) and H_{m-1} = b' H_m + p_m I, where the division is exact in
+    Z[i] because b' has Gaussian-integer entries.
+    """
+    g = gaussian(b)
+    br, bi, _ = g
+    n = len(br)
+    h = [([[int(i == j) for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)], 1)]
+    p = [(1, 0)]
+    for k in range(1, n + 1):
+        # tr(b' H_m) = sum_il b'_il (H_m)_li; b' H_m itself is needed only for m > 0
+        hr, hi = (list(chain(*zip(*part))) for part in h[0][:2])
+        pr = (sum(map(mul, chain(*bi), hi)) - sum(map(mul, chain(*br), hr))) // k
+        pi = -(sum(map(mul, chain(*br), hi)) + sum(map(mul, chain(*bi), hr))) // k
+        p.insert(0, (pr, pi))
+        if k < n:
+            re, im, _ = gaussian_mul((br, bi, 1), h[0])
+            for i in range(n):
+                re[i][i] += pr
+                im[i][i] += pi
+            h.insert(0, (re, im, 1))
+    return g, p, h
+
+
+def _over_pivot(ur: list[int], ui: list[int], pr: int, pi: int, big: int, n: int) -> Gaussian:
+    """The n x n matrix read by rows from (ur + i ui) / ((pr + i pi) big), in
+    lowest terms: the numerator times the pivot's conjugate, over its norm
+    times big."""
+    d = (pr * pr + pi * pi) * big
+    xr = [u * pr + v * pi for u, v in zip(ur, ui)]
+    xi = [v * pr - u * pi for u, v in zip(ur, ui)]
+    g = gcd(d, *xr, *xi)
+    return ([[x // g for x in xr[i : i + n]] for i in range(0, n * n, n)],
+            [[x // g for x in xi[i : i + n]] for i in range(0, n * n, n)], d // g)
+
+
+def sylvester_solve(op: Sylvester, k: int, rhs: Gaussian) -> Gaussian | None:
+    """One solution x of (b + k) x - x b = rhs for op = `sylvester_operator(b)`,
+    with free coordinates set to zero and in lowest terms, or None if the
+    system is inconsistent.
+
+    With b = b' / den, rhs = r / big, s = k den, a = b' + s and c = den r,
+    y = big x solves a y - y b' = c over Z[i], reduced to an n x n system
+    (Jameson, SIAM J. Appl. Math. 16, 1968): a^j y - y b'^j =
+    sum_{i<j} a^{j-1-i} c b'^i, so p(b') = 0 (Cayley-Hamilton) gives
+    p(a) y = sum_m a^m c H_m, and p(a) = p(a) - p(b') = s sum_m a^m H_m.
+    One Horner recursion in a takes both sums, and `_gauss_jordan`
+    eliminates [p(a) | sum_m a^m c H_m], which at n = 1 is [s | c] and
+    already reduced.  p(a) is singular exactly when two eigenvalues of b
+    differ by k; only then is the n^2 x n^2 system of `_kronecker`
+    eliminated instead.  A nonsingular system has one solution, so the two
+    routes agree.
+    """
+    (br, bi, den), _, h = op
+    n = len(br)
+    s = k * den
+    # [L | R] <- (b' + s) [L | R] + [s H_m | c H_m] from [s I | c], for m = n - 2 down to 0
+    re = [[s * (i == j) for j in range(n)] + [y * den for y in row] for i, row in enumerate(rhs[0])]
+    im = [[0] * n + [y * den for y in row] for row in rhs[1]]
+    if n > 1:
+        c = ([row[n:] for row in re], [row[n:] for row in im], 1)
+        for hr, hi, _ in reversed(h[:-1]):
+            xr, xi, _ = gaussian_mul((br, bi, 1), (re, im, 1))
+            yr, yi, _ = gaussian_mul(c, (hr, hi, 1))
+            re = [[u + s * w + v for u, w, v in zip(x, row, [s * z for z in hrow] + y)]
+                  for x, row, hrow, y in zip(xr, re, hr, yr)]
+            im = [[u + s * w + v for u, w, v in zip(x, row, [s * z for z in hrow] + y)]
+                  for x, row, hrow, y in zip(xi, im, hi, yi)]
+    pivots = _gauss_jordan(re, im) if n > 1 else [0] if s else []
+    if pivots == list(range(n)):
+        return _over_pivot([x for row in re for x in row[n:]], [x for row in im for x in row[n:]],
+                           re[0][0], im[0][0], rhs[2], n)
+    return _kronecker_solve(op[0], k, rhs)
+
+
+def _kronecker(g: Gaussian) -> Gaussian:
     """The operator of x -> b x - x b on n x n matrices x stacked by rows,
-    written from `gaussian(b)`: the operator times b's common denominator
-    den, and den, for `sylvester_solve`."""
-    n = len(b)
-    br, bi, den = gaussian(b)
+    written from g = `gaussian(b)`: the operator times b's common
+    denominator den, and den.  It has n^4 entries."""
+    br, bi, den = g
+    n = len(br)
     ops: tuple[Ints, Ints] = ([], [])
     for parts, op in zip((br, bi), ops):
         for i in range(n):
@@ -199,34 +292,28 @@ def sylvester_operator(b: Matrix) -> Gaussian:
     return *ops, den
 
 
-def sylvester_solve(op: Gaussian, k: int, rhs: Gaussian) -> Gaussian | None:
-    """One solution x of (b + k) x - x b = rhs for op = `sylvester_operator(b)`,
-    with free coordinates set to zero and in lowest terms, or None if the
-    system is inconsistent.  A copy of op, k times its scale den added to the
-    diagonal, is augmented by rhs = (bre + i bim) / big, row by row, times den.
-    Every pivot row then ends in the same last pivot p, so x = u conj(p) /
-    (|p|^2 big), u that column.
-    """
-    re, im, den = op
+def _kronecker_solve(g: Gaussian, k: int, rhs: Gaussian) -> Gaussian | None:
+    """`sylvester_solve` for g = `gaussian(b)` on the n^2 x n^2 system: the
+    operator of `_kronecker`, k times its scale den added to the diagonal,
+    is augmented by rhs = (bre + i bim) / big, row by row, times den.  Every
+    pivot row then ends in the same last pivot p, so x = u / (p big), u
+    that column, with free coordinates zero."""
+    re, im, den = _kronecker(g)
     bre, bim, big = rhs
     n, cols = len(bre), len(re)
-    re = [row + [y * den] for row, y in zip(re, sum(bre, []))]
-    im = [row + [y * den] for row, y in zip(im, sum(bim, []))]
-    for r, row in enumerate(re):
+    for r, (row, y) in enumerate(zip(re, sum(bre, []))):
         row[r] += k * den
+        row.append(y * den)
+    for row, y in zip(im, sum(bim, [])):
+        row.append(y * den)
     pivots = _gauss_jordan(re, im)
     if cols in pivots:
         return None
     pr, pi = (re[0][pivots[0]], im[0][pivots[0]]) if pivots else (1, 0)
-    xr, xi = [0] * cols, [0] * cols
+    ur, ui = [0] * cols, [0] * cols
     for r, c in enumerate(pivots):
-        ur, ui = re[r][cols], im[r][cols]
-        xr[c] = ur * pr + ui * pi
-        xi[c] = ui * pr - ur * pi
-    d = (pr * pr + pi * pi) * big
-    g = gcd(d, *xr, *xi)
-    return ([[x // g for x in xr[i : i + n]] for i in range(0, cols, n)],
-            [[x // g for x in xi[i : i + n]] for i in range(0, cols, n)], d // g)
+        ur[c], ui[c] = re[r][cols], im[r][cols]
+    return _over_pivot(ur, ui, pr, pi, big, n)
 
 
 def jordan_type_of_nilpotent(a: Matrix) -> tuple[int, ...]:

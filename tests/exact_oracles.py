@@ -15,8 +15,10 @@ tests use, slope certification by a full scan of the parahorics (the
 oracle for `certify_slope`), the dense Cartan matrix of a quiver (the
 oracle for `Quiver`'s neighbour lists), the root and decomposition
 enumerations (the oracles for the table of best p-sums),
-the pairing beta . lambda, and sympy's factorization for nonresonance.
-sympy is a test dependency; it is imported only when `is_nonresonant` runs.
+the pairing beta . lambda, and sympy's characteristic polynomial (the
+oracle for `linalg.sylvester_operator`) and factorization for nonresonance.
+sympy is a test dependency; it is imported only when `sympy_charpoly` or
+`is_nonresonant` runs.
 """
 
 from __future__ import annotations
@@ -693,6 +695,15 @@ def dot_lambda(q: Quiver, beta: VecLike, lam: Mapping[Vertex, ScalarLike]) -> Sc
 def alpha_dot_lambda(data) -> Scalar:
     """alpha . lambda of a `CBData` or a `HiroeData`."""
     return dot_lambda(data.quiver, data.alpha, data.lam)
+
+
+def sympy_charpoly(b: Matrix) -> list[tuple[int, int]]:
+    """The coefficients p_0..p_n of det(t - b) by sympy's `charpoly`, as
+    (re, im) pairs, for a square matrix b with Gaussian-integer entries."""
+    import sympy
+
+    sm = sympy.Matrix([[int(c.re) + sympy.I * int(c.im) for c in row] for row in b])
+    return [(int(sympy.re(c)), int(sympy.im(c))) for c in reversed(sm.charpoly().all_coeffs())]
 
 
 def is_nonresonant(b0: Matrix) -> bool:

@@ -278,6 +278,35 @@ def test_criterion_6_normalization_substitution():
     _pass(6, f"gauge identity holds exactly through order {order} on {checked} instances")
 
 
+def test_criterion_6_a_dense_nonreal_8x8_gauge_within_one_second():
+    # B_0 has eigenvalues m/9 + (m mod 3)/2 i, m = 0..7, no two an integer
+    # apart, on an upper-triangular matrix hidden by a unipotent similarity
+    # (row i += row i-1, then column i-1 -= column i, from the bottom up)
+    n, order = 8, 4
+    rng = random.Random(1864)
+    b0 = [[Scalar(Fraction(i, 9), Fraction(i % 3, 2)) if i == j
+           else Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) if j > i else Scalar(0)
+           for j in range(n)] for i in range(n)]
+    for i in range(n - 1, 0, -1):
+        b0[i] = [x + y for x, y in zip(b0[i], b0[i - 1])]
+        for row in b0:
+            row[i - 1] = row[i - 1] - row[i]
+    assert sum(x != 0 for i, row in enumerate(b0) for x in row[:i]) >= n
+    coeffs = {0: b0}
+    for k in range(1, order):
+        coeffs[k] = [[Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-1, 1))
+                      for _ in range(n)] for _ in range(n)]
+    m = LaurentMatrix(n, coeffs)
+    t0 = time.monotonic()
+    g = regsing_normalize(m, order)
+    elapsed = time.monotonic() - t0
+    lead = LaurentMatrix(n, {0: m.coeff(0)})
+    assert (g * m - g.z_ddz()).eq_mod(lead * g, order)
+    assert g.coeff(0) == linalg.identity(n)
+    assert elapsed < 1.0
+    _pass(6, f"dense non-real {n} x {n} gauge through order {order} in {elapsed:.2f} s")
+
+
 # ---------------------------------------------------------------------------
 # 7. rank-2 Coxeter-type decision over an exhaustive orbit family
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from exact_oracles import (
     mat_sub,
     nullspace,
     sylvester_kron,
+    sympy_charpoly,
     trace,
     transpose,
 )
@@ -288,6 +289,62 @@ def test_sylvester_solve_matches_the_kronecker_oracle():
     assert min(kinds.values()) >= 50, kinds
 
 
+def test_the_n_by_n_route_matches_the_kronecker_route(monkeypatch):
+    # 18 draws of a dense residue, n = 1..7, each at shifts 0..8: a shift is
+    # singular exactly when it is a difference of two gaps, and only then
+    # may `sylvester_solve` leave the n x n route for the Kronecker system
+    rng = random.Random(2043)
+    fallback = []
+    kronecker_solve = linalg._kronecker_solve
+
+    def spy(g, k, rhs):
+        fallback.append(k)
+        return kronecker_solve(g, k, rhs)
+
+    monkeypatch.setattr(linalg, "_kronecker_solve", spy)
+    routes = {"n_by_n": 0, "kronecker": 0}
+    for n in [rng.randint(1, 6) for _ in range(17)] + [7]:
+        b, gaps = _residue_with_gaps(rng, n)
+        op = linalg.sylvester_operator(b)
+        for k in range(9):
+            shifted = linalg.mat_add(b, linalg.mat_scale(k, linalg.identity(n)))
+            x = [[_sevens_entry(rng) for _ in range(n)] for _ in range(n)]
+            rhs = linalg.gaussian(rng.choice([
+                mat_sub(linalg.mat_mul(shifted, x), linalg.mat_mul(x, b)), x]))
+            fallback.clear()
+            got = linalg.sylvester_solve(op, k, rhs)
+            singular = k in {p - q for p in gaps for q in gaps}
+            assert fallback == ([k] if singular else []), (b, k)
+            if singular:
+                routes["kronecker"] += 1
+            else:
+                assert got == kronecker_solve(op[0], k, rhs), (b, k, rhs)
+                routes["n_by_n"] += 1
+    assert min(routes.values()) >= 50, routes
+
+
+def test_sylvester_operator_gives_the_characteristic_polynomial():
+    # seeded Gaussian-integer matrices, n = 1..8: the coefficients are
+    # sympy's, and p(b) = 0 over Z[i]
+    rng = random.Random(2044)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        b = [[Scalar(rng.randint(-4, 4), rng.choice([0, 0, rng.randint(-3, 3)]))
+              for _ in range(n)] for _ in range(n)]
+        g, p, _ = linalg.sylvester_operator(b)
+        assert g == linalg.gaussian(b) and g[2] == 1
+        assert p == sympy_charpoly(b), b
+        power = linalg.gaussian(linalg.identity(n))
+        total_re, total_im = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+        for pr, pi in p:
+            total_re = [[t + pr * u - pi * v for t, u, v in zip(*rows)]
+                        for rows in zip(total_re, power[0], power[1])]
+            total_im = [[t + pr * v + pi * u for t, u, v in zip(*rows)]
+                        for rows in zip(total_im, power[0], power[1])]
+            power = linalg.gaussian_mul(power, g)
+        assert total_re == total_im == [[0] * n for _ in range(n)], b
+
+
 def test_solve_with_right_hand_side_denominators_matches_echelon_oracle():
     # rhs is scaled by a denominator of its own, apart from the operator of
     # a dense b, often with dependent rows; k = 0 keeps the operator singular
@@ -340,9 +397,11 @@ def test_gaussian_scales_by_the_least_common_denominator():
 
 
 def test_sylvester_operator_is_the_kronecker_oracle_over_one_denominator():
-    # b's diagonal is m/9 + (m mod 3)/2 i plus an integer, no two entries an
-    # integer apart, and the rest of b is integral: so the rows (i, i) of the
-    # operator are integral and the others are not, and all share b's scale
+    # the n^2 x n^2 operator of a singular shift, written from the scaled b
+    # that `sylvester_operator` keeps.  b's diagonal is m/9 + (m mod 3)/2 i
+    # plus an integer, no two entries an integer apart, and the rest of b is
+    # integral: so the rows (i, i) of the operator are integral and the
+    # others are not, and all share b's scale
     rng = random.Random(2032)
     for _ in range(40):
         n = rng.choice([2, 2, 3, 3, 4, 5])
@@ -352,7 +411,7 @@ def test_sylvester_operator_is_the_kronecker_oracle_over_one_denominator():
         want = sylvester_kron(b, b)
         integral = [all(x.re.denominator == x.im.denominator == 1 for x in row) for row in want]
         assert integral == [r % (n + 1) == 0 for r in range(n * n)]
-        re, im, den = linalg.sylvester_operator(b)
+        re, im, den = linalg._kronecker(linalg.sylvester_operator(b)[0])
         assert den == linalg.gaussian(b)[2] > 1
         assert [[Scalar(x, y) for x, y in zip(xr, yr)] for xr, yr in zip(re, im)] == [
             [den * x for x in row] for row in want
