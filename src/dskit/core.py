@@ -94,9 +94,6 @@ class Scalar:
             return hash((re, im))
         return hash(re.numerator) if re.denominator == 1 else hash(re)
 
-    def is_integer(self) -> bool:
-        return not self.im and self.re.denominator == 1
-
     def sort_key(self) -> tuple[Fraction, Fraction]:
         return (self.re, self.im)
 

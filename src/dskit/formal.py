@@ -395,12 +395,6 @@ class CoxeterFormalType:
         object.__setattr__(self, "p_terms", terms)
 
     @property
-    def p_coeffs(self) -> tuple[Scalar, ...]:
-        """The dense coefficients of p, constant term first."""
-        terms = dict(self.p_terms)
-        return tuple(terms.get(k, ZERO) for k in range(self.r + 1))
-
-    @property
     def p0(self) -> Scalar:
         """The constant term p(0); decisions depend only on it and deg p."""
         return dict(self.p_terms).get(0, ZERO)
@@ -412,10 +406,3 @@ class CoxeterFormalType:
         ftype = object.__new__(cls)
         ftype._init(n, r, ((0, p0), (r, ONE)) if p0 else ((r, ONE),), r + 1)
         return ftype
-
-    def matrix(self) -> LaurentMatrix:
-        """p(omega_n^{-1}) as an exact Laurent matrix."""
-        acc = LaurentMatrix.zero(self.n)
-        for k, coeff in self.p_terms:
-            acc = acc + omega_power(self.n, -k).scale(coeff)
-        return acc

@@ -24,7 +24,7 @@ from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import mul
 
-from .core import ONE, ZERO, Scalar, ScalarLike, dual_partition
+from .core import ONE, ZERO, Scalar, dual_partition
 from .errors import InputError
 
 Matrix = list[list[Scalar]]
@@ -49,36 +49,8 @@ def copy_matrix(a: Matrix) -> Matrix:
     return [row[:] for row in a]
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(s: ScalarLike, a: Matrix) -> Matrix:
-    sc = Scalar.of(s)
-    return [[sc * x for x in row] for row in a]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = dims(a)
-    rb, cb = dims(b)
-    if ca != rb:
-        raise InputError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    bt = list(zip(*b)) if b else []
-    out = []
-    for arow in a:
-        nonzero = [(k, x) for k, x in enumerate(arow) if x]
-        out.append([sum([x * bcol[k] for k, x in nonzero], ZERO) for bcol in bt])
-    return out
-
-
 def is_zero_matrix(a: Matrix) -> bool:
     return all(not x for row in a for x in row)
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return dims(a) == dims(b) and all(
-        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
-    )
 
 
 def gaussian(a: Matrix) -> Gaussian:

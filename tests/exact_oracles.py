@@ -6,10 +6,13 @@ build inputs and to check answers: the dominance order, small scalar and
 orbit views, the Scalar-keyed factor sequences, factor ranks and
 pairwise resonance test (the oracles for `core.residue_arm` and
 `core.congruent_pair`), and matrix algebra the deciders do not need,
-elimination, matrix powers and the Kronecker Sylvester operator on Scalars
-(the oracles for `linalg`'s Gaussian-integer kernels), the gauge recursion
-on Scalars (the oracle for `regsing_normalize`), series algebra on
-`LaurentMatrix` (free functions taking the series first), the lattice-chain
+sums and products, elimination, matrix powers and the Kronecker Sylvester
+operator on Scalars (the oracles for `linalg`'s Gaussian-integer kernels),
+the gauge recursion on Scalars (the oracle for `regsing_normalize`), series
+algebra on `LaurentMatrix` (free functions taking the series first: sums and
+products that propagate truncation, z d/dz, agreement mod z^N and the gauge
+identity, powers, shifts and inverses), the Coxeter canonical matrix
+p(omega_n^-1) and the dense coefficients of p, the lattice-chain
 definition of the filtration degree and the parahoric helpers that only
 tests use, slope certification by a full scan of the parahorics (the
 oracle for `certify_slope`), the dense Cartan matrix of a quiver (the
@@ -24,6 +27,7 @@ sympy is a test dependency; it is imported only when `sympy_charpoly` or
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -48,18 +52,10 @@ from dskit.formal import (
     StandardParahoric,
     Stratum,
     UpperBoundOnly,
+    omega_power,
 )
 from dskit.laurent import LaurentMatrix
-from dskit.linalg import (
-    Matrix,
-    copy_matrix,
-    dims,
-    identity,
-    mat_mul,
-    mat_scale,
-    rank,
-    zeros,
-)
+from dskit.linalg import Matrix, copy_matrix, dims, identity, rank, zeros
 from dskit.rootsys import (
     DEFAULT_BUDGET,
     Quiver,
@@ -82,6 +78,10 @@ Vector = list[Scalar]
 
 def is_rational(x: Scalar) -> bool:
     return x.im == 0
+
+
+def is_integer(x: Scalar) -> bool:
+    return not x.im and x.re.denominator == 1
 
 
 def dominance_leq(p: Partition, q: Partition) -> bool:
@@ -157,7 +157,7 @@ def pairwise_congruent_pair(values: Sequence[Scalar]) -> tuple[int, int] | None:
     for `core.congruent_pair`."""
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
-            if (values[i] - values[j]).is_integer():
+            if is_integer(values[i] - values[j]):
                 return i, j
     return None
 
@@ -182,8 +182,30 @@ def mat_of(rows: Sequence[Sequence[ScalarLike]]) -> Matrix:
     return out
 
 
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(s: ScalarLike, a: Matrix) -> Matrix:
+    sc = Scalar.of(s)
+    return [[sc * x for x in row] for row in a]
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    ra, ca = dims(a)
+    rb, cb = dims(b)
+    if ca != rb:
+        raise InputError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
+    bt = list(zip(*b)) if b else []
+    out = []
+    for arow in a:
+        nonzero = [(k, x) for k, x in enumerate(arow) if x]
+        out.append([sum([x * bcol[k] for k, x in nonzero], Scalar(0)) for bcol in bt])
+    return out
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -352,7 +374,7 @@ def echelon_sylvester_solve(b: Matrix, k: int, rhs: Matrix) -> Matrix | None:
     operator of x -> (b + k) x - x b: one solution with its free coordinates
     set to zero, or None if inconsistent."""
     n = len(b)
-    shifted = linalg.mat_add(b, mat_scale(k, identity(n)))
+    shifted = mat_add(b, mat_scale(k, identity(n)))
     sol = echelon_solve(sylvester_kron(shifted, b), [y for row in rhs for y in row])
     if sol is None:
         return None
@@ -418,10 +440,87 @@ def from_terms(
     acc: dict[int, Matrix] = {}
     for deg, mat in terms:
         if deg in acc:
-            acc[deg] = linalg.mat_add(acc[deg], mat)
+            acc[deg] = mat_add(acc[deg], mat)
         else:
             acc[deg] = copy_matrix(mat)
     return LaurentMatrix(n, acc, trunc)
+
+
+def _known_below(m: LaurentMatrix) -> float:
+    return math.inf if m.trunc is None else m.trunc
+
+
+def _truncation(bound: float) -> int | None:
+    return None if bound == math.inf else int(bound)
+
+
+def _check_same_size(a: LaurentMatrix, b: LaurentMatrix) -> None:
+    if a.n != b.n:
+        raise InputError("size mismatch")
+
+
+def series_add(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
+    """a + b, known below the lesser of the two truncations."""
+    _check_same_size(a, b)
+    acc = {deg: copy_matrix(mat) for deg, mat in a.coeffs.items()}
+    for deg, mat in b.coeffs.items():
+        acc[deg] = mat_add(acc[deg], mat) if deg in acc else copy_matrix(mat)
+    return LaurentMatrix(a.n, acc, _truncation(min(_known_below(a), _known_below(b))))
+
+
+def series_scale(m: LaurentMatrix, s: ScalarLike) -> LaurentMatrix:
+    return LaurentMatrix(
+        m.n, {deg: mat_scale(s, mat) for deg, mat in m.coeffs.items()}, m.trunc
+    )
+
+
+def series_sub(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
+    return series_add(a, series_scale(b, -1))
+
+
+def series_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
+    """a b, known below every degree that only known terms reach: a term at
+    degree d needs every split d = i + j with i known in a and j known in b."""
+    _check_same_size(a, b)
+
+    def lowest(m: LaurentMatrix) -> float:
+        return min(m.coeffs) if m.coeffs else _known_below(m)
+
+    trunc = _truncation(min(_known_below(a) + lowest(b), _known_below(b) + lowest(a)))
+    acc: dict[int, Matrix] = {}
+    for da, ma in a.coeffs.items():
+        for db, mb in b.coeffs.items():
+            d = da + db
+            if trunc is not None and d >= trunc:
+                continue
+            prod = mat_mul(ma, mb)
+            acc[d] = mat_add(acc[d], prod) if d in acc else prod
+    return LaurentMatrix(a.n, acc, trunc)
+
+
+def z_ddz(m: LaurentMatrix) -> LaurentMatrix:
+    """z d/dz: the coefficient at z^k picks up a factor k."""
+    return LaurentMatrix(
+        m.n, {deg: mat_scale(deg, mat) for deg, mat in m.coeffs.items() if deg}, m.trunc
+    )
+
+
+def eq_mod(a: LaurentMatrix, b: LaurentMatrix, order: int) -> bool:
+    """Whether the two series agree at every degree < order."""
+    _check_same_size(a, b)
+    if _known_below(a) < order or _known_below(b) < order:
+        raise TruncationError(
+            f"comparison mod z^{order} needs both series known to that order"
+        )
+    return all(
+        a.coeff(d) == b.coeff(d) for d in set(a.coeffs) | set(b.coeffs) if d < order
+    )
+
+
+def gauge_identity_holds(m: LaurentMatrix, g: LaurentMatrix, order: int) -> bool:
+    """Whether g M - z dg/dz = B_0 g mod z^order, B_0 the z^0 term of M."""
+    b0 = LaurentMatrix(m.n, {0: m.coeff(0)})
+    return eq_mod(series_sub(series_mul(g, m), z_ddz(g)), series_mul(b0, g), order)
 
 
 def shift(m: LaurentMatrix, k: int) -> LaurentMatrix:
@@ -441,10 +540,10 @@ def power(m: LaurentMatrix, k: int) -> LaurentMatrix:
     kk = k
     while kk:
         if kk & 1:
-            result = result * base
+            result = series_mul(result, base)
         kk >>= 1
         if kk:
-            base = base * base
+            base = series_mul(base, base)
     return result
 
 
@@ -473,8 +572,8 @@ def series_inverse(m: LaurentMatrix) -> LaurentMatrix:
         for i in range(0, k):
             g = m.coeffs.get(k - i)
             if g is not None and i in out:
-                acc = linalg.mat_add(acc, linalg.mat_mul(out[i], g))
-        term = mat_scale(-1, linalg.mat_mul(acc, c0_inv))
+                acc = mat_add(acc, mat_mul(out[i], g))
+        term = mat_scale(-1, mat_mul(acc, c0_inv))
         if not linalg.is_zero_matrix(term):
             out[k] = term
     return LaurentMatrix(m.n, out, m.trunc)
@@ -513,9 +612,23 @@ def coxeter_canonical_type(
     """Validated Coxeter canonical form; the Laurent matrix is materialized
     once here so malformed coefficient data fails early, not downstream."""
     ftype = CoxeterFormalType(n, r, p_coeffs)
-    mat = ftype.matrix()
+    mat = coxeter_matrix(ftype)
     assert not mat.is_zero()
     return ftype
+
+
+def coxeter_matrix(ftype: CoxeterFormalType) -> LaurentMatrix:
+    """p(omega_n^{-1}) as an exact Laurent matrix."""
+    acc = LaurentMatrix(ftype.n)
+    for k, coeff in ftype.p_terms:
+        acc = series_add(acc, series_scale(omega_power(ftype.n, -k), coeff))
+    return acc
+
+
+def dense_p_coeffs(ftype: CoxeterFormalType) -> tuple[Scalar, ...]:
+    """The dense coefficients of p, constant term first."""
+    terms = dict(ftype.p_terms)
+    return tuple(terms.get(k, Scalar(0)) for k in range(ftype.r + 1))
 
 
 def filtration_degree(p: StandardParahoric, a: int, b: int, k: int) -> int:

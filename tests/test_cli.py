@@ -175,6 +175,40 @@ def test_unramified_ds_agreeing_modes_have_no_note(tmp_path, capsys):
     assert v["notes"] == []
 
 
+# Tensoring with a rank-1 connection whose only pole is a double pole at the
+# first point is an equivalence that keeps irreducibility, so one block with
+# q = (1,) and residue R_0, followed by regular types R_1 ... R_k, must answer
+# as `fuchsian-ds` does on (R_0, ..., R_k).  On these four orbits at n = 4,
+# each one eigenvalue with its Jordan type, the parts>=2 reading does and the
+# parts>=3 reading does not.
+TWIST_ORBITS = [
+    _orbit(4, [(_sc(-6), (3, 1))]),
+    _orbit(4, [(_sc(-1), (2, 1, 1))]),
+    _orbit(4, [(_sc(-4), (3, 1))]),
+    _orbit(4, [(_sc(11), (3, 1))]),
+]
+TWIST_TYPES = [{"blocks": [{"q": [_sc(1)], "dim": 4, "residue": TWIST_ORBITS[0]}]}] + [
+    {"blocks": [{"q": [], "dim": 4, "residue": r}]} for r in TWIST_ORBITS[1:]
+]
+
+
+def test_rank1_twist_of_a_fuchsian_tuple_is_flag_sensitive(tmp_path, capsys):
+    orbits = _write(tmp_path, "orbits.json", orbits=TWIST_ORBITS)
+    v = _verdict(capsys, ["fuchsian-ds", "--input", orbits], 0)
+    assert v["result"] == {"exists": False, "rigidity": "Empty"}
+    assert v["notes"] == []
+
+    types = _write(tmp_path, "twist.json", types=TWIST_TYPES)
+    note = ("flag-sensitive: the parts>=3 reading gives True, the parts>=2 "
+            "reading (--flag ell-ge-2) gives False; this verdict follows the {} reading")
+    v = _verdict(capsys, ["unramified-ds", "--input", types], 0)
+    assert v["result"] == {"exists": True}
+    assert v["notes"] == [note.format("parts>=3")]
+    v = _verdict(capsys, ["unramified-ds", "--input", types, "--flag", "ell-ge-2"], 0)
+    assert v["result"] == {"exists": False}
+    assert v["notes"] == [note.format("parts>=2")]
+
+
 def test_unramified_ds_requires_irregular_first(tmp_path, capsys):
     path = _write(tmp_path, "rev.json", types=[WITNESS_TYPES[1], WITNESS_TYPES[0]])
     err = _error(capsys, ["unramified-ds", "--input", path])

@@ -27,9 +27,12 @@ from dskit.coxeter import CharPolySpec
 from dskit.errors import InputError, ResonantError
 from exact_oracles import (
     dominance_leq,
+    is_integer,
     is_rational,
     jordan_matrix,
     kron,
+    mat_mul,
+    mat_scale,
     mat_sub,
     max_block,
     min_poly_degree,
@@ -69,8 +72,8 @@ def test_scalar_equality_with_rationals():
 def test_scalar_bool_and_predicates():
     assert not Scalar(0)
     assert Scalar(0, 1)
-    assert Scalar(2).is_integer()
-    assert not Scalar(Fraction(1, 2)).is_integer()
+    assert is_integer(Scalar(2))
+    assert not is_integer(Scalar(Fraction(1, 2)))
     assert not is_rational(Scalar(0, 1))
 
 
@@ -345,8 +348,8 @@ def _rank_oracle(o: OrbitSpec, seq, j: int) -> int:
     n = o.n
     acc = linalg.identity(n)
     for eta in seq[:j]:
-        shifted = mat_sub(jm, linalg.mat_scale(Scalar.of(eta), linalg.identity(n)))
-        acc = linalg.mat_mul(acc, shifted)
+        shifted = mat_sub(jm, mat_scale(Scalar.of(eta), linalg.identity(n)))
+        acc = mat_mul(acc, shifted)
     return linalg.rank(acc)
 
 

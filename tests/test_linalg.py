@@ -15,9 +15,12 @@ from exact_oracles import (
     echelon_sylvester_solve,
     jordan_matrix,
     kron,
+    mat_add,
     mat_inv,
+    mat_mul,
     mat_of,
     mat_pow,
+    mat_scale,
     mat_sub,
     nullspace,
     sylvester_kron,
@@ -34,8 +37,8 @@ def _rand_matrix(rng, n, lo=-4, hi=4):
 def test_mat_of_and_basic_ops():
     a = mat_of([[1, 2], [3, 4]])
     b = mat_of([[0, 1], [1, 0]])
-    assert linalg.mat_mul(a, b) == mat_of([[2, 1], [4, 3]])
-    assert linalg.mat_add(a, linalg.mat_scale(-1, a)) == linalg.zeros(2, 2)
+    assert mat_mul(a, b) == mat_of([[2, 1], [4, 3]])
+    assert mat_add(a, mat_scale(-1, a)) == linalg.zeros(2, 2)
     assert transpose(a) == mat_of([[1, 3], [2, 4]])
     assert trace(a) == 5
     assert mat_pow(b, 2) == linalg.identity(2)
@@ -59,7 +62,7 @@ def test_det_multiplicative_random():
         n = rng.randint(1, 4)
         a = _rand_matrix(rng, n)
         b = _rand_matrix(rng, n)
-        assert det(linalg.mat_mul(a, b)) == det(a) * det(b)
+        assert det(mat_mul(a, b)) == det(a) * det(b)
 
 
 def test_inverse_random():
@@ -73,8 +76,8 @@ def test_inverse_random():
             assert inv is None
         else:
             found += 1
-            assert linalg.mat_mul(a, inv) == linalg.identity(n)
-            assert linalg.mat_mul(inv, a) == linalg.identity(n)
+            assert mat_mul(a, inv) == linalg.identity(n)
+            assert mat_mul(inv, a) == linalg.identity(n)
     assert found > 10
 
 
@@ -112,12 +115,12 @@ def test_sylvester_solve_roundtrip():
         b = _rand_matrix(rng, n)
         k = rng.randint(0, 4)
         x = _rand_matrix(rng, n)
-        shifted = linalg.mat_add(b, linalg.mat_scale(k, linalg.identity(n)))
-        rhs = mat_sub(linalg.mat_mul(shifted, x), linalg.mat_mul(x, b))
+        shifted = mat_add(b, mat_scale(k, linalg.identity(n)))
+        rhs = mat_sub(mat_mul(shifted, x), mat_mul(x, b))
         got = linalg.sylvester_solve(linalg.sylvester_operator(b), k, linalg.gaussian(rhs))
         assert got is not None
         sol = linalg.from_gaussian(got)
-        assert mat_sub(linalg.mat_mul(shifted, sol), linalg.mat_mul(sol, b)) == rhs
+        assert mat_sub(mat_mul(shifted, sol), mat_mul(sol, b)) == rhs
 
 
 def test_sylvester_singular_detected():
@@ -266,9 +269,9 @@ def test_sylvester_solve_matches_the_kronecker_oracle():
         b, gaps = _residue_with_gaps(rng, n)
         op = linalg.sylvester_operator(b)
         for k in range(9):
-            shifted = linalg.mat_add(b, linalg.mat_scale(k, linalg.identity(n)))
+            shifted = mat_add(b, mat_scale(k, linalg.identity(n)))
             x = [[_sevens_entry(rng) for _ in range(n)] for _ in range(n)]
-            image = mat_sub(linalg.mat_mul(shifted, x), linalg.mat_mul(x, b))
+            image = mat_sub(mat_mul(shifted, x), mat_mul(x, b))
             drawn = [[_sevens_entry(rng) for _ in range(n)] for _ in range(n)]
             for rhs in (image, drawn):
                 want = echelon_sylvester_solve(b, k, rhs)
@@ -307,10 +310,10 @@ def test_the_n_by_n_route_matches_the_kronecker_route(monkeypatch):
         b, gaps = _residue_with_gaps(rng, n)
         op = linalg.sylvester_operator(b)
         for k in range(9):
-            shifted = linalg.mat_add(b, linalg.mat_scale(k, linalg.identity(n)))
+            shifted = mat_add(b, mat_scale(k, linalg.identity(n)))
             x = [[_sevens_entry(rng) for _ in range(n)] for _ in range(n)]
             rhs = linalg.gaussian(rng.choice([
-                mat_sub(linalg.mat_mul(shifted, x), linalg.mat_mul(x, b)), x]))
+                mat_sub(mat_mul(shifted, x), mat_mul(x, b)), x]))
             fallback.clear()
             got = linalg.sylvester_solve(op, k, rhs)
             singular = k in {p - q for p in gaps for q in gaps}
@@ -357,10 +360,10 @@ def test_solve_with_right_hand_side_denominators_matches_echelon_oracle():
             if rng.random() < 0.35:
                 b[i] = _combination(rng, b[:i])
         k = rng.choice([0, 0, 1, 2])
-        shifted = linalg.mat_add(b, linalg.mat_scale(k, linalg.identity(n)))
+        shifted = mat_add(b, mat_scale(k, linalg.identity(n)))
         if rng.random() < 0.6:
             x0 = [[_sevens_entry(rng) for _ in range(n)] for _ in range(n)]
-            rhs = mat_sub(linalg.mat_mul(shifted, x0), linalg.mat_mul(x0, b))
+            rhs = mat_sub(mat_mul(shifted, x0), mat_mul(x0, b))
         else:
             rhs = [[_sevens_entry(rng) for _ in range(n)] for _ in range(n)]
         a = sylvester_kron(shifted, b)
@@ -436,7 +439,7 @@ def test_gaussian_mul_matches_mat_mul():
         ga, gb = linalg.gaussian(a), linalg.gaussian(b)
         prod = linalg.gaussian_mul(ga, gb)
         assert prod[2] == ga[2] * gb[2]
-        assert linalg.from_gaussian(prod) == linalg.mat_mul(a, b), (a, b)
+        assert linalg.from_gaussian(prod) == mat_mul(a, b), (a, b)
 
 
 def test_jordan_type_of_hidden_nilpotents_matches_the_jordan_matrix_oracle():

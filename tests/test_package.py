@@ -28,6 +28,28 @@ def test_every_public_name_imported_by_the_package_is_exported():
     assert all(hasattr(dskit, name) for name in dskit.__all__)
 
 
+# The Scalar matrix algebra that no decider runs lives in tests/exact_oracles.py:
+# LaurentMatrix holds M of d + M dz/z, and the deciders compute on Z[i].
+_NOT_PUBLIC = {
+    dskit.LaurentMatrix: ("__add__", "__sub__", "__neg__", "__mul__", "scale", "z_ddz",
+                          "eq_mod", "_check_same_size", "_known_below",
+                          "_effective_valuation"),
+    dskit.laurent: ("_INF",),
+    dskit.linalg: ("mat_add", "mat_scale", "mat_mul", "mat_eq"),
+    dskit.CoxeterFormalType: ("matrix", "p_coeffs"),
+    dskit.Scalar: ("is_integer",),
+}
+
+
+def test_the_scalar_matrix_algebra_is_left_to_the_tests():
+    present = [
+        f"{owner.__name__}.{name}"
+        for owner, names in _NOT_PUBLIC.items()
+        for name in names
+        if hasattr(owner, name)
+    ]
+    assert present == []
+
 
 def _scalar_orbit(c):
     return OrbitSpec(1, [(c, (1,))])
