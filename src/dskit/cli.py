@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from typing import Any, Sequence
@@ -427,7 +426,14 @@ def run(argv: Sequence[str]) -> int:
         "result": result,
         "notes": ctx["notes"],
     }
-    print(json.dumps(verdict, sort_keys=True, indent=2))
+    try:
+        text = jsonio.dumps(verdict)
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        reason = f"the result holds an integer too long to print: {exc}"
+        verdict["result"] = {"kind": "Inconclusive", "reason": reason}
+        verdict["notes"] = ctx["notes"] + [reason]
+        text, code = jsonio.dumps(verdict), 3
+    print(text)
     return code
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, NoReturn
 
 from . import linalg
@@ -214,6 +215,53 @@ def load_document(path: str) -> dict[str, Any]:
     if doc.get("schema") != SCHEMA:
         _fail("schema", f"expected {SCHEMA!r}, got {doc.get('schema')!r}")
     return doc
+
+
+def dumps(obj: Any) -> str:
+    """The text of json.dumps(obj, sort_keys=True, indent=2), written without
+    json's pure-Python encoder, which indent selects.
+
+    obj is built of dict with str keys, list, str, int, bool and None, exactly
+    those types and not subclasses of them; any other type, a tuple or float
+    among them, raises TypeError.  An int past the interpreter's digit limit
+    raises ValueError, as in json.
+    """
+    return _dumps(obj, "\n")
+
+
+def _dumps(obj: Any, nl: str) -> str:
+    """`dumps` of obj at the indentation that the line break nl carries."""
+    t = type(obj)
+    if t is list:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        if set(map(type, obj)) == {int}:
+            items: Any = map(int.__repr__, obj)
+        else:
+            items = [_dumps(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        fields = []
+        for k, v in sorted(obj.items()):
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            fields.append(encode_basestring_ascii(k) + ": " + _dumps(v, inner))
+        return "{" + inner + ("," + inner).join(fields) + nl + "}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if t is int:
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def digest_of(payload: Any) -> str:

@@ -5,7 +5,10 @@ Jordan type, `sylvester_solve`), the nilpotency test and the gauge recursion
 work on a matrix scaled to Gaussian integers by one common denominator
 (`gaussian`): parallel lists of Python ints for the real and imaginary parts,
 and the scale.  Products (`gaussian_mul`) and fraction-free elimination make
-no `Fraction` until a result is read back (`from_gaussian`).  A right-hand
+no `Fraction` until a result is read back (`from_gaussian`).  Each kernel
+reads whether its input is real, with all imaginary parts zero, and then
+does integer arithmetic alone: a real product is one integer product, and
+real elimination is the Bareiss step over Z.  A right-hand
 side is scaled apart from the matrix, so its denominators never enter the
 operator.  The shifted Sylvester equation (b + k) x - x b = rhs is readied
 once for all shifts k (`sylvester_operator`): b = b' / den over Z[i], with
@@ -77,12 +80,16 @@ def _gauss_jordan(re: Ints, im: Ints) -> list[int]:
     p is the previous pivot (1 before the first step).  By Sylvester's
     determinant identity every entry stays a minor of the input, so the
     division is exact in Z[i] (Bareiss 1968; Nakos, Turner and Williams
-    1997).  On return the first len(pivots) rows form the reduced echelon
-    form times the last pivot: each holds that pivot in its own pivot column
-    and 0 in the others.  Returns the pivot columns.
+    1997).  When im is all zero on entry every minor is an integer, so the
+    step runs over Z, two products and one exact division a cell, and im is
+    left zero; the pivots and rows are those of the Z[i] step.  On return
+    the first len(pivots) rows form the reduced echelon form times the last
+    pivot: each holds that pivot in its own pivot column and 0 in the
+    others.  Returns the pivot columns.
     """
     rows = len(re)
     cols = len(re[0]) if rows else 0
+    real = not any(map(any, im))
     pr, pi = 1, 0
     pivots: list[int] = []
     r = 0
@@ -100,6 +107,9 @@ def _gauss_jordan(re: Ints, im: Ints) -> list[int]:
                 continue
             br, bi = re[k], im[k]
             fr, fi = br[c], bi[c]
+            if real:
+                re[k] = [(dr * u - fr * s) // pr for u, s in zip(br, ar)]
+                continue
             xr = [dr * u - di * v - fr * s + fi * t for u, v, s, t in zip(br, bi, ar, ai)]
             xi = [dr * v + di * u - fr * t - fi * s for u, v, s, t in zip(br, bi, ar, ai)]
             # divide by p: multiply by its conjugate, then divide by its norm
@@ -128,9 +138,14 @@ def from_gaussian(g: Gaussian) -> Matrix:
 
 def gaussian_mul(a: Gaussian, b: Gaussian) -> Gaussian:
     """The product of a = (ar + i ai) / ad and b = (br + i bi) / bd, over the
-    product of their scales."""
+    product of their scales.  When ai and bi are both zero it is one integer
+    product, with a zero imaginary part; otherwise four."""
     (ar, ai, ad), (br, bi, bd) = a, b
-    br_t, bi_t = list(zip(*br)), list(zip(*bi))
+    br_t = list(zip(*br))
+    if not any(map(any, ai)) and not any(map(any, bi)):
+        return ([[sum(map(mul, x, y)) for y in br_t] for x in ar],
+                [[0] * len(br_t) for _ in ar], ad * bd)
+    bi_t = list(zip(*bi))
     return (
         [[sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)) for yr, yi in zip(br_t, bi_t)]
          for xr, xi in zip(ar, ai)],

@@ -19,9 +19,9 @@ oracle for `certify_slope`), the dense Cartan matrix of a quiver (the
 oracle for `Quiver`'s neighbour lists), the root and decomposition
 enumerations (the oracles for the table of best p-sums),
 the pairing beta . lambda, and sympy's characteristic polynomial (the
-oracle for `linalg.sylvester_operator`) and factorization for nonresonance.
-sympy is a test dependency; it is imported only when `sympy_charpoly` or
-`is_nonresonant` runs.
+oracle for `linalg.sylvester_operator`), rank (an oracle for `linalg.rank`)
+and factorization for nonresonance.  sympy is a test dependency; it is
+imported only when `sympy_charpoly`, `sympy_rank` or `is_nonresonant` runs.
 """
 
 from __future__ import annotations
@@ -817,6 +817,14 @@ def sympy_charpoly(b: Matrix) -> list[tuple[int, int]]:
 
     sm = sympy.Matrix([[int(c.re) + sympy.I * int(c.im) for c in row] for row in b])
     return [(int(sympy.re(c)), int(sympy.im(c))) for c in reversed(sm.charpoly().all_coeffs())]
+
+
+def sympy_rank(a: Matrix) -> int:
+    """The rank of a matrix of Gaussian rationals by sympy's `rank`."""
+    import sympy
+
+    q = lambda x: sympy.Rational(x.numerator, x.denominator)
+    return sympy.Matrix([[q(c.re) + sympy.I * q(c.im) for c in row] for row in a]).rank()
 
 
 def is_nonresonant(b0: Matrix) -> bool:

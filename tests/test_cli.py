@@ -500,6 +500,24 @@ def test_normalize_regsing_resonant_is_input_error(tmp_path, capsys):
     assert "differ by 1" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the digit limit came with 3.10.7 and 3.11")
+def test_normalize_regsing_gauge_past_the_digit_limit_is_inconclusive(tmp_path, capsys):
+    # B_0 = 1/3, B_1 = 10^-1000: g_k has a denominator of about 1000 k digits,
+    # past the interpreter's int-to-str limit of 4,300 from g_5 on
+    doc = _laurent_doc(1, [(0, [[_sc(1, 3)]]), (1, [[_sc(1, 10**1000)]])])
+    path = _write(tmp_path, "big.json", matrix=doc)
+    v = _verdict(capsys, ["normalize-regsing", "--matrix", path, "--order", "6"], 3)
+    reason = v["result"]["reason"]
+    assert v["result"] == {"kind": "Inconclusive", "reason": reason}
+    assert reason.startswith("the result holds an integer too long to print: Exceeds the limit")
+    assert f"({sys.get_int_max_str_digits()} digits)" in reason
+    assert v["notes"] == [reason]
+    # one order less prints the gauge
+    v = _verdict(capsys, ["normalize-regsing", "--matrix", path, "--order", "5"], 0)
+    assert v["result"]["gauge"]["trunc"] == 5
+
+
 # ---------------------------------------------------------------------------
 # count-rank2
 # ---------------------------------------------------------------------------
@@ -1000,3 +1018,44 @@ def test_every_subcommand_runs_with_sympy_blocked(tmp_path):
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_each_verdict_is_the_text_of_json_dumps(tmp_path, capsys, monkeypatch):
+    # one verdict of each subcommand, the budget-capped fuchsian-ds among
+    # them, through a spy on the writer that `run` prints with
+    from dskit import jsonio
+
+    seen = []
+    dumps = jsonio.dumps
+
+    def spy(obj):
+        seen.append(obj)
+        return dumps(obj)
+
+    monkeypatch.setattr(jsonio, "dumps", spy)
+    orb = _write(tmp_path, "orb.json", orbit=NILP2)
+    z = _sc(0)
+    requests = [
+        (["fuchsian-ds", "--input", _write(tmp_path, "d4.json", orbits=D4_GENERIC)], 0),
+        (["fuchsian-ds", "--budget", "10", "--input",
+          _write(tmp_path, "big.json", orbits=[_orbit(4, [(_sc(0), (2, 2))])] * 4)], 3),
+        (["unramified-ds", "--input", _write(tmp_path, "w.json", types=WITNESS_TYPES)], 0),
+        (["coxeter-ds", "--n", "2", "--r", "1", "--p0", "1/4", "--orbit", orb], 0),
+        (["rigidity", "--n", "2", "--r", "1", "--orbit", orb], 0),
+        (["rigidity-table", "--type", "B", "--rank", "4", "--r", "3"], 0),
+        (["slope", "--matrix", _write(tmp_path, "s.json", matrix=_laurent_doc(
+            2, [(-1, [[z, _sc(1)], [z, z]]), (0, [[z, z], [_sc(1), z]])]))], 0),
+        (["normalize-regsing", "--order", "3", "--matrix", _write(tmp_path, "m.json", matrix=_laurent_doc(
+            2, [(0, [[_sc(-1, 2), z], [z, _sc(1, 3)]]), (1, [[z, _sc(1)], [_sc(3), z]])]))], 0),
+        (["count-rank2", "--input", _write(tmp_path, "c.json", formal_type=WITNESS_TYPES[0],
+                                           orbit=_orbit(2, [(_sc(-1, 3), (1,)), (_sc(-2, 3), (1,))]))], 0),
+        (["quiver-export", "--out", str(tmp_path / "q.dot"), "--input",
+          _write(tmp_path, "q.json", orbits=D4_GENERIC)], 0),
+    ]
+    for argv, code in requests:
+        assert run(argv) == code, argv
+        out = capsys.readouterr().out
+        assert out == json.dumps(seen[-1], sort_keys=True, indent=2) + "\n", argv
+    assert len(seen) == len(requests)
+    assert {v["command"] for v in seen} == set(_option_layout())
+    assert seen[1]["result"]["kind"] == "Inconclusive"

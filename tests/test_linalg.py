@@ -25,6 +25,7 @@ from exact_oracles import (
     nullspace,
     sylvester_kron,
     sympy_charpoly,
+    sympy_rank,
     trace,
     transpose,
 )
@@ -489,3 +490,111 @@ def test_is_nilpotent_matches_mat_pow():
         assert linalg.is_nilpotent(a) == want, a
         nilpotent += want
     assert 600 <= nilpotent <= 2400, nilpotent
+
+
+# real inputs: each kernel then runs its integer route, and i times the same
+# input runs its Z[i] route
+
+
+def _real_entry(rng):
+    """A rational, zero a third of the time."""
+    if rng.random() < 1 / 3:
+        return Scalar(0)
+    return Scalar(Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7])))
+
+
+def _real_matrix(rng, rows, cols):
+    """A real rows x cols matrix whose rows are often integer combinations of
+    the rows above them."""
+    a = [[_real_entry(rng) for _ in range(cols)] for _ in range(rows)]
+    for i in range(1, rows):
+        if rng.random() < 0.35:
+            cs = [Scalar(rng.randint(-2, 2)) for _ in range(i)]
+            a[i] = [sum((c * row[j] for c, row in zip(cs, a)), Scalar(0)) for j in range(cols)]
+    return a
+
+
+def _times_i(re):
+    """i (re + 0 i), as (real parts, imaginary parts)."""
+    return [[0] * len(row) for row in re], [row[:] for row in re]
+
+
+def test_real_elimination_matches_the_gaussian_route():
+    # every entry of the result is a minor of order len(pivots), so i A gives
+    # A's rows times i^len(pivots)
+    rng = random.Random(2301)
+    units = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    deficient = 0
+    for _ in range(1500):
+        rows, cols = rng.choice(SIZES), rng.choice(SIZES) + rng.randint(0, 1)
+        a = _real_matrix(rng, rows, cols)
+        re, im, _ = linalg.gaussian(a)
+        zr, zi = _times_i(re)
+        pivots = linalg._gauss_jordan(re, im)
+        assert linalg._gauss_jordan(zr, zi) == pivots, a
+        assert not any(map(any, im))
+        ur, ui = units[len(pivots) % 4]
+        assert zr == [[ur * x for x in row] for row in re], a
+        assert zi == [[ui * x for x in row] for row in re], a
+        deficient += len(pivots) < min(rows, cols)
+    assert deficient >= 300, deficient
+
+
+def test_rank_of_real_matrices_matches_sympy():
+    rng = random.Random(2302)
+    ranks = set()
+    for _ in range(200):
+        a = _real_matrix(rng, rng.choice(SIZES), rng.choice(SIZES))
+        ranks.add(linalg.rank(a))
+        assert linalg.rank(a) == sympy_rank(a), a
+    assert ranks == {0, 1, 2, 3, 4, 5}
+
+
+def test_real_product_matches_the_gaussian_route():
+    rng = random.Random(2303)
+    for _ in range(500):
+        rows, inner, cols = rng.choice(SIZES), rng.choice(SIZES), rng.choice(SIZES)
+        a, b = _real_matrix(rng, rows, inner), _real_matrix(rng, inner, cols)
+        ga, gb = linalg.gaussian(a), linalg.gaussian(b)
+        re, im, den = linalg.gaussian_mul(ga, gb)
+        zero = [[0] * cols for _ in range(rows)]
+        assert im == zero and len({id(row) for row in im}) == rows  # rows a caller may write to
+        assert linalg.gaussian_mul((*_times_i(ga[0]), ga[2]), gb) == (zero, re, den), (a, b)
+        assert linalg.from_gaussian((re, im, den)) == mat_mul(a, b), (a, b)
+
+
+def test_real_sylvester_solve_matches_the_gaussian_route():
+    # real b and rhs, n = 1..5: the n x n route against `_kronecker_solve`,
+    # and the real Kronecker system against the Z[i] one of i rhs, solved by
+    # i x; a shift is singular when it is a difference of two gaps
+    rng = random.Random(2304)
+    kinds = {"regular": 0, "singular_consistent": 0, "singular_inconsistent": 0}
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        lam = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 7]))
+        gaps = [rng.randint(0, 4) for _ in range(n)]
+        b = [[Scalar(lam + gaps[i]) if i == j else _real_entry(rng) if j > i else Scalar(0)
+              for j in range(n)] for i in range(n)]
+        for _ in range(n if n > 1 else 0):  # hide b by real elementary similarities
+            i, j = rng.sample(range(n), 2)
+            c = Scalar(rng.randint(-2, 2))
+            b[i] = [x + c * y for x, y in zip(b[i], b[j])]
+            for row in b:
+                row[j] = row[j] - c * row[i]
+        op = linalg.sylvester_operator(b)
+        for k in range(6):
+            x = _real_matrix(rng, n, n)
+            shifted = mat_add(b, mat_scale(k, linalg.identity(n)))
+            rhs = linalg.gaussian(rng.choice([mat_sub(mat_mul(shifted, x), mat_mul(x, b)), x]))
+            want = linalg._kronecker_solve(op[0], k, rhs)
+            assert linalg.sylvester_solve(op, k, rhs) == want, (b, k, rhs)
+            got = linalg._kronecker_solve(op[0], k, (*_times_i(rhs[0]), rhs[2]))
+            if want is None:
+                assert got is None, (b, k, rhs)
+                kinds["singular_inconsistent"] += 1
+                continue
+            assert not any(map(any, want[1]))
+            assert got == (want[1], want[0], want[2]), (b, k, rhs)
+            kinds["singular_consistent" if k in {p - q for p in gaps for q in gaps}
+                  else "regular"] += 1
+    assert min(kinds.values()) >= 10, kinds
