@@ -10,7 +10,6 @@ d + B_0 dz/z by an explicit gauge transformation, computed term by term.
 
 from fractions import Fraction
 
-from dskit import linalg
 from dskit.core import Scalar
 from dskit.formal import (
     CertifiedSlope,
@@ -51,14 +50,25 @@ print()
 # gauge transformation g = 1 + g_1 z + ..., provided no two eigenvalues of
 # B_0 differ by a nonzero integer.  The defining identity is
 #   g M - z dg/dz = B_0 g   (mod z^N).
+# Each coefficient is held as (re, im, den): the matrix (re + i im) / den.
 order = 5
+zero = [[0, 0], [0, 0]]
 m = LaurentMatrix(2, {
-    0: [[Scalar(0), Scalar(0)], [Scalar(0), Scalar(Fraction(1, 2))]],  # B_0 = diag(0, 1/2)
-    1: [[Scalar(0), Scalar(1)], [Scalar(0), Scalar(0)]],                # one off-diagonal z-term
+    0: ([[0, 0], [0, 1]], zero, 2),  # B_0 = diag(0, 1/2)
+    1: ([[0, 1], [0, 0]], zero, 1),  # one off-diagonal z-term
 })
 g = regsing_normalize(m, order)
-print(f"g_0 = identity: {g.coeff(0) == linalg.identity(2)}")
-print(f"g_1 = {g.coeff(1)}")
+
+
+def scalars(c):
+    """The coefficient c = (re, im, den) as a matrix of Scalars."""
+    re, im, den = c
+    return [[Scalar(Fraction(x, den), Fraction(y, den)) for x, y in zip(xr, yr)]
+            for xr, yr in zip(re, im)]
+
+
+print(f"g_0 = identity: {scalars(g.coeff(0)) == [[1, 0], [0, 1]]}")
+print(f"g_1 = {scalars(g.coeff(1))}")
 
 
 def product(a, b):
@@ -68,9 +78,10 @@ def product(a, b):
 def defect(k):
     """The entries of the z^k coefficient of g M - z dg/dz - B_0 g, that is
     sum_{i<=k} g_i M_{k-i} - k g_k - B_0 g_k."""
-    terms = [product(g.coeff(i), m.coeff(k - i)) for i in range(k + 1)]
-    terms.append([[-k * x for x in row] for row in g.coeff(k)])
-    terms.append([[-x for x in row] for row in product(m.coeff(0), g.coeff(k))])
+    gk = scalars(g.coeff(k))
+    terms = [product(scalars(g.coeff(i)), scalars(m.coeff(k - i))) for i in range(k + 1)]
+    terms.append([[-k * x for x in row] for row in gk])
+    terms.append([[-x for x in row] for row in product(scalars(m.coeff(0)), gk)])
     return [sum(col, Scalar(0)) for rows in zip(*terms) for col in zip(*rows)]
 
 

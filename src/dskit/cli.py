@@ -293,8 +293,8 @@ def _cmd_rigidity_table(ns, ctx) -> tuple[Any, int]:
 
 def _cmd_slope(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.matrix)
-    m = jsonio.parse_laurent(_require(doc, "matrix"), "matrix")
-    ctx["digest"] = jsonio.digest_of({"matrix": jsonio.laurent_json(m)})
+    m, canonical = jsonio.parse_laurent(_require(doc, "matrix"), "matrix")
+    ctx["digest"] = jsonio.digest_of({"matrix": canonical})
     verdict = certify_slope(m, ns.budget)
     if isinstance(verdict, CertifiedSlope):
         return {
@@ -321,10 +321,8 @@ def _cmd_slope(ns, ctx) -> tuple[Any, int]:
 
 def _cmd_normalize_regsing(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.matrix)
-    m = jsonio.parse_laurent(_require(doc, "matrix"), "matrix")
-    ctx["digest"] = jsonio.digest_of(
-        {"matrix": jsonio.laurent_json(m), "order": ns.order}
-    )
+    m, canonical = jsonio.parse_laurent(_require(doc, "matrix"), "matrix")
+    ctx["digest"] = jsonio.digest_of({"matrix": canonical, "order": ns.order})
     gauge = regsing_normalize(m, ns.order)
     return {"gauge": jsonio.laurent_json(gauge)}, 0
 
@@ -353,7 +351,12 @@ def _cmd_quiver_export(ns, ctx) -> tuple[Any, int]:
     else:
         raise InputError("input document needs 'orbits' or 'types'")
     ctx["digest"] = jsonio.digest_of(payload)
-    dot = quiver_dot(data)
+    try:
+        dot = quiver_dot(data)
+    except ValueError as exc:  # a lambda value past the interpreter's digit limit
+        reason = f"the quiver holds an integer too long to print: {exc}"
+        ctx["notes"].append(reason)
+        return {"kind": "Inconclusive", "reason": reason}, 3
     if ns.out:
         try:
             with open(ns.out, "w", encoding="utf-8") as fh:

@@ -38,9 +38,9 @@ def regsing_normalize(m: LaurentMatrix, order: int) -> LaurentMatrix:
     ResonantError is raised only at a step whose equation is inconsistent.
     At a singular but consistent step the free coordinates of g_k are set
     to zero, so a resonant residue can still get a gauge (a constant
-    M = diag(0, 1) gets the identity).  The B_k share one denominator, each
-    g_k is held over Z[i] with its least denominator, and Scalars are made
-    only for the returned gauge.
+    M = diag(0, 1) gets the identity).  The B_k are stacked over their one
+    least common denominator, each g_k is held over Z[i] with its least
+    denominator, and the gauge keeps the g_k as they are: no Scalar is made.
     """
     if order < 1:
         raise InputError(f"need order >= 1, got {order}")
@@ -55,11 +55,14 @@ def regsing_normalize(m: LaurentMatrix, order: int) -> LaurentMatrix:
             f"matrix is known only below z^{m.trunc}, need order {order}"
         )
     n = m.n
+    b = [m.coeff(k) for k in range(order)]
     # [B_{order-1}; ...; B_1] over one denominator, so [B_k; ...; B_1] is a tail
-    hr, hi, hden = linalg.gaussian([row for k in range(order - 1, 0, -1) for row in m.coeff(k)])
+    hden = lcm(*(d for _, _, d in b[1:]))
+    hr = [[x * (hden // d) for x in row] for re, _, d in reversed(b[1:]) for row in re]
+    hi = [[x * (hden // d) for x in row] for _, im, d in reversed(b[1:]) for row in im]
     # B_0 over Z[i] with its characteristic polynomial, built only when some order needs it
-    ad = linalg.sylvester_operator(m.coeff(0)) if order > 1 else None
-    g = [linalg.gaussian(linalg.identity(n))]
+    ad = linalg.sylvester_operator(b[0]) if order > 1 else None
+    g = [([[int(i == j) for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)], 1)]
     for k in range(1, order):
         # sum_{i<k} g_i B_{k-i} = [g_0 ... g_{k-1}] [B_k; ...; B_1], the g_i over one denominator
         den = lcm(*(d for _, _, d in g))
@@ -73,7 +76,7 @@ def regsing_normalize(m: LaurentMatrix, order: int) -> LaurentMatrix:
                 f"resonant residue: two eigenvalues of B_0 differ by {k}"
             )
         g.append(sol)
-    return LaurentMatrix(n, {k: linalg.from_gaussian(gk) for k, gk in enumerate(g)}, trunc=order)
+    return LaurentMatrix(n, dict(enumerate(g)), trunc=order)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +183,7 @@ class Stratum:
             raise InputError("leading term size does not match the parahoric")
         if self.leading.is_zero():
             raise InputError("leading term must be nonzero")
-        for deg, i, j, _val in self.leading.monomials():
+        for deg, i, j in self.leading.monomials():
             if p.graded_degree(i, j, deg) != -self.depth_num:
                 raise InputError(
                     "leading term is not homogeneous of degree "
@@ -202,19 +205,21 @@ def leading_stratum(p: StandardParahoric, m: LaurentMatrix) -> Stratum:
     monos = list(m.monomials())
     if not monos:
         raise InputError("zero connection matrix has no leading stratum")
-    degs = [p.graded_degree(i, j, deg) for deg, i, j, _ in monos]
+    degs = [p.graded_degree(i, j, deg) for deg, i, j in monos]
     dmin = min(degs)
     if m.trunc is not None and dmin >= m.trunc * p.e - (p.e - 1):
         # an unknown coefficient at z^{>= trunc} could still reach dmin
         raise TruncationError(
             "truncation order too small to pin down the leading stratum"
         )
-    coeffs: dict[int, linalg.Matrix] = {}
-    for (deg, i, j, val), d in zip(monos, degs):
+    coeffs: dict[int, linalg.Gaussian] = {}
+    for (deg, i, j), d in zip(monos, degs):
         if d == dmin:
+            re, im, den = m.coeffs[deg]
             if deg not in coeffs:
-                coeffs[deg] = linalg.zeros(p.n, p.n)
-            coeffs[deg][i - 1][j - 1] = val
+                coeffs[deg] = linalg.zero_gaussian(p.n, den)
+            coeffs[deg][0][i - 1][j - 1] = re[i - 1][j - 1]
+            coeffs[deg][1][i - 1][j - 1] = im[i - 1][j - 1]
     return Stratum(p, -dmin, LaurentMatrix(p.n, coeffs))
 
 
@@ -225,13 +230,19 @@ def is_fundamental(s: Stratum) -> bool:
     z^k with k e + f_a - f_b = -r.  Degrees add along products, so every
     entry of beta^m is again a single monomial, and evaluation at z = 1 (a
     ring map) cannot cancel anything: beta^n = 0 exactly when the constant
-    matrix beta(1)^n = 0.
+    matrix beta(1)^n = 0.  The entries of beta are read over the least common
+    denominator of its coefficients, so beta(1) is one Z[i] matrix.
     """
-    n = s.leading.n
-    beta1 = linalg.zeros(n, n)
-    for _deg, i, j, val in s.leading.monomials():
-        beta1[i - 1][j - 1] = val
-    return not linalg.is_nilpotent(beta1)
+    coeffs = s.leading.coeffs.values()
+    re, im, den = linalg.zero_gaussian(s.leading.n, lcm(*(d for _, _, d in coeffs)))
+    for cr, ci, d in coeffs:
+        # each entry of beta carries one power of z, so the degrees fill disjoint entries
+        f = den // d
+        for row, crow in zip(re, cr):
+            row[:] = [x + y * f for x, y in zip(row, crow)]
+        for row, crow in zip(im, ci):
+            row[:] = [x + y * f for x, y in zip(row, crow)]
+    return not linalg.is_nilpotent((re, im, den))
 
 
 @dataclass(frozen=True)
@@ -315,7 +326,7 @@ def certify_slope(m: LaurentMatrix, budget: int | None = DEFAULT_BUDGET) -> Slop
             f"{count} standard parahorics at n = {n}"
         )
     least_deg: dict[tuple[int, int], int] = {}
-    for deg, i, j, _val in m.monomials():  # in increasing degree
+    for deg, i, j in m.monomials():  # in increasing degree
         least_deg.setdefault((i, j), deg)
     entries = [(k, a, b) for (a, b), k in least_deg.items()]
     depths = _depths(n, entries)
@@ -353,12 +364,12 @@ def omega_power(n: int, k: int) -> LaurentMatrix:
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
     q, s = divmod(k, n)
-    low = linalg.zeros(n, n)
-    high = linalg.zeros(n, n)
+    low = linalg.zero_gaussian(n)
+    high = linalg.zero_gaussian(n)
     for i in range(1, n - s + 1):
-        low[i - 1][i + s - 1] = Scalar(1)
+        low[0][i - 1][i + s - 1] = 1
     for i in range(1, s + 1):
-        high[n - s + i - 1][i - 1] = Scalar(1)
+        high[0][n - s + i - 1][i - 1] = 1
     return LaurentMatrix(n, {q: low, q + 1: high})
 
 

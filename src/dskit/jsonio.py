@@ -11,6 +11,7 @@ import hashlib
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd, lcm
 from typing import Any, NoReturn
 
 from . import linalg
@@ -35,13 +36,17 @@ def _is_int(x: Any) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def parse_scalar(obj: Any, path: str) -> Scalar:
-    """A Gaussian rational as [re_num, re_den, im_num, im_den]."""
+def _check_scalar(obj: Any, path: str) -> None:
     if not isinstance(obj, list) or len(obj) != 4 or not all(_is_int(x) for x in obj):
         _fail(path, "scalar must be a 4-tuple of integers "
                     "[re_num, re_den, im_num, im_den]")
     if obj[1] == 0 or obj[3] == 0:
         _fail(path, "scalar denominator must be nonzero")
+
+
+def parse_scalar(obj: Any, path: str) -> Scalar:
+    """A Gaussian rational as [re_num, re_den, im_num, im_den]."""
+    _check_scalar(obj, path)
     if obj[0] == 0 and obj[2] == 0:
         return ZERO
     return Scalar(Fraction(obj[0], obj[1]), Fraction(obj[2], obj[3]))
@@ -147,7 +152,15 @@ def unram_type_json(d: UnramFormalType) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def parse_laurent(obj: Any, path: str = "matrix") -> LaurentMatrix:
+def parse_laurent(obj: Any, path: str = "matrix") -> tuple[LaurentMatrix, dict[str, Any]]:
+    """The matrix M of a Laurent-matrix document, and its canonical form: the
+    form `laurent_json` writes, over which the input digest is taken.
+
+    Each cell is checked once and reduced to lowest terms with a positive
+    denominator.  The canonical form keeps the reduced cells of each nonzero
+    term below trunc, in increasing degree; M holds each such term as one
+    Z[i] triple over the lcm of its denominators.
+    """
     if not isinstance(obj, dict):
         _fail(path, "matrix must be an object")
     n = obj.get("n")
@@ -159,7 +172,9 @@ def parse_laurent(obj: Any, path: str = "matrix") -> LaurentMatrix:
     terms = obj.get("terms")
     if not isinstance(terms, list):
         _fail(f"{path}.terms", "must be an array")
-    coeffs: dict[int, linalg.Matrix] = {}
+    seen: set[int] = set()
+    coeffs: dict[int, linalg.Gaussian] = {}
+    canonical = []
     for k, term in enumerate(terms):
         tpath = f"{path}.terms[{k}]"
         if not isinstance(term, dict):
@@ -167,32 +182,65 @@ def parse_laurent(obj: Any, path: str = "matrix") -> LaurentMatrix:
         deg = term.get("deg")
         if not _is_int(deg):
             _fail(f"{tpath}.deg", "must be an integer")
-        if deg in coeffs:
+        if deg in seen:
             _fail(f"{tpath}.deg", f"duplicate degree {deg}")
+        seen.add(deg)
         entries = term.get("entries")
         if not isinstance(entries, list) or len(entries) != n:
             _fail(f"{tpath}.entries", f"must be an array of {n} rows")
-        mat = linalg.zeros(n, n)
+        cells = []
         for i, row in enumerate(entries):
             if not isinstance(row, list) or len(row) != n:
                 _fail(f"{tpath}.entries[{i}]", f"must be an array of {n} scalars")
-            for j, cell in enumerate(row):
-                mat[i][j] = parse_scalar(cell, f"{tpath}.entries[{i}][{j}]")
-        coeffs[deg] = mat
-    try:
-        return LaurentMatrix(n, coeffs, trunc=trunc)
-    except InputError as exc:
-        _fail(path, str(exc))
+            reduced = list(map(_reduced, row))
+            if None in reduced:
+                for j, cell in enumerate(row):
+                    if reduced[j] is None:
+                        _check_scalar(cell, f"{tpath}.entries[{i}][{j}]")
+                        reduced[j] = _reduced(list(map(int, cell)))  # a subclass of list or int
+            cells.append(reduced)
+        flat = [c for r in cells for c in r]
+        if trunc is not None and deg >= trunc or not any(c[0] or c[2] for c in flat):
+            continue
+        den = lcm(*[c[1] for c in flat], *[c[3] for c in flat])
+        coeffs[deg] = ([[c[0] * (den // c[1]) for c in r] for r in cells],
+                       [[c[2] * (den // c[3]) for c in r] for r in cells], den)
+        canonical.append({"deg": deg, "entries": cells})
+    canonical.sort(key=lambda t: t["deg"])
+    return LaurentMatrix(n, coeffs, trunc), {"n": n, "trunc": trunc, "terms": canonical}
+
+
+def _reduced(cell: Any) -> list[int] | None:
+    """The scalar cell [re_num, re_den, im_num, im_den] with each part in
+    lowest terms over a positive denominator (0 as 0/1), or None unless cell
+    is a list of four ints, not bools, with nonzero denominators."""
+    if type(cell) is not list or len(cell) != 4:
+        return None
+    a, b, c, d = cell
+    if not (type(a) is type(b) is type(c) is type(d) is int and b and d):
+        return None
+    g, h = gcd(a, b), gcd(c, d)
+    if b < 0:
+        g = -g
+    if d < 0:
+        h = -h
+    return [a // g, b // g, c // h, d // h]
 
 
 def laurent_json(m: LaurentMatrix) -> dict[str, Any]:
+    """The canonical form of m: its nonzero terms in increasing degree, each
+    cell [re_num, re_den, im_num, im_den] in lowest terms."""
     terms = []
     for deg in m.support():
-        mat = m.coeff(deg)
-        terms.append({
-            "deg": deg,
-            "entries": [[scalar_json(c) for c in row] for row in mat],
-        })
+        re, im, den = m.coeffs[deg]
+        entries = []
+        for xr, yr in zip(re, im):
+            row = []
+            for x, y in zip(xr, yr):
+                g, h = gcd(x, den), gcd(y, den)
+                row.append([x // g, den // g, y // h, den // h])
+            entries.append(row)
+        terms.append({"deg": deg, "entries": entries})
     return {"n": m.n, "trunc": m.trunc, "terms": terms}
 
 

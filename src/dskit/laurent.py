@@ -1,9 +1,11 @@
 """Matrix Laurent series in z with explicit truncation tracking.
 
-A LaurentMatrix stores finitely many coefficient matrices, indexed by degree.
-`trunc` is the first unknown degree: coefficients at degrees < trunc are
-exact, everything at >= trunc has been discarded. trunc=None means the series
-is a genuine Laurent polynomial, exact at all degrees.
+A LaurentMatrix stores finitely many coefficient matrices, indexed by degree,
+each as a `linalg.Gaussian` triple (re, im, den): the matrix (re + i im) / den
+over its least denominator den > 0, so that equal coefficients are equal
+triples.  `trunc` is the first unknown degree: coefficients at degrees < trunc
+are exact, everything at >= trunc has been discarded. trunc=None means the
+series is a genuine Laurent polynomial, exact at all degrees.
 
 It holds the matrix M of d + M dz/z that the deciders read, and the gauge
 that `regsing_normalize` returns: coefficients, support and truncation.  It
@@ -12,11 +14,15 @@ does no arithmetic.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterator
 
 from . import linalg
 from .core import Scalar, ScalarLike
 from .errors import InputError, TruncationError
+
 
 class LaurentMatrix:
     __slots__ = ("n", "coeffs", "trunc")
@@ -24,21 +30,34 @@ class LaurentMatrix:
     def __init__(
         self,
         n: int,
-        coeffs: dict[int, linalg.Matrix] | None = None,
+        coeffs: dict[int, linalg.Gaussian] | None = None,
         trunc: int | None = None,
     ):
+        """The series with the coefficient (re + i im) / den at each degree
+        deg of coeffs, a nonzero den; zero coefficients and those at or past
+        trunc are dropped, and the rest are kept over their least
+        denominator."""
         if n < 1:
             raise InputError(f"need n >= 1, got {n}")
         self.n = n
         self.trunc = trunc
-        self.coeffs: dict[int, linalg.Matrix] = {}
-        for deg, mat in (coeffs or {}).items():
-            if linalg.dims(mat) != (n, n):
+        self.coeffs: dict[int, linalg.Gaussian] = {}
+        for deg, (re, im, den) in (coeffs or {}).items():
+            if len(re) != n or len(im) != n or set(map(len, chain(re, im))) != {n}:
                 raise InputError(f"coefficient at degree {deg} is not {n}x{n}")
+            if not den:
+                raise InputError(f"coefficient at degree {deg} has a zero denominator")
             if trunc is not None and deg >= trunc:
                 continue
-            if not linalg.is_zero_matrix(mat):
-                self.coeffs[int(deg)] = mat
+            if not any(map(any, re)) and not any(map(any, im)):
+                continue
+            g = gcd(den, *chain(*re), *chain(*im))
+            if den < 0:
+                g = -g
+            if g != 1:
+                re = [[x // g for x in row] for row in re]
+                im = [[x // g for x in row] for row in im]
+            self.coeffs[int(deg)] = (re, im, den // g)
 
     # -- constructors --------------------------------------------------------
 
@@ -53,17 +72,23 @@ class LaurentMatrix:
         """value * E_{ij} z^deg with 1-based matrix indices."""
         if not (1 <= i <= n and 1 <= j <= n):
             raise InputError(f"entry ({i},{j}) outside 1..{n}")
-        m = linalg.zeros(n, n)
-        m[i - 1][j - 1] = Scalar.of(value)
-        return LaurentMatrix(n, {deg: m})
+        s = Scalar.of(value)
+        re, im, den = linalg.zero_gaussian(n, lcm(s.re.denominator, s.im.denominator))
+        re[i - 1][j - 1] = s.re.numerator * (den // s.re.denominator)
+        im[i - 1][j - 1] = s.im.numerator * (den // s.im.denominator)
+        return LaurentMatrix(n, {deg: (re, im, den)})
 
     # -- views ----------------------------------------------------------------
 
-    def coeff(self, deg: int) -> linalg.Matrix:
-        """Coefficient matrix at z^deg; raises if deg is beyond the truncation."""
+    def coeff(self, deg: int) -> linalg.Gaussian:
+        """Coefficient at z^deg, with fresh rows; raises if deg is beyond the
+        truncation."""
         if self.trunc is not None and deg >= self.trunc:
             raise TruncationError(f"degree {deg} not known (truncated at {self.trunc})")
-        return linalg.copy_matrix(self.coeffs.get(deg, linalg.zeros(self.n, self.n)))
+        if deg not in self.coeffs:
+            return linalg.zero_gaussian(self.n)
+        re, im, den = self.coeffs[deg]
+        return [row[:] for row in re], [row[:] for row in im], den
 
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self.coeffs))
@@ -72,14 +97,15 @@ class LaurentMatrix:
         """Smallest degree with a nonzero coefficient, None for (known-)zero."""
         return min(self.coeffs) if self.coeffs else None
 
-    def monomials(self) -> Iterator[tuple[int, int, int, Scalar]]:
-        """Yield (deg, i, j, value) with 1-based indices, sorted."""
+    def monomials(self) -> Iterator[tuple[int, int, int]]:
+        """Yield (deg, i, j) with 1-based indices for every E_ij z^deg with a
+        nonzero coefficient, sorted."""
         for deg in sorted(self.coeffs):
-            mat = self.coeffs[deg]
+            re, im, _ = self.coeffs[deg]
             for i in range(self.n):
                 for j in range(self.n):
-                    if mat[i][j]:
-                        yield (deg, i + 1, j + 1, mat[i][j])
+                    if re[i][j] or im[i][j]:
+                        yield (deg, i + 1, j + 1)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -94,7 +120,9 @@ class LaurentMatrix:
 
     def __repr__(self) -> str:
         parts = []
-        for deg, i, j, val in self.monomials():
+        for deg, i, j in self.monomials():
+            re, im, den = self.coeffs[deg]
+            val = Scalar(Fraction(re[i - 1][j - 1], den), Fraction(im[i - 1][j - 1], den))
             zpart = "" if deg == 0 else (f"*z^{deg}" if deg != 1 else "*z")
             parts.append(f"({val})E[{i},{j}]{zpart}")
         body = " + ".join(parts) if parts else "0"

@@ -1,11 +1,12 @@
-"""Dense exact linear algebra over the Gaussian rationals.
+"""Dense exact linear algebra over the Gaussian integers.
 
-Matrices are plain lists of lists of Scalar.  Elimination (`rank`, the
-Jordan type, `sylvester_solve`), the nilpotency test and the gauge recursion
-work on a matrix scaled to Gaussian integers by one common denominator
-(`gaussian`): parallel lists of Python ints for the real and imaginary parts,
-and the scale.  Products (`gaussian_mul`) and fraction-free elimination make
-no `Fraction` until a result is read back (`from_gaussian`).  Each kernel
+A matrix over Q(i) is held as a `Gaussian` triple (re, im, den): parallel
+lists of Python ints for the real and imaginary parts of the matrix times
+one common denominator den, and den.  Elimination (the Jordan type,
+`sylvester_solve`), the nilpotency test and the gauge recursion work on
+these triples; products (`gaussian_mul`) and fraction-free elimination make
+no `Fraction`.  Lists of `Scalar` rows (`Matrix`) enter only through
+`gaussian`, which scales them to a triple.  Each kernel
 reads whether its input is real, with all imaginary parts zero, and then
 does integer arithmetic alone: a real product is one integer product, and
 real elimination is the Bareiss step over Z.  A right-hand
@@ -22,12 +23,11 @@ arithmetic is exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import mul
 
-from .core import ONE, ZERO, Scalar, dual_partition
+from .core import ZERO, Scalar, dual_partition
 from .errors import InputError
 
 Matrix = list[list[Scalar]]
@@ -40,20 +40,9 @@ def zeros(rows: int, cols: int) -> Matrix:
     return [[ZERO] * cols for _ in range(rows)]
 
 
-def identity(n: int) -> Matrix:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def dims(a: Matrix) -> tuple[int, int]:
-    return (len(a), len(a[0]) if a else 0)
-
-
-def copy_matrix(a: Matrix) -> Matrix:
-    return [row[:] for row in a]
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(not x for row in a for x in row)
+def zero_gaussian(n: int, den: int = 1) -> Gaussian:
+    """The n x n zero matrix over den, with fresh rows to write into."""
+    return [[0] * n for _ in range(n)], [[0] * n for _ in range(n)], den
 
 
 def gaussian(a: Matrix) -> Gaussian:
@@ -123,19 +112,6 @@ def _gauss_jordan(re: Ints, im: Ints) -> list[int]:
     return pivots
 
 
-def rank(a: Matrix) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(_gauss_jordan(*gaussian(a)[:2]))
-
-
-def from_gaussian(g: Gaussian) -> Matrix:
-    """The matrix (re + i im) / den of g = (re, im, den)."""
-    re, im, den = g
-    return [[Scalar(Fraction(x, den), Fraction(y, den)) if x or y else ZERO
-             for x, y in zip(xr, yr)] for xr, yr in zip(re, im)]
-
-
 def gaussian_mul(a: Gaussian, b: Gaussian) -> Gaussian:
     """The product of a = (ar + i ai) / ad and b = (br + i bi) / bd, over the
     product of their scales.  When ai and bi are both zero it is one integer
@@ -155,17 +131,16 @@ def gaussian_mul(a: Gaussian, b: Gaussian) -> Gaussian:
     )
 
 
-def is_nilpotent(a: Matrix) -> bool:
-    """Whether some power of the square matrix a is zero.
+def is_nilpotent(g: Gaussian) -> bool:
+    """Whether some power of the square matrix g = (re + i im) / den is zero.
 
-    a is scaled to Z[i] by the lcm of all its denominators, which keeps
-    nilpotency, and squared until the exponent reaches n: an n x n matrix
-    is nilpotent exactly when its n-th power, or any higher one, is zero.
+    Scaling keeps nilpotency, so den is never read.  g is squared until the
+    exponent reaches n: an n x n matrix is nilpotent exactly when its n-th
+    power, or any higher one, is zero.
     """
-    n, m = dims(a)
-    if n != m:
+    n = len(g[0])
+    if any(len(row) != n for row in g[0]):
         raise InputError("nilpotency needs a square matrix")
-    g = gaussian(a)
     k = 1
     while k < n:
         g = gaussian_mul(g, g)
@@ -174,14 +149,14 @@ def is_nilpotent(a: Matrix) -> bool:
 
 
 # x -> b x - x b readied once for every shift by `sylvester_operator`:
-# gaussian(b) = (b', den), the coefficients p_0..p_n of the characteristic
+# b = (b', den), the coefficients p_0..p_n of the characteristic
 # polynomial of b' as (re, im) pairs, and H_0..H_{n-1} over scale 1
 Sylvester = tuple[Gaussian, list[tuple[int, int]], list[Gaussian]]
 
 
-def sylvester_operator(b: Matrix) -> Sylvester:
-    """x -> b x - x b readied for `sylvester_solve` at every shift: b scaled
-    to Z[i] (`gaussian`, b = b' / den), the characteristic polynomial
+def sylvester_operator(g: Gaussian) -> Sylvester:
+    """x -> b x - x b readied for `sylvester_solve` at every shift, for
+    g = (b', den) with b = b' / den: g itself, the characteristic polynomial
     p = sum_j p_j t^j of b', and H_m = sum_{j>m} p_j b'^{j-1-m} for
     m = 0..n-1.
 
@@ -189,7 +164,6 @@ def sylvester_operator(b: Matrix) -> Sylvester:
     (n - m) and H_{m-1} = b' H_m + p_m I, where the division is exact in
     Z[i] because b' has Gaussian-integer entries.
     """
-    g = gaussian(b)
     br, bi, _ = g
     n = len(br)
     h = [([[int(i == j) for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)], 1)]
@@ -262,7 +236,7 @@ def sylvester_solve(op: Sylvester, k: int, rhs: Gaussian) -> Gaussian | None:
 
 def _kronecker(g: Gaussian) -> Gaussian:
     """The operator of x -> b x - x b on n x n matrices x stacked by rows,
-    written from g = `gaussian(b)`: the operator times b's common
+    written from g = (b', den), b = b' / den: the operator times b's common
     denominator den, and den.  It has n^4 entries."""
     br, bi, den = g
     n = len(br)
@@ -280,7 +254,7 @@ def _kronecker(g: Gaussian) -> Gaussian:
 
 
 def _kronecker_solve(g: Gaussian, k: int, rhs: Gaussian) -> Gaussian | None:
-    """`sylvester_solve` for g = `gaussian(b)` on the n^2 x n^2 system: the
+    """`sylvester_solve` for g = (b', den) on the n^2 x n^2 system: the
     operator of `_kronecker`, k times its scale den added to the diagonal,
     is augmented by rhs = (bre + i bim) / big, row by row, times den.  Every
     pivot row then ends in the same last pivot p, so x = u / (p big), u

@@ -8,8 +8,12 @@ pairwise resonance test (the oracles for `core.residue_arm` and
 `core.congruent_pair`), and matrix algebra the deciders do not need,
 sums and products, elimination, matrix powers and the Kronecker Sylvester
 operator on Scalars (the oracles for `linalg`'s Gaussian-integer kernels),
-the gauge recursion on Scalars (the oracle for `regsing_normalize`), series
-algebra on `LaurentMatrix` (free functions taking the series first: sums and
+with a Z[i] triple read back to Scalars (`from_gaussian`) and the rank by
+`linalg._gauss_jordan`, the gauge recursion on Scalars (the oracle for
+`regsing_normalize`), Scalar views of a `LaurentMatrix` and its construction
+from Scalar matrices (`laurent`), the Scalar route of a Laurent-matrix
+document (the oracle for `jsonio.parse_laurent` and `jsonio.laurent_json`),
+series algebra on `LaurentMatrix` (free functions taking the series first: sums and
 products that propagate truncation, z d/dz, agreement mod z^N and the gauge
 identity, powers, shifts and inverses), the Coxeter canonical matrix
 p(omega_n^-1) and the dense coefficients of p, the lattice-chain
@@ -19,7 +23,7 @@ oracle for `certify_slope`), the dense Cartan matrix of a quiver (the
 oracle for `Quiver`'s neighbour lists), the root and decomposition
 enumerations (the oracles for the table of best p-sums),
 the pairing beta . lambda, and sympy's characteristic polynomial (the
-oracle for `linalg.sylvester_operator`), rank (an oracle for `linalg.rank`)
+oracle for `linalg.sylvester_operator`), rank (an oracle for `rank`)
 and factorization for nonresonance.  sympy is a test dependency; it is
 imported only when `sympy_charpoly`, `sympy_rank` or `is_nonresonant` runs.
 """
@@ -32,7 +36,6 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from dskit import linalg
 from dskit.core import (
     OrbitSpec,
     Partition,
@@ -44,6 +47,7 @@ from dskit.core import (
 )
 from dskit.coxeter import CharPolySpec
 from dskit.errors import BudgetExceededError, InputError, ResonantError, TruncationError
+from dskit.jsonio import parse_scalar, scalar_json
 from dskit.formal import (
     CertifiedSlope,
     CoxeterFormalType,
@@ -55,7 +59,7 @@ from dskit.formal import (
     omega_power,
 )
 from dskit.laurent import LaurentMatrix
-from dskit.linalg import Matrix, copy_matrix, dims, identity, rank, zeros
+from dskit.linalg import Gaussian, Matrix, _gauss_jordan, gaussian, zeros
 from dskit.rootsys import (
     DEFAULT_BUDGET,
     Quiver,
@@ -173,6 +177,36 @@ def residue_trace(t: UnramFormalType) -> Scalar:
 # ---------------------------------------------------------------------------
 # Matrices.
 # ---------------------------------------------------------------------------
+
+
+def identity(n: int) -> Matrix:
+    return [[Scalar(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def dims(a: Matrix) -> tuple[int, int]:
+    return (len(a), len(a[0]) if a else 0)
+
+
+def copy_matrix(a: Matrix) -> Matrix:
+    return [row[:] for row in a]
+
+
+def is_zero_matrix(a: Matrix) -> bool:
+    return all(not x for row in a for x in row)
+
+
+def from_gaussian(g: Gaussian) -> Matrix:
+    """The matrix (re + i im) / den of g = (re, im, den)."""
+    re, im, den = g
+    return [[Scalar(Fraction(x, den), Fraction(y, den)) if x or y else Scalar(0)
+             for x, y in zip(xr, yr)] for xr, yr in zip(re, im)]
+
+
+def rank(a: Matrix) -> int:
+    """Rank by `linalg._gauss_jordan` on a scaled to Z[i]."""
+    if not a or not a[0]:
+        return 0
+    return len(_gauss_jordan(*gaussian(a)[:2]))
 
 
 def mat_of(rows: Sequence[Sequence[ScalarLike]]) -> Matrix:
@@ -297,7 +331,7 @@ def _row_echelon(a: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def echelon_rank(a: Matrix) -> int:
-    """Rank by `_row_echelon` on Scalars: the oracle for `linalg.rank`."""
+    """Rank by `_row_echelon` on Scalars: the oracle for `rank`."""
     if not a or not a[0]:
         return 0
     return len(_row_echelon(a)[1])
@@ -387,7 +421,7 @@ def scalar_regsing_normalize(m: LaurentMatrix, order: int) -> LaurentMatrix:
     sum_{i<k} g_i B_{k-i} is one `mat_mul` of [g_0 ... g_{k-1}] and
     [B_k; ...; B_1], and each g_k comes from `echelon_sylvester_solve`."""
     n = m.n
-    b = [m.coeff(k) for k in range(order)]
+    b = [scalar_coeff(m, k) for k in range(order)]
     g = [identity(n)]
     for k in range(1, order):
         rhs = mat_mul(
@@ -398,7 +432,7 @@ def scalar_regsing_normalize(m: LaurentMatrix, order: int) -> LaurentMatrix:
         if sol is None:
             raise ResonantError(f"resonant residue: two eigenvalues of B_0 differ by {k}")
         g.append(sol)
-    return LaurentMatrix(n, dict(enumerate(g)), trunc=order)
+    return laurent(n, dict(enumerate(g)), trunc=order)
 
 
 def ad_eigen_shift_singular(b: Matrix, k: int) -> bool:
@@ -428,8 +462,31 @@ def jordan_matrix(o: OrbitSpec) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
+def laurent(n: int, coeffs: Mapping[int, Matrix], trunc: int | None = None) -> LaurentMatrix:
+    """The LaurentMatrix with the Scalar coefficient matrices coeffs, each
+    scaled to Z[i] by `linalg.gaussian`."""
+    return LaurentMatrix(n, {deg: gaussian(mat) for deg, mat in coeffs.items()}, trunc)
+
+
+def scalar_coeff(m: LaurentMatrix, deg: int) -> Matrix:
+    """The coefficient of m at z^deg as Scalars."""
+    return from_gaussian(m.coeff(deg))
+
+
+def scalar_coeffs(m: LaurentMatrix) -> dict[int, Matrix]:
+    """The nonzero coefficients of m by degree, as Scalars."""
+    return {deg: from_gaussian(g) for deg, g in m.coeffs.items()}
+
+
+def scalar_monomials(m: LaurentMatrix) -> Iterator[tuple[int, int, int, Scalar]]:
+    """(deg, i, j, value) for each monomial of m, in the order of `monomials`."""
+    coeffs = scalar_coeffs(m)
+    for deg, i, j in m.monomials():
+        yield deg, i, j, coeffs[deg][i - 1][j - 1]
+
+
 def one(n: int, trunc: int | None = None) -> LaurentMatrix:
-    return LaurentMatrix(n, {0: identity(n)}, trunc)
+    return laurent(n, {0: identity(n)}, trunc)
 
 
 def from_terms(
@@ -443,7 +500,7 @@ def from_terms(
             acc[deg] = mat_add(acc[deg], mat)
         else:
             acc[deg] = copy_matrix(mat)
-    return LaurentMatrix(n, acc, trunc)
+    return laurent(n, acc, trunc)
 
 
 def _known_below(m: LaurentMatrix) -> float:
@@ -462,16 +519,14 @@ def _check_same_size(a: LaurentMatrix, b: LaurentMatrix) -> None:
 def series_add(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     """a + b, known below the lesser of the two truncations."""
     _check_same_size(a, b)
-    acc = {deg: copy_matrix(mat) for deg, mat in a.coeffs.items()}
-    for deg, mat in b.coeffs.items():
-        acc[deg] = mat_add(acc[deg], mat) if deg in acc else copy_matrix(mat)
-    return LaurentMatrix(a.n, acc, _truncation(min(_known_below(a), _known_below(b))))
+    acc = scalar_coeffs(a)
+    for deg, mat in scalar_coeffs(b).items():
+        acc[deg] = mat_add(acc[deg], mat) if deg in acc else mat
+    return laurent(a.n, acc, _truncation(min(_known_below(a), _known_below(b))))
 
 
 def series_scale(m: LaurentMatrix, s: ScalarLike) -> LaurentMatrix:
-    return LaurentMatrix(
-        m.n, {deg: mat_scale(s, mat) for deg, mat in m.coeffs.items()}, m.trunc
-    )
+    return laurent(m.n, {deg: mat_scale(s, mat) for deg, mat in scalar_coeffs(m).items()}, m.trunc)
 
 
 def series_sub(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
@@ -488,20 +543,20 @@ def series_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
 
     trunc = _truncation(min(_known_below(a) + lowest(b), _known_below(b) + lowest(a)))
     acc: dict[int, Matrix] = {}
-    for da, ma in a.coeffs.items():
-        for db, mb in b.coeffs.items():
+    for da, ma in scalar_coeffs(a).items():
+        for db, mb in scalar_coeffs(b).items():
             d = da + db
             if trunc is not None and d >= trunc:
                 continue
             prod = mat_mul(ma, mb)
             acc[d] = mat_add(acc[d], prod) if d in acc else prod
-    return LaurentMatrix(a.n, acc, trunc)
+    return laurent(a.n, acc, trunc)
 
 
 def z_ddz(m: LaurentMatrix) -> LaurentMatrix:
     """z d/dz: the coefficient at z^k picks up a factor k."""
-    return LaurentMatrix(
-        m.n, {deg: mat_scale(deg, mat) for deg, mat in m.coeffs.items() if deg}, m.trunc
+    return laurent(
+        m.n, {deg: mat_scale(deg, mat) for deg, mat in scalar_coeffs(m).items() if deg}, m.trunc
     )
 
 
@@ -527,7 +582,7 @@ def shift(m: LaurentMatrix, k: int) -> LaurentMatrix:
     """Multiply by z^k."""
     return LaurentMatrix(
         m.n,
-        {deg + k: copy_matrix(mat) for deg, mat in m.coeffs.items()},
+        {deg + k: g for deg, g in m.coeffs.items()},
         None if m.trunc is None else m.trunc + k,
     )
 
@@ -553,7 +608,8 @@ def series_inverse(m: LaurentMatrix) -> LaurentMatrix:
     Known to the same truncation order as the input; exact inputs with a
     non-polynomial inverse raise, so pass a truncated series for those.
     """
-    c0 = m.coeffs.get(0)
+    coeffs = scalar_coeffs(m)
+    c0 = coeffs.get(0)
     if c0 is None or (m.valuation() is not None and m.valuation() < 0):
         raise InputError("series_inverse needs valuation exactly 0")
     c0_inv = mat_inv(c0)
@@ -561,7 +617,7 @@ def series_inverse(m: LaurentMatrix) -> LaurentMatrix:
         raise InputError("constant term is singular")
     if m.trunc is None:
         if m.support() == (0,):
-            return LaurentMatrix(m.n, {0: c0_inv})
+            return laurent(m.n, {0: c0_inv})
         raise InputError(
             "exact inverse of a non-constant series is not a Laurent "
             "polynomial; truncate first"
@@ -570,13 +626,82 @@ def series_inverse(m: LaurentMatrix) -> LaurentMatrix:
     for k in range(1, m.trunc):
         acc = zeros(m.n, m.n)
         for i in range(0, k):
-            g = m.coeffs.get(k - i)
+            g = coeffs.get(k - i)
             if g is not None and i in out:
                 acc = mat_add(acc, mat_mul(out[i], g))
         term = mat_scale(-1, mat_mul(acc, c0_inv))
-        if not linalg.is_zero_matrix(term):
+        if not is_zero_matrix(term):
             out[k] = term
-    return LaurentMatrix(m.n, out, m.trunc)
+    return laurent(m.n, out, m.trunc)
+
+
+# ---------------------------------------------------------------------------
+# Laurent-matrix documents on Scalars.
+# ---------------------------------------------------------------------------
+
+
+def scalar_parse_laurent(obj, path: str = "matrix") -> tuple[int, int | None, dict[int, Matrix]]:
+    """A Laurent-matrix document read cell by cell with `jsonio.parse_scalar`
+    into Scalar matrices: (n, trunc, coefficients), with the terms that are
+    zero or at or past trunc dropped, and the errors of `jsonio.parse_laurent`
+    word for word.  The oracle for `jsonio.parse_laurent`."""
+
+    def fail(where: str, msg: str):
+        raise InputError(f"{where}: {msg}")
+
+    def is_int(x) -> bool:
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    if not isinstance(obj, dict):
+        fail(path, "matrix must be an object")
+    n = obj.get("n")
+    if not is_int(n) or n < 1:
+        fail(f"{path}.n", "must be a positive integer")
+    trunc = obj.get("trunc")
+    if trunc is not None and not is_int(trunc):
+        fail(f"{path}.trunc", "must be an integer or null")
+    terms = obj.get("terms")
+    if not isinstance(terms, list):
+        fail(f"{path}.terms", "must be an array")
+    coeffs: dict[int, Matrix] = {}
+    for k, term in enumerate(terms):
+        tpath = f"{path}.terms[{k}]"
+        if not isinstance(term, dict):
+            fail(tpath, "term must be an object")
+        deg = term.get("deg")
+        if not is_int(deg):
+            fail(f"{tpath}.deg", "must be an integer")
+        if deg in coeffs:
+            fail(f"{tpath}.deg", f"duplicate degree {deg}")
+        entries = term.get("entries")
+        if not isinstance(entries, list) or len(entries) != n:
+            fail(f"{tpath}.entries", f"must be an array of {n} rows")
+        mat = zeros(n, n)
+        for i, row in enumerate(entries):
+            if not isinstance(row, list) or len(row) != n:
+                fail(f"{tpath}.entries[{i}]", f"must be an array of {n} scalars")
+            for j, cell in enumerate(row):
+                mat[i][j] = parse_scalar(cell, f"{tpath}.entries[{i}][{j}]")
+        coeffs[deg] = mat
+    return n, trunc, {deg: mat for deg, mat in coeffs.items()
+                      if (trunc is None or deg < trunc) and not is_zero_matrix(mat)}
+
+
+def scalar_laurent_json(n: int, trunc: int | None, coeffs: Mapping[int, Matrix]) -> dict:
+    """The canonical form of Scalar coefficient matrices, each cell written
+    from its `Fraction` parts by `jsonio.scalar_json`: the oracle for
+    `jsonio.laurent_json` and for the canonical form `jsonio.parse_laurent`
+    keeps."""
+    return {"n": n, "trunc": trunc, "terms": [
+        {"deg": deg, "entries": [[scalar_json(c) for c in row] for row in coeffs[deg]]}
+        for deg in sorted(coeffs)
+    ]}
+
+
+def scalar_gauge_json(g: LaurentMatrix) -> dict:
+    """The gauge `regsing_normalize` returns, read back to Scalars with
+    `from_gaussian` and written by `scalar_laurent_json`."""
+    return scalar_laurent_json(g.n, g.trunc, scalar_coeffs(g))
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +818,7 @@ def full_scan_slope(m: LaurentMatrix) -> tuple[SlopeVerdict, list[Stratum], list
     if v is None or v >= 0:
         return RegularSingularCandidate(), [], []
     n = m.n
-    monos = list(m.monomials())
+    monos = list(scalar_monomials(m))
     strata = []
     for J in parahoric_sets(n):
         e, f = len(J), nested_loop_f(n, J)
@@ -702,8 +827,8 @@ def full_scan_slope(m: LaurentMatrix) -> tuple[SlopeVerdict, list[Stratum], list
         lead: dict[int, Matrix] = {}
         for (k, a, b, val), d in zip(monos, degs):
             if d == dmin:
-                lead.setdefault(k, linalg.zeros(n, n))[a - 1][b - 1] = val
-        strata.append(Stratum(StandardParahoric(n, J), -dmin, LaurentMatrix(n, lead)))
+                lead.setdefault(k, zeros(n, n))[a - 1][b - 1] = val
+        strata.append(Stratum(StandardParahoric(n, J), -dmin, laurent(n, lead)))
     fundamental = [laurent_fundamental(s) for s in strata]
     if True in fundamental:
         s = strata[fundamental.index(True)]

@@ -489,6 +489,26 @@ def test_normalize_regsing(tmp_path, capsys):
     assert 2 not in by_deg  # zero coefficient is dropped from the support
 
 
+def test_normalize_regsing_makes_no_scalar(tmp_path, capsys, monkeypatch):
+    # a non-real B_0 with eigenvalues 1/3 and -1/2 + i, unreduced cells, a negative
+    # denominator and a term past trunc: the document is read, solved and
+    # printed on integers
+    z = _sc(0)
+    doc = _laurent_doc(2, [
+        (0, [[[2, 6, 0, 1], [1, -2, 3, 4]], [z, [1, -2, 2, 2]]]),
+        (1, [[_sc(1), [0, -3, 2, 5]], [[4, 8, 0, 1], z]]),
+        (3, [[_sc(-2, 3), z], [z, [0, 1, 1, -7]]]),
+        (6, [[_sc(5), z], [z, z]]),
+    ], trunc=5)
+    path = _write(tmp_path, "m.json", matrix=doc)
+    made = []
+    init = Scalar.__init__
+    monkeypatch.setattr(Scalar, "__init__", lambda self, *args: made.append(args) or init(self, *args))
+    v = _verdict(capsys, ["normalize-regsing", "--matrix", path, "--order", "5"], 0)
+    assert [t["deg"] for t in v["result"]["gauge"]["terms"]] == [0, 1, 2, 3, 4]
+    assert made == []
+
+
 def test_normalize_regsing_resonant_is_input_error(tmp_path, capsys):
     z = _sc(0)
     doc = _laurent_doc(2, [
@@ -625,6 +645,28 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1, argv
         assert err == b"", err.decode()
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the digit limit came with 3.10.7 and 3.11")
+def test_quiver_export_past_the_digit_limit_is_inconclusive(tmp_path, capsys):
+    # three rank-1 orbits with eigenvalues 1/(10^4000 + d): the central vertex
+    # gets lambda = -(their sum), a denominator of about 12,000 digits
+    big = 10**4000
+    path = _write(tmp_path, "big.json",
+                  orbits=[_orbit(1, [(_sc(1, big + d), (1,))]) for d in (1, 3, 7)])
+    out = tmp_path / "quiver.dot"
+    for argv in (["quiver-export", "--input", path], ["quiver-export", "--input", path,
+                                                       "--out", str(out)]):
+        v = _verdict(capsys, argv, 3)
+        reason = v["result"]["reason"]
+        assert v["result"] == {"kind": "Inconclusive", "reason": reason}
+        assert reason.startswith("the quiver holds an integer too long to print: Exceeds the limit")
+        assert f"({sys.get_int_max_str_digits()} digits)" in reason
+        assert v["notes"] == [reason]
+    assert not out.exists()
+    # the same orbits decide as usual
+    _verdict(capsys, ["fuchsian-ds", "--input", path], 0)
 
 
 def test_quiver_export_needs_orbits_or_types(tmp_path, capsys):

@@ -27,6 +27,7 @@ from dskit.coxeter import CharPolySpec
 from dskit.errors import InputError, ResonantError
 from exact_oracles import (
     dominance_leq,
+    identity,
     is_integer,
     is_rational,
     jordan_matrix,
@@ -38,6 +39,7 @@ from exact_oracles import (
     min_poly_degree,
     nullspace,
     pairwise_congruent_pair,
+    rank,
     scalar_default_factor_sequence,
     scalar_factor_ranks,
     translated,
@@ -148,7 +150,7 @@ def test_zeros_and_identity_rows_are_distinct_lists():
     assert len({id(row) for row in z}) == 3
     z[0][1] = Scalar(5)
     assert z[1][1] == 0 and z[2][1] == 0
-    e = linalg.identity(3)
+    e = identity(3)
     e[0][1] = Scalar(5)
     assert e == [[1, 5, 0], [0, 1, 0], [0, 0, 1]]
 
@@ -346,11 +348,11 @@ def _rank_oracle(o: OrbitSpec, seq, j: int) -> int:
     """Multiply (J - eta_1) ... (J - eta_j) for the actual Jordan matrix."""
     jm = jordan_matrix(o)
     n = o.n
-    acc = linalg.identity(n)
+    acc = identity(n)
     for eta in seq[:j]:
-        shifted = mat_sub(jm, mat_scale(Scalar.of(eta), linalg.identity(n)))
+        shifted = mat_sub(jm, mat_scale(Scalar.of(eta), identity(n)))
         acc = mat_mul(acc, shifted)
-    return linalg.rank(acc)
+    return rank(acc)
 
 
 def test_rank_after_factors_matches_matrix_oracle():
@@ -475,8 +477,8 @@ def _centralizer_dim(o: OrbitSpec) -> int:
     x = jordan_matrix(o)
     n = o.n
     ad = mat_sub(
-        kron(x, linalg.identity(n)),
-        kron(linalg.identity(n), transpose(x)),
+        kron(x, identity(n)),
+        kron(identity(n), transpose(x)),
     )
     return len(nullspace(ad))
 

@@ -4,6 +4,9 @@ import random
 import pytest
 
 from dskit import jsonio
+from dskit.errors import InputError, ResonantError, TruncationError
+from dskit.formal import regsing_normalize
+from exact_oracles import laurent, scalar_gauge_json, scalar_laurent_json, scalar_parse_laurent
 
 # escapes, a DEL, non-ASCII in and beyond the BMP, and control characters
 ALPHABET = 'ab Z0"\\/\b\f\n\r\t\x00\x1f\x7fé€ 😀'
@@ -70,3 +73,87 @@ def test_dumps_keeps_bools_apart_from_ints():
 def test_dumps_refuses_other_types(obj):
     with pytest.raises(TypeError):
         jsonio.dumps(obj)
+
+
+def _cell(rng, kinds):
+    """One cell [re_num, re_den, im_num, im_den]: unreduced, with negative
+    denominators, zeros written over any denominator, non-real, or now and
+    then malformed."""
+    x = rng.random()
+    if x < 0.004:
+        kinds["malformed"] += 1
+        return rng.choice([[1, 0, 0, 1], [0, 1, 2, 0], [1, 1, 0], [True, 1, 0, 1], [1, 1, 0, 1.0],
+                           "1/2", None])
+    if x < 0.3:
+        kinds["zero_written"] += 1
+        return [0, rng.choice([-5, -3, -1, 1, 2, 7]), 0, rng.choice([-4, -1, 1, 5])]
+    f = rng.choice([1, 1, 2, 3, -1, -2, -4])
+    cell = [rng.randint(-4, 4) * f, rng.choice([1, 2, 3, 5]) * f, 0, 1]
+    if rng.random() < 0.3:
+        g = rng.choice([1, 2, -3])
+        cell[2:] = [rng.randint(-3, 3) * g, rng.choice([1, 2, 7]) * g]
+    kinds["unreduced"] += abs(f) > 1 and cell[0] != 0
+    kinds["negative_den"] += cell[1] < 0 or cell[3] < 0
+    kinds["nonreal"] += cell[2] != 0
+    return cell
+
+
+def _laurent_doc(rng, kinds):
+    """A Laurent-matrix document at n = 1..3: terms at degrees 0..6 in any
+    order, some all zero, a truncation that now and then drops terms."""
+    n = rng.randint(1, 3)
+    degs = rng.sample(range(7), rng.randint(1, 5))
+    terms = []
+    for deg in degs:
+        zero = rng.random() < 0.15
+        kinds["zero_term"] += zero
+        terms.append({"deg": deg, "entries": [
+            [[0, rng.choice([1, -2]), 0, 1] if zero else _cell(rng, kinds) for _ in range(n)]
+            for _ in range(n)]})
+    trunc = rng.choice([None, None, rng.randint(1, 7)])
+    kinds["past_trunc"] += trunc is not None and max(degs) >= trunc
+    return {"n": n, "trunc": trunc, "terms": terms}
+
+
+def _scalar_route(doc, order):
+    """The digest's canonical form and the printed gauge on Scalars: each cell
+    a `Fraction` pair, the gauge read back by `from_gaussian`."""
+    n, trunc, coeffs = scalar_parse_laurent(doc)
+    canonical = scalar_laurent_json(n, trunc, coeffs)
+    m = laurent(n, coeffs, trunc)
+    return canonical, jsonio.dumps(scalar_gauge_json(regsing_normalize(m, order)))
+
+
+def _integer_route(doc, order):
+    m, canonical = jsonio.parse_laurent(doc)
+    assert jsonio.laurent_json(m) == canonical
+    return canonical, jsonio.dumps(jsonio.laurent_json(regsing_normalize(m, order)))
+
+
+def _outcome(route, doc, order):
+    try:
+        canonical, gauge = route(doc, order)
+    except (InputError, ResonantError, TruncationError) as exc:
+        return type(exc).__name__, str(exc)
+    return (jsonio.digest_of({"matrix": canonical, "order": order}),
+            jsonio.digest_of({"matrix": canonical}), gauge)
+
+
+def test_the_integer_route_matches_the_scalar_route():
+    # seed 2402, 1,200 documents: the digests of `normalize-regsing` and
+    # `slope` and the printed gauge must be the same bytes on both routes, and
+    # so must every error.  They give 1,013 gauges, 128 truncation errors, 53
+    # malformed documents and 6 resonant residues.
+    rng = random.Random(2402)
+    kinds = dict.fromkeys(["unreduced", "negative_den", "zero_written", "nonreal", "zero_term",
+                           "past_trunc", "malformed"], 0)
+    outcomes = {}
+    for _ in range(1200):
+        doc = _laurent_doc(rng, kinds)
+        order = rng.randint(1, 5)
+        want = _outcome(_scalar_route, doc, order)
+        assert _outcome(_integer_route, doc, order) == want, doc
+        kind = want[0] if len(want) == 2 else "gauge"
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert min(kinds.values()) >= 20, kinds
+    assert outcomes["gauge"] >= 800 and min(outcomes.values()) >= 5, outcomes

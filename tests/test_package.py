@@ -29,13 +29,14 @@ def test_every_public_name_imported_by_the_package_is_exported():
 
 
 # The Scalar matrix algebra that no decider runs lives in tests/exact_oracles.py:
-# LaurentMatrix holds M of d + M dz/z, and the deciders compute on Z[i].
+# LaurentMatrix holds M of d + M dz/z over Z[i], and the deciders compute on Z[i].
 _NOT_PUBLIC = {
     dskit.LaurentMatrix: ("__add__", "__sub__", "__neg__", "__mul__", "scale", "z_ddz",
                           "eq_mod", "_check_same_size", "_known_below",
                           "_effective_valuation"),
     dskit.laurent: ("_INF",),
-    dskit.linalg: ("mat_add", "mat_scale", "mat_mul", "mat_eq"),
+    dskit.linalg: ("mat_add", "mat_scale", "mat_mul", "mat_eq", "rank", "from_gaussian",
+                   "identity", "dims", "copy_matrix", "is_zero_matrix"),
     dskit.CoxeterFormalType: ("matrix", "p_coeffs"),
     dskit.Scalar: ("is_integer",),
 }
