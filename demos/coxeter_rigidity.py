@@ -23,7 +23,7 @@ from dskit.formal import CoxeterFormalType
 
 # n = 2, r = 1 with p(0) = 0: solvable exactly for the regular nilpotent
 # orbit and the trace-zero regular semisimple ones.
-t = CoxeterFormalType.from_p0(2, 1, 0)
+t = CoxeterFormalType(2, 1, 0)
 for o, label in [
     (OrbitSpec(2, [(0, (2,))]), "regular nilpotent"),
     (OrbitSpec(2, [(Fraction(1, 5), (1,)), (Fraction(-1, 5), (1,))]), "rss, trace 0"),

@@ -20,10 +20,8 @@ from .core import (
     residue_arm,
 )
 from .coxeter import (
-    CharPolySpec,
     SimpleTypeQuery,
     coxeter_ds_decide,
-    ds_generator,
     h1_dimension,
     is_rigid_coxeter_gl,
     residue_representative,
@@ -49,7 +47,6 @@ from .formal import (
     leading_stratum,
     omega_power,
     regsing_normalize,
-    standard_parahorics,
 )
 from .fuchsian import (
     CBData,
@@ -80,7 +77,6 @@ __all__ = [
     "BudgetExceededError",
     "CBData",
     "CertifiedSlope",
-    "CharPolySpec",
     "CoxeterFormalType",
     "DEFAULT_BUDGET",
     "DsKitError",
@@ -109,7 +105,6 @@ __all__ = [
     "classify_root",
     "count_rank2_moduli",
     "coxeter_ds_decide",
-    "ds_generator",
     "dual_partition",
     "fuchsian_rigidity",
     "h1_dimension",
@@ -126,6 +121,5 @@ __all__ = [
     "residue_arm",
     "residue_representative",
     "rigid_table_readings",
-    "standard_parahorics",
     "__version__",
 ]

@@ -27,7 +27,6 @@ from .formal import (
     CertifiedSlope,
     CoxeterFormalType,
     RegularSingularCandidate,
-    UpperBoundOnly,
     certify_slope,
     regsing_normalize,
 )
@@ -246,6 +245,14 @@ def _flag_reading(ns, ctx, readings: tuple[Any, Any]) -> Any:
     return by_flag if ns.flag else by_default
 
 
+def _too_long(ctx, what: str, exc: ValueError) -> tuple[Any, int]:
+    """The exit-3 verdict for an answer holding an integer past the
+    interpreter's int-to-str digit limit; its reason goes into the notes."""
+    reason = f"{what} holds an integer too long to print: {exc}"
+    ctx["notes"].append(reason)
+    return {"kind": "Inconclusive", "reason": reason}, 3
+
+
 def _cmd_fuchsian_ds(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.input)
     orbits, seqs, payload = _parse_orbit_list(doc)
@@ -266,7 +273,7 @@ def _cmd_coxeter_ds(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.orbit)
     orbit = jsonio.parse_orbit(_require(doc, "orbit"), "orbit")
     p0 = Scalar.parse(ns.p0)
-    ftype = CoxeterFormalType.from_p0(ns.n, ns.r, p0)
+    ftype = CoxeterFormalType(ns.n, ns.r, p0)
     ctx["digest"] = jsonio.digest_of({
         "n": ns.n, "r": ns.r, "p0": jsonio.scalar_json(p0),
         "orbit": jsonio.orbit_json(orbit),
@@ -296,27 +303,24 @@ def _cmd_slope(ns, ctx) -> tuple[Any, int]:
     m, canonical = jsonio.parse_laurent(_require(doc, "matrix"), "matrix")
     ctx["digest"] = jsonio.digest_of({"matrix": canonical})
     verdict = certify_slope(m, ns.budget)
-    if isinstance(verdict, CertifiedSlope):
-        return {
-            "kind": "CertifiedSlope",
-            "slope": str(verdict.slope),
-            "witness_parahoric": list(verdict.witness.parahoric.J),
-        }, 0
-    if isinstance(verdict, UpperBoundOnly):
+    if isinstance(verdict, RegularSingularCandidate):
         ctx["notes"].append(
-            "no fundamental stratum among the standard parahorics in this "
-            "trivialization; the minimal depth only bounds the slope above"
+            "no pole in this trivialization; slope 0 is a candidate, not certified"
         )
-        return {
-            "kind": "UpperBoundOnly",
-            "bound": str(verdict.bound),
-            "witness_parahoric": list(verdict.witness.parahoric.J),
-        }, 3
-    assert isinstance(verdict, RegularSingularCandidate)
+        return {"kind": "RegularSingularCandidate"}, 0
+    certified = isinstance(verdict, CertifiedSlope)
+    try:
+        depth = str(verdict.slope if certified else verdict.bound)
+    except ValueError as exc:  # a depth past the interpreter's digit limit
+        return _too_long(ctx, "the result", exc)
+    witness = list(verdict.witness.parahoric.J)
+    if certified:
+        return {"kind": "CertifiedSlope", "slope": depth, "witness_parahoric": witness}, 0
     ctx["notes"].append(
-        "no pole in this trivialization; slope 0 is a candidate, not certified"
+        "no fundamental stratum among the standard parahorics in this "
+        "trivialization; the minimal depth only bounds the slope above"
     )
-    return {"kind": "RegularSingularCandidate"}, 0
+    return {"kind": "UpperBoundOnly", "bound": depth, "witness_parahoric": witness}, 3
 
 
 def _cmd_normalize_regsing(ns, ctx) -> tuple[Any, int]:
@@ -354,9 +358,7 @@ def _cmd_quiver_export(ns, ctx) -> tuple[Any, int]:
     try:
         dot = quiver_dot(data)
     except ValueError as exc:  # a lambda value past the interpreter's digit limit
-        reason = f"the quiver holds an integer too long to print: {exc}"
-        ctx["notes"].append(reason)
-        return {"kind": "Inconclusive", "reason": reason}, 3
+        return _too_long(ctx, "the quiver", exc)
     if ns.out:
         try:
             with open(ns.out, "w", encoding="utf-8") as fh:
@@ -432,10 +434,8 @@ def run(argv: Sequence[str]) -> int:
     try:
         text = jsonio.dumps(verdict)
     except ValueError as exc:  # an integer past the interpreter's digit limit
-        reason = f"the result holds an integer too long to print: {exc}"
-        verdict["result"] = {"kind": "Inconclusive", "reason": reason}
-        verdict["notes"] = ctx["notes"] + [reason]
-        text, code = jsonio.dumps(verdict), 3
+        verdict["result"], code = _too_long(ctx, "the result", exc)
+        text = jsonio.dumps(verdict)
     print(text)
     return code
 

@@ -152,7 +152,15 @@ def _scalar(re: Fraction, im: Fraction) -> Scalar:
 
 
 ZERO = Scalar(0)
-ONE = Scalar(1)
+
+
+def _int_str(x: int) -> str:
+    """str(x) for a message, or x's size in bits when it is past the
+    interpreter's int-to-str digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"an integer of {x.bit_length()} bits"
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +244,7 @@ class OrbitSpec:
             raise InputError("orbit eigenvalues must be pairwise distinct")
         total = sum(weight(part) for _, part in items)
         if total != n:
-            raise InputError(f"partition weights sum to {total}, expected n={n}")
+            raise InputError(f"partition weights sum to {_int_str(total)}, expected n={n}")
         if n <= 0:
             raise InputError(f"need n >= 1, got n={n}")
         object.__setattr__(self, "n", int(n))
@@ -253,9 +261,6 @@ class OrbitSpec:
             if ee == e:
                 return part
         raise InputError(f"{e} is not an eigenvalue of this orbit")
-
-    def multiplicity(self, eig: ScalarLike) -> int:
-        return weight(self.partition_for(eig))
 
     def trace(self) -> Scalar:
         t = Scalar(0)

@@ -10,60 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
 
 from . import linalg
-from .core import (
-    OrbitSpec, Scalar, ScalarLike, congruent_pair, min_partition_with_r_parts, orbit_dim,
-)
+from .core import OrbitSpec, Scalar, _int_str, min_partition_with_r_parts, orbit_dim
 from .errors import InputError, ResonantError
 from .formal import CoxeterFormalType
 
 
-@dataclass(frozen=True)
-class CharPolySpec:
-    """A characteristic polynomial prod (x - c_i)^{m_i} whose roots are
-    pairwise distinct modulo Z."""
-
-    pairs: tuple[tuple[Scalar, int], ...]
-
-    def __init__(self, pairs: Iterable[tuple[ScalarLike, int]]):
-        items = sorted(
-            ((Scalar.of(c), int(m)) for c, m in pairs),
-            key=lambda cm: cm[0].sort_key(),
-        )
-        if not items:
-            raise InputError("characteristic polynomial needs at least one root")
-        if any(m < 1 for _, m in items):
-            raise InputError("root multiplicities must be >= 1")
-        pair = congruent_pair([c for c, _ in items])
-        if pair is not None:
-            c, d = (items[k][0] for k in pair)
-            raise ResonantError(
-                f"roots must be pairwise distinct modulo Z: {c} and {d} are congruent"
-            )
-        object.__setattr__(self, "pairs", tuple(items))
-
-    @property
-    def n(self) -> int:
-        return sum(m for _, m in self.pairs)
-
-
-def ds_generator(r: int, q: CharPolySpec) -> OrbitSpec:
-    """The dominance-least orbit with characteristic polynomial q among those
-    with at most r Jordan blocks per eigenvalue: each root c_i of multiplicity
-    m_i gets the most balanced partition of m_i into min(r, m_i) parts."""
-    if r < 1:
-        raise InputError(f"need r >= 1, got {r}")
-    return OrbitSpec(
-        q.n, [(c, min_partition_with_r_parts(r, m)) for c, m in q.pairs]
-    )
-
-
 def coxeter_ds_decide(ftype: CoxeterFormalType, o: OrbitSpec) -> bool:
     """Nonemptiness for (formal type, orbit): the residue-trace condition
-    n p(0) + Tr(O) = 0 together with O dominating ds_generator of its own
-    characteristic polynomial, i.e. at most r Jordan blocks per eigenvalue."""
+    n p(0) + Tr(O) = 0 together with at most r Jordan blocks per eigenvalue,
+    which is O dominating the orbit of its own characteristic polynomial
+    with the most balanced partition into at most r parts at each root."""
     if o.n != ftype.n:
         raise InputError(
             f"orbit lives in gl_{o.n} but the formal type has n = {ftype.n}"
@@ -164,7 +122,7 @@ def rigid_table_readings(qy: SimpleTypeQuery) -> tuple[bool, bool]:
     if gcd(r, h) != 1:
         raise InputError(
             f"slope numerator must be coprime to the Coxeter number: "
-            f"gcd({r}, {h}) != 1"
+            f"gcd({r}, {_int_str(h)}) != 1"
         )
     n = qy.rank
     if r == 1 or r == h + 1:

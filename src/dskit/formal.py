@@ -13,7 +13,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 from . import linalg
-from .core import ONE, ZERO, Scalar, ScalarLike
+from .core import Scalar, ScalarLike
 from .errors import BudgetExceededError, InputError, ResonantError, TruncationError
 from .laurent import LaurentMatrix
 from .rootsys import DEFAULT_BUDGET, _check_budget
@@ -154,13 +154,6 @@ def _parahoric_walk(n: int) -> Iterator[list[int]]:
             k = J.pop() + 1
         else:
             return
-
-
-def standard_parahorics(n: int) -> list[StandardParahoric]:
-    """All 2^(n-1) standard parahorics, ordered lexicographically by J."""
-    if n < 1:
-        raise InputError(f"need n >= 1, got {n}")
-    return [StandardParahoric(n, J) for J in _parahoric_walk(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -375,45 +368,19 @@ def omega_power(n: int, k: int) -> LaurentMatrix:
 
 @dataclass(frozen=True)
 class CoxeterFormalType:
-    """Coxeter canonical form d + p(omega_n^{-1}) dz/z: slope r/n with
-    gcd(r, n) = 1 and p of degree exactly r (leading coefficient nonzero).
-    p is kept by its nonzero terms (degree, coefficient), so it costs its
-    terms, not r."""
+    """Coxeter canonical form d + p(omega_n^{-1}) dz/z of slope r/n, with
+    gcd(r, n) = 1 and p of degree r.  Decisions read only n, r and the
+    constant term p0 = p(0), so that is all it holds."""
 
     n: int
     r: int
-    p_terms: tuple[tuple[int, Scalar], ...]
+    p0: Scalar
 
-    def __init__(self, n: int, r: int, p_coeffs: Iterable[ScalarLike]):
-        coeffs = tuple(Scalar.of(x) for x in p_coeffs)
-        self._init(n, r, tuple((k, c) for k, c in enumerate(coeffs) if c), len(coeffs))
-
-    def _init(self, n: int, r: int, terms: tuple[tuple[int, Scalar], ...], length: int) -> None:
-        """Check the slope, the coefficient count and the leading term; keep the terms."""
+    def __init__(self, n: int, r: int, p0: ScalarLike):
         if n < 1 or r < 1:
             raise InputError("need n >= 1 and r >= 1")
         if gcd(r, n) != 1:
             raise InputError(f"need gcd(r, n) = 1, got r={r}, n={n}")
-        if length != r + 1:
-            raise InputError(
-                f"p must have degree exactly {r}: expected {r + 1} "
-                f"coefficients, got {length}"
-            )
-        if not terms or terms[-1][0] != r:
-            raise InputError("leading coefficient of p must be nonzero")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "r", int(r))
-        object.__setattr__(self, "p_terms", terms)
-
-    @property
-    def p0(self) -> Scalar:
-        """The constant term p(0); decisions depend only on it and deg p."""
-        return dict(self.p_terms).get(0, ZERO)
-
-    @classmethod
-    def from_p0(cls, n: int, r: int, p0: ScalarLike) -> "CoxeterFormalType":
-        """The representative p(x) = x^r + p0, built from its nonzero terms."""
-        p0 = Scalar.of(p0)
-        ftype = object.__new__(cls)
-        ftype._init(n, r, ((0, p0), (r, ONE)) if p0 else ((r, ONE),), r + 1)
-        return ftype
+        object.__setattr__(self, "p0", Scalar.of(p0))

@@ -62,10 +62,6 @@ class LaurentMatrix:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(n: int, trunc: int | None = None) -> "LaurentMatrix":
-        return LaurentMatrix(n, {}, trunc)
-
-    @staticmethod
     def monomial(
         n: int, deg: int, i: int, j: int, value: ScalarLike = 1
     ) -> "LaurentMatrix":

@@ -3,7 +3,9 @@
 The package answers its questions with `Scalar`, `linalg` and
 `LaurentMatrix` alone; the functions here give the tests independent ways to
 build inputs and to check answers: the dominance order, small scalar and
-orbit views, the Scalar-keyed factor sequences, factor ranks and
+orbit views, the dominance-least orbit of a characteristic polynomial
+(`ds_generator`, the reading `coxeter_ds_decide`'s block count replaces),
+the Scalar-keyed factor sequences, factor ranks and
 pairwise resonance test (the oracles for `core.residue_arm` and
 `core.congruent_pair`), and matrix algebra the deciders do not need,
 sums and products, elimination, matrix powers and the Kronecker Sylvester
@@ -16,10 +18,11 @@ document (the oracle for `jsonio.parse_laurent` and `jsonio.laurent_json`),
 series algebra on `LaurentMatrix` (free functions taking the series first: sums and
 products that propagate truncation, z d/dz, agreement mod z^N and the gauge
 identity, powers, shifts and inverses), the Coxeter canonical matrix
-p(omega_n^-1) and the dense coefficients of p, the lattice-chain
-definition of the filtration degree and the parahoric helpers that only
-tests use, slope certification by a full scan of the parahorics (the
-oracle for `certify_slope`), the dense Cartan matrix of a quiver (the
+p(omega_n^-1) of a general p, with the degree and leading-coefficient
+checks, the lattice-chain definition of the filtration degree, the listed
+standard parahorics and the other parahoric helpers that only tests use,
+slope certification by a full scan of the parahorics (the oracle for
+`certify_slope`), the dense Cartan matrix of a quiver (the
 oracle for `Quiver`'s neighbour lists), the root and decomposition
 enumerations (the oracles for the table of best p-sums),
 the pairing beta . lambda, and sympy's characteristic polynomial (the
@@ -42,10 +45,11 @@ from dskit.core import (
     Scalar,
     ScalarLike,
     as_partition,
+    congruent_pair,
     dual_partition,
+    min_partition_with_r_parts,
     weight,
 )
-from dskit.coxeter import CharPolySpec
 from dskit.errors import BudgetExceededError, InputError, ResonantError, TruncationError
 from dskit.jsonio import parse_scalar, scalar_json
 from dskit.formal import (
@@ -56,6 +60,7 @@ from dskit.formal import (
     StandardParahoric,
     Stratum,
     UpperBoundOnly,
+    _parahoric_walk,
     omega_power,
 )
 from dskit.laurent import LaurentMatrix
@@ -114,9 +119,47 @@ def translated(o: OrbitSpec, t: ScalarLike) -> OrbitSpec:
     return OrbitSpec(o.n, [(e + t, part) for e, part in o.blocks])
 
 
+class CharPolySpec:
+    """A characteristic polynomial prod (x - c_i)^{m_i} whose roots are
+    pairwise distinct modulo Z."""
+
+    def __init__(self, pairs: Iterable[tuple[ScalarLike, int]]):
+        items = sorted(
+            ((Scalar.of(c), int(m)) for c, m in pairs),
+            key=lambda cm: cm[0].sort_key(),
+        )
+        if not items:
+            raise InputError("characteristic polynomial needs at least one root")
+        if any(m < 1 for _, m in items):
+            raise InputError("root multiplicities must be >= 1")
+        pair = congruent_pair([c for c, _ in items])
+        if pair is not None:
+            c, d = (items[k][0] for k in pair)
+            raise ResonantError(
+                f"roots must be pairwise distinct modulo Z: {c} and {d} are congruent"
+            )
+        self.pairs = tuple(items)
+
+    @property
+    def n(self) -> int:
+        return sum(m for _, m in self.pairs)
+
+
+def ds_generator(r: int, q: CharPolySpec) -> OrbitSpec:
+    """The dominance-least orbit with characteristic polynomial q among those
+    with at most r Jordan blocks per eigenvalue: each root c_i of multiplicity
+    m_i gets the most balanced partition of m_i into min(r, m_i) parts.  The
+    dominance reading that `coxeter_ds_decide`'s block count replaces."""
+    if r < 1:
+        raise InputError(f"need r >= 1, got {r}")
+    return OrbitSpec(
+        q.n, [(c, min_partition_with_r_parts(r, m)) for c, m in q.pairs]
+    )
+
+
 def charpoly_from_orbit(o: OrbitSpec) -> CharPolySpec:
     """The characteristic polynomial of o as its roots with multiplicities."""
-    return CharPolySpec((e, o.multiplicity(e)) for e in o.eigenvalues())
+    return CharPolySpec((e, weight(o.partition_for(e))) for e in o.eigenvalues())
 
 
 def scalar_default_factor_sequence(o: OrbitSpec) -> tuple[Scalar, ...]:
@@ -736,24 +779,36 @@ def coxeter_canonical_type(
 ) -> CoxeterFormalType:
     """Validated Coxeter canonical form; the Laurent matrix is materialized
     once here so malformed coefficient data fails early, not downstream."""
-    ftype = CoxeterFormalType(n, r, p_coeffs)
-    mat = coxeter_matrix(ftype)
+    coeffs = tuple(p_coeffs)
+    mat = coxeter_matrix(n, r, coeffs)
     assert not mat.is_zero()
-    return ftype
+    return CoxeterFormalType(n, r, coeffs[0])
 
 
-def coxeter_matrix(ftype: CoxeterFormalType) -> LaurentMatrix:
-    """p(omega_n^{-1}) as an exact Laurent matrix."""
-    acc = LaurentMatrix(ftype.n)
-    for k, coeff in ftype.p_terms:
-        acc = series_add(acc, series_scale(omega_power(ftype.n, -k), coeff))
+def coxeter_matrix(n: int, r: int, p_coeffs: Iterable[ScalarLike]) -> LaurentMatrix:
+    """p(omega_n^{-1}) as an exact Laurent matrix, for p given by its dense
+    coefficients, constant term first.  The slope checks are
+    `CoxeterFormalType`'s; then p must have degree exactly r."""
+    coeffs = tuple(Scalar.of(x) for x in p_coeffs)
+    CoxeterFormalType(n, r, coeffs[0] if coeffs else 0)
+    if len(coeffs) != r + 1:
+        raise InputError(
+            f"p must have degree exactly {r}: expected {r + 1} "
+            f"coefficients, got {len(coeffs)}"
+        )
+    if not coeffs[-1]:
+        raise InputError("leading coefficient of p must be nonzero")
+    acc = LaurentMatrix(n)
+    for k, coeff in enumerate(coeffs):
+        if coeff:
+            acc = series_add(acc, series_scale(omega_power(n, -k), coeff))
     return acc
 
 
-def dense_p_coeffs(ftype: CoxeterFormalType) -> tuple[Scalar, ...]:
-    """The dense coefficients of p, constant term first."""
-    terms = dict(ftype.p_terms)
-    return tuple(terms.get(k, Scalar(0)) for k in range(ftype.r + 1))
+def representative_p_coeffs(ftype: CoxeterFormalType) -> tuple[Scalar, ...]:
+    """The dense coefficients of the representative p(x) = x^r + p0 of a
+    formal type, constant term first."""
+    return (ftype.p0,) + (Scalar(0),) * (ftype.r - 1) + (Scalar(1),)
 
 
 def filtration_degree(p: StandardParahoric, a: int, b: int, k: int) -> int:
@@ -773,6 +828,14 @@ def filtration_degree(p: StandardParahoric, a: int, b: int, k: int) -> int:
         ):
             return s
     raise AssertionError("unreachable: the degree lies within k*e +- (e-1)")
+
+
+def standard_parahorics(n: int) -> list[StandardParahoric]:
+    """All 2^(n-1) standard parahorics, ordered lexicographically by J: the
+    listed twin of the walk `certify_slope` streams."""
+    if n < 1:
+        raise InputError(f"need n >= 1, got {n}")
+    return [StandardParahoric(n, J) for J in _parahoric_walk(n)]
 
 
 def parahoric_sets(n: int) -> list[tuple[int, ...]]:

@@ -316,7 +316,7 @@ def test_criterion_6_a_dense_nonreal_8x8_gauge_within_one_second():
 
 
 def test_criterion_7_rank2_coxeter_family():
-    t = CoxeterFormalType.from_p0(2, 1, 0)
+    t = CoxeterFormalType(2, 1, 0)
     grid = [Fraction(k, 5) for k in range(-5, 6)]
     checked = trues = resonant = 0
 

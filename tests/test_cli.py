@@ -333,7 +333,7 @@ def test_coxeter_ds_p0_past_the_conversion_limit_is_an_input_error(tmp_path, cap
 
 
 def test_coxeter_ds_large_r_at_once(tmp_path, capsys):
-    # p(x) = x^r + p0 is kept by its two terms, not by r + 1 coefficients
+    # the formal type holds n, r and p(0), not the r + 1 coefficients of p
     path = _write(tmp_path, "orb.json", orbit=NILP2)
     t0 = time.perf_counter()
     v = _verdict(capsys, ["coxeter-ds", "--n", "2", "--r", "4000001", "--p0", "0",
@@ -446,6 +446,40 @@ def test_slope_upper_bound_exits_3(tmp_path, capsys):
     assert v["result"]["bound"] == "1/2"
     assert v["result"]["witness_parahoric"] == [0, 1]
     assert v["notes"]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the digit limit came with 3.10.7 and 3.11")
+def test_slope_past_the_digit_limit_is_inconclusive(tmp_path, capsys):
+    # degrees of 4,300 digits, the most a document holds, give depths of 4,301:
+    # E_12 z^-m at n = 2 is bounded by (2m - 1)/2 at J = (0, 1), and
+    # z^(1-m) omega_3^-1 at n = 3 has the certified slope (3m - 2)/3
+    z, one = _sc(0), _sc(1)
+    m = 10**4300 - 1
+    nilp = _laurent_doc(2, [(-m, [[z, one], [z, z]])])
+    omega = _laurent_doc(3, [(-m, [[z, z, one], [z, z, z], [z, z, z]]),
+                             (1 - m, [[z, z, z], [one, z, z], [z, one, z]])])
+    for name, doc in (("nilp.json", nilp), ("omega.json", omega)):
+        path = _write(tmp_path, name, matrix=doc)
+        v = _verdict(capsys, ["slope", "--matrix", path], 3)
+        reason = v["result"]["reason"]
+        assert v["result"] == {"kind": "Inconclusive", "reason": reason}
+        assert reason.startswith("the result holds an integer too long to print: Exceeds the limit")
+        assert f"({sys.get_int_max_str_digits()} digits)" in reason
+        assert v["notes"] == [reason]
+    # a pole of 4,299 digits prints its depth
+    m //= 10
+    path = _write(tmp_path, "nilp.json", matrix=_laurent_doc(2, [(-m, [[z, one], [z, z]])]))
+    v = _verdict(capsys, ["slope", "--matrix", path], 3)
+    assert v["result"]["bound"] == f"{2 * m - 1}/2"
+    path = _write(tmp_path, "omega.json", matrix=_laurent_doc(3, [
+        (-m, [[z, z, one], [z, z, z], [z, z, z]]),
+        (1 - m, [[z, z, z], [one, z, z], [z, one, z]]),
+    ]))
+    v = _verdict(capsys, ["slope", "--matrix", path], 0)
+    assert v["result"] == {
+        "kind": "CertifiedSlope", "slope": f"{3 * m - 2}/3", "witness_parahoric": [0, 1, 2],
+    }
 
 
 def test_slope_budget_below_parahoric_count_is_inconclusive(tmp_path, capsys):
@@ -716,6 +750,42 @@ def test_integer_past_the_conversion_limit_is_an_input_error(tmp_path, capsys):
     err = _error(capsys, ["fuchsian-ds", "--input", str(big)])
     if hasattr(sys, "get_int_max_str_digits"):  # the limit came with 3.10.7 and 3.11
         assert err.startswith(f"error: {big}: invalid JSON: Exceeds the limit")
+
+
+# the most digits a document or an option holds; twice this is past the limit
+_WIDEST = 10**4300 - 1
+_WIDE_ORBIT = _orbit(2, [(_sc(0), (_WIDEST, _WIDEST))])
+_WIDE_SUM = f"partition weights sum to an integer of {(2 * _WIDEST).bit_length()} bits, expected n=2"
+
+
+_WIDE_CASES = [
+    (["fuchsian-ds", "--input"], {"orbits": [_WIDE_ORBIT] * 3}, f"orbits[0]: {_WIDE_SUM}"),
+    (["quiver-export", "--input"], {"orbits": [_WIDE_ORBIT] * 3}, f"orbits[0]: {_WIDE_SUM}"),
+    (["unramified-ds", "--input"],
+     {"types": [{"blocks": [{"q": [], "dim": 2, "residue": _WIDE_ORBIT}]}]},
+     f"types[0].blocks[0].residue: {_WIDE_SUM}"),
+    (["coxeter-ds", "--n", "2", "--r", "1", "--p0", "0", "--orbit"], {"orbit": _WIDE_ORBIT},
+     f"orbit: {_WIDE_SUM}"),
+    (["rigidity", "--n", "2", "--r", "1", "--orbit"], {"orbit": _WIDE_ORBIT},
+     f"orbit: {_WIDE_SUM}"),
+    (["count-rank2", "--input"], {"formal_type": WITNESS_TYPES[0], "orbit": _WIDE_ORBIT},
+     f"orbit: {_WIDE_SUM}"),
+    # type B at rank 5 10^4299 has the Coxeter number 10^4300
+    (["rigidity-table", "--type", "B", "--rank", str(5 * 10**4299), "--r", "2"], None,
+     "slope numerator must be coprime to the Coxeter number: "
+     f"gcd(2, an integer of {(10**4300).bit_length()} bits) != 1"),
+]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the digit limit came with 3.10.7 and 3.11")
+@pytest.mark.parametrize("argv, fields, message", _WIDE_CASES,
+                         ids=[argv[0] for argv, _, _ in _WIDE_CASES])
+def test_a_message_past_the_digit_limit_is_an_input_error(tmp_path, capsys, argv, fields,
+                                                          message):
+    if fields is not None:
+        argv = [*argv, _write(tmp_path, "wide.json", **fields)]
+    assert _error(capsys, argv) == f"error: {message}\n"
 
 
 def _doc(**fields):

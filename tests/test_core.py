@@ -23,9 +23,9 @@ from dskit.core import (
     residue_arm,
     weight,
 )
-from dskit.coxeter import CharPolySpec
 from dskit.errors import InputError, ResonantError
 from exact_oracles import (
+    CharPolySpec,
     dominance_leq,
     identity,
     is_integer,
@@ -297,7 +297,7 @@ def test_orbit_invariants():
     o = OrbitSpec(4, [(Fraction(1, 2), (2, 1)), (-1, (1,))])
     assert o.trace() == Scalar(Fraction(1, 2)) * 3 + Scalar(-1)
     assert o.determinant() == Scalar(Fraction(1, 8)) * Scalar(-1)
-    assert o.multiplicity(Fraction(1, 2)) == 3
+    assert weight(o.partition_for(Fraction(1, 2))) == 3
     assert max_block(o, Fraction(1, 2)) == 2
     assert o.block_count(Fraction(1, 2)) == 2
     assert min_poly_degree(o) == 3

@@ -10,10 +10,8 @@ from dskit.core import (
     partitions_of,
 )
 from dskit.coxeter import (
-    CharPolySpec,
     SimpleTypeQuery,
     coxeter_ds_decide,
-    ds_generator,
     h1_dimension,
     is_rigid_coxeter_gl,
     residue_representative,
@@ -22,7 +20,7 @@ from dskit.coxeter import (
 from dskit.errors import InputError, ResonantError
 from dskit.formal import CoxeterFormalType
 from dskit.linalg import jordan_type_of_nilpotent
-from exact_oracles import charpoly_from_orbit, dominance_leq
+from exact_oracles import CharPolySpec, charpoly_from_orbit, dominance_leq, ds_generator
 
 
 def _nilp(n, parts):
@@ -100,7 +98,7 @@ def test_ds_generator_is_dominance_least_with_r_blocks():
 
 
 def test_decide_slope_half_family():
-    t = CoxeterFormalType.from_p0(2, 1, 0)
+    t = CoxeterFormalType(2, 1, 0)
     assert coxeter_ds_decide(t, _nilp(2, (2,)))
     assert not coxeter_ds_decide(t, _nilp(2, (1, 1)))  # two blocks, r = 1
     ss = OrbitSpec(2, [(Fraction(1, 3), (1,)), (Fraction(-1, 3), (1,))])
@@ -110,14 +108,14 @@ def test_decide_slope_half_family():
 
 
 def test_decide_nonzero_residue_trace():
-    t = CoxeterFormalType.from_p0(2, 1, Fraction(1, 4))
+    t = CoxeterFormalType(2, 1, Fraction(1, 4))
     good = OrbitSpec(2, [(0, (1,)), (Fraction(-1, 2), (1,))])
     assert coxeter_ds_decide(t, good)
     assert not coxeter_ds_decide(t, OrbitSpec(2, [(Fraction(-1, 4), (1, 1))]))
 
 
 def test_decide_input_guards():
-    t = CoxeterFormalType.from_p0(3, 2, 0)
+    t = CoxeterFormalType(3, 2, 0)
     with pytest.raises(InputError):
         coxeter_ds_decide(t, _nilp(2, (2,)))
     with pytest.raises(ResonantError):
@@ -131,11 +129,13 @@ def test_decide_matches_block_count_against_dominance():
         for r in range(1, m + 2):
             if gcd(r, m) != 1:
                 continue
-            t = CoxeterFormalType.from_p0(m, r, 0)
+            t = CoxeterFormalType(m, r, 0)
             for parts in partitions_of(m):
                 o = _nilp(m, parts)
                 expect = dominance_leq(min_partition_with_r_parts(r, m), parts)
                 assert coxeter_ds_decide(t, o) == expect
+                generator = ds_generator(r, charpoly_from_orbit(o))
+                assert dominance_leq(generator.partition_for(0), parts) == expect
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -22,7 +23,6 @@ from dskit.formal import (
     leading_stratum,
     omega_power,
     regsing_normalize,
-    standard_parahorics,
 )
 from dskit.laurent import LaurentMatrix
 from dskit.rootsys import DEFAULT_BUDGET
@@ -30,7 +30,6 @@ from exact_oracles import (
     block_sizes,
     coxeter_canonical_type,
     coxeter_matrix,
-    dense_p_coeffs,
     eq_mod,
     filtration_degree,
     full_scan_slope,
@@ -47,11 +46,14 @@ from exact_oracles import (
     one,
     parahoric_sets,
     power,
+    representative_p_coeffs,
     scalar_coeff,
     scalar_monomials,
     scalar_regsing_normalize,
+    series_add,
     series_mul,
     series_scale,
+    standard_parahorics,
     zeros,
 )
 
@@ -169,7 +171,7 @@ def test_stratum_validation():
     with pytest.raises(InputError):  # not homogeneous: E11 z^-1 has degree -2
         Stratum(iw, 1, terms(2, *FG2_TERMS, (-1, 1, 1, 1)))
     with pytest.raises(InputError):
-        Stratum(iw, 1, LaurentMatrix.zero(2))
+        Stratum(iw, 1, LaurentMatrix(2, {}))
     with pytest.raises(InputError):
         Stratum(maximal(3), 1, FG2)
 
@@ -211,7 +213,7 @@ def test_leading_stratum_builds_one_matrix_per_degree(monkeypatch):
 def test_leading_stratum_guards():
     iw = iwahori(2)
     with pytest.raises(InputError):
-        leading_stratum(iw, LaurentMatrix.zero(2))
+        leading_stratum(iw, LaurentMatrix(2, {}))
     with pytest.raises(InputError):
         leading_stratum(maximal(3), FG2)
     # an unknown z^1 coefficient could reach the same degree as E12 z^0
@@ -244,7 +246,7 @@ def test_certify_slope_diagonal_leading():
 
 
 def test_certify_slope_regular_singular_candidates():
-    assert isinstance(certify_slope(LaurentMatrix.zero(2)), RegularSingularCandidate)
+    assert isinstance(certify_slope(LaurentMatrix(2, {})), RegularSingularCandidate)
     assert isinstance(certify_slope(_diag(1, Fraction(1, 2))), RegularSingularCandidate)
     m = _diag(1, 2, plus=[(3, 1, 2, 1)])
     assert isinstance(certify_slope(m), RegularSingularCandidate)
@@ -605,45 +607,51 @@ def test_omega_minus_one_layout():
 
 
 def test_coxeter_type_validation():
-    with pytest.raises(InputError):
-        CoxeterFormalType(4, 2, [1, 0, 1])  # gcd 2
-    with pytest.raises(InputError):
-        CoxeterFormalType(3, 2, [1, 1])  # wrong length
-    with pytest.raises(InputError):
-        CoxeterFormalType(3, 2, [1, 1, 0])  # leading zero
-    with pytest.raises(InputError):
-        CoxeterFormalType(0, 1, [0, 1])
-    t = CoxeterFormalType.from_p0(3, 2, Fraction(1, 3))
-    assert dense_p_coeffs(t) == (Scalar(Fraction(1, 3)), Scalar(0), Scalar(1))
+    # a general p is the oracle's: the slope checks first, then its degree
+    with pytest.raises(InputError, match=r"^need gcd\(r, n\) = 1, got r=2, n=4$"):
+        coxeter_matrix(4, 2, [1, 0, 1])  # gcd 2
+    with pytest.raises(InputError, match="^p must have degree exactly 2: expected 3 coefficients, got 2$"):
+        coxeter_matrix(3, 2, [1, 1])  # wrong length
+    with pytest.raises(InputError, match="^leading coefficient of p must be nonzero$"):
+        coxeter_matrix(3, 2, [1, 1, 0])  # leading zero
+    with pytest.raises(InputError, match="^need n >= 1 and r >= 1$"):
+        coxeter_matrix(0, 1, [0, 1])
+    t = CoxeterFormalType(3, 2, Fraction(1, 3))
+    assert representative_p_coeffs(t) == (Scalar(Fraction(1, 3)), Scalar(0), Scalar(1))
     assert t.p0 == Scalar(Fraction(1, 3))
-    assert t.p_terms == ((0, Scalar(Fraction(1, 3))), (2, Scalar(1)))
-    big = CoxeterFormalType.from_p0(2, 4000001, 0)
-    assert big.p_terms == ((4000001, Scalar(1)),) and big.p0 == 0
-    assert CoxeterFormalType(3, 2, [0, 5, 1]).p_terms == ((1, Scalar(5)), (2, Scalar(1)))
-    with pytest.raises(InputError):
-        CoxeterFormalType.from_p0(2, 4000000, 1)  # gcd 2
-    with pytest.raises(InputError):
-        CoxeterFormalType.from_p0(0, 1, 1)
+    # the record holds n, r and p(0), and nothing that grows with r
+    assert [f.name for f in dataclasses.fields(t)] == ["n", "r", "p0"]
+    assert t == CoxeterFormalType(3, 2, Scalar(Fraction(1, 3)))
+    big = CoxeterFormalType(2, 4000001, 0)
+    assert (big.n, big.r) == (2, 4000001) and big.p0 == 0
+    assert coxeter_matrix(3, 2, [0, 5, 1]) == series_add(
+        series_scale(omega_power(3, -1), 5), omega_power(3, -2)
+    )
+    with pytest.raises(InputError, match=r"^need gcd\(r, n\) = 1, got r=4000000, n=2$"):
+        CoxeterFormalType(2, 4000000, 1)  # gcd 2
+    with pytest.raises(InputError, match="^need n >= 1 and r >= 1$"):
+        CoxeterFormalType(0, 1, 1)
+    with pytest.raises(InputError, match="^need n >= 1 and r >= 1$"):
+        CoxeterFormalType(0, 2, 1)  # the size check comes before the gcd check
 
 
 def test_coxeter_type_matrix():
     a = Fraction(5, 2)
-    t = CoxeterFormalType(2, 1, [0, a])
-    assert coxeter_matrix(t) == series_scale(omega_power(2, -1), a)
-    full = CoxeterFormalType(3, 2, [7, 2, 1])
+    assert coxeter_matrix(2, 1, [0, a]) == series_scale(omega_power(2, -1), a)
+    full = coxeter_matrix(3, 2, [7, 2, 1])
     # 7 + 2 omega_3^-1 + omega_3^-2, with omega_3^-1 = z^-1 E13 + E21 + E32
     # and omega_3^-2 = z^-1 (E12 + E23) + E31
     expect = laurent(3, {
         -1: mat_of([[0, 1, 2], [0, 0, 1], [0, 0, 0]]),
         0: mat_of([[7, 0, 0], [2, 7, 0], [1, 2, 7]]),
     })
-    assert coxeter_matrix(full) == expect
+    assert full == expect
 
 
 def test_coxeter_type_slope_is_r_over_n():
     for n, r in [(2, 1), (3, 2), (2, 3), (5, 2), (4, 3)]:
-        t = CoxeterFormalType.from_p0(n, r, Fraction(1, 5))
-        v = certify_slope(coxeter_matrix(t))
+        t = CoxeterFormalType(n, r, Fraction(1, 5))
+        v = certify_slope(coxeter_matrix(n, r, representative_p_coeffs(t)))
         assert isinstance(v, CertifiedSlope)
         assert v.slope == Fraction(r, n)
 

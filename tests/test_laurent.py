@@ -38,7 +38,7 @@ def _rand_laurent(rng, n, degs, trunc=None):
 
 
 def test_zero_and_one():
-    z = LaurentMatrix.zero(3)
+    z = LaurentMatrix(3, {})
     assert z.is_zero()
     assert z.support() == ()
     assert z.valuation() is None

@@ -23,21 +23,27 @@ def test_every_public_name_imported_by_the_package_is_exported():
         for alias in node.names
         if not (alias.asname or alias.name).startswith("_")
     }
-    assert "standard_parahorics" in imported
+    assert "residue_arm" in imported
     assert sorted(imported - set(dskit.__all__)) == []
     assert all(hasattr(dskit, name) for name in dskit.__all__)
 
 
 # The Scalar matrix algebra that no decider runs lives in tests/exact_oracles.py:
 # LaurentMatrix holds M of d + M dz/z over Z[i], and the deciders compute on Z[i].
+# So do the second routes to an answer: the Coxeter dominance reading, a general
+# p (CoxeterFormalType holds n, r and p(0)) and the listed standard parahorics.
 _NOT_PUBLIC = {
+    dskit: ("CharPolySpec", "ds_generator", "standard_parahorics"),
     dskit.LaurentMatrix: ("__add__", "__sub__", "__neg__", "__mul__", "scale", "z_ddz",
                           "eq_mod", "_check_same_size", "_known_below",
-                          "_effective_valuation"),
+                          "_effective_valuation", "zero"),
     dskit.laurent: ("_INF",),
     dskit.linalg: ("mat_add", "mat_scale", "mat_mul", "mat_eq", "rank", "from_gaussian",
                    "identity", "dims", "copy_matrix", "is_zero_matrix"),
-    dskit.CoxeterFormalType: ("matrix", "p_coeffs"),
+    dskit.coxeter: ("CharPolySpec", "ds_generator"),
+    dskit.formal: ("standard_parahorics",),
+    dskit.CoxeterFormalType: ("matrix", "p_coeffs", "from_p0", "p_terms"),
+    dskit.OrbitSpec: ("multiplicity",),
     dskit.Scalar: ("is_integer",),
 }
 
@@ -57,7 +63,7 @@ def _scalar_orbit(c):
 
 
 _TYPE = UnramFormalType([UnramBlock([q], 1, _scalar_orbit(1)) for q in (1, -1)])
-_NO_POLE = LaurentMatrix.zero(2)
+_NO_POLE = LaurentMatrix(2, {})
 
 # each input is decided without a search, so a budget is never charged
 _UNCHARGED = {
