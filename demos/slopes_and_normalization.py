@@ -21,7 +21,8 @@ from dskit.formal import (
 )
 from dskit.laurent import LaurentMatrix
 
-mono = LaurentMatrix.monomial
+# Each coefficient is held as (re, im, den): the matrix (re + i im) / den.
+zero = [[0, 0], [0, 0]]
 
 # The cyclic matrix omega (ones below the diagonal, z in the corner)
 # satisfies omega^n = z.  Its negative powers are the standard examples of
@@ -36,12 +37,12 @@ print()
 
 # A nilpotent polar part proves nothing by itself: the scan returns only an
 # upper bound, flagged as such.
-v = certify_slope(mono(2, -1, 1, 2, 1))
+v = certify_slope(LaurentMatrix(2, {-1: ([[0, 1], [0, 0]], zero, 1)}))
 assert isinstance(v, UpperBoundOnly)
 print(f"nilpotent z^-1 E12: upper bound {v.bound}, not certified")
 
 # No polar part at all: a regular-singular candidate.
-v = certify_slope(mono(2, 0, 1, 1, Fraction(1, 2)))
+v = certify_slope(LaurentMatrix(2, {0: ([[1, 0], [0, 0]], zero, 2)}))
 assert isinstance(v, RegularSingularCandidate)
 print("diag(1/2, 0) at z^0: regular-singular candidate")
 print()
@@ -50,9 +51,7 @@ print()
 # gauge transformation g = 1 + g_1 z + ..., provided no two eigenvalues of
 # B_0 differ by a nonzero integer.  The defining identity is
 #   g M - z dg/dz = B_0 g   (mod z^N).
-# Each coefficient is held as (re, im, den): the matrix (re + i im) / den.
 order = 5
-zero = [[0, 0], [0, 0]]
 m = LaurentMatrix(2, {
     0: ([[0, 0], [0, 1]], zero, 2),  # B_0 = diag(0, 1/2)
     1: ([[0, 1], [0, 0]], zero, 1),  # one off-diagonal z-term

@@ -17,6 +17,7 @@ import argparse
 import functools
 import os
 import sys
+from fractions import Fraction
 from typing import Any, Sequence
 
 from . import jsonio
@@ -212,10 +213,11 @@ def quiver_dot(data: CBData) -> str:
     (labelled with its alpha and lambda values) and one edge line per arrow
     instance, in construction order."""
     lines = ["digraph dskit {", "  rankdir=LR;", "  node [shape=ellipse];"]
-    for v in data.quiver.vertices:
+    re, im, den = data.lam
+    for v, x, y in zip(data.quiver.vertices, re, im):
         name = _vertex_name(v)
         a = data.alpha.get(v, 0)
-        lam = data.lam.get(v, Scalar(0))
+        lam = Scalar(Fraction(x, den), Fraction(y, den))
         lines.append(
             f'  "{name}" [label="{name}\\nalpha={a}\\nlambda={lam}"];'
         )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import linalg
-from .core import OrbitSpec, Scalar, _int_str, min_partition_with_r_parts, orbit_dim
+from .core import OrbitSpec, _int_str, min_partition_with_r_parts, orbit_dim
 from .errors import InputError, ResonantError
 from .formal import CoxeterFormalType
 
@@ -142,13 +142,14 @@ def rigid_table_readings(qy: SimpleTypeQuery) -> tuple[bool, bool]:
     return any(conds), all(conds)
 
 
-def residue_representative(n: int, r: int) -> linalg.Matrix:
-    """The residue term of the homogeneous form omega^{-r} dz/z: ones on the
-    r-th subdiagonal (the zero matrix once r >= n).  Its Jordan type is the
-    balanced partition min_partition_with_r_parts(r, n)."""
+def residue_representative(n: int, r: int) -> linalg.Gaussian:
+    """The residue term of the homogeneous form omega^{-r} dz/z as a Z[i]
+    triple over 1: ones on the r-th subdiagonal (the zero matrix once
+    r >= n).  Its Jordan type is the balanced partition
+    min_partition_with_r_parts(r, n)."""
     if n < 1 or r < 1:
         raise InputError("need n >= 1 and r >= 1")
-    m = linalg.zeros(n, n)
+    re, im, den = linalg.zero_gaussian(n)
     for i in range(n - r):
-        m[i + r][i] = Scalar(1)
-    return m
+        re[i + r][i] = 1
+    return re, im, den

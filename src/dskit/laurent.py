@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from typing import Iterator
 
 from . import linalg
-from .core import Scalar, ScalarLike
+from .core import Scalar
 from .errors import InputError, TruncationError
 
 
@@ -58,21 +58,6 @@ class LaurentMatrix:
                 re = [[x // g for x in row] for row in re]
                 im = [[x // g for x in row] for row in im]
             self.coeffs[int(deg)] = (re, im, den // g)
-
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def monomial(
-        n: int, deg: int, i: int, j: int, value: ScalarLike = 1
-    ) -> "LaurentMatrix":
-        """value * E_{ij} z^deg with 1-based matrix indices."""
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise InputError(f"entry ({i},{j}) outside 1..{n}")
-        s = Scalar.of(value)
-        re, im, den = linalg.zero_gaussian(n, lcm(s.re.denominator, s.im.denominator))
-        re[i - 1][j - 1] = s.re.numerator * (den // s.re.denominator)
-        im[i - 1][j - 1] = s.im.numerator * (den // s.im.denominator)
-        return LaurentMatrix(n, {deg: (re, im, den)})
 
     # -- views ----------------------------------------------------------------
 

@@ -5,18 +5,18 @@ lists of Python ints for the real and imaginary parts of the matrix times
 one common denominator den, and den.  Elimination (the Jordan type,
 `sylvester_solve`), the nilpotency test and the gauge recursion work on
 these triples; products (`gaussian_mul`) and fraction-free elimination make
-no `Fraction`.  Lists of `Scalar` rows (`Matrix`) enter only through
-`gaussian`, which scales them to a triple.  Each kernel
-reads whether its input is real, with all imaginary parts zero, and then
-does integer arithmetic alone: a real product is one integer product, and
-real elimination is the Bareiss step over Z.  A right-hand
-side is scaled apart from the matrix, so its denominators never enter the
-operator.  The shifted Sylvester equation (b + k) x - x b = rhs is readied
-once for all shifts k (`sylvester_operator`): b = b' / den over Z[i], with
-the characteristic polynomial p of b' by Faddeev-LeVerrier.  Each shift is
-then the n x n system p(b' + k den) y = R by Cayley-Hamilton (Jameson, SIAM
-J. Appl. Math. 16, 1968).  Only when that matrix is singular, that is when
-two eigenvalues of b differ by k, is the n^2 x n^2 Kronecker system
+no `Fraction`, and no `Scalar` enters or leaves: the parser and the
+callers build the triples.  Each kernel reads whether its input is real,
+with all imaginary parts zero, and then does integer arithmetic alone: a
+real product is one integer product, and real elimination is the Bareiss
+step over Z.  A right-hand side is scaled apart from the matrix, so its
+denominators never enter the operator.  The shifted Sylvester equation
+(b + k) x - x b = rhs is readied once for all shifts k
+(`sylvester_operator`): b = b' / den over Z[i], with the characteristic
+polynomial p of b' by Faddeev-LeVerrier.  Each shift is then the n x n
+system p(b' + k den) y = R by Cayley-Hamilton (Jameson, SIAM J. Appl.
+Math. 16, 1968).  Only when that matrix is singular, that is when two
+eigenvalues of b differ by k, is the n^2 x n^2 Kronecker system
 eliminated instead.  No pivoting heuristics are needed because the
 arithmetic is exact.
 """
@@ -24,40 +24,20 @@ arithmetic is exact.
 from __future__ import annotations
 
 from itertools import accumulate, chain, repeat
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
-from .core import ZERO, Scalar, dual_partition
+from .core import dual_partition
 from .errors import InputError
 
-Matrix = list[list[Scalar]]
 Ints = list[list[int]]
 # a matrix scaled to Z[i]: real parts, imaginary parts, and the scale
 Gaussian = tuple[Ints, Ints, int]
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[ZERO] * cols for _ in range(rows)]
-
-
 def zero_gaussian(n: int, den: int = 1) -> Gaussian:
     """The n x n zero matrix over den, with fresh rows to write into."""
     return [[0] * n for _ in range(n)], [[0] * n for _ in range(n)], den
-
-
-def gaussian(a: Matrix) -> Gaussian:
-    """The real and imaginary parts of a times the lcm den of all its
-    denominators, and den, so that a = (re + i im) / den.
-
-    One scale for the whole matrix keeps its row space, the solutions of a
-    system, its nilpotency and the zeros of a form.
-    """
-    den = lcm(*(x.denominator for row in a for s in row for x in (s.re, s.im)))
-    return (
-        [[s.re.numerator * (den // s.re.denominator) for s in row] for row in a],
-        [[s.im.numerator * (den // s.im.denominator) for s in row] for row in a],
-        den,
-    )
 
 
 def _gauss_jordan(re: Ints, im: Ints) -> list[int]:
@@ -277,11 +257,11 @@ def _kronecker_solve(g: Gaussian, k: int, rhs: Gaussian) -> Gaussian | None:
     return _over_pivot(ur, ui, pr, pi, big, n)
 
 
-def jordan_type_of_nilpotent(a: Matrix) -> tuple[int, ...]:
-    """Jordan partition of a nilpotent matrix from the ranks of its powers,
-    taken over Z[i] from `gaussian(a)` (scaling keeps every rank)."""
-    n = len(a)
-    g = gaussian(a)
+def jordan_type_of_nilpotent(g: Gaussian) -> tuple[int, ...]:
+    """Jordan partition of the nilpotent matrix g = (re + i im) / den from
+    the ranks of its powers over Z[i]; scaling keeps every rank, so den is
+    never read."""
+    n = len(g[0])
     ranks = [n] + [len(_gauss_jordan([row[:] for row in re], [row[:] for row in im]))
                    for re, im, _ in accumulate(repeat(g, n), gaussian_mul)]
     if ranks[-1] != 0:

@@ -6,9 +6,10 @@ This is the shared engine behind both existence criteria: one search finds
 the vectors 0 <= beta <= alpha on which lambda (and the lattice, if any)
 vanishes, and one table of best p-sums over the sums of those vectors tells
 whether a decomposition of alpha into >= 2, or >= 3, of them does not drop
-p.  lambda's real and imaginary integer numerators and the lattice rows are
-integer forms, so the search meets in the middle: the coordinates are split
-where the suffix box holds at most isqrt of the whole box, the suffix box is
+p.  lambda comes as its real and imaginary integer numerators over one
+denominator (a LambdaForm) and the lattice as its rows, all integer forms,
+so the search meets in the middle: the coordinates are split where the
+suffix box holds at most isqrt of the whole box, the suffix box is
 tabulated by its form values, and the prefix box is walked in order and
 joined on the negated values.  Only the joined vectors are classified as
 roots.  The budget charges the whole box before anything is tabulated, then
@@ -29,14 +30,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Hashable, Iterator, Mapping, Sequence, Union
 
-from . import linalg
-from .core import Scalar, ScalarLike
 from .errors import BudgetExceededError, InputError
 
 DEFAULT_BUDGET = 2_000_000
 
 Vertex = Hashable
 VecLike = Union[Mapping[Vertex, int], Sequence[int]]
+# lambda as integer forms aligned with Quiver.vertices, (re, im, den): the
+# deformation weight at vertex v is (re[v] + i im[v]) / den
+LambdaForm = tuple[Sequence[int], Sequence[int], int]
 
 
 @dataclass(frozen=True)
@@ -196,18 +198,6 @@ def _after_box(alpha: Sequence[int], budget: int | None) -> float:
     return budget - box
 
 
-def _lambda_numerators(
-    q: Quiver, lam: Mapping[Vertex, ScalarLike]
-) -> tuple[list[int], list[int], int]:
-    """lambda over one common denominator den, aligned with q.vertices: the
-    integers re, im with lambda_v = (re_v + i im_v) / den."""
-    unknown = set(lam) - q._index.keys()
-    if unknown:
-        raise InputError(f"unknown vertices in deformation vector: {sorted(map(repr, unknown))}")
-    (re,), (im,), den = linalg.gaussian([[Scalar.of(lam.get(v, 0)) for v in q.vertices]])
-    return re, im, den
-
-
 def _split_point(alpha: Sequence[int]) -> int:
     """The least h whose suffix box (beta[h:] <= alpha[h:]) is no larger than
     its prefix box.  That h has the least prefix + suffix among such splits,
@@ -244,7 +234,7 @@ def _form_zeros(
 def sigma_candidates(
     q: Quiver,
     alpha: tuple[int, ...],
-    lam: Mapping[Vertex, ScalarLike],
+    lam: LambdaForm,
     budget: int | None,
     lattice: Sequence[Sequence[int]] | None = None,
 ) -> list[tuple[int, ...]] | None:
@@ -252,7 +242,8 @@ def sigma_candidates(
     alpha, or given the integer forms of a lattice the nonzero vectors below
     alpha on which every form vanishes, other than alpha and pairing to zero
     with lambda.  None when alpha is not a root or alpha.lambda != 0, so that
-    no search is due.
+    no search is due.  lam is lambda as integer forms aligned with
+    q.vertices; only its numerators are read.
 
     The whole box is charged to the budget first.  The forms are the nonzero
     rows among lambda's real and imaginary numerators and the lattice rows;
@@ -263,9 +254,14 @@ def sigma_candidates(
     classify_root, which cannot raise on a nonnegative vector.
     """
     _check_budget(budget)
+    re, im, _ = lam
+    if len(re) != len(q.vertices) or len(im) != len(q.vertices):
+        raise InputError(
+            f"deformation vector lengths {len(re)}, {len(im)} do not match "
+            f"{len(q.vertices)} vertices"
+        )
     if classify_root(q, alpha) is RootClass.NOT_ROOT:
         return None
-    re, im, _ = _lambda_numerators(q, lam)
     if sum(map(operator.mul, alpha, re)) or sum(map(operator.mul, alpha, im)):
         return None
     _after_box(alpha, budget)
@@ -343,10 +339,11 @@ def best_p_sums(
 def in_sigma_lambda(
     q: Quiver,
     alpha: VecLike,
-    lam: Mapping[Vertex, ScalarLike],
+    lam: LambdaForm,
     budget: int | None = DEFAULT_BUDGET,
 ) -> bool:
-    """Membership of alpha in Sigma^lambda.
+    """Membership of alpha in Sigma^lambda, for lambda as integer forms
+    (re, im, den) aligned with q.vertices.
 
     True iff alpha is a positive root with alpha.lambda = 0 and every way of
     writing alpha as a sum of >= 2 positive roots, each pairing to zero with

@@ -13,9 +13,9 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import OrbitSpec, Scalar, ScalarLike, residue_arm
+from .core import OrbitSpec, Scalar, ScalarLike
 from .errors import InputError, ResonantError
-from .fuchsian import CBData
+from .fuchsian import CBData, _integer_arms
 from .rootsys import (
     DEFAULT_BUDGET,
     Quiver,
@@ -84,13 +84,11 @@ class UnramFormalType:
 
 
 def _q_diff_degree(q1: tuple[Scalar, ...], q2: tuple[Scalar, ...]) -> int:
-    top = max(len(q1), len(q2))
-    for m in range(top, 0, -1):
-        c1 = q1[m - 1] if m <= len(q1) else Scalar(0)
-        c2 = q2[m - 1] if m <= len(q2) else Scalar(0)
-        if c1 != c2:
-            return m
-    return 0
+    """deg_{z^-1}(q1 - q2).  Neither has a zero top coefficient, so a longer
+    one differs from a shorter one at its own length."""
+    if len(q1) != len(q2):
+        return max(len(q1), len(q2))
+    return next((m for m in range(len(q1), 0, -1) if q1[m - 1] != q2[m - 1]), 0)
 
 
 def _intra_type_arrows(t: UnramFormalType, i: int) -> list[tuple[Vertex, Vertex]]:
@@ -156,19 +154,30 @@ def build_hiroe_data(types: Sequence[UnramFormalType]) -> HiroeData:
                 raise ResonantError(f"residue of type {i}, block {j} is resonant")
 
     has_base = [i == 0 or t.ell >= 2 for i, t in enumerate(types)]
+    residues = [b.residue for t in types for b in t.blocks]
+    flat, den = _integer_arms(residues)
+    it = iter(flat)
+    arms = [[next(it) for _ in t.blocks] for t in types]
+    # the type-0 base vertices also take -eta^1 of each baseless type (ell_i == 1)
+    baseless = [arms[i][0] for i, base in enumerate(has_base) if not base]
+    shift_re = -sum(er[0] for _, er, _ in baseless)
+    shift_im = -sum(ei[0] for _, _, ei in baseless)
 
     vertices: list[Vertex] = []  # the base vertices, then the path vertices
     arrows: list[tuple[Vertex, Vertex]] = []
     alpha: dict[Vertex, int] = {}
-    lam: dict[Vertex, Scalar] = {}
+    re: list[int] = []
+    im: list[int] = []
 
-    # base vertices and intra-type base arrows
+    # base vertices, lambda = -eta^1 of their block, and intra-type base arrows
     for i, t in enumerate(types):
         if not has_base[i]:
             continue
-        for j in range(1, t.ell + 1):
+        for j, (b, (_, er, ei)) in enumerate(zip(t.blocks, arms[i]), start=1):
             vertices.append((i, j))
-            alpha[(i, j)] = t.blocks[j - 1].dim
+            alpha[(i, j)] = b.dim
+            re.append((shift_re if i == 0 else 0) - er[0])
+            im.append((shift_im if i == 0 else 0) - ei[0])
         arrows.extend(_intra_type_arrows(t, i))
 
     # cross arrows from every type-0 base vertex to every other base vertex
@@ -180,29 +189,23 @@ def build_hiroe_data(types: Sequence[UnramFormalType]) -> HiroeData:
             for jp in range(1, t.ell + 1):
                 arrows.append(((0, j), (i, jp)))
 
-    # residue paths
-    shift_0 = Scalar(0)  # accumulated -eta^1 of the baseless types
+    # residue paths, lambda = eta^k - eta^(k+1)
     for i, t in enumerate(types):
-        for j, b in enumerate(t.blocks, start=1):
-            ranks, eta = residue_arm(b.residue)
-            d = len(eta)
-            for k in range(1, d):
+        for j, (ranks, er, ei) in enumerate(arms[i], start=1):
+            for k in range(1, len(er)):
                 v = (i, j, k)
                 vertices.append(v)
                 alpha[v] = ranks[k]
-                lam[v] = eta[k - 1] - eta[k]
+                re.append(er[k - 1] - er[k])
+                im.append(ei[k - 1] - ei[k])
                 if k > 1:
                     arrows.append((v, (i, j, k - 1)))
+            if len(er) == 1:
+                continue
             if has_base[i]:
-                if d > 1:
-                    arrows.append(((i, j, 1), (i, j)))
-                lam[(i, j)] = -eta[0]
+                arrows.append(((i, j, 1), (i, j)))
             else:  # ell_i == 1 here
-                shift_0 = shift_0 - eta[0]
-                if d > 1:
-                    arrows.extend(((i, j, 1), (0, jj)) for jj in range(1, ell0 + 1))
-    for j in range(1, ell0 + 1):
-        lam[(0, j)] += shift_0
+                arrows.extend(((i, j, 1), (0, jj)) for jj in range(1, ell0 + 1))
 
     lattice_forms = tuple(
         tuple((len(v) == 2) * ((v[0] == 0) - (v[0] == i)) for v in vertices)
@@ -210,7 +213,8 @@ def build_hiroe_data(types: Sequence[UnramFormalType]) -> HiroeData:
         if i != 0 and t.ell >= 2
     )
     data = HiroeData(
-        quiver=Quiver(vertices, arrows), alpha=alpha, lam=lam, lattice_forms=lattice_forms
+        quiver=Quiver(vertices, arrows), alpha=alpha, lam=(re, im, den),
+        lattice_forms=lattice_forms,
     )
     a = data.alpha_vector()
     assert not any(sum(map(operator.mul, a, f)) for f in lattice_forms), "alpha must lie in L"

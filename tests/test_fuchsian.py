@@ -9,7 +9,7 @@ from dskit.errors import BudgetExceededError, InputError
 from dskit.fuchsian import FuchsianRigidity, build_cb_data, fuchsian_rigidity
 from dskit.rootsys import RootClass, classify_root, p_value
 from dskit.unramified import UnramBlock, UnramFormalType, build_hiroe_data
-from exact_oracles import alpha_dot_lambda, translated
+from exact_oracles import alpha_dot_lambda, lambda_values, translated
 
 
 def _rss2(a, b):
@@ -43,7 +43,7 @@ def test_scalar_orbit_contributes_no_arm():
     data = build_cb_data([OrbitSpec(2, [(Fraction(1, 3), (1, 1))])])
     assert data.quiver.vertices == (0,)
     assert data.alpha == {0: 2}
-    assert data.lam[0] == Scalar(Fraction(-1, 3))
+    assert lambda_values(data)[0] == Scalar(Fraction(-1, 3))
 
 
 def test_d4_shape_from_three_regular_orbits():
@@ -133,7 +133,7 @@ def test_three_nilpotent_rank2_orbits_empty():
     orbits = [NILP2, NILP2, NILP2]
     data = build_cb_data(orbits)
     assert data.alpha_vector() == (2, 1, 1, 1)
-    assert all(not v for v in data.lam.values())
+    assert all(not v for v in lambda_values(data).values())
     assert fuchsian_rigidity(orbits) is FuchsianRigidity.EMPTY
 
 
@@ -292,7 +292,7 @@ def test_explicit_factor_sequences_are_validated_once_per_orbit(monkeypatch):
     orbits = [NILP2, NILP2, OrbitSpec(2, [(0, (1,)), (Fraction(1, 2), (1,))])]
     data = build_cb_data(orbits, [[0, 0], [0, 0], [Fraction(1, 2), 0]])
     assert calls == orbits
-    assert data.lam[(3, 1)] == Scalar(Fraction(1, 2))
+    assert lambda_values(data)[(3, 1)] == Scalar(Fraction(1, 2))
 
 
 def test_each_block_partition_is_validated_once(monkeypatch):

@@ -23,7 +23,7 @@ from dskit.core import OrbitSpec, Scalar, orbit_dim, partitions_of
 from dskit.fuchsian import build_cb_data
 from dskit.rootsys import in_sigma_lambda, p_value
 from dskit.unramified import UnramBlock, UnramFormalType, build_hiroe_data
-from exact_oracles import cartan_rows, translated
+from exact_oracles import cartan_rows, lambda_forms, lambda_values, translated
 
 # no two differ by an integer, so every orbit drawn from them is nonresonant
 _SPREAD = [Scalar(Fraction(k, 5)) for k in range(-2, 3)] + [
@@ -133,7 +133,8 @@ def test_reflections_keep_sigma_lambda():
             continue
         tuples += 1
         verdict = in_sigma_lambda(q, alpha, data.lam, budget=None)
-        lam = [Scalar.of(data.lam.get(v, 0)) for v in q.vertices]
+        values = lambda_values(data)
+        lam = [values[v] for v in q.vertices]
         c = cartan_rows(q)
         for i, v in enumerate(q.vertices):
             reflected = list(alpha)
@@ -141,7 +142,7 @@ def test_reflections_keep_sigma_lambda():
             if not lam[i] or min(reflected) < 0 or not any(reflected):
                 continue
             moved = {u: lam[j] - c[i][j] * lam[i] for j, u in enumerate(q.vertices)}
-            assert in_sigma_lambda(q, reflected, moved, budget=None) == verdict, (alpha, v)
+            assert in_sigma_lambda(q, reflected, lambda_forms(q, moved), budget=None) == verdict, (alpha, v)
             pairs += 1
             pairs_in += verdict
     # seed 11 keeps 645 tuples, which give 1,748 pairs, 857 of them in Sigma_lambda

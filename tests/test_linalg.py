@@ -15,6 +15,7 @@ from exact_oracles import (
     echelon_solve,
     echelon_sylvester_solve,
     from_gaussian,
+    gaussian,
     identity,
     is_zero_matrix,
     jordan_matrix,
@@ -33,6 +34,7 @@ from exact_oracles import (
     sympy_rank,
     trace,
     transpose,
+    zeros,
 )
 
 
@@ -44,7 +46,7 @@ def test_mat_of_and_basic_ops():
     a = mat_of([[1, 2], [3, 4]])
     b = mat_of([[0, 1], [1, 0]])
     assert mat_mul(a, b) == mat_of([[2, 1], [4, 3]])
-    assert mat_add(a, mat_scale(-1, a)) == linalg.zeros(2, 2)
+    assert mat_add(a, mat_scale(-1, a)) == zeros(2, 2)
     assert transpose(a) == mat_of([[1, 3], [2, 4]])
     assert trace(a) == 5
     assert mat_pow(b, 2) == identity(2)
@@ -123,7 +125,7 @@ def test_sylvester_solve_roundtrip():
         x = _rand_matrix(rng, n)
         shifted = mat_add(b, mat_scale(k, identity(n)))
         rhs = mat_sub(mat_mul(shifted, x), mat_mul(x, b))
-        got = linalg.sylvester_solve(linalg.sylvester_operator(linalg.gaussian(b)), k, linalg.gaussian(rhs))
+        got = linalg.sylvester_solve(linalg.sylvester_operator(gaussian(b)), k, gaussian(rhs))
         assert got is not None
         sol = from_gaussian(got)
         assert mat_sub(mat_mul(shifted, sol), mat_mul(sol, b)) == rhs
@@ -133,7 +135,7 @@ def test_sylvester_singular_detected():
     # b + 3 and b share the eigenvalue 3, so (b + 3) x - x b = E12 has no solution
     b = mat_of([[0, 0], [0, 3]])
     rhs = mat_of([[0, 1], [0, 0]])
-    assert linalg.sylvester_solve(linalg.sylvester_operator(linalg.gaussian(b)), 3, linalg.gaussian(rhs)) is None
+    assert linalg.sylvester_solve(linalg.sylvester_operator(gaussian(b)), 3, gaussian(rhs)) is None
 
 
 def test_ad_eigen_shift_singular():
@@ -146,10 +148,10 @@ def test_ad_eigen_shift_singular():
 def test_jordan_matrix_and_type():
     o = OrbitSpec(5, [(0, (3, 2))])
     j = jordan_matrix(o)
-    assert linalg.jordan_type_of_nilpotent(j) == (3, 2)
+    assert linalg.jordan_type_of_nilpotent(gaussian(j)) == (3, 2)
     o2 = OrbitSpec(4, [(0, (2, 1, 1))])
-    assert linalg.jordan_type_of_nilpotent(jordan_matrix(o2)) == (2, 1, 1)
-    assert linalg.jordan_type_of_nilpotent(linalg.zeros(3, 3)) == (1, 1, 1)
+    assert linalg.jordan_type_of_nilpotent(gaussian(jordan_matrix(o2))) == (2, 1, 1)
+    assert linalg.jordan_type_of_nilpotent(gaussian(zeros(3, 3))) == (1, 1, 1)
 
 
 def test_jordan_matrix_charpoly_data():
@@ -273,7 +275,7 @@ def test_sylvester_solve_matches_the_kronecker_oracle():
     for _ in range(50):
         n = rng.choice([1, 2, 2, 3, 3, 3, 4])
         b, gaps = _residue_with_gaps(rng, n)
-        op = linalg.sylvester_operator(linalg.gaussian(b))
+        op = linalg.sylvester_operator(gaussian(b))
         for k in range(9):
             shifted = mat_add(b, mat_scale(k, identity(n)))
             x = [[_sevens_entry(rng) for _ in range(n)] for _ in range(n)]
@@ -283,11 +285,11 @@ def test_sylvester_solve_matches_the_kronecker_oracle():
                 want = echelon_sylvester_solve(b, k, rhs)
                 # rhs over a denominator that is not the least one at times;
                 # the solution comes back in lowest terms all the same
-                re, im, den = linalg.gaussian(rhs)
+                re, im, den = gaussian(rhs)
                 s = rng.choice([1, 1, 6, 7])
                 scaled = [[s * x for x in row] for row in re], [[s * x for x in row] for row in im]
                 got = linalg.sylvester_solve(op, k, (*scaled, s * den))
-                assert got == (None if want is None else linalg.gaussian(want)), (b, k, rhs)
+                assert got == (None if want is None else gaussian(want)), (b, k, rhs)
                 kinds["nonreal_rhs"] += any(y.im for row in rhs for y in row)
                 if k not in {p - q for p in gaps for q in gaps}:
                     kinds["regular"] += 1
@@ -314,11 +316,11 @@ def test_the_n_by_n_route_matches_the_kronecker_route(monkeypatch):
     routes = {"n_by_n": 0, "kronecker": 0}
     for n in [rng.randint(1, 6) for _ in range(17)] + [7]:
         b, gaps = _residue_with_gaps(rng, n)
-        op = linalg.sylvester_operator(linalg.gaussian(b))
+        op = linalg.sylvester_operator(gaussian(b))
         for k in range(9):
             shifted = mat_add(b, mat_scale(k, identity(n)))
             x = [[_sevens_entry(rng) for _ in range(n)] for _ in range(n)]
-            rhs = linalg.gaussian(rng.choice([
+            rhs = gaussian(rng.choice([
                 mat_sub(mat_mul(shifted, x), mat_mul(x, b)), x]))
             fallback.clear()
             got = linalg.sylvester_solve(op, k, rhs)
@@ -340,10 +342,10 @@ def test_sylvester_operator_gives_the_characteristic_polynomial():
         n = rng.randint(1, 8)
         b = [[Scalar(rng.randint(-4, 4), rng.choice([0, 0, rng.randint(-3, 3)]))
               for _ in range(n)] for _ in range(n)]
-        g, p, _ = linalg.sylvester_operator(linalg.gaussian(b))
-        assert g == linalg.gaussian(b) and g[2] == 1
+        g, p, _ = linalg.sylvester_operator(gaussian(b))
+        assert g == gaussian(b) and g[2] == 1
         assert p == sympy_charpoly(b), b
-        power = linalg.gaussian(identity(n))
+        power = gaussian(identity(n))
         total_re, total_im = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
         for pr, pi in p:
             total_re = [[t + pr * u - pi * v for t, u, v in zip(*rows)]
@@ -374,12 +376,12 @@ def test_solve_with_right_hand_side_denominators_matches_echelon_oracle():
             rhs = [[_sevens_entry(rng) for _ in range(n)] for _ in range(n)]
         a = sylvester_kron(shifted, b)
         want = echelon_solve(a, [y for row in rhs for y in row])
-        got = linalg.sylvester_solve(linalg.sylvester_operator(linalg.gaussian(b)), k, linalg.gaussian(rhs))
+        got = linalg.sylvester_solve(linalg.sylvester_operator(gaussian(b)), k, gaussian(rhs))
         if want is None:
             assert got is None, (b, k, rhs)
             kinds["inconsistent"] += 1
         else:
-            assert got == linalg.gaussian([want[i * n : (i + 1) * n] for i in range(n)]), (
+            assert got == gaussian([want[i * n : (i + 1) * n] for i in range(n)]), (
                 b, k, rhs)
             if echelon_rank(a) < n * n:
                 kinds["singular_consistent"] += 1
@@ -396,13 +398,13 @@ def test_gaussian_scales_by_the_least_common_denominator():
         draws.append([[rng.choice([_gaussian_entry, _sevens_entry])(rng) for _ in range(cols)]
                       for _ in range(rows)])
     for a in draws:
-        re, im, den = linalg.gaussian(a)
+        re, im, den = gaussian(a)
         assert [[Scalar(Fraction(x, den), Fraction(y, den)) for x, y in zip(xr, yr)]
                 for xr, yr in zip(re, im)] == a
         # every scale that makes a integral is a multiple of the least one, so
         # a larger den would divide every part of den * a along with den
         assert math.gcd(den, *(x for rows in (re, im) for row in rows for x in row)) == 1
-    assert linalg.gaussian(draws[0]) == ([[0] * 3] * 2, [[0] * 3] * 2, 1)
+    assert gaussian(draws[0]) == ([[0] * 3] * 2, [[0] * 3] * 2, 1)
 
 
 def test_sylvester_operator_is_the_kronecker_oracle_over_one_denominator():
@@ -420,8 +422,8 @@ def test_sylvester_operator_is_the_kronecker_oracle_over_one_denominator():
         want = sylvester_kron(b, b)
         integral = [all(x.re.denominator == x.im.denominator == 1 for x in row) for row in want]
         assert integral == [r % (n + 1) == 0 for r in range(n * n)]
-        re, im, den = linalg._kronecker(linalg.sylvester_operator(linalg.gaussian(b))[0])
-        assert den == linalg.gaussian(b)[2] > 1
+        re, im, den = linalg._kronecker(linalg.sylvester_operator(gaussian(b))[0])
+        assert den == gaussian(b)[2] > 1
         assert [[Scalar(x, y) for x, y in zip(xr, yr)] for xr, yr in zip(re, im)] == [
             [den * x for x in row] for row in want
         ]
@@ -429,7 +431,7 @@ def test_sylvester_operator_is_the_kronecker_oracle_over_one_denominator():
 
 def test_rank_of_degenerate_shapes():
     assert rank([]) == 0 and rank([[]]) == 0 and rank([[], []]) == 0
-    assert linalg.jordan_type_of_nilpotent([]) == ()
+    assert linalg.jordan_type_of_nilpotent(gaussian([])) == ()
 
 
 def test_gaussian_mul_matches_mat_mul():
@@ -442,7 +444,7 @@ def test_gaussian_mul_matches_mat_mul():
         entry = lambda: rng.choice([_gaussian_entry, _sevens_entry])(rng)
         a = [[entry() for _ in range(inner)] for _ in range(rows)]
         b = [[entry() for _ in range(cols)] for _ in range(inner)]
-        ga, gb = linalg.gaussian(a), linalg.gaussian(b)
+        ga, gb = gaussian(a), gaussian(b)
         prod = linalg.gaussian_mul(ga, gb)
         assert prod[2] == ga[2] * gb[2]
         assert from_gaussian(prod) == mat_mul(a, b), (a, b)
@@ -459,14 +461,14 @@ def test_jordan_type_of_hidden_nilpotents_matches_the_jordan_matrix_oracle():
                 s = Scalar(Fraction(rng.randint(1, 3), rng.randint(1, 3)), rng.choice([0, 1]))
                 a = [[s * x for x in row] for row in a]
                 nonreal += any(x.im for row in a for x in row)
-                assert linalg.jordan_type_of_nilpotent(a) == part, a
+                assert linalg.jordan_type_of_nilpotent(gaussian(a)) == part, a
     assert nonreal >= 66, nonreal  # of 132
     for blocks in ([(1, (1,))], [(0, (2,)), (Scalar(0, 1), (1,))], [(Fraction(1, 2), (3,))]):
         o = OrbitSpec(sum(sum(part) for _, part in blocks), blocks)
         a = jordan_matrix(o)
         _hide_by_similarities(rng, a)
         with pytest.raises(InputError, match="^matrix is not nilpotent$"):
-            linalg.jordan_type_of_nilpotent(a)
+            linalg.jordan_type_of_nilpotent(gaussian(a))
 
 
 def _random_square(rng, n):
@@ -492,7 +494,7 @@ def test_is_nilpotent_matches_mat_pow():
         n = rng.choice(SIZES[:-1])  # mat_pow on Scalars makes 5 x 5 slow
         a = _random_square(rng, n)
         want = is_zero_matrix(mat_pow(a, n))
-        assert linalg.is_nilpotent(linalg.gaussian(a)) == want, a
+        assert linalg.is_nilpotent(gaussian(a)) == want, a
         nilpotent += want
     assert 600 <= nilpotent <= 2400, nilpotent
 
@@ -533,7 +535,7 @@ def test_real_elimination_matches_the_gaussian_route():
     for _ in range(1500):
         rows, cols = rng.choice(SIZES), rng.choice(SIZES) + rng.randint(0, 1)
         a = _real_matrix(rng, rows, cols)
-        re, im, _ = linalg.gaussian(a)
+        re, im, _ = gaussian(a)
         zr, zi = _times_i(re)
         pivots = linalg._gauss_jordan(re, im)
         assert linalg._gauss_jordan(zr, zi) == pivots, a
@@ -560,7 +562,7 @@ def test_real_product_matches_the_gaussian_route():
     for _ in range(500):
         rows, inner, cols = rng.choice(SIZES), rng.choice(SIZES), rng.choice(SIZES)
         a, b = _real_matrix(rng, rows, inner), _real_matrix(rng, inner, cols)
-        ga, gb = linalg.gaussian(a), linalg.gaussian(b)
+        ga, gb = gaussian(a), gaussian(b)
         re, im, den = linalg.gaussian_mul(ga, gb)
         zero = [[0] * cols for _ in range(rows)]
         assert im == zero and len({id(row) for row in im}) == rows  # rows a caller may write to
@@ -586,11 +588,11 @@ def test_real_sylvester_solve_matches_the_gaussian_route():
             b[i] = [x + c * y for x, y in zip(b[i], b[j])]
             for row in b:
                 row[j] = row[j] - c * row[i]
-        op = linalg.sylvester_operator(linalg.gaussian(b))
+        op = linalg.sylvester_operator(gaussian(b))
         for k in range(6):
             x = _real_matrix(rng, n, n)
             shifted = mat_add(b, mat_scale(k, identity(n)))
-            rhs = linalg.gaussian(rng.choice([mat_sub(mat_mul(shifted, x), mat_mul(x, b)), x]))
+            rhs = gaussian(rng.choice([mat_sub(mat_mul(shifted, x), mat_mul(x, b)), x]))
             want = linalg._kronecker_solve(op[0], k, rhs)
             assert linalg.sylvester_solve(op, k, rhs) == want, (b, k, rhs)
             got = linalg._kronecker_solve(op[0], k, (*_times_i(rhs[0]), rhs[2]))

@@ -32,14 +32,17 @@ def test_every_public_name_imported_by_the_package_is_exported():
 # LaurentMatrix holds M of d + M dz/z over Z[i], and the deciders compute on Z[i].
 # So do the second routes to an answer: the Coxeter dominance reading, a general
 # p (CoxeterFormalType holds n, r and p(0)) and the listed standard parahorics.
+# lambda is built as integer forms, so neither linalg nor rootsys reads a Scalar.
 _NOT_PUBLIC = {
     dskit: ("CharPolySpec", "ds_generator", "standard_parahorics"),
     dskit.LaurentMatrix: ("__add__", "__sub__", "__neg__", "__mul__", "scale", "z_ddz",
                           "eq_mod", "_check_same_size", "_known_below",
-                          "_effective_valuation", "zero"),
+                          "_effective_valuation", "zero", "monomial"),
     dskit.laurent: ("_INF",),
     dskit.linalg: ("mat_add", "mat_scale", "mat_mul", "mat_eq", "rank", "from_gaussian",
-                   "identity", "dims", "copy_matrix", "is_zero_matrix"),
+                   "identity", "dims", "copy_matrix", "is_zero_matrix", "gaussian", "zeros",
+                   "Matrix", "Scalar", "ZERO"),
+    dskit.rootsys: ("_lambda_numerators", "linalg", "Scalar", "ScalarLike"),
     dskit.coxeter: ("CharPolySpec", "ds_generator"),
     dskit.formal: ("standard_parahorics",),
     dskit.CoxeterFormalType: ("matrix", "p_coeffs", "from_p0", "p_terms"),
@@ -68,7 +71,7 @@ _NO_POLE = LaurentMatrix(2, {})
 # each input is decided without a search, so a budget is never charged
 _UNCHARGED = {
     # (1, 1) is not a root of two vertices without arrows
-    "in_sigma_lambda": lambda b: dskit.in_sigma_lambda(Quiver([0, 1], []), (1, 1), {}, b),
+    "in_sigma_lambda": lambda b: dskit.in_sigma_lambda(Quiver([0, 1], []), (1, 1), ([0, 0], [0, 0], 1), b),
     # the eigenvalues sum to 2, so alpha . lambda != 0
     "fuchsian_rigidity": lambda b: dskit.fuchsian_rigidity([_scalar_orbit(1)] * 2, budget=b),
     "HiroeData.readings": lambda b: dskit.build_hiroe_data([_TYPE]).readings(b),

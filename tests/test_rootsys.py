@@ -15,7 +15,14 @@ from dskit.rootsys import (
     p_value,
     reflect,
 )
-from exact_oracles import bilinear, cartan_rows, decompositions, dot_lambda, positive_roots_leq
+from exact_oracles import (
+    bilinear,
+    cartan_rows,
+    decompositions,
+    dot_lambda,
+    lambda_forms,
+    positive_roots_leq,
+)
 
 
 def _star(k: int) -> Quiver:
@@ -287,14 +294,14 @@ def test_sigma_lambda_generic_real_root():
            (2, 1): Scalar(Fraction(-1, 7)), (3, 1): Scalar(Fraction(-4, 7))}
     alpha = (2, 1, 1, 1)
     assert dot_lambda(c, alpha, lam) == 0
-    assert in_sigma_lambda(c, alpha, lam)
+    assert in_sigma_lambda(c, alpha, lambda_forms(c, lam))
 
 
 def test_sigma_lambda_fails_if_pairing_nonzero():
     c = _d4()
     lam = {0: Scalar(1)}
     assert dot_lambda(c, (2, 1, 1, 1), lam) != 0
-    assert not in_sigma_lambda(c, (2, 1, 1, 1), lam)
+    assert not in_sigma_lambda(c, (2, 1, 1, 1), lambda_forms(c, lam))
 
 
 def test_sigma_lambda_killed_subroot_blocks():
@@ -302,13 +309,13 @@ def test_sigma_lambda_killed_subroot_blocks():
     # lambda-killed roots with equal p-sum, so membership fails
     c = _d4()
     lam = {v: Scalar(0) for v in c.vertices}
-    assert not in_sigma_lambda(c, (2, 1, 1, 1), lam)
+    assert not in_sigma_lambda(c, (2, 1, 1, 1), lambda_forms(c, lam))
 
 
 def test_sigma_lambda_not_root_rejected():
     c = _d4()
     lam = {0: Scalar(0)}
-    assert not in_sigma_lambda(c, (2, 2, 0, 0), lam)
+    assert not in_sigma_lambda(c, (2, 2, 0, 0), lambda_forms(c, lam))
 
 
 def test_sigma_lambda_imaginary_generic():
@@ -318,7 +325,7 @@ def test_sigma_lambda_imaginary_generic():
     lam = {0: Scalar(2), (1, 1): Scalar(-1), (2, 1): Scalar(-1),
            (3, 1): Scalar(-1), (4, 1): Scalar(Fraction(-1))}
     assert dot_lambda(c, delta, lam) == 0
-    assert in_sigma_lambda(c, delta, lam)
+    assert in_sigma_lambda(c, delta, lambda_forms(c, lam))
 
 
 def test_sigma_lambda_imaginary_degenerate():
@@ -329,7 +336,21 @@ def test_sigma_lambda_imaginary_degenerate():
     lam = {v: Scalar(0) for v in c.vertices}
     # all 24 real roots below delta are lambda-killed; any two of them
     # summing to delta have p-sum 0 < 1 = p(delta), so membership holds
-    assert in_sigma_lambda(c, delta, lam)
+    assert in_sigma_lambda(c, delta, lambda_forms(c, lam))
     # but 2*delta with lambda = 0 decomposes into delta + delta with
     # p-sum 2 >= p(2 delta) = 1: excluded
-    assert not in_sigma_lambda(c, tuple(2 * x for x in delta), lam)
+    assert not in_sigma_lambda(c, tuple(2 * x for x in delta), lambda_forms(c, lam))
+
+
+def test_sigma_lambda_rejects_a_form_of_the_wrong_length():
+    c = _d4()
+    with pytest.raises(InputError, match="^deformation vector lengths 3, 4 do not match 4 vertices$"):
+        in_sigma_lambda(c, (2, 1, 1, 1), ([0, 0, 0], [0, 0, 0, 0], 1))
+    with pytest.raises(InputError, match="^deformation vector lengths 4, 5 do not match 4 vertices$"):
+        in_sigma_lambda(c, (2, 1, 1, 1), ([0] * 4, [0] * 5, 1))
+    # checked before alpha is classified, so a non-root alpha does not hide it
+    with pytest.raises(InputError, match="^deformation vector lengths 0, 0"):
+        in_sigma_lambda(c, (2, 2, 0, 0), ([], [], 1))
+    # a vertex the quiver lacks is named where lambda is given by vertex
+    with pytest.raises(InputError, match="^unknown vertices in deformation vector"):
+        lambda_forms(c, {(9, 9): 1})

@@ -36,7 +36,15 @@ from dskit.rootsys import (
     sigma_candidates,
 )
 from dskit.unramified import HiroeData, UnramBlock, UnramFormalType, build_hiroe_data
-from exact_oracles import decompositions, dot_lambda, positive_roots_leq, residue_trace, translated
+from exact_oracles import (
+    decompositions,
+    dot_lambda,
+    lambda_forms,
+    lambda_values,
+    positive_roots_leq,
+    residue_trace,
+    translated,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -106,16 +114,17 @@ def _reference_in_lattice(types, data, vec):
 
 def _reference_exists_on_data(types, data, ell_ge_2):
     a = data.alpha_vector()
+    lam = lambda_values(data)
     if classify_root(data.quiver, a) is RootClass.NOT_ROOT:
         return False
-    if _reference_dot(data.quiver, a, data.lam):
+    if _reference_dot(data.quiver, a, lam):
         return False
     candidates = [
         vec
         for vec in itertools.product(*(range(x + 1) for x in a))
         if any(vec) and vec != a
         and _reference_in_lattice(types, data, vec)
-        and not _reference_dot(data.quiver, vec, data.lam)
+        and not _reference_dot(data.quiver, vec, lam)
     ]
     p_alpha = p_value(data.quiver, a)
     min_parts = 2 if ell_ge_2 else 3
@@ -245,7 +254,7 @@ def test_in_sigma_lambda_matches_former_search():
     verdicts = []
     searched = 0
     for data in _fuchsian_cases(seed=20261018, count=300):
-        want = _reference_in_sigma_lambda(data.quiver, data.alpha, data.lam)
+        want = _reference_in_sigma_lambda(data.quiver, data.alpha, lambda_values(data))
         assert in_sigma_lambda(data.quiver, data.alpha, data.lam, budget=None) == want, data.alpha
         verdicts.append(want)
         searched += bool(sigma_candidates(data.quiver, data.alpha_vector(), data.lam, None))
@@ -291,7 +300,7 @@ def _random_root_searches(seed, count):
     for _ in range(count):
         q = _random_quiver(rng, rng.randint(2, 5))
         a = _random_root(rng, q, 48)
-        yield q, a, sigma_candidates(q, a, {}, None)
+        yield q, a, sigma_candidates(q, a, lambda_forms(q, {}), None)
 
 
 def test_best_p_sums_matches_the_enumeration():
@@ -347,7 +356,7 @@ def test_sigma_candidates_match_classify_first_on_star_tuples():
     nonempty = 0
     for data in _fuchsian_cases(seed=20261020, count=150):
         a = data.alpha_vector()
-        want = _classify_first_candidates(data.quiver, a, data.lam)
+        want = _classify_first_candidates(data.quiver, a, lambda_values(data))
         assert sigma_candidates(data.quiver, a, data.lam, None) == want, data.alpha
         nonempty += bool(want)
     # non-generic tuples: lambda-orthogonal proper sub-roots are common
@@ -361,7 +370,7 @@ def test_sigma_candidates_match_classify_first_on_unramified_tuples():
         ranks.add(types[0].n)
         a = data.alpha_vector()
         want = _classify_first_candidates(
-            data.quiver, a, data.lam, lambda b: _reference_in_lattice(types, data, b))
+            data.quiver, a, lambda_values(data), lambda b: _reference_in_lattice(types, data, b))
         assert sigma_candidates(data.quiver, a, data.lam, None, data.lattice_forms) == want, types
         nonempty += bool(want)
     assert nonempty >= 20
@@ -415,7 +424,7 @@ def _rows_vanish(rows):
 def _check_against_classify_first(c, a, lam, lattice):
     want = _classify_first_candidates(
         c, a, lam, None if lattice is None else _rows_vanish(lattice))
-    assert sigma_candidates(c, a, lam, None, lattice) == want, (c.arrows, a, lam, lattice)
+    assert sigma_candidates(c, a, lambda_forms(c, lam), None, lattice) == want, (c.arrows, a, lam, lattice)
     return want
 
 

@@ -14,7 +14,7 @@ from dskit.unramified import (
     build_hiroe_data,
     count_rank2_moduli,
 )
-from exact_oracles import alpha_dot_lambda, build_base_quiver, residue_trace
+from exact_oracles import alpha_dot_lambda, build_base_quiver, lambda_values, residue_trace
 
 
 def _scalar_res(c):
@@ -119,7 +119,7 @@ def test_witness_quiver_shape():
     assert _vertices(data, 2) == ((0, 1), (0, 2))
     assert _vertices(data, 3) == ((1, 1, 1),)
     assert data.alpha == {(0, 1): 1, (0, 2): 1, (1, 1, 1): 1}
-    assert {k: v for k, v in data.lam.items()} == {
+    assert {k: v for k, v in lambda_values(data).items()} == {
         (0, 1): Scalar(Fraction(1, 3)),
         (0, 2): Scalar(0),
         (1, 1, 1): Scalar(Fraction(-1, 3)),
@@ -242,7 +242,7 @@ def test_all_regular_tuple_degenerates_to_star(orbits, monkeypatch):
     f = build_cb_data(orbits)
     assert h.lattice_forms == ()
     assert {_h2f(v): a for v, a in h.alpha.items()} == f.alpha
-    assert {_h2f(v): l for v, l in h.lam.items()} == f.lam
+    assert {_h2f(v): l for v, l in lambda_values(h).items()} == lambda_values(f)
     h_arrows = sorted((_h2f(a), _h2f(b)) for a, b in h.quiver.arrows)
     assert h_arrows == sorted(f.quiver.arrows)
     assert h.readings(None)[1] == (fuchsian_rigidity(orbits) is not FuchsianRigidity.EMPTY)
