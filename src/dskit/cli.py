@@ -18,6 +18,7 @@ import functools
 import os
 import sys
 from fractions import Fraction
+from math import lcm
 from typing import Any, Sequence
 
 from . import jsonio
@@ -159,8 +160,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_orbit_list(
     doc: dict[str, Any],
-) -> tuple[list[OrbitSpec], list[list[Scalar]] | None, dict[str, Any]]:
-    """The orbits, the factor sequences if given, and the digest payload."""
+) -> tuple[list[OrbitSpec], list[list[tuple[int, int, int]]] | None, dict[str, Any]]:
+    """The orbits, the factor sequences if given, each factor the triple
+    (re, im, den) of (re + i im) / den, and the digest payload."""
     orbits_json = doc.get("orbits")
     if not isinstance(orbits_json, list) or not orbits_json:
         raise InputError("orbits: must be a nonempty array")
@@ -171,15 +173,22 @@ def _parse_orbit_list(
         return orbits, None, payload
     if not isinstance(seqs_json, list) or len(seqs_json) != len(orbits):
         raise InputError("sequences: must be an array, one entry per orbit")
-    seqs = []
+    cells = []
     for k, seq in enumerate(seqs_json):
         if not isinstance(seq, list):
             raise InputError(f"sequences[{k}]: must be an array of scalars")
-        seqs.append(
-            [jsonio.parse_scalar(c, f"sequences[{k}][{m}]") for m, c in enumerate(seq)]
+        cells.append(
+            [jsonio.reduced_cell(c, f"sequences[{k}][{m}]") for m, c in enumerate(seq)]
         )
-    payload["sequences"] = [[jsonio.scalar_json(c) for c in seq] for seq in seqs]
+    payload["sequences"] = cells
+    seqs = [[_factor(*c) for c in seq] for seq in cells]
     return orbits, seqs, payload
+
+
+def _factor(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
+    """The scalar cell [a, b, c, d] as the factor triple (re, im, den)."""
+    den = lcm(b, d)
+    return a * (den // b), c * (den // d), den
 
 
 def _parse_type_list(doc: dict[str, Any]) -> tuple[list, dict[str, Any]]:

@@ -8,10 +8,12 @@ out floats and unstructured algebraic numbers.
 
 from __future__ import annotations
 
+import operator
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from math import lcm
+from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import InputError
 
@@ -172,10 +174,10 @@ Partition = tuple[int, ...]
 
 def as_partition(parts: Iterable[int]) -> Partition:
     """Validate and normalize a partition; zero parts are rejected, not dropped."""
-    p = tuple(int(x) for x in parts)
-    if any(x <= 0 for x in p):
+    p = tuple(map(int, parts))
+    if p and min(p) <= 0:
         raise InputError(f"partition parts must be positive: {p}")
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+    if any(map(operator.lt, p, p[1:])):
         raise InputError(f"partition parts must be weakly decreasing: {p}")
     return p
 
@@ -190,8 +192,13 @@ def dual_partition(p: Partition) -> Partition:
 
 
 def _dual(p: Partition) -> Partition:
-    """Transpose of the Young diagram of a partition already validated."""
-    return tuple(sum(1 for part in p if part >= k) for k in range(1, p[0] + 1)) if p else ()
+    """Transpose of the Young diagram of a partition already validated, in
+    one pass from the least part up: the first k parts are each at least
+    p[k-1], so entries len(dual)+1 .. p[k-1] of the dual are k."""
+    d: list[int] = []
+    for k in range(len(p), 0, -1):
+        d += [k] * (p[k - 1] - len(d))
+    return tuple(d)
 
 
 def min_partition_with_r_parts(r: int, m: int) -> Partition:
@@ -227,46 +234,62 @@ def partitions_of(m: int, max_part: int | None = None) -> Iterator[Partition]:
 # ---------------------------------------------------------------------------
 
 
+# a factor of a residue arm: a Gaussian rational, or the integer triple
+# (re, im, den) with den > 0 that stands for (re + i im) / den
+Factor = Union[ScalarLike, tuple[int, int, int]]
+
+
 @dataclass(frozen=True)
 class OrbitSpec:
     """An adjoint orbit in gl_n, given by distinct eigenvalues and a Jordan
-    partition at each; stored sorted by eigenvalue so equal orbits compare equal."""
+    partition at each.  Eigenvalue k is (re[k] + i im[k]) / den, over one
+    denominator den, the lcm of the reduced denominators, and the blocks are
+    sorted by (re, im), so equal orbits compare equal.  A Scalar is built
+    only for the views that return one (`blocks`, `eigenvalues`, `trace`,
+    `determinant`)."""
 
     n: int
-    blocks: tuple[tuple[Scalar, Partition], ...]
+    den: int
+    re: tuple[int, ...]
+    im: tuple[int, ...]
+    parts: tuple[Partition, ...]
 
     def __init__(self, n: int, blocks: Iterable[tuple[ScalarLike, Iterable[int]]]):
-        items = sorted(
-            ((Scalar.of(e), as_partition(part)) for e, part in blocks),
-            key=lambda ep: ep[0].sort_key(),
-        )
-        if any(a[0] == b[0] for a, b in zip(items, items[1:])):
-            raise InputError("orbit eigenvalues must be pairwise distinct")
-        total = sum(weight(part) for _, part in items)
-        if total != n:
-            raise InputError(f"partition weights sum to {_int_str(total)}, expected n={n}")
-        if n <= 0:
-            raise InputError(f"need n >= 1, got n={n}")
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "blocks", tuple(items))
+        _fill(self, n, blocks, _cell)
+
+    @classmethod
+    def from_cells(
+        cls, n: int, blocks: Iterable[tuple[Sequence[int], Iterable[int]]]
+    ) -> "OrbitSpec":
+        """The orbit of (cell, partition) pairs, each cell a scalar
+        [re_num, re_den, im_num, im_den] in lowest terms over positive
+        denominators, as a document holds it once reduced."""
+        o = object.__new__(cls)
+        _fill(o, n, blocks, tuple)
+        return o
 
     # -- basic views --------------------------------------------------------
 
+    @property
+    def blocks(self) -> tuple[tuple[Scalar, Partition], ...]:
+        """The (eigenvalue, partition) pairs, sorted by eigenvalue."""
+        return tuple(zip(self.eigenvalues(), self.parts))
+
     def eigenvalues(self) -> tuple[Scalar, ...]:
-        return tuple(e for e, _ in self.blocks)
+        den = self.den
+        return tuple(Scalar(Fraction(x, den), Fraction(y, den)) for x, y in zip(self.re, self.im))
 
     def partition_for(self, eig: ScalarLike) -> Partition:
-        e = Scalar.of(eig)
-        for ee, part in self.blocks:
-            if ee == e:
+        key = _over(eig, self.den)
+        for xy, part in zip(zip(self.re, self.im), self.parts):
+            if xy == key:
                 return part
-        raise InputError(f"{e} is not an eigenvalue of this orbit")
+        raise InputError(f"{Scalar.of(eig)} is not an eigenvalue of this orbit")
 
     def trace(self) -> Scalar:
-        t = Scalar(0)
-        for e, part in self.blocks:
-            t = t + e * weight(part)
-        return t
+        w = [weight(part) for part in self.parts]
+        return Scalar(Fraction(sum(map(operator.mul, self.re, w)), self.den),
+                      Fraction(sum(map(operator.mul, self.im, w)), self.den))
 
     def determinant(self) -> Scalar:
         """Product of eigenvalues with multiplicity."""
@@ -280,61 +303,109 @@ class OrbitSpec:
         return len(self.partition_for(eig))
 
     def is_scalar(self) -> bool:
-        return len(self.blocks) == 1 and self.blocks[0][1] == (1,) * self.n
+        return len(self.parts) == 1 and self.parts[0] == (1,) * self.n
 
     def is_nilpotent(self) -> bool:
-        return len(self.blocks) == 1 and not self.blocks[0][0]
+        return len(self.parts) == 1 and not self.re[0] and not self.im[0]
 
     def is_nonresonant(self) -> bool:
         """No two distinct eigenvalues differ by a nonzero rational integer."""
-        return congruent_pair(self.eigenvalues()) is None
+        return congruent_pair(self.re, self.im, self.den) is None
 
     def negated(self) -> "OrbitSpec":
         return OrbitSpec(self.n, [(-e, part) for e, part in self.blocks])
 
 
-def congruent_pair(values: Sequence[Scalar]) -> tuple[int, int] | None:
-    """The first i < j (i least, then j) with values[i] - values[j] in Z: the
-    resonance rule.  Two values are congruent mod Z iff they have the same
-    (re mod 1, im), so one sort by that key and index finds each class."""
-    keys = sorted((v.re % 1, v.im, i) for i, v in enumerate(values))
+def _fill(o: OrbitSpec, n: int, blocks: Iterable[tuple[Any, Iterable[int]]],
+          cell: Callable[[Any], Sequence[int]]) -> None:
+    """Check the (eigenvalue, partition) pairs, with cell taking each
+    eigenvalue to a reduced cell, put the eigenvalues over the lcm of their
+    denominators, sort the blocks by (re, im) and set o's fields."""
+    cells, parts = [], []
+    for e, part in blocks:
+        cells.append(cell(e))
+        parts.append(as_partition(part))
+    den = lcm(*[c[1] for c in cells], *[c[3] for c in cells])
+    keys = sorted([(a * (den // b), c * (den // d), k) for k, (a, b, c, d) in enumerate(cells)])
+    for x, y in zip(keys, keys[1:]):
+        if x[0] == y[0] and x[1] == y[1]:
+            raise InputError("orbit eigenvalues must be pairwise distinct")
+    total = sum(map(sum, parts))
+    if total != n:
+        raise InputError(f"partition weights sum to {_int_str(total)}, expected n={n}")
+    if n <= 0:
+        raise InputError(f"need n >= 1, got n={n}")
+    re, im, order = zip(*keys)  # keys is not empty: n >= 1 is the sum of the parts
+    # the fields of a frozen dataclass, set past its __setattr__
+    vars(o).update(n=int(n), den=den, re=re, im=im, parts=tuple(parts[k] for k in order))
+
+
+def _cell(x: ScalarLike) -> tuple[int, int, int, int]:
+    """x as the reduced cell (re_num, re_den, im_num, im_den)."""
+    if isinstance(x, Scalar):
+        return x.re.numerator, x.re.denominator, x.im.numerator, x.im.denominator
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator, 0, 1
+    raise InputError(f"cannot interpret {x!r} as a Gaussian rational")
+
+
+def _over(x: Factor, den: int) -> tuple[int, int] | None:
+    """x times den as the integers (re, im), or None if that is not in Z[i]."""
+    a, b, c, d = (x[0], x[2], x[1], x[2]) if type(x) is tuple else _cell(x)
+    re, r = divmod(a * den, b)
+    im, s = divmod(c * den, d)
+    return None if r or s else (re, im)
+
+
+def congruent_pair(re: Sequence[int], im: Sequence[int], den: int) -> tuple[int, int] | None:
+    """The first i < j (i least, then j) with (re[i] - re[j]) / den in Z and
+    im[i] = im[j], for the values (re[k] + im[k] sqrt(-1)) / den, den > 0:
+    the resonance rule.  Two values are congruent mod Z iff they have the same
+    (re mod den, im), so one sort by that key and index finds each class."""
+    keys = sorted((x % den, y, i) for i, (x, y) in enumerate(zip(re, im)))
     return min(((a[2], b[2]) for a, b in zip(keys, keys[1:]) if a[:2] == b[:2]), default=None)
 
 
 def residue_arm(
-    o: OrbitSpec, seq: Sequence[ScalarLike] | None = None
-) -> tuple[list[int], tuple[Scalar, ...]]:
+    o: OrbitSpec, seq: Sequence[Factor] | None = None
+) -> tuple[list[int], list[int], list[int]]:
     """The ranks r_0..r_d of prod_{l<=j} (C - eta_l), for any C in the orbit,
-    and the factors eta_1..eta_d: seq, or the default sequence if it is None.
+    and the factors eta_1..eta_d as their real and imaginary numerators over
+    o.den: seq, or the default sequence if it is None.
 
-    Factors are positions p in o.blocks.  The default is a round robin over
+    Factors are positions p in o's blocks.  The default is a round robin over
     them by decreasing largest part (ties by position), each taken as often
     as its largest part; an explicit sequence must match that count.  The
     t-th factor at p lowers the rank by the number of blocks at p larger
     than t (entry t of the dual partition): the others are untouched."""
-    blocks = o.blocks
-    top = [part[0] for _, part in blocks]
+    top = [part[0] for part in o.parts]
     if seq is None:
-        order = sorted(range(len(blocks)), key=lambda p: -top[p])
-        positions = [p for t in range(top[order[0]]) for p in order if top[p] > t]
+        # round t takes the positions whose largest part exceeds t, a prefix of order
+        order = sorted(range(len(top)), key=top.__getitem__, reverse=True)  # ties keep position order
+        positions = []
+        live = len(order)
+        for t in range(top[order[0]]):
+            while top[order[live - 1]] <= t:
+                live -= 1
+            positions += order[:live]
     else:
-        index = {e.sort_key(): p for p, (e, _) in enumerate(blocks)}
-        positions = [index.get(Scalar.of(x).sort_key(), -1) for x in seq]
+        index = {xy: p for p, xy in enumerate(zip(o.re, o.im))}
+        positions = [index.get(_over(x, o.den), -1) for x in seq]
         if sorted(positions) != [p for p, mu in enumerate(top) for _ in range(mu)]:
             raise InputError(
                 "factor sequence must list each eigenvalue exactly max-block-size times"
             )
-    drops = [iter(_dual(part)) for _, part in blocks]
+    drops = [iter(_dual(part)) for part in o.parts]
     ranks = [o.n]
     for p in positions:
         ranks.append(ranks[-1] - next(drops[p]))
-    return ranks, tuple(blocks[p][0] for p in positions)
+    return ranks, [o.re[p] for p in positions], [o.im[p] for p in positions]
 
 
 def orbit_dim(o: OrbitSpec) -> int:
     """Dimension of the orbit: n^2 minus the centralizer dimension
     sum over eigenvalues of the squared parts of the dual partition."""
     cent = 0
-    for _, part in o.blocks:
+    for part in o.parts:
         cent += sum(d * d for d in _dual(part))
     return o.n * o.n - cent

@@ -32,7 +32,7 @@ def coxeter_ds_decide(ftype: CoxeterFormalType, o: OrbitSpec) -> bool:
         )
     if ftype.n * ftype.p0 + o.trace() != 0:
         return False
-    return all(len(part) <= ftype.r for _, part in o.blocks)
+    return all(len(part) <= ftype.r for part in o.parts)
 
 
 def _check_unipotent_filter(n: int, r: int, o: OrbitSpec) -> None:

@@ -12,7 +12,7 @@ from enum import Enum
 from math import lcm
 from typing import Sequence
 
-from .core import OrbitSpec, ScalarLike, residue_arm
+from .core import Factor, OrbitSpec, residue_arm
 from .errors import InputError, ResonantError
 from .rootsys import (
     DEFAULT_BUDGET,
@@ -39,7 +39,7 @@ class CBData:
 
     lam is lambda as integer forms (re, im, den) aligned with
     quiver.vertices, like L: lambda_v = (re_v + i im_v) / den, with den
-    the lcm of the eigenvalue denominators."""
+    the lcm of the orbits' denominators."""
 
     quiver: Quiver
     alpha: dict[Vertex, int]
@@ -49,34 +49,19 @@ class CBData:
         return self.quiver.as_vector(self.alpha)
 
 
-def _integer_arms(
-    orbits: Sequence[OrbitSpec], seqs: Sequence[Sequence[ScalarLike]] | None = None
-) -> tuple[list[tuple[list[int], list[int], list[int]]], int]:
-    """Each orbit's `residue_arm` over one common denominator den, the lcm of
-    the eigenvalue denominators: the ranks, the real and the imaginary parts
-    of the factors eta times den, and den.  This is the one conversion of
-    Scalars to integers between an orbit and a decision."""
-    den = lcm(*(x.denominator for o in orbits for e, _ in o.blocks for x in (e.re, e.im)))
-    arms = []
-    for o, s in zip(orbits, seqs or [None] * len(orbits)):
-        ranks, eta = residue_arm(o, s)
-        arms.append((ranks, [e.re.numerator * (den // e.re.denominator) for e in eta],
-                     [e.im.numerator * (den // e.im.denominator) for e in eta]))
-    return arms, den
-
-
 def build_cb_data(
     orbits: Sequence[OrbitSpec],
-    seqs: Sequence[Sequence[ScalarLike]] | None = None,
+    seqs: Sequence[Sequence[Factor]] | None = None,
 ) -> CBData:
     """Assemble the star quiver, alpha, and lambda for a tuple of orbits.
 
     The arm for orbit i lists the ranks of the partial products
     prod_{l<=j}(C_i - eta_{il}): alpha_{(i,j)} = r_{ij}, with alpha_0 = n,
     lambda_{(i,j)} = eta_{ij} - eta_{i,j+1} and lambda_0 = -sum_i eta_{i1},
-    each by integer subtraction over the common denominator.  A scalar
-    orbit has minimal polynomial of degree 1, hence no arm; it still shifts
-    lambda_0 by its eigenvalue.
+    each by integer subtraction over the common denominator, the lcm of
+    the orbits' denominators, to which each arm's numerators are scaled.
+    A scalar orbit has minimal polynomial of degree 1, hence no arm; it
+    still shifts lambda_0 by its eigenvalue.
     """
     orbits = tuple(orbits)
     if not orbits:
@@ -92,27 +77,28 @@ def build_cb_data(
     if seqs is not None and len(seqs) != len(orbits):
         raise InputError("one factor sequence per orbit required")
 
-    arms, den = _integer_arms(orbits, seqs)
+    den = lcm(*(o.den for o in orbits))
     vertices: list[Vertex] = [0]
     arrows: list[tuple[Vertex, Vertex]] = []
     alpha: dict[Vertex, int] = {0: n}
     re, im = [0], [0]
-    for i, (ranks, er, ei) in enumerate(arms, start=1):
-        re[0] -= er[0]
-        im[0] -= ei[0]
-        for j in range(1, len(er)):
-            v = (i, j)
-            vertices.append(v)
-            alpha[v] = ranks[j]
-            re.append(er[j - 1] - er[j])
-            im.append(ei[j - 1] - ei[j])
-            arrows.append((v, 0 if j == 1 else (i, j - 1)))
+    for i, (o, s) in enumerate(zip(orbits, seqs or [None] * len(orbits)), start=1):
+        ranks, er, ei = residue_arm(o, s)
+        k = den // o.den
+        re[0] -= er[0] * k
+        im[0] -= ei[0] * k
+        arm = [(i, j) for j in range(1, len(er))]
+        vertices += arm
+        alpha.update(zip(arm, ranks[1:]))
+        re += [(x - y) * k for x, y in zip(er, er[1:])]
+        im += [(x - y) * k for x, y in zip(ei, ei[1:])]
+        arrows += zip(arm, [0, *arm])
     return CBData(quiver=Quiver(vertices, arrows), alpha=alpha, lam=(re, im, den))
 
 
 def fuchsian_rigidity(
     orbits: Sequence[OrbitSpec],
-    seqs: Sequence[Sequence[ScalarLike]] | None = None,
+    seqs: Sequence[Sequence[Factor]] | None = None,
     budget: int | None = DEFAULT_BUDGET,
 ) -> FuchsianRigidity:
     """Empty / RigidSingleton / Infinite for the stable moduli of solutions.

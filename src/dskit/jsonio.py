@@ -62,6 +62,8 @@ def scalar_json(s: Scalar) -> list[int]:
 
 
 def parse_orbit(obj: Any, path: str = "orbit") -> OrbitSpec:
+    """An orbit document: each eigenvalue cell is checked once and reduced to
+    lowest terms, and the orbit holds the eigenvalues as integers."""
     if not isinstance(obj, dict):
         _fail(path, "orbit must be an object")
     n = obj.get("n")
@@ -78,21 +80,24 @@ def parse_orbit(obj: Any, path: str = "orbit") -> OrbitSpec:
         if "eig" not in blk:
             _fail(f"{bpath}.eig", "missing")
         part = blk.get("partition")
-        if not isinstance(part, list) or not part or not all(_is_int(x) for x in part):
+        # a list of exact ints passes the first test, subclasses of list or int the second
+        if not (type(part) is list and set(map(type, part)) == {int}
+                or isinstance(part, list) and part and all(map(_is_int, part))):
             _fail(f"{bpath}.partition", "must be a nonempty array of integers")
-        pairs.append((parse_scalar(blk["eig"], f"{bpath}.eig"), part))
+        pairs.append((reduced_cell(blk["eig"], f"{bpath}.eig"), part))
     try:
-        return OrbitSpec(n, pairs)
+        return OrbitSpec.from_cells(n, pairs)
     except InputError as exc:
         _fail(path, str(exc))
 
 
 def orbit_json(o: OrbitSpec) -> dict[str, Any]:
+    """The canonical form of o: each eigenvalue as a cell in lowest terms."""
     return {
         "n": o.n,
         "blocks": [
-            {"eig": scalar_json(e), "partition": list(part)}
-            for e, part in o.blocks
+            {"eig": _lowest(x, y, o.den), "partition": list(part)}
+            for x, y, part in zip(o.re, o.im, o.parts)
         ],
     }
 
@@ -194,10 +199,8 @@ def parse_laurent(obj: Any, path: str = "matrix") -> tuple[LaurentMatrix, dict[s
                 _fail(f"{tpath}.entries[{i}]", f"must be an array of {n} scalars")
             reduced = list(map(_reduced, row))
             if None in reduced:
-                for j, cell in enumerate(row):
-                    if reduced[j] is None:
-                        _check_scalar(cell, f"{tpath}.entries[{i}][{j}]")
-                        reduced[j] = _reduced(list(map(int, cell)))  # a subclass of list or int
+                reduced = [reduced_cell(cell, f"{tpath}.entries[{i}][{j}]")
+                           for j, cell in enumerate(row)]
             cells.append(reduced)
         flat = [c for r in cells for c in r]
         if trunc is not None and deg >= trunc or not any(c[0] or c[2] for c in flat):
@@ -227,6 +230,22 @@ def _reduced(cell: Any) -> list[int] | None:
     return [a // g, b // g, c // h, d // h]
 
 
+def reduced_cell(obj: Any, path: str) -> list[int]:
+    """The scalar cell obj in lowest terms, as `_reduced` gives it, or the
+    shape error at path."""
+    cell = _reduced(obj)
+    if cell is None:
+        _check_scalar(obj, path)
+        cell = _reduced(list(map(int, obj)))  # a subclass of list or int
+    return cell
+
+
+def _lowest(x: int, y: int, den: int) -> list[int]:
+    """The cell of (x + i y) / den, den > 0, in lowest terms."""
+    g, h = gcd(x, den), gcd(y, den)
+    return [x // g, den // g, y // h, den // h]
+
+
 def laurent_json(m: LaurentMatrix) -> dict[str, Any]:
     """The canonical form of m: its nonzero terms in increasing degree, each
     cell [re_num, re_den, im_num, im_den] in lowest terms."""
@@ -235,11 +254,7 @@ def laurent_json(m: LaurentMatrix) -> dict[str, Any]:
         re, im, den = m.coeffs[deg]
         entries = []
         for xr, yr in zip(re, im):
-            row = []
-            for x, y in zip(xr, yr):
-                g, h = gcd(x, den), gcd(y, den)
-                row.append([x // g, den // g, y // h, den // h])
-            entries.append(row)
+            entries.append([_lowest(x, y, den) for x, y in zip(xr, yr)])
         terms.append({"deg": deg, "entries": entries})
     return {"n": m.n, "trunc": m.trunc, "terms": terms}
 

@@ -151,10 +151,15 @@ def _support_connected(q: Quiver, b: Sequence[int]) -> bool:
 def classify_root(q: Quiver, beta: VecLike) -> RootClass:
     """Classify an integer vector as a real root, imaginary root, or neither.
 
-    Standard descent: normalize the sign, repeatedly reflect at a vertex with
-    positive pairing (each step strictly lowers the height), stop on a simple
-    root (real), a negative entry (not a root), or the fundamental region
-    (imaginary iff the support is connected).
+    Standard descent: normalize the sign, repeatedly reflect at the least
+    vertex with positive pairing (each step strictly lowers the height), stop
+    on a simple root (real), a negative entry (not a root), or the
+    fundamental region (imaginary iff the support is connected).  The
+    pairing C b is formed once and updated in place: reflecting at k by the
+    step s = (C b)_k makes (C b)_k = -s and adds s at each neighbour of k,
+    once per arrow.  A heap holds every vertex whose pairing has turned
+    positive, so the least one is found without a scan; entries whose
+    pairing has dropped to <= 0 since are discarded when they come up.
     """
     b = list(q.as_vector(beta))
     if all(x == 0 for x in b):
@@ -163,19 +168,29 @@ def classify_root(q: Quiver, beta: VecLike) -> RootClass:
         b = [-x for x in b]
     if any(x < 0 for x in b):
         return RootClass.NOT_ROOT
-    # each reflection lowers the height sum(b) by at least 1, so this ends
-    while True:
-        if sum(b) == 1:
-            return RootClass.REAL
-        pair = q._pair(b)
-        k = next((i for i, p in enumerate(pair) if p > 0), None)
-        if k is None:
+    pair = list(q._pair(b))
+    positive = [i for i, p in enumerate(pair) if p > 0]  # sorted, so a heap
+    height = sum(b)
+    # each reflection lowers the height by at least 1, so this ends
+    while height != 1:
+        while positive and pair[positive[0]] <= 0:
+            heapq.heappop(positive)
+        if not positive:
             if _support_connected(q, b):
                 return RootClass.IMAGINARY
             return RootClass.NOT_ROOT
-        b[k] -= pair[k]
+        k = positive[0]
+        step = pair[k]
+        b[k] -= step
         if b[k] < 0:
             return RootClass.NOT_ROOT
+        height -= step
+        pair[k] = -step
+        for j in q._neighbours[k]:
+            if pair[j] <= 0 < pair[j] + step:
+                heapq.heappush(positive, j)
+            pair[j] += step
+    return RootClass.REAL
 
 
 def _check_budget(budget: int | None) -> None:

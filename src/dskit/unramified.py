@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Sequence
 
-from .core import OrbitSpec, Scalar, ScalarLike
+from .core import OrbitSpec, Scalar, ScalarLike, residue_arm
 from .errors import InputError, ResonantError
-from .fuchsian import CBData, _integer_arms
+from .fuchsian import CBData
 from .rootsys import (
     DEFAULT_BUDGET,
     Quiver,
@@ -154,10 +155,16 @@ def build_hiroe_data(types: Sequence[UnramFormalType]) -> HiroeData:
                 raise ResonantError(f"residue of type {i}, block {j} is resonant")
 
     has_base = [i == 0 or t.ell >= 2 for i, t in enumerate(types)]
-    residues = [b.residue for t in types for b in t.blocks]
-    flat, den = _integer_arms(residues)
-    it = iter(flat)
-    arms = [[next(it) for _ in t.blocks] for t in types]
+    # each residue arm with its factor numerators scaled to den, the lcm of
+    # the residues' denominators
+    den = lcm(*(b.residue.den for t in types for b in t.blocks))
+    arms = []
+    for t in types:
+        arms.append([])
+        for b in t.blocks:
+            ranks, er, ei = residue_arm(b.residue)
+            k = den // b.residue.den
+            arms[-1].append((ranks, [x * k for x in er], [y * k for y in ei]))
     # the type-0 base vertices also take -eta^1 of each baseless type (ell_i == 1)
     baseless = [arms[i][0] for i, base in enumerate(has_base) if not base]
     shift_re = -sum(er[0] for _, er, _ in baseless)

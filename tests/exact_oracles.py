@@ -7,7 +7,11 @@ orbit views, the dominance-least orbit of a characteristic polynomial
 (`ds_generator`, the reading `coxeter_ds_decide`'s block count replaces),
 the Scalar-keyed factor sequences, factor ranks and
 pairwise resonance test (the oracles for `core.residue_arm` and
-`core.congruent_pair`), and matrix algebra the deciders do not need,
+`core.congruent_pair`), the dual partition by its definition (the oracle
+for `core._dual`), the Scalar route of an orbit document: its reading,
+`OrbitSpec` construction as `ScalarOrbit`, canonical form, residue arm and
+star lambda (the oracles for `jsonio.parse_orbit`, `OrbitSpec`'s integer
+fields, `residue_arm` and `build_cb_data`), and matrix algebra the deciders do not need,
 sums and products, elimination, matrix powers and the Kronecker Sylvester
 operator on Scalars (the oracles for `linalg`'s Gaussian-integer kernels),
 with a Scalar matrix scaled to a Z[i] triple (`gaussian`) and read back
@@ -24,7 +28,8 @@ checks, the lattice-chain definition of the filtration degree, the listed
 standard parahorics and the other parahoric helpers that only tests use,
 slope certification by a full scan of the parahorics (the oracle for
 `certify_slope`), the dense Cartan matrix of a quiver (the
-oracle for `Quiver`'s neighbour lists), the root and decomposition
+oracle for `Quiver`'s neighbour lists), the reflection descent that forms
+C b after every reflection (the oracle for `classify_root`), the root and decomposition
 enumerations (the oracles for the table of best p-sums),
 lambda by vertex turned into the integer forms the deciders read
 (`lambda_forms`) and back (`lambda_values`), the pairing beta . lambda,
@@ -47,10 +52,12 @@ from dskit.core import (
     Partition,
     Scalar,
     ScalarLike,
+    _int_str,
     as_partition,
     congruent_pair,
     dual_partition,
     min_partition_with_r_parts,
+    residue_arm,
     weight,
 )
 from dskit.errors import BudgetExceededError, InputError, ResonantError, TruncationError
@@ -77,6 +84,7 @@ from dskit.rootsys import (
     VecLike,
     _after_box,
     _form_zeros,
+    _support_connected,
     classify_root,
 )
 from dskit.unramified import UnramFormalType, _intra_type_arrows
@@ -136,7 +144,8 @@ class CharPolySpec:
             raise InputError("characteristic polynomial needs at least one root")
         if any(m < 1 for _, m in items):
             raise InputError("root multiplicities must be >= 1")
-        pair = congruent_pair([c for c, _ in items])
+        (re,), (im,), den = gaussian([[c for c, _ in items]])
+        pair = congruent_pair(re, im, den)
         if pair is not None:
             c, d = (items[k][0] for k in pair)
             raise ResonantError(
@@ -211,6 +220,136 @@ def pairwise_congruent_pair(values: Sequence[Scalar]) -> tuple[int, int] | None:
             if is_integer(values[i] - values[j]):
                 return i, j
     return None
+
+
+def dual_by_definition(p: Partition) -> Partition:
+    """Entry k of the dual partition as the number of parts >= k, one sum
+    over the parts for each k: the oracle for `core._dual`."""
+    return tuple(sum(1 for part in p if part >= k) for k in range(1, p[0] + 1)) if p else ()
+
+
+class ScalarOrbit:
+    """The Scalar route of an orbit: n and the (Scalar, partition) blocks
+    sorted by `Scalar.sort_key`, with the checks and messages of `OrbitSpec`
+    construction.  The oracle for `OrbitSpec`'s integer fields."""
+
+    def __init__(self, n: int, blocks: Iterable[tuple[ScalarLike, Iterable[int]]]):
+        items = sorted(
+            ((Scalar.of(e), as_partition(part)) for e, part in blocks),
+            key=lambda ep: ep[0].sort_key(),
+        )
+        if any(a[0] == b[0] for a, b in zip(items, items[1:])):
+            raise InputError("orbit eigenvalues must be pairwise distinct")
+        total = sum(weight(part) for _, part in items)
+        if total != n:
+            raise InputError(f"partition weights sum to {_int_str(total)}, expected n={n}")
+        if n <= 0:
+            raise InputError(f"need n >= 1, got n={n}")
+        self.n = int(n)
+        self.blocks = tuple(items)
+
+
+def scalar_parse_orbit(obj, path: str = "orbit") -> ScalarOrbit:
+    """An orbit document read into Scalars by `parse_scalar`: the oracle for
+    `jsonio.parse_orbit`, with the same messages and paths."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: orbit must be an object")
+    n = obj.get("n")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InputError(f"{path}.n: must be an integer")
+    blocks = obj.get("blocks")
+    if not isinstance(blocks, list) or not blocks:
+        raise InputError(f"{path}.blocks: must be a nonempty array")
+    pairs = []
+    for k, blk in enumerate(blocks):
+        bpath = f"{path}.blocks[{k}]"
+        if not isinstance(blk, dict):
+            raise InputError(f"{bpath}: block must be an object")
+        if "eig" not in blk:
+            raise InputError(f"{bpath}.eig: missing")
+        part = blk.get("partition")
+        if not isinstance(part, list) or not part or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in part
+        ):
+            raise InputError(f"{bpath}.partition: must be a nonempty array of integers")
+        pairs.append((parse_scalar(blk["eig"], f"{bpath}.eig"), part))
+    try:
+        return ScalarOrbit(n, pairs)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def scalar_parse_orbit_list(doc) -> tuple[list[ScalarOrbit], list[list[Scalar]] | None, dict]:
+    """The orbits, the factor sequences as Scalars and the digest payload of
+    a fuchsian-ds document, by the Scalar route: the oracle for the CLI's
+    reading, with the same messages and paths."""
+    orbits_json = doc.get("orbits")
+    if not isinstance(orbits_json, list) or not orbits_json:
+        raise InputError("orbits: must be a nonempty array")
+    orbits = [scalar_parse_orbit(o, f"orbits[{k}]") for k, o in enumerate(orbits_json)]
+    payload: dict = {"orbits": [scalar_orbit_json(o) for o in orbits]}
+    seqs_json = doc.get("sequences")
+    if seqs_json is None:
+        return orbits, None, payload
+    if not isinstance(seqs_json, list) or len(seqs_json) != len(orbits):
+        raise InputError("sequences: must be an array, one entry per orbit")
+    seqs = []
+    for k, seq in enumerate(seqs_json):
+        if not isinstance(seq, list):
+            raise InputError(f"sequences[{k}]: must be an array of scalars")
+        seqs.append([parse_scalar(c, f"sequences[{k}][{m}]") for m, c in enumerate(seq)])
+    payload["sequences"] = [[scalar_json(c) for c in seq] for seq in seqs]
+    return orbits, seqs, payload
+
+
+def scalar_orbit_json(o) -> dict:
+    """The canonical form of an orbit written from its Scalar blocks."""
+    return {"n": o.n, "blocks": [{"eig": scalar_json(e), "partition": list(part)}
+                                 for e, part in o.blocks]}
+
+
+def scalar_residue_arm(o, seq: Sequence[ScalarLike] | None = None) -> tuple[list[int], tuple[Scalar, ...]]:
+    """The ranks of an orbit's residue arm and its factors as Scalars, with
+    the factor sequence keyed by `Scalar.sort_key`: the oracle for
+    `core.residue_arm`, on anything with n and Scalar blocks."""
+    blocks = o.blocks
+    top = [part[0] for _, part in blocks]
+    if seq is None:
+        order = sorted(range(len(blocks)), key=lambda p: -top[p])
+        positions = [p for t in range(top[order[0]]) for p in order if top[p] > t]
+    else:
+        index = {e.sort_key(): p for p, (e, _) in enumerate(blocks)}
+        positions = [index.get(Scalar.of(x).sort_key(), -1) for x in seq]
+        if sorted(positions) != [p for p, mu in enumerate(top) for _ in range(mu)]:
+            raise InputError(
+                "factor sequence must list each eigenvalue exactly max-block-size times"
+            )
+    drops = [iter(dual_by_definition(part)) for _, part in blocks]
+    ranks = [o.n]
+    for p in positions:
+        ranks.append(ranks[-1] - next(drops[p]))
+    return ranks, tuple(blocks[p][0] for p in positions)
+
+
+def scalar_star_lambda(orbits, seqs=None) -> dict[Vertex, Scalar]:
+    """The former lambda of `build_cb_data`: eta_{ij} - eta_{i,j+1} on the
+    arms and -sum_i eta_{i1} at the centre, by Scalar subtraction of the
+    factors of `scalar_residue_arm`."""
+    lam_0 = Scalar(0)
+    lam = {}
+    for i, (o, s) in enumerate(zip(orbits, seqs or [None] * len(orbits)), start=1):
+        _, eta = scalar_residue_arm(o, s)
+        lam_0 = lam_0 - eta[0]
+        for j in range(1, len(eta)):
+            lam[(i, j)] = eta[j - 1] - eta[j]
+    lam[0] = lam_0
+    return lam
+
+
+def arm_factors(o: OrbitSpec, seq: Sequence[ScalarLike] | None = None) -> tuple[Scalar, ...]:
+    """The factors of `core.residue_arm(o, seq)` as Scalars."""
+    _, re, im = residue_arm(o, seq)
+    return tuple(Scalar(Fraction(x, o.den), Fraction(y, o.den)) for x, y in zip(re, im))
 
 
 def residue_trace(t: UnramFormalType) -> Scalar:
@@ -946,6 +1085,30 @@ def cartan_rows(q: Quiver) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(2 if i == j else -counts[i][j] for j in range(n)) for i in range(n)
     )
+
+
+def classify_by_full_pairing(q: Quiver, beta: VecLike) -> RootClass:
+    """The reflection descent of `classify_root` with the whole pairing C b
+    formed again after every reflection: its oracle."""
+    b = list(q.as_vector(beta))
+    if all(x == 0 for x in b):
+        raise InputError("classify_root needs a nonzero vector")
+    if all(x <= 0 for x in b):
+        b = [-x for x in b]
+    if any(x < 0 for x in b):
+        return RootClass.NOT_ROOT
+    while True:
+        if sum(b) == 1:
+            return RootClass.REAL
+        pair = q._pair(b)
+        k = next((i for i, p in enumerate(pair) if p > 0), None)
+        if k is None:
+            if _support_connected(q, b):
+                return RootClass.IMAGINARY
+            return RootClass.NOT_ROOT
+        b[k] -= pair[k]
+        if b[k] < 0:
+            return RootClass.NOT_ROOT
 
 
 def bilinear(q: Quiver, beta: VecLike, gamma: VecLike) -> int:

@@ -25,7 +25,9 @@ from dskit.core import (
 from dskit.errors import InputError, ResonantError
 from exact_oracles import (
     CharPolySpec,
+    arm_factors,
     dominance_leq,
+    dual_by_definition,
     identity,
     is_integer,
     is_rational,
@@ -237,6 +239,28 @@ def test_dominance_basic():
         dominance_leq((2,), (1, 1, 1))
 
 
+def test_dual_matches_its_definition_on_seeded_partitions():
+    # seed 20261104: the one pass over the parts against the count of parts
+    # >= k for each k, on partitions of 0 .. 40 with long rows and columns
+    rng = random.Random(20261104)
+    for _ in range(500):
+        parts = sorted((rng.choice([1, 1, 2, 3, rng.randint(1, 40)])
+                        for _ in range(rng.randint(0, 12))), reverse=True)
+        p = as_partition(parts)
+        assert dual_partition(p) == dual_by_definition(p), p
+
+
+def test_dual_of_a_long_hook_is_linear():
+    # the hook (n/2, 1, ..., 1) at n = 32,000 took 5.1 s when each entry of
+    # the dual summed over all the parts
+    n = 32000
+    hook = (n // 2,) + (1,) * (n // 2)
+    t = time.perf_counter()
+    dual = dual_partition(hook)
+    assert time.perf_counter() - t < 0.1
+    assert dual == (n // 2 + 1,) + (1,) * (n // 2 - 1)
+
+
 def test_dominance_reverses_under_duality():
     parts = list(partitions_of(6))
     for p in parts:
@@ -330,11 +354,11 @@ def test_orbit_translate_negate():
 
 def test_default_factor_sequence_properties():
     o = OrbitSpec(5, [(0, (3, 1)), (2, (1,))])
-    seq = residue_arm(o)[1]
+    seq = arm_factors(o)
     # one factor per step of the longest block, hitting each eigenvalue
     assert len(seq) == min_poly_degree(o)
     assert set(seq) == set(o.eigenvalues())
-    assert residue_arm(o, seq)[1] == seq
+    assert arm_factors(o, seq) == seq
     with pytest.raises(InputError):
         residue_arm(o, seq[:-1])
 
@@ -365,7 +389,7 @@ def test_rank_after_factors_matches_matrix_oracle():
         OrbitSpec(2, [(1, (1,)), (3, (1,))]),
     ]
     for o in cases:
-        seq = residue_arm(o)[1]
+        seq = arm_factors(o)
         ranks = residue_arm(o, seq)[0]
         assert len(ranks) == len(seq) + 1
         for j in range(len(seq) + 1):
@@ -374,7 +398,7 @@ def test_rank_after_factors_matches_matrix_oracle():
 
 def test_rank_after_factors_zero_at_full_length():
     o = OrbitSpec(4, [(0, (2, 1)), (1, (1,))])
-    seq = residue_arm(o)[1]
+    seq = arm_factors(o)
     assert residue_arm(o, seq)[0][len(seq)] == 0
 
 
@@ -408,8 +432,8 @@ def test_factor_ranks_match_per_j_definition_on_seeded_orbits():
     for pool in (_EIGS, _CONGRUENT_EIGS):
         for _ in range(200):
             o = _random_orbit(rng, pool)
-            assert residue_arm(o)[1] == scalar_default_factor_sequence(o), o
-            seq = list(residue_arm(o)[1])
+            assert arm_factors(o) == scalar_default_factor_sequence(o), o
+            seq = list(arm_factors(o))
             rng.shuffle(seq)  # any order of the factors is a valid sequence
             ranks = residue_arm(o, seq)[0]
             assert ranks == [_rank_by_definition(o, seq, j) for j in range(len(seq) + 1)], o
@@ -449,11 +473,23 @@ def test_factor_ranks_one_pass_on_a_long_arm():
     # a regular nilpotent orbit at n = 2000 has an arm of 2000 ranks; one
     # validation per arm keeps this linear in the arm length
     o = OrbitSpec(2000, [(0, (2000,))])
-    seq = residue_arm(o)[1]
+    seq = arm_factors(o)
     t = time.perf_counter()
     ranks = residue_arm(o, seq)[0]
     assert time.perf_counter() - t < 0.5
     assert ranks == list(range(2000, -1, -1))
+
+
+def test_default_sequence_of_many_blocks_is_linear():
+    # 4,001 blocks, one of them (4000,): each round of the default sequence
+    # takes a prefix of the blocks by decreasing largest part, where testing
+    # every block in every round took 0.38 s
+    m = 4000
+    o = OrbitSpec(2 * m, [(0, (m,))] + [(Fraction(k, 3 * m), (1,)) for k in range(1, m + 1)])
+    t = time.perf_counter()
+    ranks, re, im = residue_arm(o)
+    assert time.perf_counter() - t < 0.1
+    assert len(re) == 2 * m and re.count(0) == m and ranks[-1] == 0
 
 
 # ---------------------------------------------------------------------------

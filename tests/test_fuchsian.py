@@ -9,7 +9,7 @@ from dskit.errors import BudgetExceededError, InputError
 from dskit.fuchsian import FuchsianRigidity, build_cb_data, fuchsian_rigidity
 from dskit.rootsys import RootClass, classify_root, p_value
 from dskit.unramified import UnramBlock, UnramFormalType, build_hiroe_data
-from exact_oracles import alpha_dot_lambda, lambda_values, translated
+from exact_oracles import alpha_dot_lambda, arm_factors, lambda_values, translated
 
 
 def _rss2(a, b):
@@ -183,8 +183,8 @@ def test_rank3_hypergeometric_is_rigid():
     # take the repeated eigenvalue first at the third point so its arm is the
     # short one; the verdict itself is ordering-independent
     seqs = [
-        list(residue_arm(o1)[1]),
-        list(residue_arm(o2)[1]),
+        list(arm_factors(o1)),
+        list(arm_factors(o2)),
         [c, d],
     ]
     data = build_cb_data([o1, o2, o3], seqs)
@@ -256,7 +256,7 @@ def test_factor_sequence_choice_does_not_change_verdict():
         OrbitSpec(3, [(Fraction(1, 3), (1, 1)), (Fraction(-1, 5), (1,))]),
         OrbitSpec(3, [(0, (3,))]),
     ]
-    default = [list(residue_arm(o)[1]) for o in orbits]
+    default = [list(arm_factors(o)) for o in orbits]
     base = fuchsian_rigidity(orbits, default)
     assert base is fuchsian_rigidity(orbits)
     # reverse the order of factors at the third point (0,0,0 stays 0,0,0;
@@ -268,7 +268,7 @@ def test_factor_sequence_choice_does_not_change_verdict():
         _rss2(Fraction(3, 7), Fraction(4, 7)),
         _rss2(Fraction(-3, 7), -1),
     ]
-    seqs = [list(residue_arm(o)[1])[::-1] for o in hyper]
+    seqs = [list(arm_factors(o))[::-1] for o in hyper]
     assert fuchsian_rigidity(hyper, seqs) is FuchsianRigidity.RIGID_SINGLETON
 
 

@@ -1,6 +1,6 @@
 """lambda as integer forms, against the Scalar subtraction it replaced.
 
-`_scalar_star_lambda` and `_scalar_hiroe_lambda` are the former lambda parts
+`scalar_star_lambda` and `_scalar_hiroe_lambda` are the former lambda parts
 of `build_cb_data` and `build_hiroe_data`, which subtracted the factors eta of
 each residue arm as `Scalar`s.  Both builders now subtract integers over one
 common denominator, the lcm of the eigenvalue denominators; on seeded tuples
@@ -13,29 +13,15 @@ import random
 from fractions import Fraction
 
 from dskit import core, jsonio
-from dskit.core import OrbitSpec, Scalar, residue_arm
+from dskit.core import OrbitSpec, Scalar
 from dskit.fuchsian import FuchsianRigidity, build_cb_data, fuchsian_rigidity
 from dskit.rootsys import sigma_candidates
 from dskit.unramified import UnramBlock, UnramFormalType, build_hiroe_data
-from exact_oracles import lambda_values
+from exact_oracles import lambda_values, scalar_residue_arm, scalar_star_lambda
 
 # denominators 1, 2, 3, 5 and 7 and imaginary parts 0, +-1/2, +-1/3 and 1
 _RE = [Fraction(p, q) for q in (1, 2, 3, 5, 7) for p in range(-q, q + 1)]
 _IM = [Fraction(0)] * 4 + [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3), Fraction(1)]
-
-
-def _scalar_star_lambda(orbits, seqs=None):
-    """The former lambda of `build_cb_data`: eta_{ij} - eta_{i,j+1} on the
-    arms and -sum_i eta_{i1} at the centre, by Scalar subtraction."""
-    lam_0 = Scalar(0)
-    lam = {}
-    for i, (o, s) in enumerate(zip(orbits, seqs or [None] * len(orbits)), start=1):
-        _, eta = residue_arm(o, s)
-        lam_0 = lam_0 - eta[0]
-        for j in range(1, len(eta)):
-            lam[(i, j)] = eta[j - 1] - eta[j]
-    lam[0] = lam_0
-    return lam
 
 
 def _scalar_hiroe_lambda(types):
@@ -47,7 +33,7 @@ def _scalar_hiroe_lambda(types):
     shift_0 = Scalar(0)
     for i, t in enumerate(types):
         for j, b in enumerate(t.blocks, start=1):
-            _, eta = residue_arm(b.residue)
+            _, eta = scalar_residue_arm(b.residue)
             for k in range(1, len(eta)):
                 lam[(i, j, k)] = eta[k - 1] - eta[k]
             if has_base[i]:
@@ -111,7 +97,7 @@ def test_star_forms_match_scalar_subtraction():
         orbits = [_orbit(rng, n) for _ in range(rng.randint(2, 4))]
         seqs = [_sequence(rng, o) for o in orbits] if rng.random() < 0.5 else None
         data = build_cb_data(orbits, seqs)
-        assert lambda_values(data) == _scalar_star_lambda(orbits, seqs), (orbits, seqs)
+        assert lambda_values(data) == scalar_star_lambda(orbits, seqs), (orbits, seqs)
         assert data.lam[2] == _eigenvalue_lcm(orbits)
         eigs = [e for o in orbits for e in o.eigenvalues()]
         nonreal += any(e.im for e in eigs)
@@ -189,7 +175,7 @@ def test_deciding_parsed_orbits_and_types_makes_no_scalar(monkeypatch):
     readings = hiroe.readings()
     assert made == []
     # the spy sees the Scalar route on the same input
-    assert lambda_values(star) == _scalar_star_lambda(orbits, seqs)
+    assert lambda_values(star) == scalar_star_lambda(orbits, seqs)
     assert lambda_values(hiroe) == _scalar_hiroe_lambda(types)
     assert made
     # the verdicts, as the Scalar route gave them; L holds one form, and six

@@ -43,6 +43,8 @@ _NOT_PUBLIC = {
                    "identity", "dims", "copy_matrix", "is_zero_matrix", "gaussian", "zeros",
                    "Matrix", "Scalar", "ZERO"),
     dskit.rootsys: ("_lambda_numerators", "linalg", "Scalar", "ScalarLike"),
+    # orbits hold integers, so no helper scales Scalar factors to them
+    dskit.fuchsian: ("_integer_arms", "ScalarLike"),
     dskit.coxeter: ("CharPolySpec", "ds_generator"),
     dskit.formal: ("standard_parahorics",),
     dskit.CoxeterFormalType: ("matrix", "p_coeffs", "from_p0", "p_terms"),

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from dskit.rootsys import (
 from exact_oracles import (
     bilinear,
     cartan_rows,
+    classify_by_full_pairing,
     decompositions,
     dot_lambda,
     lambda_forms,
@@ -139,6 +141,46 @@ def test_neighbour_lists_match_the_dense_cartan_matrix():
         isolated += any(all(x == 2 * (i == j) for j, x in enumerate(r)) for i, r in enumerate(rows))
     assert both_ways >= 100 and isolated >= 60
     assert connected >= 600 and disconnected >= 200
+
+
+def test_classify_root_matches_the_full_pairing_descent():
+    # seed 20261103: the descent that updates C b in place at k and its
+    # neighbours gives the class of the descent that forms C b again after
+    # every reflection, on random quivers (parallel arrows both ways,
+    # isolated vertices) and on stars with long arms
+    rng = random.Random(20261103)
+    seen = dict.fromkeys(RootClass, 0)
+    for _ in range(300):
+        if rng.random() < 0.7:
+            q = _random_quiver(rng)
+        else:
+            arms = [list(range(1, rng.randint(2, 6))) for _ in range(rng.randint(2, 4))]
+            q = Quiver([0] + [(i, j) for i, arm in enumerate(arms) for j in arm],
+                       [((i, j), 0 if j == 1 else (i, j - 1)) for i, arm in enumerate(arms) for j in arm])
+        n = len(q.vertices)
+        for _ in range(10):
+            b = tuple(rng.choice([0, 0, 1, 1, 2, 3, 5, -1]) for _ in range(n))
+            if not any(b):
+                continue
+            want = classify_by_full_pairing(q, b)
+            assert classify_root(q, b) is want, (q, b)
+            seen[want] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_classify_root_descends_a_long_hook_star_in_linear_steps():
+    # the star of three hook orbits 0 (n/2, 1, ..., 1) at n = 32,000: the
+    # descent to NotRoot takes about 32,000 reflections on 47,998 vertices.
+    # Forming C b again after every reflection took 2.3 s already at
+    # n = 2,000, and scanning for the least positive pairing 7 s at 32,000
+    n = 32000
+    arm = list(range(n // 2 - 1, 0, -1))
+    q = Quiver([0] + [(i, j) for i in range(3) for j in range(1, n // 2)],
+               [((i, j), 0 if j == 1 else (i, j - 1)) for i in range(3) for j in range(1, n // 2)])
+    alpha = (n, *arm * 3)
+    t = time.perf_counter()
+    assert classify_root(q, alpha) is RootClass.NOT_ROOT
+    assert time.perf_counter() - t < 0.5
 
 
 def test_p_value():
