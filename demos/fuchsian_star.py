@@ -16,7 +16,7 @@ def show(title, orbits):
     print(f"--- {title}")
     data = build_cb_data(orbits)
     print(f"  quiver vertices: {data.quiver.vertices}")
-    print(f"  dimension vector alpha: {data.alpha}")
+    print(f"  dimension vector alpha: {dict(zip(data.quiver.vertices, data.alpha))}")
     print("  weights lambda:")
     # lambda_v = (re_v + i im_v) / den, aligned with the vertices; the central
     # vertex 0 comes first there and is printed last

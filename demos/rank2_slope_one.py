@@ -38,7 +38,7 @@ witness = [t_irr, t_reg]
 data = build_hiroe_data(witness)
 by_three, by_two = data.readings()
 print("quiver vertices:", data.quiver.vertices)
-print("alpha:", data.alpha)
+print("alpha:", dict(zip(data.quiver.vertices, data.alpha)))
 print("summands >= 3 reading:", by_three)
 print("summands >= 2 reading:", by_two)
 print()

@@ -223,9 +223,8 @@ def quiver_dot(data: CBData) -> str:
     instance, in construction order."""
     lines = ["digraph dskit {", "  rankdir=LR;", "  node [shape=ellipse];"]
     re, im, den = data.lam
-    for v, x, y in zip(data.quiver.vertices, re, im):
+    for v, a, x, y in zip(data.quiver.vertices, data.alpha, re, im):
         name = _vertex_name(v)
-        a = data.alpha.get(v, 0)
         lam = Scalar(Fraction(x, den), Fraction(y, den))
         lines.append(
             f'  "{name}" [label="{name}\\nalpha={a}\\nlambda={lam}"];'

@@ -18,10 +18,9 @@ from .rootsys import (
     DEFAULT_BUDGET,
     LambdaForm,
     Quiver,
-    RootClass,
     Vertex,
-    classify_root,
     in_sigma_lambda,
+    p_value,
 )
 
 
@@ -37,16 +36,14 @@ class CBData:
     star quiver of one residue problem, the vertices are the sink 0 and arm
     nodes (i, j) with i the 1-based orbit index and 1 <= j <= d_i - 1.
 
-    lam is lambda as integer forms (re, im, den) aligned with
-    quiver.vertices, like L: lambda_v = (re_v + i im_v) / den, with den
-    the lcm of the orbits' denominators."""
+    alpha is an integer vector aligned with quiver.vertices, and lam is
+    lambda as integer forms (re, im, den) aligned with them, like L:
+    lambda_v = (re_v + i im_v) / den, with den the lcm of the orbits'
+    denominators."""
 
     quiver: Quiver
-    alpha: dict[Vertex, int]
+    alpha: tuple[int, ...]
     lam: LambdaForm
-
-    def alpha_vector(self) -> tuple[int, ...]:
-        return self.quiver.as_vector(self.alpha)
 
 
 def build_cb_data(
@@ -80,7 +77,7 @@ def build_cb_data(
     den = lcm(*(o.den for o in orbits))
     vertices: list[Vertex] = [0]
     arrows: list[tuple[Vertex, Vertex]] = []
-    alpha: dict[Vertex, int] = {0: n}
+    alpha = [n]
     re, im = [0], [0]
     for i, (o, s) in enumerate(zip(orbits, seqs or [None] * len(orbits)), start=1):
         ranks, er, ei = residue_arm(o, s)
@@ -89,11 +86,11 @@ def build_cb_data(
         im[0] -= ei[0] * k
         arm = [(i, j) for j in range(1, len(er))]
         vertices += arm
-        alpha.update(zip(arm, ranks[1:]))
+        alpha += ranks[1:-1]
         re += [(x - y) * k for x, y in zip(er, er[1:])]
         im += [(x - y) * k for x, y in zip(ei, ei[1:])]
         arrows += zip(arm, [0, *arm])
-    return CBData(quiver=Quiver(vertices, arrows), alpha=alpha, lam=(re, im, den))
+    return CBData(quiver=Quiver(vertices, arrows), alpha=tuple(alpha), lam=(re, im, den))
 
 
 def fuchsian_rigidity(
@@ -103,13 +100,13 @@ def fuchsian_rigidity(
 ) -> FuchsianRigidity:
     """Empty / RigidSingleton / Infinite for the stable moduli of solutions.
 
-    When solutions exist, the moduli space is a singleton for alpha real and
-    infinite for alpha imaginary.
+    When solutions exist, alpha is a positive root, and the moduli space is a
+    singleton for alpha real, that is p(alpha) = 0, and infinite for alpha
+    imaginary.
     """
     data = build_cb_data(orbits, seqs)
     if not in_sigma_lambda(data.quiver, data.alpha, data.lam, budget):
         return FuchsianRigidity.EMPTY
-    cls = classify_root(data.quiver, data.alpha_vector())
-    if cls is RootClass.REAL:
+    if p_value(data.quiver, data.alpha) == 0:
         return FuchsianRigidity.RIGID_SINGLETON
     return FuchsianRigidity.INFINITE

@@ -28,14 +28,14 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Hashable, Iterator, Mapping, Sequence, Union
+from typing import Hashable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError
 
 DEFAULT_BUDGET = 2_000_000
 
 Vertex = Hashable
-VecLike = Union[Mapping[Vertex, int], Sequence[int]]
+VecLike = Sequence[int]
 # lambda as integer forms aligned with Quiver.vertices, (re, im, den): the
 # deformation weight at vertex v is (re[v] + i im[v]) / den
 LambdaForm = tuple[Sequence[int], Sequence[int], int]
@@ -81,19 +81,15 @@ class Quiver:
             raise InputError(f"unknown vertex {v!r}") from None
 
     def as_vector(self, beta: VecLike) -> tuple[int, ...]:
-        """Coerce a mapping or sequence of integers to a tuple aligned with
-        self.vertices."""
+        """Coerce a sequence of integers aligned with self.vertices to a
+        tuple.  A mapping is refused, since it would be read by its keys."""
         if isinstance(beta, Mapping):
-            unknown = set(beta) - self._index.keys()
-            if unknown:
-                raise InputError(f"unknown vertices in vector: {sorted(map(repr, unknown))}")
-            entries = [(v, beta.get(v, 0)) for v in self.vertices]
-        else:
-            entries = list(enumerate(beta))
-            if len(entries) != len(self.vertices):
-                raise InputError(
-                    f"vector length {len(entries)} does not match {len(self.vertices)} vertices"
-                )
+            raise InputError("a vector is a sequence aligned with the vertices, not a mapping")
+        entries = list(enumerate(beta))
+        if len(entries) != len(self.vertices):
+            raise InputError(
+                f"vector length {len(entries)} does not match {len(self.vertices)} vertices"
+            )
         vec = []
         for key, x in entries:
             try:
@@ -357,13 +353,15 @@ def in_sigma_lambda(
     lam: LambdaForm,
     budget: int | None = DEFAULT_BUDGET,
 ) -> bool:
-    """Membership of alpha in Sigma^lambda, for lambda as integer forms
-    (re, im, den) aligned with q.vertices.
+    """Membership of alpha in Sigma^lambda, for alpha and lambda's integer
+    forms (re, im, den) aligned with q.vertices.
 
     True iff alpha is a positive root with alpha.lambda = 0 and every way of
     writing alpha as a sum of >= 2 positive roots, each pairing to zero with
-    lambda, strictly lowers p. For real alpha this is equivalent to "no such
-    decomposition exists at all"; both routes are evaluated and must agree.
+    lambda, strictly lowers p.  Once the search is due alpha is a root, so it
+    is real iff p(alpha) = 0; then, as every part has p >= 0, this is
+    equivalent to "no such decomposition exists at all".  Both routes are
+    evaluated and must agree.
     """
     a = q.as_vector(alpha)
     if any(x < 0 for x in a) or not any(a):
@@ -371,9 +369,10 @@ def in_sigma_lambda(
     candidates = sigma_candidates(q, a, lam, budget)
     if candidates is None:
         return False
+    p_alpha = p_value(q, a)
     best = best_p_sums(q, a, candidates, budget)[0]
-    verdict = best is None or best < p_value(q, a)
-    if best is not None and verdict and classify_root(q, a) is RootClass.REAL:
+    verdict = best is None or best < p_alpha
+    if best is not None and verdict and p_alpha == 0:
         raise AssertionError(
             "real-root shortcut disagrees with the general criterion"
         )

@@ -127,7 +127,7 @@ class HiroeData(CBData):
         decompositions.  The readings genuinely differ on some inputs; both
         are read off one table of best p-sums over the vectors of L that the
         search may use.  None means no budget."""
-        alpha = self.alpha_vector()
+        alpha = self.alpha
         candidates = sigma_candidates(self.quiver, alpha, self.lam, budget, self.lattice_forms)
         if candidates is None:
             return False, False
@@ -172,7 +172,7 @@ def build_hiroe_data(types: Sequence[UnramFormalType]) -> HiroeData:
 
     vertices: list[Vertex] = []  # the base vertices, then the path vertices
     arrows: list[tuple[Vertex, Vertex]] = []
-    alpha: dict[Vertex, int] = {}
+    alpha: list[int] = []
     re: list[int] = []
     im: list[int] = []
 
@@ -182,7 +182,7 @@ def build_hiroe_data(types: Sequence[UnramFormalType]) -> HiroeData:
             continue
         for j, (b, (_, er, ei)) in enumerate(zip(t.blocks, arms[i]), start=1):
             vertices.append((i, j))
-            alpha[(i, j)] = b.dim
+            alpha.append(b.dim)
             re.append((shift_re if i == 0 else 0) - er[0])
             im.append((shift_im if i == 0 else 0) - ei[0])
         arrows.extend(_intra_type_arrows(t, i))
@@ -202,7 +202,7 @@ def build_hiroe_data(types: Sequence[UnramFormalType]) -> HiroeData:
             for k in range(1, len(er)):
                 v = (i, j, k)
                 vertices.append(v)
-                alpha[v] = ranks[k]
+                alpha.append(ranks[k])
                 re.append(er[k - 1] - er[k])
                 im.append(ei[k - 1] - ei[k])
                 if k > 1:
@@ -220,11 +220,12 @@ def build_hiroe_data(types: Sequence[UnramFormalType]) -> HiroeData:
         if i != 0 and t.ell >= 2
     )
     data = HiroeData(
-        quiver=Quiver(vertices, arrows), alpha=alpha, lam=(re, im, den),
+        quiver=Quiver(vertices, arrows), alpha=tuple(alpha), lam=(re, im, den),
         lattice_forms=lattice_forms,
     )
-    a = data.alpha_vector()
-    assert not any(sum(map(operator.mul, a, f)) for f in lattice_forms), "alpha must lie in L"
+    assert not any(
+        sum(map(operator.mul, data.alpha, f)) for f in lattice_forms
+    ), "alpha must lie in L"
     return data
 
 

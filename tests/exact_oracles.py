@@ -30,8 +30,11 @@ slope certification by a full scan of the parahorics (the oracle for
 `certify_slope`), the dense Cartan matrix of a quiver (the
 oracle for `Quiver`'s neighbour lists), the reflection descent that forms
 C b after every reflection (the oracle for `classify_root`), the root and decomposition
-enumerations (the oracles for the table of best p-sums),
-lambda by vertex turned into the integer forms the deciders read
+enumerations (the oracles for the table of best p-sums), Fuchsian rigidity
+by a second descent on alpha (the oracle for reading it from p(alpha)), the
+`unramified-ds` readings with only roots as parts,
+a vector by vertex turned into the integer tuple the root functions read
+(`vector`), lambda by vertex turned into the integer forms the deciders read
 (`lambda_forms`) and back (`lambda_values`), the pairing beta . lambda,
 and sympy's characteristic polynomial (the
 oracle for `linalg.sylvester_operator`), rank (an oracle for `rank`)
@@ -48,6 +51,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from dskit.core import (
+    Factor,
     OrbitSpec,
     Partition,
     Scalar,
@@ -73,6 +77,7 @@ from dskit.formal import (
     _parahoric_walk,
     omega_power,
 )
+from dskit.fuchsian import FuchsianRigidity, build_cb_data
 from dskit.laurent import LaurentMatrix
 from dskit.linalg import Gaussian, _gauss_jordan
 from dskit.rootsys import (
@@ -85,7 +90,11 @@ from dskit.rootsys import (
     _after_box,
     _form_zeros,
     _support_connected,
+    best_p_sums,
     classify_root,
+    in_sigma_lambda,
+    p_value,
+    sigma_candidates,
 )
 from dskit.unramified import UnramFormalType, _intra_type_arrows
 
@@ -1169,6 +1178,40 @@ def decompositions(
     yield from walk(alpha, 0, [])
 
 
+def rigidity_by_descent(
+    orbits: Sequence[OrbitSpec],
+    seqs: Sequence[Sequence[Factor]] | None = None,
+    budget: int | None = DEFAULT_BUDGET,
+) -> FuchsianRigidity:
+    """`fuchsian_rigidity` with the class of alpha read from a second
+    reflection descent rather than from p(alpha): its oracle."""
+    data = build_cb_data(orbits, seqs)
+    if not in_sigma_lambda(data.quiver, data.alpha, data.lam, budget):
+        return FuchsianRigidity.EMPTY
+    if classify_root(data.quiver, data.alpha) is RootClass.REAL:
+        return FuchsianRigidity.RIGID_SINGLETON
+    return FuchsianRigidity.INFINITE
+
+
+def root_part_readings(
+    q: Quiver,
+    alpha: tuple[int, ...],
+    lam: LambdaForm,
+    lattice: Sequence[Sequence[int]],
+    budget: int | None = None,
+) -> tuple[bool, bool]:
+    """`HiroeData.readings` (parts>=3, parts>=2) with only roots admitted as
+    parts: the vectors of L that `sigma_candidates` gives, filtered by
+    `classify_root`."""
+    candidates = sigma_candidates(q, alpha, lam, budget, lattice)
+    if candidates is None:
+        return False, False
+    roots = [b for b in candidates if classify_root(q, b) is not RootClass.NOT_ROOT]
+    p_alpha = p_value(q, alpha)
+    two, three = best_p_sums(q, alpha, roots, budget)
+    return three is None or three < p_alpha, two is None or two < p_alpha
+
+
 def build_base_quiver(d: UnramFormalType) -> Quiver:
     """Base quiver of a single irregular type: vertices 1..ell, and
     deg_{z^-1}(q_j - q_j') - 1 arrows j -> j' for j < j'."""
@@ -1176,6 +1219,22 @@ def build_base_quiver(d: UnramFormalType) -> Quiver:
         raise InputError("base quiver is defined for irregular formal types")
     arrows = [(j, jp) for (_, j), (_, jp) in _intra_type_arrows(d, 0)]
     return Quiver(list(range(1, d.ell + 1)), arrows)
+
+
+def vector(q: Quiver, mapping: Mapping[Vertex, int]) -> tuple[int, ...]:
+    """A vector given by vertex (absent vertices 0) as the integer tuple
+    aligned with q.vertices that the root functions read."""
+    unknown = set(mapping) - set(q.vertices)
+    if unknown:
+        raise InputError(f"unknown vertices in vector: {sorted(map(repr, unknown))}")
+    vec = []
+    for v in q.vertices:
+        x = mapping.get(v, 0)
+        try:
+            vec.append(operator.index(x))
+        except TypeError:
+            raise InputError(f"vector entry {v!r} is not an integer: {x!r}") from None
+    return tuple(vec)
 
 
 def lambda_forms(q: Quiver, mapping: Mapping[Vertex, ScalarLike]) -> LambdaForm:

@@ -442,6 +442,57 @@ def test_each_flag_subcommand_calls_its_decider_once(tmp_path, capsys, monkeypat
             assert len(v["notes"]) == 1 and v["notes"][0].startswith("flag-sensitive:")
 
 
+def test_fuchsian_ds_classifies_alpha_once_and_passes_no_mapping(tmp_path, capsys, monkeypatch):
+    import inspect
+    from collections.abc import Mapping
+
+    from dskit import rootsys
+
+    classified, mappings = [], []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            mappings.extend(name for x in (*args, *kwargs.values()) if isinstance(x, Mapping))
+            if name == "classify_root":
+                classified.append(tuple(args[1]))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # every function of rootsys, under each name a dskit module binds it to,
+    # and every method of Quiver
+    functions = {f for _, f in inspect.getmembers(rootsys, inspect.isfunction)
+                 if f.__module__ == rootsys.__name__}
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "dskit"]:
+        for name, f in list(vars(module).items()):
+            if inspect.isfunction(f) and f in functions:
+                monkeypatch.setattr(module, name, spy(f.__name__, f))
+    for name, f in list(vars(rootsys.Quiver).items()):
+        if inspect.isfunction(f) and not name.startswith("__"):
+            monkeypatch.setattr(rootsys.Quiver, name, spy(name, f))
+
+    hyper3 = [
+        _orbit(3, [(_sc(1, 5), (1,)), (_sc(2, 5), (1,)), (_sc(4, 5), (1,))]),
+        _orbit(3, [(_sc(1, 7), (1,)), (_sc(3, 7), (1,)), (_sc(5, 7), (1,))]),
+        _orbit(3, [(_sc(0), (1, 1)), (_sc(-94, 35), (1,))]),
+    ]
+    e6 = hyper3[:2] + [_orbit(3, [(_sc(1, 11), (1,)), (_sc(2, 11), (1,)),
+                                  (_sc(-(539 + 495 + 105), 385), (1,))])]
+    # alpha is classified once, in sigma_candidates: the type comes from p(alpha),
+    # and in_sigma_lambda's real-root check reads p(alpha) too
+    for orbits, alpha, rigidity in [
+        (D4_GENERIC, (2, 1, 1, 1), "RigidSingleton"),
+        ([NILP2] * 4, (2, 1, 1, 1, 1), "Infinite"),
+        ([NILP2] * 3, (2, 1, 1, 1), "Empty"),
+        (hyper3, (3, 2, 1, 2, 1, 2), "RigidSingleton"),
+        (e6, (3, 2, 1, 2, 1, 2, 1), "Infinite"),
+    ]:
+        classified.clear()
+        v = _verdict(capsys, ["fuchsian-ds", "--input", _write(tmp_path, "o.json", orbits=orbits)], 0)
+        assert v["result"]["rigidity"] == rigidity
+        assert classified.count(alpha) == 1, (rigidity, classified)
+    assert mappings == []
+
+
 def test_rigidity_table_guards(capsys):
     err = _error(capsys, ["rigidity-table", "--type", "A", "--rank", "4", "--r", "2"])
     assert "gcd" in err or "coprime" in err

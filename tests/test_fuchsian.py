@@ -42,7 +42,7 @@ def test_build_rejects_resonant_orbit_with_index():
 def test_scalar_orbit_contributes_no_arm():
     data = build_cb_data([OrbitSpec(2, [(Fraction(1, 3), (1, 1))])])
     assert data.quiver.vertices == (0,)
-    assert data.alpha == {0: 2}
+    assert dict(zip(data.quiver.vertices, data.alpha)) == {0: 2}
     assert lambda_values(data)[0] == Scalar(Fraction(-1, 3))
 
 
@@ -54,7 +54,7 @@ def test_d4_shape_from_three_regular_orbits():
     ]
     data = build_cb_data(orbits)
     assert len(data.quiver.vertices) == 4
-    assert data.alpha_vector() == (2, 1, 1, 1)
+    assert data.alpha == (2, 1, 1, 1)
     assert alpha_dot_lambda(data) == 0
 
 
@@ -132,7 +132,7 @@ def test_three_nilpotent_rank2_orbits_empty():
     """Three rank-one nilpotent residues cannot sum to zero irreducibly."""
     orbits = [NILP2, NILP2, NILP2]
     data = build_cb_data(orbits)
-    assert data.alpha_vector() == (2, 1, 1, 1)
+    assert data.alpha == (2, 1, 1, 1)
     assert all(not v for v in lambda_values(data).values())
     assert fuchsian_rigidity(orbits) is FuchsianRigidity.EMPTY
 
@@ -141,8 +141,8 @@ def test_four_nilpotent_rank2_orbits_give_painleve_family():
     """Four unipotent-type points: the classical one-parameter family."""
     orbits = [NILP2] * 4
     data = build_cb_data(orbits)
-    assert data.alpha_vector() == (2, 1, 1, 1, 1)
-    assert classify_root(data.quiver, data.alpha_vector()) is RootClass.IMAGINARY
+    assert data.alpha == (2, 1, 1, 1, 1)
+    assert classify_root(data.quiver, data.alpha) is RootClass.IMAGINARY
     assert fuchsian_rigidity(orbits) is not FuchsianRigidity.EMPTY
     assert fuchsian_rigidity(orbits) is FuchsianRigidity.INFINITE
 
@@ -188,8 +188,8 @@ def test_rank3_hypergeometric_is_rigid():
         [c, d],
     ]
     data = build_cb_data([o1, o2, o3], seqs)
-    alpha = data.alpha_vector()
-    assert sorted(data.alpha.values(), reverse=True) == [3, 2, 2, 1, 1, 1]
+    alpha = data.alpha
+    assert sorted(data.alpha, reverse=True) == [3, 2, 2, 1, 1, 1]
     assert p_value(data.quiver, alpha) == 0
     assert fuchsian_rigidity([o1, o2, o3], seqs) is FuchsianRigidity.RIGID_SINGLETON
     assert fuchsian_rigidity([o1, o2, o3]) is FuchsianRigidity.RIGID_SINGLETON

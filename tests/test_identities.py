@@ -83,7 +83,7 @@ def test_dimension_count_of_star_tuples():
         orbits = [_spread_orbit(rng, n) for _ in range(rng.randint(3, 4))]
         data = build_cb_data(orbits)
         count = sum(map(orbit_dim, orbits)) - 2 * (n * n - 1)
-        assert 2 * p_value(data.quiver, data.alpha_vector()) == count, orbits
+        assert 2 * p_value(data.quiver, data.alpha) == count, orbits
 
 
 def test_dimension_count_of_unramified_types():
@@ -99,7 +99,7 @@ def test_dimension_count_of_unramified_types():
                 types.append(UnramFormalType([UnramBlock([], n, _spread_orbit(rng, n))]))
         data = build_hiroe_data(types)
         count = sum(map(_type_dim, types)) - 2 * (n * n - 1)
-        assert 2 * p_value(data.quiver, data.alpha_vector()) == count, types
+        assert 2 * p_value(data.quiver, data.alpha) == count, types
         later_bases += len(data.lattice_forms)
         cross_arrows += any(len(t) == 2 and t[0] == 0 and h[0] != 0 for t, h in data.quiver.arrows)
     # later types with ell >= 2 occur, so L and the cross arrows are built: seed 8
@@ -128,7 +128,7 @@ def test_reflections_keep_sigma_lambda():
     for _ in range(800):
         data = build_cb_data(_trace_zero_star(rng))
         q = data.quiver
-        alpha = data.alpha_vector()
+        alpha = data.alpha
         if math.prod(x + 1 for x in alpha) > _MAX_BOX:
             continue
         tuples += 1

@@ -183,5 +183,5 @@ def test_deciding_parsed_orbits_and_types_makes_no_scalar(monkeypatch):
     assert rigidity is FuchsianRigidity.RIGID_SINGLETON
     assert readings == (True, True)
     assert hiroe.lattice_forms == ((1, 1, -1, -1, 0, 0, 0),)
-    assert len(sigma_candidates(hiroe.quiver, hiroe.alpha_vector(), hiroe.lam, None,
+    assert len(sigma_candidates(hiroe.quiver, hiroe.alpha, hiroe.lam, None,
                                 hiroe.lattice_forms)) == 6

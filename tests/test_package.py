@@ -50,6 +50,8 @@ _NOT_PUBLIC = {
     dskit.CoxeterFormalType: ("matrix", "p_coeffs", "from_p0", "p_terms"),
     dskit.OrbitSpec: ("multiplicity",),
     dskit.Scalar: ("is_integer",),
+    # alpha is held as a vector aligned with the vertices, like lambda and L
+    dskit.CBData: ("alpha_vector",),
 }
 
 

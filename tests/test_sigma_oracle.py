@@ -43,6 +43,8 @@ from exact_oracles import (
     lambda_values,
     positive_roots_leq,
     residue_trace,
+    rigidity_by_descent,
+    root_part_readings,
     translated,
 )
 
@@ -113,7 +115,7 @@ def _reference_in_lattice(types, data, vec):
 
 
 def _reference_exists_on_data(types, data, ell_ge_2):
-    a = data.alpha_vector()
+    a = data.alpha
     lam = lambda_values(data)
     if classify_root(data.quiver, a) is RootClass.NOT_ROOT:
         return False
@@ -186,19 +188,26 @@ def _draw_orbits(rng, n, k, trace_zero):
 
 
 def _box_size(data):
-    return math.prod(x + 1 for x in data.alpha_vector())
+    return math.prod(x + 1 for x in data.alpha)
 
 
-def _fuchsian_cases(seed, count):
-    """Star-quiver data with at most _MAX_STAR_BOX vectors below alpha."""
+def _star_cases(seed, count):
+    """Orbit tuples whose star-quiver data has at most _MAX_STAR_BOX vectors
+    below alpha, each with that data."""
     rng = random.Random(seed)
     while count:
         n = rng.choice([2, 2, 3, 3, 4])
         k = rng.choice([3, 4]) if n < 4 else 3
-        data = build_cb_data(_draw_orbits(rng, n, k, trace_zero=rng.random() < 0.85))
+        orbits = _draw_orbits(rng, n, k, trace_zero=rng.random() < 0.85)
+        data = build_cb_data(orbits)
         if _box_size(data) <= _MAX_STAR_BOX:
             count -= 1
-            yield data
+            yield orbits, data
+
+
+def _fuchsian_cases(seed, count):
+    """Star-quiver data with at most _MAX_STAR_BOX vectors below alpha."""
+    return (data for _, data in _star_cases(seed, count))
 
 
 def _q(rng, deg):
@@ -257,10 +266,22 @@ def test_in_sigma_lambda_matches_former_search():
         want = _reference_in_sigma_lambda(data.quiver, data.alpha, lambda_values(data))
         assert in_sigma_lambda(data.quiver, data.alpha, data.lam, budget=None) == want, data.alpha
         verdicts.append(want)
-        searched += bool(sigma_candidates(data.quiver, data.alpha_vector(), data.lam, None))
+        searched += bool(sigma_candidates(data.quiver, data.alpha, data.lam, None))
     # both verdicts occur, and many tuples have lambda-orthogonal sub-roots
     assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
     assert searched >= 60
+
+
+def test_rigidity_by_p_matches_the_second_descent():
+    # p(alpha) = 0 names the real roots among the roots in Sigma_lambda: seed
+    # 20261028 gives 400 star tuples, 268 Empty, 83 RigidSingleton and 49
+    # Infinite
+    counts = dict.fromkeys(FuchsianRigidity, 0)
+    for orbits, _ in _star_cases(seed=20261028, count=400):
+        got = fuchsian_rigidity(orbits, budget=None)
+        assert got is rigidity_by_descent(orbits, budget=None), orbits
+        counts[got] += 1
+    assert all(x > 0 for x in counts.values()), counts
 
 
 def test_exists_on_data_matches_former_search():
@@ -279,6 +300,35 @@ def test_exists_on_data_matches_former_search():
     assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
     assert lattices >= 20
     assert ranks == {2, 3, 4}
+
+
+def test_path_reflections_keep_both_readings_with_root_parts():
+    # s_i at a path vertex (i, j, k) with lambda_i != 0 keeps p and L, whose
+    # forms vanish there; with roots as the parts both readings stay, while
+    # alpha becomes s_i alpha and lambda_j becomes lambda_j - C_ij lambda_i.
+    # Seed 20261029: 1,000 tuples give 1,215 pairs, 772 of them with the
+    # parts>=3 reading true, 2 where the two readings differ and 228 with a
+    # lattice form.
+    pairs = by_three = split = lattices = 0
+    for _, data in _unramified_cases(seed=20261029, count=1000):
+        q, a, (re, im, den), forms = data.quiver, data.alpha, data.lam, data.lattice_forms
+        want = root_part_readings(q, a, data.lam, forms)
+        for i, v in enumerate(q.vertices):
+            if len(v) != 3 or not (re[i] or im[i]):
+                continue
+            column = q.pairing([int(j == i) for j in range(len(a))])
+            b = list(a)
+            b[i] -= sum(map(operator.mul, a, column))
+            if min(b) < 0 or not any(b):
+                continue
+            moved = [[x - c * f[i] for x, c in zip(f, column)] for f in (re, im)]
+            assert root_part_readings(q, tuple(b), (*moved, den), forms) == want, (data, v)
+            pairs += 1
+            by_three += want[0]
+            split += want[0] != want[1]
+            lattices += bool(forms)
+    assert pairs >= 1200 and 700 <= by_three <= pairs - 400, (pairs, by_three)
+    assert split >= 1 and lattices >= 200, (split, lattices)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +355,12 @@ def _random_root_searches(seed, count):
 
 def test_best_p_sums_matches_the_enumeration():
     searches = [
-        (d.quiver, d.alpha_vector(), sigma_candidates(d.quiver, d.alpha_vector(), d.lam, None))
+        (d.quiver, d.alpha, sigma_candidates(d.quiver, d.alpha, d.lam, None))
         for d in _fuchsian_cases(seed=20261025, count=300)
     ]
     searches += [
-        (d.quiver, d.alpha_vector(),
-         sigma_candidates(d.quiver, d.alpha_vector(), d.lam, None, d.lattice_forms))
+        (d.quiver, d.alpha,
+         sigma_candidates(d.quiver, d.alpha, d.lam, None, d.lattice_forms))
         for _, d in _unramified_cases(seed=20261026, count=200)
     ]
     searches += _random_root_searches(seed=20261027, count=400)
@@ -355,7 +405,7 @@ def _classify_first_candidates(c, a, lam, in_lattice=None):
 def test_sigma_candidates_match_classify_first_on_star_tuples():
     nonempty = 0
     for data in _fuchsian_cases(seed=20261020, count=150):
-        a = data.alpha_vector()
+        a = data.alpha
         want = _classify_first_candidates(data.quiver, a, lambda_values(data))
         assert sigma_candidates(data.quiver, a, data.lam, None) == want, data.alpha
         nonempty += bool(want)
@@ -368,7 +418,7 @@ def test_sigma_candidates_match_classify_first_on_unramified_tuples():
     ranks = set()
     for types, data in _unramified_cases(seed=20261021, count=100):
         ranks.add(types[0].n)
-        a = data.alpha_vector()
+        a = data.alpha
         want = _classify_first_candidates(
             data.quiver, a, lambda_values(data), lambda b: _reference_in_lattice(types, data, b))
         assert sigma_candidates(data.quiver, a, data.lam, None, data.lattice_forms) == want, types
@@ -558,7 +608,7 @@ def test_rank5_triple_without_a_budget_decides_in_a_second():
     # walking the 10.4 M box vectors takes about 20 s; the join visits a
     # prefix box of 3,600 and a suffix box of 2,880
     orbits = _generic_rank5_triple()
-    assert math.prod(x + 1 for x in build_cb_data(orbits).alpha_vector()) == 10_368_000
+    assert math.prod(x + 1 for x in build_cb_data(orbits).alpha) == 10_368_000
     t0 = time.perf_counter()
     rigidity = fuchsian_rigidity(orbits, budget=None)
     assert time.perf_counter() - t0 < 1.0
@@ -577,7 +627,7 @@ def test_a_huge_box_over_a_small_budget_stops_within_a_second():
     # number of 390,815 digits that took 4.1 s to form in full (2-core x86-64)
     n = 32_000
     data = build_cb_data([OrbitSpec(n, [(0, (n,))])] * 3)
-    alpha = data.alpha_vector()
+    alpha = data.alpha
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceededError) as err:
         best_p_sums(data.quiver, alpha, [], 1000)

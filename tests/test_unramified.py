@@ -14,7 +14,13 @@ from dskit.unramified import (
     build_hiroe_data,
     count_rank2_moduli,
 )
-from exact_oracles import alpha_dot_lambda, build_base_quiver, lambda_values, residue_trace
+from exact_oracles import (
+    alpha_dot_lambda,
+    build_base_quiver,
+    lambda_values,
+    residue_trace,
+    vector,
+)
 
 
 def _scalar_res(c):
@@ -118,7 +124,7 @@ def test_witness_quiver_shape():
     data = build_hiroe_data(WITNESS)
     assert _vertices(data, 2) == ((0, 1), (0, 2))
     assert _vertices(data, 3) == ((1, 1, 1),)
-    assert data.alpha == {(0, 1): 1, (0, 2): 1, (1, 1, 1): 1}
+    assert dict(zip(data.quiver.vertices, data.alpha)) == {(0, 1): 1, (0, 2): 1, (1, 1, 1): 1}
     assert {k: v for k, v in lambda_values(data).items()} == {
         (0, 1): Scalar(Fraction(1, 3)),
         (0, 2): Scalar(0),
@@ -143,10 +149,10 @@ def test_two_irregular_types_lattice():
     # L: the type-0 base coordinates sum like the type-1 ones
     assert data.lattice_forms == ((1, 1, -1, -1),)
     assert _in_lattice(data, data.alpha)
-    assert not _in_lattice(data, {(0, 1): 1})
-    assert _in_lattice(data, {(0, 1): 1, (1, 2): 1})
+    assert not _in_lattice(data, vector(data.quiver, {(0, 1): 1}))
+    assert _in_lattice(data, vector(data.quiver, {(0, 1): 1, (1, 2): 1}))
     # alpha = (1,1,1,1) on the 4-cycle: the null root, p = 1
-    a = data.alpha_vector()
+    a = data.alpha
     assert classify_root(data.quiver, a) is RootClass.IMAGINARY
     assert p_value(data.quiver, a) == 1
     assert not alpha_dot_lambda(data)
@@ -241,7 +247,8 @@ def test_all_regular_tuple_degenerates_to_star(orbits, monkeypatch):
     h = build_hiroe_data(types)
     f = build_cb_data(orbits)
     assert h.lattice_forms == ()
-    assert {_h2f(v): a for v, a in h.alpha.items()} == f.alpha
+    assert {_h2f(v): a for v, a in zip(h.quiver.vertices, h.alpha)} == dict(
+        zip(f.quiver.vertices, f.alpha))
     assert {_h2f(v): l for v, l in lambda_values(h).items()} == lambda_values(f)
     h_arrows = sorted((_h2f(a), _h2f(b)) for a, b in h.quiver.arrows)
     assert h_arrows == sorted(f.quiver.arrows)
