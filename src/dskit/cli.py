@@ -18,11 +18,10 @@ import functools
 import os
 import sys
 from fractions import Fraction
-from math import lcm
 from typing import Any, Sequence
 
 from . import jsonio
-from .core import OrbitSpec, Scalar
+from .core import OrbitSpec, Scalar, Triple, cell_triple
 from .coxeter import SimpleTypeQuery, coxeter_ds_decide, is_rigid_coxeter_gl, rigid_table_readings
 from .errors import BudgetExceededError, InputError
 from .formal import (
@@ -160,9 +159,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_orbit_list(
     doc: dict[str, Any],
-) -> tuple[list[OrbitSpec], list[list[tuple[int, int, int]]] | None, dict[str, Any]]:
-    """The orbits, the factor sequences if given, each factor the triple
-    (re, im, den) of (re + i im) / den, and the digest payload."""
+) -> tuple[list[OrbitSpec], list[list[Triple]] | None, dict[str, Any]]:
+    """The orbits, the factor sequences if given, each factor the reduced
+    triple (re, im, den) of (re + i im) / den, and the digest payload."""
     orbits_json = doc.get("orbits")
     if not isinstance(orbits_json, list) or not orbits_json:
         raise InputError("orbits: must be a nonempty array")
@@ -181,14 +180,8 @@ def _parse_orbit_list(
             [jsonio.reduced_cell(c, f"sequences[{k}][{m}]") for m, c in enumerate(seq)]
         )
     payload["sequences"] = cells
-    seqs = [[_factor(*c) for c in seq] for seq in cells]
+    seqs = [[cell_triple(*c) for c in seq] for seq in cells]
     return orbits, seqs, payload
-
-
-def _factor(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
-    """The scalar cell [a, b, c, d] as the factor triple (re, im, den)."""
-    den = lcm(b, d)
-    return a * (den // b), c * (den // d), den
 
 
 def _parse_type_list(doc: dict[str, Any]) -> tuple[list, dict[str, Any]]:
@@ -282,10 +275,9 @@ def _cmd_unramified_ds(ns, ctx) -> tuple[Any, int]:
 def _cmd_coxeter_ds(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.orbit)
     orbit = jsonio.parse_orbit(_require(doc, "orbit"), "orbit")
-    p0 = Scalar.parse(ns.p0)
-    ftype = CoxeterFormalType(ns.n, ns.r, p0)
+    ftype = CoxeterFormalType(ns.n, ns.r, Scalar.parse(ns.p0))
     ctx["digest"] = jsonio.digest_of({
-        "n": ns.n, "r": ns.r, "p0": jsonio.scalar_json(p0),
+        "n": ns.n, "r": ns.r, "p0": jsonio.lowest_cell(*ftype.p0),
         "orbit": jsonio.orbit_json(orbit),
     })
     return {"exists": coxeter_ds_decide(ftype, orbit)}, 0

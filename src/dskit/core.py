@@ -12,8 +12,8 @@ import operator
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Any, Callable, Iterable, Iterator, Sequence, Union
+from math import gcd, lcm
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import InputError
 
@@ -96,9 +96,6 @@ class Scalar:
             return hash((re, im))
         return hash(re.numerator) if re.denominator == 1 else hash(re)
 
-    def sort_key(self) -> tuple[Fraction, Fraction]:
-        return (self.re, self.im)
-
     def __str__(self) -> str:
         re, im = self.re, self.im
         if not im:
@@ -153,9 +150,6 @@ def _scalar(re: Fraction, im: Fraction) -> Scalar:
     return s
 
 
-ZERO = Scalar(0)
-
-
 def _int_str(x: int) -> str:
     """str(x) for a message, or x's size in bits when it is past the
     interpreter's int-to-str digit limit."""
@@ -180,10 +174,6 @@ def as_partition(parts: Iterable[int]) -> Partition:
     if any(map(operator.lt, p, p[1:])):
         raise InputError(f"partition parts must be weakly decreasing: {p}")
     return p
-
-
-def weight(p: Partition) -> int:
-    return sum(p)
 
 
 def dual_partition(p: Partition) -> Partition:
@@ -234,9 +224,41 @@ def partitions_of(m: int, max_part: int | None = None) -> Iterator[Partition]:
 # ---------------------------------------------------------------------------
 
 
-# a factor of a residue arm: a Gaussian rational, or the integer triple
-# (re, im, den) with den > 0 that stands for (re + i im) / den
-Factor = Union[ScalarLike, tuple[int, int, int]]
+# a Gaussian rational (re + i im) / den in lowest terms: den > 0 and no prime
+# divides re, im and den together, so equal values give equal triples
+Triple = tuple[int, int, int]
+# a Gaussian rational as `as_triple` reads it: a Scalar, int, Fraction or
+# integer triple (re, im, den) with den != 0
+Factor = Union[ScalarLike, Triple]
+
+
+def cell_triple(a: int, b: int, c: int, d: int) -> Triple:
+    """The cell a/b + i c/d, each part in lowest terms over a positive
+    denominator, as its triple over lcm(b, d), which is reduced: a prime p
+    of the lcm divides b, say, as often as the lcm, so p divides neither a
+    nor lcm // b."""
+    den = lcm(b, d)
+    return a * (den // b), c * (den // d), den
+
+
+def as_triple(x: Factor) -> Triple:
+    """x as its reduced triple (re, im, den).  A triple is divided by the
+    gcd of its entries, with the sign of den, so (-1, 0, -1) is 1; one with
+    a zero den or an entry that is not an int (a bool among them) is
+    refused."""
+    if type(x) is tuple and len(x) == 3:
+        re, im, den = x
+        if not (type(re) is int and type(im) is int and type(den) is int):
+            raise InputError(f"the triple {x!r} must hold integers (re, im, den)")
+        if not den:
+            raise InputError(f"the triple {x!r} has a zero denominator")
+        g = gcd(re, im, den) if den > 0 else -gcd(re, im, den)
+        return x if g == 1 else (re // g, im // g, den // g)
+    if isinstance(x, Scalar):
+        return cell_triple(x.re.numerator, x.re.denominator, x.im.numerator, x.im.denominator)
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator
+    raise InputError(f"cannot interpret {x!r} as a Gaussian rational")
 
 
 @dataclass(frozen=True)
@@ -244,9 +266,7 @@ class OrbitSpec:
     """An adjoint orbit in gl_n, given by distinct eigenvalues and a Jordan
     partition at each.  Eigenvalue k is (re[k] + i im[k]) / den, over one
     denominator den, the lcm of the reduced denominators, and the blocks are
-    sorted by (re, im), so equal orbits compare equal.  A Scalar is built
-    only for the views that return one (`blocks`, `eigenvalues`, `trace`,
-    `determinant`)."""
+    sorted by (re, im), so equal orbits compare equal."""
 
     n: int
     den: int
@@ -254,52 +274,37 @@ class OrbitSpec:
     im: tuple[int, ...]
     parts: tuple[Partition, ...]
 
-    def __init__(self, n: int, blocks: Iterable[tuple[ScalarLike, Iterable[int]]]):
-        _fill(self, n, blocks, _cell)
+    def __init__(self, n: int, blocks: Iterable[tuple[Factor, Iterable[int]]]):
+        """The orbit of (eigenvalue, partition) pairs, each eigenvalue in any
+        form `as_triple` reads."""
+        triples, parts = [], []
+        for e, part in blocks:
+            triples.append(as_triple(e))
+            parts.append(as_partition(part))
+        den = lcm(*[t[2] for t in triples])
+        keys = sorted([(x * (den // d), y * (den // d), k) for k, (x, y, d) in enumerate(triples)])
+        for a, b in zip(keys, keys[1:]):
+            if a[0] == b[0] and a[1] == b[1]:
+                raise InputError("orbit eigenvalues must be pairwise distinct")
+        total = sum(map(sum, parts))
+        if total != n:
+            raise InputError(f"partition weights sum to {_int_str(total)}, expected n={n}")
+        if n <= 0:
+            raise InputError(f"need n >= 1, got n={n}")
+        re, im, order = zip(*keys)  # keys is not empty: n >= 1 is the sum of the parts
+        # the fields of a frozen dataclass, set past its __setattr__
+        vars(self).update(n=int(n), den=den, re=re, im=im, parts=tuple(parts[k] for k in order))
 
-    @classmethod
-    def from_cells(
-        cls, n: int, blocks: Iterable[tuple[Sequence[int], Iterable[int]]]
-    ) -> "OrbitSpec":
-        """The orbit of (cell, partition) pairs, each cell a scalar
-        [re_num, re_den, im_num, im_den] in lowest terms over positive
-        denominators, as a document holds it once reduced."""
-        o = object.__new__(cls)
-        _fill(o, n, blocks, tuple)
-        return o
-
-    # -- basic views --------------------------------------------------------
-
-    @property
-    def blocks(self) -> tuple[tuple[Scalar, Partition], ...]:
-        """The (eigenvalue, partition) pairs, sorted by eigenvalue."""
-        return tuple(zip(self.eigenvalues(), self.parts))
-
-    def eigenvalues(self) -> tuple[Scalar, ...]:
-        den = self.den
-        return tuple(Scalar(Fraction(x, den), Fraction(y, den)) for x, y in zip(self.re, self.im))
-
-    def partition_for(self, eig: ScalarLike) -> Partition:
+    def partition_for(self, eig: Factor) -> Partition:
         key = _over(eig, self.den)
         for xy, part in zip(zip(self.re, self.im), self.parts):
             if xy == key:
                 return part
-        raise InputError(f"{Scalar.of(eig)} is not an eigenvalue of this orbit")
+        re, im, den = as_triple(eig)
+        value = Scalar(Fraction(re, den), Fraction(im, den))  # for the message alone
+        raise InputError(f"{value} is not an eigenvalue of this orbit")
 
-    def trace(self) -> Scalar:
-        w = [weight(part) for part in self.parts]
-        return Scalar(Fraction(sum(map(operator.mul, self.re, w)), self.den),
-                      Fraction(sum(map(operator.mul, self.im, w)), self.den))
-
-    def determinant(self) -> Scalar:
-        """Product of eigenvalues with multiplicity."""
-        d = Scalar(1)
-        for e, part in self.blocks:
-            for _ in range(weight(part)):
-                d = d * e
-        return d
-
-    def block_count(self, eig: ScalarLike) -> int:
+    def block_count(self, eig: Factor) -> int:
         return len(self.partition_for(eig))
 
     def is_scalar(self) -> bool:
@@ -312,49 +317,13 @@ class OrbitSpec:
         """No two distinct eigenvalues differ by a nonzero rational integer."""
         return congruent_pair(self.re, self.im, self.den) is None
 
-    def negated(self) -> "OrbitSpec":
-        return OrbitSpec(self.n, [(-e, part) for e, part in self.blocks])
-
-
-def _fill(o: OrbitSpec, n: int, blocks: Iterable[tuple[Any, Iterable[int]]],
-          cell: Callable[[Any], Sequence[int]]) -> None:
-    """Check the (eigenvalue, partition) pairs, with cell taking each
-    eigenvalue to a reduced cell, put the eigenvalues over the lcm of their
-    denominators, sort the blocks by (re, im) and set o's fields."""
-    cells, parts = [], []
-    for e, part in blocks:
-        cells.append(cell(e))
-        parts.append(as_partition(part))
-    den = lcm(*[c[1] for c in cells], *[c[3] for c in cells])
-    keys = sorted([(a * (den // b), c * (den // d), k) for k, (a, b, c, d) in enumerate(cells)])
-    for x, y in zip(keys, keys[1:]):
-        if x[0] == y[0] and x[1] == y[1]:
-            raise InputError("orbit eigenvalues must be pairwise distinct")
-    total = sum(map(sum, parts))
-    if total != n:
-        raise InputError(f"partition weights sum to {_int_str(total)}, expected n={n}")
-    if n <= 0:
-        raise InputError(f"need n >= 1, got n={n}")
-    re, im, order = zip(*keys)  # keys is not empty: n >= 1 is the sum of the parts
-    # the fields of a frozen dataclass, set past its __setattr__
-    vars(o).update(n=int(n), den=den, re=re, im=im, parts=tuple(parts[k] for k in order))
-
-
-def _cell(x: ScalarLike) -> tuple[int, int, int, int]:
-    """x as the reduced cell (re_num, re_den, im_num, im_den)."""
-    if isinstance(x, Scalar):
-        return x.re.numerator, x.re.denominator, x.im.numerator, x.im.denominator
-    if isinstance(x, (int, Fraction)):
-        return x.numerator, x.denominator, 0, 1
-    raise InputError(f"cannot interpret {x!r} as a Gaussian rational")
-
 
 def _over(x: Factor, den: int) -> tuple[int, int] | None:
-    """x times den as the integers (re, im), or None if that is not in Z[i]."""
-    a, b, c, d = (x[0], x[2], x[1], x[2]) if type(x) is tuple else _cell(x)
-    re, r = divmod(a * den, b)
-    im, s = divmod(c * den, d)
-    return None if r or s else (re, im)
+    """x times den as the integers (re, im), or None if that is not in Z[i]:
+    a reduced triple's den must divide den."""
+    re, im, d = as_triple(x)
+    k, r = divmod(den, d)
+    return None if r else (re * k, im * k)
 
 
 def congruent_pair(re: Sequence[int], im: Sequence[int], den: int) -> tuple[int, int] | None:

@@ -8,6 +8,7 @@ the classical families and E7.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -21,7 +22,8 @@ def coxeter_ds_decide(ftype: CoxeterFormalType, o: OrbitSpec) -> bool:
     """Nonemptiness for (formal type, orbit): the residue-trace condition
     n p(0) + Tr(O) = 0 together with at most r Jordan blocks per eigenvalue,
     which is O dominating the orbit of its own characteristic polynomial
-    with the most balanced partition into at most r parts at each root."""
+    with the most balanced partition into at most r parts at each root.
+    The trace condition is tested on integers over den(p0) * o.den."""
     if o.n != ftype.n:
         raise InputError(
             f"orbit lives in gl_{o.n} but the formal type has n = {ftype.n}"
@@ -30,7 +32,10 @@ def coxeter_ds_decide(ftype: CoxeterFormalType, o: OrbitSpec) -> bool:
         raise ResonantError(
             "orbit eigenvalues must be pairwise distinct modulo Z"
         )
-    if ftype.n * ftype.p0 + o.trace() != 0:
+    re, im, den = ftype.p0
+    w = [sum(part) for part in o.parts]
+    if (ftype.n * re * o.den + sum(map(operator.mul, o.re, w)) * den
+            or ftype.n * im * o.den + sum(map(operator.mul, o.im, w)) * den):
         return False
     return all(len(part) <= ftype.r for part in o.parts)
 

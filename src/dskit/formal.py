@@ -13,7 +13,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 from . import linalg
-from .core import Scalar, ScalarLike
+from .core import Factor, Triple, as_triple
 from .errors import BudgetExceededError, InputError, ResonantError, TruncationError
 from .laurent import LaurentMatrix
 from .rootsys import DEFAULT_BUDGET, _check_budget
@@ -370,17 +370,18 @@ def omega_power(n: int, k: int) -> LaurentMatrix:
 class CoxeterFormalType:
     """Coxeter canonical form d + p(omega_n^{-1}) dz/z of slope r/n, with
     gcd(r, n) = 1 and p of degree r.  Decisions read only n, r and the
-    constant term p0 = p(0), so that is all it holds."""
+    constant term p0 = p(0), held as its reduced triple (re, im, den), so
+    that is all it holds."""
 
     n: int
     r: int
-    p0: Scalar
+    p0: Triple
 
-    def __init__(self, n: int, r: int, p0: ScalarLike):
+    def __init__(self, n: int, r: int, p0: Factor):
         if n < 1 or r < 1:
             raise InputError("need n >= 1 and r >= 1")
         if gcd(r, n) != 1:
             raise InputError(f"need gcd(r, n) = 1, got r={r}, n={n}")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "r", int(r))
-        object.__setattr__(self, "p0", Scalar.of(p0))
+        object.__setattr__(self, "p0", as_triple(p0))

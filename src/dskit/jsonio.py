@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 from typing import Any, NoReturn
 
 from . import linalg
-from .core import ZERO, OrbitSpec, Scalar
+from .core import OrbitSpec, cell_triple
 from .errors import InputError
 from .laurent import LaurentMatrix
 from .unramified import UnramBlock, UnramFormalType
@@ -32,7 +31,7 @@ def _is_int(x: Any) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Scalars.
+# Scalar cells.
 # ---------------------------------------------------------------------------
 
 
@@ -44,18 +43,6 @@ def _check_scalar(obj: Any, path: str) -> None:
         _fail(path, "scalar denominator must be nonzero")
 
 
-def parse_scalar(obj: Any, path: str) -> Scalar:
-    """A Gaussian rational as [re_num, re_den, im_num, im_den]."""
-    _check_scalar(obj, path)
-    if obj[0] == 0 and obj[2] == 0:
-        return ZERO
-    return Scalar(Fraction(obj[0], obj[1]), Fraction(obj[2], obj[3]))
-
-
-def scalar_json(s: Scalar) -> list[int]:
-    return [s.re.numerator, s.re.denominator, s.im.numerator, s.im.denominator]
-
-
 # ---------------------------------------------------------------------------
 # Orbits.
 # ---------------------------------------------------------------------------
@@ -63,7 +50,7 @@ def scalar_json(s: Scalar) -> list[int]:
 
 def parse_orbit(obj: Any, path: str = "orbit") -> OrbitSpec:
     """An orbit document: each eigenvalue cell is checked once and reduced to
-    lowest terms, and the orbit holds the eigenvalues as integers."""
+    a triple, and the orbit holds the eigenvalues as integers."""
     if not isinstance(obj, dict):
         _fail(path, "orbit must be an object")
     n = obj.get("n")
@@ -84,9 +71,9 @@ def parse_orbit(obj: Any, path: str = "orbit") -> OrbitSpec:
         if not (type(part) is list and set(map(type, part)) == {int}
                 or isinstance(part, list) and part and all(map(_is_int, part))):
             _fail(f"{bpath}.partition", "must be a nonempty array of integers")
-        pairs.append((reduced_cell(blk["eig"], f"{bpath}.eig"), part))
+        pairs.append((cell_triple(*reduced_cell(blk["eig"], f"{bpath}.eig")), part))
     try:
-        return OrbitSpec.from_cells(n, pairs)
+        return OrbitSpec(n, pairs)
     except InputError as exc:
         _fail(path, str(exc))
 
@@ -96,7 +83,7 @@ def orbit_json(o: OrbitSpec) -> dict[str, Any]:
     return {
         "n": o.n,
         "blocks": [
-            {"eig": _lowest(x, y, o.den), "partition": list(part)}
+            {"eig": lowest_cell(x, y, o.den), "partition": list(part)}
             for x, y, part in zip(o.re, o.im, o.parts)
         ],
     }
@@ -128,7 +115,7 @@ def parse_unram_type(obj: Any, path: str = "type") -> UnramFormalType:
         if "residue" not in blk:
             _fail(f"{bpath}.residue", "missing")
         residue = parse_orbit(blk["residue"], f"{bpath}.residue")
-        qs = [parse_scalar(c, f"{bpath}.q[{m}]") for m, c in enumerate(q)]
+        qs = [cell_triple(*reduced_cell(c, f"{bpath}.q[{m}]")) for m, c in enumerate(q)]
         try:
             parsed.append(UnramBlock(qs, dim, residue))
         except InputError as exc:
@@ -143,7 +130,7 @@ def unram_type_json(d: UnramFormalType) -> dict[str, Any]:
     return {
         "blocks": [
             {
-                "q": [scalar_json(c) for c in b.q],
+                "q": [lowest_cell(*c) for c in b.q],
                 "dim": b.dim,
                 "residue": orbit_json(b.residue),
             }
@@ -240,7 +227,7 @@ def reduced_cell(obj: Any, path: str) -> list[int]:
     return cell
 
 
-def _lowest(x: int, y: int, den: int) -> list[int]:
+def lowest_cell(x: int, y: int, den: int) -> list[int]:
     """The cell of (x + i y) / den, den > 0, in lowest terms."""
     g, h = gcd(x, den), gcd(y, den)
     return [x // g, den // g, y // h, den // h]
@@ -254,7 +241,7 @@ def laurent_json(m: LaurentMatrix) -> dict[str, Any]:
         re, im, den = m.coeffs[deg]
         entries = []
         for xr, yr in zip(re, im):
-            entries.append([_lowest(x, y, den) for x, y in zip(xr, yr)])
+            entries.append([lowest_cell(x, y, den) for x, y in zip(xr, yr)])
         terms.append({"deg": deg, "entries": entries})
     return {"n": m.n, "trunc": m.trunc, "terms": terms}
 

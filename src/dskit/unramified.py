@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Sequence
 
-from .core import OrbitSpec, Scalar, ScalarLike, residue_arm
+from .core import Factor, OrbitSpec, Triple, as_triple, residue_arm
 from .errors import InputError, ResonantError
 from .fuchsian import CBData
 from .rootsys import (
@@ -27,22 +27,24 @@ from .rootsys import (
 )
 
 
-def _as_q(coeffs: Iterable[ScalarLike]) -> tuple[Scalar, ...]:
-    q = [Scalar.of(x) for x in coeffs]
-    while q and not q[-1]:
+def _as_q(coeffs: Iterable[Factor]) -> tuple[Triple, ...]:
+    q = [as_triple(x) for x in coeffs]
+    while q and not (q[-1][0] or q[-1][1]):
         q.pop()
     return tuple(q)
 
 
 @dataclass(frozen=True)
 class UnramBlock:
-    """One simultaneous eigenblock: q(z) = sum q[m-1] z^-m, plus a residue orbit."""
+    """One simultaneous eigenblock: q(z) = sum q[m-1] z^-m, plus a residue
+    orbit.  Each coefficient is held as its reduced triple (re, im, den),
+    and a zero top coefficient is dropped."""
 
-    q: tuple[Scalar, ...]
+    q: tuple[Triple, ...]
     dim: int
     residue: OrbitSpec
 
-    def __init__(self, q: Iterable[ScalarLike], dim: int, residue: OrbitSpec):
+    def __init__(self, q: Iterable[Factor], dim: int, residue: OrbitSpec):
         object.__setattr__(self, "q", _as_q(q))
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "residue", residue)
@@ -64,7 +66,7 @@ class UnramFormalType:
         blocks = tuple(blocks)
         if not blocks:
             raise InputError("formal type needs at least one block")
-        qs = sorted([c.sort_key() for c in b.q] for b in blocks)
+        qs = sorted(b.q for b in blocks)
         if any(a == b for a, b in zip(qs, qs[1:])):
             raise InputError("blocks must have pairwise distinct q_j")
         object.__setattr__(self, "blocks", blocks)
@@ -84,7 +86,7 @@ class UnramFormalType:
         return self.ell > 1 or self.blocks[0].q != ()
 
 
-def _q_diff_degree(q1: tuple[Scalar, ...], q2: tuple[Scalar, ...]) -> int:
+def _q_diff_degree(q1: tuple[Triple, ...], q2: tuple[Triple, ...]) -> int:
     """deg_{z^-1}(q1 - q2).  Neither has a zero top coefficient, so a longer
     one differs from a shorter one at its own length."""
     if len(q1) != len(q2):
@@ -244,19 +246,28 @@ def count_rank2_moduli(d: UnramFormalType, orbit: OrbitSpec) -> int:
         raise InputError("formal type must have rank 2 and slope 1")
 
     if d.ell == 2:
-        # leading term diag(a,b) with a != b; residues are the scalars c, d
-        c = d.blocks[0].residue.eigenvalues()[0]
-        dd = d.blocks[1].residue.eigenvalues()[0]
-        if orbit.trace() != -(c + dd):
+        # leading term diag(a,b) with a != b; residues are the scalars c, d.
+        # -c, -d and O's eigenvalues with multiplicity over one denominator:
+        # given the trace, det O = cd iff the two sorted pairs are equal
+        r1, r2 = (b.residue for b in d.blocks)
+        den = lcm(r1.den, r2.den, orbit.den)
+        cd = sorted((-r.re[0] * (den // r.den), -r.im[0] * (den // r.den)) for r in (r1, r2))
+        k = den // orbit.den
+        eigs = sorted((x * k, y * k) for x, y, part in zip(orbit.re, orbit.im, orbit.parts)
+                      for _ in range(sum(part)))
+        if [sum(t) for t in zip(*eigs)] != [sum(t) for t in zip(*cd)]:
             return 0
         if orbit.is_scalar():
-            eta = orbit.eigenvalues()[0]
-            return 1 if (c == dd and eta == -c) else 0
-        if orbit.determinant() != c * dd:
+            return 1 if eigs == cd else 0
+        if eigs != cd:
             return 1
-        return 3 if c != dd else 2
+        return 3 if cd[0] != cd[1] else 2
 
     # single block: leading term a.I with a != 0, truncated orbit is a single
     # GL_2(C)-orbit, so the count is 1 exactly when O = -residue orbit
     res = d.blocks[0].residue
-    return 1 if orbit == res.negated() else 0
+    den = lcm(res.den, orbit.den)
+    rows = [sorted((x * (den // o.den) * sign, y * (den // o.den) * sign, part)
+                   for x, y, part in zip(o.re, o.im, o.parts))
+            for o, sign in ((orbit, 1), (res, -1))]
+    return 1 if rows[0] == rows[1] else 0

@@ -1,9 +1,14 @@
 """Exact helpers that only the tests call.
 
-The package answers its questions with `Scalar`, `linalg` and
+The package answers its questions on integers, `linalg` and
 `LaurentMatrix` alone; the functions here give the tests independent ways to
 build inputs and to check answers: the dominance order, small scalar and
-orbit views, the dominance-least orbit of a characteristic polynomial
+orbit views (a reduced triple as a `Scalar`, an orbit's Scalar blocks,
+eigenvalues, trace, determinant and negation, `Scalar`s by (re, im)), a
+Gaussian rational in each form `core.as_triple` reads (`random_form`), the
+reading of a document cell into a `Scalar` and back (`parse_scalar`,
+`scalar_json`), the former Scalar bodies of `count_rank2_moduli` and
+`coxeter_ds_decide`, the dominance-least orbit of a characteristic polynomial
 (`ds_generator`, the reading `coxeter_ds_decide`'s block count replaces),
 the Scalar-keyed factor sequences, factor ranks and
 pairwise resonance test (the oracles for `core.residue_arm` and
@@ -56,16 +61,16 @@ from dskit.core import (
     Partition,
     Scalar,
     ScalarLike,
+    Triple,
     _int_str,
     as_partition,
     congruent_pair,
     dual_partition,
     min_partition_with_r_parts,
     residue_arm,
-    weight,
 )
 from dskit.errors import BudgetExceededError, InputError, ResonantError, TruncationError
-from dskit.jsonio import parse_scalar, scalar_json
+from dskit.jsonio import _check_scalar
 from dskit.formal import (
     CertifiedSlope,
     CoxeterFormalType,
@@ -105,6 +110,88 @@ Matrix = list[list[Scalar]]
 # Scalars, partitions and orbits.
 # ---------------------------------------------------------------------------
 
+ZERO = Scalar(0)
+
+
+def weight(p: Partition) -> int:
+    """The size of a partition."""
+    return sum(p)
+
+
+def sort_key(x: Scalar) -> tuple[Fraction, Fraction]:
+    """The order of Scalars by (re, im)."""
+    return (x.re, x.im)
+
+
+def scalar_of(t: Triple) -> Scalar:
+    """The Scalar (re + i im) / den of a triple (re, im, den)."""
+    re, im, den = t
+    return Scalar(Fraction(re, den), Fraction(im, den))
+
+
+def parse_scalar(obj, path: str) -> Scalar:
+    """A document cell [re_num, re_den, im_num, im_den] as a Scalar, with
+    the shape errors of `jsonio.reduced_cell`; a zero cell is `ZERO`."""
+    _check_scalar(obj, path)
+    if obj[0] == 0 and obj[2] == 0:
+        return ZERO
+    return Scalar(Fraction(obj[0], obj[1]), Fraction(obj[2], obj[3]))
+
+
+def scalar_json(s: Scalar) -> list[int]:
+    """The cell of a Scalar from its `Fraction` parts, in lowest terms."""
+    return [s.re.numerator, s.re.denominator, s.im.numerator, s.im.denominator]
+
+
+def random_form(rng, x: Scalar) -> Factor:
+    """x in a form drawn by rng: the Scalar itself, an int or a Fraction
+    when x is one, or a triple (re, im, den) scaled by +-1 .. +-4, so not
+    reduced and with its den negative half the time."""
+    forms = ["scalar", "triple"]
+    if not x.im:
+        forms += ["fraction", "int"] if x.re.denominator == 1 else ["fraction"]
+    form = rng.choice(forms)
+    if form == "scalar":
+        return x
+    if form == "int":
+        return int(x.re)
+    if form == "fraction":
+        return x.re
+    den = math.lcm(x.re.denominator, x.im.denominator)
+    k = rng.randint(1, 4) * rng.choice([1, -1])
+    return int(x.re * den) * k, int(x.im * den) * k, den * k
+
+
+def eigenvalues(o: OrbitSpec) -> tuple[Scalar, ...]:
+    """The eigenvalues of o as Scalars, sorted by (re, im)."""
+    return tuple(Scalar(Fraction(x, o.den), Fraction(y, o.den)) for x, y in zip(o.re, o.im))
+
+
+def orbit_blocks(o: OrbitSpec) -> tuple[tuple[Scalar, Partition], ...]:
+    """The (eigenvalue, partition) pairs of o, sorted by eigenvalue."""
+    return tuple(zip(eigenvalues(o), o.parts))
+
+
+def orbit_trace(o: OrbitSpec) -> Scalar:
+    """The sum of the eigenvalues of o with multiplicity."""
+    w = [weight(part) for part in o.parts]
+    return Scalar(Fraction(sum(map(operator.mul, o.re, w)), o.den),
+                  Fraction(sum(map(operator.mul, o.im, w)), o.den))
+
+
+def orbit_determinant(o: OrbitSpec) -> Scalar:
+    """The product of the eigenvalues of o with multiplicity."""
+    d = Scalar(1)
+    for e, part in orbit_blocks(o):
+        for _ in range(weight(part)):
+            d = d * e
+    return d
+
+
+def negated(o: OrbitSpec) -> OrbitSpec:
+    """The orbit of -C for C in o."""
+    return OrbitSpec(o.n, [(-e, part) for e, part in orbit_blocks(o)])
+
 
 def is_rational(x: Scalar) -> bool:
     return x.im == 0
@@ -133,11 +220,11 @@ def max_block(o: OrbitSpec, eig: ScalarLike) -> int:
 
 
 def min_poly_degree(o: OrbitSpec) -> int:
-    return sum(part[0] for _, part in o.blocks)
+    return sum(part[0] for part in o.parts)
 
 
 def translated(o: OrbitSpec, t: ScalarLike) -> OrbitSpec:
-    return OrbitSpec(o.n, [(e + t, part) for e, part in o.blocks])
+    return OrbitSpec(o.n, [(e + t, part) for e, part in orbit_blocks(o)])
 
 
 class CharPolySpec:
@@ -147,7 +234,7 @@ class CharPolySpec:
     def __init__(self, pairs: Iterable[tuple[ScalarLike, int]]):
         items = sorted(
             ((Scalar.of(c), int(m)) for c, m in pairs),
-            key=lambda cm: cm[0].sort_key(),
+            key=lambda cm: sort_key(cm[0]),
         )
         if not items:
             raise InputError("characteristic polynomial needs at least one root")
@@ -181,14 +268,14 @@ def ds_generator(r: int, q: CharPolySpec) -> OrbitSpec:
 
 def charpoly_from_orbit(o: OrbitSpec) -> CharPolySpec:
     """The characteristic polynomial of o as its roots with multiplicities."""
-    return CharPolySpec((e, weight(o.partition_for(e))) for e in o.eigenvalues())
+    return CharPolySpec((e, weight(o.partition_for(e))) for e in eigenvalues(o))
 
 
 def scalar_default_factor_sequence(o: OrbitSpec) -> tuple[Scalar, ...]:
     """Round-robin over distinct eigenvalues by decreasing max block size
     (ties by eigenvalue sort key); eigenvalue count = its max block size.
     The oracle for `core.residue_arm`'s default sequence."""
-    order = sorted(o.blocks, key=lambda ep: (-ep[1][0], ep[0].sort_key()))
+    order = sorted(orbit_blocks(o), key=lambda ep: (-ep[1][0], sort_key(ep[0])))
     remaining = [[e, part[0]] for e, part in order]
     seq: list[Scalar] = []
     while any(cnt > 0 for _, cnt in remaining):
@@ -207,11 +294,11 @@ def scalar_factor_ranks(o: OrbitSpec, seq: Sequence[ScalarLike]) -> list[int]:
     counts: dict[Scalar, int] = {}
     for x in factors:
         counts[x] = counts.get(x, 0) + 1
-    if counts != {e: part[0] for e, part in o.blocks}:
+    if counts != {e: part[0] for e, part in orbit_blocks(o)}:
         raise InputError(
             "factor sequence must list each eigenvalue exactly max-block-size times"
         )
-    drops = {e: dual_partition(part) for e, part in o.blocks}
+    drops = {e: dual_partition(part) for e, part in orbit_blocks(o)}
     used = dict.fromkeys(drops, 0)
     ranks = [o.n]
     for x in factors:
@@ -239,13 +326,13 @@ def dual_by_definition(p: Partition) -> Partition:
 
 class ScalarOrbit:
     """The Scalar route of an orbit: n and the (Scalar, partition) blocks
-    sorted by `Scalar.sort_key`, with the checks and messages of `OrbitSpec`
+    sorted by `sort_key`, with the checks and messages of `OrbitSpec`
     construction.  The oracle for `OrbitSpec`'s integer fields."""
 
     def __init__(self, n: int, blocks: Iterable[tuple[ScalarLike, Iterable[int]]]):
         items = sorted(
             ((Scalar.of(e), as_partition(part)) for e, part in blocks),
-            key=lambda ep: ep[0].sort_key(),
+            key=lambda ep: sort_key(ep[0]),
         )
         if any(a[0] == b[0] for a, b in zip(items, items[1:])):
             raise InputError("orbit eigenvalues must be pairwise distinct")
@@ -319,16 +406,16 @@ def scalar_orbit_json(o) -> dict:
 
 def scalar_residue_arm(o, seq: Sequence[ScalarLike] | None = None) -> tuple[list[int], tuple[Scalar, ...]]:
     """The ranks of an orbit's residue arm and its factors as Scalars, with
-    the factor sequence keyed by `Scalar.sort_key`: the oracle for
-    `core.residue_arm`, on anything with n and Scalar blocks."""
-    blocks = o.blocks
+    the factor sequence keyed by `sort_key`: the oracle for
+    `core.residue_arm`, on a `ScalarOrbit` or an `OrbitSpec`."""
+    blocks = o.blocks if isinstance(o, ScalarOrbit) else orbit_blocks(o)
     top = [part[0] for _, part in blocks]
     if seq is None:
         order = sorted(range(len(blocks)), key=lambda p: -top[p])
         positions = [p for t in range(top[order[0]]) for p in order if top[p] > t]
     else:
-        index = {e.sort_key(): p for p, (e, _) in enumerate(blocks)}
-        positions = [index.get(Scalar.of(x).sort_key(), -1) for x in seq]
+        index = {sort_key(e): p for p, (e, _) in enumerate(blocks)}
+        positions = [index.get(sort_key(Scalar.of(x)), -1) for x in seq]
         if sorted(positions) != [p for p, mu in enumerate(top) for _ in range(mu)]:
             raise InputError(
                 "factor sequence must list each eigenvalue exactly max-block-size times"
@@ -365,8 +452,53 @@ def residue_trace(t: UnramFormalType) -> Scalar:
     """The sum of the traces of the residue orbits of t's blocks."""
     total = Scalar(0)
     for b in t.blocks:
-        total = total + b.residue.trace()
+        total = total + orbit_trace(b.residue)
     return total
+
+
+def scalar_count_rank2_moduli(d: UnramFormalType, orbit: OrbitSpec) -> int:
+    """The former body of `unramified.count_rank2_moduli`, which compared
+    Scalar traces and determinants and the negated residue orbit."""
+    if orbit.n != 2:
+        raise InputError("the count is for rank 2 only")
+    if not orbit.is_nonresonant():
+        raise ResonantError("orbit is resonant")
+    if d.n != 2 or d.slope() != 1:
+        raise InputError("formal type must have rank 2 and slope 1")
+
+    if d.ell == 2:
+        # leading term diag(a,b) with a != b; residues are the scalars c, d
+        c = eigenvalues(d.blocks[0].residue)[0]
+        dd = eigenvalues(d.blocks[1].residue)[0]
+        if orbit_trace(orbit) != -(c + dd):
+            return 0
+        if orbit.is_scalar():
+            eta = eigenvalues(orbit)[0]
+            return 1 if (c == dd and eta == -c) else 0
+        if orbit_determinant(orbit) != c * dd:
+            return 1
+        return 3 if c != dd else 2
+
+    # single block: leading term a.I with a != 0, truncated orbit is a single
+    # GL_2(C)-orbit, so the count is 1 exactly when O = -residue orbit
+    res = d.blocks[0].residue
+    return 1 if orbit == negated(res) else 0
+
+
+def scalar_coxeter_ds_decide(ftype: CoxeterFormalType, o: OrbitSpec) -> bool:
+    """The former body of `coxeter.coxeter_ds_decide`, which summed
+    n p(0) + Tr(O) as Scalars."""
+    if o.n != ftype.n:
+        raise InputError(
+            f"orbit lives in gl_{o.n} but the formal type has n = {ftype.n}"
+        )
+    if not o.is_nonresonant():
+        raise ResonantError(
+            "orbit eigenvalues must be pairwise distinct modulo Z"
+        )
+    if ftype.n * scalar_of(ftype.p0) + orbit_trace(o) != 0:
+        return False
+    return all(len(part) <= ftype.r for part in o.parts)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +793,7 @@ def jordan_matrix(o: OrbitSpec) -> Matrix:
     n = o.n
     m = zeros(n, n)
     pos = 0
-    for eig, part in o.blocks:
+    for eig, part in orbit_blocks(o):
         for size in part:
             for t in range(size):
                 m[pos + t][pos + t] = eig
@@ -988,7 +1120,7 @@ def coxeter_matrix(n: int, r: int, p_coeffs: Iterable[ScalarLike]) -> LaurentMat
 def representative_p_coeffs(ftype: CoxeterFormalType) -> tuple[Scalar, ...]:
     """The dense coefficients of the representative p(x) = x^r + p0 of a
     formal type, constant term first."""
-    return (ftype.p0,) + (Scalar(0),) * (ftype.r - 1) + (Scalar(1),)
+    return (scalar_of(ftype.p0),) + (Scalar(0),) * (ftype.r - 1) + (Scalar(1),)
 
 
 def filtration_degree(p: StandardParahoric, a: int, b: int, k: int) -> int:

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 from dskit.cli import _build_parser, run
-from dskit.core import ZERO, Scalar
+from dskit.core import Scalar
 from dskit.errors import InputError
-from dskit.jsonio import parse_scalar
 from dskit.rootsys import DEFAULT_BUDGET
+from exact_oracles import ZERO, parse_scalar
 
 SCHEMA = "ds-kit/1"
 

@@ -11,16 +11,17 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dskit
 from dskit.core import (
     OrbitSpec,
     Scalar,
     as_partition,
+    as_triple,
     dual_partition,
     min_partition_with_r_parts,
     orbit_dim,
     partitions_of,
     residue_arm,
-    weight,
 )
 from dskit.errors import InputError, ResonantError
 from exact_oracles import (
@@ -28,6 +29,7 @@ from exact_oracles import (
     arm_factors,
     dominance_leq,
     dual_by_definition,
+    eigenvalues,
     identity,
     is_integer,
     is_rational,
@@ -38,13 +40,18 @@ from exact_oracles import (
     mat_sub,
     max_block,
     min_poly_degree,
+    negated,
     nullspace,
+    orbit_blocks,
+    orbit_determinant,
+    orbit_trace,
     pairwise_congruent_pair,
     rank,
     scalar_default_factor_sequence,
     scalar_factor_ranks,
     translated,
     transpose,
+    weight,
     zeros,
 )
 
@@ -314,13 +321,13 @@ def test_orbit_validation():
     with pytest.raises(InputError):
         OrbitSpec(2, [(0, (1,)), (0, (1,))])  # duplicate eigenvalue
     o = OrbitSpec(3, [(1, (2,)), (0, (1,))])
-    assert o.eigenvalues() == (Scalar(0), Scalar(1))  # sorted
+    assert eigenvalues(o) == (Scalar(0), Scalar(1))  # sorted
 
 
 def test_orbit_invariants():
     o = OrbitSpec(4, [(Fraction(1, 2), (2, 1)), (-1, (1,))])
-    assert o.trace() == Scalar(Fraction(1, 2)) * 3 + Scalar(-1)
-    assert o.determinant() == Scalar(Fraction(1, 8)) * Scalar(-1)
+    assert orbit_trace(o) == Scalar(Fraction(1, 2)) * 3 + Scalar(-1)
+    assert orbit_determinant(o) == Scalar(Fraction(1, 8)) * Scalar(-1)
     assert weight(o.partition_for(Fraction(1, 2))) == 3
     assert max_block(o, Fraction(1, 2)) == 2
     assert o.block_count(Fraction(1, 2)) == 2
@@ -345,11 +352,37 @@ def test_orbit_nonresonance():
 def test_orbit_translate_negate():
     o = OrbitSpec(3, [(1, (2,)), (0, (1,))])
     t = translated(o, Fraction(1, 2))
-    assert t.eigenvalues() == (Scalar(Fraction(1, 2)), Scalar(Fraction(3, 2)))
+    assert eigenvalues(t) == (Scalar(Fraction(1, 2)), Scalar(Fraction(3, 2)))
     assert t.partition_for(Fraction(3, 2)) == (2,)
-    n = o.negated()
-    assert n.eigenvalues() == (Scalar(-1), Scalar(0))
+    n = negated(o)
+    assert eigenvalues(n) == (Scalar(-1), Scalar(0))
     assert n.partition_for(-1) == (2,)
+
+
+def test_a_triple_is_reduced_and_a_malformed_one_is_refused_by_name():
+    # a negative den is normalised, so (-1, 0, -1) is 1, and equal values give equal triples
+    assert as_triple((-1, 0, -1)) == as_triple(1) == as_triple(Scalar(1)) == (1, 0, 1)
+    assert as_triple((4, -6, -8)) == as_triple(Scalar(Fraction(-1, 2), Fraction(3, 4))) == (-2, 3, 4)
+    assert as_triple((0, 0, -5)) == as_triple(Fraction(0)) == (0, 0, 1)
+    o = OrbitSpec(2, [(0, (1,)), ((-1, 0, -2), (1,))])
+    assert o == OrbitSpec(2, [(0, (1,)), (Fraction(1, 2), (1,))])
+    assert residue_arm(o, [(0, 0, 1), (-2, 0, -4)]) == residue_arm(o, [0, Fraction(1, 2)])
+    for bad, message in [
+        ((1, 0, 0), r"^the triple \(1, 0, 0\) has a zero denominator$"),
+        ((0, 0, 0), r"^the triple \(0, 0, 0\) has a zero denominator$"),
+        ((Fraction(1, 2), 0, 1), r"^the triple \(Fraction\(1, 2\), 0, 1\) must hold integers \(re, im, den\)$"),
+        ((1, 0, 1.0), r"^the triple \(1, 0, 1\.0\) must hold integers \(re, im, den\)$"),
+        ((True, 0, 1), r"^the triple \(True, 0, 1\) must hold integers \(re, im, den\)$"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            as_triple(bad)
+        # the residue arm and the Fuchsian decider refuse it alike, with no ZeroDivisionError
+        with pytest.raises(InputError, match=message):
+            dskit.residue_arm(o, [(0, 0, 1), bad])
+        with pytest.raises(InputError, match=message):
+            dskit.fuchsian_rigidity([o, o], [[(0, 0, 1), bad], [0, Fraction(1, 2)]])
+        with pytest.raises(InputError, match=message):
+            OrbitSpec(1, [(bad, (1,))])
 
 
 def test_default_factor_sequence_properties():
@@ -357,7 +390,7 @@ def test_default_factor_sequence_properties():
     seq = arm_factors(o)
     # one factor per step of the longest block, hitting each eigenvalue
     assert len(seq) == min_poly_degree(o)
-    assert set(seq) == set(o.eigenvalues())
+    assert set(seq) == set(eigenvalues(o))
     assert arm_factors(o, seq) == seq
     with pytest.raises(InputError):
         residue_arm(o, seq[:-1])
@@ -407,7 +440,7 @@ def _rank_by_definition(o: OrbitSpec, seq, j: int) -> int:
     t_eta(j) counts the factors at eta among the first j."""
     return sum(
         max(mu - sum(1 for x in seq[:j] if Scalar.of(x) == e), 0)
-        for e, part in o.blocks for mu in part
+        for e, part in orbit_blocks(o) for mu in part
     )
 
 
@@ -443,15 +476,15 @@ def test_factor_ranks_match_per_j_definition_on_seeded_orbits():
                 for ranks_of in (residue_arm, scalar_factor_ranks):
                     with pytest.raises(InputError, match="max-block-size"):
                         ranks_of(o, bad)
-            pair = pairwise_congruent_pair(o.eigenvalues())
+            pair = pairwise_congruent_pair(eigenvalues(o))
             assert o.is_nonresonant() is (pair is None), o
             resonant += pair is not None
             # CharPolySpec applies the same rule and names the oracle's pair
-            roots = [(e, weight(part)) for e, part in o.blocks]
+            roots = [(e, weight(part)) for e, part in orbit_blocks(o)]
             if pair is None:
                 assert CharPolySpec(roots).pairs == tuple(roots)
             else:
-                eigs = o.eigenvalues()
+                eigs = eigenvalues(o)
                 with pytest.raises(ResonantError) as err:
                     CharPolySpec(roots)
                 assert str(err.value) == (

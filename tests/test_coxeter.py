@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -20,7 +21,16 @@ from dskit.coxeter import (
 from dskit.errors import InputError, ResonantError
 from dskit.formal import CoxeterFormalType
 from dskit.linalg import jordan_type_of_nilpotent
-from exact_oracles import CharPolySpec, charpoly_from_orbit, dominance_leq, ds_generator, from_gaussian
+from exact_oracles import (
+    CharPolySpec,
+    charpoly_from_orbit,
+    dominance_leq,
+    ds_generator,
+    from_gaussian,
+    orbit_trace,
+    random_form,
+    scalar_coxeter_ds_decide,
+)
 
 
 def _nilp(n, parts):
@@ -136,6 +146,60 @@ def test_decide_matches_block_count_against_dominance():
                 assert coxeter_ds_decide(t, o) == expect
                 generator = ds_generator(r, charpoly_from_orbit(o))
                 assert dominance_leq(generator.partition_for(0), parts) == expect
+
+
+# real parts over denominators 1, 2, 3, 4 and 7, imaginary parts 0, +-1/2, 1/3 and 1
+_RE = [Fraction(p, q) for q in (1, 2, 3, 4, 7) for p in range(-q, q + 1)]
+_IM = [Fraction(0)] * 4 + [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(1)]
+
+
+def _orbit(rng, n):
+    """An orbit on gl_n with 1 to n distinct eigenvalues from _RE + i _IM,
+    each in a random form, and a random partition of each multiplicity."""
+    k = rng.randint(1, n)
+    cuts = sorted(rng.sample(range(1, n), k - 1))
+    mults = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    eigs = set()
+    while len(eigs) < k:
+        eigs.add(Scalar(rng.choice(_RE), rng.choice(_IM)))
+    return OrbitSpec(n, [(random_form(rng, e), rng.choice(list(partitions_of(m))))
+                         for e, m in zip(eigs, mults)])
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except InputError as exc:  # ResonantError among them
+        return type(exc).__name__, str(exc)
+
+
+def test_decide_on_integers_matches_the_scalar_body():
+    # seed 20261111: 600 draws at n = 1 .. 4 with r coprime to n; p(0) is
+    # -Tr(O)/n in 60% of them, a random value in 30%, and in 10% the type
+    # is on gl_(n+1); p(0) and the eigenvalues come in every form as_triple reads
+    rng = random.Random(20261111)
+    seen = dict.fromkeys(["exists", "trace", "blocks", "ResonantError", "InputError"], 0)
+    nonreal = mixed = 0
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        o = _orbit(rng, n)
+        mode = rng.random()
+        p0 = -orbit_trace(o) / n if mode < 0.6 else Scalar(rng.choice(_RE), rng.choice(_IM))
+        size = n + 1 if mode >= 0.9 else n
+        r = rng.choice([r for r in range(1, 6) if gcd(r, size) == 1])
+        ftype = CoxeterFormalType(size, r, random_form(rng, p0))
+        got = _outcome(coxeter_ds_decide, ftype, o)
+        assert got == _outcome(scalar_coxeter_ds_decide, ftype, o), (ftype, o)
+        if got[0] != "ok":
+            seen[got[0]] += 1
+        elif got[1]:
+            seen["exists"] += 1
+        else:
+            seen["trace" if n * p0 + orbit_trace(o) else "blocks"] += 1
+        values = [p0, *(Scalar(Fraction(x, o.den), Fraction(y, o.den)) for x, y in zip(o.re, o.im))]
+        nonreal += any(v.im for v in values)
+        mixed += len({x.denominator for v in values for x in (v.re, v.im)}) > 1
+    assert min(seen.values()) >= 10 and min(nonreal, mixed) >= 300, (seen, nonreal, mixed)
 
 
 # ---------------------------------------------------------------------------

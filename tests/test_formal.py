@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from dskit import linalg
-from dskit.core import Scalar
+from dskit.core import Scalar, as_triple
 from dskit.errors import BudgetExceededError, InputError, ResonantError, TruncationError
 from dskit.formal import (
     CertifiedSlope,
@@ -619,12 +619,12 @@ def test_coxeter_type_validation():
         coxeter_matrix(0, 1, [0, 1])
     t = CoxeterFormalType(3, 2, Fraction(1, 3))
     assert representative_p_coeffs(t) == (Scalar(Fraction(1, 3)), Scalar(0), Scalar(1))
-    assert t.p0 == Scalar(Fraction(1, 3))
+    assert t.p0 == as_triple(Scalar(Fraction(1, 3)))
     # the record holds n, r and p(0), and nothing that grows with r
     assert [f.name for f in dataclasses.fields(t)] == ["n", "r", "p0"]
     assert t == CoxeterFormalType(3, 2, Scalar(Fraction(1, 3)))
     big = CoxeterFormalType(2, 4000001, 0)
-    assert (big.n, big.r) == (2, 4000001) and big.p0 == 0
+    assert (big.n, big.r) == (2, 4000001) and big.p0 == as_triple(0)
     assert coxeter_matrix(3, 2, [0, 5, 1]) == series_add(
         series_scale(omega_power(3, -1), 5), omega_power(3, -2)
     )
@@ -659,6 +659,6 @@ def test_coxeter_type_slope_is_r_over_n():
 
 def test_coxeter_canonical_type_materializes_and_validates():
     t = coxeter_canonical_type(3, 2, [Fraction(1, 2), 0, 1])
-    assert t.p0 == Scalar(Fraction(1, 2))
+    assert t.p0 == as_triple(Scalar(Fraction(1, 2)))
     with pytest.raises(InputError):
         coxeter_canonical_type(4, 2, [1, 0, 1])

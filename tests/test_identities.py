@@ -23,7 +23,7 @@ from dskit.core import OrbitSpec, Scalar, orbit_dim, partitions_of
 from dskit.fuchsian import build_cb_data
 from dskit.rootsys import in_sigma_lambda, p_value
 from dskit.unramified import UnramBlock, UnramFormalType, build_hiroe_data
-from exact_oracles import cartan_rows, lambda_forms, lambda_values, translated
+from exact_oracles import cartan_rows, lambda_forms, lambda_values, orbit_trace, translated
 
 # no two differ by an integer, so every orbit drawn from them is nonresonant
 _SPREAD = [Scalar(Fraction(k, 5)) for k in range(-2, 3)] + [
@@ -49,7 +49,7 @@ def _spread_orbit(rng, n):
 
 def _deg(q1, q2):
     """The pole order in z^-1 of q1 - q2, 0 when they agree."""
-    pairs = itertools.zip_longest(q1, q2, fillvalue=0)
+    pairs = itertools.zip_longest(q1, q2, fillvalue=(0, 0, 1))
     return max((m for m, (a, b) in enumerate(pairs, 1) if a != b), default=0)
 
 
@@ -117,7 +117,7 @@ def _trace_zero_star(rng):
         eigs = rng.sample(_SMALL, rng.randint(1, n))
         if all((x - y).denominator != 1 for x, y in itertools.combinations(eigs, 2)):
             orbits.append(_orbit(rng, n, eigs))
-    total = sum((o.trace() for o in orbits), Scalar(0))
+    total = sum((orbit_trace(o) for o in orbits), Scalar(0))
     orbits[-1] = translated(orbits[-1], -total / n)
     return orbits
 

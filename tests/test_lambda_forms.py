@@ -4,8 +4,9 @@
 of `build_cb_data` and `build_hiroe_data`, which subtracted the factors eta of
 each residue arm as `Scalar`s.  Both builders now subtract integers over one
 common denominator, the lcm of the eigenvalue denominators; on seeded tuples
-their forms must give the same lambda at every vertex.  Past parsing, no
-decision on orbits or unramified types makes a `Scalar`.
+their forms must give the same lambda at every vertex.  From parsing on, no
+decision on orbits, unramified types, rank-2 counts or Coxeter types makes a
+`Scalar`.
 """
 
 import math
@@ -13,11 +14,23 @@ import random
 from fractions import Fraction
 
 from dskit import core, jsonio
-from dskit.core import OrbitSpec, Scalar
+from dskit.core import OrbitSpec, Scalar, cell_triple
+from dskit.coxeter import coxeter_ds_decide
+from dskit.formal import CoxeterFormalType
 from dskit.fuchsian import FuchsianRigidity, build_cb_data, fuchsian_rigidity
 from dskit.rootsys import sigma_candidates
-from dskit.unramified import UnramBlock, UnramFormalType, build_hiroe_data
-from exact_oracles import lambda_values, scalar_residue_arm, scalar_star_lambda
+from dskit.unramified import UnramBlock, UnramFormalType, build_hiroe_data, count_rank2_moduli
+from exact_oracles import (
+    eigenvalues,
+    lambda_values,
+    orbit_blocks,
+    scalar_count_rank2_moduli,
+    scalar_coxeter_ds_decide,
+    scalar_of,
+    scalar_residue_arm,
+    scalar_star_lambda,
+    sort_key,
+)
 
 # denominators 1, 2, 3, 5 and 7 and imaginary parts 0, +-1/2, +-1/3 and 1
 _RE = [Fraction(p, q) for q in (1, 2, 3, 5, 7) for p in range(-q, q + 1)]
@@ -46,7 +59,7 @@ def _scalar_hiroe_lambda(types):
 
 
 def _eigenvalue_lcm(orbits):
-    return math.lcm(*(x.denominator for o in orbits for e, _ in o.blocks for x in (e.re, e.im)))
+    return math.lcm(*(x.denominator for o in orbits for e, _ in orbit_blocks(o) for x in (e.re, e.im)))
 
 
 def _orbit(rng, n):
@@ -59,7 +72,7 @@ def _orbit(rng, n):
         if len(eigs) < k:
             continue
         blocks = []
-        for e, m in zip(sorted(eigs, key=Scalar.sort_key), mults):
+        for e, m in zip(sorted(eigs, key=sort_key), mults):
             split = rng.randint(0, m - 1)
             blocks.append((e, (m - split, split) if 0 < split <= m - split else (m,)))
         o = OrbitSpec(n, blocks)
@@ -69,7 +82,7 @@ def _orbit(rng, n):
 
 def _sequence(rng, o):
     """A factor sequence: each eigenvalue as often as its largest part, shuffled."""
-    seq = [e for e, part in o.blocks for _ in range(part[0])]
+    seq = [e for e, part in orbit_blocks(o) for _ in range(part[0])]
     rng.shuffle(seq)
     return seq
 
@@ -99,7 +112,7 @@ def test_star_forms_match_scalar_subtraction():
         data = build_cb_data(orbits, seqs)
         assert lambda_values(data) == scalar_star_lambda(orbits, seqs), (orbits, seqs)
         assert data.lam[2] == _eigenvalue_lcm(orbits)
-        eigs = [e for o in orbits for e in o.eigenvalues()]
+        eigs = [e for o in orbits for e in eigenvalues(o)]
         nonreal += any(e.im for e in eigs)
         mixed += len({e.re.denominator for e in eigs}) > 1
         sequenced += seqs is not None
@@ -125,7 +138,7 @@ def test_unramified_forms_match_scalar_subtraction():
         assert lambda_values(data) == _scalar_hiroe_lambda(types), types
         residues = [b.residue for t in types for b in t.blocks]
         assert data.lam[2] == _eigenvalue_lcm(residues)
-        eigs = [e for o in residues for e in o.eigenvalues()]
+        eigs = [e for o in residues for e in eigenvalues(o)]
         nonreal += any(e.im for e in eigs)
         mixed += len({e.re.denominator for e in eigs}) > 1
         baseless += any(t.ell == 1 for t in types[1:])
@@ -146,14 +159,19 @@ def _block_doc(q, n, blocks):
 
 
 def test_deciding_parsed_orbits_and_types_makes_no_scalar(monkeypatch):
+    made = []
+    init, scalar = Scalar.__init__, core._scalar
+    monkeypatch.setattr(Scalar, "__init__", lambda self, *args: made.append(args) or init(self, *args))
+    # Scalar arithmetic builds its results past __init__
+    monkeypatch.setattr(core, "_scalar", lambda *args: made.append(args) or scalar(*args))
     # a rank-2 triple with traces summing to zero: non-real eigenvalues over
-    # mixed denominators, and explicit factor sequences
+    # mixed denominators, and explicit factor sequences as triples
     orbits = [jsonio.parse_orbit(o) for o in (
         _orbit_doc(2, [(_s(1, 3, 1, 2), [2])]),
         _orbit_doc(2, [(_s(2, 7), [1]), (_s(0, 1, -1), [1])]),
         _orbit_doc(2, [(_s(-1, 5), [1]), (_s(-79, 105), [1])]),
     )]
-    seqs = [[jsonio.parse_scalar(c, "seq") for c in seq] for seq in (
+    seqs = [[cell_triple(*jsonio.reduced_cell(c, "seq")) for c in seq] for seq in (
         [_s(1, 3, 1, 2)] * 2, [_s(0, 1, -1), _s(2, 7)], [_s(-79, 105), _s(-1, 5)])]
     # residue traces summing to zero: type 0 with q of two lengths, a baseless
     # type and a later type with two blocks, so that L has a form
@@ -164,19 +182,33 @@ def test_deciding_parsed_orbits_and_types_makes_no_scalar(monkeypatch):
         [_block_doc([_s(2)], 1, [(_s(0), [1])]),
          _block_doc([_s(0), _s(1)], 2, [(_s(-1, 210, -1, 4), [1, 1])])],
     )]
-    made = []
-    init, scalar = Scalar.__init__, core._scalar
-    monkeypatch.setattr(Scalar, "__init__", lambda self, *args: made.append(args) or init(self, *args))
-    # Scalar arithmetic builds its results past __init__
-    monkeypatch.setattr(core, "_scalar", lambda *args: made.append(args) or scalar(*args))
+    # rank 2, slope 1 with non-real residues c = 1/3 + i/2 and d = 1/5 - i:
+    # O with eigenvalues -c and -d counts 3; one block with q non-real and O
+    # the negated residue counts 1
+    pair = jsonio.parse_unram_type({"blocks": [
+        _block_doc([_s(1)], 1, [(_s(1, 3, 1, 2), [1])]),
+        _block_doc([_s(-1)], 1, [(_s(1, 5, -1), [1])])]})
+    split = jsonio.parse_orbit(_orbit_doc(2, [(_s(-1, 3, -1, 2), [1]), (_s(-1, 5, 1), [1])]))
+    single = jsonio.parse_unram_type({"blocks": [
+        _block_doc([_s(1, 2, 3, 4)], 2, [(_s(1, 3), [1]), (_s(0, 1, 1, 2), [1])])]})
+    negated = jsonio.parse_orbit(_orbit_doc(2, [(_s(-1, 3), [1]), (_s(0, 1, -1, 2), [1])]))
+    # p(0) = (-1 + 2i)/6 as an unreduced triple, and Tr O = -2 p(0)
+    ftype = CoxeterFormalType(2, 1, (2, -4, -12))
+    nilpotent_shift = jsonio.parse_orbit(_orbit_doc(2, [(_s(1, 6, -1, 3), [2])]))
     star = build_cb_data(orbits, seqs)
     rigidity = fuchsian_rigidity(orbits, seqs)
     hiroe = build_hiroe_data(types)
     readings = hiroe.readings()
+    counts = count_rank2_moduli(pair, split), count_rank2_moduli(single, negated)
+    exists = coxeter_ds_decide(ftype, nilpotent_shift)
     assert made == []
     # the spy sees the Scalar route on the same input
-    assert lambda_values(star) == scalar_star_lambda(orbits, seqs)
+    scalar_seqs = [[scalar_of(t) for t in seq] for seq in seqs]
+    assert lambda_values(star) == scalar_star_lambda(orbits, scalar_seqs)
     assert lambda_values(hiroe) == _scalar_hiroe_lambda(types)
+    assert counts == (scalar_count_rank2_moduli(pair, split),
+                      scalar_count_rank2_moduli(single, negated)) == (3, 1)
+    assert exists is scalar_coxeter_ds_decide(ftype, nilpotent_shift) is True
     assert made
     # the verdicts, as the Scalar route gave them; L holds one form, and six
     # vectors of L below alpha pair to zero with lambda

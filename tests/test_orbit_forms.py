@@ -22,6 +22,7 @@ from dskit.jsonio import digest_of
 from exact_oracles import (
     arm_factors,
     lambda_values,
+    orbit_blocks,
     pairwise_congruent_pair,
     scalar_parse_orbit_list,
     scalar_residue_arm,
@@ -149,7 +150,7 @@ def test_the_integer_route_matches_the_scalar_route_on_seeded_documents():
         counts["mixed"] += len({x.denominator for e in eigs for x in (e.re, e.im)}) > 1
         arms_ok = True
         for k, (o, old_o) in enumerate(zip(orbits, old_orbits)):
-            assert (o.n, o.blocks) == (old_o.n, old_o.blocks), doc
+            assert (o.n, orbit_blocks(o)) == (old_o.n, old_o.blocks), doc
             s, old_s = (None, None) if seqs is None else (seqs[k], old_seqs[k])
             want = _outcome(scalar_residue_arm, old_o, old_s)
             got = _outcome(lambda: (residue_arm(o, s)[0], arm_factors(o, s)))
@@ -213,24 +214,43 @@ def test_no_scalar_is_made_from_a_fuchsian_document_to_its_verdict(tmp_path, mon
         "exists": True, "rigidity": "RigidSingleton"}
 
 
-def test_only_the_q_coefficients_of_an_unramified_document_make_scalars(
+def _block(q, n, blocks):
+    return {"q": q, "dim": n, "residue": _orbit(n, blocks)}
+
+
+def test_unramified_and_count_documents_make_no_scalar_and_coxeter_only_its_p0(
         tmp_path, monkeypatch, capsys):
     # type 0 with q of two lengths, a baseless type and a later type with two
-    # blocks, residue traces summing to zero
-    def block(q, n, blocks):
-        return {"q": q, "dim": n, "residue": _orbit(n, blocks)}
-
+    # blocks, residue traces summing to zero; the q cells are non-real and
+    # not in lowest terms
     types = [
-        {"blocks": [block([_s(1)], 1, [(_s(1, 3), [1])]),
-                    block([_s(-1), _s(2)], 2, [(_s(0, 1, 1, 2), [1]), (_s(1, 5), [1])])]},
-        {"blocks": [block([], 3, [(_s(-1, 3), [2]), (_s(1, 7), [1])])]},
-        {"blocks": [block([_s(2)], 1, [(_s(0), [1])]),
-                    block([_s(0), _s(3, 3)], 2, [(_s(-1, 210, -1, 4), [1, 1])])]},
+        {"blocks": [_block([_s(2, 2, 0, 3)], 1, [(_s(1, 3), [1])]),
+                    _block([_s(-3, 3), _s(4, 2, 2, -6)], 2, [(_s(0, 1, 1, 2), [1]), (_s(1, 5), [1])])]},
+        {"blocks": [_block([], 3, [(_s(-1, 3), [2]), (_s(1, 7), [1])])]},
+        {"blocks": [_block([_s(2, 1, 1, 2)], 1, [(_s(0), [1])]),
+                    _block([_s(0, 4), _s(3, 3)], 2, [(_s(-1, 210, -1, 4), [1, 1])])]},
     ]
-    path = tmp_path / "types.json"
-    path.write_text(json.dumps({"schema": SCHEMA, "types": types}))
+    unram = tmp_path / "types.json"
+    unram.write_text(json.dumps({"schema": SCHEMA, "types": types}))
+    # rank 2, slope 1: residues c = 1/3 + i/2 and d = 1/5 - i, q cells unreduced,
+    # and O with the eigenvalues -c and -d, so the count is 3
+    count = tmp_path / "count.json"
+    count.write_text(json.dumps({"schema": SCHEMA, "formal_type": {"blocks": [
+        _block([_s(2, 2)], 1, [(_s(2, 6, 1, 2), [1])]),
+        _block([_s(-1, 1, 3, -3)], 1, [(_s(1, 5, -1), [1])]),
+    ]}, "orbit": _orbit(2, [(_s(-1, 3, -1, 2), [1]), (_s(-1, 5, 1), [1])])}))
+    # p(0) = 1/2 - i at n = 2, and O = (-1/2 + i) (2), so n p(0) + Tr O = 0
+    coxeter = tmp_path / "coxeter.json"
+    coxeter.write_text(json.dumps({"schema": SCHEMA, "orbit": _orbit(2, [(_s(-2, 4, 3, 3), [2])])}))
     made = _spy(monkeypatch)
-    assert run(["unramified-ds", "--input", str(path)]) == 0
-    q = [_value(c) for t in types for b in t["blocks"] for c in b["q"] if c[0] or c[2]]
-    assert sorted(made) == sorted(q) and len(q) == 5
-    assert json.loads(capsys.readouterr().out)["result"] == {"exists": True}
+
+    def result(argv):
+        assert run(argv) == 0
+        return json.loads(capsys.readouterr().out)["result"]
+
+    assert result(["unramified-ds", "--input", str(unram)]) == {"exists": True}
+    assert result(["count-rank2", "--input", str(count)]) == {"count": 3}
+    assert made == []
+    assert result(["coxeter-ds", "--n", "2", "--r", "1", "--p0=1/2-i", "--orbit", str(coxeter)]) == {
+        "exists": True}
+    assert made == [(Fraction(1, 2), Fraction(-1))]

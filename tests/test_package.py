@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import dskit
+from dskit import cli, core, jsonio
 from dskit import (
     InputError,
     LaurentMatrix,
@@ -46,10 +47,17 @@ _NOT_PUBLIC = {
     # orbits hold integers, so no helper scales Scalar factors to them
     dskit.fuchsian: ("_integer_arms", "ScalarLike"),
     dskit.coxeter: ("CharPolySpec", "ds_generator"),
-    dskit.formal: ("standard_parahorics",),
+    dskit.formal: ("standard_parahorics", "Scalar", "ScalarLike"),
     dskit.CoxeterFormalType: ("matrix", "p_coeffs", "from_p0", "p_terms"),
-    dskit.OrbitSpec: ("multiplicity",),
-    dskit.Scalar: ("is_integer",),
+    # a Gaussian rational has one integer form, the reduced triple of core.as_triple:
+    # the Scalar views of an orbit and the Scalar cells of a document are oracles
+    dskit.OrbitSpec: ("multiplicity", "from_cells", "blocks", "eigenvalues", "trace",
+                      "determinant", "negated"),
+    dskit.Scalar: ("is_integer", "sort_key"),
+    core: ("_cell", "_fill", "ZERO", "weight"),
+    jsonio: ("parse_scalar", "scalar_json", "Scalar", "ZERO", "Fraction"),
+    cli: ("_factor",),
+    dskit.unramified: ("Scalar", "ScalarLike"),
     # alpha is held as a vector aligned with the vertices, like lambda and L
     dskit.CBData: ("alpha_vector",),
 }

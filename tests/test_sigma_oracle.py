@@ -41,6 +41,7 @@ from exact_oracles import (
     dot_lambda,
     lambda_forms,
     lambda_values,
+    orbit_trace,
     positive_roots_leq,
     residue_trace,
     rigidity_by_descent,
@@ -180,7 +181,7 @@ def _draw_orbits(rng, n, k, trace_zero):
             continue
         orbits = [_orbit(rng, n, s) for s in eig_sets]
         if trace_zero:
-            total = sum((o.trace() for o in orbits), Scalar(0))
+            total = sum((orbit_trace(o) for o in orbits), Scalar(0))
             last = orbits[-1]
             # shift the last orbit by -total/n to make the traces sum to zero
             orbits[-1] = translated(last, -total / n)

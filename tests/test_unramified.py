@@ -1,9 +1,10 @@
 import operator
+import random
 from fractions import Fraction
 
 import pytest
 
-from dskit.core import OrbitSpec, Scalar
+from dskit.core import OrbitSpec, Scalar, as_triple
 from dskit.errors import InputError, ResonantError
 from dskit.fuchsian import FuchsianRigidity, build_cb_data, fuchsian_rigidity
 from dskit.rootsys import RootClass, classify_root, p_value
@@ -18,7 +19,13 @@ from exact_oracles import (
     alpha_dot_lambda,
     build_base_quiver,
     lambda_values,
+    eigenvalues,
+    negated,
+    random_form,
     residue_trace,
+    scalar_count_rank2_moduli,
+    scalar_of,
+    sort_key,
     vector,
 )
 
@@ -60,7 +67,7 @@ def test_block_validation():
     with pytest.raises(InputError):
         UnramBlock([1], 2, _scalar_res(0))
     b = UnramBlock([1, 0], 1, _scalar_res(0))
-    assert b.q == (Scalar(1),)
+    assert b.q == (as_triple(Scalar(1)),)
     assert len(b.q) == 1
 
 
@@ -283,7 +290,7 @@ def test_count_rank2_rows():
 def test_count_rank2_scalar_leading_branch():
     res = OrbitSpec(2, [(Fraction(1, 3), (1,)), (Fraction(1, 5), (1,))])
     t = UnramFormalType([UnramBlock([1], 2, res)])
-    assert count_rank2_moduli(t, res.negated()) == 1
+    assert count_rank2_moduli(t, negated(res)) == 1
     assert count_rank2_moduli(t, res) == 0
     assert count_rank2_moduli(t, OrbitSpec(2, [(0, (2,))])) == 0
 
@@ -306,3 +313,123 @@ def test_count_zero_matches_nonexistence_on_trace_mismatch():
     bad = OrbitSpec(2, [(0, (1,)), (Fraction(1, 3), (1,))])
     assert count_rank2_moduli(t, bad) == 0
     assert not build_hiroe_data([t, UnramFormalType([UnramBlock([], 2, bad)])]).readings()[0]
+
+
+# ---------------------------------------------------------------------------
+# q and the rank-2 count on integers, against the Scalar route they replaced
+# ---------------------------------------------------------------------------
+
+# real parts over denominators 1, 2, 3, 5 and 6, imaginary parts 0, +-1/2, 1/3 and 1
+_RE = [Fraction(p, q) for q in (1, 2, 3, 5, 6) for p in range(-q, q + 1)]
+_IM = [Fraction(0)] * 4 + [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(1)]
+
+
+def _value(rng):
+    return Scalar(rng.choice(_RE), rng.choice(_IM))
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except InputError as exc:  # ResonantError among them
+        return type(exc).__name__, str(exc)
+
+
+def _orbit2(rng, eigs):
+    """The orbit on gl_2 of one eigenvalue with (2,) or (1, 1), or two
+    distinct ones, each eigenvalue in a random form."""
+    if len(eigs) == 1 or eigs[0] == eigs[1]:
+        return OrbitSpec(2, [(random_form(rng, eigs[0]), rng.choice([(2,), (1, 1)]))])
+    return OrbitSpec(2, [(random_form(rng, e), (1,)) for e in eigs])
+
+
+def _rank2_case(rng):
+    """A rank-2 slope-1 type and an orbit on gl_2, drawn to reach each branch
+    of the count: ell = 2 in 70% of the draws, with residues c and d (equal
+    in 40% of them) and O of eigenvalues {-c, -d}, {-c + s, -d - s},
+    -c alone or a random pair; else one block, with O the negated residue
+    half the time."""
+    if rng.random() < 0.7:
+        c = _value(rng)
+        d = c if rng.random() < 0.4 else _value(rng)
+        a, b = rng.sample([Scalar(x, y) for x in (-1, 0, 1, 2) for y in (0, 1)], 2)
+        t = UnramFormalType([
+            UnramBlock([random_form(rng, a)], 1, _scalar_res(random_form(rng, c))),
+            UnramBlock([random_form(rng, b)], 1, _scalar_res(random_form(rng, d))),
+        ])
+        mode = rng.choice(["pair", "shift", "alone", "random"])
+        if mode == "pair":
+            eigs = [-c, -d]
+        elif mode == "shift":
+            s = _value(rng)
+            eigs = [-c + s, -d - s]
+        elif mode == "alone":
+            eigs = [-c]
+        else:
+            eigs = [_value(rng), _value(rng)]
+        return t, _orbit2(rng, eigs)
+    res = _orbit2(rng, [_value(rng), _value(rng)])
+    q = Scalar(rng.choice([-1, 1, 2]), rng.choice([0, Fraction(1, 2)]))
+    t = UnramFormalType([UnramBlock([random_form(rng, q)], 2, res)])
+    return t, negated(res) if rng.random() < 0.5 else _orbit2(rng, [_value(rng), _value(rng)])
+
+
+def test_count_rank2_on_integers_matches_the_scalar_body():
+    # seed 20261110: 600 draws of `_rank2_case`, about 420 with ell = 2 and
+    # 180 with one block; every count, error and branch must occur
+    rng = random.Random(20261110)
+    seen = {}
+    nonreal = mixed = 0
+    for _ in range(600):
+        t, o = _rank2_case(rng)
+        got = _outcome(count_rank2_moduli, t, o)
+        assert got == _outcome(scalar_count_rank2_moduli, t, o), (t, o)
+        key = (t.ell, got[1] if got[0] == "ok" else got[0])
+        seen[key] = seen.get(key, 0) + 1
+        values = [e for r in [b.residue for b in t.blocks] + [o] for e in eigenvalues(r)]
+        nonreal += any(e.im for e in values)
+        mixed += len({x.denominator for e in values for x in (e.re, e.im)}) > 1
+    assert set(seen) == {(1, 0), (1, 1), (1, "ResonantError"),
+                         (2, 0), (2, 1), (2, 2), (2, 3), (2, "ResonantError")}, seen
+    assert min(seen.values()) >= 5 and min(nonreal, mixed) >= 300, (seen, nonreal, mixed)
+
+
+def _strip(q):
+    q = list(q)
+    while q and not q[-1]:
+        q.pop()
+    return q
+
+
+def test_q_in_every_form_gives_the_same_triples_and_distinctness():
+    # seed 20261112: 400 types of 2 or 3 blocks, each q of length 0 to 3 drawn
+    # from a pool of six values with zero among them, so that equal q's and
+    # zero top coefficients occur; each coefficient is given by `random_form`
+    pool = [Scalar(0), Scalar(1), Scalar(-2), Scalar(Fraction(1, 2)),
+            Scalar(0, Fraction(-1, 3)), Scalar(Fraction(2, 3), Fraction(1, 2))]
+    rng = random.Random(20261112)
+    forms = {}
+    verdicts = {True: 0, False: 0}
+    stripped = 0
+    for _ in range(400):
+        qs = [[rng.choice(pool) for _ in range(rng.randint(0, 3))] for _ in range(rng.randint(2, 3))]
+        blocks = []
+        for q in qs:
+            given = [random_form(rng, x) for x in q]
+            for g in given:
+                forms[type(g).__name__] = forms.get(type(g).__name__, 0) + 1
+            b = UnramBlock(given, 1, _scalar_res(0))
+            assert b.q == UnramBlock(q, 1, _scalar_res(0)).q == tuple(map(as_triple, _strip(q)))
+            assert [scalar_of(c) for c in b.q] == _strip(q)
+            stripped += len(b.q) < len(q)
+            blocks.append(b)
+        # the former rule: the stripped Scalar lists, sorted by (re, im), pairwise distinct
+        old = sorted([sort_key(x) for x in _strip(q)] for q in qs)
+        distinct = all(a != b for a, b in zip(old, old[1:]))
+        got = _outcome(UnramFormalType, blocks)
+        assert got[0] == "ok" if distinct else got == (
+            "InputError", "blocks must have pairwise distinct q_j"), qs
+        verdicts[distinct] += 1
+    assert sorted(forms) == ["Fraction", "Scalar", "int", "tuple"], forms
+    assert min(forms.values()) >= 50 and min(verdicts.values()) >= 50 and stripped >= 50, (
+        forms, verdicts, stripped)
