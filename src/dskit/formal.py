@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Iterator, Sequence, Union
 
 from . import linalg
@@ -136,26 +138,6 @@ def _f_table(n: int, J: Sequence[int]) -> list[int]:
     return f
 
 
-def _parahoric_walk(n: int) -> Iterator[list[int]]:
-    """J for every standard parahoric at size n, in lexicographic order: a
-    depth-first walk that appends k > max J before it moves on.  J is one
-    list updated in place, O(n) in size, so a caller copies what it keeps
-    past the next step.
-    """
-    J = [0]
-    yield J
-    k = 1
-    while True:
-        if k < n:
-            J.append(k)
-            yield J
-            k += 1
-        elif len(J) > 1:
-            k = J.pop() + 1
-        else:
-            return
-
-
 # ---------------------------------------------------------------------------
 # Strata and slope certification.
 # ---------------------------------------------------------------------------
@@ -268,10 +250,32 @@ def _depths(n: int, entries: list[tuple[int, int, int]]) -> Iterator[tuple[list[
     """(J, e, r) at every standard parahoric, in lexicographic order of J,
     where r/e is the depth of the connection there: r is minus the least
     graded degree k e + f_a - f_b over the entries (k, a, b), each entry
-    (a, b) of M with k its least z-degree.  J is updated in place."""
-    for J in _parahoric_walk(n):
-        e, f = len(J), _f_table(n, J)
-        yield J, e, -min([k * e + f[a] - f[b] for k, a, b in entries])
+    (a, b) of M with k its least z-degree.
+
+    The walk is depth first: it appends j > max J before it moves on.
+    Appending j raises e by 1 and f_m by 1 for m <= n - j, so it adds
+    w_j = k + [a <= n - j] - [b <= n - j] to the degree of (k, a, b); w_0 is
+    k, the degree at J = {0}.  The walk keeps the degree vector of each
+    prefix of J, so a node costs one vector sum and one min, and the walk
+    holds O(n * entries) integers.  J is one list updated in place, so a
+    caller copies what it keeps past the next step.
+    """
+    w = [[k + (a <= n - j) - (b <= n - j) for k, a, b in entries] for j in range(n)]
+    J, degs = [0], [w[0]]
+    yield J, 1, -min(w[0])
+    j = 1
+    while True:
+        if j < n:
+            top = list(map(add, degs[-1], w[j]))
+            J.append(j)
+            degs.append(top)
+            yield J, len(J), -min(top)
+            j += 1
+        elif len(J) > 1:
+            j = J.pop() + 1
+            degs.pop()
+        else:
+            return
 
 
 def certify_slope(m: LaurentMatrix, budget: int | None = DEFAULT_BUDGET) -> SlopeVerdict:
@@ -283,14 +287,15 @@ def certify_slope(m: LaurentMatrix, budget: int | None = DEFAULT_BUDGET) -> Slop
     IMRN 2013 and IMRN 2018).  So a fundamental stratum can only sit at a
     parahoric of minimal depth.  The depth at each parahoric is read off the
     least z-degree at each entry of M with integers alone: no matrix
-    products, no Fractions.  The scan walks the parahorics twice, depth
-    first, in lexicographic order of J (see _parahoric_walk).  The first
-    walk finds the least depth, comparing depths r/e by cross-multiplying.
-    The second builds the StandardParahoric and its leading stratum only
-    where the depth is least, tests it for nilpotency, and stops at the
-    first fundamental one.  Neither walk keeps the parahorics it has left,
-    so the scan holds O(n) integers beyond the entries of M, not 2^(n-1)
-    parahorics.
+    products, no Fractions.  One full walk of the parahorics, depth first in
+    lexicographic order of J (see _depths), finds the least depth, comparing
+    depths r/e by cross-multiplying, with the first J of that depth and the
+    number of parahorics that tie at it.  The leading stratum at that first
+    J is built and tested for nilpotency.  Only if it is nilpotent and other
+    parahorics tie with it does a second walk run, which tests each later
+    tie in order and stops at the first fundamental one.  Neither walk keeps
+    the parahorics it has left, so the scan holds O(n * entries) integers,
+    not 2^(n-1) parahorics.
 
     The first fundamental stratum found certifies slope = depth, and it is
     the lexicographically first fundamental stratum over all parahorics.  If
@@ -323,23 +328,27 @@ def certify_slope(m: LaurentMatrix, budget: int | None = DEFAULT_BUDGET) -> Slop
         least_deg.setdefault((i, j), deg)
     entries = [(k, a, b) for (a, b), k in least_deg.items()]
     depths = _depths(n, entries)
-    _J, least_e, least_r = next(depths)
-    for _J, e, r in depths:
-        if r * least_e < least_r * e:
-            least_r, least_e = r, e
+    J, least_e, least_r = next(depths)
+    first, ties = J[:], 1
+    for J, e, r in depths:
+        x, y = r * least_e, least_r * e
+        if x < y:
+            least_r, least_e, first, ties = r, e, J[:], 1
+        elif x == y:
+            ties += 1
     # a genuine pole forces positive depth at every standard parahoric
     assert least_r > 0
-    first: Stratum | None = None
-    for J, e, r in _depths(n, entries):
-        if r * least_e != least_r * e:
-            continue
-        s = leading_stratum(StandardParahoric(n, J), m)
-        if is_fundamental(s):
-            return CertifiedSlope(s.depth, s)
-        if first is None:
-            first = s
-    assert first is not None
-    return UpperBoundOnly(Fraction(least_r, least_e), first)
+    s = leading_stratum(StandardParahoric(n, first), m)
+    if is_fundamental(s):
+        return CertifiedSlope(s.depth, s)
+    if ties > 1:
+        # the parahorics of least depth in order, past the first, tested above
+        least = (J for J, e, r in _depths(n, entries) if r * least_e == least_r * e)
+        for J in islice(least, 1, ties):
+            t = leading_stratum(StandardParahoric(n, J), m)
+            if is_fundamental(t):
+                return CertifiedSlope(t.depth, t)
+    return UpperBoundOnly(s.depth, s)
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,9 @@ def _check_scalar(obj: Any, path: str) -> None:
 
 
 def parse_orbit(obj: Any, path: str = "orbit") -> OrbitSpec:
-    """An orbit document: each eigenvalue cell is checked once and reduced to
-    a triple, and the orbit holds the eigenvalues as integers."""
+    """An orbit document: each eigenvalue cell [a, b, c, d] is checked once
+    and passed as the triple (a d, c b, b d), which `OrbitSpec` reduces, and
+    the orbit holds the eigenvalues as integers."""
     if not isinstance(obj, dict):
         _fail(path, "orbit must be an object")
     n = obj.get("n")
@@ -71,7 +72,13 @@ def parse_orbit(obj: Any, path: str = "orbit") -> OrbitSpec:
         if not (type(part) is list and set(map(type, part)) == {int}
                 or isinstance(part, list) and part and all(map(_is_int, part))):
             _fail(f"{bpath}.partition", "must be a nonempty array of integers")
-        pairs.append((cell_triple(*reduced_cell(blk["eig"], f"{bpath}.eig")), part))
+        eig = blk["eig"]
+        if not (type(eig) is list and len(eig) == 4 and set(map(type, eig)) == {int}
+                and eig[1] and eig[3]):
+            _check_scalar(eig, f"{bpath}.eig")
+            eig = list(map(int, eig))  # a subclass of list or int
+        a, b, c, d = eig
+        pairs.append(((a * d, c * b, b * d), part))
     try:
         return OrbitSpec(n, pairs)
     except InputError as exc:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from itertools import accumulate, chain, repeat
 from math import gcd
-from operator import mul
+from operator import getitem, mul
 
 from .core import dual_partition
 from .errors import InputError
@@ -114,13 +114,25 @@ def gaussian_mul(a: Gaussian, b: Gaussian) -> Gaussian:
 def is_nilpotent(g: Gaussian) -> bool:
     """Whether some power of the square matrix g = (re + i im) / den is zero.
 
-    Scaling keeps nilpotency, so den is never read.  g is squared until the
+    Scaling keeps nilpotency, so den is never read.  A nilpotent matrix has
+    every power sum tr A^m zero (its eigenvalues are all 0), so g is not
+    nilpotent when tr A or tr A^2 = sum_ij A_ij A_ji is nonzero, an O(n^2)
+    test that settles most inputs.  Otherwise g is squared until the
     exponent reaches n: an n x n matrix is nilpotent exactly when its n-th
     power, or any higher one, is zero.
     """
-    n = len(g[0])
-    if any(len(row) != n for row in g[0]):
+    re, im, _ = g
+    n = len(re)
+    if any(len(row) != n for row in re):
         raise InputError("nilpotency needs a square matrix")
+    if sum(map(getitem, re, range(n))) or sum(map(getitem, im, range(n))):
+        return False
+    # tr A^2 = sum_ij A_ij A_ji has the real part sum re_ij re_ji - im_ij im_ji
+    # and the imaginary part 2 sum re_ij im_ji
+    flat_re, flat_im = list(chain(*re)), list(chain(*im))
+    if (sum(map(mul, flat_re, chain(*zip(*re)))) != sum(map(mul, flat_im, chain(*zip(*im))))
+            or sum(map(mul, flat_re, chain(*zip(*im))))):
+        return False
     k = 1
     while k < n:
         g = gaussian_mul(g, g)

@@ -79,7 +79,9 @@ from dskit.formal import (
     StandardParahoric,
     Stratum,
     UpperBoundOnly,
-    _parahoric_walk,
+    _f_table,
+    is_fundamental,
+    leading_stratum,
     omega_power,
 )
 from dskit.fuchsian import FuchsianRigidity, build_cb_data
@@ -93,6 +95,7 @@ from dskit.rootsys import (
     Vertex,
     VecLike,
     _after_box,
+    _check_budget,
     _form_zeros,
     _support_connected,
     best_p_sums,
@@ -1142,12 +1145,83 @@ def filtration_degree(p: StandardParahoric, a: int, b: int, k: int) -> int:
     raise AssertionError("unreachable: the degree lies within k*e +- (e-1)")
 
 
+def parahoric_walk(n: int) -> Iterator[list[int]]:
+    """J for every standard parahoric at size n, in lexicographic order: a
+    depth-first walk that appends k > max J before it moves on.  J is one
+    list updated in place, O(n) in size, so a caller copies what it keeps
+    past the next step.
+    """
+    J = [0]
+    yield J
+    k = 1
+    while True:
+        if k < n:
+            J.append(k)
+            yield J
+            k += 1
+        elif len(J) > 1:
+            k = J.pop() + 1
+        else:
+            return
+
+
 def standard_parahorics(n: int) -> list[StandardParahoric]:
     """All 2^(n-1) standard parahorics, ordered lexicographically by J: the
-    listed twin of the walk `certify_slope` streams."""
+    listed twin of `parahoric_walk`, whose order `certify_slope` walks in."""
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
-    return [StandardParahoric(n, J) for J in _parahoric_walk(n)]
+    return [StandardParahoric(n, J) for J in parahoric_walk(n)]
+
+
+def table_depths(n: int, entries: list[tuple[int, int, int]]) -> Iterator[tuple[list[int], int, int]]:
+    """(J, e, r) at every J of `parahoric_walk`, where r/e is the depth
+    there: the f-table of each J built afresh and every entry (k, a, b)
+    evaluated at k e + f_a - f_b, with no degree carried from J's parent."""
+    for J in parahoric_walk(n):
+        e, f = len(J), _f_table(n, J)
+        yield J, e, -min([k * e + f[a] - f[b] for k, a, b in entries])
+
+
+def two_walk_certify_slope(m: LaurentMatrix, budget: int | None = DEFAULT_BUDGET) -> SlopeVerdict:
+    """`certify_slope` as two full walks of `table_depths`: the first finds
+    the least depth, the second tests every parahoric of that depth in
+    order and stops at the first fundamental one, or bounds with the first
+    of them."""
+    _check_budget(budget)
+    if m.trunc is not None and m.trunc < 1:
+        raise TruncationError(
+            "slope certification needs the matrix known through z^0"
+        )
+    v = m.valuation()
+    if v is None or v >= 0:
+        return RegularSingularCandidate()
+    n = m.n
+    count = 1 << (n - 1)
+    if budget is not None and count > budget:
+        raise BudgetExceededError(
+            f"parahoric scan exceeded budget of {budget}: "
+            f"{count} standard parahorics at n = {n}"
+        )
+    least_deg: dict[tuple[int, int], int] = {}
+    for deg, i, j in m.monomials():
+        least_deg.setdefault((i, j), deg)
+    entries = [(k, a, b) for (a, b), k in least_deg.items()]
+    depths = table_depths(n, entries)
+    _J, least_e, least_r = next(depths)
+    for _J, e, r in depths:
+        if r * least_e < least_r * e:
+            least_r, least_e = r, e
+    first: Stratum | None = None
+    for J, e, r in table_depths(n, entries):
+        if r * least_e != least_r * e:
+            continue
+        s = leading_stratum(StandardParahoric(n, J), m)
+        if is_fundamental(s):
+            return CertifiedSlope(s.depth, s)
+        if first is None:
+            first = s
+    assert first is not None
+    return UpperBoundOnly(Fraction(least_r, least_e), first)
 
 
 def parahoric_sets(n: int) -> list[tuple[int, ...]]:

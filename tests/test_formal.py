@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from dskit import linalg
+from dskit import formal, linalg
 from dskit.core import Scalar, as_triple
 from dskit.errors import BudgetExceededError, InputError, ResonantError, TruncationError
 from dskit.formal import (
@@ -18,6 +18,7 @@ from dskit.formal import (
     StandardParahoric,
     Stratum,
     UpperBoundOnly,
+    _depths,
     certify_slope,
     is_fundamental,
     leading_stratum,
@@ -55,8 +56,10 @@ from exact_oracles import (
     series_mul,
     series_scale,
     standard_parahorics,
+    two_walk_certify_slope,
     zeros,
 )
+import exact_oracles
 
 mono = monomial
 
@@ -367,7 +370,76 @@ def test_certify_slope_matches_full_scan_oracle():
             seen["truncated"] += 1
         if m.n == 7:
             seen["n=7"] += 1
-    assert len(seen) == 8 and min(seen.values()) >= 20, seen
+        if isinstance(want, UpperBoundOnly):
+            ties = sum(s.depth == want.bound for s in strata)
+            seen["unique nilpotent least-depth stratum" if ties == 1
+                 else "several least-depth strata, all nilpotent"] += 1
+    assert len(seen) == 10 and min(seen.values()) >= 20, seen
+
+
+def test_carried_degrees_match_the_f_table():
+    # seed 20261201: 300 draws at n = 1..8 with 1 to 12 entries (k, a, b); at
+    # every J the walk carries, each entry's degree is k e + f_a - f_b with f
+    # from the nested loop, and the depth is minus their least
+    rng = random.Random(20261201)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        entries = [(rng.randint(-3, 2), rng.randint(1, n), rng.randint(1, n))
+                   for _ in range(rng.randint(1, 12))]
+        walked = []
+        # one walk of all the entries beside one walk of each entry alone
+        for (J, e, r), *alone in zip(_depths(n, entries), *(_depths(n, [x]) for x in entries)):
+            f = nested_loop_f(n, J)
+            degrees = [k * e + f[a] - f[b] for k, a, b in entries]
+            assert [(Jx, ex) for Jx, ex, _ in alone] == [(J, e)] * len(entries)
+            assert [-rx for _, _, rx in alone] == degrees
+            assert r == -min(degrees)
+            walked.append(tuple(J))
+        assert walked == parahoric_sets(n)
+
+
+def _slope_outcome(certify, m, budget):
+    try:
+        return certify(m, budget)
+    except (TruncationError, BudgetExceededError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_certify_slope_matches_the_two_walk_oracle(monkeypatch):
+    # seed 20261202: 1,500 draws of _random_connection under no budget, the
+    # default, exactly 2^(n-1) nodes or one fewer; the one walk and the two
+    # walks give equal verdicts, witnesses and messages, and build the same
+    # strata in the same order
+    built = []
+
+    def spy(p, m):
+        built.append(p.J)
+        return leading_stratum(p, m)
+
+    monkeypatch.setattr(formal, "leading_stratum", spy)
+    monkeypatch.setattr(exact_oracles, "leading_stratum", spy)
+    rng = random.Random(20261202)
+    seen = Counter()
+    for _ in range(1500):
+        m = _random_connection(rng)
+        budget = rng.choice([None, DEFAULT_BUDGET, 1 << (m.n - 1), (1 << (m.n - 1)) - 1])
+        built.clear()
+        got = _slope_outcome(certify_slope, m, budget)
+        one = built[:]
+        built.clear()
+        want = _slope_outcome(two_walk_certify_slope, m, budget)
+        assert got == want, m
+        assert one == built, m
+        kind = want[0] if isinstance(want, tuple) else type(want).__name__
+        if kind in ("CertifiedSlope", "UpperBoundOnly"):
+            kind += " after one stratum" if len(one) == 1 else " after several"
+        seen[kind] += 1
+    # a certificate after several strata would need a nilpotent first tie and a
+    # fundamental later one, which no seeded draw has shown
+    assert set(seen) == {"RegularSingularCandidate", "TruncationError", "BudgetExceededError",
+                         "CertifiedSlope after one stratum", "UpperBoundOnly after one stratum",
+                         "UpperBoundOnly after several"}, seen
+    assert min(seen.values()) >= 20, seen
 
 
 def test_certify_slope_holds_o_of_n_memory():

@@ -501,6 +501,30 @@ def test_is_nilpotent_matches_mat_pow():
     assert 600 <= nilpotent <= 2400, nilpotent
 
 
+I = Scalar(0, 1)
+# (name, matrix, nilpotent, squared): squared says whether the power-sum
+# filter, tr A and tr A^2, left the answer to the squaring
+NILPOTENCY_EXITS = [
+    ("trace", [[1, 1], [0, 0]], False, False),
+    ("trace of the square", [[0, 1], [1, 0]], False, False),
+    ("imaginary trace of the square", [[0, 1], [I, 0]], False, False),
+    ("3-cycle, power sums 1 and 2 zero", [[0, 1, 0], [0, 0, 1], [1, 0, 0]], False, True),
+    ("Jordan block", [[0, 1, 0], [0, 0, 1], [0, 0, 0]], True, True),
+]
+
+
+@pytest.mark.parametrize("scale", [1, I], ids=["over Z", "times i"])
+@pytest.mark.parametrize("name, a, nilpotent, squared", NILPOTENCY_EXITS,
+                         ids=[x[0] for x in NILPOTENCY_EXITS])
+def test_is_nilpotent_exits(monkeypatch, scale, name, a, nilpotent, squared):
+    g = gaussian([[Scalar.of(x) * scale for x in row] for row in a])
+    products = []
+    mul = linalg.gaussian_mul
+    monkeypatch.setattr(linalg, "gaussian_mul", lambda x, y: products.append(1) or mul(x, y))
+    assert linalg.is_nilpotent(g) is nilpotent
+    assert bool(products) is squared
+
+
 # real inputs: each kernel then runs its integer route, and i times the same
 # input runs its Z[i] route
 

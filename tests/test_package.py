@@ -32,7 +32,8 @@ def test_every_public_name_imported_by_the_package_is_exported():
 # The Scalar matrix algebra that no decider runs lives in tests/exact_oracles.py:
 # LaurentMatrix holds M of d + M dz/z over Z[i], and the deciders compute on Z[i].
 # So do the second routes to an answer: the Coxeter dominance reading, a general
-# p (CoxeterFormalType holds n, r and p(0)) and the listed standard parahorics.
+# p (CoxeterFormalType holds n, r and p(0)), the listed standard parahorics and
+# the parahoric walk that carries no degrees.
 # lambda is built as integer forms, so neither linalg nor rootsys reads a Scalar.
 _NOT_PUBLIC = {
     dskit: ("CharPolySpec", "ds_generator", "standard_parahorics"),
@@ -47,7 +48,7 @@ _NOT_PUBLIC = {
     # orbits hold integers, so no helper scales Scalar factors to them
     dskit.fuchsian: ("_integer_arms", "ScalarLike"),
     dskit.coxeter: ("CharPolySpec", "ds_generator"),
-    dskit.formal: ("standard_parahorics", "Scalar", "ScalarLike"),
+    dskit.formal: ("standard_parahorics", "_parahoric_walk", "Scalar", "ScalarLike"),
     dskit.CoxeterFormalType: ("matrix", "p_coeffs", "from_p0", "p_terms"),
     # a Gaussian rational has one integer form, the reduced triple of core.as_triple:
     # the Scalar views of an orbit and the Scalar cells of a document are oracles
