@@ -8,7 +8,7 @@ orbit, with arm lengths and weights read off from the eigenvalue structure.
 
 from fractions import Fraction
 
-from dskit.core import OrbitSpec, Scalar
+from dskit.core import OrbitSpec, gaussian_str
 from dskit.fuchsian import FuchsianRigidity, build_cb_data, fuchsian_rigidity
 
 
@@ -21,8 +21,7 @@ def show(title, orbits):
     # lambda_v = (re_v + i im_v) / den, aligned with the vertices; the central
     # vertex 0 comes first there and is printed last
     re, im, den = data.lam
-    weights = [(v, Scalar(Fraction(x, den), Fraction(y, den)))
-               for v, x, y in zip(data.quiver.vertices, re, im)]
+    weights = [(v, gaussian_str(x, y, den)) for v, x, y in zip(data.quiver.vertices, re, im)]
     for v, x in weights[1:] + weights[:1]:
         print(f"    lambda[{v}] = {x}")
     verdict = fuchsian_rigidity(orbits)

@@ -9,8 +9,9 @@ d + B_0 dz/z by an explicit gauge transformation, computed term by term.
 """
 
 from fractions import Fraction
+from functools import reduce
 
-from dskit.core import Scalar
+from dskit.core import gaussian_str
 from dskit.formal import (
     CertifiedSlope,
     RegularSingularCandidate,
@@ -59,30 +60,47 @@ m = LaurentMatrix(2, {
 g = regsing_normalize(m, order)
 
 
-def scalars(c):
-    """The coefficient c = (re, im, den) as a matrix of Scalars."""
+def entries(c):
+    """The coefficient c = (re, im, den) as a matrix of (re, im) Fraction pairs."""
     re, im, den = c
-    return [[Scalar(Fraction(x, den), Fraction(y, den)) for x, y in zip(xr, yr)]
+    return [[(Fraction(x, den), Fraction(y, den)) for x, y in zip(xr, yr)]
             for xr, yr in zip(re, im)]
 
 
-print(f"g_0 = identity: {scalars(g.coeff(0)) == [[1, 0], [0, 1]]}")
-print(f"g_1 = {scalars(g.coeff(1))}")
+def shown(c):
+    """The coefficient c = (re, im, den) as text, each entry as Scalar(value)."""
+    re, im, den = c
+    return "[" + ", ".join(
+        "[" + ", ".join(f"Scalar({gaussian_str(x, y, den)})" for x, y in zip(xr, yr)) + "]"
+        for xr, yr in zip(re, im)) + "]"
+
+
+print(f"g_0 = identity: {entries(g.coeff(0)) == [[(1, 0), (0, 0)], [(0, 0), (1, 0)]]}")
+print(f"g_1 = {shown(g.coeff(1))}")
+
+
+def add(p, q):
+    return p[0] + q[0], p[1] + q[1]
+
+
+def times(p, q):
+    (a, b), (c, d) = p, q
+    return a * c - b * d, a * d + b * c
 
 
 def product(a, b):
-    return [[sum((x * y for x, y in zip(row, col)), Scalar(0)) for col in zip(*b)] for row in a]
+    return [[reduce(add, map(times, row, col)) for col in zip(*b)] for row in a]
 
 
 def defect(k):
     """The entries of the z^k coefficient of g M - z dg/dz - B_0 g, that is
-    sum_{i<=k} g_i M_{k-i} - k g_k - B_0 g_k."""
-    gk = scalars(g.coeff(k))
-    terms = [product(scalars(g.coeff(i)), scalars(m.coeff(k - i))) for i in range(k + 1)]
-    terms.append([[-k * x for x in row] for row in gk])
-    terms.append([[-x for x in row] for row in product(scalars(m.coeff(0)), gk)])
-    return [sum(col, Scalar(0)) for rows in zip(*terms) for col in zip(*rows)]
+    sum_{i<=k} g_i M_{k-i} - k g_k - B_0 g_k, as (re, im) pairs."""
+    gk = entries(g.coeff(k))
+    terms = [product(entries(g.coeff(i)), entries(m.coeff(k - i))) for i in range(k + 1)]
+    terms.append([[(-k * x, -k * y) for x, y in row] for row in gk])
+    terms.append([[(-x, -y) for x, y in row] for row in product(entries(m.coeff(0)), gk)])
+    return [reduce(add, col) for rows in zip(*terms) for col in zip(*rows)]
 
 
 print(f"identity holds mod z^{order}:",
-      not any(any(defect(k)) for k in range(order)))
+      not any(re or im for k in range(order) for re, im in defect(k)))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .core import (
     OrbitSpec,
-    Scalar,
     as_partition,
     dual_partition,
     min_partition_with_r_parts,
@@ -89,7 +88,6 @@ __all__ = [
     "RegularSingularCandidate",
     "ResonantError",
     "RootClass",
-    "Scalar",
     "SimpleTypeQuery",
     "SlopeVerdict",
     "StandardParahoric",

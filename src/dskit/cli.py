@@ -17,11 +17,10 @@ import argparse
 import functools
 import os
 import sys
-from fractions import Fraction
 from typing import Any, Sequence
 
 from . import jsonio
-from .core import OrbitSpec, Scalar, Triple, cell_triple
+from .core import OrbitSpec, Triple, cell_triple, gaussian_str, parse_gaussian
 from .coxeter import SimpleTypeQuery, coxeter_ds_decide, is_rigid_coxeter_gl, rigid_table_readings
 from .errors import BudgetExceededError, InputError
 from .formal import (
@@ -33,7 +32,7 @@ from .formal import (
 )
 from .fuchsian import CBData, FuchsianRigidity, build_cb_data, fuchsian_rigidity
 from .rootsys import DEFAULT_BUDGET
-from .unramified import build_hiroe_data
+from .unramified import build_hiroe_data, count_rank2_moduli
 
 
 # the --flag of each subcommand that has one: its value, the reading the
@@ -218,9 +217,8 @@ def quiver_dot(data: CBData) -> str:
     re, im, den = data.lam
     for v, a, x, y in zip(data.quiver.vertices, data.alpha, re, im):
         name = _vertex_name(v)
-        lam = Scalar(Fraction(x, den), Fraction(y, den))
         lines.append(
-            f'  "{name}" [label="{name}\\nalpha={a}\\nlambda={lam}"];'
+            f'  "{name}" [label="{name}\\nalpha={a}\\nlambda={gaussian_str(x, y, den)}"];'
         )
     for tail, head in data.quiver.arrows:
         lines.append(f'  "{_vertex_name(tail)}" -> "{_vertex_name(head)}";')
@@ -275,7 +273,7 @@ def _cmd_unramified_ds(ns, ctx) -> tuple[Any, int]:
 def _cmd_coxeter_ds(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.orbit)
     orbit = jsonio.parse_orbit(_require(doc, "orbit"), "orbit")
-    ftype = CoxeterFormalType(ns.n, ns.r, Scalar.parse(ns.p0))
+    ftype = CoxeterFormalType(ns.n, ns.r, parse_gaussian(ns.p0))
     ctx["digest"] = jsonio.digest_of({
         "n": ns.n, "r": ns.r, "p0": jsonio.lowest_cell(*ftype.p0),
         "orbit": jsonio.orbit_json(orbit),
@@ -334,8 +332,6 @@ def _cmd_normalize_regsing(ns, ctx) -> tuple[Any, int]:
 
 
 def _cmd_count_rank2(ns, ctx) -> tuple[Any, int]:
-    from .unramified import count_rank2_moduli
-
     doc = jsonio.load_document(ns.input)
     d = jsonio.parse_unram_type(_require(doc, "formal_type"), "formal_type")
     orbit = jsonio.parse_orbit(_require(doc, "orbit"), "orbit")

@@ -1,4 +1,5 @@
-"""Exact scalars, partitions, and adjoint-orbit specifications.
+"""Gaussian rationals as integer triples, partitions, and adjoint-orbit
+specifications.
 
 Everything downstream (quiver criteria, filtrations, point counts) runs on the
 Gaussian rationals Q(i): zero-tests such as "does this pairing vanish" and
@@ -10,144 +11,25 @@ from __future__ import annotations
 
 import operator
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import InputError
+from .frozen import Frozen
 
-Rational = Union[int, Fraction]
 
-
-@dataclass(frozen=True, slots=True)
 class Scalar:
-    """A Gaussian rational a + bi with exact arithmetic: slotted, immutable,
-    with `Fraction` parts.  Arithmetic builds its result from the parts it
-    has (`_scalar`) and skips the work a zero part makes trivial."""
+    """A name and nothing more: the benchmark's tracer (`bench/spans.py`)
+    counts calls to `core.Scalar.__init__` as `core.scalars_created`.  The
+    package makes no Scalar, so that count is 0; a Gaussian rational is its
+    reduced triple (`as_triple`), read by `parse_gaussian` and written by
+    `gaussian_str`."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ()
 
-    def __init__(self, re: Rational = 0, im: Rational = 0):
-        _set_re(self, re if type(re) is Fraction else Fraction(re))
-        _set_im(self, im if type(im) is Fraction else Fraction(im))
-
-    @staticmethod
-    def of(value: "ScalarLike") -> "Scalar":
-        if isinstance(value, Scalar):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Scalar(value)
-        raise InputError(f"cannot interpret {value!r} as a Gaussian rational")
-
-    def __add__(self, other: "ScalarLike") -> "Scalar":
-        o = other if type(other) is Scalar else Scalar.of(other)
-        a, b, c, d = self.re, self.im, o.re, o.im
-        return _scalar(a + c if a and c else a or c, b + d if b and d else b or d)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Scalar":
-        return _scalar(-self.re, -self.im if self.im else self.im)
-
-    def __sub__(self, other: "ScalarLike") -> "Scalar":
-        o = other if type(other) is Scalar else Scalar.of(other)
-        a, b, c, d = self.re, self.im, o.re, o.im
-        return _scalar(a - c if a and c else a or -c, b - d if b and d else b or -d)
-
-    def __rsub__(self, other: "ScalarLike") -> "Scalar":
-        return Scalar.of(other) - self
-
-    def __mul__(self, other: "ScalarLike") -> "Scalar":
-        o = other if type(other) is Scalar else Scalar.of(other)
-        a, b, c, d = self.re, self.im, o.re, o.im
-        if not d:  # a real factor
-            return _scalar(a * c, b * c if b else b)
-        return _scalar(a * c - b * d if b else a * c, a * d + b * c if b else a * d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "ScalarLike") -> "Scalar":
-        o = other if type(other) is Scalar else Scalar.of(other)
-        if not o:
-            raise ZeroDivisionError("division by zero scalar")
-        nrm = o.re * o.re + o.im * o.im
-        return self * _scalar(o.re / nrm, -o.im / nrm)
-
-    def __rtruediv__(self, other: "ScalarLike") -> "Scalar":
-        return Scalar.of(other) / self
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Scalar):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return not self.im and self.re == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # Match the hash of plain rationals so Scalar(1,0) == Fraction(1) hashes
-        # alike; an integer hashes as its numerator, with no modular inverse.
-        re, im = self.re, self.im
-        if im:
-            return hash((re, im))
-        return hash(re.numerator) if re.denominator == 1 else hash(re)
-
-    def __str__(self) -> str:
-        re, im = self.re, self.im
-        if not im:
-            return str(re)
-        im_part = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
-        if not re:
-            return im_part
-        return f"{re}{'+' if im > 0 else ''}{im_part}"
-
-    def __repr__(self) -> str:
-        return f"Scalar({self})"
-
-    _TOKEN = _re.compile(r"^([+-]?\d+(?:/\d+)?)?([+-](?:\d+(?:/\d+)?)?)?(i?)$")
-
-    @staticmethod
-    def parse(text: str) -> "Scalar":
-        """Parse strings like "3", "-1/2", "i", "2-i", "1/2+3/4i"."""
-        s = text.strip().replace(" ", "")
-        if not s:
-            raise InputError("empty scalar string")
-        m = Scalar._TOKEN.match(s)
-        if not m:
-            raise InputError(f"cannot parse scalar {text!r}")
-        first, second, tail_i = m.groups()
-        if not tail_i and (second is not None or first is None):
-            raise InputError(f"cannot parse scalar {text!r}")
-        try:
-            if not tail_i:
-                return Scalar(Fraction(first))
-            if second is not None:  # "1+i", "-i", "7-2/3i"; a bare sign stands for 1
-                re_part = Fraction(first) if first else Fraction(0)
-                im_part = Fraction({"+": "1", "-": "-1"}.get(second, second))
-                return Scalar(re_part, im_part)
-            # pure imaginary: "i", "2i", "-3/4i"
-            return Scalar(0, Fraction(first) if first else Fraction(1))
-        except ZeroDivisionError as exc:
-            raise InputError(f"zero denominator in scalar {text!r}") from exc
-        except ValueError as exc:  # an integer past the interpreter's digit limit
-            raise InputError(f"cannot parse scalar: {exc}") from exc
-
-
-ScalarLike = Union[Scalar, int, Fraction]
-
-_set_re, _set_im = Scalar.re.__set__, Scalar.im.__set__
-
-
-def _scalar(re: Fraction, im: Fraction) -> Scalar:
-    """A Scalar from two `Fraction` parts, past `__init__`'s conversions."""
-    s = object.__new__(Scalar)
-    _set_re(s, re)
-    _set_im(s, im)
-    return s
+    def __init__(self) -> None:
+        raise TypeError("dskit makes no Scalar: a Gaussian rational is its reduced triple")
 
 
 def _int_str(x: int) -> str:
@@ -220,16 +102,16 @@ def partitions_of(m: int, max_part: int | None = None) -> Iterator[Partition]:
 
 
 # ---------------------------------------------------------------------------
-# Orbit specifications: eigenvalues with Jordan partitions.
+# Gaussian rationals as reduced triples.
 # ---------------------------------------------------------------------------
 
 
 # a Gaussian rational (re + i im) / den in lowest terms: den > 0 and no prime
 # divides re, im and den together, so equal values give equal triples
 Triple = tuple[int, int, int]
-# a Gaussian rational as `as_triple` reads it: a Scalar, int, Fraction or
+# a Gaussian rational as `as_triple` reads it: an int, a Fraction or an
 # integer triple (re, im, den) with den != 0
-Factor = Union[ScalarLike, Triple]
+Factor = Union[int, Fraction, Triple]
 
 
 def cell_triple(a: int, b: int, c: int, d: int) -> Triple:
@@ -254,19 +136,80 @@ def as_triple(x: Factor) -> Triple:
             raise InputError(f"the triple {x!r} has a zero denominator")
         g = gcd(re, im, den) if den > 0 else -gcd(re, im, den)
         return x if g == 1 else (re // g, im // g, den // g)
-    if isinstance(x, Scalar):
-        return cell_triple(x.re.numerator, x.re.denominator, x.im.numerator, x.im.denominator)
     if isinstance(x, (int, Fraction)):
         return x.numerator, 0, x.denominator
     raise InputError(f"cannot interpret {x!r} as a Gaussian rational")
 
 
-@dataclass(frozen=True)
-class OrbitSpec:
+# "3", "-1/2", "i", "2-i", "1/2+3/4i": a rational, then a signed rational
+# or a bare sign, then i; which parts may be missing is checked by the parser
+_GAUSSIAN = _re.compile(r"^([+-]?\d+(?:/\d+)?)?([+-](?:\d+(?:/\d+)?)?)?(i?)$")
+
+
+def _rational(token: str, text: str) -> tuple[int, int]:
+    """The rational [+-]a[/b] of token as (a, b) in lowest terms, b > 0."""
+    num, _, den = token.partition("/")
+    try:
+        a, b = int(num), int(den or 1)
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise InputError(f"cannot parse scalar: {exc}") from exc
+    if not b:
+        raise InputError(f"zero denominator in scalar {text!r}")
+    g = gcd(a, b)
+    return a // g, b // g
+
+
+def parse_gaussian(text: str) -> Triple:
+    """The reduced triple of strings like "3", "-1/2", "i", "2-i",
+    "1/2+3/4i"; spaces are ignored, and a bare sign before i stands for 1."""
+    s = text.strip().replace(" ", "")
+    if not s:
+        raise InputError("empty scalar string")
+    m = _GAUSSIAN.match(s)
+    if not m:
+        raise InputError(f"cannot parse scalar {text!r}")
+    first, second, tail_i = m.groups()
+    if not tail_i:
+        if second is not None or first is None:
+            raise InputError(f"cannot parse scalar {text!r}")
+        a, b = _rational(first, text)
+        return a, 0, b
+    if second is None:  # pure imaginary: "i", "2i", "-3/4i"
+        c, d = _rational(first, text) if first else (1, 1)
+        return 0, c, d
+    a, b = _rational(first, text) if first else (0, 1)
+    c, d = _rational(second + "1" if len(second) == 1 else second, text)
+    return cell_triple(a, b, c, d)
+
+
+def _ratio_str(a: int, d: int) -> str:
+    g = gcd(a, d)
+    return str(a // g) if g == d else f"{a // g}/{d // g}"
+
+
+def gaussian_str(re: int, im: int, den: int) -> str:
+    """The text of (re + i im) / den, den > 0, in the form `parse_gaussian`
+    reads: each part in lowest terms, the imaginary one last, and i for 1i."""
+    if not im:
+        return _ratio_str(re, den)
+    i = "i" if im == den else "-i" if im == -den else _ratio_str(im, den) + "i"
+    if not re:
+        return i
+    return f"{_ratio_str(re, den)}{'+' if im > 0 else ''}{i}"
+
+
+# ---------------------------------------------------------------------------
+# Orbit specifications: eigenvalues with Jordan partitions.
+# ---------------------------------------------------------------------------
+
+
+class OrbitSpec(Frozen):
     """An adjoint orbit in gl_n, given by distinct eigenvalues and a Jordan
     partition at each.  Eigenvalue k is (re[k] + i im[k]) / den, over one
     denominator den, the lcm of the reduced denominators, and the blocks are
     sorted by (re, im), so equal orbits compare equal."""
+
+    __slots__ = ("n", "den", "re", "im", "parts")
 
     n: int
     den: int
@@ -292,17 +235,31 @@ class OrbitSpec:
         if n <= 0:
             raise InputError(f"need n >= 1, got n={n}")
         re, im, order = zip(*keys)  # keys is not empty: n >= 1 is the sum of the parts
-        # the fields of a frozen dataclass, set past its __setattr__
-        vars(self).update(n=int(n), den=den, re=re, im=im, parts=tuple(parts[k] for k in order))
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        object.__setattr__(self, "parts", tuple(parts[k] for k in order))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not OrbitSpec:
+            return NotImplemented
+        return (self.n, self.den, self.re, self.im, self.parts) == (
+            other.n, other.den, other.re, other.im, other.parts)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.den, self.re, self.im, self.parts))
+
+    def __repr__(self) -> str:
+        return (f"OrbitSpec(n={self.n!r}, den={self.den!r}, re={self.re!r}, im={self.im!r}, "
+                f"parts={self.parts!r})")
 
     def partition_for(self, eig: Factor) -> Partition:
         key = _over(eig, self.den)
         for xy, part in zip(zip(self.re, self.im), self.parts):
             if xy == key:
                 return part
-        re, im, den = as_triple(eig)
-        value = Scalar(Fraction(re, den), Fraction(im, den))  # for the message alone
-        raise InputError(f"{value} is not an eigenvalue of this orbit")
+        raise InputError(f"{gaussian_str(*as_triple(eig))} is not an eigenvalue of this orbit")
 
     def block_count(self, eig: Factor) -> int:
         return len(self.partition_for(eig))

@@ -9,13 +9,13 @@ the classical families and E7.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import gcd
 
 from . import linalg
 from .core import OrbitSpec, _int_str, min_partition_with_r_parts, orbit_dim
 from .errors import InputError, ResonantError
 from .formal import CoxeterFormalType
+from .frozen import Frozen
 
 
 def coxeter_ds_decide(ftype: CoxeterFormalType, o: OrbitSpec) -> bool:
@@ -79,11 +79,12 @@ _FAMILIES = ("A", "B", "C", "D", "E7")
 _MIN_RANK = {"A": 2, "B": 2, "C": 2, "D": 3, "E7": 7}
 
 
-@dataclass(frozen=True)
-class SimpleTypeQuery:
+class SimpleTypeQuery(Frozen):
     """Row key for the homogeneous rigidity table: family, the rank parameter
     as the table prints it (family A_{n-1} is keyed by the matrix size n),
     and the slope numerator r."""
+
+    __slots__ = ("family", "rank", "r")
 
     family: str
     rank: int
@@ -107,6 +108,17 @@ class SimpleTypeQuery:
         object.__setattr__(self, "family", fam)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "r", r)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SimpleTypeQuery:
+            return NotImplemented
+        return (self.family, self.rank, self.r) == (other.family, other.rank, other.r)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.rank, self.r))
+
+    def __repr__(self) -> str:
+        return f"SimpleTypeQuery(family={self.family!r}, rank={self.rank!r}, r={self.r!r})"
 
     def coxeter_number(self) -> int:
         n = self.rank

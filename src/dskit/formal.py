@@ -7,7 +7,6 @@ strata, slope certification, and the Coxeter canonical form p(omega^{-1}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
@@ -17,6 +16,7 @@ from typing import Iterable, Iterator, Sequence, Union
 from . import linalg
 from .core import Factor, Triple, as_triple
 from .errors import BudgetExceededError, InputError, ResonantError, TruncationError
+from .frozen import Frozen
 from .laurent import LaurentMatrix
 from .rootsys import DEFAULT_BUDGET, _check_budget
 
@@ -42,7 +42,7 @@ def regsing_normalize(m: LaurentMatrix, order: int) -> LaurentMatrix:
     to zero, so a resonant residue can still get a gauge (a constant
     M = diag(0, 1) gets the identity).  The B_k are stacked over their one
     least common denominator, each g_k is held over Z[i] with its least
-    denominator, and the gauge keeps the g_k as they are: no Scalar is made.
+    denominator, and the gauge keeps the g_k as they are.
     """
     if order < 1:
         raise InputError(f"need order >= 1, got {order}")
@@ -86,14 +86,15 @@ def regsing_normalize(m: LaurentMatrix, order: int) -> LaurentMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StandardParahoric:
+class StandardParahoric(Frozen):
     """The standard parahoric indexed by J, a subset of Z/nZ containing 0.
 
     Writing J = {k_0 = 0 < k_1 < ... < k_{e-1}}, the associated lattice chain
     has period e = |J| and L^j = span(z e_i : i > n - k_j, e_i : i <= n - k_j)
     for 0 <= j < e, extended by L^{j+e} = z L^j.
     """
+
+    __slots__ = ("n", "J", "_f")
 
     n: int
     J: tuple[int, ...]
@@ -109,6 +110,17 @@ class StandardParahoric:
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "J", jj)
         object.__setattr__(self, "_f", tuple(_f_table(n, jj)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not StandardParahoric:
+            return NotImplemented
+        return self.n == other.n and self.J == other.J
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.J))
+
+    def __repr__(self) -> str:
+        return f"StandardParahoric(n={self.n!r}, J={self.J!r})"
 
     @property
     def e(self) -> int:
@@ -143,27 +155,42 @@ def _f_table(n: int, J: Sequence[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(Frozen):
     """(P, r, beta): leading data of depth r/e with homogeneous representative
     beta of graded degree -r."""
+
+    __slots__ = ("parahoric", "depth_num", "leading")
 
     parahoric: StandardParahoric
     depth_num: int
     leading: LaurentMatrix
 
-    def __post_init__(self):
-        p = self.parahoric
-        if self.leading.n != p.n:
+    def __init__(self, parahoric: StandardParahoric, depth_num: int, leading: LaurentMatrix):
+        if leading.n != parahoric.n:
             raise InputError("leading term size does not match the parahoric")
-        if self.leading.is_zero():
+        if leading.is_zero():
             raise InputError("leading term must be nonzero")
-        for deg, i, j in self.leading.monomials():
-            if p.graded_degree(i, j, deg) != -self.depth_num:
+        for deg, i, j in leading.monomials():
+            if parahoric.graded_degree(i, j, deg) != -depth_num:
                 raise InputError(
                     "leading term is not homogeneous of degree "
-                    f"{-self.depth_num}"
+                    f"{-depth_num}"
                 )
+        object.__setattr__(self, "parahoric", parahoric)
+        object.__setattr__(self, "depth_num", depth_num)
+        object.__setattr__(self, "leading", leading)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Stratum:
+            return NotImplemented
+        return (self.parahoric, self.depth_num, self.leading) == (
+            other.parahoric, other.depth_num, other.leading)
+
+    __hash__ = None  # type: ignore[assignment]  # it holds a LaurentMatrix, which is unhashable
+
+    def __repr__(self) -> str:
+        return (f"Stratum(parahoric={self.parahoric!r}, depth_num={self.depth_num!r}, "
+                f"leading={self.leading!r})")
 
     @property
     def depth(self) -> Fraction:
@@ -220,27 +247,69 @@ def is_fundamental(s: Stratum) -> bool:
     return not linalg.is_nilpotent((re, im, den))
 
 
-@dataclass(frozen=True)
-class CertifiedSlope:
+class CertifiedSlope(Frozen):
     """A fundamental stratum of positive depth pins the slope exactly."""
+
+    __slots__ = ("slope", "witness")
 
     slope: Fraction
     witness: Stratum
 
+    def __init__(self, slope: Fraction, witness: Stratum):
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "witness", witness)
 
-@dataclass(frozen=True)
-class UpperBoundOnly:
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CertifiedSlope:
+            return NotImplemented
+        return self.slope == other.slope and self.witness == other.witness
+
+    __hash__ = None  # type: ignore[assignment]  # it holds a LaurentMatrix, which is unhashable
+
+    def __repr__(self) -> str:
+        return f"CertifiedSlope(slope={self.slope!r}, witness={self.witness!r})"
+
+
+class UpperBoundOnly(Frozen):
     """Every scanned stratum had nilpotent leading term; the minimal depth
     bounds the slope from above, and a gauge change may lower it."""
+
+    __slots__ = ("bound", "witness")
 
     bound: Fraction
     witness: Stratum
 
+    def __init__(self, bound: Fraction, witness: Stratum):
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "witness", witness)
 
-@dataclass(frozen=True)
-class RegularSingularCandidate:
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not UpperBoundOnly:
+            return NotImplemented
+        return self.bound == other.bound and self.witness == other.witness
+
+    __hash__ = None  # type: ignore[assignment]  # it holds a LaurentMatrix, which is unhashable
+
+    def __repr__(self) -> str:
+        return f"UpperBoundOnly(bound={self.bound!r}, witness={self.witness!r})"
+
+
+class RegularSingularCandidate(Frozen):
     """No pole in this trivialization (naive pole order <= 1); slope-zero
     candidates are reported, never certified."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RegularSingularCandidate:
+            return NotImplemented
+        return True
+
+    def __hash__(self) -> int:
+        return hash(())
+
+    def __repr__(self) -> str:
+        return "RegularSingularCandidate()"
 
 
 SlopeVerdict = Union[CertifiedSlope, UpperBoundOnly, RegularSingularCandidate]
@@ -375,12 +444,13 @@ def omega_power(n: int, k: int) -> LaurentMatrix:
     return LaurentMatrix(n, {q: low, q + 1: high})
 
 
-@dataclass(frozen=True)
-class CoxeterFormalType:
+class CoxeterFormalType(Frozen):
     """Coxeter canonical form d + p(omega_n^{-1}) dz/z of slope r/n, with
     gcd(r, n) = 1 and p of degree r.  Decisions read only n, r and the
     constant term p0 = p(0), held as its reduced triple (re, im, den), so
     that is all it holds."""
+
+    __slots__ = ("n", "r", "p0")
 
     n: int
     r: int
@@ -394,3 +464,14 @@ class CoxeterFormalType:
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "r", int(r))
         object.__setattr__(self, "p0", as_triple(p0))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CoxeterFormalType:
+            return NotImplemented
+        return (self.n, self.r, self.p0) == (other.n, other.r, other.p0)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.r, self.p0))
+
+    def __repr__(self) -> str:
+        return f"CoxeterFormalType(n={self.n!r}, r={self.r!r}, p0={self.p0!r})"

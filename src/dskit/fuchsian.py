@@ -7,7 +7,6 @@ vector in Sigma^lambda for the associated deformation vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import lcm
 from typing import Sequence
@@ -30,7 +29,6 @@ class FuchsianRigidity(Enum):
     INFINITE = "Infinite"
 
 
-@dataclass
 class CBData:
     """A decision quiver with its dimension and deformation vectors.  For the
     star quiver of one residue problem, the vertices are the sink 0 and arm
@@ -39,11 +37,28 @@ class CBData:
     alpha is an integer vector aligned with quiver.vertices, and lam is
     lambda as integer forms (re, im, den) aligned with them, like L:
     lambda_v = (re_v + i im_v) / den, with den the lcm of the orbits'
-    denominators."""
+    denominators.  It is mutable, so it is not hashable."""
+
+    __slots__ = ("quiver", "alpha", "lam")
 
     quiver: Quiver
     alpha: tuple[int, ...]
     lam: LambdaForm
+
+    def __init__(self, quiver: Quiver, alpha: tuple[int, ...], lam: LambdaForm):
+        self.quiver = quiver
+        self.alpha = alpha
+        self.lam = lam
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CBData:
+            return NotImplemented
+        return (self.quiver, self.alpha, self.lam) == (other.quiver, other.alpha, other.lam)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"CBData(quiver={self.quiver!r}, alpha={self.alpha!r}, lam={self.lam!r})"
 
 
 def build_cb_data(

@@ -31,7 +31,7 @@ def _is_int(x: Any) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Scalar cells.
+# Cells: a Gaussian rational as [re_num, re_den, im_num, im_den].
 # ---------------------------------------------------------------------------
 
 

@@ -14,13 +14,12 @@ does no arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd
 from typing import Iterator
 
 from . import linalg
-from .core import Scalar
+from .core import gaussian_str
 from .errors import InputError, TruncationError
 
 
@@ -103,7 +102,7 @@ class LaurentMatrix:
         parts = []
         for deg, i, j in self.monomials():
             re, im, den = self.coeffs[deg]
-            val = Scalar(Fraction(re[i - 1][j - 1], den), Fraction(im[i - 1][j - 1], den))
+            val = gaussian_str(re[i - 1][j - 1], im[i - 1][j - 1], den)
             zpart = "" if deg == 0 else (f"*z^{deg}" if deg != 1 else "*z")
             parts.append(f"({val})E[{i},{j}]{zpart}")
         body = " + ".join(parts) if parts else "0"

@@ -5,11 +5,10 @@ lists of Python ints for the real and imaginary parts of the matrix times
 one common denominator den, and den.  Elimination (the Jordan type,
 `sylvester_solve`), the nilpotency test and the gauge recursion work on
 these triples; products (`gaussian_mul`) and fraction-free elimination make
-no `Fraction`, and no `Scalar` enters or leaves: the parser and the
-callers build the triples.  Each kernel reads whether its input is real,
-with all imaginary parts zero, and then does integer arithmetic alone: a
-real product is one integer product, and real elimination is the Bareiss
-step over Z.  A right-hand side is scaled apart from the matrix, so its
+no `Fraction`: the parser and the callers build the triples.  Each kernel
+reads whether its input is real, with all imaginary parts zero, and then
+does integer arithmetic alone: a real product is one integer product, and
+real elimination is the Bareiss step over Z.  A right-hand side is scaled apart from the matrix, so its
 denominators never enter the operator.  The shifted Sylvester equation
 (b + k) x - x b = rhs is readied once for all shifts k
 (`sylvester_operator`): b = b' / den over Z[i], with the characteristic

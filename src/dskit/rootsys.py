@@ -26,11 +26,11 @@ import heapq
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Hashable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, InputError
+from .frozen import Frozen
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -41,18 +41,21 @@ VecLike = Sequence[int]
 LambdaForm = tuple[Sequence[int], Sequence[int], int]
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(Frozen):
     """A finite loop-free quiver, parallel arrows allowed, which is its own
     symmetric generalized Cartan matrix C = 2 I - (adjacency, arrows counted
     undirected).  C is stored as one neighbour list per vertex, a neighbour
     joined by m arrows listed m times, so (C beta)_i = 2 beta_i - the sum of
-    beta_j over the neighbours j of i."""
+    beta_j over the neighbours j of i.  Two quivers are equal when their
+    vertices and arrows are, in order; the index and the neighbour lists are
+    derived from them."""
+
+    __slots__ = ("vertices", "arrows", "_index", "_neighbours")
 
     vertices: tuple[Vertex, ...]
     arrows: tuple[tuple[Vertex, Vertex], ...]
-    _index: dict[Vertex, int] = field(init=False, repr=False, compare=False)
-    _neighbours: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _index: dict[Vertex, int]
+    _neighbours: tuple[tuple[int, ...], ...]
 
     def __init__(self, vertices: Sequence[Vertex], arrows: Sequence[tuple[Vertex, Vertex]]):
         verts = tuple(vertices)
@@ -73,6 +76,17 @@ class Quiver:
         object.__setattr__(self, "arrows", tuple(arrs))
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_neighbours", tuple(map(tuple, neighbours)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Quiver:
+            return NotImplemented
+        return self.vertices == other.vertices and self.arrows == other.arrows
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.arrows))
+
+    def __repr__(self) -> str:
+        return f"Quiver(vertices={self.vertices!r}, arrows={self.arrows!r})"
 
     def index(self, v: Vertex) -> int:
         try:

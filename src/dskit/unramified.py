@@ -10,15 +10,16 @@ criterion on (alpha, lambda) plus decompositions inside a sublattice L.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Sequence
 
 from .core import Factor, OrbitSpec, Triple, as_triple, residue_arm
 from .errors import InputError, ResonantError
+from .frozen import Frozen
 from .fuchsian import CBData
 from .rootsys import (
     DEFAULT_BUDGET,
+    LambdaForm,
     Quiver,
     Vertex,
     best_p_sums,
@@ -34,31 +35,46 @@ def _as_q(coeffs: Iterable[Factor]) -> tuple[Triple, ...]:
     return tuple(q)
 
 
-@dataclass(frozen=True)
-class UnramBlock:
+class UnramBlock(Frozen):
     """One simultaneous eigenblock: q(z) = sum q[m-1] z^-m, plus a residue
     orbit.  Each coefficient is held as its reduced triple (re, im, den),
     and a zero top coefficient is dropped."""
+
+    __slots__ = ("q", "dim", "residue")
 
     q: tuple[Triple, ...]
     dim: int
     residue: OrbitSpec
 
     def __init__(self, q: Iterable[Factor], dim: int, residue: OrbitSpec):
-        object.__setattr__(self, "q", _as_q(q))
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "residue", residue)
-        if self.dim < 1:
+        q = _as_q(q)
+        dim = int(dim)
+        if dim < 1:
             raise InputError("block dimension must be >= 1")
-        if residue.n != self.dim:
+        if residue.n != dim:
             raise InputError(
-                f"residue orbit lives on gl_{residue.n}, block has dim {self.dim}"
+                f"residue orbit lives on gl_{residue.n}, block has dim {dim}"
             )
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "residue", residue)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not UnramBlock:
+            return NotImplemented
+        return (self.q, self.dim, self.residue) == (other.q, other.dim, other.residue)
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.dim, self.residue))
+
+    def __repr__(self) -> str:
+        return f"UnramBlock(q={self.q!r}, dim={self.dim!r}, residue={self.residue!r})"
 
 
-@dataclass(frozen=True)
-class UnramFormalType:
+class UnramFormalType(Frozen):
     """Unramified formal type: pairwise distinct q_j with residues R_j."""
+
+    __slots__ = ("blocks",)
 
     blocks: tuple[UnramBlock, ...]
 
@@ -70,6 +86,17 @@ class UnramFormalType:
         if any(a == b for a, b in zip(qs, qs[1:])):
             raise InputError("blocks must have pairwise distinct q_j")
         object.__setattr__(self, "blocks", blocks)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not UnramFormalType:
+            return NotImplemented
+        return self.blocks == other.blocks
+
+    def __hash__(self) -> int:
+        return hash((self.blocks,))
+
+    def __repr__(self) -> str:
+        return f"UnramFormalType(blocks={self.blocks!r})"
 
     @property
     def n(self) -> int:
@@ -104,7 +131,6 @@ def _intra_type_arrows(t: UnramFormalType, i: int) -> list[tuple[Vertex, Vertex]
     ]
 
 
-@dataclass
 class HiroeData(CBData):
     """The decision quiver of a tuple of unramified types (index 0
     irregular), with the sublattice L.
@@ -115,7 +141,33 @@ class HiroeData(CBData):
     A vector lies in L iff every form vanishes on it.
     """
 
+    __slots__ = ("lattice_forms",)
+
     lattice_forms: tuple[tuple[int, ...], ...]
+
+    def __init__(
+        self,
+        quiver: Quiver,
+        alpha: tuple[int, ...],
+        lam: LambdaForm,
+        lattice_forms: tuple[tuple[int, ...], ...],
+    ):
+        self.quiver = quiver
+        self.alpha = alpha
+        self.lam = lam
+        self.lattice_forms = lattice_forms
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not HiroeData:
+            return NotImplemented
+        return (self.quiver, self.alpha, self.lam, self.lattice_forms) == (
+            other.quiver, other.alpha, other.lam, other.lattice_forms)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (f"HiroeData(quiver={self.quiver!r}, alpha={self.alpha!r}, lam={self.lam!r}, "
+                f"lattice_forms={self.lattice_forms!r})")
 
     def readings(self, budget: int | None = DEFAULT_BUDGET) -> tuple[bool, bool]:
         """Whether an irreducible framable connection with these formal types

@@ -2,8 +2,11 @@
 
 The package answers its questions on integers, `linalg` and
 `LaurentMatrix` alone; the functions here give the tests independent ways to
-build inputs and to check answers: the dominance order, small scalar and
-orbit views (a reduced triple as a `Scalar`, an orbit's Scalar blocks,
+build inputs and to check answers: the Gaussian rational `Scalar` with
+exact arithmetic, its parser and its printer (the oracles for
+`core.parse_gaussian` and `core.gaussian_str`) and `triple`, which hands a
+Scalar to the package as its reduced triple, the dominance order, small
+scalar and orbit views (a reduced triple as a `Scalar`, an orbit's Scalar blocks,
 eigenvalues, trace, determinant and negation, `Scalar`s by (re, im)), a
 Gaussian rational in each form `core.as_triple` reads (`random_form`), the
 reading of a document cell into a `Scalar` and back (`parse_scalar`,
@@ -52,18 +55,20 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re as _re
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from dskit.core import (
     Factor,
     OrbitSpec,
     Partition,
-    Scalar,
-    ScalarLike,
     Triple,
     _int_str,
     as_partition,
+    as_triple,
+    cell_triple,
     congruent_pair,
     dual_partition,
     min_partition_with_r_parts,
@@ -106,6 +111,161 @@ from dskit.rootsys import (
 )
 from dskit.unramified import UnramFormalType, _intra_type_arrows
 
+# ---------------------------------------------------------------------------
+# Scalar: a Gaussian rational with exact arithmetic.
+# ---------------------------------------------------------------------------
+
+Rational = Union[int, Fraction]
+
+
+@dataclass(frozen=True, slots=True)
+class Scalar:
+    """A Gaussian rational a + bi with exact arithmetic: slotted, immutable,
+    with `Fraction` parts.  Arithmetic builds its result from the parts it
+    has (`_scalar`) and skips the work a zero part makes trivial.  It is the
+    oracle for the package's reduced triples: `parse` for
+    `core.parse_gaussian`, `str` for `core.gaussian_str`, and `triple` for
+    handing a value to the package."""
+
+    re: Fraction
+    im: Fraction
+
+    def __init__(self, re: Rational = 0, im: Rational = 0):
+        _set_re(self, re if type(re) is Fraction else Fraction(re))
+        _set_im(self, im if type(im) is Fraction else Fraction(im))
+
+    @staticmethod
+    def of(value: "ScalarLike | Triple") -> "Scalar":
+        if isinstance(value, Scalar):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return Scalar(value)
+        if type(value) is tuple:  # a triple (re, im, den), as core.as_triple reads it
+            return scalar_of(as_triple(value))
+        raise InputError(f"cannot interpret {value!r} as a Gaussian rational")
+
+    def __add__(self, other: "ScalarLike") -> "Scalar":
+        o = other if type(other) is Scalar else Scalar.of(other)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        return _scalar(a + c if a and c else a or c, b + d if b and d else b or d)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Scalar":
+        return _scalar(-self.re, -self.im if self.im else self.im)
+
+    def __sub__(self, other: "ScalarLike") -> "Scalar":
+        o = other if type(other) is Scalar else Scalar.of(other)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        return _scalar(a - c if a and c else a or -c, b - d if b and d else b or -d)
+
+    def __rsub__(self, other: "ScalarLike") -> "Scalar":
+        return Scalar.of(other) - self
+
+    def __mul__(self, other: "ScalarLike") -> "Scalar":
+        o = other if type(other) is Scalar else Scalar.of(other)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        if not d:  # a real factor
+            return _scalar(a * c, b * c if b else b)
+        return _scalar(a * c - b * d if b else a * c, a * d + b * c if b else a * d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: "ScalarLike") -> "Scalar":
+        o = other if type(other) is Scalar else Scalar.of(other)
+        if not o:
+            raise ZeroDivisionError("division by zero scalar")
+        nrm = o.re * o.re + o.im * o.im
+        return self * _scalar(o.re / nrm, -o.im / nrm)
+
+    def __rtruediv__(self, other: "ScalarLike") -> "Scalar":
+        return Scalar.of(other) / self
+
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Scalar):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return not self.im and self.re == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # Match the hash of plain rationals so Scalar(1,0) == Fraction(1) hashes
+        # alike; an integer hashes as its numerator, with no modular inverse.
+        re, im = self.re, self.im
+        if im:
+            return hash((re, im))
+        return hash(re.numerator) if re.denominator == 1 else hash(re)
+
+    def __str__(self) -> str:
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        im_part = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
+        if not re:
+            return im_part
+        return f"{re}{'+' if im > 0 else ''}{im_part}"
+
+    def __repr__(self) -> str:
+        return f"Scalar({self})"
+
+    _TOKEN = _re.compile(r"^([+-]?\d+(?:/\d+)?)?([+-](?:\d+(?:/\d+)?)?)?(i?)$")
+
+    @staticmethod
+    def parse(text: str) -> "Scalar":
+        """Parse strings like "3", "-1/2", "i", "2-i", "1/2+3/4i"."""
+        s = text.strip().replace(" ", "")
+        if not s:
+            raise InputError("empty scalar string")
+        m = Scalar._TOKEN.match(s)
+        if not m:
+            raise InputError(f"cannot parse scalar {text!r}")
+        first, second, tail_i = m.groups()
+        if not tail_i and (second is not None or first is None):
+            raise InputError(f"cannot parse scalar {text!r}")
+        try:
+            if not tail_i:
+                return Scalar(Fraction(first))
+            if second is not None:  # "1+i", "-i", "7-2/3i"; a bare sign stands for 1
+                re_part = Fraction(first) if first else Fraction(0)
+                im_part = Fraction({"+": "1", "-": "-1"}.get(second, second))
+                return Scalar(re_part, im_part)
+            # pure imaginary: "i", "2i", "-3/4i"
+            return Scalar(0, Fraction(first) if first else Fraction(1))
+        except ZeroDivisionError as exc:
+            raise InputError(f"zero denominator in scalar {text!r}") from exc
+        except ValueError as exc:  # an integer past the interpreter's digit limit
+            raise InputError(f"cannot parse scalar: {exc}") from exc
+
+
+ScalarLike = Union[Scalar, int, Fraction]
+
+_set_re, _set_im = Scalar.re.__set__, Scalar.im.__set__
+
+
+def _scalar(re: Fraction, im: Fraction) -> Scalar:
+    """A Scalar from two `Fraction` parts, past `__init__`'s conversions."""
+    s = object.__new__(Scalar)
+    _set_re(s, re)
+    _set_im(s, im)
+    return s
+
+
+def triple(x: ScalarLike | Triple) -> Triple:
+    """x as the reduced triple the package reads: a Scalar by its parts, and
+    anything else as `core.as_triple` reads it."""
+    if isinstance(x, Scalar):
+        return cell_triple(x.re.numerator, x.re.denominator, x.im.numerator, x.im.denominator)
+    return as_triple(x)
+
+
+def triples(xs: Iterable[ScalarLike | Triple]) -> list[Triple]:
+    """A factor sequence of Scalars as the triples the package reads."""
+    return [triple(x) for x in xs]
+
+
 Vector = list[Scalar]
 Matrix = list[list[Scalar]]
 
@@ -147,15 +307,15 @@ def scalar_json(s: Scalar) -> list[int]:
 
 
 def random_form(rng, x: Scalar) -> Factor:
-    """x in a form drawn by rng: the Scalar itself, an int or a Fraction
+    """x in a form drawn by rng: its reduced triple, an int or a Fraction
     when x is one, or a triple (re, im, den) scaled by +-1 .. +-4, so not
     reduced and with its den negative half the time."""
-    forms = ["scalar", "triple"]
+    forms = ["reduced", "triple"]
     if not x.im:
         forms += ["fraction", "int"] if x.re.denominator == 1 else ["fraction"]
     form = rng.choice(forms)
-    if form == "scalar":
-        return x
+    if form == "reduced":
+        return triple(x)
     if form == "int":
         return int(x.re)
     if form == "fraction":
@@ -193,7 +353,7 @@ def orbit_determinant(o: OrbitSpec) -> Scalar:
 
 def negated(o: OrbitSpec) -> OrbitSpec:
     """The orbit of -C for C in o."""
-    return OrbitSpec(o.n, [(-e, part) for e, part in orbit_blocks(o)])
+    return OrbitSpec(o.n, [(triple(-e), part) for e, part in orbit_blocks(o)])
 
 
 def is_rational(x: Scalar) -> bool:
@@ -219,7 +379,7 @@ def dominance_leq(p: Partition, q: Partition) -> bool:
 
 
 def max_block(o: OrbitSpec, eig: ScalarLike) -> int:
-    return o.partition_for(eig)[0]
+    return o.partition_for(triple(eig))[0]
 
 
 def min_poly_degree(o: OrbitSpec) -> int:
@@ -227,7 +387,7 @@ def min_poly_degree(o: OrbitSpec) -> int:
 
 
 def translated(o: OrbitSpec, t: ScalarLike) -> OrbitSpec:
-    return OrbitSpec(o.n, [(e + t, part) for e, part in orbit_blocks(o)])
+    return OrbitSpec(o.n, [(triple(e + t), part) for e, part in orbit_blocks(o)])
 
 
 class CharPolySpec:
@@ -265,13 +425,13 @@ def ds_generator(r: int, q: CharPolySpec) -> OrbitSpec:
     if r < 1:
         raise InputError(f"need r >= 1, got {r}")
     return OrbitSpec(
-        q.n, [(c, min_partition_with_r_parts(r, m)) for c, m in q.pairs]
+        q.n, [(triple(c), min_partition_with_r_parts(r, m)) for c, m in q.pairs]
     )
 
 
 def charpoly_from_orbit(o: OrbitSpec) -> CharPolySpec:
     """The characteristic polynomial of o as its roots with multiplicities."""
-    return CharPolySpec((e, weight(o.partition_for(e))) for e in eigenvalues(o))
+    return CharPolySpec((e, weight(o.partition_for(triple(e)))) for e in eigenvalues(o))
 
 
 def scalar_default_factor_sequence(o: OrbitSpec) -> tuple[Scalar, ...]:
@@ -447,7 +607,7 @@ def scalar_star_lambda(orbits, seqs=None) -> dict[Vertex, Scalar]:
 
 def arm_factors(o: OrbitSpec, seq: Sequence[ScalarLike] | None = None) -> tuple[Scalar, ...]:
     """The factors of `core.residue_arm(o, seq)` as Scalars."""
-    _, re, im = residue_arm(o, seq)
+    _, re, im = residue_arm(o, None if seq is None else [triple(x) for x in seq])
     return tuple(Scalar(Fraction(x, o.den), Fraction(y, o.den)) for x, y in zip(re, im))
 
 
@@ -1097,7 +1257,7 @@ def coxeter_canonical_type(
     coeffs = tuple(p_coeffs)
     mat = coxeter_matrix(n, r, coeffs)
     assert not mat.is_zero()
-    return CoxeterFormalType(n, r, coeffs[0])
+    return CoxeterFormalType(n, r, triple(coeffs[0]))
 
 
 def coxeter_matrix(n: int, r: int, p_coeffs: Iterable[ScalarLike]) -> LaurentMatrix:
@@ -1105,7 +1265,7 @@ def coxeter_matrix(n: int, r: int, p_coeffs: Iterable[ScalarLike]) -> LaurentMat
     coefficients, constant term first.  The slope checks are
     `CoxeterFormalType`'s; then p must have degree exactly r."""
     coeffs = tuple(Scalar.of(x) for x in p_coeffs)
-    CoxeterFormalType(n, r, coeffs[0] if coeffs else 0)
+    CoxeterFormalType(n, r, triple(coeffs[0]) if coeffs else 0)
     if len(coeffs) != r + 1:
         raise InputError(
             f"p must have degree exactly {r}: expected {r + 1} "

@@ -16,7 +16,6 @@ import pytest
 from dskit import linalg
 from dskit.core import (
     OrbitSpec,
-    Scalar,
     as_partition,
     min_partition_with_r_parts,
     orbit_dim,
@@ -44,6 +43,7 @@ from dskit.rootsys import (
 )
 from dskit.unramified import UnramBlock, UnramFormalType, count_rank2_moduli
 from exact_oracles import (
+    Scalar,
     dominance_leq,
     dot_lambda,
     filtration_degree,
@@ -64,6 +64,7 @@ from exact_oracles import (
     positive_roots_leq,
     scalar_coeff,
     transpose,
+    triple,
 )
 
 
@@ -108,7 +109,7 @@ def test_criterion_1_rank2_triple_grid():
             if is_integer(c2 - x):  # equal to x, or resonant with it
                 continue
             eigs[2] = (x, c2)
-        orbits = [OrbitSpec(2, [(x, (1,)), (y, (1,))]) for x, y in eigs]
+        orbits = [OrbitSpec(2, [(triple(x), (1,)), (triple(y), (1,))]) for x, y in eigs]
 
         trace_zero = not (orbit_trace(orbits[0]) + orbit_trace(orbits[1]) + orbit_trace(orbits[2]))
         cross_ok = all(

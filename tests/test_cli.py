@@ -10,10 +10,9 @@ from pathlib import Path
 import pytest
 
 from dskit.cli import _build_parser, run
-from dskit.core import Scalar
 from dskit.errors import InputError
 from dskit.rootsys import DEFAULT_BUDGET
-from exact_oracles import ZERO, parse_scalar
+from exact_oracles import Scalar, ZERO, parse_scalar
 
 SCHEMA = "ds-kit/1"
 

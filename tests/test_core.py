@@ -4,6 +4,7 @@ import operator
 import pickle
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,18 +15,20 @@ from hypothesis import strategies as st
 import dskit
 from dskit.core import (
     OrbitSpec,
-    Scalar,
     as_partition,
     as_triple,
     dual_partition,
+    gaussian_str,
     min_partition_with_r_parts,
     orbit_dim,
+    parse_gaussian,
     partitions_of,
     residue_arm,
 )
 from dskit.errors import InputError, ResonantError
 from exact_oracles import (
     CharPolySpec,
+    Scalar,
     arm_factors,
     dominance_leq,
     dual_by_definition,
@@ -51,6 +54,8 @@ from exact_oracles import (
     scalar_factor_ranks,
     translated,
     transpose,
+    triple,
+    triples,
     weight,
     zeros,
 )
@@ -206,6 +211,91 @@ def test_scalar_str_roundtrip():
 
 
 # ---------------------------------------------------------------------------
+# The reduced-triple parser and printer, against the oracle Scalar
+# ---------------------------------------------------------------------------
+
+
+def _parse_outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except InputError as exc:
+        return "InputError", str(exc)
+
+
+_NAMED_TEXTS = [
+    "3", "-1/2", "i", "-i", "+i", "2-i", "1+i", "1-i", "1/2+3/4i", "7-2/3i", "-3/4i", "2i",
+    "0", "0/1", "-0", "0i", "0+0i", "006/004", " 1 / 2 + i ", "\t5\n", "1 2", "+3",
+    "", "   ", "one", "1+", "i2", "1//2", "1/0", "0/0", "1/2+1/0i", "1/0+1/0i", "3/0i",
+    "+", "-", "++i", "1+-i", "ii", "1.5", "1e3", "/2", "2/", "i/2",
+    "1" * 5000, "-" + "1" * 5000 + "/3", "1/" + "7" * 5000, "1+" + "2" * 5000 + "i",
+    "1" * 5000 + "/0", "5/0+" + "1" * 5000 + "i",
+]
+
+
+def _draw_text(rng):
+    """A string near the grammar: a rational, a signed or bare-signed second
+    part, an i, with spaces, zero and unit denominators, and stray marks."""
+    def rational():
+        num = rng.choice(["0", "1", "2", "7", "12", "007", str(rng.randint(0, 10**6))])
+        den = rng.choice(["", "", "/1", "/0", "/2", "/3", "/06", "/" + str(rng.randint(0, 99))])
+        return num + den
+
+    first = rng.choice(["", "", "+", "-"]) + rational() if rng.random() < 0.8 else ""
+    second = rng.choice(["+", "-"]) + (rational() if rng.random() < 0.6 else "") if rng.random() < 0.5 else ""
+    text = first + second + ("i" if rng.random() < 0.6 else "")
+    chars = list(text)
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        chars.insert(rng.randint(0, len(chars)), rng.choice([" ", " ", "/", "+", "i", "x", "."]))
+    return "".join(chars)
+
+
+def test_parse_gaussian_matches_the_oracle_parse():
+    # the named texts, then seed 20261301, 4,000 draws of _draw_text: the same
+    # triple as Scalar.parse, or the same InputError message, on every one;
+    # accepted and refused texts, zero denominators and the digit limit all occur
+    rng = random.Random(20261301)
+    texts = _NAMED_TEXTS + [_draw_text(rng) for _ in range(4000)]
+    seen = Counter()
+    for text in texts:
+        want = _parse_outcome(lambda t: triple(Scalar.parse(t)), text)
+        got = _parse_outcome(parse_gaussian, text)
+        assert got == want, text
+        if got[0] == "ok":
+            seen["accepted"] += 1
+            assert got[1] == as_triple(got[1])  # reduced
+        else:
+            seen[got[1].split(" ")[0] if "zero denominator" not in got[1] else "zero den"] += 1
+            seen["digit limit"] += "Exceeds the limit" in got[1]
+    # 1,922 accepted; 1,729 refused as unparsable, 294 for a zero denominator,
+    # 104 as empty and the 5 named ones past the digit limit
+    assert seen["accepted"] >= 1500 and seen["cannot"] >= 1000 and seen["zero den"] >= 250, seen
+    assert seen["empty"] >= 50 and seen["digit limit"] == 5, seen
+
+
+def test_gaussian_str_matches_the_oracle_str():
+    # seed 20261302, 3,000 draws of (re, im, den), den > 0 and not always
+    # reduced, with zero, unit and large parts: the bytes of str(Scalar)
+    rng = random.Random(20261302)
+    parts = Counter()
+    for _ in range(3000):
+        den = rng.choice([1, 1, 2, 3, 4, 6, 7, 12, 10**20])
+        re, im = (rng.choice([0, 0, den, -den, rng.randint(-50, 50), rng.randint(-10**25, 10**25)])
+                  for _ in range(2))
+        text = gaussian_str(re, im, den)
+        assert text == str(Scalar(Fraction(re, den), Fraction(im, den))), (re, im, den)
+        assert parse_gaussian(text) == as_triple((re, im, den))
+        parts[(bool(re), "i" if abs(im) == den else bool(im))] += 1
+    assert len(parts) == 6 and min(parts.values()) >= 100, parts
+    # past the digit limit both raise the same ValueError
+    for args in [(10**5000, 0, 1), (0, -(10**5000), 3), (1, 1, 10**5000)]:
+        with pytest.raises(ValueError) as want:
+            str(Scalar(Fraction(args[0], args[2]), Fraction(args[1], args[2])))
+        with pytest.raises(ValueError) as got:
+            gaussian_str(*args)
+        assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
 # Partitions
 # ---------------------------------------------------------------------------
 
@@ -346,7 +436,7 @@ def test_orbit_scalar_and_nilpotent():
 def test_orbit_nonresonance():
     assert OrbitSpec(2, [(0, (1,)), (Fraction(1, 2), (1,))]).is_nonresonant()
     assert not OrbitSpec(2, [(0, (1,)), (1, (1,))]).is_nonresonant()
-    assert OrbitSpec(2, [(Scalar(0, 1), (1,)), (Scalar(0, -1), (1,))]).is_nonresonant()
+    assert OrbitSpec(2, [(triple(Scalar(0, 1)), (1,)), (triple(Scalar(0, -1)), (1,))]).is_nonresonant()
 
 
 def test_orbit_translate_negate():
@@ -361,8 +451,8 @@ def test_orbit_translate_negate():
 
 def test_a_triple_is_reduced_and_a_malformed_one_is_refused_by_name():
     # a negative den is normalised, so (-1, 0, -1) is 1, and equal values give equal triples
-    assert as_triple((-1, 0, -1)) == as_triple(1) == as_triple(Scalar(1)) == (1, 0, 1)
-    assert as_triple((4, -6, -8)) == as_triple(Scalar(Fraction(-1, 2), Fraction(3, 4))) == (-2, 3, 4)
+    assert as_triple((-1, 0, -1)) == as_triple(1) == triple(Scalar(1)) == (1, 0, 1)
+    assert as_triple((4, -6, -8)) == triple(Scalar(Fraction(-1, 2), Fraction(3, 4))) == (-2, 3, 4)
     assert as_triple((0, 0, -5)) == as_triple(Fraction(0)) == (0, 0, 1)
     o = OrbitSpec(2, [(0, (1,)), ((-1, 0, -2), (1,))])
     assert o == OrbitSpec(2, [(0, (1,)), (Fraction(1, 2), (1,))])
@@ -423,7 +513,7 @@ def test_rank_after_factors_matches_matrix_oracle():
     ]
     for o in cases:
         seq = arm_factors(o)
-        ranks = residue_arm(o, seq)[0]
+        ranks = residue_arm(o, triples(seq))[0]
         assert len(ranks) == len(seq) + 1
         for j in range(len(seq) + 1):
             assert ranks[j] == _rank_oracle(o, seq, j), (o, j)
@@ -432,7 +522,7 @@ def test_rank_after_factors_matches_matrix_oracle():
 def test_rank_after_factors_zero_at_full_length():
     o = OrbitSpec(4, [(0, (2, 1)), (1, (1,))])
     seq = arm_factors(o)
-    assert residue_arm(o, seq)[0][len(seq)] == 0
+    assert residue_arm(o, triples(seq))[0][len(seq)] == 0
 
 
 def _rank_by_definition(o: OrbitSpec, seq, j: int) -> int:
@@ -455,7 +545,7 @@ _CONGRUENT_EIGS = [Scalar(Fraction(-1, 3)), Scalar(Fraction(2, 3)), Scalar(Fract
 def _random_orbit(rng: random.Random, pool=_EIGS) -> OrbitSpec:
     """One to three distinct eigenvalues from pool, each with a partition of 1..6."""
     eigs = rng.sample(pool, rng.randint(1, 3))
-    blocks = [(e, rng.choice(list(partitions_of(rng.randint(1, 6))))) for e in eigs]
+    blocks = [(triple(e), rng.choice(list(partitions_of(rng.randint(1, 6))))) for e in eigs]
     return OrbitSpec(sum(weight(p) for _, p in blocks), blocks)
 
 
@@ -468,12 +558,12 @@ def test_factor_ranks_match_per_j_definition_on_seeded_orbits():
             assert arm_factors(o) == scalar_default_factor_sequence(o), o
             seq = list(arm_factors(o))
             rng.shuffle(seq)  # any order of the factors is a valid sequence
-            ranks = residue_arm(o, seq)[0]
+            ranks = residue_arm(o, triples(seq))[0]
             assert ranks == [_rank_by_definition(o, seq, j) for j in range(len(seq) + 1)], o
             assert ranks == scalar_factor_ranks(o, seq), o
             assert ranks[0] == o.n and ranks[-1] == 0
             for bad in (seq[:-1], seq + seq[:1], seq[:-1] + [seq[-1] + 1]):
-                for ranks_of in (residue_arm, scalar_factor_ranks):
+                for ranks_of in (lambda o, s: residue_arm(o, triples(s)), scalar_factor_ranks):
                     with pytest.raises(InputError, match="max-block-size"):
                         ranks_of(o, bad)
             pair = pairwise_congruent_pair(eigenvalues(o))
@@ -506,7 +596,7 @@ def test_factor_ranks_one_pass_on_a_long_arm():
     # a regular nilpotent orbit at n = 2000 has an arm of 2000 ranks; one
     # validation per arm keeps this linear in the arm length
     o = OrbitSpec(2000, [(0, (2000,))])
-    seq = arm_factors(o)
+    seq = triples(arm_factors(o))
     t = time.perf_counter()
     ranks = residue_arm(o, seq)[0]
     assert time.perf_counter() - t < 0.5

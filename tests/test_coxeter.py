@@ -6,7 +6,6 @@ import pytest
 
 from dskit.core import (
     OrbitSpec,
-    Scalar,
     min_partition_with_r_parts,
     partitions_of,
 )
@@ -23,6 +22,7 @@ from dskit.formal import CoxeterFormalType
 from dskit.linalg import jordan_type_of_nilpotent
 from exact_oracles import (
     CharPolySpec,
+    Scalar,
     charpoly_from_orbit,
     dominance_leq,
     ds_generator,

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import time
@@ -9,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from dskit import formal, linalg
-from dskit.core import Scalar, as_triple
+from dskit.core import as_triple
 from dskit.errors import BudgetExceededError, InputError, ResonantError, TruncationError
 from dskit.formal import (
     CertifiedSlope,
@@ -28,6 +27,7 @@ from dskit.formal import (
 from dskit.laurent import LaurentMatrix
 from dskit.rootsys import DEFAULT_BUDGET
 from exact_oracles import (
+    Scalar,
     block_sizes,
     coxeter_canonical_type,
     coxeter_matrix,
@@ -56,6 +56,7 @@ from exact_oracles import (
     series_mul,
     series_scale,
     standard_parahorics,
+    triple,
     two_walk_certify_slope,
     zeros,
 )
@@ -691,10 +692,13 @@ def test_coxeter_type_validation():
         coxeter_matrix(0, 1, [0, 1])
     t = CoxeterFormalType(3, 2, Fraction(1, 3))
     assert representative_p_coeffs(t) == (Scalar(Fraction(1, 3)), Scalar(0), Scalar(1))
-    assert t.p0 == as_triple(Scalar(Fraction(1, 3)))
+    assert t.p0 == triple(Scalar(Fraction(1, 3)))
     # the record holds n, r and p(0), and nothing that grows with r
-    assert [f.name for f in dataclasses.fields(t)] == ["n", "r", "p0"]
-    assert t == CoxeterFormalType(3, 2, Scalar(Fraction(1, 3)))
+    assert CoxeterFormalType.__slots__ == ("n", "r", "p0") and not hasattr(t, "__dict__")
+    for name in ("n", "r", "p0"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, 0)
+    assert t == CoxeterFormalType(3, 2, triple(Scalar(Fraction(1, 3))))
     big = CoxeterFormalType(2, 4000001, 0)
     assert (big.n, big.r) == (2, 4000001) and big.p0 == as_triple(0)
     assert coxeter_matrix(3, 2, [0, 5, 1]) == series_add(
@@ -731,6 +735,6 @@ def test_coxeter_type_slope_is_r_over_n():
 
 def test_coxeter_canonical_type_materializes_and_validates():
     t = coxeter_canonical_type(3, 2, [Fraction(1, 2), 0, 1])
-    assert t.p0 == as_triple(Scalar(Fraction(1, 2)))
+    assert t.p0 == triple(Scalar(Fraction(1, 2)))
     with pytest.raises(InputError):
         coxeter_canonical_type(4, 2, [1, 0, 1])

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from dskit import core, fuchsian, jsonio
-from dskit.core import OrbitSpec, Scalar, as_partition, orbit_dim, residue_arm
+from dskit.core import OrbitSpec, as_partition, orbit_dim, residue_arm
 from dskit.errors import BudgetExceededError, InputError
 from dskit.fuchsian import FuchsianRigidity, build_cb_data, fuchsian_rigidity
 from dskit.rootsys import RootClass, classify_root, p_value
 from dskit.unramified import UnramBlock, UnramFormalType, build_hiroe_data
-from exact_oracles import alpha_dot_lambda, arm_factors, lambda_values, orbit_trace, translated
+from exact_oracles import Scalar, alpha_dot_lambda, arm_factors, lambda_values, orbit_trace, translated, triple, triples
 
 
 def _rss2(a, b):
@@ -183,8 +183,8 @@ def test_rank3_hypergeometric_is_rigid():
     # take the repeated eigenvalue first at the third point so its arm is the
     # short one; the verdict itself is ordering-independent
     seqs = [
-        list(arm_factors(o1)),
-        list(arm_factors(o2)),
+        triples(arm_factors(o1)),
+        triples(arm_factors(o2)),
         [c, d],
     ]
     data = build_cb_data([o1, o2, o3], seqs)
@@ -256,7 +256,7 @@ def test_factor_sequence_choice_does_not_change_verdict():
         OrbitSpec(3, [(Fraction(1, 3), (1, 1)), (Fraction(-1, 5), (1,))]),
         OrbitSpec(3, [(0, (3,))]),
     ]
-    default = [list(arm_factors(o)) for o in orbits]
+    default = [triples(arm_factors(o)) for o in orbits]
     base = fuchsian_rigidity(orbits, default)
     assert base is fuchsian_rigidity(orbits)
     # reverse the order of factors at the third point (0,0,0 stays 0,0,0;
@@ -268,7 +268,7 @@ def test_factor_sequence_choice_does_not_change_verdict():
         _rss2(Fraction(3, 7), Fraction(4, 7)),
         _rss2(Fraction(-3, 7), -1),
     ]
-    seqs = [list(arm_factors(o))[::-1] for o in hyper]
+    seqs = [triples(arm_factors(o))[::-1] for o in hyper]
     assert fuchsian_rigidity(hyper, seqs) is FuchsianRigidity.RIGID_SINGLETON
 
 
@@ -323,11 +323,11 @@ def test_quiver_builders_hash_no_scalar(monkeypatch):
     # orbits and arms are keyed by block position, never by a Scalar's hash
     def build():
         orbits = [
-            OrbitSpec(4, [(Fraction(1, 3), (2, 1)), (Scalar(1, Fraction(1, 2)), (1,))]),
+            OrbitSpec(4, [(Fraction(1, 3), (2, 1)), (triple(Scalar(1, Fraction(1, 2))), (1,))]),
             OrbitSpec(4, [(0, (2, 2))]),
-            OrbitSpec(4, [(Fraction(-1, 5), (1, 1)), (Scalar(0, 2), (1,)), (3, (1,))]),
+            OrbitSpec(4, [(Fraction(-1, 5), (1, 1)), (triple(Scalar(0, 2)), (1,)), (3, (1,))]),
         ]
-        res = OrbitSpec(2, [(Fraction(-1, 3), (1,)), (Scalar(0, 1), (1,))])
+        res = OrbitSpec(2, [(Fraction(-1, 3), (1,)), (triple(Scalar(0, 1)), (1,))])
         types = [
             UnramFormalType([UnramBlock([1], 1, OrbitSpec(1, [(Fraction(1, 3), (1,))])),
                              UnramBlock([-1], 1, OrbitSpec(1, [(Fraction(2, 3), (1,))]))]),

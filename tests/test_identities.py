@@ -19,11 +19,11 @@ import math
 import random
 from fractions import Fraction
 
-from dskit.core import OrbitSpec, Scalar, orbit_dim, partitions_of
+from dskit.core import OrbitSpec, orbit_dim, partitions_of
 from dskit.fuchsian import build_cb_data
 from dskit.rootsys import in_sigma_lambda, p_value
 from dskit.unramified import UnramBlock, UnramFormalType, build_hiroe_data
-from exact_oracles import cartan_rows, lambda_forms, lambda_values, orbit_trace, translated
+from exact_oracles import Scalar, cartan_rows, lambda_forms, lambda_values, orbit_trace, translated, triple
 
 # no two differ by an integer, so every orbit drawn from them is nonresonant
 _SPREAD = [Scalar(Fraction(k, 5)) for k in range(-2, 3)] + [
@@ -40,7 +40,7 @@ def _orbit(rng, n, eigs):
     random multiplicity and a random Jordan type."""
     cuts = sorted(rng.sample(range(1, n), len(eigs) - 1))
     mults = [b - a for a, b in zip([0] + cuts, cuts + [n])]
-    return OrbitSpec(n, [(e, rng.choice(list(partitions_of(m)))) for e, m in zip(eigs, mults)])
+    return OrbitSpec(n, [(triple(e), rng.choice(list(partitions_of(m)))) for e, m in zip(eigs, mults)])
 
 
 def _spread_orbit(rng, n):

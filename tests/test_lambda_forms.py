@@ -13,14 +13,16 @@ import math
 import random
 from fractions import Fraction
 
-from dskit import core, jsonio
-from dskit.core import OrbitSpec, Scalar, cell_triple
+from dskit import jsonio
+from dskit.core import OrbitSpec, cell_triple
 from dskit.coxeter import coxeter_ds_decide
 from dskit.formal import CoxeterFormalType
 from dskit.fuchsian import FuchsianRigidity, build_cb_data, fuchsian_rigidity
 from dskit.rootsys import sigma_candidates
 from dskit.unramified import UnramBlock, UnramFormalType, build_hiroe_data, count_rank2_moduli
+import exact_oracles
 from exact_oracles import (
+    Scalar,
     eigenvalues,
     lambda_values,
     orbit_blocks,
@@ -30,6 +32,7 @@ from exact_oracles import (
     scalar_residue_arm,
     scalar_star_lambda,
     sort_key,
+    triple,
 )
 
 # denominators 1, 2, 3, 5 and 7 and imaginary parts 0, +-1/2, +-1/3 and 1
@@ -74,7 +77,7 @@ def _orbit(rng, n):
         blocks = []
         for e, m in zip(sorted(eigs, key=sort_key), mults):
             split = rng.randint(0, m - 1)
-            blocks.append((e, (m - split, split) if 0 < split <= m - split else (m,)))
+            blocks.append((triple(e), (m - split, split) if 0 < split <= m - split else (m,)))
         o = OrbitSpec(n, blocks)
         if o.is_nonresonant():
             return o
@@ -82,7 +85,7 @@ def _orbit(rng, n):
 
 def _sequence(rng, o):
     """A factor sequence: each eigenvalue as often as its largest part, shuffled."""
-    seq = [e for e, part in orbit_blocks(o) for _ in range(part[0])]
+    seq = [triple(e) for e, part in orbit_blocks(o) for _ in range(part[0])]
     rng.shuffle(seq)
     return seq
 
@@ -160,10 +163,10 @@ def _block_doc(q, n, blocks):
 
 def test_deciding_parsed_orbits_and_types_makes_no_scalar(monkeypatch):
     made = []
-    init, scalar = Scalar.__init__, core._scalar
+    init, scalar = Scalar.__init__, exact_oracles._scalar
     monkeypatch.setattr(Scalar, "__init__", lambda self, *args: made.append(args) or init(self, *args))
     # Scalar arithmetic builds its results past __init__
-    monkeypatch.setattr(core, "_scalar", lambda *args: made.append(args) or scalar(*args))
+    monkeypatch.setattr(exact_oracles, "_scalar", lambda *args: made.append(args) or scalar(*args))
     # a rank-2 triple with traces summing to zero: non-real eigenvalues over
     # mixed denominators, and explicit factor sequences as triples
     orbits = [jsonio.parse_orbit(o) for o in (

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from dskit.core import Scalar
 from dskit.errors import InputError, TruncationError
 from dskit.laurent import LaurentMatrix
 from exact_oracles import (
+    Scalar,
     eq_mod,
     from_terms,
     identity,

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from dskit import linalg
-from dskit.core import OrbitSpec, Scalar, partitions_of
+from dskit.core import OrbitSpec, partitions_of
 from dskit.errors import InputError
 from exact_oracles import (
+    Scalar,
     ad_eigen_shift_singular,
     det,
     dims,
@@ -36,6 +37,7 @@ from exact_oracles import (
     sympy_rank,
     trace,
     transpose,
+    triple,
     zeros,
 )
 
@@ -465,7 +467,7 @@ def test_jordan_type_of_hidden_nilpotents_matches_the_jordan_matrix_oracle():
                 nonreal += any(x.im for row in a for x in row)
                 assert linalg.jordan_type_of_nilpotent(gaussian(a)) == part, a
     assert nonreal >= 66, nonreal  # of 132
-    for blocks in ([(1, (1,))], [(0, (2,)), (Scalar(0, 1), (1,))], [(Fraction(1, 2), (3,))]):
+    for blocks in ([(1, (1,))], [(0, (2,)), (triple(Scalar(0, 1)), (1,))], [(Fraction(1, 2), (3,))]):
         o = OrbitSpec(sum(sum(part) for _, part in blocks), blocks)
         a = jordan_matrix(o)
         _hide_by_similarities(rng, a)

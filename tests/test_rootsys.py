@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from dskit.core import Scalar
 from dskit.errors import BudgetExceededError, InputError
 from dskit.rootsys import (
     Quiver,
@@ -17,6 +16,7 @@ from dskit.rootsys import (
     reflect,
 )
 from exact_oracles import (
+    Scalar,
     bilinear,
     cartan_rows,
     classify_by_full_pairing,

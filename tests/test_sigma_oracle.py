@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from dskit.core import OrbitSpec, Scalar
+from dskit.core import OrbitSpec
 from dskit.errors import BudgetExceededError
 from dskit.formal import certify_slope
 from dskit.fuchsian import FuchsianRigidity, build_cb_data, fuchsian_rigidity
@@ -37,6 +37,7 @@ from dskit.rootsys import (
 )
 from dskit.unramified import HiroeData, UnramBlock, UnramFormalType, build_hiroe_data
 from exact_oracles import (
+    Scalar,
     decompositions,
     dot_lambda,
     lambda_forms,

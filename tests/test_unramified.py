@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dskit.core import OrbitSpec, Scalar, as_triple
+from dskit.core import OrbitSpec
 from dskit.errors import InputError, ResonantError
 from dskit.fuchsian import FuchsianRigidity, build_cb_data, fuchsian_rigidity
 from dskit.rootsys import RootClass, classify_root, p_value
@@ -16,22 +16,25 @@ from dskit.unramified import (
     count_rank2_moduli,
 )
 from exact_oracles import (
+    Scalar,
     alpha_dot_lambda,
     build_base_quiver,
-    lambda_values,
     eigenvalues,
+    lambda_values,
     negated,
     random_form,
     residue_trace,
     scalar_count_rank2_moduli,
     scalar_of,
     sort_key,
+    triple,
+    triples,
     vector,
 )
 
 
 def _scalar_res(c):
-    return OrbitSpec(1, [(c, (1,))])
+    return OrbitSpec(1, [(triple(c), (1,))])
 
 
 def _slope1_pair(c, d):
@@ -67,7 +70,7 @@ def test_block_validation():
     with pytest.raises(InputError):
         UnramBlock([1], 2, _scalar_res(0))
     b = UnramBlock([1, 0], 1, _scalar_res(0))
-    assert b.q == (as_triple(Scalar(1)),)
+    assert b.q == (triple(Scalar(1)),)
     assert len(b.q) == 1
 
 
@@ -419,7 +422,7 @@ def test_q_in_every_form_gives_the_same_triples_and_distinctness():
             for g in given:
                 forms[type(g).__name__] = forms.get(type(g).__name__, 0) + 1
             b = UnramBlock(given, 1, _scalar_res(0))
-            assert b.q == UnramBlock(q, 1, _scalar_res(0)).q == tuple(map(as_triple, _strip(q)))
+            assert b.q == UnramBlock(triples(q), 1, _scalar_res(0)).q == tuple(map(triple, _strip(q)))
             assert [scalar_of(c) for c in b.q] == _strip(q)
             stripped += len(b.q) < len(q)
             blocks.append(b)
@@ -430,6 +433,6 @@ def test_q_in_every_form_gives_the_same_triples_and_distinctness():
         assert got[0] == "ok" if distinct else got == (
             "InputError", "blocks must have pairwise distinct q_j"), qs
         verdicts[distinct] += 1
-    assert sorted(forms) == ["Fraction", "Scalar", "int", "tuple"], forms
+    assert sorted(forms) == ["Fraction", "int", "tuple"], forms
     assert min(forms.values()) >= 50 and min(verdicts.values()) >= 50 and stripped >= 50, (
         forms, verdicts, stripped)
