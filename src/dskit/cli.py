@@ -43,110 +43,145 @@ _READINGS = {
 }
 
 
+_BUDGET = {"--budget": (
+    "budget", int, False, DEFAULT_BUDGET,
+    "cap on search nodes: each box vector 0 <= beta <= alpha, then "
+    "each step of the table of best p-sums; for slope, each of the 2^(n-1) "
+    f"standard parahorics (default {DEFAULT_BUDGET:,}); both readings of "
+    "unramified-ds come from one table, so they fit together or not at all",
+)}
+
+# Every subcommand with its help and its options, in the order the usage lists
+# them.  An option maps to (dest, kind, required, default, help), where kind is
+# int, str or the one value a --flag takes.  Both readers of a command line are
+# built from this table: _read_well_formed, and argparse (_build_parser) for
+# any line that reader declines.
+_COMMANDS = {
+    "fuchsian-ds": (
+        "decide the additive problem for residue orbits at sum zero",
+        {**_BUDGET, "--input": ("input", str, True, None, "JSON file with 'orbits'")},
+    ),
+    "unramified-ds": (
+        "decide existence for a tuple of unramified formal types",
+        {**_BUDGET,
+         "--input": ("input", str, True, None, "JSON file with 'types'"),
+         "--flag": ("flag", _READINGS["unramified-ds"][0], False, None,
+                    "follow the parts>=2 reading of condition (2), decompositions "
+                    "into two or more parts, instead of the printed parts>=3; a "
+                    "disagreement between the two readings surfaces in notes")},
+    ),
+    "coxeter-ds": (
+        "decide existence for a Coxeter formal type plus one orbit",
+        {"--n": ("n", int, True, None, None),
+         "--r": ("r", int, True, None, None),
+         "--p0": ("p0", str, True, None,
+                  "scalar, e.g. 0 or 2-i; a negative one takes =, as in --p0=-1/2"),
+         "--orbit": ("orbit", str, True, None, "JSON file with 'orbit'")},
+    ),
+    "rigidity": (
+        "rigidity of a nilpotent orbit for slope r/n (gl_n)",
+        {"--n": ("n", int, True, None, None),
+         "--r": ("r", int, True, None, None),
+         "--orbit": ("orbit", str, True, None, "JSON file with 'orbit'")},
+    ),
+    "rigidity-table": (
+        "rigidity of the homogeneous type of slope r/h for a simple type",
+        {"--type": ("family", str, True, None, "A, B, C, D, or E7"),
+         "--rank": ("rank", int, True, None,
+                    "rank parameter as the table prints it "
+                    "(family A is keyed by matrix size n)"),
+         "--r": ("r", int, True, None, None),
+         "--flag": ("flag", _READINGS["rigidity-table"][0], False, None,
+                    "follow the both-divisors reading of the two-condition rows "
+                    "(types B and D) instead of the either-divisor one; a "
+                    "disagreement between the two readings surfaces in notes")},
+    ),
+    "slope": (
+        "certify the slope of d + M dz/z from a fixed trivialization",
+        {**_BUDGET, "--matrix": ("matrix", str, True, None, "JSON file with 'matrix'")},
+    ),
+    "normalize-regsing": (
+        "gauge a simple-pole connection to its residue term",
+        {"--matrix": ("matrix", str, True, None, "JSON file with 'matrix'"),
+         "--order": ("order", int, True, None, "work modulo z^order")},
+    ),
+    "count-rank2": (
+        "moduli count for rank-2 slope-1 unramified data plus one orbit",
+        {"--input": ("input", str, True, None, "JSON file with 'formal_type' and 'orbit'")},
+    ),
+    "quiver-export": (
+        "render the decision quiver (with alpha/lambda labels) as DOT",
+        {"--input": ("input", str, True, None, "JSON file with 'orbits' or 'types'"),
+         "--out": ("out", str, False, None,
+                   "write DOT here and emit a verdict instead of raw DOT")},
+    ),
+}
+
+
+def _read_well_formed(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse would give a well-formed line, read straight
+    from the option table, or None for any other line, which is left to
+    argparse.  A well-formed line is a subcommand, then each of its options at
+    most once by its exact name, as --opt value or --opt=value, every required
+    one present.  A value is not empty, a separate one does not start with -
+    (argparse could read it as an option), an int one is read by int() and a
+    --flag value is its one choice; a --budget is 0 or more."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = _COMMANDS[argv[0]][1]
+    given: dict[str, str] = {}
+    i, n = 1, len(argv)
+    while i < n:
+        option, eq, value = argv[i].partition("=")
+        if eq:
+            i += 1
+        elif i + 1 < n and not argv[i + 1].startswith("-"):
+            value = argv[i + 1]
+            i += 2
+        else:
+            return None
+        if option not in options or option in given or not value:
+            return None
+        given[option] = value
+    ns = {"command": argv[0]}
+    for option, (dest, kind, required, default, _) in options.items():
+        value = given.get(option)
+        if value is None:
+            if required:
+                return None
+            ns[dest] = default
+        elif kind is int:
+            try:
+                ns[dest] = int(value)
+            except ValueError:
+                return None
+        elif kind is str or value == kind:
+            ns[dest] = value
+        else:
+            return None
+    if ns.get("budget", 0) < 0:
+        return None
+    return argparse.Namespace(**ns)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first run and reused by every later one."""
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_BUDGET,
-        metavar="N",
-        help="cap on search nodes: each box vector 0 <= beta <= alpha, then "
-             "each step of the table of best p-sums; for slope, each of the 2^(n-1) "
-             f"standard parahorics (default {DEFAULT_BUDGET:,}); both readings of "
-             "unramified-ds come from one table, so they fit together or not at all",
-    )
-
+    """The parser for the lines _read_well_formed declines, built on the first
+    such line and reused by every later one."""
     ap = argparse.ArgumentParser(
         prog="ds-kit",
         description="Deligne-Simpson existence and rigidity decisions",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "fuchsian-ds", parents=[budget],
-        help="decide the additive problem for residue orbits at sum zero",
-    )
-    p.add_argument("--input", required=True, help="JSON file with 'orbits'")
-
-    p = sub.add_parser(
-        "unramified-ds", parents=[budget],
-        help="decide existence for a tuple of unramified formal types",
-    )
-    p.add_argument("--input", required=True, help="JSON file with 'types'")
-    p.add_argument(
-        "--flag", choices=_READINGS["unramified-ds"][:1],
-        help="follow the parts>=2 reading of condition (2), decompositions "
-             "into two or more parts, instead of the printed parts>=3; a "
-             "disagreement between the two readings surfaces in notes",
-    )
-
-    p = sub.add_parser(
-        "coxeter-ds",
-        help="decide existence for a Coxeter formal type plus one orbit",
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--p0", required=True,
-                   help="scalar, e.g. 0 or 2-i; a negative one takes =, as in --p0=-1/2")
-    p.add_argument("--orbit", required=True, help="JSON file with 'orbit'")
-
-    p = sub.add_parser(
-        "rigidity",
-        help="rigidity of a nilpotent orbit for slope r/n (gl_n)",
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--orbit", required=True, help="JSON file with 'orbit'")
-
-    p = sub.add_parser(
-        "rigidity-table",
-        help="rigidity of the homogeneous type of slope r/h for a simple type",
-    )
-    p.add_argument("--type", required=True, dest="family",
-                   help="A, B, C, D, or E7")
-    p.add_argument("--rank", type=int, required=True,
-                   help="rank parameter as the table prints it "
-                        "(family A is keyed by matrix size n)")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument(
-        "--flag", choices=_READINGS["rigidity-table"][:1],
-        help="follow the both-divisors reading of the two-condition rows "
-             "(types B and D) instead of the either-divisor one; a "
-             "disagreement between the two readings surfaces in notes",
-    )
-
-    p = sub.add_parser(
-        "slope", parents=[budget],
-        help="certify the slope of d + M dz/z from a fixed trivialization",
-    )
-    p.add_argument("--matrix", required=True, help="JSON file with 'matrix'")
-
-    p = sub.add_parser(
-        "normalize-regsing",
-        help="gauge a simple-pole connection to its residue term",
-    )
-    p.add_argument("--matrix", required=True, help="JSON file with 'matrix'")
-    p.add_argument("--order", type=int, required=True,
-                   help="work modulo z^order")
-
-    p = sub.add_parser(
-        "count-rank2",
-        help="moduli count for rank-2 slope-1 unramified data plus one orbit",
-    )
-    p.add_argument("--input", required=True,
-                   help="JSON file with 'formal_type' and 'orbit'")
-
-    p = sub.add_parser(
-        "quiver-export",
-        help="render the decision quiver (with alpha/lambda labels) as DOT",
-    )
-    p.add_argument("--input", required=True,
-                   help="JSON file with 'orbits' or 'types'")
-    p.add_argument("--out", default=None,
-                   help="write DOT here and emit a verdict instead of raw DOT")
-    for p in sub.choices.values():
+    for command, (summary, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for option, (dest, kind, required, default, text) in options.items():
+            p.add_argument(
+                option, dest=dest, required=required, default=default, help=text,
+                metavar="N" if option == "--budget" else None,
+                type=int if kind is int else None,
+                choices=None if kind is int or kind is str else (kind,),
+            )
         p.set_defaults(subparser=p)
     return ap
 
@@ -395,20 +430,24 @@ def _option_before_command(argv: list[str]) -> str | None:
 
 def run(argv: Sequence[str]) -> int:
     args = list(argv)
-    try:
-        parser = _build_parser()
-        misplaced = _option_before_command(args)
-        if misplaced is not None:
-            parser.error(f"unrecognized arguments: {misplaced}")
-        ns, extra = parser.parse_known_args(args)
-        if extra:
-            # the subcommand's own usage lists the options it does take
-            ns.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
-        if getattr(ns, "budget", 0) < 0:
-            # a count of nodes: a negative one is malformed, not a spent budget
-            ns.subparser.error(f"argument --budget: must be 0 or more, got {ns.budget}")
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+    ns = _read_well_formed(args)
+    if ns is None:
+        # any other line: argparse's reading, its usage and error text, --help
+        # and abbreviations
+        try:
+            parser = _build_parser()
+            misplaced = _option_before_command(args)
+            if misplaced is not None:
+                parser.error(f"unrecognized arguments: {misplaced}")
+            ns, extra = parser.parse_known_args(args)
+            if extra:
+                # the subcommand's own usage lists the options it does take
+                ns.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
+            if getattr(ns, "budget", 0) < 0:
+                # a count of nodes: a negative one is malformed, not a spent budget
+                ns.subparser.error(f"argument --budget: must be 0 or more, got {ns.budget}")
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
     ctx: dict[str, Any] = {"digest": None, "notes": [], "raw": None}
     try:
         result, code = _HANDLERS[ns.command](ns, ctx)

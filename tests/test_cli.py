@@ -1,6 +1,8 @@
 import argparse
+import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from dskit import cli
 from dskit.cli import _build_parser, run
 from dskit.errors import InputError
 from dskit.rootsys import DEFAULT_BUDGET
@@ -1028,6 +1031,150 @@ def test_budget_and_flag_appear_only_where_they_act():
     values = sum(len(v) if isinstance(v, tuple) else 1
                  for opts in layout.values() for v in opts.values())
     assert values == 5
+
+
+def test_the_option_table_and_the_parser_agree():
+    # the parser is built from cli._COMMANDS alone: an option added to one
+    # and not the other fails here
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli._COMMANDS)
+    assert [a.help for a in sub._choices_actions] == [h for h, _ in cli._COMMANDS.values()]
+    for name, p in sub.choices.items():
+        built = [(a.option_strings, a.dest, a.type, a.choices, a.required, a.default, a.help)
+                 for a in p._actions if a.dest != "help"]
+        table = [([option], dest, int if kind is int else None,
+                  None if kind in (int, str) else (kind,), required, default, text)
+                 for option, (dest, kind, required, default, text)
+                 in cli._COMMANDS[name][1].items()]
+        assert built == table, name
+
+
+# ---------------------------------------------------------------------------
+# the fast reader answers only where argparse answers the same
+# ---------------------------------------------------------------------------
+
+_ODD_VALUES = ["", "-1", "-1/2", " 7", "1_000", "x"]
+_STRAYS = ["--bogus", "--budget", "--flag", "--input", "stray", "-h", "--help", "--", "-x"]
+_LINES_SEED, _LINES_DRAWN = 20261020, 60_000
+
+
+def _value(rng, kind):
+    if kind is int:
+        return str(rng.choice([0, 1, 2, 5, 12, 100, 2_000_000]))
+    return "doc.json" if kind is str else kind
+
+
+def _draw_line(rng):
+    """A command line drawn from the option table, with mutations: = forms,
+    odd values, repeated, missing, abbreviated and stray options, -h and --."""
+    command = rng.choice(list(cli._COMMANDS))
+    options = cli._COMMANDS[command][1]
+    picked = [o for o, (_, _, required, _, _) in options.items()
+              if rng.random() < (0.95 if required else 0.5)]
+    rng.shuffle(picked)
+    pairs = [[o, _value(rng, options[o][1])] for o in picked]
+    for _ in range(rng.choice([0, 0, 0, 1, 1, 2, 3])):
+        k = rng.randrange(len(pairs) + 1)
+        mutation = rng.randrange(6)
+        if mutation == 0 and pairs:  # an odd value
+            rng.choice(pairs)[1:] = [rng.choice(_ODD_VALUES)]
+        elif mutation == 1 and pairs:  # a repeat
+            pairs.insert(k, list(rng.choice(pairs)))
+        elif mutation == 2 and pairs:  # an abbreviation
+            pair = rng.choice(pairs)
+            if len(pair[0]) > 3:
+                pair[0] = pair[0][:rng.randrange(3, len(pair[0]))]
+        elif mutation == 3:  # a stray option, with or without a value
+            pairs.insert(k, [rng.choice(_STRAYS)] + ([] if rng.random() < 0.5 else ["5"]))
+        elif mutation == 4:  # an option of another subcommand
+            other = cli._COMMANDS[rng.choice(list(cli._COMMANDS))][1]
+            option = rng.choice(list(other))
+            pairs.insert(k, [option, _value(rng, other[option][1])])
+        elif mutation == 5 and pairs:  # a missing value
+            rng.choice(pairs)[1:] = []
+    argv = [command]
+    for pair in pairs:
+        if len(pair) == 2 and rng.random() < 0.3:
+            argv.append("=".join(pair))
+        else:
+            argv.extend(pair)
+    if rng.random() < 0.02:
+        argv.insert(0, rng.choice(["--budget", "-h", "--"]))
+    return argv
+
+
+def _argparse_reading(argv):
+    """vars of argparse's namespace without subparser, where run() would
+    accept the line, else None."""
+    if cli._option_before_command(argv) is not None:
+        return None
+    try:
+        ns, extra = _build_parser().parse_known_args(argv)
+    except SystemExit:
+        return None
+    if extra or getattr(ns, "budget", 0) < 0:
+        return None
+    got = vars(ns)
+    del got["subparser"]
+    return got
+
+
+def test_a_well_formed_line_reads_as_argparse_reads_it(capsys):
+    rng = random.Random(_LINES_SEED)
+    answered = 0
+    for _ in range(_LINES_DRAWN):
+        argv = _draw_line(rng)
+        ns = cli._read_well_formed(argv)
+        if ns is not None:
+            answered += 1
+            assert vars(ns) == _argparse_reading(argv), argv
+    # argparse wrote no usage: it accepted every line the fast reader read
+    assert capsys.readouterr() == ("", "")
+    # both paths are reached: about a third of the lines are read by the table
+    assert _LINES_DRAWN // 5 < answered < _LINES_DRAWN * 4 // 5, answered
+
+
+def test_the_fast_reader_declines_each_kind_of_malformed_line():
+    base = ["slope", "--matrix", "m.json"]
+    assert vars(cli._read_well_formed(base + ["--budget=5"])) == {
+        "command": "slope", "matrix": "m.json", "budget": 5}
+    for argv in (
+        [], ["--budget", "5", *base], ["slop", "--matrix", "m.json"], ["slope"],
+        base + ["--budget"], base + ["--budget=-7"], base + ["--budget", "-7"],
+        base + ["--budget", "many"], base + ["--budget", ""], base + ["--budget="],
+        ["slope", "--matrix", ""], ["slope", "--matrix="],
+        base + ["--matrix", "n.json"], base + ["--bud", "5"], base + ["-h"],
+        base + ["--help"], base + ["--"], base + ["stray"], base + ["--order", "3"],
+        ["unramified-ds", "--input", "t.json", "--flag", "bogus"],
+        ["coxeter-ds", "--n", "2", "--r", "1", "--p0", "-1/2", "--orbit", "o.json"],
+    ):
+        assert cli._read_well_formed(argv) is None, argv
+
+
+def _load_workloads():
+    # the benchmark's request builder, read from bench/ and left as it is
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_every_benchmark_request_takes_the_fast_path():
+    workloads = _load_workloads()
+    argvs = [[a.replace("{doc}", "doc.json").replace("{out}", "q.dot") for a in req.argv]
+             for seed in (1, 2, 3, 7) for w in workloads.WORKLOADS
+             for req in workloads.make_requests(w, seed)]
+    assert len(argvs) == 1708
+    for argv in argvs:
+        ns = cli._read_well_formed(argv)
+        assert ns is not None, argv
+        assert vars(ns) == _argparse_reading(argv), argv
 
 
 def test_options_a_subcommand_does_not_read_exit_2(tmp_path, capsys):

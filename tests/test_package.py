@@ -141,7 +141,8 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(dskit.cli.run(argv))
 print(json.dumps({"new": sorted(loaded - before), "codes": codes,
-                  "later": sorted(set(sys.modules) - loaded)}))
+                  "later": sorted(set(sys.modules) - loaded),
+                  "parsers": dskit.cli._build_parser.cache_info().currsize}))
 """
 
 
@@ -187,7 +188,9 @@ def test_import_loads_every_module_a_request_runs_and_no_dataclass_machinery(tmp
     # a fresh interpreter without site, as a console script starts: importing
     # dskit.cli loads every module of the package and none of the modules that
     # build dataclasses, and one valid request of each subcommand loads no
-    # further module of the package, so no import is deferred into a request
+    # further module of the package, so no import is deferred into a request.
+    # Each of those lines is read from the option table, so no argparse parser
+    # is built, nor locale and shutil imported, which building one brings in
     paths = _documents(tmp_path)
     argvs = [[a.format(**paths) for a in argv] for argv in _REQUESTS]
     env = {**os.environ, "PYTHONPATH": str(_SRC)}
@@ -201,6 +204,8 @@ def test_import_loads_every_module_a_request_runs_and_no_dataclass_machinery(tmp
     assert package - {"dskit.__main__"} <= set(got["new"])
     assert [m for m in got["later"] if m.split(".")[0] == "dskit"] == []
     assert [m for m in _NOT_AT_IMPORT if m in got["new"] or m in got["later"]] == []
+    assert got["parsers"] == 0
+    assert [m for m in ("locale", "shutil") if m in got["new"] or m in got["later"]] == []
 
 
 def test_no_module_of_the_package_imports_inside_a_function():
