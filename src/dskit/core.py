@@ -241,19 +241,6 @@ class OrbitSpec(Frozen):
         object.__setattr__(self, "im", im)
         object.__setattr__(self, "parts", tuple(parts[k] for k in order))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not OrbitSpec:
-            return NotImplemented
-        return (self.n, self.den, self.re, self.im, self.parts) == (
-            other.n, other.den, other.re, other.im, other.parts)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.den, self.re, self.im, self.parts))
-
-    def __repr__(self) -> str:
-        return (f"OrbitSpec(n={self.n!r}, den={self.den!r}, re={self.re!r}, im={self.im!r}, "
-                f"parts={self.parts!r})")
-
     def partition_for(self, eig: Factor) -> Partition:
         key = _over(eig, self.den)
         for xy, part in zip(zip(self.re, self.im), self.parts):

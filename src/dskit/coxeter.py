@@ -109,17 +109,6 @@ class SimpleTypeQuery(Frozen):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "r", r)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not SimpleTypeQuery:
-            return NotImplemented
-        return (self.family, self.rank, self.r) == (other.family, other.rank, other.r)
-
-    def __hash__(self) -> int:
-        return hash((self.family, self.rank, self.r))
-
-    def __repr__(self) -> str:
-        return f"SimpleTypeQuery(family={self.family!r}, rank={self.rank!r}, r={self.r!r})"
-
     def coxeter_number(self) -> int:
         n = self.rank
         return {"A": n, "B": 2 * n, "C": 2 * n, "D": 2 * n - 2, "E7": 18}[

@@ -103,24 +103,13 @@ class StandardParahoric(Frozen):
         jj = tuple(sorted({int(x) for x in J}))
         if n < 1:
             raise InputError(f"need n >= 1, got {n}")
+        if jj and (jj[0] < 0 or jj[-1] >= n):
+            raise InputError(f"J must lie inside 0..{n - 1}")
         if not jj or jj[0] != 0:
             raise InputError("J must contain 0")
-        if jj[0] < 0 or jj[-1] >= n:
-            raise InputError(f"J must lie inside 0..{n - 1}")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "J", jj)
         object.__setattr__(self, "_f", tuple(_f_table(n, jj)))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not StandardParahoric:
-            return NotImplemented
-        return self.n == other.n and self.J == other.J
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.J))
-
-    def __repr__(self) -> str:
-        return f"StandardParahoric(n={self.n!r}, J={self.J!r})"
 
     @property
     def e(self) -> int:
@@ -179,18 +168,6 @@ class Stratum(Frozen):
         object.__setattr__(self, "parahoric", parahoric)
         object.__setattr__(self, "depth_num", depth_num)
         object.__setattr__(self, "leading", leading)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Stratum:
-            return NotImplemented
-        return (self.parahoric, self.depth_num, self.leading) == (
-            other.parahoric, other.depth_num, other.leading)
-
-    __hash__ = None  # type: ignore[assignment]  # it holds a LaurentMatrix, which is unhashable
-
-    def __repr__(self) -> str:
-        return (f"Stratum(parahoric={self.parahoric!r}, depth_num={self.depth_num!r}, "
-                f"leading={self.leading!r})")
 
     @property
     def depth(self) -> Fraction:
@@ -259,16 +236,6 @@ class CertifiedSlope(Frozen):
         object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "witness", witness)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not CertifiedSlope:
-            return NotImplemented
-        return self.slope == other.slope and self.witness == other.witness
-
-    __hash__ = None  # type: ignore[assignment]  # it holds a LaurentMatrix, which is unhashable
-
-    def __repr__(self) -> str:
-        return f"CertifiedSlope(slope={self.slope!r}, witness={self.witness!r})"
-
 
 class UpperBoundOnly(Frozen):
     """Every scanned stratum had nilpotent leading term; the minimal depth
@@ -283,33 +250,12 @@ class UpperBoundOnly(Frozen):
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "witness", witness)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not UpperBoundOnly:
-            return NotImplemented
-        return self.bound == other.bound and self.witness == other.witness
-
-    __hash__ = None  # type: ignore[assignment]  # it holds a LaurentMatrix, which is unhashable
-
-    def __repr__(self) -> str:
-        return f"UpperBoundOnly(bound={self.bound!r}, witness={self.witness!r})"
-
 
 class RegularSingularCandidate(Frozen):
     """No pole in this trivialization (naive pole order <= 1); slope-zero
     candidates are reported, never certified."""
 
     __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not RegularSingularCandidate:
-            return NotImplemented
-        return True
-
-    def __hash__(self) -> int:
-        return hash(())
-
-    def __repr__(self) -> str:
-        return "RegularSingularCandidate()"
 
 
 SlopeVerdict = Union[CertifiedSlope, UpperBoundOnly, RegularSingularCandidate]
@@ -464,14 +410,3 @@ class CoxeterFormalType(Frozen):
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "r", int(r))
         object.__setattr__(self, "p0", as_triple(p0))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not CoxeterFormalType:
-            return NotImplemented
-        return (self.n, self.r, self.p0) == (other.n, other.r, other.p0)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.r, self.p0))
-
-    def __repr__(self) -> str:
-        return f"CoxeterFormalType(n={self.n!r}, r={self.r!r}, p0={self.p0!r})"

@@ -1,12 +1,47 @@
-"""The base of the immutable records.
+"""The base of the package's records.
 
-Each record is a plain class with `__slots__` and its own `__init__`,
-`__eq__`, `__hash__` and `__repr__`; its `__init__` sets the slots with
-`object.__setattr__`, past the refusal below.
+Each record is a plain class with `__slots__` and its own `__init__`.
+`Record` derives `==`, the hash and the repr from the public slots, in the
+order the classes declare them, base class first; a slot whose name starts
+with `_` holds data derived from the others and is left out.  A frozen
+record's `__init__` sets its slots with `object.__setattr__`, past the
+refusal of `Frozen`.
 """
 
 
-class Frozen:
+class Record:
+    """Compares, hashes and prints a record by the tuple of its fields."""
+
+    __slots__ = ()
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(
+            name
+            for klass in reversed(cls.__mro__)
+            for name in vars(klass).get("__slots__", ())
+            if not name.startswith("_")
+        )
+
+    def _values(self) -> tuple[object, ...]:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Frozen(Record):
     """Refuses assignment and deletion, as a frozen record must."""
 
     __slots__ = ()

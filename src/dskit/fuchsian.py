@@ -13,6 +13,7 @@ from typing import Sequence
 
 from .core import Factor, OrbitSpec, residue_arm
 from .errors import InputError, ResonantError
+from .frozen import Record
 from .rootsys import (
     DEFAULT_BUDGET,
     LambdaForm,
@@ -29,7 +30,7 @@ class FuchsianRigidity(Enum):
     INFINITE = "Infinite"
 
 
-class CBData:
+class CBData(Record):
     """A decision quiver with its dimension and deformation vectors.  For the
     star quiver of one residue problem, the vertices are the sink 0 and arm
     nodes (i, j) with i the 1-based orbit index and 1 <= j <= d_i - 1.
@@ -50,15 +51,7 @@ class CBData:
         self.alpha = alpha
         self.lam = lam
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not CBData:
-            return NotImplemented
-        return (self.quiver, self.alpha, self.lam) == (other.quiver, other.alpha, other.lam)
-
     __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"CBData(quiver={self.quiver!r}, alpha={self.alpha!r}, lam={self.lam!r})"
 
 
 def build_cb_data(

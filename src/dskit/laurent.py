@@ -95,7 +95,7 @@ class LaurentMatrix:
             return NotImplemented
         return (self.n, self.trunc, self.coeffs) == (other.n, other.trunc, other.coeffs)
 
-    def __hash__(self):  # pragma: no cover - mutable coefficients
+    def __hash__(self):
         raise TypeError("LaurentMatrix is unhashable")
 
     def __repr__(self) -> str:

@@ -77,17 +77,6 @@ class Quiver(Frozen):
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_neighbours", tuple(map(tuple, neighbours)))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Quiver:
-            return NotImplemented
-        return self.vertices == other.vertices and self.arrows == other.arrows
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.arrows))
-
-    def __repr__(self) -> str:
-        return f"Quiver(vertices={self.vertices!r}, arrows={self.arrows!r})"
-
     def index(self, v: Vertex) -> int:
         try:
             return self._index[v]

@@ -59,17 +59,6 @@ class UnramBlock(Frozen):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "residue", residue)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not UnramBlock:
-            return NotImplemented
-        return (self.q, self.dim, self.residue) == (other.q, other.dim, other.residue)
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.dim, self.residue))
-
-    def __repr__(self) -> str:
-        return f"UnramBlock(q={self.q!r}, dim={self.dim!r}, residue={self.residue!r})"
-
 
 class UnramFormalType(Frozen):
     """Unramified formal type: pairwise distinct q_j with residues R_j."""
@@ -86,17 +75,6 @@ class UnramFormalType(Frozen):
         if any(a == b for a, b in zip(qs, qs[1:])):
             raise InputError("blocks must have pairwise distinct q_j")
         object.__setattr__(self, "blocks", blocks)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not UnramFormalType:
-            return NotImplemented
-        return self.blocks == other.blocks
-
-    def __hash__(self) -> int:
-        return hash((self.blocks,))
-
-    def __repr__(self) -> str:
-        return f"UnramFormalType(blocks={self.blocks!r})"
 
     @property
     def n(self) -> int:
@@ -156,18 +134,6 @@ class HiroeData(CBData):
         self.alpha = alpha
         self.lam = lam
         self.lattice_forms = lattice_forms
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not HiroeData:
-            return NotImplemented
-        return (self.quiver, self.alpha, self.lam, self.lattice_forms) == (
-            other.quiver, other.alpha, other.lam, other.lattice_forms)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return (f"HiroeData(quiver={self.quiver!r}, alpha={self.alpha!r}, lam={self.lam!r}, "
-                f"lattice_forms={self.lattice_forms!r})")
 
     def readings(self, budget: int | None = DEFAULT_BUDGET) -> tuple[bool, bool]:
         """Whether an irreducible framable connection with these formal types

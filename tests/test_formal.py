@@ -91,6 +91,8 @@ def test_parahoric_validation_and_normalization():
         StandardParahoric(3, (1, 2))  # 0 missing
     with pytest.raises(InputError):
         StandardParahoric(3, (0, 3))  # out of range
+    with pytest.raises(InputError, match=r"^J must lie inside 0\.\.2$"):
+        StandardParahoric(3, (0, -1))  # contains 0, but -1 is out of range
     p = StandardParahoric(4, [2, 0, 2])
     assert p.J == (0, 2)
     assert p.e == 2
@@ -441,6 +443,57 @@ def test_certify_slope_matches_the_two_walk_oracle(monkeypatch):
                          "CertifiedSlope after one stratum", "UpperBoundOnly after one stratum",
                          "UpperBoundOnly after several"}, seen
     assert min(seen.values()) >= 20, seen
+
+
+def _planted_connection(rng):
+    """A connection with a planted stratum at a random standard parahoric J*
+    other than the first: a homogeneous term of graded degree -r there, so of
+    depth r/e with r <= 3e and coefficients in {-1, 1, 2, 3}, plus noise of
+    higher degree at J*."""
+    n = rng.randint(2, 7)
+    p = rng.choice(standard_parahorics(n)[1:])
+    r = rng.randint(1, 3 * p.e)
+    coeffs = {}
+
+    def put(k, a, b):
+        re = coeffs.setdefault(k, linalg.zero_gaussian(n))[0]
+        re[a - 1][b - 1] = rng.choice([-1, 1, 2, 3])
+
+    entries = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+    # E_ab z^k has degree k e + d at J*, with d its degree at k = 0
+    degree0 = {(a, b): p.graded_degree(a, b, 0) for a, b in entries}
+    planted = [(a, b) for a, b in entries if (-r - degree0[a, b]) % p.e == 0]
+    for a, b in [x for x in planted if rng.random() < 0.5] or [rng.choice(planted)]:
+        put((-r - degree0[a, b]) // p.e, a, b)
+    for a, b in rng.sample(entries, rng.randint(0, n)):
+        # the least k whose degree passes -r, or the one after it
+        put((-r - degree0[a, b]) // p.e + 1 + rng.randint(0, 1), a, b)
+    return LaurentMatrix(n, coeffs)
+
+
+def test_tied_least_depth_strata_never_mix_fundamental_and_nilpotent():
+    # seed 20261203: 1,000 draws of _planted_connection; one walk and two walks
+    # give equal verdicts, and at every draw with a pole the strata of least
+    # depth are all fundamental or all nilpotent, so the first one decides.
+    # 969 draws have a pole; 614 of them tie, 109 with a nilpotent first stratum
+    rng = random.Random(20261203)
+    seen = Counter()
+    for _ in range(1000):
+        m = _planted_connection(rng)
+        got = certify_slope(m)
+        assert got == two_walk_certify_slope(m), m
+        if isinstance(got, RegularSingularCandidate):
+            seen["no pole"] += 1
+            continue
+        strata = [leading_stratum(p, m) for p in standard_parahorics(m.n)]
+        least = min(s.depth for s in strata)
+        fundamental = [is_fundamental(s) for s in strata if s.depth == least]
+        assert len(set(fundamental)) == 1, m
+        assert isinstance(got, CertifiedSlope if fundamental[0] else UpperBoundOnly)
+        if len(fundamental) > 1:
+            seen["tie, fundamental" if fundamental[0] else "tie, nilpotent"] += 1
+    assert seen["tie, nilpotent"] >= 100, seen
+    assert seen["tie, fundamental"] >= 400, seen
 
 
 def test_certify_slope_holds_o_of_n_memory():
