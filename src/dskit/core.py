@@ -13,7 +13,7 @@ import operator
 import re as _re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Any, Iterable, Iterator, Sequence, Union
 
 from .errors import InputError
 from .frozen import Frozen
@@ -30,6 +30,14 @@ class Scalar:
 
     def __init__(self) -> None:
         raise TypeError("dskit makes no Scalar: a Gaussian rational is its reduced triple")
+
+
+def as_int(x: Any, what: str) -> int:
+    """x by `operator.index`: a float or a string is refused, not truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {x!r}") from None
 
 
 def _int_str(x: int) -> str:
@@ -50,7 +58,7 @@ Partition = tuple[int, ...]
 
 def as_partition(parts: Iterable[int]) -> Partition:
     """Validate and normalize a partition; zero parts are rejected, not dropped."""
-    p = tuple(map(int, parts))
+    p = tuple([as_int(x, "a partition part") for x in parts])
     if p and min(p) <= 0:
         raise InputError(f"partition parts must be positive: {p}")
     if any(map(operator.lt, p, p[1:])):
@@ -220,6 +228,7 @@ class OrbitSpec(Frozen):
     def __init__(self, n: int, blocks: Iterable[tuple[Factor, Iterable[int]]]):
         """The orbit of (eigenvalue, partition) pairs, each eigenvalue in any
         form `as_triple` reads."""
+        n = as_int(n, "n")
         triples, parts = [], []
         for e, part in blocks:
             triples.append(as_triple(e))
@@ -235,7 +244,7 @@ class OrbitSpec(Frozen):
         if n <= 0:
             raise InputError(f"need n >= 1, got n={n}")
         re, im, order = zip(*keys)  # keys is not empty: n >= 1 is the sum of the parts
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)

@@ -12,7 +12,7 @@ import operator
 from math import gcd
 
 from . import linalg
-from .core import OrbitSpec, _int_str, min_partition_with_r_parts, orbit_dim
+from .core import OrbitSpec, _int_str, as_int, min_partition_with_r_parts, orbit_dim
 from .errors import InputError, ResonantError
 from .formal import CoxeterFormalType
 from .frozen import Frozen
@@ -96,8 +96,8 @@ class SimpleTypeQuery(Frozen):
             raise InputError(
                 f"unknown family {family!r}; expected one of {_FAMILIES}"
             )
-        rank = int(rank)
-        r = int(r)
+        rank = as_int(rank, "rank")
+        r = as_int(r, "r")
         if fam == "E7":
             if rank != 7:
                 raise InputError("family E7 has rank 7")

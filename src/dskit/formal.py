@@ -7,14 +7,14 @@ strata, slope certification, and the Coxeter canonical form p(omega^{-1}).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 from . import linalg
-from .core import Factor, Triple, as_triple
+from .core import Factor, Triple, as_int, as_triple
 from .errors import BudgetExceededError, InputError, ResonantError, TruncationError
 from .frozen import Frozen
 from .laurent import LaurentMatrix
@@ -94,49 +94,35 @@ class StandardParahoric(Frozen):
     for 0 <= j < e, extended by L^{j+e} = z L^j.
     """
 
-    __slots__ = ("n", "J", "_f")
+    __slots__ = ("n", "J")
 
     n: int
     J: tuple[int, ...]
 
     def __init__(self, n: int, J: Iterable[int]):
-        jj = tuple(sorted({int(x) for x in J}))
+        n = as_int(n, "n")
+        jj = tuple(sorted({as_int(x, "an entry of J") for x in J}))
         if n < 1:
             raise InputError(f"need n >= 1, got {n}")
         if jj and (jj[0] < 0 or jj[-1] >= n):
             raise InputError(f"J must lie inside 0..{n - 1}")
         if not jj or jj[0] != 0:
             raise InputError("J must contain 0")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "J", jj)
-        object.__setattr__(self, "_f", tuple(_f_table(n, jj)))
 
     @property
     def e(self) -> int:
         return len(self.J)
 
     def graded_degree(self, a: int, b: int, k: int) -> int:
-        """Closed form k*e + f_a - f_b for the filtration degree of E_ab z^k."""
+        """k*e + f_a - f_b, the filtration degree of E_ab z^k, where
+        f_m = #{j in J : j <= n - m} is the step of one period at which the
+        z-exponent of e_m jumps from 0 to 1 (e if it never does)."""
         if not (1 <= a <= self.n and 1 <= b <= self.n):
             raise InputError(f"entry ({a},{b}) outside 1..{self.n}")
-        return k * self.e + self._f[a] - self._f[b]
-
-
-def _f_table(n: int, J: Sequence[int]) -> list[int]:
-    """f[m] = 1 + #{j >= 1 : k_j <= n - m} for 1 <= m <= n, and f[0] = 0.
-
-    f[m] is the j at which the exponent nu_j(m) of e_m jumps from 0 to 1
-    within one period (e if it never does), so the filtration degree of
-    E_ab z^k is k e + f_a - f_b.  f[m] = j exactly for
-    n - k_j < m <= n - k_{j-1}, with k_e = n, so the table is built one run
-    of equal values at a time, j = e first.
-    """
-    f = [0]
-    hi = n
-    for j in range(len(J), 0, -1):
-        f += [j] * (hi - J[j - 1])
-        hi = J[j - 1]
-    return f
+        J, n = self.J, self.n
+        return k * len(J) + bisect_right(J, n - a) - bisect_right(J, n - b)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +224,8 @@ class CertifiedSlope(Frozen):
 
 
 class UpperBoundOnly(Frozen):
-    """Every scanned stratum had nilpotent leading term; the minimal depth
-    bounds the slope from above, and a gauge change may lower it."""
+    """Every stratum of least depth is nilpotent (see certify_slope); the
+    least depth bounds the slope from above, and a gauge change may lower it."""
 
     __slots__ = ("bound", "witness")
 
@@ -299,29 +285,44 @@ def certify_slope(m: LaurentMatrix, budget: int | None = DEFAULT_BUDGET) -> Slop
 
     Every stratum contained in the connection bounds the slope from above,
     and a fundamental stratum of positive depth attains it (Bremer-Sage,
-    IMRN 2013 and IMRN 2018).  So a fundamental stratum can only sit at a
-    parahoric of minimal depth.  The depth at each parahoric is read off the
-    least z-degree at each entry of M with integers alone: no matrix
-    products, no Fractions.  One full walk of the parahorics, depth first in
-    lexicographic order of J (see _depths), finds the least depth, comparing
-    depths r/e by cross-multiplying, with the first J of that depth and the
-    number of parahorics that tie at it.  The leading stratum at that first
-    J is built and tested for nilpotency.  Only if it is nilpotent and other
-    parahorics tie with it does a second walk run, which tests each later
-    tie in order and stops at the first fundamental one.  Neither walk keeps
-    the parahorics it has left, so the scan holds O(n * entries) integers,
-    not 2^(n-1) parahorics.
+    IMRN 2013 and IMRN 2018).  One walk of the parahorics in lexicographic
+    order of J (see _depths, which keeps none of them) reads the depth r/e
+    at each from the least z-degree at each entry of M, with integers alone,
+    and keeps the least depth (comparing by cross-multiplying) and its first
+    J.  Only the leading stratum there is built: by the lemma below, a
+    fundamental one certifies slope = depth and is the lexicographically
+    first fundamental stratum, and a nilpotent one gives UpperBoundOnly with
+    the least depth as bound and itself as witness.  A matrix with
+    valuation >= 0 short-circuits to RegularSingularCandidate.
 
-    The first fundamental stratum found certifies slope = depth, and it is
-    the lexicographically first fundamental stratum over all parahorics.  If
-    every minimal-depth leading term is nilpotent, the result is
-    UpperBoundOnly with the minimal depth as bound and the lexicographically
-    first stratum of that depth as witness.  A matrix with valuation >= 0
-    short-circuits to RegularSingularCandidate.
+    Lemma.  If M has depth r/e > 0 at J, with leading term beta, the stratum
+    is fundamental iff the least z-valuation of M's eigenvalues is -r/e.
+    Proof.  Put t = z^(1/e) and D = diag(t^f_1, ..., t^f_n), f as in
+    graded_degree.  Entry (a, b) of N = t^r D M D^-1 is t^(r + f_a - f_b) M_ab:
+    its exponents are r plus the graded degrees of M's monomials, which are
+    >= -r with equality on beta, so N is over C[[t]] and N(0) = beta(1).
+    N's characteristic polynomial is X^n + c_1 X^(n-1) + ... + c_n, each c_i
+    in C[[t]] and c_i(0) those of beta(1).  M's eigenvalues are t^-r x, x over
+    its roots, Puiseux series (Newton-Puiseux) with a valuation v extending v_t.
+    (1) v(x) >= 0: else v(c_i x^(n-i)) >= (n - i) v(x) > n v(x) = v(x^n) for
+        each i >= 1, and the terms cannot cancel.
+    (2) If beta(1) is nilpotent, each v(c_i) >= 1, and v(x) > 0: else
+        v(c_i x^(n-i)) >= 1 + (n - i) v(x) > n v(x) = v(x^n).
+    (3) Else some c_i(0) != 0; c_i is a unit and, up to sign, the i-th
+        elementary symmetric function of the roots, so by (1) some v(x) = 0.
+    So -r/e is the least valuation iff beta(1), so beta (see is_fundamental),
+    is not nilpotent.  []
+    Hence (a) strata of equal depth are both fundamental or both nilpotent,
+    and (b) a fundamental one has the least depth: at a depth d' < r/e, (1)
+    puts every eigenvalue at or above -d'.  theta = z d/dz maps each lattice
+    of a standard chain into itself, so at r > 0 the stratum of d + M dz/z
+    is that of M.  With r > 0 and trunc >= 1, leading_stratum's truncation
+    check cannot fire: every matrix that agrees with M below z^trunc has
+    the same leading terms, and the lemma holds for each.
 
     The scan costs one budget node per standard parahoric, 2^(n-1) in all,
-    charged before either walk; BudgetExceededError if they do not fit.
-    The default DEFAULT_BUDGET fits every n <= 21; None means no budget.
+    charged before the walk; BudgetExceededError if they do not fit.  The
+    default DEFAULT_BUDGET fits every n <= 21; None means no budget.
     """
     _check_budget(budget)
     if m.trunc is not None and m.trunc < 1:
@@ -341,28 +342,17 @@ def certify_slope(m: LaurentMatrix, budget: int | None = DEFAULT_BUDGET) -> Slop
     least_deg: dict[tuple[int, int], int] = {}
     for deg, i, j in m.monomials():  # in increasing degree
         least_deg.setdefault((i, j), deg)
-    entries = [(k, a, b) for (a, b), k in least_deg.items()]
-    depths = _depths(n, entries)
+    depths = _depths(n, [(k, a, b) for (a, b), k in least_deg.items()])
     J, least_e, least_r = next(depths)
-    first, ties = J[:], 1
+    first = J[:]
     for J, e, r in depths:
-        x, y = r * least_e, least_r * e
-        if x < y:
-            least_r, least_e, first, ties = r, e, J[:], 1
-        elif x == y:
-            ties += 1
+        if r * least_e < least_r * e:
+            least_r, least_e, first = r, e, J[:]
     # a genuine pole forces positive depth at every standard parahoric
     assert least_r > 0
     s = leading_stratum(StandardParahoric(n, first), m)
     if is_fundamental(s):
         return CertifiedSlope(s.depth, s)
-    if ties > 1:
-        # the parahorics of least depth in order, past the first, tested above
-        least = (J for J, e, r in _depths(n, entries) if r * least_e == least_r * e)
-        for J in islice(least, 1, ties):
-            t = leading_stratum(StandardParahoric(n, J), m)
-            if is_fundamental(t):
-                return CertifiedSlope(t.depth, t)
     return UpperBoundOnly(s.depth, s)
 
 
@@ -403,10 +393,11 @@ class CoxeterFormalType(Frozen):
     p0: Triple
 
     def __init__(self, n: int, r: int, p0: Factor):
+        n, r = as_int(n, "n"), as_int(r, "r")
         if n < 1 or r < 1:
             raise InputError("need n >= 1 and r >= 1")
         if gcd(r, n) != 1:
             raise InputError(f"need gcd(r, n) = 1, got r={r}, n={n}")
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "r", int(r))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
         object.__setattr__(self, "p0", as_triple(p0))

@@ -2,7 +2,8 @@
 
 Every parse error names the offending field with a dotted path so CLI users
 can find it; serializers emit the canonical form the input digests are
-computed over.
+computed over.  The parsers take exactly the types `json.load` makes, so an
+integer is `type(x) is int` and a bool is refused.
 """
 
 from __future__ import annotations
@@ -26,17 +27,13 @@ def _fail(path: str, msg: str) -> NoReturn:
     raise InputError(f"{path}: {msg}")
 
 
-def _is_int(x: Any) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 # ---------------------------------------------------------------------------
 # Cells: a Gaussian rational as [re_num, re_den, im_num, im_den].
 # ---------------------------------------------------------------------------
 
 
 def _check_scalar(obj: Any, path: str) -> None:
-    if not isinstance(obj, list) or len(obj) != 4 or not all(_is_int(x) for x in obj):
+    if type(obj) is not list or len(obj) != 4 or set(map(type, obj)) != {int}:
         _fail(path, "scalar must be a 4-tuple of integers "
                     "[re_num, re_den, im_num, im_den]")
     if obj[1] == 0 or obj[3] == 0:
@@ -55,7 +52,7 @@ def parse_orbit(obj: Any, path: str = "orbit") -> OrbitSpec:
     if not isinstance(obj, dict):
         _fail(path, "orbit must be an object")
     n = obj.get("n")
-    if not _is_int(n):
+    if type(n) is not int:
         _fail(f"{path}.n", "must be an integer")
     blocks = obj.get("blocks")
     if not isinstance(blocks, list) or not blocks:
@@ -68,15 +65,10 @@ def parse_orbit(obj: Any, path: str = "orbit") -> OrbitSpec:
         if "eig" not in blk:
             _fail(f"{bpath}.eig", "missing")
         part = blk.get("partition")
-        # a list of exact ints passes the first test, subclasses of list or int the second
-        if not (type(part) is list and set(map(type, part)) == {int}
-                or isinstance(part, list) and part and all(map(_is_int, part))):
+        if type(part) is not list or set(map(type, part)) != {int}:
             _fail(f"{bpath}.partition", "must be a nonempty array of integers")
         eig = blk["eig"]
-        if not (type(eig) is list and len(eig) == 4 and set(map(type, eig)) == {int}
-                and eig[1] and eig[3]):
-            _check_scalar(eig, f"{bpath}.eig")
-            eig = list(map(int, eig))  # a subclass of list or int
+        _check_scalar(eig, f"{bpath}.eig")
         a, b, c, d = eig
         pairs.append(((a * d, c * b, b * d), part))
     try:
@@ -117,7 +109,7 @@ def parse_unram_type(obj: Any, path: str = "type") -> UnramFormalType:
             _fail(f"{bpath}.q", "must be an array of scalars "
                                "(coefficients of z^-1, z^-2, ...)")
         dim = blk.get("dim")
-        if not _is_int(dim):
+        if type(dim) is not int:
             _fail(f"{bpath}.dim", "must be an integer")
         if "residue" not in blk:
             _fail(f"{bpath}.residue", "missing")
@@ -163,10 +155,10 @@ def parse_laurent(obj: Any, path: str = "matrix") -> tuple[LaurentMatrix, dict[s
     if not isinstance(obj, dict):
         _fail(path, "matrix must be an object")
     n = obj.get("n")
-    if not _is_int(n) or n < 1:
+    if type(n) is not int or n < 1:
         _fail(f"{path}.n", "must be a positive integer")
     trunc = obj.get("trunc")
-    if trunc is not None and not _is_int(trunc):
+    if trunc is not None and type(trunc) is not int:
         _fail(f"{path}.trunc", "must be an integer or null")
     terms = obj.get("terms")
     if not isinstance(terms, list):
@@ -179,7 +171,7 @@ def parse_laurent(obj: Any, path: str = "matrix") -> tuple[LaurentMatrix, dict[s
         if not isinstance(term, dict):
             _fail(tpath, "term must be an object")
         deg = term.get("deg")
-        if not _is_int(deg):
+        if type(deg) is not int:
             _fail(f"{tpath}.deg", "must be an integer")
         if deg in seen:
             _fail(f"{tpath}.deg", f"duplicate degree {deg}")
@@ -226,12 +218,12 @@ def _reduced(cell: Any) -> list[int] | None:
 
 def reduced_cell(obj: Any, path: str) -> list[int]:
     """The scalar cell obj in lowest terms, as `_reduced` gives it, or the
-    shape error at path."""
+    shape error at path: `_reduced` declines exactly what `_check_scalar`
+    refuses."""
     cell = _reduced(obj)
     if cell is None:
         _check_scalar(obj, path)
-        cell = _reduced(list(map(int, obj)))  # a subclass of list or int
-    return cell
+    return cell  # type: ignore[return-value]
 
 
 def lowest_cell(x: int, y: int, den: int) -> list[int]:

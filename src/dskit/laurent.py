@@ -19,7 +19,7 @@ from math import gcd
 from typing import Iterator
 
 from . import linalg
-from .core import gaussian_str
+from .core import as_int, gaussian_str
 from .errors import InputError, TruncationError
 
 
@@ -36,12 +36,13 @@ class LaurentMatrix:
         deg of coeffs, a nonzero den; zero coefficients and those at or past
         trunc are dropped, and the rest are kept over their least
         denominator."""
+        self.n = n = as_int(n, "n")
         if n < 1:
             raise InputError(f"need n >= 1, got {n}")
-        self.n = n
-        self.trunc = trunc
+        self.trunc = trunc = None if trunc is None else as_int(trunc, "trunc")
         self.coeffs: dict[int, linalg.Gaussian] = {}
         for deg, (re, im, den) in (coeffs or {}).items():
+            deg = as_int(deg, "a degree")
             if len(re) != n or len(im) != n or set(map(len, chain(re, im))) != {n}:
                 raise InputError(f"coefficient at degree {deg} is not {n}x{n}")
             if not den:
@@ -56,7 +57,7 @@ class LaurentMatrix:
             if g != 1:
                 re = [[x // g for x in row] for row in re]
                 im = [[x // g for x in row] for row in im]
-            self.coeffs[int(deg)] = (re, im, den // g)
+            self.coeffs[deg] = (re, im, den // g)
 
     # -- views ----------------------------------------------------------------
 

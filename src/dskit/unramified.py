@@ -13,7 +13,7 @@ import operator
 from math import lcm
 from typing import Iterable, Sequence
 
-from .core import Factor, OrbitSpec, Triple, as_triple, residue_arm
+from .core import Factor, OrbitSpec, Triple, as_int, as_triple, residue_arm
 from .errors import InputError, ResonantError
 from .frozen import Frozen
 from .fuchsian import CBData
@@ -48,7 +48,7 @@ class UnramBlock(Frozen):
 
     def __init__(self, q: Iterable[Factor], dim: int, residue: OrbitSpec):
         q = _as_q(q)
-        dim = int(dim)
+        dim = as_int(dim, "block dimension")
         if dim < 1:
             raise InputError("block dimension must be >= 1")
         if residue.n != dim:

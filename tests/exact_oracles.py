@@ -84,7 +84,6 @@ from dskit.formal import (
     StandardParahoric,
     Stratum,
     UpperBoundOnly,
-    _f_table,
     is_fundamental,
     leading_stratum,
     omega_power,
@@ -1335,10 +1334,11 @@ def standard_parahorics(n: int) -> list[StandardParahoric]:
 
 def table_depths(n: int, entries: list[tuple[int, int, int]]) -> Iterator[tuple[list[int], int, int]]:
     """(J, e, r) at every J of `parahoric_walk`, where r/e is the depth
-    there: the f-table of each J built afresh and every entry (k, a, b)
-    evaluated at k e + f_a - f_b, with no degree carried from J's parent."""
+    there: the f-table of each J built afresh by `nested_loop_f` and every
+    entry (k, a, b) evaluated at k e + f_a - f_b, with no degree carried
+    from J's parent."""
     for J in parahoric_walk(n):
-        e, f = len(J), _f_table(n, J)
+        e, f = len(J), nested_loop_f(n, J)
         yield J, e, -min([k * e + f[a] - f[b] for k, a, b in entries])
 
 

@@ -309,6 +309,9 @@ def test_as_partition_validates():
         as_partition([2, 0])
     with pytest.raises(InputError):
         as_partition([-1])
+    # a float is refused by name, not truncated
+    with pytest.raises(InputError, match=r"^a partition part must be an integer, got 2\.0$"):
+        as_partition([2.0])
 
 
 def test_dual_partition():
@@ -412,6 +415,11 @@ def test_orbit_validation():
         OrbitSpec(2, [(0, (1,)), (0, (1,))])  # duplicate eigenvalue
     o = OrbitSpec(3, [(1, (2,)), (0, (1,))])
     assert eigenvalues(o) == (Scalar(0), Scalar(1))  # sorted
+    # a float is refused by name, not truncated
+    with pytest.raises(InputError, match=r"^a partition part must be an integer, got 1\.5$"):
+        OrbitSpec(2, [(0, [1.5, 1.5])])
+    with pytest.raises(InputError, match=r"^n must be an integer, got 2\.5$"):
+        OrbitSpec(2.5, [(0, (2,))])
 
 
 def test_orbit_invariants():

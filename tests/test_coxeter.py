@@ -288,6 +288,11 @@ def test_simple_type_query_validation():
         SimpleTypeQuery("D", 2, 1)
     with pytest.raises(InputError):
         SimpleTypeQuery("A", 3, 0)
+    # a float is refused by name, not truncated
+    with pytest.raises(InputError, match=r"^rank must be an integer, got 4\.7$"):
+        SimpleTypeQuery("A", 4.7, 3)
+    with pytest.raises(InputError, match=r"^r must be an integer, got 3\.2$"):
+        SimpleTypeQuery("A", 4, 3.2)
     q = SimpleTypeQuery("d", 4, 3)
     assert q.family == "D"
 

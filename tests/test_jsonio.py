@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -157,3 +158,35 @@ def test_the_integer_route_matches_the_scalar_route():
         outcomes[kind] = outcomes.get(kind, 0) + 1
     assert min(kinds.values()) >= 20, kinds
     assert outcomes["gauge"] >= 800 and min(outcomes.values()) >= 5, outcomes
+
+
+class _List(list):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+def test_the_parsers_accept_exactly_the_types_json_load_makes():
+    # a subclass of list or int, which json.load never makes, is refused with
+    # the message a bool or a float gets
+    orbit = {"n": 1, "blocks": [{"eig": [0, 1, 0, 1], "partition": [1]}]}
+    assert jsonio.parse_orbit(orbit).n == 1
+    cell = "scalar must be a 4-tuple of integers [re_num, re_den, im_num, im_den]"
+    for eig in (_List([0, 1, 0, 1]), [0, _Int(1), 0, 1], [0, True, 0, 1]):
+        with pytest.raises(InputError, match=rf"^orbit\.blocks\[0\]\.eig: {re.escape(cell)}$"):
+            jsonio.parse_orbit({"n": 1, "blocks": [{"eig": eig, "partition": [1]}]})
+    for part in (_List([1]), [_Int(1)], [True], [1.0]):
+        with pytest.raises(InputError, match=r"^orbit\.blocks\[0\]\.partition: must be a "
+                                             r"nonempty array of integers$"):
+            jsonio.parse_orbit({"n": 1, "blocks": [{"eig": [0, 1, 0, 1], "partition": part}]})
+    for n in (_Int(1), True):
+        with pytest.raises(InputError, match=r"^orbit\.n: must be an integer$"):
+            jsonio.parse_orbit({"n": n, "blocks": orbit["blocks"]})
+    assert jsonio.reduced_cell([2, -4, 0, 3], "c") == [-1, 2, 0, 1]
+    for bad in (_List([1, 2, 0, 1]), [_Int(1), 2, 0, 1]):
+        with pytest.raises(InputError, match=rf"^c: {re.escape(cell)}$"):
+            jsonio.reduced_cell(bad, "c")
+    with pytest.raises(InputError, match=r"^c: scalar denominator must be nonzero$"):
+        jsonio.reduced_cell([1, 0, 0, 1], "c")

@@ -168,6 +168,14 @@ def test_shape_validation():
         laurent(2, {0: zeros(2, 3)})
     with pytest.raises(InputError):
         LaurentMatrix(0, {})
+    # a float degree, n or trunc is refused by name
+    one = ([[1]], [[0]], 1)
+    with pytest.raises(InputError, match=r"^a degree must be an integer, got -0\.5$"):
+        LaurentMatrix(1, {-0.5: one})
+    with pytest.raises(InputError, match=r"^n must be an integer, got 1\.0$"):
+        LaurentMatrix(1.0, {0: one})
+    with pytest.raises(InputError, match=r"^trunc must be an integer, got 1\.5$"):
+        LaurentMatrix(1, {0: one}, trunc=1.5)
 
 
 def test_coefficients_are_kept_over_their_least_denominator():

@@ -135,11 +135,6 @@ def test_the_quiver_compares_vertices_and_arrows_only():
     object.__setattr__(b, "_neighbours", ())
     assert a == b and hash(a) == hash(b)
     assert "_index" not in repr(a) and "_neighbours" not in repr(a)
-    # the parahoric's f table is derived from n and J, and left out alike
-    p, q = StandardParahoric(4, [0, 2]), StandardParahoric(4, [0, 2])
-    object.__setattr__(q, "_f", ())
-    assert p == q and hash(p) == hash(q)
-    assert repr(p) == repr(q) == "StandardParahoric(n=4, J=(0, 2))"
 
 
 def test_a_stratum_validates_its_leading_term_when_built():

@@ -69,6 +69,9 @@ def test_block_validation():
         UnramBlock([1], 0, _scalar_res(0))
     with pytest.raises(InputError):
         UnramBlock([1], 2, _scalar_res(0))
+    # a float is refused by name, not truncated
+    with pytest.raises(InputError, match=r"^block dimension must be an integer, got 1\.9$"):
+        UnramBlock([], 1.9, _scalar_res(0))
     b = UnramBlock([1, 0], 1, _scalar_res(0))
     assert b.q == (triple(Scalar(1)),)
     assert len(b.q) == 1
