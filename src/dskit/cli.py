@@ -20,7 +20,7 @@ import sys
 from typing import Any, Sequence
 
 from . import jsonio
-from .core import OrbitSpec, Triple, cell_triple, gaussian_str, parse_gaussian
+from .core import gaussian_str, parse_gaussian
 from .coxeter import SimpleTypeQuery, coxeter_ds_decide, is_rigid_coxeter_gl, rigid_table_readings
 from .errors import BudgetExceededError, InputError
 from .formal import (
@@ -33,89 +33,6 @@ from .formal import (
 from .fuchsian import CBData, FuchsianRigidity, build_cb_data, fuchsian_rigidity
 from .rootsys import DEFAULT_BUDGET
 from .unramified import build_hiroe_data, count_rank2_moduli
-
-
-# the --flag of each subcommand that has one: its value, the reading the
-# verdict follows by default, and the one the flag selects
-_READINGS = {
-    "unramified-ds": ("ell-ge-2", "parts>=3", "parts>=2"),
-    "rigidity-table": ("table-conjunction", "either-divisor", "both-divisors"),
-}
-
-
-_BUDGET = {"--budget": (
-    "budget", int, False, DEFAULT_BUDGET,
-    "cap on search nodes: each box vector 0 <= beta <= alpha, then "
-    "each step of the table of best p-sums; for slope, each of the 2^(n-1) "
-    f"standard parahorics (default {DEFAULT_BUDGET:,}); both readings of "
-    "unramified-ds come from one table, so they fit together or not at all",
-)}
-
-# Every subcommand with its help and its options, in the order the usage lists
-# them.  An option maps to (dest, kind, required, default, help), where kind is
-# int, str or the one value a --flag takes.  Both readers of a command line are
-# built from this table: _read_well_formed, and argparse (_build_parser) for
-# any line that reader declines.
-_COMMANDS = {
-    "fuchsian-ds": (
-        "decide the additive problem for residue orbits at sum zero",
-        {**_BUDGET, "--input": ("input", str, True, None, "JSON file with 'orbits'")},
-    ),
-    "unramified-ds": (
-        "decide existence for a tuple of unramified formal types",
-        {**_BUDGET,
-         "--input": ("input", str, True, None, "JSON file with 'types'"),
-         "--flag": ("flag", _READINGS["unramified-ds"][0], False, None,
-                    "follow the parts>=2 reading of condition (2), decompositions "
-                    "into two or more parts, instead of the printed parts>=3; a "
-                    "disagreement between the two readings surfaces in notes")},
-    ),
-    "coxeter-ds": (
-        "decide existence for a Coxeter formal type plus one orbit",
-        {"--n": ("n", int, True, None, None),
-         "--r": ("r", int, True, None, None),
-         "--p0": ("p0", str, True, None,
-                  "scalar, e.g. 0 or 2-i; a negative one takes =, as in --p0=-1/2"),
-         "--orbit": ("orbit", str, True, None, "JSON file with 'orbit'")},
-    ),
-    "rigidity": (
-        "rigidity of a nilpotent orbit for slope r/n (gl_n)",
-        {"--n": ("n", int, True, None, None),
-         "--r": ("r", int, True, None, None),
-         "--orbit": ("orbit", str, True, None, "JSON file with 'orbit'")},
-    ),
-    "rigidity-table": (
-        "rigidity of the homogeneous type of slope r/h for a simple type",
-        {"--type": ("family", str, True, None, "A, B, C, D, or E7"),
-         "--rank": ("rank", int, True, None,
-                    "rank parameter as the table prints it "
-                    "(family A is keyed by matrix size n)"),
-         "--r": ("r", int, True, None, None),
-         "--flag": ("flag", _READINGS["rigidity-table"][0], False, None,
-                    "follow the both-divisors reading of the two-condition rows "
-                    "(types B and D) instead of the either-divisor one; a "
-                    "disagreement between the two readings surfaces in notes")},
-    ),
-    "slope": (
-        "certify the slope of d + M dz/z from a fixed trivialization",
-        {**_BUDGET, "--matrix": ("matrix", str, True, None, "JSON file with 'matrix'")},
-    ),
-    "normalize-regsing": (
-        "gauge a simple-pole connection to its residue term",
-        {"--matrix": ("matrix", str, True, None, "JSON file with 'matrix'"),
-         "--order": ("order", int, True, None, "work modulo z^order")},
-    ),
-    "count-rank2": (
-        "moduli count for rank-2 slope-1 unramified data plus one orbit",
-        {"--input": ("input", str, True, None, "JSON file with 'formal_type' and 'orbit'")},
-    ),
-    "quiver-export": (
-        "render the decision quiver (with alpha/lambda labels) as DOT",
-        {"--input": ("input", str, True, None, "JSON file with 'orbits' or 'types'"),
-         "--out": ("out", str, False, None,
-                   "write DOT here and emit a verdict instead of raw DOT")},
-    ),
-}
 
 
 def _read_well_formed(argv: list[str]) -> argparse.Namespace | None:
@@ -173,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deligne-Simpson existence and rigidity decisions",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, (summary, options) in _COMMANDS.items():
+    for command, (summary, options, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
         for option, (dest, kind, required, default, text) in options.items():
             p.add_argument(
@@ -184,53 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         p.set_defaults(subparser=p)
     return ap
-
-
-# ---------------------------------------------------------------------------
-# Input documents.
-# ---------------------------------------------------------------------------
-
-
-def _parse_orbit_list(
-    doc: dict[str, Any],
-) -> tuple[list[OrbitSpec], list[list[Triple]] | None, dict[str, Any]]:
-    """The orbits, the factor sequences if given, each factor the reduced
-    triple (re, im, den) of (re + i im) / den, and the digest payload."""
-    orbits_json = doc.get("orbits")
-    if not isinstance(orbits_json, list) or not orbits_json:
-        raise InputError("orbits: must be a nonempty array")
-    orbits = [jsonio.parse_orbit(o, f"orbits[{k}]") for k, o in enumerate(orbits_json)]
-    payload: dict[str, Any] = {"orbits": [jsonio.orbit_json(o) for o in orbits]}
-    seqs_json = doc.get("sequences")
-    if seqs_json is None:
-        return orbits, None, payload
-    if not isinstance(seqs_json, list) or len(seqs_json) != len(orbits):
-        raise InputError("sequences: must be an array, one entry per orbit")
-    cells = []
-    for k, seq in enumerate(seqs_json):
-        if not isinstance(seq, list):
-            raise InputError(f"sequences[{k}]: must be an array of scalars")
-        cells.append(
-            [jsonio.reduced_cell(c, f"sequences[{k}][{m}]") for m, c in enumerate(seq)]
-        )
-    payload["sequences"] = cells
-    seqs = [[cell_triple(*c) for c in seq] for seq in cells]
-    return orbits, seqs, payload
-
-
-def _parse_type_list(doc: dict[str, Any]) -> tuple[list, dict[str, Any]]:
-    """The formal types and the digest payload."""
-    types_json = doc.get("types")
-    if not isinstance(types_json, list) or not types_json:
-        raise InputError("types: must be a nonempty array")
-    types = [jsonio.parse_unram_type(t, f"types[{k}]") for k, t in enumerate(types_json)]
-    return types, {"types": [jsonio.unram_type_json(t) for t in types]}
-
-
-def _require(doc: dict[str, Any], key: str) -> Any:
-    if key not in doc:
-        raise InputError(f"{key}: missing")
-    return doc[key]
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +137,12 @@ def quiver_dot(data: CBData) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _flag_reading(ns, ctx, readings: tuple[Any, Any]) -> Any:
+def _flag_reading(ns, ctx, readings: tuple[Any, Any], names: tuple[str, str]) -> Any:
     """The reading of an ambiguous criterion that --flag selects: the second
-    when given, else the first.  When the two disagree, a note gives both."""
-    flag, default, alt = _READINGS[ns.command]
-    by_default, by_flag = readings
+    when given, else the first.  When the two disagree, a note gives both by
+    their names and the --flag value of ns.command's option table."""
+    flag = _COMMANDS[ns.command][1]["--flag"][1]
+    (by_default, by_flag), (default, alt) = readings, names
     if by_default != by_flag:
         ctx["notes"].append(
             f"flag-sensitive: the {default} reading gives {by_default}, the {alt} "
@@ -291,7 +162,7 @@ def _too_long(ctx, what: str, exc: ValueError) -> tuple[Any, int]:
 
 def _cmd_fuchsian_ds(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.input)
-    orbits, seqs, payload = _parse_orbit_list(doc)
+    orbits, seqs, payload = jsonio.parse_orbit_list(doc)
     ctx["digest"] = jsonio.digest_of(payload)
     rigidity = fuchsian_rigidity(orbits, seqs, budget=ns.budget)
     exists = rigidity is not FuchsianRigidity.EMPTY
@@ -300,14 +171,15 @@ def _cmd_fuchsian_ds(ns, ctx) -> tuple[Any, int]:
 
 def _cmd_unramified_ds(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.input)
-    types, payload = _parse_type_list(doc)
+    types, payload = jsonio.parse_type_list(doc)
     ctx["digest"] = jsonio.digest_of(payload)
-    return {"exists": _flag_reading(ns, ctx, build_hiroe_data(types).readings(ns.budget))}, 0
+    readings = build_hiroe_data(types).readings(ns.budget)
+    return {"exists": _flag_reading(ns, ctx, readings, ("parts>=3", "parts>=2"))}, 0
 
 
 def _cmd_coxeter_ds(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.orbit)
-    orbit = jsonio.parse_orbit(_require(doc, "orbit"), "orbit")
+    orbit = jsonio.parse_orbit(jsonio.required(doc, "orbit"), "orbit")
     ftype = CoxeterFormalType(ns.n, ns.r, parse_gaussian(ns.p0))
     ctx["digest"] = jsonio.digest_of({
         "n": ns.n, "r": ns.r, "p0": jsonio.lowest_cell(*ftype.p0),
@@ -318,7 +190,7 @@ def _cmd_coxeter_ds(ns, ctx) -> tuple[Any, int]:
 
 def _cmd_rigidity(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.orbit)
-    orbit = jsonio.parse_orbit(_require(doc, "orbit"), "orbit")
+    orbit = jsonio.parse_orbit(jsonio.required(doc, "orbit"), "orbit")
     ctx["digest"] = jsonio.digest_of({
         "n": ns.n, "r": ns.r, "orbit": jsonio.orbit_json(orbit),
     })
@@ -330,12 +202,13 @@ def _cmd_rigidity_table(ns, ctx) -> tuple[Any, int]:
     ctx["digest"] = jsonio.digest_of(
         {"family": qy.family, "rank": qy.rank, "r": qy.r}
     )
-    return {"rigid": _flag_reading(ns, ctx, rigid_table_readings(qy))}, 0
+    readings = rigid_table_readings(qy)
+    return {"rigid": _flag_reading(ns, ctx, readings, ("either-divisor", "both-divisors"))}, 0
 
 
 def _cmd_slope(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.matrix)
-    m, canonical = jsonio.parse_laurent(_require(doc, "matrix"), "matrix")
+    m, canonical = jsonio.parse_laurent(jsonio.required(doc, "matrix"), "matrix")
     ctx["digest"] = jsonio.digest_of({"matrix": canonical})
     verdict = certify_slope(m, ns.budget)
     if isinstance(verdict, RegularSingularCandidate):
@@ -360,7 +233,7 @@ def _cmd_slope(ns, ctx) -> tuple[Any, int]:
 
 def _cmd_normalize_regsing(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.matrix)
-    m, canonical = jsonio.parse_laurent(_require(doc, "matrix"), "matrix")
+    m, canonical = jsonio.parse_laurent(jsonio.required(doc, "matrix"), "matrix")
     ctx["digest"] = jsonio.digest_of({"matrix": canonical, "order": ns.order})
     gauge = regsing_normalize(m, ns.order)
     return {"gauge": jsonio.laurent_json(gauge)}, 0
@@ -368,8 +241,8 @@ def _cmd_normalize_regsing(ns, ctx) -> tuple[Any, int]:
 
 def _cmd_count_rank2(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.input)
-    d = jsonio.parse_unram_type(_require(doc, "formal_type"), "formal_type")
-    orbit = jsonio.parse_orbit(_require(doc, "orbit"), "orbit")
+    d = jsonio.parse_unram_type(jsonio.required(doc, "formal_type"), "formal_type")
+    orbit = jsonio.parse_orbit(jsonio.required(doc, "orbit"), "orbit")
     ctx["digest"] = jsonio.digest_of({
         "formal_type": jsonio.unram_type_json(d),
         "orbit": jsonio.orbit_json(orbit),
@@ -380,10 +253,10 @@ def _cmd_count_rank2(ns, ctx) -> tuple[Any, int]:
 def _cmd_quiver_export(ns, ctx) -> tuple[Any, int]:
     doc = jsonio.load_document(ns.input)
     if "orbits" in doc:
-        orbits, seqs, payload = _parse_orbit_list(doc)
+        orbits, seqs, payload = jsonio.parse_orbit_list(doc)
         data: CBData = build_cb_data(orbits, seqs)
     elif "types" in doc:
-        types, payload = _parse_type_list(doc)
+        types, payload = jsonio.parse_type_list(doc)
         data = build_hiroe_data(types)
     else:
         raise InputError("input document needs 'orbits' or 'types'")
@@ -403,16 +276,87 @@ def _cmd_quiver_export(ns, ctx) -> tuple[Any, int]:
     return None, 0
 
 
-_HANDLERS = {
-    "fuchsian-ds": _cmd_fuchsian_ds,
-    "unramified-ds": _cmd_unramified_ds,
-    "coxeter-ds": _cmd_coxeter_ds,
-    "rigidity": _cmd_rigidity,
-    "rigidity-table": _cmd_rigidity_table,
-    "slope": _cmd_slope,
-    "normalize-regsing": _cmd_normalize_regsing,
-    "count-rank2": _cmd_count_rank2,
-    "quiver-export": _cmd_quiver_export,
+_BUDGET = {"--budget": (
+    "budget", int, False, DEFAULT_BUDGET,
+    "cap on search nodes: each box vector 0 <= beta <= alpha, then "
+    "each step of the table of best p-sums; for slope, each of the 2^(n-1) "
+    f"standard parahorics (default {DEFAULT_BUDGET:,}); both readings of "
+    "unramified-ds come from one table, so they fit together or not at all",
+)}
+
+# Every subcommand, in the order the usage lists them, as (help, options,
+# handler).  An option maps to (dest, kind, required, default, help), where kind
+# is int, str or the one value a --flag takes.  Both readers of a command line
+# are built from this table: _read_well_formed, and argparse (_build_parser) for
+# any line that reader declines; run dispatches through it.
+_COMMANDS = {
+    "fuchsian-ds": (
+        "decide the additive problem for residue orbits at sum zero",
+        {**_BUDGET, "--input": ("input", str, True, None, "JSON file with 'orbits'")},
+        _cmd_fuchsian_ds,
+    ),
+    "unramified-ds": (
+        "decide existence for a tuple of unramified formal types",
+        {**_BUDGET,
+         "--input": ("input", str, True, None, "JSON file with 'types'"),
+         "--flag": ("flag", "ell-ge-2", False, None,
+                    "follow the parts>=2 reading of condition (2), decompositions "
+                    "into two or more parts, instead of the printed parts>=3; a "
+                    "disagreement between the two readings surfaces in notes")},
+        _cmd_unramified_ds,
+    ),
+    "coxeter-ds": (
+        "decide existence for a Coxeter formal type plus one orbit",
+        {"--n": ("n", int, True, None, None),
+         "--r": ("r", int, True, None, None),
+         "--p0": ("p0", str, True, None,
+                  "scalar, e.g. 0 or 2-i; a negative one takes =, as in --p0=-1/2"),
+         "--orbit": ("orbit", str, True, None, "JSON file with 'orbit'")},
+        _cmd_coxeter_ds,
+    ),
+    "rigidity": (
+        "rigidity of a nilpotent orbit for slope r/n (gl_n)",
+        {"--n": ("n", int, True, None, None),
+         "--r": ("r", int, True, None, None),
+         "--orbit": ("orbit", str, True, None, "JSON file with 'orbit'")},
+        _cmd_rigidity,
+    ),
+    "rigidity-table": (
+        "rigidity of the homogeneous type of slope r/h for a simple type",
+        {"--type": ("family", str, True, None, "A, B, C, D, or E7"),
+         "--rank": ("rank", int, True, None,
+                    "rank parameter as the table prints it "
+                    "(family A is keyed by matrix size n)"),
+         "--r": ("r", int, True, None, None),
+         "--flag": ("flag", "table-conjunction", False, None,
+                    "follow the both-divisors reading of the two-condition rows "
+                    "(types B and D) instead of the either-divisor one; a "
+                    "disagreement between the two readings surfaces in notes")},
+        _cmd_rigidity_table,
+    ),
+    "slope": (
+        "certify the slope of d + M dz/z from a fixed trivialization",
+        {**_BUDGET, "--matrix": ("matrix", str, True, None, "JSON file with 'matrix'")},
+        _cmd_slope,
+    ),
+    "normalize-regsing": (
+        "gauge a simple-pole connection to its residue term",
+        {"--matrix": ("matrix", str, True, None, "JSON file with 'matrix'"),
+         "--order": ("order", int, True, None, "work modulo z^order")},
+        _cmd_normalize_regsing,
+    ),
+    "count-rank2": (
+        "moduli count for rank-2 slope-1 unramified data plus one orbit",
+        {"--input": ("input", str, True, None, "JSON file with 'formal_type' and 'orbit'")},
+        _cmd_count_rank2,
+    ),
+    "quiver-export": (
+        "render the decision quiver (with alpha/lambda labels) as DOT",
+        {"--input": ("input", str, True, None, "JSON file with 'orbits' or 'types'"),
+         "--out": ("out", str, False, None,
+                   "write DOT here and emit a verdict instead of raw DOT")},
+        _cmd_quiver_export,
+    ),
 }
 
 
@@ -421,7 +365,7 @@ def _option_before_command(argv: list[str]) -> str | None:
     level takes no other, and would read the option's value as the
     subcommand."""
     for tok in argv:
-        if tok in _HANDLERS or tok == "--":
+        if tok in _COMMANDS or tok == "--":
             return None
         if tok.startswith("-") and tok != "-h" and not (len(tok) > 2 and "--help".startswith(tok)):
             return tok
@@ -450,7 +394,7 @@ def run(argv: Sequence[str]) -> int:
             return 0 if exc.code in (0, None) else 2
     ctx: dict[str, Any] = {"digest": None, "notes": [], "raw": None}
     try:
-        result, code = _HANDLERS[ns.command](ns, ctx)
+        result, code = _COMMANDS[ns.command][2](ns, ctx)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from math import gcd, lcm
 from typing import Any, NoReturn
 
 from . import linalg
-from .core import OrbitSpec, cell_triple
+from .core import OrbitSpec, Triple, cell_triple
 from .errors import InputError
 from .laurent import LaurentMatrix
 from .unramified import UnramBlock, UnramFormalType
@@ -88,6 +88,30 @@ def orbit_json(o: OrbitSpec) -> dict[str, Any]:
     }
 
 
+def parse_orbit_list(
+    doc: dict[str, Any],
+) -> tuple[list[OrbitSpec], list[list[Triple]] | None, dict[str, Any]]:
+    """The orbits of doc, its factor sequences if given, each factor the
+    reduced triple (re, im, den) of (re + i im) / den, and the digest payload."""
+    orbits_json = doc.get("orbits")
+    if not isinstance(orbits_json, list) or not orbits_json:
+        _fail("orbits", "must be a nonempty array")
+    orbits = [parse_orbit(o, f"orbits[{k}]") for k, o in enumerate(orbits_json)]
+    payload: dict[str, Any] = {"orbits": [orbit_json(o) for o in orbits]}
+    seqs_json = doc.get("sequences")
+    if seqs_json is None:
+        return orbits, None, payload
+    if not isinstance(seqs_json, list) or len(seqs_json) != len(orbits):
+        _fail("sequences", "must be an array, one entry per orbit")
+    cells = []
+    for k, seq in enumerate(seqs_json):
+        if not isinstance(seq, list):
+            _fail(f"sequences[{k}]", "must be an array of scalars")
+        cells.append([reduced_cell(c, f"sequences[{k}][{m}]") for m, c in enumerate(seq)])
+    payload["sequences"] = cells
+    return orbits, [[cell_triple(*c) for c in seq] for seq in cells], payload
+
+
 # ---------------------------------------------------------------------------
 # Unramified formal types.
 # ---------------------------------------------------------------------------
@@ -136,6 +160,15 @@ def unram_type_json(d: UnramFormalType) -> dict[str, Any]:
             for b in d.blocks
         ],
     }
+
+
+def parse_type_list(doc: dict[str, Any]) -> tuple[list[UnramFormalType], dict[str, Any]]:
+    """The formal types of doc and the digest payload."""
+    types_json = doc.get("types")
+    if not isinstance(types_json, list) or not types_json:
+        _fail("types", "must be a nonempty array")
+    types = [parse_unram_type(t, f"types[{k}]") for k, t in enumerate(types_json)]
+    return types, {"types": [unram_type_json(t) for t in types]}
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +297,13 @@ def load_document(path: str) -> dict[str, Any]:
     if doc.get("schema") != SCHEMA:
         _fail("schema", f"expected {SCHEMA!r}, got {doc.get('schema')!r}")
     return doc
+
+
+def required(doc: dict[str, Any], key: str) -> Any:
+    """The field key of a document, which must be present."""
+    if key not in doc:
+        _fail(key, "missing")
+    return doc[key]
 
 
 def dumps(obj: Any) -> str:

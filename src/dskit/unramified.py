@@ -130,9 +130,7 @@ class HiroeData(CBData):
         lam: LambdaForm,
         lattice_forms: tuple[tuple[int, ...], ...],
     ):
-        self.quiver = quiver
-        self.alpha = alpha
-        self.lam = lam
+        super().__init__(quiver, alpha, lam)
         self.lattice_forms = lattice_forms
 
     def readings(self, budget: int | None = DEFAULT_BUDGET) -> tuple[bool, bool]:

@@ -62,6 +62,17 @@ def _write(tmp_path, name, **fields):
     return str(path)
 
 
+def _least_time(call, times=5):
+    """The least wall time of `times` calls of call, and their results: one
+    host stall cannot fail a time bound, and each result is still checked."""
+    seconds, results = [], []
+    for _ in range(times):
+        t0 = time.perf_counter()
+        results.append(call())
+        seconds.append(time.perf_counter() - t0)
+    return min(seconds), results
+
+
 def _verdict(capsys, argv, code):
     assert run(argv) == code
     captured = capsys.readouterr()
@@ -374,11 +385,10 @@ def test_coxeter_ds_p0_past_the_conversion_limit_is_an_input_error(tmp_path, cap
 def test_coxeter_ds_large_r_at_once(tmp_path, capsys):
     # the formal type holds n, r and p(0), not the r + 1 coefficients of p
     path = _write(tmp_path, "orb.json", orbit=NILP2)
-    t0 = time.perf_counter()
-    v = _verdict(capsys, ["coxeter-ds", "--n", "2", "--r", "4000001", "--p0", "0",
-                          "--orbit", path], 0)
-    assert time.perf_counter() - t0 < 0.5
-    assert v["result"] == {"exists": True}
+    argv = ["coxeter-ds", "--n", "2", "--r", "4000001", "--p0", "0", "--orbit", path]
+    best, verdicts = _least_time(lambda: _verdict(capsys, argv, 0))
+    assert best < 0.5
+    assert all(v["result"] == {"exists": True} for v in verdicts)
 
 
 def test_rigidity(tmp_path, capsys):
@@ -692,13 +702,13 @@ NILP1000 = _orbit(1000, [(_sc(0), (1000,))])
 def test_fuchsian_ds_large_star_over_budget_answers_at_once(tmp_path, capsys):
     # a dense 2,998 x 2,998 Cartan matrix took seconds and 160 MB here
     path = _write(tmp_path, "nilp1000.json", orbits=[NILP1000] * 3)
-    t0 = time.perf_counter()
-    v = _verdict(capsys, ["fuchsian-ds", "--input", path], 3)
-    assert time.perf_counter() - t0 < 1.0
-    assert v["result"] == {
-        "kind": "Inconclusive",
-        "reason": "lattice-point enumeration exceeded budget of 2000000",
-    }
+    best, verdicts = _least_time(lambda: _verdict(capsys, ["fuchsian-ds", "--input", path], 3))
+    assert best < 1.0
+    for v in verdicts:
+        assert v["result"] == {
+            "kind": "Inconclusive",
+            "reason": "lattice-point enumeration exceeded budget of 2000000",
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -745,12 +755,13 @@ def test_quiver_export_types_document(tmp_path, capsys):
 
 def test_quiver_export_large_star_at_once(tmp_path, capsys):
     path = _write(tmp_path, "nilp1000.json", orbits=[NILP1000] * 3)
-    t0 = time.perf_counter()
-    assert run(["quiver-export", "--input", path]) == 0
-    assert time.perf_counter() - t0 < 1.0
-    out = capsys.readouterr().out
-    assert out.count("alpha=") == 2998
-    assert out.count("->") == 2997
+    best, runs = _least_time(lambda: (run(["quiver-export", "--input", path]),
+                                      capsys.readouterr().out))
+    assert best < 1.0
+    for code, out in runs:
+        assert code == 0
+        assert out.count("alpha=") == 2998
+        assert out.count("->") == 2997
 
 
 def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
@@ -1039,7 +1050,7 @@ def test_the_option_table_and_the_parser_agree():
     sub = next(a for a in _build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == list(cli._COMMANDS)
-    assert [a.help for a in sub._choices_actions] == [h for h, _ in cli._COMMANDS.values()]
+    assert [a.help for a in sub._choices_actions] == [h for h, _, _ in cli._COMMANDS.values()]
     for name, p in sub.choices.items():
         built = [(a.option_strings, a.dest, a.type, a.choices, a.required, a.default, a.help)
                  for a in p._actions if a.dest != "help"]

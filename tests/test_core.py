@@ -61,6 +61,17 @@ from exact_oracles import (
 )
 
 
+def _least_time(call, times=5):
+    """The least wall time of `times` calls of call, and their results: one
+    host stall cannot fail a time bound, and each result is still checked."""
+    seconds, results = [], []
+    for _ in range(times):
+        t0 = time.perf_counter()
+        results.append(call())
+        seconds.append(time.perf_counter() - t0)
+    return min(seconds), results
+
+
 # ---------------------------------------------------------------------------
 # Scalar
 # ---------------------------------------------------------------------------
@@ -355,10 +366,9 @@ def test_dual_of_a_long_hook_is_linear():
     # the dual summed over all the parts
     n = 32000
     hook = (n // 2,) + (1,) * (n // 2)
-    t = time.perf_counter()
-    dual = dual_partition(hook)
-    assert time.perf_counter() - t < 0.1
-    assert dual == (n // 2 + 1,) + (1,) * (n // 2 - 1)
+    best, duals = _least_time(lambda: dual_partition(hook))
+    assert best < 0.1
+    assert all(dual == (n // 2 + 1,) + (1,) * (n // 2 - 1) for dual in duals)
 
 
 def test_dominance_reverses_under_duality():
@@ -617,10 +627,10 @@ def test_default_sequence_of_many_blocks_is_linear():
     # every block in every round took 0.38 s
     m = 4000
     o = OrbitSpec(2 * m, [(0, (m,))] + [(Fraction(k, 3 * m), (1,)) for k in range(1, m + 1)])
-    t = time.perf_counter()
-    ranks, re, im = residue_arm(o)
-    assert time.perf_counter() - t < 0.1
-    assert len(re) == 2 * m and re.count(0) == m and ranks[-1] == 0
+    best, arms = _least_time(lambda: residue_arm(o))
+    assert best < 0.1
+    for ranks, re, im in arms:
+        assert len(re) == 2 * m and re.count(0) == m and ranks[-1] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ import json
 import random
 from fractions import Fraction
 
-from dskit.cli import _parse_orbit_list, run
+from dskit.cli import run
 from dskit.core import partitions_of, residue_arm
 from dskit.errors import InputError
 from dskit.fuchsian import build_cb_data
-from dskit.jsonio import digest_of
+from dskit.jsonio import digest_of, parse_orbit_list
 import exact_oracles
 from exact_oracles import (
     Scalar,
@@ -138,7 +138,7 @@ def test_the_integer_route_matches_the_scalar_route_on_seeded_documents():
         if rng.random() < 0.45:
             kinds.add(_malform(rng, doc))
         old = _outcome(scalar_parse_orbit_list, doc)
-        new = _outcome(_parse_orbit_list, doc)
+        new = _outcome(parse_orbit_list, doc)
         if old[0] != "ok" or new[0] != "ok":
             assert new == old, doc
             counts["parse_error"] += 1
