@@ -13,10 +13,10 @@ bound); the exit-3 verdict is still emitted.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
+from types import SimpleNamespace
 from typing import Any, Sequence
 
 from . import jsonio
@@ -35,8 +35,8 @@ from .rootsys import DEFAULT_BUDGET
 from .unramified import build_hiroe_data, count_rank2_moduli
 
 
-def _read_well_formed(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace argparse would give a well-formed line, read straight
+def _read_well_formed(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes argparse would give a well-formed line, read straight
     from the option table, or None for any other line, which is left to
     argparse.  A well-formed line is a subcommand, then each of its options at
     most once by its exact name, as --opt value or --opt=value, every required
@@ -78,13 +78,16 @@ def _read_well_formed(argv: list[str]) -> argparse.Namespace | None:
             return None
     if ns.get("budget", 0) < 0:
         return None
-    return argparse.Namespace(**ns)
+    return SimpleNamespace(**ns)
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser for the lines _read_well_formed declines, built on the first
-    such line and reused by every later one."""
+def _build_parser():
+    """The argparse parser for the lines _read_well_formed declines, built on
+    the first such line and reused by every later one.  Only such a line and
+    --help import argparse, which a well-formed line never loads."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="ds-kit",
         description="Deligne-Simpson existence and rigidity decisions",

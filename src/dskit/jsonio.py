@@ -8,7 +8,6 @@ integer is `type(x) is int` and a bool is refused.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
@@ -20,7 +19,17 @@ from .errors import InputError
 from .laurent import LaurentMatrix
 from .unramified import UnramBlock, UnramFormalType
 
+try:  # the built-in sha256, as random takes sha512: hashlib loads OpenSSL
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # an interpreter built without its own hashes
+        from hashlib import sha256
+
 SCHEMA = "ds-kit/1"
+# the text json.dumps(payload, sort_keys=True, separators=(",", ":")) gives
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _fail(path: str, msg: str) -> NoReturn:
@@ -355,5 +364,4 @@ def _dumps(obj: Any, nl: str) -> str:
 
 def digest_of(payload: Any) -> str:
     """sha256 over the canonical serialization of the parsed inputs."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(_CANONICAL.encode(payload).encode("utf-8")).hexdigest()

@@ -400,6 +400,10 @@ def test_rigidity(tmp_path, capsys):
     assert v2["result"] == {"rigid": False}
     bad = _write(tmp_path, "ss.json", orbit=_orbit(2, [(_sc(1, 2), (2,))]))
     _error(capsys, ["rigidity", "--n", "2", "--r", "1", "--orbit", bad])
+    # three Jordan blocks, past r = 2
+    wide = _write(tmp_path, "111.json", orbit=_orbit(3, [(_sc(0), (1, 1, 1))]))
+    err = _error(capsys, ["rigidity", "--n", "3", "--r", "2", "--orbit", wide])
+    assert err == "error: orbit has 3 Jordan blocks, outside the <= 2 filter\n"
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,14 @@ def test_h1_dimension_guards():
         h1_dimension(6, 4, _nilp(6, (2, 2, 2)))
 
 
+def test_an_orbit_with_more_than_r_blocks_is_refused_by_name():
+    # the nilpotent orbit (1, 1, 1) has three Jordan blocks at the eigenvalue
+    # 0, past r = 2, and both deciders refuse it with the count
+    for decide in (h1_dimension, is_rigid_coxeter_gl):
+        with pytest.raises(InputError, match=r"^orbit has 3 Jordan blocks, outside the <= 2 filter$"):
+            decide(3, 2, _nilp(3, (1, 1, 1)))
+
+
 # ---------------------------------------------------------------------------
 # rigidity
 # ---------------------------------------------------------------------------

@@ -533,6 +533,107 @@ def test_certify_slope_holds_o_of_n_memory():
     assert peak < 1_000_000, peak
 
 
+def _integer_connection(rng):
+    """M of d + M dz/z at n = 2..5 over Z[i], at degrees -pole..1 with a pole
+    of order <= 3; its leading coefficient is dense, strictly upper
+    triangular (so nilpotent), diagonal or scalar."""
+    n, pole = rng.randint(2, 5), rng.randint(0, 3)
+    lead = rng.choice(["any", "upper", "diagonal", "scalar"])
+    keep = {"any": lambda a, b: True, "upper": lambda a, b: b > a,
+            "diagonal": lambda a, b: a == b, "scalar": lambda a, b: a == b}
+
+    def draw():
+        return rng.choice([-2, -1, 1, 2]), rng.choice([0, 0, 0, 1])
+
+    coeffs = {}
+    for k in range(-pole, 2):
+        re, im = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+        scalar = draw()
+        for a in range(n):
+            for b in range(n):
+                if k > -pole or keep[lead](a, b):
+                    x = scalar if k == -pole and lead == "scalar" else (
+                        draw() if rng.random() < 0.4 else (0, 0))
+                    re[a][b], im[a][b] = x
+        coeffs[k] = (re, im, 1)
+    return LaurentMatrix(n, coeffs)
+
+
+def _conjugate(rng, m):
+    """P M P^-1 for P a product of elementary integer matrices, so
+    unimodular over Z, and the gauge transform of M by the constant P."""
+    n = m.n
+    p = [[int(a == b) for b in range(n)] for a in range(n)]
+    inv = [row[:] for row in p]
+    for _ in range(rng.randint(1, 2 * n)):
+        # times E = I + c E_ab on the right of P, and E^-1 = I - c E_ab on
+        # the left of P^-1
+        a, b = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        for row in p:
+            row[b] += c * row[a]
+        inv[a] = [x - c * y for x, y in zip(inv[a], inv[b])]
+
+    def mul(x, y):
+        return [[sum(u * v for u, v in zip(row, col)) for col in zip(*y)] for row in x]
+
+    assert mul(p, inv) == [[int(a == b) for b in range(n)] for a in range(n)]
+    return LaurentMatrix(n, {k: (mul(mul(p, re), inv), mul(mul(p, im), inv), den)
+                             for k, (re, im, den) in m.coeffs.items()})
+
+
+def _shear(rng, m):
+    """z^D M z^-D + D for D = diag(d) with 0 <= d_a <= 2: entry (a, b) moves
+    by d_a - d_b degrees, and D is added at z^0."""
+    n = m.n
+    d = [rng.randint(0, 2) for _ in range(n)]
+    coeffs = {}
+
+    def at(k):
+        return coeffs.setdefault(k, ([[0] * n for _ in range(n)], [[0] * n for _ in range(n)]))
+
+    for k, (re, im, _den) in m.coeffs.items():  # _integer_connection's den is 1
+        for a in range(n):
+            for b in range(n):
+                out_re, out_im = at(k + d[a] - d[b])
+                out_re[a][b] += re[a][b]
+                out_im[a][b] += im[a][b]
+    for a in range(n):
+        at(0)[0][a][a] += d[a]
+    return LaurentMatrix(n, {k: (re, im, 1) for k, (re, im) in coeffs.items()})
+
+
+def test_the_slope_verdicts_of_two_gauges_agree():
+    # seed 7, 1,500 draws of _integer_connection under each kind of gauge: the
+    # slope is a gauge invariant, so two CertifiedSlope verdicts give one
+    # slope, a certified slope never exceeds the other side's UpperBoundOnly
+    # bound, and a RegularSingularCandidate (slope 0) never meets a certified
+    # (positive) slope.  This checks the lemma of certify_slope from outside:
+    # the full-scan and two-walk oracles read the same strata it does.
+    # Conjugation gives 839 CC, 85 CU, 142 UU and 434 RR pairs (C certified,
+    # U upper bound, R regular singular candidate); the shear gives 444 CC,
+    # 500 CU, 8 UC, 130 UU, 214 RR, and 204 RU or UR, where it makes or
+    # removes an apparent pole
+    rng = random.Random(7)
+    pairs = Counter()
+    for gauge in (_conjugate, _shear):
+        for _ in range(1500):
+            m = _integer_connection(rng)
+            v, w = certify_slope(m), certify_slope(gauge(rng, m))
+            pairs[gauge.__name__, type(v).__name__[0] + type(w).__name__[0]] += 1
+            if isinstance(v, CertifiedSlope) and isinstance(w, CertifiedSlope):
+                assert v.slope == w.slope, m
+            for x, y in ((v, w), (w, v)):
+                if isinstance(x, CertifiedSlope) and isinstance(y, UpperBoundOnly):
+                    assert x.slope <= y.bound, m
+                if isinstance(x, RegularSingularCandidate):
+                    assert not isinstance(y, CertifiedSlope), m
+    assert min(pairs["_conjugate", "CC"], pairs["_shear", "CC"]) >= 300, pairs
+    assert pairs["_conjugate", "CU"] + pairs["_conjugate", "UC"] >= 50, pairs
+    assert pairs["_shear", "CU"] + pairs["_shear", "UC"] >= 300, pairs
+    assert pairs["_shear", "RU"] + pairs["_shear", "UR"] >= 100, pairs
+
+
 # ---------------------------------------------------------------------------
 # exact nonresonance
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -5,6 +6,7 @@ import re
 import pytest
 
 from dskit import jsonio
+from dskit.core import parse_gaussian
 from dskit.errors import InputError, ResonantError, TruncationError
 from dskit.formal import regsing_normalize
 from exact_oracles import laurent, scalar_gauge_json, scalar_laurent_json, scalar_parse_laurent
@@ -158,6 +160,82 @@ def test_the_integer_route_matches_the_scalar_route():
         outcomes[kind] = outcomes.get(kind, 0) + 1
     assert min(kinds.values()) >= 20, kinds
     assert outcomes["gauge"] >= 800 and min(outcomes.values()) >= 5, outcomes
+
+
+
+def _orbit_doc(rng):
+    """An orbit document of one to three blocks, its cells now and then
+    unreduced or non-real; two blocks may share an eigenvalue, which
+    parse_orbit refuses."""
+    blocks = []
+    for _ in range(rng.randint(1, 3)):
+        f = rng.choice([1, 2, -3])
+        eig = [rng.randint(-9, 9) * f, rng.choice([1, 2, 3, 5]) * f, 0, 1]
+        if rng.random() < 0.3:
+            eig[2:] = [rng.randint(-3, 3), rng.choice([1, 2, -7])]
+        part = sorted((rng.randint(1, 3) for _ in range(rng.randint(1, 3))), reverse=True)
+        blocks.append({"eig": eig, "partition": part})
+    return {"n": sum(sum(b["partition"]) for b in blocks), "blocks": blocks}
+
+
+def _orbit_list_payload(rng, kinds):
+    doc = {"orbits": [_orbit_doc(rng) for _ in range(rng.randint(1, 4))]}
+    if rng.random() < 0.3:
+        doc["sequences"] = [[_cell(rng, kinds) for _ in range(rng.randint(0, 3))]
+                            for _ in doc["orbits"]]
+    return jsonio.parse_orbit_list(doc)[2]
+
+
+def _type_list_payload(rng, kinds):
+    residues = [_orbit_doc(rng) for _ in range(rng.randint(1, 3))]
+    types = [{"blocks": [{"q": [_cell(rng, kinds) for _ in range(rng.randint(1, 2))],
+                          "dim": res["n"], "residue": res} for res in residues]}
+             for _ in range(rng.randint(1, 2))]
+    return jsonio.parse_type_list({"types": types})[1]
+
+
+def _laurent_payload(rng, kinds):
+    canonical = jsonio.parse_laurent(_laurent_doc(rng, kinds))[1]
+    return {"matrix": canonical, **({"order": rng.randint(1, 9)} if rng.random() < 0.5 else {})}
+
+
+def _coxeter_payload(rng, kinds):
+    # the fields of coxeter-ds, rigidity and rigidity-table, with n and r
+    # now and then past 64 bits
+    n, r = (rng.choice([rng.randint(1, 9), rng.randint(1, 10**30)]) for _ in range(2))
+    if rng.random() < 0.2:
+        return {"family": rng.choice(["A", "B", "C", "D", "E7"]), "rank": n, "r": r}
+    orbit = jsonio.orbit_json(jsonio.parse_orbit(_orbit_doc(rng)))
+    if rng.random() < 0.3:
+        return {"n": n, "r": r, "orbit": orbit}
+    p0 = f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"
+    if rng.random() < 0.5:
+        p0 += f"{rng.randint(-9, 9):+d}/{rng.randint(1, 9)}i"
+    return {"n": n, "r": r, "p0": jsonio.lowest_cell(*parse_gaussian(p0)), "orbit": orbit}
+
+
+_PAYLOADS = {"orbit list": _orbit_list_payload, "type list": _type_list_payload,
+             "Laurent matrix": _laurent_payload, "Coxeter fields": _coxeter_payload}
+
+
+def test_digest_of_is_sha256_of_the_compact_sorted_json():
+    # seed 3601, 300 draws from each of the four payload makers: each payload
+    # a parser accepts digests to hashlib.sha256 of json.dumps(payload,
+    # sort_keys=True, separators=(",", ":")), whichever sha256 jsonio took
+    rng = random.Random(3601)
+    kinds = dict.fromkeys(["unreduced", "negative_den", "zero_written", "nonreal", "zero_term",
+                           "past_trunc", "malformed"], 0)
+    digested = dict.fromkeys(_PAYLOADS, 0)
+    for name, make in _PAYLOADS.items():
+        for _ in range(300):
+            try:
+                payload = make(rng, kinds)
+            except InputError:
+                continue
+            text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            assert jsonio.digest_of(payload) == hashlib.sha256(text.encode()).hexdigest(), text
+            digested[name] += 1
+    assert min(digested.values()) >= 150, digested
 
 
 class _List(list):

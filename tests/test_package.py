@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -117,6 +118,12 @@ _SCHEMA = "ds-kit/1"
 # modules that only building a record or a signature needs, and that import
 # dskit.cli must not load
 _NOT_AT_IMPORT = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+# modules that only a line the option table declines needs (argparse, with
+# gettext behind it), and hashlib with OpenSSL's _hashlib, which jsonio takes
+# sha256 from only on an interpreter without its own _sha2 or _sha256
+_BUILTIN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
+_NOT_ON_A_VALID_LINE = ("argparse", "gettext") + (("hashlib", "_hashlib") if _BUILTIN_SHA256
+                                                  else ())
 
 # one valid request of every subcommand, on documents written by _documents
 _REQUESTS = [
@@ -133,17 +140,28 @@ _REQUESTS = [
 
 _PROBE = """
 import contextlib, io, json, sys
+def run(argvs):
+    codes = []
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(dskit.cli.run(argv))
+    return codes
+valid, malformed = json.loads(sys.argv[1])
 before = set(sys.modules)
 import dskit.cli
 loaded = set(sys.modules)
-codes = []
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        codes.append(dskit.cli.run(argv))
+codes = run(valid)
+ran = set(sys.modules)
+parsers = dskit.cli._build_parser.cache_info().currsize
 print(json.dumps({"new": sorted(loaded - before), "codes": codes,
-                  "later": sorted(set(sys.modules) - loaded),
-                  "parsers": dskit.cli._build_parser.cache_info().currsize}))
+                  "later": sorted(ran - loaded), "parsers": parsers,
+                  "malformed_codes": run(malformed),
+                  "after_malformed": sorted(set(sys.modules) - ran),
+                  "parsers_after": dskit.cli._build_parser.cache_info().currsize}))
 """
+
+# a line the option table declines: --matrix without its value
+_MALFORMED = [["slope", "--matrix"]]
 
 
 def _documents(tmp_path):
@@ -188,11 +206,13 @@ def test_import_loads_every_module_a_request_runs_and_no_dataclass_machinery(tmp
     # a fresh interpreter without site, as a console script starts: importing
     # dskit.cli loads every module of the package and none of the modules that
     # build dataclasses, and one valid request of each subcommand loads no
-    # further module of the package, so no import is deferred into a request.
-    # Each of those lines is read from the option table, so no argparse parser
-    # is built, nor locale and shutil imported, which building one brings in
+    # further module, so no import is deferred into a request.  Each of those
+    # lines is read from the option table, so no argparse parser is built,
+    # nor argparse, locale and shutil imported, which building one brings in;
+    # a malformed line then imports argparse and builds its one parser
     paths = _documents(tmp_path)
-    argvs = [[a.format(**paths) for a in argv] for argv in _REQUESTS]
+    argvs = [[[a.format(**paths) for a in argv] for argv in lines]
+             for lines in (_REQUESTS, _MALFORMED)]
     env = {**os.environ, "PYTHONPATH": str(_SRC)}
     proc = subprocess.run([sys.executable, "-S", "-c", _PROBE, json.dumps(argvs)],
                           capture_output=True, text=True, env=env, timeout=60)
@@ -202,22 +222,34 @@ def test_import_loads_every_module_a_request_runs_and_no_dataclass_machinery(tmp
     package = {"dskit"} | {f"dskit.{f.stem}" for f in Path(dskit.__file__).parent.glob("*.py")
                            if f.stem != "__init__"}
     assert package - {"dskit.__main__"} <= set(got["new"])
-    assert [m for m in got["later"] if m.split(".")[0] == "dskit"] == []
-    assert [m for m in _NOT_AT_IMPORT if m in got["new"] or m in got["later"]] == []
+    assert got["later"] == []
+    assert [m for m in _NOT_AT_IMPORT + _NOT_ON_A_VALID_LINE if m in got["new"]] == []
     assert got["parsers"] == 0
-    assert [m for m in ("locale", "shutil") if m in got["new"] or m in got["later"]] == []
+    assert [m for m in ("locale", "shutil") if m in got["new"]] == []
+    assert got["malformed_codes"] == [2] * len(_MALFORMED)
+    assert "argparse" in got["after_malformed"]
+    assert got["parsers_after"] == 1
+
+
+# the one import made inside a function: argparse, which only a line the
+# option table declines and --help need
+_NESTED_IMPORTS = {("cli.py", "_build_parser", "argparse")}
 
 
 def test_no_module_of_the_package_imports_inside_a_function():
-    # every import is at module level, and no module has a PEP 562 __getattr__
+    # every other import runs when its module is imported, and no module has
+    # a PEP 562 __getattr__
+    nested = set()
     for path in sorted(Path(dskit.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        top = set(map(id, tree.body))
-        nested = [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
-        ]
-        assert nested == [], nested
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Import):
+                    nested.update((path.name, func.name, a.name) for a in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    nested.add((path.name, func.name, "." * node.level + (node.module or "")))
         names = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
         assert "__getattr__" not in names, path.name
+    assert nested == _NESTED_IMPORTS
