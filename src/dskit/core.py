@@ -122,15 +122,6 @@ Triple = tuple[int, int, int]
 Factor = Union[int, Fraction, Triple]
 
 
-def cell_triple(a: int, b: int, c: int, d: int) -> Triple:
-    """The cell a/b + i c/d, each part in lowest terms over a positive
-    denominator, as its triple over lcm(b, d), which is reduced: a prime p
-    of the lcm divides b, say, as often as the lcm, so p divides neither a
-    nor lcm // b."""
-    den = lcm(b, d)
-    return a * (den // b), c * (den // d), den
-
-
 def as_triple(x: Factor) -> Triple:
     """x as its reduced triple (re, im, den).  A triple is divided by the
     gcd of its entries, with the sign of den, so (-1, 0, -1) is 1; one with
@@ -155,7 +146,7 @@ _GAUSSIAN = _re.compile(r"^([+-]?\d+(?:/\d+)?)?([+-](?:\d+(?:/\d+)?)?)?(i?)$")
 
 
 def _rational(token: str, text: str) -> tuple[int, int]:
-    """The rational [+-]a[/b] of token as (a, b) in lowest terms, b > 0."""
+    """The rational [+-]a[/b] of token as (a, b), b > 0."""
     num, _, den = token.partition("/")
     try:
         a, b = int(num), int(den or 1)
@@ -163,8 +154,7 @@ def _rational(token: str, text: str) -> tuple[int, int]:
         raise InputError(f"cannot parse scalar: {exc}") from exc
     if not b:
         raise InputError(f"zero denominator in scalar {text!r}")
-    g = gcd(a, b)
-    return a // g, b // g
+    return a, b
 
 
 def parse_gaussian(text: str) -> Triple:
@@ -177,17 +167,18 @@ def parse_gaussian(text: str) -> Triple:
     if not m:
         raise InputError(f"cannot parse scalar {text!r}")
     first, second, tail_i = m.groups()
+    a, b, c, d = 0, 1, 0, 1
     if not tail_i:
         if second is not None or first is None:
             raise InputError(f"cannot parse scalar {text!r}")
         a, b = _rational(first, text)
-        return a, 0, b
-    if second is None:  # pure imaginary: "i", "2i", "-3/4i"
+    elif second is None:  # pure imaginary: "i", "2i", "-3/4i"
         c, d = _rational(first, text) if first else (1, 1)
-        return 0, c, d
-    a, b = _rational(first, text) if first else (0, 1)
-    c, d = _rational(second + "1" if len(second) == 1 else second, text)
-    return cell_triple(a, b, c, d)
+    else:
+        if first:
+            a, b = _rational(first, text)
+        c, d = _rational(second + "1" if len(second) == 1 else second, text)
+    return as_triple((a * d, c * b, b * d))
 
 
 def _ratio_str(a: int, d: int) -> str:

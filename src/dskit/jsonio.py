@@ -14,7 +14,7 @@ from math import gcd, lcm
 from typing import Any, NoReturn
 
 from . import linalg
-from .core import OrbitSpec, Triple, cell_triple
+from .core import OrbitSpec, Triple, as_triple
 from .errors import InputError
 from .laurent import LaurentMatrix
 from .unramified import UnramBlock, UnramFormalType
@@ -49,15 +49,27 @@ def _check_scalar(obj: Any, path: str) -> None:
         _fail(path, "scalar denominator must be nonzero")
 
 
+def _cell(obj: Any) -> Triple | None:
+    """The triple (a d, c b, b d) of the cell [a, b, c, d], a/b + i c/d, not
+    reduced, or None for anything `_check_scalar` refuses.  Every cell is read
+    as `_cell(obj) or _check_scalar(obj, path)`, and the record it goes to
+    reduces it (`as_triple`, or `LaurentMatrix` for a term)."""
+    if type(obj) is not list or len(obj) != 4:
+        return None
+    a, b, c, d = obj
+    if not (type(a) is type(b) is type(c) is type(d) is int and b and d):
+        return None
+    return a * d, c * b, b * d
+
+
 # ---------------------------------------------------------------------------
 # Orbits.
 # ---------------------------------------------------------------------------
 
 
 def parse_orbit(obj: Any, path: str = "orbit") -> OrbitSpec:
-    """An orbit document: each eigenvalue cell [a, b, c, d] is checked once
-    and passed as the triple (a d, c b, b d), which `OrbitSpec` reduces, and
-    the orbit holds the eigenvalues as integers."""
+    """An orbit document: each eigenvalue cell is read by `_cell`, which
+    `OrbitSpec` reduces, and the orbit holds the eigenvalues as integers."""
     if not isinstance(obj, dict):
         _fail(path, "orbit must be an object")
     n = obj.get("n")
@@ -77,9 +89,7 @@ def parse_orbit(obj: Any, path: str = "orbit") -> OrbitSpec:
         if type(part) is not list or set(map(type, part)) != {int}:
             _fail(f"{bpath}.partition", "must be a nonempty array of integers")
         eig = blk["eig"]
-        _check_scalar(eig, f"{bpath}.eig")
-        a, b, c, d = eig
-        pairs.append(((a * d, c * b, b * d), part))
+        pairs.append((_cell(eig) or _check_scalar(eig, f"{bpath}.eig"), part))
     try:
         return OrbitSpec(n, pairs)
     except InputError as exc:
@@ -112,13 +122,14 @@ def parse_orbit_list(
         return orbits, None, payload
     if not isinstance(seqs_json, list) or len(seqs_json) != len(orbits):
         _fail("sequences", "must be an array, one entry per orbit")
-    cells = []
+    seqs = []
     for k, seq in enumerate(seqs_json):
         if not isinstance(seq, list):
             _fail(f"sequences[{k}]", "must be an array of scalars")
-        cells.append([reduced_cell(c, f"sequences[{k}][{m}]") for m, c in enumerate(seq)])
-    payload["sequences"] = cells
-    return orbits, [[cell_triple(*c) for c in seq] for seq in cells], payload
+        seqs.append([as_triple(_cell(c) or _check_scalar(c, f"sequences[{k}][{m}]"))
+                     for m, c in enumerate(seq)])
+    payload["sequences"] = [[lowest_cell(*t) for t in seq] for seq in seqs]
+    return orbits, seqs, payload
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +158,7 @@ def parse_unram_type(obj: Any, path: str = "type") -> UnramFormalType:
         if "residue" not in blk:
             _fail(f"{bpath}.residue", "missing")
         residue = parse_orbit(blk["residue"], f"{bpath}.residue")
-        qs = [cell_triple(*reduced_cell(c, f"{bpath}.q[{m}]")) for m, c in enumerate(q)]
+        qs = [_cell(c) or _check_scalar(c, f"{bpath}.q[{m}]") for m, c in enumerate(q)]
         try:
             parsed.append(UnramBlock(qs, dim, residue))
         except InputError as exc:
@@ -186,13 +197,13 @@ def parse_type_list(doc: dict[str, Any]) -> tuple[list[UnramFormalType], dict[st
 
 
 def parse_laurent(obj: Any, path: str = "matrix") -> tuple[LaurentMatrix, dict[str, Any]]:
-    """The matrix M of a Laurent-matrix document, and its canonical form: the
-    form `laurent_json` writes, over which the input digest is taken.
+    """The matrix M of a Laurent-matrix document, and its canonical form
+    `laurent_json(M)`, over which the input digest is taken.
 
-    Each cell is checked once and reduced to lowest terms with a positive
-    denominator.  The canonical form keeps the reduced cells of each nonzero
-    term below trunc, in increasing degree; M holds each such term as one
-    Z[i] triple over the lcm of its denominators.
+    Each cell is read by `_cell`, and each term is passed as its triples
+    over the lcm of their denominators: `LaurentMatrix` drops the zero terms
+    and those at or past trunc, and keeps the rest over their least
+    denominator.
     """
     if not isinstance(obj, dict):
         _fail(path, "matrix must be an object")
@@ -205,9 +216,7 @@ def parse_laurent(obj: Any, path: str = "matrix") -> tuple[LaurentMatrix, dict[s
     terms = obj.get("terms")
     if not isinstance(terms, list):
         _fail(f"{path}.terms", "must be an array")
-    seen: set[int] = set()
     coeffs: dict[int, linalg.Gaussian] = {}
-    canonical = []
     for k, term in enumerate(terms):
         tpath = f"{path}.terms[{k}]"
         if not isinstance(term, dict):
@@ -215,9 +224,8 @@ def parse_laurent(obj: Any, path: str = "matrix") -> tuple[LaurentMatrix, dict[s
         deg = term.get("deg")
         if type(deg) is not int:
             _fail(f"{tpath}.deg", "must be an integer")
-        if deg in seen:
+        if deg in coeffs:
             _fail(f"{tpath}.deg", f"duplicate degree {deg}")
-        seen.add(deg)
         entries = term.get("entries")
         if not isinstance(entries, list) or len(entries) != n:
             _fail(f"{tpath}.entries", f"must be an array of {n} rows")
@@ -225,47 +233,13 @@ def parse_laurent(obj: Any, path: str = "matrix") -> tuple[LaurentMatrix, dict[s
         for i, row in enumerate(entries):
             if not isinstance(row, list) or len(row) != n:
                 _fail(f"{tpath}.entries[{i}]", f"must be an array of {n} scalars")
-            reduced = list(map(_reduced, row))
-            if None in reduced:
-                reduced = [reduced_cell(cell, f"{tpath}.entries[{i}][{j}]")
-                           for j, cell in enumerate(row)]
-            cells.append(reduced)
-        flat = [c for r in cells for c in r]
-        if trunc is not None and deg >= trunc or not any(c[0] or c[2] for c in flat):
-            continue
-        den = lcm(*[c[1] for c in flat], *[c[3] for c in flat])
-        coeffs[deg] = ([[c[0] * (den // c[1]) for c in r] for r in cells],
-                       [[c[2] * (den // c[3]) for c in r] for r in cells], den)
-        canonical.append({"deg": deg, "entries": cells})
-    canonical.sort(key=lambda t: t["deg"])
-    return LaurentMatrix(n, coeffs, trunc), {"n": n, "trunc": trunc, "terms": canonical}
-
-
-def _reduced(cell: Any) -> list[int] | None:
-    """The scalar cell [re_num, re_den, im_num, im_den] with each part in
-    lowest terms over a positive denominator (0 as 0/1), or None unless cell
-    is a list of four ints, not bools, with nonzero denominators."""
-    if type(cell) is not list or len(cell) != 4:
-        return None
-    a, b, c, d = cell
-    if not (type(a) is type(b) is type(c) is type(d) is int and b and d):
-        return None
-    g, h = gcd(a, b), gcd(c, d)
-    if b < 0:
-        g = -g
-    if d < 0:
-        h = -h
-    return [a // g, b // g, c // h, d // h]
-
-
-def reduced_cell(obj: Any, path: str) -> list[int]:
-    """The scalar cell obj in lowest terms, as `_reduced` gives it, or the
-    shape error at path: `_reduced` declines exactly what `_check_scalar`
-    refuses."""
-    cell = _reduced(obj)
-    if cell is None:
-        _check_scalar(obj, path)
-    return cell  # type: ignore[return-value]
+            cells.append([_cell(c) or _check_scalar(c, f"{tpath}.entries[{i}][{j}]")
+                          for j, c in enumerate(row)])
+        den = lcm(*[t[2] for r in cells for t in r])
+        coeffs[deg] = ([[x * (den // d) for x, _, d in r] for r in cells],
+                       [[y * (den // d) for _, y, d in r] for r in cells], den)
+    m = LaurentMatrix(n, coeffs, trunc)
+    return m, laurent_json(m)
 
 
 def lowest_cell(x: int, y: int, den: int) -> list[int]:

@@ -28,6 +28,10 @@ recursion on Scalars (the oracle for `regsing_normalize`), Scalar views of
 a `LaurentMatrix` and its construction from Scalar matrices (`laurent`,
 `monomial`), the Scalar route of a Laurent-matrix
 document (the oracle for `jsonio.parse_laurent` and `jsonio.laurent_json`),
+the former cell route of `jsonio`, each cell reduced and then made a triple
+(`reduced`, `reduced_cell`, `cell_triple` and the former readers of orbit
+lists, type lists and Laurent matrices, the oracles for `jsonio._cell` and
+the one reduction each record makes),
 series algebra on `LaurentMatrix` (free functions taking the series first: sums and
 products that propagate truncation, z d/dz, agreement mod z^N and the gauge
 identity, powers, shifts and inverses), the Coxeter canonical matrix
@@ -68,14 +72,13 @@ from dskit.core import (
     _int_str,
     as_partition,
     as_triple,
-    cell_triple,
     congruent_pair,
     dual_partition,
     min_partition_with_r_parts,
     residue_arm,
 )
 from dskit.errors import BudgetExceededError, InputError, ResonantError, TruncationError
-from dskit.jsonio import _check_scalar
+from dskit.jsonio import _check_scalar, orbit_json, parse_orbit, unram_type_json
 from dskit.formal import (
     CertifiedSlope,
     CoxeterFormalType,
@@ -108,7 +111,7 @@ from dskit.rootsys import (
     p_value,
     sigma_candidates,
 )
-from dskit.unramified import UnramFormalType, _intra_type_arrows
+from dskit.unramified import UnramBlock, UnramFormalType, _intra_type_arrows
 
 # ---------------------------------------------------------------------------
 # Scalar: a Gaussian rational with exact arithmetic.
@@ -293,7 +296,7 @@ def scalar_of(t: Triple) -> Scalar:
 
 def parse_scalar(obj, path: str) -> Scalar:
     """A document cell [re_num, re_den, im_num, im_den] as a Scalar, with
-    the shape errors of `jsonio.reduced_cell`; a zero cell is `ZERO`."""
+    the shape errors of `jsonio._check_scalar`; a zero cell is `ZERO`."""
     _check_scalar(obj, path)
     if obj[0] == 0 and obj[2] == 0:
         return ZERO
@@ -1219,6 +1222,235 @@ def scalar_gauge_json(g: LaurentMatrix) -> dict:
     """The gauge `regsing_normalize` returns, read back to Scalars with
     `from_gaussian` and written by `scalar_laurent_json`."""
     return scalar_laurent_json(g.n, g.trunc, scalar_coeffs(g))
+
+
+# ---------------------------------------------------------------------------
+# The former cell route of jsonio: each cell reduced, then made a triple.
+# ---------------------------------------------------------------------------
+
+
+def cell_triple(a: int, b: int, c: int, d: int) -> Triple:
+    """The cell a/b + i c/d, each part in lowest terms over a positive
+    denominator, as its triple over lcm(b, d), which is reduced: a prime p
+    of the lcm divides b, say, as often as the lcm, so p divides neither a
+    nor lcm // b."""
+    den = math.lcm(b, d)
+    return a * (den // b), c * (den // d), den
+
+
+def reduced(cell) -> list[int] | None:
+    """The scalar cell [re_num, re_den, im_num, im_den] with each part in
+    lowest terms over a positive denominator (0 as 0/1), or None unless cell
+    is a list of four ints, not bools, with nonzero denominators."""
+    if type(cell) is not list or len(cell) != 4:
+        return None
+    a, b, c, d = cell
+    if not (type(a) is type(b) is type(c) is type(d) is int and b and d):
+        return None
+    g, h = math.gcd(a, b), math.gcd(c, d)
+    if b < 0:
+        g = -g
+    if d < 0:
+        h = -h
+    return [a // g, b // g, c // h, d // h]
+
+
+def reduced_cell(obj, path: str) -> list[int]:
+    """The scalar cell obj in lowest terms, as `reduced` gives it, or the
+    shape error of `jsonio._check_scalar` at path."""
+    cell = reduced(obj)
+    if cell is None:
+        _check_scalar(obj, path)
+    return cell  # type: ignore[return-value]
+
+
+def former_parse_orbit_list(doc) -> tuple[list[OrbitSpec], list[list[Triple]] | None, dict]:
+    """`jsonio.parse_orbit_list` by the former cell route, with its messages:
+    each sequence cell reduced by `reduced_cell`, kept so in the payload and
+    made a triple by `cell_triple`.  The orbits are read by
+    `jsonio.parse_orbit`, whose Scalar oracle is `scalar_parse_orbit`."""
+    orbits_json = doc.get("orbits")
+    if not isinstance(orbits_json, list) or not orbits_json:
+        raise InputError("orbits: must be a nonempty array")
+    orbits = [parse_orbit(o, f"orbits[{k}]") for k, o in enumerate(orbits_json)]
+    payload: dict = {"orbits": [orbit_json(o) for o in orbits]}
+    seqs_json = doc.get("sequences")
+    if seqs_json is None:
+        return orbits, None, payload
+    if not isinstance(seqs_json, list) or len(seqs_json) != len(orbits):
+        raise InputError("sequences: must be an array, one entry per orbit")
+    cells = []
+    for k, seq in enumerate(seqs_json):
+        if not isinstance(seq, list):
+            raise InputError(f"sequences[{k}]: must be an array of scalars")
+        cells.append([reduced_cell(c, f"sequences[{k}][{m}]") for m, c in enumerate(seq)])
+    payload["sequences"] = cells
+    return orbits, [[cell_triple(*c) for c in seq] for seq in cells], payload
+
+
+def former_parse_type_list(doc) -> tuple[list[UnramFormalType], dict]:
+    """`jsonio.parse_type_list` by the former cell route, with its messages:
+    each q cell reduced by `reduced_cell` and made a triple by `cell_triple`."""
+    types_json = doc.get("types")
+    if not isinstance(types_json, list) or not types_json:
+        raise InputError("types: must be a nonempty array")
+    types = []
+    for t, obj in enumerate(types_json):
+        path = f"types[{t}]"
+        if not isinstance(obj, dict):
+            raise InputError(f"{path}: formal type must be an object")
+        blocks = obj.get("blocks")
+        if not isinstance(blocks, list) or not blocks:
+            raise InputError(f"{path}.blocks: must be a nonempty array")
+        parsed = []
+        for k, blk in enumerate(blocks):
+            bpath = f"{path}.blocks[{k}]"
+            if not isinstance(blk, dict):
+                raise InputError(f"{bpath}: block must be an object")
+            q = blk.get("q")
+            if not isinstance(q, list):
+                raise InputError(f"{bpath}.q: must be an array of scalars "
+                                 "(coefficients of z^-1, z^-2, ...)")
+            dim = blk.get("dim")
+            if type(dim) is not int:
+                raise InputError(f"{bpath}.dim: must be an integer")
+            if "residue" not in blk:
+                raise InputError(f"{bpath}.residue: missing")
+            residue = parse_orbit(blk["residue"], f"{bpath}.residue")
+            qs = [cell_triple(*reduced_cell(c, f"{bpath}.q[{m}]")) for m, c in enumerate(q)]
+            try:
+                parsed.append(UnramBlock(qs, dim, residue))
+            except InputError as exc:
+                raise InputError(f"{bpath}: {exc}") from None
+        try:
+            types.append(UnramFormalType(parsed))
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
+    return types, {"types": [unram_type_json(t) for t in types]}
+
+
+def former_parse_laurent(obj, path: str = "matrix") -> tuple[LaurentMatrix, dict]:
+    """`jsonio.parse_laurent` by the former cell route, with its messages:
+    each row reduced by `reduced`, or cell by cell by `reduced_cell` for the
+    message, and the canonical form built beside M from the reduced cells of
+    each nonzero term below trunc, M holding each such term over the lcm of
+    its denominators."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: matrix must be an object")
+    n = obj.get("n")
+    if type(n) is not int or n < 1:
+        raise InputError(f"{path}.n: must be a positive integer")
+    trunc = obj.get("trunc")
+    if trunc is not None and type(trunc) is not int:
+        raise InputError(f"{path}.trunc: must be an integer or null")
+    terms = obj.get("terms")
+    if not isinstance(terms, list):
+        raise InputError(f"{path}.terms: must be an array")
+    seen: set[int] = set()
+    coeffs: dict[int, Gaussian] = {}
+    canonical = []
+    for k, term in enumerate(terms):
+        tpath = f"{path}.terms[{k}]"
+        if not isinstance(term, dict):
+            raise InputError(f"{tpath}: term must be an object")
+        deg = term.get("deg")
+        if type(deg) is not int:
+            raise InputError(f"{tpath}.deg: must be an integer")
+        if deg in seen:
+            raise InputError(f"{tpath}.deg: duplicate degree {deg}")
+        seen.add(deg)
+        entries = term.get("entries")
+        if not isinstance(entries, list) or len(entries) != n:
+            raise InputError(f"{tpath}.entries: must be an array of {n} rows")
+        cells = []
+        for i, row in enumerate(entries):
+            if not isinstance(row, list) or len(row) != n:
+                raise InputError(f"{tpath}.entries[{i}]: must be an array of {n} scalars")
+            row_cells = list(map(reduced, row))
+            if None in row_cells:
+                row_cells = [reduced_cell(cell, f"{tpath}.entries[{i}][{j}]")
+                             for j, cell in enumerate(row)]
+            cells.append(row_cells)
+        flat = [c for r in cells for c in r]
+        if trunc is not None and deg >= trunc or not any(c[0] or c[2] for c in flat):
+            continue
+        den = math.lcm(*[c[1] for c in flat], *[c[3] for c in flat])
+        coeffs[deg] = ([[c[0] * (den // c[1]) for c in r] for r in cells],
+                       [[c[2] * (den // c[3]) for c in r] for r in cells], den)
+        canonical.append({"deg": deg, "entries": cells})
+    canonical.sort(key=lambda t: t["deg"])
+    return LaurentMatrix(n, coeffs, trunc), {"n": n, "trunc": trunc, "terms": canonical}
+
+
+# ---------------------------------------------------------------------------
+# Two families on which a theorem decides unramified-ds.
+# ---------------------------------------------------------------------------
+
+
+def _draw_value(rng, den: int) -> Scalar:
+    """(re, im) over den, re in [-10/den, 10/den], non-real one time in five."""
+    im = Fraction(rng.randint(-2, 2), den) if rng.random() < 0.2 else 0
+    return Scalar(Fraction(rng.randint(-10, 10), den), im)
+
+
+def fuchsian_tuple(rng) -> list[OrbitSpec]:
+    """Three or four nonresonant orbits of gl_2 or three of gl_3, their
+    eigenvalues over 7, one orbit now and then with a repeated eigenvalue
+    (partition (2,) or (1, 1)), and the last eigenvalue of the last orbit
+    chosen so that the traces sum to zero, except one time in ten."""
+    while True:
+        n = rng.choice([2, 2, 3])
+        k = rng.choice([3, 4]) if n == 2 else 3
+        orbits = []
+        for i in range(k):
+            if i < k - 1 and rng.random() < 0.25:
+                e = _draw_value(rng, 7)
+                blocks = [(e, rng.choice([(2,), (1, 1)]))]
+                blocks += [(_draw_value(rng, 7), (1,)) for _ in range(n - 2)]
+            else:
+                blocks = [(_draw_value(rng, 7), (1,)) for _ in range(n)]
+            orbits.append(blocks)
+        if rng.random() < 0.9:
+            total = sum((e * sum(p) for o in orbits for e, p in o), ZERO)
+            orbits[-1][-1] = (orbits[-1][-1][0] - total, (1,))
+        try:
+            specs = [OrbitSpec(n, [(triple(e), p) for e, p in o]) for o in orbits]
+        except InputError:  # two equal eigenvalues in an orbit
+            continue
+        if all(o.is_nonresonant() for o in specs):
+            return specs
+
+
+def rank1_twist(orbits: Sequence[OrbitSpec], c: Triple) -> list[UnramFormalType]:
+    """The formal types of a Fuchsian tuple tensored with the rank-1
+    connection d + c z^-2 dz, whose only pole is at the first point: q = (c,)
+    there on the one block, and no q at the others."""
+    return [UnramFormalType([UnramBlock([c] if i == 0 else [], o.n, o)])
+            for i, o in enumerate(orbits)]
+
+
+def rank2_pair(rng) -> tuple[list[UnramFormalType], bool]:
+    """Two points in rank 2, drawn by rng, and whether some a_i + b_j = 0: at
+    the first, two rank-1 blocks with q = (q_1,) and (q_2,), q_1 != q_2 in
+    +-1..3, and residues a_1 and a_2; at the second, no q and the semisimple
+    nonresonant residue {b_1, b_2}, with a_1 + a_2 + b_1 + b_2 = 0.  The
+    values are over 5, and b_1 is -a_1 or -a_2 two times in five."""
+    while True:
+        q = rng.sample([-3, -2, -1, 1, 2, 3], 2)
+        a = [_draw_value(rng, 5), _draw_value(rng, 5)]
+        b1 = ZERO - rng.choice(a) if rng.random() < 0.4 else _draw_value(rng, 5)
+        b = [b1, ZERO - a[0] - a[1] - b1]
+        if b[0] == b[1]:
+            continue
+        regular = OrbitSpec(2, [(triple(x), (1,)) for x in b])
+        if regular.is_nonresonant():
+            break
+    types = [
+        UnramFormalType([UnramBlock([(qi, 0, 1)], 1, OrbitSpec(1, [(triple(ai), (1,))]))
+                         for qi, ai in zip(q, a)]),
+        UnramFormalType([UnramBlock([], 2, regular)]),
+    ]
+    return types, any(x + y == ZERO for x in a for y in b)
 
 
 # ---------------------------------------------------------------------------

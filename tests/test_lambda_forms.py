@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from dskit import jsonio
-from dskit.core import OrbitSpec, cell_triple
+from dskit.core import OrbitSpec
 from dskit.coxeter import coxeter_ds_decide
 from dskit.formal import CoxeterFormalType
 from dskit.fuchsian import FuchsianRigidity, build_cb_data, fuchsian_rigidity
@@ -23,9 +23,11 @@ from dskit.unramified import UnramBlock, UnramFormalType, build_hiroe_data, coun
 import exact_oracles
 from exact_oracles import (
     Scalar,
+    cell_triple,
     eigenvalues,
     lambda_values,
     orbit_blocks,
+    reduced_cell,
     scalar_count_rank2_moduli,
     scalar_coxeter_ds_decide,
     scalar_of,
@@ -174,7 +176,7 @@ def test_deciding_parsed_orbits_and_types_makes_no_scalar(monkeypatch):
         _orbit_doc(2, [(_s(2, 7), [1]), (_s(0, 1, -1), [1])]),
         _orbit_doc(2, [(_s(-1, 5), [1]), (_s(-79, 105), [1])]),
     )]
-    seqs = [[cell_triple(*jsonio.reduced_cell(c, "seq")) for c in seq] for seq in (
+    seqs = [[cell_triple(*reduced_cell(c, "seq")) for c in seq] for seq in (
         [_s(1, 3, 1, 2)] * 2, [_s(0, 1, -1), _s(2, 7)], [_s(-79, 105), _s(-1, 5)])]
     # residue traces summing to zero: type 0 with q of two lengths, a baseless
     # type and a later type with two blocks, so that L has a form

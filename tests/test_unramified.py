@@ -20,9 +20,12 @@ from exact_oracles import (
     alpha_dot_lambda,
     build_base_quiver,
     eigenvalues,
+    fuchsian_tuple,
     lambda_values,
     negated,
     random_form,
+    rank1_twist,
+    rank2_pair,
     residue_trace,
     scalar_count_rank2_moduli,
     scalar_of,
@@ -225,6 +228,70 @@ def test_mode_disagreement_witness():
     by_three, by_two = build_hiroe_data(WITNESS).readings()
     assert by_three
     assert not by_two
+
+
+def test_a_rank1_twist_answers_as_fuchsian_ds_by_the_parts_ge_2_reading():
+    """Put q = (c,), c != 0, on the first point of a Fuchsian tuple.  This
+    tensors with the rank-1 connection d + c z^-2 dz, whose only pole is a
+    double pole at that point (at infinity it is regular), and whose residue
+    is 0.  Tensoring with it and with its inverse are inverse bijections
+    between the connections with the Fuchsian formal types and those with
+    the twisted ones, and they keep irreducibility (a subconnection twists to
+    a subconnection).  So an irreducible connection with the twisted types
+    exists iff one with the Fuchsian types does, and `unramified-ds` must
+    answer as `fuchsian-ds` does (Crawley-Boevey, Duke Math. J. 118 (2003);
+    README, *Ambiguity flags*).
+
+    Seed 5, 400 tuples, c from +-1..3 on the same draw: the parts>=2 reading
+    agrees on all 400.  The parts>=3 reading, the default, answers true on
+    14 tuples where `fuchsian-ds` answers Empty: a known fault of that
+    reading, kept in the count below until the default is settled."""
+    rng = random.Random(5)
+    three_wrong = 0
+    for _ in range(400):
+        orbits = fuchsian_tuple(rng)
+        c = rng.choice([-3, -2, -1, 1, 2, 3])
+        exists = fuchsian_rigidity(orbits) is not FuchsianRigidity.EMPTY
+        by_three, by_two = build_hiroe_data(rank1_twist(orbits, (c, 0, 1))).readings()
+        assert by_two == exists, (orbits, c)
+        if by_three != exists:
+            assert by_three and not exists, (orbits, c)
+            three_wrong += 1
+    assert three_wrong == 14
+
+
+def test_rank1_subconnections_in_rank_2_leave_no_irreducible_connection():
+    """Type 0 has two rank-1 blocks, q_1 != q_2, with residues a_1 and a_2;
+    type 1 is regular with the semisimple residue {b_1, b_2}; and
+    a_1 + a_2 + b_1 + b_2 = 0 (the Fuchs relation).
+
+    If a_i + b_j = 0, the rank-1 connection L_1 with formal type q_i + a_i
+    at 0 and residue b_j at 1 has residue sum 0, so it exists with no pole
+    at infinity; the Fuchs relation gives L_2 from the other block and the
+    other eigenvalue the same way.  L_1 + L_2 has exactly these formal
+    types.  When p(alpha) = 0 the data are rigid, and an irreducible
+    connection with these formal types would be physically rigid: isomorphic
+    to every connection with the same formal types (Katz, Rigid local
+    systems, 1996, for regular singularities; Bloch and Esnault, Asian J.
+    Math. 8 (2004), for irregular ones).  It would then be isomorphic to the
+    reducible L_1 + L_2, so none exists and the answer is false.  With no
+    such pair, no rank-1 subconnection can exist, for it would need a
+    residue sum a_i + b_j = 0.
+
+    Seed 11, 400 draws: all 188 paired draws have p(alpha) = 0, and the
+    parts>=2 reading answers false on each, as the argument demands.  The
+    parts>=3 reading, the default, answers true on all 188: a known fault of
+    that reading.  On the 212 unpaired draws both readings answer true."""
+    rng = random.Random(11)
+    counts = {"paired": 0, "unpaired": 0}
+    for _ in range(400):
+        types, paired = rank2_pair(rng)
+        data = build_hiroe_data(types)
+        readings = data.readings()
+        assert p_value(data.quiver, data.alpha) == 0, types
+        assert readings == ((True, False) if paired else (True, True)), types
+        counts["paired" if paired else "unpaired"] += 1
+    assert counts == {"paired": 188, "unpaired": 212}
 
 
 # ---------------------------------------------------------------------------
