@@ -235,11 +235,7 @@ class OrbitSpec(Frozen):
         if n <= 0:
             raise InputError(f"need n >= 1, got n={n}")
         re, im, order = zip(*keys)  # keys is not empty: n >= 1 is the sum of the parts
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        object.__setattr__(self, "parts", tuple(parts[k] for k in order))
+        super().__init__(n, den, re, im, tuple(parts[k] for k in order))
 
     def partition_for(self, eig: Factor) -> Partition:
         key = _over(eig, self.den)

@@ -105,9 +105,7 @@ class SimpleTypeQuery(Frozen):
             raise InputError(f"family {fam} needs rank >= {_MIN_RANK[fam]}")
         if r < 1:
             raise InputError(f"need r >= 1, got {r}")
-        object.__setattr__(self, "family", fam)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "r", r)
+        super().__init__(fam, rank, r)
 
     def coxeter_number(self) -> int:
         n = self.rank

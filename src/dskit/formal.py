@@ -108,8 +108,7 @@ class StandardParahoric(Frozen):
             raise InputError(f"J must lie inside 0..{n - 1}")
         if not jj or jj[0] != 0:
             raise InputError("J must contain 0")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "J", jj)
+        super().__init__(n, jj)
 
     @property
     def e(self) -> int:
@@ -151,9 +150,7 @@ class Stratum(Frozen):
                     "leading term is not homogeneous of degree "
                     f"{-depth_num}"
                 )
-        object.__setattr__(self, "parahoric", parahoric)
-        object.__setattr__(self, "depth_num", depth_num)
-        object.__setattr__(self, "leading", leading)
+        super().__init__(parahoric, depth_num, leading)
 
     @property
     def depth(self) -> Fraction:
@@ -218,10 +215,6 @@ class CertifiedSlope(Frozen):
     slope: Fraction
     witness: Stratum
 
-    def __init__(self, slope: Fraction, witness: Stratum):
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "witness", witness)
-
 
 class UpperBoundOnly(Frozen):
     """Every stratum of least depth is nilpotent (see certify_slope); the
@@ -231,10 +224,6 @@ class UpperBoundOnly(Frozen):
 
     bound: Fraction
     witness: Stratum
-
-    def __init__(self, bound: Fraction, witness: Stratum):
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "witness", witness)
 
 
 class RegularSingularCandidate(Frozen):
@@ -398,6 +387,4 @@ class CoxeterFormalType(Frozen):
             raise InputError("need n >= 1 and r >= 1")
         if gcd(r, n) != 1:
             raise InputError(f"need gcd(r, n) = 1, got r={r}, n={n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "p0", as_triple(p0))
+        super().__init__(n, r, as_triple(p0))

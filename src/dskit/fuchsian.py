@@ -46,11 +46,6 @@ class CBData(Record):
     alpha: tuple[int, ...]
     lam: LambdaForm
 
-    def __init__(self, quiver: Quiver, alpha: tuple[int, ...], lam: LambdaForm):
-        self.quiver = quiver
-        self.alpha = alpha
-        self.lam = lam
-
     __hash__ = None  # type: ignore[assignment]
 
 
@@ -98,7 +93,7 @@ def build_cb_data(
         re += [(x - y) * k for x, y in zip(er, er[1:])]
         im += [(x - y) * k for x, y in zip(ei, ei[1:])]
         arrows += zip(arm, [0, *arm])
-    return CBData(quiver=Quiver(vertices, arrows), alpha=tuple(alpha), lam=(re, im, den))
+    return CBData(Quiver(vertices, arrows), tuple(alpha), (re, im, den))
 
 
 def fuchsian_rigidity(

@@ -21,10 +21,15 @@ from typing import Iterator
 from . import linalg
 from .core import as_int, gaussian_str
 from .errors import InputError, TruncationError
+from .frozen import Record
 
 
-class LaurentMatrix:
+class LaurentMatrix(Record):
     __slots__ = ("n", "coeffs", "trunc")
+
+    n: int
+    coeffs: dict[int, linalg.Gaussian]
+    trunc: int | None
 
     def __init__(
         self,
@@ -36,11 +41,11 @@ class LaurentMatrix:
         deg of coeffs, a nonzero den; zero coefficients and those at or past
         trunc are dropped, and the rest are kept over their least
         denominator."""
-        self.n = n = as_int(n, "n")
+        n = as_int(n, "n")
         if n < 1:
             raise InputError(f"need n >= 1, got {n}")
-        self.trunc = trunc = None if trunc is None else as_int(trunc, "trunc")
-        self.coeffs: dict[int, linalg.Gaussian] = {}
+        trunc = None if trunc is None else as_int(trunc, "trunc")
+        kept: dict[int, linalg.Gaussian] = {}
         for deg, (re, im, den) in (coeffs or {}).items():
             deg = as_int(deg, "a degree")
             if len(re) != n or len(im) != n or set(map(len, chain(re, im))) != {n}:
@@ -57,7 +62,8 @@ class LaurentMatrix:
             if g != 1:
                 re = [[x // g for x in row] for row in re]
                 im = [[x // g for x in row] for row in im]
-            self.coeffs[deg] = (re, im, den // g)
+            kept[deg] = (re, im, den // g)
+        super().__init__(n, kept, trunc)
 
     # -- views ----------------------------------------------------------------
 
@@ -90,11 +96,6 @@ class LaurentMatrix:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
-        return (self.n, self.trunc, self.coeffs) == (other.n, other.trunc, other.coeffs)
 
     def __hash__(self):
         raise TypeError("LaurentMatrix is unhashable")

@@ -72,8 +72,7 @@ class Quiver(Frozen):
             arrs.append((tail, head))
             neighbours[index[tail]].append(index[head])
             neighbours[index[head]].append(index[tail])
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "arrows", tuple(arrs))
+        super().__init__(verts, tuple(arrs))
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_neighbours", tuple(map(tuple, neighbours)))
 

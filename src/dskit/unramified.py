@@ -19,7 +19,6 @@ from .frozen import Frozen
 from .fuchsian import CBData
 from .rootsys import (
     DEFAULT_BUDGET,
-    LambdaForm,
     Quiver,
     Vertex,
     best_p_sums,
@@ -55,9 +54,7 @@ class UnramBlock(Frozen):
             raise InputError(
                 f"residue orbit lives on gl_{residue.n}, block has dim {dim}"
             )
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "residue", residue)
+        super().__init__(q, dim, residue)
 
 
 class UnramFormalType(Frozen):
@@ -74,7 +71,7 @@ class UnramFormalType(Frozen):
         qs = sorted(b.q for b in blocks)
         if any(a == b for a, b in zip(qs, qs[1:])):
             raise InputError("blocks must have pairwise distinct q_j")
-        object.__setattr__(self, "blocks", blocks)
+        super().__init__(blocks)
 
     @property
     def n(self) -> int:
@@ -122,16 +119,6 @@ class HiroeData(CBData):
     __slots__ = ("lattice_forms",)
 
     lattice_forms: tuple[tuple[int, ...], ...]
-
-    def __init__(
-        self,
-        quiver: Quiver,
-        alpha: tuple[int, ...],
-        lam: LambdaForm,
-        lattice_forms: tuple[tuple[int, ...], ...],
-    ):
-        super().__init__(quiver, alpha, lam)
-        self.lattice_forms = lattice_forms
 
     def readings(self, budget: int | None = DEFAULT_BUDGET) -> tuple[bool, bool]:
         """Whether an irreducible framable connection with these formal types
@@ -237,10 +224,7 @@ def build_hiroe_data(types: Sequence[UnramFormalType]) -> HiroeData:
         for i, t in enumerate(types)
         if i != 0 and t.ell >= 2
     )
-    data = HiroeData(
-        quiver=Quiver(vertices, arrows), alpha=tuple(alpha), lam=(re, im, den),
-        lattice_forms=lattice_forms,
-    )
+    data = HiroeData(Quiver(vertices, arrows), tuple(alpha), (re, im, den), lattice_forms)
     assert not any(
         sum(map(operator.mul, data.alpha, f)) for f in lattice_forms
     ), "alpha must lie in L"

@@ -39,7 +39,9 @@ p(omega_n^-1) of a general p, with the degree and leading-coefficient
 checks, the lattice-chain definition of the filtration degree, the listed
 standard parahorics and the other parahoric helpers that only tests use,
 slope certification by a full scan of the parahorics (the oracle for
-`certify_slope`), the dense Cartan matrix of a quiver (the
+`certify_slope`), the slope as the Katz invariant of a cyclic vector's
+operator (`katz_invariant`, an oracle for `certify_slope` that shares no
+code with it), the dense Cartan matrix of a quiver (the
 oracle for `Quiver`'s neighbour lists), the reflection descent that forms
 C b after every reflection (the oracle for `classify_root`), the root and decomposition
 enumerations (the oracles for the table of best p-sums), Fuchsian rigidity
@@ -1676,6 +1678,95 @@ def full_scan_slope(m: LaurentMatrix) -> tuple[SlopeVerdict, list[Stratum], list
         return CertifiedSlope(s.depth, s), strata, fundamental
     least = min(s.depth for s in strata)
     return UpperBoundOnly(least, next(s for s in strata if s.depth == least)), strata, fundamental
+
+
+# Laurent polynomials over Z[i] as {degree: (re, im)}, with no zero value
+GaussPoly = dict[int, tuple[int, int]]
+
+
+def _poly_add(p: GaussPoly, q: GaussPoly, sign: int = 1) -> GaussPoly:
+    out = dict(p)
+    for d, (c, e) in q.items():
+        a, b = out.get(d, (0, 0))
+        out[d] = (a + sign * c, b + sign * e)
+    return {d: v for d, v in out.items() if v != (0, 0)}
+
+
+def _poly_mul(p: GaussPoly, q: GaussPoly) -> GaussPoly:
+    out: dict[int, tuple[int, int]] = {}
+    for d1, (a, b) in p.items():
+        for d2, (c, e) in q.items():
+            x, y = out.get(d1 + d2, (0, 0))
+            out[d1 + d2] = (x + a * c - b * e, y + a * e + b * c)
+    return {d: v for d, v in out.items() if v != (0, 0)}
+
+
+def _minors(columns: Sequence[Sequence[GaussPoly]]) -> dict[tuple[int, ...], GaussPoly]:
+    """The determinant of every choice of n of the given columns of length
+    n, by expansion along the rows: the minors on the first r rows, keyed by
+    their sorted column indices, give those on the first r + 1."""
+    n = len(columns[0])
+    minors: dict[tuple[int, ...], GaussPoly] = {(): {0: (1, 0)}}
+    for r in range(n):
+        wider = {}
+        for cols in itertools.combinations(range(len(columns)), r + 1):
+            det: GaussPoly = {}
+            for k, c in enumerate(cols):
+                term = _poly_mul(columns[c][r], minors[cols[:k] + cols[k + 1:]])
+                det = _poly_add(det, term, -1 if (r + k) % 2 else 1)
+            wider[cols] = det
+        minors = wider
+    return minors
+
+
+def katz_invariant(m: LaurentMatrix) -> Fraction:
+    """The slope of d + M dz/z at z = 0 from a cyclic vector, reading only
+    m.n and m.coeffs, so it shares no code with `certify_slope`.
+
+    With M = M'/den over Z[i], v_0 = w and v_{k+1} = den theta v_k + M' v_k
+    (theta = z d/dz) are den^k times the k-th derivative of w along theta,
+    exact at every order of z.  The first w of e_1, ..., e_n, then
+    (1, z^s, z^2s, ...) for s = 1, 2, ..., with W = [v_0 ... v_{n-1}]
+    invertible is cyclic (a constant w is not always: M scalar).  Then
+    v_n = -sum_k a_k v_k, and by Cramer ord a_k = ord det W_k - ord det W,
+    with W_k the matrix W with column k replaced by -v_n.  The slope is
+    max(0, max_k -ord(a_k) / (n - k)) (Katz, Invent. Math. 87, 1987)."""
+    n = m.n
+    den = math.lcm(*(d for _, _, d in m.coeffs.values()))
+    entries: list[list[GaussPoly]] = [[{} for _ in range(n)] for _ in range(n)]
+    for deg, (re, im, d) in m.coeffs.items():
+        for a in range(n):
+            for b in range(n):
+                if re[a][b] or im[a][b]:
+                    entries[a][b][deg] = (re[a][b] * (den // d), im[a][b] * (den // d))
+
+    def step(v: list[GaussPoly]) -> list[GaussPoly]:
+        out = []
+        for a in range(n):
+            acc = {d: (den * d * x, den * d * y) for d, (x, y) in v[a].items() if d}
+            for b in range(n):
+                acc = _poly_add(acc, _poly_mul(entries[a][b], v[b]))
+            out.append(acc)
+        return out
+
+    starts = [[{0: (1, 0)} if a == b else {} for a in range(n)] for b in range(n)]
+    starts += [[{a * s: (1, 0)} for a in range(n)] for s in range(1, n + 2)]
+    for w in starts:
+        vs = [w]
+        for _ in range(n):
+            vs.append(step(vs[-1]))
+        minors = _minors(vs)
+        if minors[tuple(range(n))]:
+            break
+    else:
+        raise AssertionError("no cyclic vector among the starts")
+    order = min(minors[tuple(range(n))])
+    kappa = Fraction(0)
+    for k in range(n):
+        det_k = minors[tuple(c for c in range(n + 1) if c != k)]
+        if det_k:  # a_k = 0 bounds nothing
+            kappa = max(kappa, Fraction(order - min(det_k), n - k))
+    return kappa
 
 
 def cartan_rows(q: Quiver) -> tuple[tuple[int, ...], ...]:

@@ -38,6 +38,7 @@ from exact_oracles import (
     identity,
     is_nonresonant,
     iwahori,
+    katz_invariant,
     lattice_exponent,
     laurent,
     mat_of,
@@ -632,6 +633,39 @@ def test_the_slope_verdicts_of_two_gauges_agree():
     assert pairs["_conjugate", "CU"] + pairs["_conjugate", "UC"] >= 50, pairs
     assert pairs["_shear", "CU"] + pairs["_shear", "UC"] >= 300, pairs
     assert pairs["_shear", "RU"] + pairs["_shear", "UR"] >= 100, pairs
+
+
+def test_the_slope_verdicts_agree_with_the_katz_invariant_of_a_cyclic_vector():
+    # seed 5, 1,500 draws of _integer_connection with n <= 4, each degree's
+    # coefficient put over a denominator from {1, 1, 2, 3}: katz_invariant reads
+    # the slope off a cyclic vector's differential operator and shares no code
+    # with certify_slope.  A certified slope is the invariant, an upper bound is
+    # at least it, and a regular singular candidate has invariant 0.  The draws
+    # give 907 CertifiedSlope, 123 UpperBoundOnly (all strictly above the
+    # invariant, 26 of them regular singular, which slope leaves at exit 3) and
+    # 470 RegularSingularCandidate
+    for n in (3, 4, 5):
+        assert katz_invariant(omega_power(n, -1)) == Fraction(1, n)
+    rng = random.Random(5)
+    kinds = Counter()
+    while sum(kinds[k] for k in "CUR") < 1500:
+        m = _integer_connection(rng)
+        if m.n > 4:
+            continue
+        m = LaurentMatrix(m.n, {k: (re, im, rng.choice([1, 1, 2, 3]))
+                                for k, (re, im, _) in m.coeffs.items()})
+        kappa, verdict = katz_invariant(m), certify_slope(m)
+        kinds[type(verdict).__name__[0]] += 1
+        if isinstance(verdict, CertifiedSlope):
+            assert verdict.slope == kappa, m
+        elif isinstance(verdict, UpperBoundOnly):
+            assert verdict.bound >= kappa, m
+            kinds["strict"] += verdict.bound > kappa
+            kinds["regular"] += kappa == 0
+        else:
+            assert isinstance(verdict, RegularSingularCandidate) and kappa == 0, m
+    assert kinds["C"] >= 600 and kinds["R"] >= 300, kinds
+    assert kinds["U"] >= 80 and kinds["strict"] >= 80 and kinds["regular"] >= 15, kinds
 
 
 # ---------------------------------------------------------------------------

@@ -253,3 +253,19 @@ def test_no_module_of_the_package_imports_inside_a_function():
         names = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
         assert "__getattr__" not in names, path.name
     assert nested == _NESTED_IMPORTS
+
+
+def test_only_derived_slots_are_set_past_record_init():
+    # Record.__init__ fills every public slot; a direct object.__setattr__ in a
+    # module may set only a derived slot, one whose name starts with "_"
+    sites = []
+    for path in sorted(Path(dskit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "__setattr__"
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"
+                    and len(node.args) == 3 and isinstance(node.args[1], ast.Constant)
+                    and isinstance(node.args[1].value, str)):
+                sites.append((path.name, node.args[1].value))
+    assert ("rootsys.py", "_neighbours") in sites  # the walk finds the calls
+    assert [site for site in sites if not site[1].startswith("_")] == []

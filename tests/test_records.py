@@ -2,12 +2,14 @@
 
 Each record is a plain class with `__slots__` and no `__dict__`.  Its
 compared fields are its public slots, base class first, and `==`, the hash
-and the repr are those of the tuple of their values.  Two records built
+and the repr are those of the tuple of their values.  A record without
+checks takes exactly those values, by position.  Two records built
 alike are equal; changing any one compared field makes them differ.  Frozen
 records refuse assignment and deletion of every slot; `CBData` and
 `HiroeData` are mutable and unhashable.  A record whose fields hold a
 `LaurentMatrix` (a stratum and the slope verdicts built on one) refuses to
-hash, as its matrix does.
+hash, as its matrix does.  `LaurentMatrix` compares the same way, by n,
+coefficients and truncation.
 """
 
 from fractions import Fraction
@@ -147,3 +149,31 @@ def test_a_stratum_validates_its_leading_term_when_built():
     with pytest.raises(InputError, match="^leading term size does not match the parahoric$"):
         Stratum(StandardParahoric(2, [0]), 1, e13)
     assert Stratum(p, 1, e13).depth == 1
+
+
+@pytest.mark.parametrize("name", ["CBData", "CertifiedSlope", "HiroeData",
+                                  "RegularSingularCandidate", "UpperBoundOnly"])
+def test_a_record_without_checks_takes_its_fields_by_position(name):
+    a = RECORDS[name][0]()
+    values = a._values()
+    assert type(a)(*values) == a
+    with pytest.raises(TypeError):
+        type(a)(*values, None)
+    if values:
+        with pytest.raises(TypeError):
+            type(a)(*values[:-1])
+
+
+def test_laurent_matrices_compare_by_size_coefficients_and_truncation():
+    def e12(n=2, deg=-1, trunc=None):
+        # z^deg E_12 in gl_n
+        re = [[int((a, b) == (0, 1)) for b in range(n)] for a in range(n)]
+        return LaurentMatrix(n, {deg: (re, [[0] * n for _ in range(n)], 1)}, trunc)
+
+    m = e12()
+    assert m == e12() and not (m != e12())
+    for other in (e12(n=3), e12(deg=0), e12(trunc=3)):
+        assert m != other and other != m
+    assert LaurentMatrix.__eq__(m, object()) is NotImplemented
+    with pytest.raises(TypeError, match="^LaurentMatrix is unhashable$"):
+        hash(m)
