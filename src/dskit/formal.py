@@ -33,16 +33,18 @@ def regsing_normalize(m: LaurentMatrix, order: int) -> LaurentMatrix:
     Coefficient k solves the Sylvester equation
     (B_0 + kI) g_k - g_k B_0 = sum_{i<k} g_i B_{k-i}, whose left side is
     singular exactly when two eigenvalues of B_0 differ by k.  B_0 is scaled
-    to Gaussian integers once, with its characteristic polynomial
-    (Faddeev-LeVerrier), and each order is one `linalg.sylvester_solve`: an
-    n x n system by Cayley-Hamilton (Jameson 1968), and only at a singular
-    shift the n^2 x n^2 Kronecker system.  Resonance is not tested as such:
-    ResonantError is raised only at a step whose equation is inconsistent.
-    At a singular but consistent step the free coordinates of g_k are set
-    to zero, so a resonant residue can still get a gauge (a constant
-    M = diag(0, 1) gets the identity).  The B_k are stacked over their one
-    least common denominator, each g_k is held over Z[i] with its least
-    denominator, and the gauge keeps the g_k as they are.
+    to Gaussian integers once, with its characteristic polynomial, and each
+    order is one `linalg.sylvester_solve`.  An upper-triangular B_0 (every
+    1 x 1 one, every Jordan form) is solved by back substitution; any other
+    gets the Faddeev-LeVerrier matrices once, and each order is an n x n
+    system by Cayley-Hamilton (Jameson 1968).  Only at a singular shift is
+    the n^2 x n^2 Kronecker system eliminated.  Resonance is not tested as
+    such: ResonantError is raised only at a step whose equation is
+    inconsistent.  At a singular but consistent step the free coordinates of
+    g_k are set to zero, so a resonant residue can still get a gauge (a
+    constant M = diag(0, 1) gets the identity).  The B_k are stacked over
+    their one least common denominator, each g_k is held over Z[i] with its
+    least denominator, and the gauge keeps the g_k as they are.
     """
     if order < 1:
         raise InputError(f"need order >= 1, got {order}")
@@ -62,7 +64,7 @@ def regsing_normalize(m: LaurentMatrix, order: int) -> LaurentMatrix:
     hden = lcm(*(d for _, _, d in b[1:]))
     hr = [[x * (hden // d) for x in row] for re, _, d in reversed(b[1:]) for row in re]
     hi = [[x * (hden // d) for x in row] for _, im, d in reversed(b[1:]) for row in im]
-    # B_0 over Z[i] with its characteristic polynomial, built only when some order needs it
+    # B_0 over Z[i] readied for every shift, built only when some order needs it
     ad = linalg.sylvester_operator(b[0]) if order > 1 else None
     g = [([[int(i == j) for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)], 1)]
     for k in range(1, order):

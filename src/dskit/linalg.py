@@ -8,22 +8,22 @@ these triples; products (`gaussian_mul`) and fraction-free elimination make
 no `Fraction`: the parser and the callers build the triples.  Each kernel
 reads whether its input is real, with all imaginary parts zero, and then
 does integer arithmetic alone: a real product is one integer product, and
-real elimination is the Bareiss step over Z.  A right-hand side is scaled apart from the matrix, so its
-denominators never enter the operator.  The shifted Sylvester equation
-(b + k) x - x b = rhs is readied once for all shifts k
-(`sylvester_operator`): b = b' / den over Z[i], with the characteristic
-polynomial p of b' by Faddeev-LeVerrier.  Each shift is then the n x n
-system p(b' + k den) y = R by Cayley-Hamilton (Jameson, SIAM J. Appl.
-Math. 16, 1968).  Only when that matrix is singular, that is when two
-eigenvalues of b differ by k, is the n^2 x n^2 Kronecker system
-eliminated instead.  No pivoting heuristics are needed because the
-arithmetic is exact.
+real elimination is the Bareiss step over Z.  A right-hand side is scaled
+apart from the matrix, so its denominators never enter the operator.  The
+shifted Sylvester equation (b + k) x - x b = rhs is readied once for all
+shifts k (`sylvester_operator`): b = b' / den over Z[i], with the
+characteristic polynomial p of b'.  An upper-triangular b' is then solved
+by back substitution (Bartels and Stewart, Comm. ACM 15, 1972), any other
+as the n x n system p(b' + k den) y = R by Cayley-Hamilton (Jameson, SIAM
+J. Appl. Math. 16, 1968).  Only when two eigenvalues of b differ by k is
+the n^2 x n^2 Kronecker system eliminated instead.  No pivoting heuristics
+are needed because the arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, chain, repeat
-from math import gcd
+from math import gcd, prod
 from operator import getitem, mul
 
 from .core import dual_partition
@@ -141,8 +141,9 @@ def is_nilpotent(g: Gaussian) -> bool:
 
 # x -> b x - x b readied once for every shift by `sylvester_operator`:
 # b = (b', den), the coefficients p_0..p_n of the characteristic
-# polynomial of b' as (re, im) pairs, and H_0..H_{n-1} over scale 1
-Sylvester = tuple[Gaussian, list[tuple[int, int]], list[Gaussian]]
+# polynomial of b' as (re, im) pairs, and H_0..H_{n-1} over scale 1, or
+# None when b' is upper triangular
+Sylvester = tuple[Gaussian, list[tuple[int, int]], list[Gaussian] | None]
 
 
 def sylvester_operator(g: Gaussian) -> Sylvester:
@@ -151,12 +152,21 @@ def sylvester_operator(g: Gaussian) -> Sylvester:
     p = sum_j p_j t^j of b', and H_m = sum_{j>m} p_j b'^{j-1-m} for
     m = 0..n-1.
 
-    Both come from Faddeev-LeVerrier: H_{n-1} = I, p_m = -tr(b' H_m) /
-    (n - m) and H_{m-1} = b' H_m + p_m I, where the division is exact in
-    Z[i] because b' has Gaussian-integer entries.
+    An upper-triangular b', with no nonzero entry below its diagonal in
+    either part, gets None for the H_m and p = prod_i (t - b'_ii).
+    Otherwise both come from Faddeev-LeVerrier: H_{n-1} = I, p_m =
+    -tr(b' H_m) / (n - m) and H_{m-1} = b' H_m + p_m I, where the division
+    is exact in Z[i] because b' has Gaussian-integer entries.
     """
     br, bi, _ = g
     n = len(br)
+    if not any(x for part in (br, bi) for i, row in enumerate(part) for x in row[:i]):
+        p = [(1, 0)]
+        for dr, di in zip(map(getitem, br, range(n)), map(getitem, bi, range(n))):
+            # p_m <- p_{m-1} - d p_m, the coefficients of p(t) (t - d)
+            p = [(u - dr * x + di * y, v - dr * y - di * x)
+                 for (u, v), (x, y) in zip([(0, 0)] + p, p + [(0, 0)])]
+        return g, p, None
     h = [([[int(i == j) for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)], 1)]
     p = [(1, 0)]
     for k in range(1, n + 1):
@@ -176,14 +186,14 @@ def sylvester_operator(g: Gaussian) -> Sylvester:
 
 def _over_pivot(ur: list[int], ui: list[int], pr: int, pi: int, big: int, n: int) -> Gaussian:
     """The n x n matrix read by rows from (ur + i ui) / ((pr + i pi) big), in
-    lowest terms: the numerator times the pivot's conjugate, over its norm
-    times big."""
-    d = (pr * pr + pi * pi) * big
-    xr = [u * pr + v * pi for u, v in zip(ur, ui)]
-    xi = [v * pr - u * pi for u, v in zip(ur, ui)]
-    g = gcd(d, *xr, *xi)
-    return ([[x // g for x in xr[i : i + n]] for i in range(0, n * n, n)],
-            [[x // g for x in xi[i : i + n]] for i in range(0, n * n, n)], d // g)
+    lowest terms: unless the pivot is a positive integer, the numerator
+    times the pivot's conjugate, over its norm times big."""
+    if pi or pr < 0:
+        ur, ui, pr = ([u * pr + v * pi for u, v in zip(ur, ui)],
+                      [v * pr - u * pi for u, v in zip(ur, ui)], pr * pr + pi * pi)
+    g = gcd(pr * big, *ur, *ui)
+    return ([[x // g for x in ur[i : i + n]] for i in range(0, n * n, n)],
+            [[x // g for x in ui[i : i + n]] for i in range(0, n * n, n)], pr * big // g)
 
 
 def sylvester_solve(op: Sylvester, k: int, rhs: Gaussian) -> Gaussian | None:
@@ -192,37 +202,98 @@ def sylvester_solve(op: Sylvester, k: int, rhs: Gaussian) -> Gaussian | None:
     system is inconsistent.
 
     With b = b' / den, rhs = r / big, s = k den, a = b' + s and c = den r,
-    y = big x solves a y - y b' = c over Z[i], reduced to an n x n system
+    y = big x solves a y - y b' = c over Z[i].  An upper-triangular b'
+    (every 1 x 1 one among them) is solved entry by entry by
+    `_back_substitute`.  Any other b' is reduced to an n x n system
     (Jameson, SIAM J. Appl. Math. 16, 1968): a^j y - y b'^j =
     sum_{i<j} a^{j-1-i} c b'^i, so p(b') = 0 (Cayley-Hamilton) gives
     p(a) y = sum_m a^m c H_m, and p(a) = p(a) - p(b') = s sum_m a^m H_m.
     One Horner recursion in a takes both sums, and `_gauss_jordan`
-    eliminates [p(a) | sum_m a^m c H_m], which at n = 1 is [s | c] and
-    already reduced.  p(a) is singular exactly when two eigenvalues of b
-    differ by k; only then is the n^2 x n^2 system of `_kronecker`
-    eliminated instead.  A nonsingular system has one solution, so the two
-    routes agree.
+    eliminates [p(a) | sum_m a^m c H_m].  On both routes the system is
+    singular exactly when two eigenvalues of b differ by k; only then is
+    the n^2 x n^2 system of `_kronecker` eliminated instead.  A nonsingular
+    system has one solution, so the routes agree.
     """
-    (br, bi, den), _, h = op
+    g, _, h = op
+    if h is None:
+        return _back_substitute(g, k, rhs)
+    br, bi, den = g
     n = len(br)
     s = k * den
     # [L | R] <- (b' + s) [L | R] + [s H_m | c H_m] from [s I | c], for m = n - 2 down to 0
     re = [[s * (i == j) for j in range(n)] + [y * den for y in row] for i, row in enumerate(rhs[0])]
     im = [[0] * n + [y * den for y in row] for row in rhs[1]]
-    if n > 1:
-        c = ([row[n:] for row in re], [row[n:] for row in im], 1)
-        for hr, hi, _ in reversed(h[:-1]):
-            xr, xi, _ = gaussian_mul((br, bi, 1), (re, im, 1))
-            yr, yi, _ = gaussian_mul(c, (hr, hi, 1))
-            re = [[u + s * w + v for u, w, v in zip(x, row, [s * z for z in hrow] + y)]
-                  for x, row, hrow, y in zip(xr, re, hr, yr)]
-            im = [[u + s * w + v for u, w, v in zip(x, row, [s * z for z in hrow] + y)]
-                  for x, row, hrow, y in zip(xi, im, hi, yi)]
-    pivots = _gauss_jordan(re, im) if n > 1 else [0] if s else []
-    if pivots == list(range(n)):
+    c = ([row[n:] for row in re], [row[n:] for row in im], 1)
+    for hr, hi, _ in reversed(h[:-1]):
+        xr, xi, _ = gaussian_mul((br, bi, 1), (re, im, 1))
+        yr, yi, _ = gaussian_mul(c, (hr, hi, 1))
+        re = [[u + s * w + v for u, w, v in zip(x, row, [s * z for z in hrow] + y)]
+              for x, row, hrow, y in zip(xr, re, hr, yr)]
+        im = [[u + s * w + v for u, w, v in zip(x, row, [s * z for z in hrow] + y)]
+              for x, row, hrow, y in zip(xi, im, hi, yi)]
+    if _gauss_jordan(re, im) == list(range(n)):
         return _over_pivot([x for row in re for x in row[n:]], [x for row in im for x in row[n:]],
                            re[0][0], im[0][0], rhs[2], n)
-    return _kronecker_solve(op[0], k, rhs)
+    return _kronecker_solve(g, k, rhs)
+
+
+def _back_substitute(g: Gaussian, k: int, rhs: Gaussian) -> Gaussian | None:
+    """`sylvester_solve` for an upper-triangular g = (b', den), in its
+    notation, by back substitution (Bartels and Stewart, Comm. ACM 15, 1972).
+
+    Entry (i, j) of a y - y b' = c reads delta_ij y_ij = c_ij -
+    sum_{l>i} b'_il y_lj + sum_{l<j} y_il b'_lj, delta_ij = b'_ii - b'_jj + s:
+    by rows i = n..1, and in a row by columns j = 1..n, each unknown needs
+    only those before it.  So in that order y -> a y - y b' is triangular,
+    with determinant D = prod_ij delta_ij.  As delta_ij = den (b_ii - b_jj
+    + k), some delta_ij is 0 exactly when two eigenvalues of b differ by k,
+    which is when p(a), triangular with diagonal p(b'_ii + s) =
+    prod_j delta_ij, is singular; the Kronecker system then decides, as on
+    Jameson's route.  Otherwise D y has entries in Z[i] by Cramer's rule,
+    so each step, run on D y, is one exact division by delta_ij, and x is
+    D y / (D big).  Real b' and rhs take integer divisions alone, on |D| y.
+    """
+    (br, bi, den), (cr, ci, big) = g, rhs
+    n = len(br)
+    s = k * den
+    dr = [row[i] for i, row in enumerate(br)]
+    er = [[x - y + s for y in dr] for x in dr]
+    # b' by columns, and D y by rows: row i of it is zr[i n : i n + n], and
+    # its column j below row i is zr[(i + 1) n + j :: n]
+    bcr = list(zip(*br))
+    zr, zi = [0] * (n * n), [0] * (n * n)
+    if not any(map(any, bi)) and not any(map(any, ci)):
+        if not all(map(all, er)):
+            return _kronecker_solve(g, k, rhs)
+        d = abs(prod(map(prod, er)))
+        for i in range(n - 1, -1, -1):
+            row, crow, erow = br[i][i + 1 :], cr[i], er[i]
+            for j in range(n):
+                zr[i * n + j] = (d * den * crow[j] - sum(map(mul, row, zr[(i + 1) * n + j :: n]))
+                                 + sum(map(mul, zr[i * n : i * n + j], bcr[j]))) // erow[j]
+        return _over_pivot(zr, zi, d, 0, big, n)
+    di = [row[i] for i, row in enumerate(bi)]
+    ei = [[x - y for y in di] for x in di]
+    if not all(map(any, zip(chain(*er), chain(*ei)))):
+        return _kronecker_solve(g, k, rhs)
+    bci = list(zip(*bi))
+    pr, pi = 1, 0
+    for x, y in zip(chain(*er), chain(*ei)):
+        pr, pi = pr * x - pi * y, pr * y + pi * x
+    tr, ti = pr * den, pi * den
+    for i in range(n - 1, -1, -1):
+        ar, ai = br[i][i + 1 :], bi[i][i + 1 :]
+        for j in range(n):
+            yr, yi = zr[(i + 1) * n + j :: n], zi[(i + 1) * n + j :: n]
+            wr, wi, vr, vi = zr[i * n : i * n + j], zi[i * n : i * n + j], bcr[j], bci[j]
+            ur = (tr * cr[i][j] - ti * ci[i][j] - sum(map(mul, ar, yr)) + sum(map(mul, ai, yi))
+                  + sum(map(mul, wr, vr)) - sum(map(mul, wi, vi)))
+            ui = (tr * ci[i][j] + ti * cr[i][j] - sum(map(mul, ar, yi)) - sum(map(mul, ai, yr))
+                  + sum(map(mul, wr, vi)) + sum(map(mul, wi, vr)))
+            x, y = er[i][j], ei[i][j]
+            zr[i * n + j] = (ur * x + ui * y) // (x * x + y * y)
+            zi[i * n + j] = (ui * x - ur * y) // (x * x + y * y)
+    return _over_pivot(zr, zi, pr, pi, big, n)
 
 
 def _kronecker(g: Gaussian) -> Gaussian:

@@ -242,11 +242,20 @@ def test_h1_dimension_guards():
 
 
 def test_an_orbit_with_more_than_r_blocks_is_refused_by_name():
-    # the nilpotent orbit (1, 1, 1) has three Jordan blocks at the eigenvalue
-    # 0, past r = 2, and both deciders refuse it with the count
-    for decide in (h1_dimension, is_rigid_coxeter_gl):
-        with pytest.raises(InputError, match=r"^orbit has 3 Jordan blocks, outside the <= 2 filter$"):
-            decide(3, 2, _nilp(3, (1, 1, 1)))
+    # every nilpotent orbit at n = 1..7 and every r >= 1 below its number of
+    # Jordan blocks, (1, 1, 1) past r = 2 among them: both deciders refuse it
+    # with the count, whether or not gcd(r, n) = 1 and whatever the minimal
+    # orbit with <= r blocks is
+    refused = 0
+    for n in range(1, 8):
+        for part in partitions_of(n):
+            for r in range(1, len(part)):
+                message = rf"^orbit has {len(part)} Jordan blocks, outside the <= {r} filter$"
+                for decide in (h1_dimension, is_rigid_coxeter_gl):
+                    with pytest.raises(InputError, match=message):
+                        decide(n, r, _nilp(n, part))
+                    refused += 1
+    assert refused == 2 * 87, refused  # 87 pairs (orbit, r)
 
 
 # ---------------------------------------------------------------------------

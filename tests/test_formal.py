@@ -560,10 +560,9 @@ def _integer_connection(rng):
     return LaurentMatrix(n, coeffs)
 
 
-def _conjugate(rng, m):
-    """P M P^-1 for P a product of elementary integer matrices, so
-    unimodular over Z, and the gauge transform of M by the constant P."""
-    n = m.n
+def _unimodular(rng, n):
+    """A product P of elementary integer matrices, so unimodular over Z, and
+    its inverse."""
     p = [[int(a == b) for b in range(n)] for a in range(n)]
     inv = [row[:] for row in p]
     for _ in range(rng.randint(1, 2 * n)):
@@ -574,13 +573,25 @@ def _conjugate(rng, m):
         for row in p:
             row[b] += c * row[a]
         inv[a] = [x - c * y for x, y in zip(inv[a], inv[b])]
+    assert _int_mul(p, inv) == [[int(a == b) for b in range(n)] for a in range(n)]
+    return p, inv
 
-    def mul(x, y):
-        return [[sum(u * v for u, v in zip(row, col)) for col in zip(*y)] for row in x]
 
-    assert mul(p, inv) == [[int(a == b) for b in range(n)] for a in range(n)]
-    return LaurentMatrix(n, {k: (mul(mul(p, re), inv), mul(mul(p, im), inv), den)
-                             for k, (re, im, den) in m.coeffs.items()})
+def _int_mul(x, y):
+    return [[sum(u * v for u, v in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+def _conjugate_by(p, inv, m):
+    """P M P^-1, coefficient by coefficient, with M's truncation."""
+    return LaurentMatrix(m.n, {k: (_int_mul(_int_mul(p, re), inv),
+                                   _int_mul(_int_mul(p, im), inv), den)
+                               for k, (re, im, den) in m.coeffs.items()}, m.trunc)
+
+
+def _conjugate(rng, m):
+    """P M P^-1 for P from `_unimodular`, the gauge transform of M by the
+    constant P."""
+    return _conjugate_by(*_unimodular(rng, m.n), m)
 
 
 def _shear(rng, m):
@@ -852,6 +863,28 @@ def test_regsing_normalize_matches_the_echelon_solve_oracle(monkeypatch):
     assert 2 <= raised <= len(inputs) - 13, got
     raised = sum(isinstance(g, str) for g in got[len(inputs) :])
     assert 10 <= raised <= len(extra) - 60, raised
+
+
+def test_the_gauge_of_a_conjugate_is_the_conjugate_gauge():
+    # seed 2306, 200 non-resonant M from _random_regsing ("generic" or
+    # "nonreal", n = 2..5, order 4..6) and unimodular integer P: the gauge
+    # transform by the constant P takes M's gauge g to P g P^-1, which is
+    # then the gauge of P M P^-1, coefficient by coefficient, because a
+    # non-resonant gauge is unique.  M's residue is upper triangular, so g
+    # comes from back substitution; P B_0 P^-1 is not triangular in 162 of
+    # the draws, and there its gauge comes from Jameson's route
+    rng = random.Random(2306)
+    jameson = 0
+    for _ in range(200):
+        n, order = rng.randint(2, 5), rng.randint(4, 6)
+        m = _random_regsing(rng, n, order, rng.choice(["generic", "nonreal"]))
+        p, inv = _unimodular(rng, n)
+        conj = _conjugate_by(p, inv, m)
+        assert linalg.sylvester_operator(m.coeff(0))[2] is None
+        jameson += linalg.sylvester_operator(conj.coeff(0))[2] is not None
+        g = regsing_normalize(m, order)
+        assert regsing_normalize(conj, order) == _conjugate_by(p, inv, g), (m, p)
+    assert jameson >= 150, jameson
 
 
 def test_regsing_normalize_makes_no_scalar_products(monkeypatch):

@@ -633,3 +633,66 @@ def test_real_sylvester_solve_matches_the_gaussian_route():
             kinds["singular_consistent" if k in {p - q for p in gaps for q in gaps}
                   else "regular"] += 1
     assert min(kinds.values()) >= 10, kinds
+
+
+def _triangular_residue(rng, n, real):
+    """An upper-triangular n x n matrix with diagonal lam + d_i, the d_i drawn
+    from 0..5 with repeats, and the d_i.  lam is a rational with denominator
+    1, 2 or 7; unless real it is non-real half the time, and the entries
+    above the diagonal are Gaussian rationals, not rationals."""
+    lam = Scalar(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 7])),
+                 0 if real else rng.choice([0, Fraction(1, 3)]))
+    gaps = [rng.randint(0, 5) for _ in range(n)]
+    entry = _real_entry if real else _gaussian_entry
+    return [[lam + gaps[i] if i == j else entry(rng) if j > i else Scalar(0)
+             for j in range(n)] for i in range(n)], gaps
+
+
+def test_back_substitution_matches_the_kronecker_and_echelon_routes(monkeypatch):
+    # seed 2305, 50 upper-triangular draws, ten at each n = 1..4, then five,
+    # three and two at n = 5, 6 and 7, about half of them real with a real
+    # rhs, each at shifts 0..8 with two right-hand sides of denominators
+    # 7^1..7^4, times 11 or 13 at times: the image of a drawn x and a drawn
+    # matrix.  A shift is singular exactly when it is a difference of two
+    # gaps, and only then is the Kronecker system entered; every other solve
+    # is checked against `_kronecker_solve`, and every solve up to n = 4
+    # against the Scalar echelon oracle.  Counts at this seed: regular 612,
+    # singular consistent 146, singular inconsistent 142, non-real 367 and
+    # real 533 (the integer route) of the 900 solves.
+    rng = random.Random(2305)
+    fallback = []
+    kronecker_solve = linalg._kronecker_solve
+
+    def spy(g, k, rhs):
+        fallback.append(k)
+        return kronecker_solve(g, k, rhs)
+
+    monkeypatch.setattr(linalg, "_kronecker_solve", spy)
+    kinds = {"regular": 0, "singular_consistent": 0, "singular_inconsistent": 0,
+             "nonreal": 0, "real": 0}
+    for n in [n for n, draws in enumerate([10, 10, 10, 10, 5, 3, 2], 1) for _ in range(draws)]:
+        real = rng.random() < 0.5
+        b, gaps = _triangular_residue(rng, n, real)
+        g = gaussian(b)
+        op = linalg.sylvester_operator(g)
+        assert op[0] == g and op[2] is None, b
+        assert op[1] == sympy_charpoly(from_gaussian((g[0], g[1], 1))), b
+        entry = (lambda: Scalar(_sevens_entry(rng).re)) if real else (lambda: _sevens_entry(rng))
+        for k in range(9):
+            x = [[entry() for _ in range(n)] for _ in range(n)]
+            shifted = mat_add(b, mat_scale(k, identity(n)))
+            singular = k in {p - q for p in gaps for q in gaps}
+            for rhs in (mat_sub(mat_mul(shifted, x), mat_mul(x, b)),
+                        [[entry() for _ in range(n)] for _ in range(n)]):
+                fallback.clear()
+                got = linalg.sylvester_solve(op, k, gaussian(rhs))
+                assert fallback == ([k] if singular else []), (b, k)
+                if not singular:
+                    assert got == kronecker_solve(g, k, gaussian(rhs)), (b, k, rhs)
+                if n <= 4:
+                    want = echelon_sylvester_solve(b, k, rhs)
+                    assert got == (None if want is None else gaussian(want)), (b, k, rhs)
+                kinds["nonreal" if any(y.im for row in b + rhs for y in row) else "real"] += 1
+                kinds["regular" if not singular else "singular_inconsistent" if got is None
+                      else "singular_consistent"] += 1
+    assert min(kinds.values()) >= 100, kinds
