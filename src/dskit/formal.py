@@ -42,9 +42,17 @@ def regsing_normalize(m: LaurentMatrix, order: int) -> LaurentMatrix:
     such: ResonantError is raised only at a step whose equation is
     inconsistent.  At a singular but consistent step the free coordinates of
     g_k are set to zero, so a resonant residue can still get a gauge (a
-    constant M = diag(0, 1) gets the identity).  The B_k are stacked over
-    their one least common denominator, each g_k is held over Z[i] with its
-    least denominator, and the gauge keeps the g_k as they are.
+    constant M = diag(0, 1) gets the identity).
+
+    Once per request, B_0 is readied, the B_k are read from m without a
+    copy and stacked by columns over their one least common denominator,
+    and M is tested for realness: a real M carries no imaginary parts
+    through the shifts.  Once per shift, g_{k-1} joins the row block
+    [g_{k-1} ... g_0] (the earlier g_i are rescaled only when the common
+    denominator grows), the block times the stacked B_k is the right side,
+    and one `linalg.sylvester_solve` gives g_k in lowest terms over a
+    positive denominator.  So the gauge keeps the nonzero g_k as they are,
+    with no second reduction.
     """
     if order < 1:
         raise InputError(f"need order >= 1, got {order}")
@@ -59,28 +67,47 @@ def regsing_normalize(m: LaurentMatrix, order: int) -> LaurentMatrix:
             f"matrix is known only below z^{m.trunc}, need order {order}"
         )
     n = m.n
-    b = [m.coeff(k) for k in range(order)]
-    # [B_{order-1}; ...; B_1] over one denominator, so [B_k; ...; B_1] is a tail
+    zero = linalg.zero_gaussian(n)
+    b = [m.coeffs.get(k, zero) for k in range(order)]
+    real = not any(any(map(any, im)) for _, im, _ in b)
+    # [B_1; ...; B_{order-1}] by columns over one denominator: a row of
+    # [g_{k-1} ... g_0] reads the first k n entries of each, so their product
+    # is sum_{i<k} g_i B_{k-i}
     hden = lcm(*(d for _, _, d in b[1:]))
-    hr = [[x * (hden // d) for x in row] for re, _, d in reversed(b[1:]) for row in re]
-    hi = [[x * (hden // d) for x in row] for _, im, d in reversed(b[1:]) for row in im]
+    cr = list(zip(*[[x * (hden // d) for x in row] for re, _, d in b[1:] for row in re]))
+    ci = None if real else list(zip(*[[x * (hden // d) for x in row]
+                                      for _, im, d in b[1:] for row in im]))
     # B_0 over Z[i] readied for every shift, built only when some order needs it
     ad = linalg.sylvester_operator(b[0]) if order > 1 else None
-    g = [([[int(i == j) for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)], 1)]
+    gk: linalg.Gaussian | None = linalg.identity_gaussian(n)
+    gauge = {0: gk}
+    # [g_{k-1} ... g_0] over den, by rows; a real M has no imaginary parts
+    lr: linalg.Ints = [[] for _ in range(n)]
+    li = None if real else [[] for _ in range(n)]
+    den = 1
     for k in range(1, order):
-        # sum_{i<k} g_i B_{k-i} = [g_0 ... g_{k-1}] [B_k; ...; B_1], the g_i over one denominator
-        den = lcm(*(d for _, _, d in g))
-        lr = [[x * (den // d) for re, _, d in g for x in re[r]] for r in range(n)]
-        li = [[x * (den // d) for _, im, d in g for x in im[r]] for r in range(n)]
-        t = (order - 1 - k) * n
-        rhs = linalg.gaussian_mul((lr, li, den), (hr[t:], hi[t:], hden))
-        sol = linalg.sylvester_solve(ad, k, rhs)
-        if sol is None:
+        re, im, d = gk
+        e = lcm(den, d) // den
+        den *= e
+        lr = _prepend(re, den // d, lr, e)
+        if li is not None:
+            li = _prepend(im, den // d, li, e)
+        rhs_re, rhs_im = linalg.mul_columns(lr, li, cr, ci)
+        gk = linalg.sylvester_solve(ad, k, (rhs_re, rhs_im or zero[1], den * hden))
+        if gk is None:
             raise ResonantError(
                 f"resonant residue: two eigenvalues of B_0 differ by {k}"
             )
-        g.append(sol)
-    return LaurentMatrix(n, dict(enumerate(g)), trunc=order)
+        if any(map(any, gk[0])) or any(map(any, gk[1])):
+            gauge[k] = gk
+    return LaurentMatrix.from_reduced(n, gauge, order)
+
+
+def _prepend(block: linalg.Ints, f: int, rows: linalg.Ints, e: int) -> linalg.Ints:
+    """[f block | e rows], row by row."""
+    if e > 1:
+        rows = [[x * e for x in row] for row in rows]
+    return [[x * f for x in new] + old for new, old in zip(block, rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ integer is `type(x) is int` and a bool is refused.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 from typing import Any, NoReturn
@@ -29,7 +31,8 @@ except ImportError:
 
 SCHEMA = "ds-kit/1"
 # the text json.dumps(payload, sort_keys=True, separators=(",", ":")) gives
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# for the trees jsonio builds, which hold no cycle
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def _fail(path: str, msg: str) -> NoReturn:
@@ -296,7 +299,10 @@ def dumps(obj: Any) -> str:
     obj is built of dict with str keys, list, str, int, bool and None, exactly
     those types and not subclasses of them; any other type, a tuple or float
     among them, raises TypeError.  An int past the interpreter's digit limit
-    raises ValueError, as in json.
+    raises ValueError, as in json.  A rectangular array of ints, one whose
+    lists at each level all have one nonzero length and whose leaves all
+    have type int, is written by one `%` format, built once for its shape
+    and indentation (`_array_format`).
     """
     return _dumps(obj, "\n")
 
@@ -307,12 +313,18 @@ def _dumps(obj: Any, nl: str) -> str:
     if t is list:
         if not obj:
             return "[]"
+        # the shape of obj, down through the levels whose lists all have one
+        # nonzero length; flat holds the lists or leaves of the lowest one
+        shape, flat = [len(obj)], obj
+        while type(flat[0]) is list and set(map(type, flat)) == {list}:
+            if set(map(len, flat)) != {len(flat[0])} or not flat[0]:
+                break
+            shape.append(len(flat[0]))
+            flat = list(chain.from_iterable(flat))
+        if set(map(type, flat)) == {int}:
+            return _array_format(tuple(shape), nl) % tuple(flat)
         inner = nl + "  "
-        if set(map(type, obj)) == {int}:
-            items: Any = map(int.__repr__, obj)
-        else:
-            items = [_dumps(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+        return "[" + inner + ("," + inner).join([_dumps(x, inner) for x in obj]) + nl + "]"
     if t is str:
         return encode_basestring_ascii(obj)
     if t is dict:
@@ -334,6 +346,15 @@ def _dumps(obj: Any, nl: str) -> str:
     if t is int:
         return int.__repr__(obj)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+@lru_cache(maxsize=64)
+def _array_format(shape: tuple[int, ...], nl: str) -> str:
+    """The `%` format that writes a rectangular int array of this shape, its
+    entries in row-major order, as `_dumps` at the line break nl."""
+    inner = nl + "  "
+    item = _array_format(shape[1:], inner) if len(shape) > 1 else "%d"
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + nl + "]"
 
 
 def digest_of(payload: Any) -> str:

@@ -65,6 +65,17 @@ class LaurentMatrix(Record):
             kept[deg] = (re, im, den // g)
         super().__init__(n, kept, trunc)
 
+    @classmethod
+    def from_reduced(
+        cls, n: int, coeffs: dict[int, linalg.Gaussian], trunc: int | None
+    ) -> LaurentMatrix:
+        """The series with exactly the coefficients coeffs, unchecked: each
+        must be a nonzero n x n triple at a degree below trunc, in lowest
+        terms over a positive denominator, as `__init__` would keep it."""
+        m = cls.__new__(cls)
+        Record.__init__(m, n, coeffs, trunc)
+        return m
+
     # -- views ----------------------------------------------------------------
 
     def coeff(self, deg: int) -> linalg.Gaussian:

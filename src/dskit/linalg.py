@@ -18,6 +18,15 @@ as the n x n system p(b' + k den) y = R by Cayley-Hamilton (Jameson, SIAM
 J. Appl. Math. 16, 1968).  Only when two eigenvalues of b differ by k is
 the n^2 x n^2 Kronecker system eliminated instead.  No pivoting heuristics
 are needed because the arithmetic is exact.
+
+Work that does not depend on the shift is done once per request, when b
+is readied: p, the H_m of Jameson's route, and for a triangular b' its
+diagonal, its rows, its columns and whether it is real (`Triangle`).  Each
+shift finds only what depends on k or on the right-hand side: the diagonal
+differences b'_ii - b'_jj + k den, whether the right-hand side is real, and
+the solve.  A product whose right factor is reused, such as the stacked B_k
+of the gauge recursion, takes that factor transposed once, by columns
+(`mul_columns`).
 """
 
 from __future__ import annotations
@@ -30,6 +39,8 @@ from .core import dual_partition
 from .errors import InputError
 
 Ints = list[list[int]]
+# a matrix by columns
+Columns = list[tuple[int, ...]]
 # a matrix scaled to Z[i]: real parts, imaginary parts, and the scale
 Gaussian = tuple[Ints, Ints, int]
 
@@ -37,6 +48,11 @@ Gaussian = tuple[Ints, Ints, int]
 def zero_gaussian(n: int, den: int = 1) -> Gaussian:
     """The n x n zero matrix over den, with fresh rows to write into."""
     return [[0] * n for _ in range(n)], [[0] * n for _ in range(n)], den
+
+
+def identity_gaussian(n: int) -> Gaussian:
+    """The n x n identity over 1."""
+    return [[int(i == j) for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)], 1
 
 
 def _gauss_jordan(re: Ints, im: Ints) -> list[int]:
@@ -93,20 +109,30 @@ def _gauss_jordan(re: Ints, im: Ints) -> list[int]:
 
 def gaussian_mul(a: Gaussian, b: Gaussian) -> Gaussian:
     """The product of a = (ar + i ai) / ad and b = (br + i bi) / bd, over the
-    product of their scales.  When ai and bi are both zero it is one integer
-    product, with a zero imaginary part; otherwise four."""
+    product of their scales, by `mul_columns`."""
     (ar, ai, ad), (br, bi, bd) = a, b
-    br_t = list(zip(*br))
+    cr = list(zip(*br))
     if not any(map(any, ai)) and not any(map(any, bi)):
-        return ([[sum(map(mul, x, y)) for y in br_t] for x in ar],
-                [[0] * len(br_t) for _ in ar], ad * bd)
-    bi_t = list(zip(*bi))
+        return mul_columns(ar, None, cr, None)[0], [[0] * len(cr) for _ in ar], ad * bd
+    re, im = mul_columns(ar, ai, cr, list(zip(*bi)))
+    return re, im, ad * bd
+
+
+def mul_columns(
+    ar: Ints, ai: Ints | None, cr: Columns, ci: Columns | None
+) -> tuple[Ints, Ints | None]:
+    """The real and imaginary parts of (ar + i ai) (br + i bi), the right
+    factor given by its columns cr and ci.  Two real factors pass None for
+    both imaginary parts: the product is then one integer product, and its
+    imaginary part is None.  Otherwise it is four.  A row of a shorter than
+    the columns multiplies their leading entries alone."""
+    if ai is None and ci is None:
+        return [[sum(map(mul, x, y)) for y in cr] for x in ar], None
     return (
-        [[sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)) for yr, yi in zip(br_t, bi_t)]
+        [[sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)) for yr, yi in zip(cr, ci)]
          for xr, xi in zip(ar, ai)],
-        [[sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)) for yr, yi in zip(br_t, bi_t)]
+        [[sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)) for yr, yi in zip(cr, ci)]
          for xr, xi in zip(ar, ai)],
-        ad * bd,
     )
 
 
@@ -139,35 +165,44 @@ def is_nilpotent(g: Gaussian) -> bool:
     return not any(map(any, g[0])) and not any(map(any, g[1]))
 
 
+# an upper-triangular b' as `_back_substitute` reads it: whether it is real,
+# its diagonal, its rows right of the diagonal and its columns, each as real
+# and imaginary parts
+Triangle = tuple[bool, list[int], list[int], Ints, Ints, Columns, Columns]
 # x -> b x - x b readied once for every shift by `sylvester_operator`:
 # b = (b', den), the coefficients p_0..p_n of the characteristic
-# polynomial of b' as (re, im) pairs, and H_0..H_{n-1} over scale 1, or
-# None when b' is upper triangular
-Sylvester = tuple[Gaussian, list[tuple[int, int]], list[Gaussian] | None]
+# polynomial of b' as (re, im) pairs, H_0..H_{n-1} over scale 1 or None,
+# and the `Triangle` of b' or None: exactly one of the last two is None
+Sylvester = tuple[Gaussian, list[tuple[int, int]], list[Gaussian] | None, Triangle | None]
 
 
 def sylvester_operator(g: Gaussian) -> Sylvester:
     """x -> b x - x b readied for `sylvester_solve` at every shift, for
     g = (b', den) with b = b' / den: g itself, the characteristic polynomial
-    p = sum_j p_j t^j of b', and H_m = sum_{j>m} p_j b'^{j-1-m} for
-    m = 0..n-1.
+    p = sum_j p_j t^j of b', H_m = sum_{j>m} p_j b'^{j-1-m} for
+    m = 0..n-1, and b' as a `Triangle`.
 
     An upper-triangular b', with no nonzero entry below its diagonal in
-    either part, gets None for the H_m and p = prod_i (t - b'_ii).
-    Otherwise both come from Faddeev-LeVerrier: H_{n-1} = I, p_m =
-    -tr(b' H_m) / (n - m) and H_{m-1} = b' H_m + p_m I, where the division
-    is exact in Z[i] because b' has Gaussian-integer entries.
+    either part, gets None for the H_m and p = prod_i (t - b'_ii).  Its
+    diagonal, rows, columns and realness are read here once, not at every
+    shift.  Any other b' gets None for the `Triangle`, and p and the H_m
+    come from Faddeev-LeVerrier: H_{n-1} = I, p_m = -tr(b' H_m) / (n - m)
+    and H_{m-1} = b' H_m + p_m I, where the division is exact in Z[i]
+    because b' has Gaussian-integer entries.
     """
     br, bi, _ = g
     n = len(br)
     if not any(x for part in (br, bi) for i, row in enumerate(part) for x in row[:i]):
+        tri = (not any(map(any, bi)), list(map(getitem, br, range(n))),
+               list(map(getitem, bi, range(n))), [row[i + 1 :] for i, row in enumerate(br)],
+               [row[i + 1 :] for i, row in enumerate(bi)], list(zip(*br)), list(zip(*bi)))
         p = [(1, 0)]
-        for dr, di in zip(map(getitem, br, range(n)), map(getitem, bi, range(n))):
+        for dr, di in zip(tri[1], tri[2]):
             # p_m <- p_{m-1} - d p_m, the coefficients of p(t) (t - d)
             p = [(u - dr * x + di * y, v - dr * y - di * x)
                  for (u, v), (x, y) in zip([(0, 0)] + p, p + [(0, 0)])]
-        return g, p, None
-    h = [([[int(i == j) for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)], 1)]
+        return g, p, None, tri
+    h = [identity_gaussian(n)]
     p = [(1, 0)]
     for k in range(1, n + 1):
         # tr(b' H_m) = sum_il b'_il (H_m)_li; b' H_m itself is needed only for m > 0
@@ -181,7 +216,7 @@ def sylvester_operator(g: Gaussian) -> Sylvester:
                 re[i][i] += pr
                 im[i][i] += pi
             h.insert(0, (re, im, 1))
-    return g, p, h
+    return g, p, h, None
 
 
 def _over_pivot(ur: list[int], ui: list[int], pr: int, pi: int, big: int, n: int) -> Gaussian:
@@ -192,8 +227,12 @@ def _over_pivot(ur: list[int], ui: list[int], pr: int, pi: int, big: int, n: int
         ur, ui, pr = ([u * pr + v * pi for u, v in zip(ur, ui)],
                       [v * pr - u * pi for u, v in zip(ur, ui)], pr * pr + pi * pi)
     g = gcd(pr * big, *ur, *ui)
-    return ([[x // g for x in ur[i : i + n]] for i in range(0, n * n, n)],
-            [[x // g for x in ui[i : i + n]] for i in range(0, n * n, n)], pr * big // g)
+    if g > 1:
+        ur = [x // g for x in ur]
+        if any(ui):
+            ui = [x // g for x in ui]
+    return ([ur[i : i + n] for i in range(0, n * n, n)],
+            [ui[i : i + n] for i in range(0, n * n, n)], pr * big // g)
 
 
 def sylvester_solve(op: Sylvester, k: int, rhs: Gaussian) -> Gaussian | None:
@@ -214,9 +253,9 @@ def sylvester_solve(op: Sylvester, k: int, rhs: Gaussian) -> Gaussian | None:
     the n^2 x n^2 system of `_kronecker` eliminated instead.  A nonsingular
     system has one solution, so the routes agree.
     """
-    g, _, h = op
-    if h is None:
-        return _back_substitute(g, k, rhs)
+    g, _, h, tri = op
+    if tri is not None:
+        return _back_substitute(g, tri, k, rhs)
     br, bi, den = g
     n = len(br)
     s = k * den
@@ -237,9 +276,10 @@ def sylvester_solve(op: Sylvester, k: int, rhs: Gaussian) -> Gaussian | None:
     return _kronecker_solve(g, k, rhs)
 
 
-def _back_substitute(g: Gaussian, k: int, rhs: Gaussian) -> Gaussian | None:
-    """`sylvester_solve` for an upper-triangular g = (b', den), in its
-    notation, by back substitution (Bartels and Stewart, Comm. ACM 15, 1972).
+def _back_substitute(g: Gaussian, tri: Triangle, k: int, rhs: Gaussian) -> Gaussian | None:
+    """`sylvester_solve` for an upper-triangular g = (b', den), read as
+    tri, its `Triangle`, in the notation there, by back substitution
+    (Bartels and Stewart, Comm. ACM 15, 1972).
 
     Entry (i, j) of a y - y b' = c reads delta_ij y_ij = c_ij -
     sum_{l>i} b'_il y_lj + sum_{l<j} y_il b'_lj, delta_ij = b'_ii - b'_jj + s:
@@ -252,43 +292,42 @@ def _back_substitute(g: Gaussian, k: int, rhs: Gaussian) -> Gaussian | None:
     Jameson's route.  Otherwise D y has entries in Z[i] by Cramer's rule,
     so each step, run on D y, is one exact division by delta_ij, and x is
     D y / (D big).  Real b' and rhs take integer divisions alone, on |D| y.
+    Only the delta_ij, D and the realness of rhs are found at each shift.
     """
-    (br, bi, den), (cr, ci, big) = g, rhs
-    n = len(br)
+    real, dr, di, ar, ai, bcr, bci = tri
+    cr, ci, big = rhs
+    n, den = len(dr), g[2]
     s = k * den
-    dr = [row[i] for i, row in enumerate(br)]
     er = [[x - y + s for y in dr] for x in dr]
-    # b' by columns, and D y by rows: row i of it is zr[i n : i n + n], and
-    # its column j below row i is zr[(i + 1) n + j :: n]
-    bcr = list(zip(*br))
+    # D y by rows: row i of it is zr[i n : i n + n], and its column j below
+    # row i is zr[(i + 1) n + j :: n]
     zr, zi = [0] * (n * n), [0] * (n * n)
-    if not any(map(any, bi)) and not any(map(any, ci)):
+    if real and not any(map(any, ci)):
         if not all(map(all, er)):
             return _kronecker_solve(g, k, rhs)
         d = abs(prod(map(prod, er)))
+        t = d * den
         for i in range(n - 1, -1, -1):
-            row, crow, erow = br[i][i + 1 :], cr[i], er[i]
+            row, crow, erow = ar[i], cr[i], er[i]
             for j in range(n):
-                zr[i * n + j] = (d * den * crow[j] - sum(map(mul, row, zr[(i + 1) * n + j :: n]))
+                zr[i * n + j] = (t * crow[j] - sum(map(mul, row, zr[(i + 1) * n + j :: n]))
                                  + sum(map(mul, zr[i * n : i * n + j], bcr[j]))) // erow[j]
         return _over_pivot(zr, zi, d, 0, big, n)
-    di = [row[i] for i, row in enumerate(bi)]
     ei = [[x - y for y in di] for x in di]
     if not all(map(any, zip(chain(*er), chain(*ei)))):
         return _kronecker_solve(g, k, rhs)
-    bci = list(zip(*bi))
     pr, pi = 1, 0
     for x, y in zip(chain(*er), chain(*ei)):
         pr, pi = pr * x - pi * y, pr * y + pi * x
     tr, ti = pr * den, pi * den
     for i in range(n - 1, -1, -1):
-        ar, ai = br[i][i + 1 :], bi[i][i + 1 :]
+        rr, ri = ar[i], ai[i]
         for j in range(n):
             yr, yi = zr[(i + 1) * n + j :: n], zi[(i + 1) * n + j :: n]
             wr, wi, vr, vi = zr[i * n : i * n + j], zi[i * n : i * n + j], bcr[j], bci[j]
-            ur = (tr * cr[i][j] - ti * ci[i][j] - sum(map(mul, ar, yr)) + sum(map(mul, ai, yi))
+            ur = (tr * cr[i][j] - ti * ci[i][j] - sum(map(mul, rr, yr)) + sum(map(mul, ri, yi))
                   + sum(map(mul, wr, vr)) - sum(map(mul, wi, vi)))
-            ui = (tr * ci[i][j] + ti * cr[i][j] - sum(map(mul, ar, yi)) - sum(map(mul, ai, yr))
+            ui = (tr * ci[i][j] + ti * cr[i][j] - sum(map(mul, rr, yi)) - sum(map(mul, ri, yr))
                   + sum(map(mul, wr, vi)) + sum(map(mul, wi, vr)))
             x, y = er[i][j], ei[i][j]
             zr[i * n + j] = (ur * x + ui * y) // (x * x + y * y)

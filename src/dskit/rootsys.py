@@ -26,8 +26,9 @@ import heapq
 import itertools
 import math
 import operator
+from collections.abc import Mapping
 from enum import Enum
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InputError
 from .frozen import Frozen

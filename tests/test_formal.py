@@ -865,6 +865,43 @@ def test_regsing_normalize_matches_the_echelon_solve_oracle(monkeypatch):
     assert 10 <= raised <= len(extra) - 60, raised
 
 
+def test_regsing_normalize_returns_its_gauge_in_lowest_terms():
+    # seed 2404: 30 draws of each `_random_regsing` kind at n = 1..4 and
+    # orders 1..8, 20 constant M (a residue alone) and 20 M with B_k
+    # dropped at one to three k < order.  `regsing_normalize` returns the
+    # g_k as the solve left them, so the gauge must be what `LaurentMatrix`
+    # keeps of the same coefficients: each over a positive least
+    # denominator, and no zero one.  Counts at this seed: 6 resonant errors,
+    # 45 gauges with a zero g_k dropped, 37 of them the identity alone
+    rng = random.Random(2404)
+    kinds = ["generic", "nonreal", "resonant", "diagonal"]
+    draws = [(_random_regsing(rng, rng.randint(1, 4), rng.randint(1, 8), kind), rng.randint(1, 8))
+             for kind in kinds for _ in range(30)]
+    for _ in range(20):
+        order = rng.randint(1, 8)
+        draws.append((_random_regsing(rng, rng.randint(1, 4), 1, rng.choice(kinds)), order))
+    for _ in range(20):
+        order = rng.randint(4, 8)
+        m = _random_regsing(rng, rng.randint(1, 4), order, rng.choice(kinds[:2]))
+        dropped = rng.sample(range(1, order), rng.randint(1, 3))
+        draws.append((LaurentMatrix(m.n, {k: c for k, c in m.coeffs.items() if k not in dropped},
+                                    m.trunc), order))
+    counts = Counter()
+    for m, order in draws:
+        try:
+            gauge = regsing_normalize(m, order)
+        except ResonantError:
+            counts["resonant"] += 1
+            continue
+        assert gauge == LaurentMatrix(m.n, gauge.coeffs, order), (m, order)
+        assert gauge.trunc == order and 0 in gauge.coeffs, (m, order)
+        for re, im, den in gauge.coeffs.values():
+            assert den > 0 and (any(map(any, re)) or any(map(any, im))), (m, order)
+        counts["dropped"] += len(gauge.coeffs) < order
+        counts["identity"] += len(gauge.coeffs) == 1 < order
+    assert counts["resonant"] >= 3 and counts["dropped"] >= 40 and counts["identity"] >= 30, counts
+
+
 def test_the_gauge_of_a_conjugate_is_the_conjugate_gauge():
     # seed 2306, 200 non-resonant M from _random_regsing ("generic" or
     # "nonreal", n = 2..5, order 4..6) and unimodular integer P: the gauge
