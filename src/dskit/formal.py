@@ -33,8 +33,8 @@ def regsing_normalize(m: LaurentMatrix, order: int) -> LaurentMatrix:
     Coefficient k solves the Sylvester equation
     (B_0 + kI) g_k - g_k B_0 = sum_{i<k} g_i B_{k-i}, whose left side is
     singular exactly when two eigenvalues of B_0 differ by k.  B_0 is scaled
-    to Gaussian integers once, with its characteristic polynomial, and each
-    order is one `linalg.sylvester_solve`.  An upper-triangular B_0 (every
+    to Gaussian integers and readied once, and each order is one
+    `linalg.sylvester_solve`.  An upper-triangular B_0 (every
     1 x 1 one, every Jordan form) is solved by back substitution; any other
     gets the Faddeev-LeVerrier matrices once, and each order is an n x n
     system by Cayley-Hamilton (Jameson 1968).  Only at a singular shift is
@@ -44,15 +44,17 @@ def regsing_normalize(m: LaurentMatrix, order: int) -> LaurentMatrix:
     g_k are set to zero, so a resonant residue can still get a gauge (a
     constant M = diag(0, 1) gets the identity).
 
-    Once per request, B_0 is readied, the B_k are read from m without a
-    copy and stacked by columns over their one least common denominator,
-    and M is tested for realness: a real M carries no imaginary parts
-    through the shifts.  Once per shift, g_{k-1} joins the row block
-    [g_{k-1} ... g_0] (the earlier g_i are rescaled only when the common
-    denominator grows), the block times the stacked B_k is the right side,
-    and one `linalg.sylvester_solve` gives g_k in lowest terms over a
-    positive denominator.  So the gauge keeps the nonzero g_k as they are,
-    with no second reduction.
+    Once per request, B_0 is readied, B_1..B_D, D >= 1 the top degree of M
+    below the order, are read from m without a copy and stacked by columns
+    over their one least common denominator, and M is tested for realness:
+    a real M carries no imaginary parts through the shifts.  Once per
+    shift, g_{k-1} joins the row block [g_{k-1} ... g_{k-D}] (rescaled only
+    when the common denominator grows; past k = D, g_{k-1-D} leaves it),
+    the block times the stack is the right side, and one
+    `linalg.sylvester_solve` gives g_k in lowest terms over a positive
+    denominator.  So the gauge keeps the nonzero g_k as they are, with no
+    second reduction, and a request costs O(order D n^3) time and O(D n^2)
+    working memory besides the gauge.
     """
     if order < 1:
         raise InputError(f"need order >= 1, got {order}")
@@ -68,11 +70,13 @@ def regsing_normalize(m: LaurentMatrix, order: int) -> LaurentMatrix:
         )
     n = m.n
     zero = linalg.zero_gaussian(n)
-    b = [m.coeffs.get(k, zero) for k in range(order)]
+    # D >= 1, the top degree of M below the order
+    top = max([k for k in m.coeffs if k < order] + [1])
+    b = [m.coeffs.get(k, zero) for k in range(top + 1)]
     real = not any(any(map(any, im)) for _, im, _ in b)
-    # [B_1; ...; B_{order-1}] by columns over one denominator: a row of
-    # [g_{k-1} ... g_0] reads the first k n entries of each, so their product
-    # is sum_{i<k} g_i B_{k-i}
+    # [B_1; ...; B_D] by columns over one denominator: a row of the block
+    # [g_{k-1} ... g_{max(0, k-D)}] reads the first n min(k, D) entries of
+    # each, so their product is sum_{j <= min(k, D)} g_{k-j} B_j
     hden = lcm(*(d for _, _, d in b[1:]))
     cr = list(zip(*[[x * (hden // d) for x in row] for re, _, d in b[1:] for row in re]))
     ci = None if real else list(zip(*[[x * (hden // d) for x in row]
@@ -81,7 +85,7 @@ def regsing_normalize(m: LaurentMatrix, order: int) -> LaurentMatrix:
     ad = linalg.sylvester_operator(b[0]) if order > 1 else None
     gk: linalg.Gaussian | None = linalg.identity_gaussian(n)
     gauge = {0: gk}
-    # [g_{k-1} ... g_0] over den, by rows; a real M has no imaginary parts
+    # [g_{k-1} ... g_{max(0, k-D)}] over den, by rows; a real M has no imaginary parts
     lr: linalg.Ints = [[] for _ in range(n)]
     li = None if real else [[] for _ in range(n)]
     den = 1
@@ -92,6 +96,9 @@ def regsing_normalize(m: LaurentMatrix, order: int) -> LaurentMatrix:
         lr = _prepend(re, den // d, lr, e)
         if li is not None:
             li = _prepend(im, den // d, li, e)
+        if k > top:
+            for row in lr + (li or []):
+                del row[top * n :]
         rhs_re, rhs_im = linalg.mul_columns(lr, li, cr, ci)
         gk = linalg.sylvester_solve(ad, k, (rhs_re, rhs_im or zero[1], den * hden))
         if gk is None:

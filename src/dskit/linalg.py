@@ -11,16 +11,16 @@ does integer arithmetic alone: a real product is one integer product, and
 real elimination is the Bareiss step over Z.  A right-hand side is scaled
 apart from the matrix, so its denominators never enter the operator.  The
 shifted Sylvester equation (b + k) x - x b = rhs is readied once for all
-shifts k (`sylvester_operator`): b = b' / den over Z[i], with the
-characteristic polynomial p of b'.  An upper-triangular b' is then solved
-by back substitution (Bartels and Stewart, Comm. ACM 15, 1972), any other
-as the n x n system p(b' + k den) y = R by Cayley-Hamilton (Jameson, SIAM
-J. Appl. Math. 16, 1968).  Only when two eigenvalues of b differ by k is
-the n^2 x n^2 Kronecker system eliminated instead.  No pivoting heuristics
-are needed because the arithmetic is exact.
+shifts k (`sylvester_operator`): b = b' / den over Z[i].  An
+upper-triangular b' is then solved by back substitution (Bartels and
+Stewart, Comm. ACM 15, 1972), any other as the n x n system
+p(b' + k den) y = R by Cayley-Hamilton, p the characteristic polynomial of
+b' (Jameson, SIAM J. Appl. Math. 16, 1968).  Only when two eigenvalues of
+b differ by k is the n^2 x n^2 Kronecker system eliminated instead.  No
+pivoting heuristics are needed because the arithmetic is exact.
 
 Work that does not depend on the shift is done once per request, when b
-is readied: p, the H_m of Jameson's route, and for a triangular b' its
+is readied: the H_m of Jameson's route, and for a triangular b' its
 diagonal, its rows, its columns and whether it is real (`Triangle`).  Each
 shift finds only what depends on k or on the right-hand side: the diagonal
 differences b'_ii - b'_jj + k den, whether the right-hand side is real, and
@@ -170,53 +170,45 @@ def is_nilpotent(g: Gaussian) -> bool:
 # and imaginary parts
 Triangle = tuple[bool, list[int], list[int], Ints, Ints, Columns, Columns]
 # x -> b x - x b readied once for every shift by `sylvester_operator`:
-# b = (b', den), the coefficients p_0..p_n of the characteristic
-# polynomial of b' as (re, im) pairs, H_0..H_{n-1} over scale 1 or None,
-# and the `Triangle` of b' or None: exactly one of the last two is None
-Sylvester = tuple[Gaussian, list[tuple[int, int]], list[Gaussian] | None, Triangle | None]
+# b = (b', den), H_0..H_{n-1} of Jameson's route over scale 1 or None, and
+# the `Triangle` of b' or None: exactly one of the last two is None
+Sylvester = tuple[Gaussian, list[Gaussian] | None, Triangle | None]
 
 
 def sylvester_operator(g: Gaussian) -> Sylvester:
     """x -> b x - x b readied for `sylvester_solve` at every shift, for
-    g = (b', den) with b = b' / den: g itself, the characteristic polynomial
-    p = sum_j p_j t^j of b', H_m = sum_{j>m} p_j b'^{j-1-m} for
-    m = 0..n-1, and b' as a `Triangle`.
+    g = (b', den) with b = b' / den: g itself, H_m = sum_{j>m} p_j b'^{j-1-m}
+    for m = 0..n-1, where p = sum_j p_j t^j is the characteristic polynomial
+    of b', and b' as a `Triangle`.
 
     An upper-triangular b', with no nonzero entry below its diagonal in
-    either part, gets None for the H_m and p = prod_i (t - b'_ii).  Its
-    diagonal, rows, columns and realness are read here once, not at every
-    shift.  Any other b' gets None for the `Triangle`, and p and the H_m
-    come from Faddeev-LeVerrier: H_{n-1} = I, p_m = -tr(b' H_m) / (n - m)
-    and H_{m-1} = b' H_m + p_m I, where the division is exact in Z[i]
-    because b' has Gaussian-integer entries.
+    either part, gets None for the H_m.  Its diagonal, rows, columns and
+    realness are read here once, not at every shift.  Any other b' gets
+    None for the `Triangle`, and the H_m come from Faddeev-LeVerrier:
+    H_{n-1} = I, p_m = -tr(b' H_m) / (n - m) and H_{m-1} = b' H_m + p_m I,
+    where the division is exact in Z[i] because b' has Gaussian-integer
+    entries.  p itself is never kept.
     """
     br, bi, _ = g
     n = len(br)
     if not any(x for part in (br, bi) for i, row in enumerate(part) for x in row[:i]):
-        tri = (not any(map(any, bi)), list(map(getitem, br, range(n))),
-               list(map(getitem, bi, range(n))), [row[i + 1 :] for i, row in enumerate(br)],
-               [row[i + 1 :] for i, row in enumerate(bi)], list(zip(*br)), list(zip(*bi)))
-        p = [(1, 0)]
-        for dr, di in zip(tri[1], tri[2]):
-            # p_m <- p_{m-1} - d p_m, the coefficients of p(t) (t - d)
-            p = [(u - dr * x + di * y, v - dr * y - di * x)
-                 for (u, v), (x, y) in zip([(0, 0)] + p, p + [(0, 0)])]
-        return g, p, None, tri
+        return g, None, (not any(map(any, bi)), list(map(getitem, br, range(n))),
+                         list(map(getitem, bi, range(n))),
+                         [row[i + 1 :] for i, row in enumerate(br)],
+                         [row[i + 1 :] for i, row in enumerate(bi)],
+                         list(zip(*br)), list(zip(*bi)))
     h = [identity_gaussian(n)]
-    p = [(1, 0)]
-    for k in range(1, n + 1):
-        # tr(b' H_m) = sum_il b'_il (H_m)_li; b' H_m itself is needed only for m > 0
+    for k in range(1, n):
+        # p_{n-k} = -tr(b' H_{n-k}) / k, with tr(b' H_m) = sum_il b'_il (H_m)_li
         hr, hi = (list(chain(*zip(*part))) for part in h[0][:2])
         pr = (sum(map(mul, chain(*bi), hi)) - sum(map(mul, chain(*br), hr))) // k
         pi = -(sum(map(mul, chain(*br), hi)) + sum(map(mul, chain(*bi), hr))) // k
-        p.insert(0, (pr, pi))
-        if k < n:
-            re, im, _ = gaussian_mul((br, bi, 1), h[0])
-            for i in range(n):
-                re[i][i] += pr
-                im[i][i] += pi
-            h.insert(0, (re, im, 1))
-    return g, p, h, None
+        re, im, _ = gaussian_mul((br, bi, 1), h[0])
+        for i in range(n):
+            re[i][i] += pr
+            im[i][i] += pi
+        h.insert(0, (re, im, 1))
+    return g, h, None
 
 
 def _over_pivot(ur: list[int], ui: list[int], pr: int, pi: int, big: int, n: int) -> Gaussian:
@@ -244,7 +236,8 @@ def sylvester_solve(op: Sylvester, k: int, rhs: Gaussian) -> Gaussian | None:
     y = big x solves a y - y b' = c over Z[i].  An upper-triangular b'
     (every 1 x 1 one among them) is solved entry by entry by
     `_back_substitute`.  Any other b' is reduced to an n x n system
-    (Jameson, SIAM J. Appl. Math. 16, 1968): a^j y - y b'^j =
+    (Jameson, SIAM J. Appl. Math. 16, 1968), p the characteristic
+    polynomial of b' and H_m as in `sylvester_operator`: a^j y - y b'^j =
     sum_{i<j} a^{j-1-i} c b'^i, so p(b') = 0 (Cayley-Hamilton) gives
     p(a) y = sum_m a^m c H_m, and p(a) = p(a) - p(b') = s sum_m a^m H_m.
     One Horner recursion in a takes both sums, and `_gauss_jordan`
@@ -253,7 +246,7 @@ def sylvester_solve(op: Sylvester, k: int, rhs: Gaussian) -> Gaussian | None:
     the n^2 x n^2 system of `_kronecker` eliminated instead.  A nonsingular
     system has one solution, so the routes agree.
     """
-    g, _, h, tri = op
+    g, h, tri = op
     if tri is not None:
         return _back_substitute(g, tri, k, rhs)
     br, bi, den = g

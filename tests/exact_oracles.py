@@ -51,7 +51,7 @@ a vector by vertex turned into the integer tuple the root functions read
 (`vector`), lambda by vertex turned into the integer forms the deciders read
 (`lambda_forms`) and back (`lambda_values`), the pairing beta . lambda,
 and sympy's characteristic polynomial (the
-oracle for `linalg.sylvester_operator`), rank (an oracle for `rank`)
+oracle for the H_m of `linalg.sylvester_operator`), rank (an oracle for `rank`)
 and factorization for nonresonance.  sympy is a test dependency; it is
 imported only when `sympy_charpoly`, `sympy_rank` or `is_nonresonant` runs.
 """

@@ -863,6 +863,37 @@ def test_regsing_normalize_matches_the_echelon_solve_oracle(monkeypatch):
     assert 2 <= raised <= len(inputs) - 13, got
     raised = sum(isinstance(g, str) for g in got[len(inputs) :])
     assert 10 <= raised <= len(extra) - 60, raised
+    # seed 2411: 60 M with gaps in their degrees, n = 1..3.  Each keeps B_0
+    # and its top degree, 0..4, and each degree between with probability
+    # 1/2; a top degree 0 is a constant M.  With D the larger of the top
+    # degree and 1, the order runs from D + 1 to 6 D, so the recursion keeps
+    # only the last D gauge terms.  The residues have no two eigenvalues an
+    # integer apart, or are diagonal with every coefficient diagonal, so no
+    # shift up to D is inconsistent; in 40 % of the draws at n >= 2 with
+    # order > D + 1, one eigenvalue is moved to b_00 + r, r from D + 1 to
+    # order - 1, so that ResonantError can come at a shift past D.  Counts
+    # at this seed: 9 constant M, 51 draws with a shift past D, 8
+    # ResonantErrors, all past D
+    rng = random.Random(2411)
+    gapped = []
+    for _ in range(60):
+        n, top = rng.randint(1, 3), rng.randint(0, 4)
+        d = max(top, 1)
+        order = rng.randint(d + 1, 6 * d)
+        m = _random_regsing(rng, n, top + 1, rng.choice(["generic", "nonreal", "diagonal"]))
+        coeffs = {k: scalar_coeff(m, k) for k in range(top + 1)
+                  if k in (0, top) or rng.random() < 0.5}
+        if n > 1 and order > d + 1 and rng.random() < 0.4:
+            coeffs[0][-1][-1] = coeffs[0][0][0] + rng.randint(d + 1, order - 1)
+        gapped.append((laurent(n, coeffs), order, d))
+    got = [_gauge_or_error(regsing_normalize, m, order) for m, order, _ in gapped]
+    assert got == [_gauge_or_error(scalar_regsing_normalize, m, order) for m, order, _ in gapped]
+    late = [(int(g.rsplit(" ", 1)[1]), d)
+            for g, (_, _, d) in zip(got, gapped) if isinstance(g, str)]
+    assert all(k > d for k, d in late), late
+    counts = (sum(len(m.coeffs) <= 1 for m, _, _ in gapped),
+              sum(order > d + 1 for _, order, d in gapped), len(late))
+    assert counts[0] >= 6 and counts[1] >= 40 and counts[2] >= 5, counts
 
 
 def test_regsing_normalize_returns_its_gauge_in_lowest_terms():
@@ -902,6 +933,26 @@ def test_regsing_normalize_returns_its_gauge_in_lowest_terms():
     assert counts["resonant"] >= 3 and counts["dropped"] >= 40 and counts["identity"] >= 30, counts
 
 
+def test_regsing_normalize_holds_memory_in_the_support_of_m():
+    # M = diag(1/7, 2/7) + E_12 z and the constant M = diag(1/7, 2/7) at
+    # order 1,000: the recursion stacks only B_1 and keeps only the last
+    # gauge term, so its peak does not grow with the order.  Each peaked
+    # near 3 KB; with one block stacked per order below the order it was
+    # 340 KB, and with every gauge term kept in the row block 66 KB
+    b0 = ([[1, 0], [0, 2]], [[0, 0], [0, 0]], 7)
+    e12 = ([[0, 1], [0, 0]], [[0, 0], [0, 0]], 1)
+    for coeffs, terms in [({0: b0, 1: e12}, [0, 1]), ({0: b0}, [0])]:
+        m = LaurentMatrix(2, coeffs)
+        tracemalloc.start()
+        try:
+            gauge = regsing_normalize(m, 1000)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(gauge.coeffs) == terms and gauge.trunc == 1000
+        assert peak < 20_000, peak
+
+
 def test_the_gauge_of_a_conjugate_is_the_conjugate_gauge():
     # seed 2306, 200 non-resonant M from _random_regsing ("generic" or
     # "nonreal", n = 2..5, order 4..6) and unimodular integer P: the gauge
@@ -917,8 +968,8 @@ def test_the_gauge_of_a_conjugate_is_the_conjugate_gauge():
         m = _random_regsing(rng, n, order, rng.choice(["generic", "nonreal"]))
         p, inv = _unimodular(rng, n)
         conj = _conjugate_by(p, inv, m)
-        assert linalg.sylvester_operator(m.coeff(0))[2] is None
-        jameson += linalg.sylvester_operator(conj.coeff(0))[2] is not None
+        assert linalg.sylvester_operator(m.coeff(0))[1] is None
+        jameson += linalg.sylvester_operator(conj.coeff(0))[1] is not None
         g = regsing_normalize(m, order)
         assert regsing_normalize(conj, order) == _conjugate_by(p, inv, g), (m, p)
     assert jameson >= 150, jameson
