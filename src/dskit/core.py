@@ -312,9 +312,7 @@ def residue_arm(
 
 
 def orbit_dim(o: OrbitSpec) -> int:
-    """Dimension of the orbit: n^2 minus the centralizer dimension
-    sum over eigenvalues of the squared parts of the dual partition."""
-    cent = 0
-    for part in o.parts:
-        cent += sum(d * d for d in _dual(part))
+    """n^2 minus the centralizer dimension, the sum of the squared dual parts
+    at each eigenvalue, read off the parts: sum_j (lambda'_j)^2 = sum_i (2i - 1) lambda_i."""
+    cent = sum(sum(map(operator.mul, range(1, 2 * len(p), 2), p)) for p in o.parts)
     return o.n * o.n - cent

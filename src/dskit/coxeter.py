@@ -12,9 +12,9 @@ import operator
 from math import gcd
 
 from . import linalg
-from .core import OrbitSpec, _int_str, as_int, min_partition_with_r_parts, orbit_dim
+from .core import OrbitSpec, _int_str, as_int, orbit_dim
 from .errors import InputError, ResonantError
-from .formal import CoxeterFormalType
+from .formal import CoxeterFormalType, omega_power
 from .frozen import Frozen
 
 
@@ -47,11 +47,9 @@ def _check_unipotent_filter(n: int, r: int, o: OrbitSpec) -> None:
         raise InputError(f"orbit lives in gl_{o.n}, expected gl_{n}")
     if not o.is_nilpotent():
         raise InputError("orbit must be nilpotent")
-    if o.block_count(0) > r:
-        raise InputError(
-            f"orbit has {o.block_count(0)} Jordan blocks, outside the "
-            f"<= {r} filter"
-        )
+    blocks = len(o.parts[0])
+    if blocks > r:
+        raise InputError(f"orbit has {blocks} Jordan blocks, outside the <= {r} filter")
 
 
 def h1_dimension(n: int, r: int, o: OrbitSpec) -> int:
@@ -66,13 +64,18 @@ def h1_dimension(n: int, r: int, o: OrbitSpec) -> int:
 
 
 def is_rigid_coxeter_gl(n: int, r: int, o: OrbitSpec) -> bool:
-    """Rigidity in the unipotent-monodromy regime: true exactly when O is the
-    minimal orbit with <= r blocks and r divides n - 1 or n + 1."""
+    """Rigidity in the unipotent-monodromy regime: gcd(r, n) = 1 and h^1 = 0.
+
+    This is the closed rule, O balanced (dominance-least with <= r blocks)
+    and r | n -+ 1.  For r <= n write n = k r + s, 0 <= s < r: the balanced
+    orbit's dual partition is (r^k, s), so its h^1 is (s - 1)(r - 1 - s).
+    dim O grows strictly with dominance, so on the filter h^1 = 0 iff O is
+    balanced and s is 1 or r - 1, that is, r | n -+ 1.  For r > n the
+    balanced orbit is 0, and h^1 = (r - n - 1)(n - 1) = 0 iff r = n + 1 or
+    n = 1.  The gcd conjunct is needed: at r | n, r > 1, h^1 = 1 - r < 0 on
+    the balanced orbit, and the closed rule is false whenever gcd(r, n) != 1."""
     _check_unipotent_filter(n, r, o)
-    if o.block_count(0) != min(r, n):  # the minimal orbit has min(r, n) blocks
-        return False
-    minimal = OrbitSpec(n, [(0, min_partition_with_r_parts(r, n))])
-    return o == minimal and ((n - 1) % r == 0 or (n + 1) % r == 0)
+    return gcd(r, n) == 1 and h1_dimension(n, r, o) == 0
 
 
 _FAMILIES = ("A", "B", "C", "D", "E7")
@@ -147,13 +150,10 @@ def rigid_table_readings(qy: SimpleTypeQuery) -> tuple[bool, bool]:
 
 
 def residue_representative(n: int, r: int) -> linalg.Gaussian:
-    """The residue term of the homogeneous form omega^{-r} dz/z as a Z[i]
-    triple over 1: ones on the r-th subdiagonal (the zero matrix once
-    r >= n).  Its Jordan type is the balanced partition
-    min_partition_with_r_parts(r, n)."""
+    """The residue term of the homogeneous form omega^{-r} dz/z, the z^0
+    coefficient of omega_power(n, -r), as a Z[i] triple over 1: ones on the
+    r-th subdiagonal (the zero matrix once r >= n).  Its Jordan type is the
+    balanced partition min_partition_with_r_parts(r, n)."""
     if n < 1 or r < 1:
         raise InputError("need n >= 1 and r >= 1")
-    re, im, den = linalg.zero_gaussian(n)
-    for i in range(n - r):
-        re[i + r][i] = 1
-    return re, im, den
+    return omega_power(n, -r).coeff(0)

@@ -11,7 +11,10 @@ eigenvalues, trace, determinant and negation, `Scalar`s by (re, im)), a
 Gaussian rational in each form `core.as_triple` reads (`random_form`), the
 reading of a document cell into a `Scalar` and back (`parse_scalar`,
 `scalar_json`), the former Scalar bodies of `count_rank2_moduli` and
-`coxeter_ds_decide`, the dominance-least orbit of a characteristic polynomial
+`coxeter_ds_decide`, the closed rigidity rule that was the body of
+`is_rigid_coxeter_gl` (balanced orbit and r | n -+ 1), the dual-square sum
+that was the body of `orbit_dim`, the rigidity index chi from local data
+(`rigidity_index`, regular points and one Coxeter point), the dominance-least orbit of a characteristic polynomial
 (`ds_generator`, the reading `coxeter_ds_decide`'s block count replaces),
 the Scalar-keyed factor sequences, factor ranks and
 pairwise resonance test (the oracles for `core.residue_arm` and
@@ -666,6 +669,53 @@ def scalar_coxeter_ds_decide(ftype: CoxeterFormalType, o: OrbitSpec) -> bool:
     if ftype.n * scalar_of(ftype.p0) + orbit_trace(o) != 0:
         return False
     return all(len(part) <= ftype.r for part in o.parts)
+
+
+def closed_rule_is_rigid_coxeter_gl(n: int, r: int, o: OrbitSpec) -> bool:
+    """The former body of `coxeter.is_rigid_coxeter_gl`, with the former
+    filter: true exactly when O is the balanced (dominance-least) orbit with
+    <= r blocks and r divides n - 1 or n + 1.  The block count is compared
+    before the balanced orbit is built, which has min(r, n) parts."""
+    if n < 1 or r < 1:
+        raise InputError("need n >= 1 and r >= 1")
+    if o.n != n:
+        raise InputError(f"orbit lives in gl_{o.n}, expected gl_{n}")
+    if not o.is_nilpotent():
+        raise InputError("orbit must be nilpotent")
+    if o.block_count(0) > r:
+        raise InputError(
+            f"orbit has {o.block_count(0)} Jordan blocks, outside the "
+            f"<= {r} filter"
+        )
+    if o.block_count(0) != min(r, n):
+        return False
+    minimal = OrbitSpec(n, [(0, min_partition_with_r_parts(r, n))])
+    return o == minimal and ((n - 1) % r == 0 or (n + 1) % r == 0)
+
+
+def dual_square_orbit_dim(o: OrbitSpec) -> int:
+    """The former body of `core.orbit_dim`: n^2 minus the sum, over the
+    eigenvalues, of the squared parts of the dual partition."""
+    return o.n * o.n - sum(d * d for part in o.parts for d in dual_partition(part))
+
+
+def rigidity_index(n: int, orbits: Sequence[OrbitSpec], coxeter_r: int | None = None) -> int:
+    """chi(P^1, j_* End E) = (2 - k) n^2 - sum_x irr_x(End E) + sum_x dim (End E)_x^nabla
+    for E of rank n on P^1 minus k points, from local data alone (Katz,
+    *Rigid local systems*, 1996; Deligne, LNM 163; Bloch-Esnault, *Asian J.
+    Math.* 8, 2004).  Each orbit is the residue orbit of a regular-singular
+    point: irr = 0, and the horizontal sections of End E are the centralizer
+    of the residue, sum over eigenvalues of the squared dual parts.  If
+    coxeter_r is given, one more point carries the Coxeter form of slope
+    coxeter_r/n: one Levelt-Turrittin piece of ramification n, whose End has
+    irr = coxeter_r (n - 1) and one horizontal section, the identity.  E is
+    rigid iff chi = 2, and h^1 = 2 - chi."""
+    k = len(orbits) + (coxeter_r is not None)
+    flat = sum(d * d for o in orbits for part in o.parts for d in dual_by_definition(part))
+    if coxeter_r is not None:
+        flat += 1
+    irr = 0 if coxeter_r is None else coxeter_r * (n - 1)
+    return (2 - k) * n * n - irr + flat
 
 
 # ---------------------------------------------------------------------------

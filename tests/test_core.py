@@ -32,6 +32,7 @@ from exact_oracles import (
     arm_factors,
     dominance_leq,
     dual_by_definition,
+    dual_square_orbit_dim,
     eigenvalues,
     identity,
     is_integer,
@@ -648,6 +649,17 @@ def test_orbit_dim_known_values():
     assert orbit_dim(OrbitSpec(3, [(7, (1, 1, 1))])) == 0
     # minimal nilpotent in gl_n: 2n - 2
     assert orbit_dim(OrbitSpec(4, [(0, (2, 1, 1))])) == 6
+
+
+def test_orbit_dim_matches_the_dual_square_sum():
+    # seed 20261022: 400 orbits of one to three eigenvalues, each with a
+    # partition of 1..6, and every nilpotent orbit at n <= 12
+    rng = random.Random(20261022)
+    orbits = [_random_orbit(rng) for _ in range(400)]
+    assert sum(len(o.parts) > 1 for o in orbits) >= 200
+    orbits += [OrbitSpec(n, [(0, p)]) for n in range(1, 13) for p in partitions_of(n)]
+    for o in orbits:
+        assert orbit_dim(o) == dual_square_orbit_dim(o), o
 
 
 def _centralizer_dim(o: OrbitSpec) -> int:

@@ -17,13 +17,30 @@ deciders.
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+from dskit import jsonio
 from dskit.core import OrbitSpec, orbit_dim, partitions_of
+from dskit.coxeter import h1_dimension
 from dskit.fuchsian import build_cb_data
 from dskit.rootsys import in_sigma_lambda, p_value
 from dskit.unramified import UnramBlock, UnramFormalType, build_hiroe_data
-from exact_oracles import Scalar, cartan_rows, lambda_forms, lambda_values, orbit_trace, translated, triple
+from exact_oracles import (
+    Scalar,
+    cartan_rows,
+    lambda_forms,
+    lambda_values,
+    orbit_trace,
+    rigidity_index,
+    translated,
+    triple,
+)
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+
+import workloads  # noqa: E402  (read only: the benchmark's request builder)
 
 # no two differ by an integer, so every orbit drawn from them is nonresonant
 _SPREAD = [Scalar(Fraction(k, 5)) for k in range(-2, 3)] + [
@@ -105,6 +122,39 @@ def test_dimension_count_of_unramified_types():
     # later types with ell >= 2 occur, so L and the cross arrows are built: seed 8
     # gives 1,200 such types, and cross arrows in 980 of the 2,000 draws
     assert later_bases >= 1000 and cross_arrows >= 800, (later_bases, cross_arrows)
+
+
+def test_rigidity_index_of_a_coxeter_point_is_h1():
+    # 2 - chi = h1_dimension for one Coxeter point of slope r/n and one
+    # nilpotent point, on all 445 coprime (n, r, O) with n <= 9, r <= n + 3
+    # and O on the filter (<= r blocks), and on the 48 rigidity requests of
+    # the slope workload at seeds 1, 2, 3 and 7
+    cases = [(n, r, OrbitSpec(n, [(0, parts)]))
+             for n in range(1, 10) for r in range(1, n + 4) if math.gcd(r, n) == 1
+             for parts in partitions_of(n) if len(parts) <= r]
+    assert len(cases) == 445
+    requests = [req for seed in (1, 2, 3, 7) for req in workloads.make_requests("slope", seed)
+                if req.command == "rigidity"]
+    assert len(requests) == 48
+    for req in requests:
+        orbit = jsonio.parse_orbit(req.doc["orbit"], "orbit")
+        cases.append((req.payload["n"], req.payload["r"], orbit))
+    for n, r, o in cases:
+        assert 2 - rigidity_index(n, [o], coxeter_r=r) == h1_dimension(n, r, o), (n, r, o)
+
+
+def test_rigidity_index_of_a_fuchsian_star_is_2_minus_2p():
+    # chi = 2 - 2 p(alpha) on the orbits of the 412 fuchsian-ds requests of the
+    # fuchsian workload at seeds 1, 2, 3 and 7, alpha built on the default
+    # factor sequences whatever sequences a request states
+    requests = [req for seed in (1, 2, 3, 7) for req in workloads.make_requests("fuchsian", seed)
+                if req.command == "fuchsian-ds"]
+    assert len(requests) == 412
+    for req in requests:
+        orbits = jsonio.parse_orbit_list(req.doc)[0]
+        data = build_cb_data(orbits)
+        chi = rigidity_index(orbits[0].n, orbits)
+        assert chi == 2 - 2 * p_value(data.quiver, data.alpha), orbits
 
 
 def _trace_zero_star(rng):
