@@ -239,7 +239,7 @@ def _cmd_normalize_regsing(ns, ctx) -> tuple[Any, int]:
     m, canonical = jsonio.parse_laurent(jsonio.required(doc, "matrix"), "matrix")
     ctx["digest"] = jsonio.digest_of({"matrix": canonical, "order": ns.order})
     gauge = regsing_normalize(m, ns.order)
-    return {"gauge": jsonio.laurent_json(gauge)}, 0
+    return {"gauge": gauge}, 0
 
 
 def _cmd_count_rank2(ns, ctx) -> tuple[Any, int]:

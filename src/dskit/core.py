@@ -237,16 +237,6 @@ class OrbitSpec(Frozen):
         re, im, order = zip(*keys)  # keys is not empty: n >= 1 is the sum of the parts
         super().__init__(n, den, re, im, tuple(parts[k] for k in order))
 
-    def partition_for(self, eig: Factor) -> Partition:
-        key = _over(eig, self.den)
-        for xy, part in zip(zip(self.re, self.im), self.parts):
-            if xy == key:
-                return part
-        raise InputError(f"{gaussian_str(*as_triple(eig))} is not an eigenvalue of this orbit")
-
-    def block_count(self, eig: Factor) -> int:
-        return len(self.partition_for(eig))
-
     def is_scalar(self) -> bool:
         return len(self.parts) == 1 and self.parts[0] == (1,) * self.n
 

@@ -55,8 +55,9 @@ def _check_scalar(obj: Any, path: str) -> None:
 def _cell(obj: Any) -> Triple | None:
     """The triple (a d, c b, b d) of the cell [a, b, c, d], a/b + i c/d, not
     reduced, or None for anything `_check_scalar` refuses.  Every cell is read
-    as `_cell(obj) or _check_scalar(obj, path)`, and the record it goes to
-    reduces it (`as_triple`, or `LaurentMatrix` for a term)."""
+    as `_cell(obj) or _check_scalar(obj, path)`, and reduced once: by the
+    record it goes to (`as_triple`), or by `parse_laurent` for a matrix
+    entry."""
     if type(obj) is not list or len(obj) != 4:
         return None
     a, b, c, d = obj
@@ -200,14 +201,12 @@ def parse_type_list(doc: dict[str, Any]) -> tuple[list[UnramFormalType], dict[st
 
 
 def parse_laurent(obj: Any, path: str = "matrix") -> tuple[LaurentMatrix, dict[str, Any]]:
-    """The matrix M of a Laurent-matrix document, and its canonical form
-    `laurent_json(M)`, over which the input digest is taken.
-
-    Each cell is read by `_cell`, and each term is passed as its triples
-    over the lcm of their denominators: `LaurentMatrix` drops the zero terms
-    and those at or past trunc, and keeps the rest over their least
-    denominator.
-    """
+    """The matrix M of a Laurent-matrix document and its canonical form, over
+    which the input digest is taken.  Each cell is read by `_cell` and reduced
+    once; the reduced cells are the canonical entries, and over the lcm of
+    their denominators they are M's term, in lowest terms (a prime of the lcm
+    divides some cell's denominator as often as the lcm does).  A zero term or
+    one at or past trunc is read and dropped."""
     if not isinstance(obj, dict):
         _fail(path, "matrix must be an object")
     n = obj.get("n")
@@ -220,29 +219,42 @@ def parse_laurent(obj: Any, path: str = "matrix") -> tuple[LaurentMatrix, dict[s
     if not isinstance(terms, list):
         _fail(f"{path}.terms", "must be an array")
     coeffs: dict[int, linalg.Gaussian] = {}
+    canonical: dict[int, list[list[list[int]]]] = {}  # every term read, by degree
     for k, term in enumerate(terms):
-        tpath = f"{path}.terms[{k}]"
         if not isinstance(term, dict):
-            _fail(tpath, "term must be an object")
+            _fail(f"{path}.terms[{k}]", "term must be an object")
         deg = term.get("deg")
         if type(deg) is not int:
-            _fail(f"{tpath}.deg", "must be an integer")
-        if deg in coeffs:
-            _fail(f"{tpath}.deg", f"duplicate degree {deg}")
+            _fail(f"{path}.terms[{k}].deg", "must be an integer")
+        if deg in canonical:
+            _fail(f"{path}.terms[{k}].deg", f"duplicate degree {deg}")
         entries = term.get("entries")
         if not isinstance(entries, list) or len(entries) != n:
-            _fail(f"{tpath}.entries", f"must be an array of {n} rows")
+            _fail(f"{path}.terms[{k}].entries", f"must be an array of {n} rows")
         cells = []
+        den = 1
+        nonzero = False
         for i, row in enumerate(entries):
             if not isinstance(row, list) or len(row) != n:
-                _fail(f"{tpath}.entries[{i}]", f"must be an array of {n} scalars")
-            cells.append([_cell(c) or _check_scalar(c, f"{tpath}.entries[{i}][{j}]")
-                          for j, c in enumerate(row)])
-        den = lcm(*[t[2] for r in cells for t in r])
-        coeffs[deg] = ([[x * (den // d) for x, _, d in r] for r in cells],
-                       [[y * (den // d) for _, y, d in r] for r in cells], den)
-    m = LaurentMatrix(n, coeffs, trunc)
-    return m, laurent_json(m)
+                _fail(f"{path}.terms[{k}].entries[{i}]", f"must be an array of {n} scalars")
+            row_cells = []
+            for j, c in enumerate(row):
+                x, y, d = _cell(c) or _check_scalar(c, f"{path}.terms[{k}].entries[{i}][{j}]")
+                if d < 0:
+                    x, y, d = -x, -y, -d
+                g, h = gcd(x, d), gcd(y, d)
+                row_cells.append([x // g, d // g, y // h, d // h])
+                den = lcm(den, d // g, d // h)
+                nonzero = nonzero or x or y
+            cells.append(row_cells)
+        canonical[deg] = cells
+        if trunc is not None and deg >= trunc or not nonzero:
+            continue
+        coeffs[deg] = ([[c[0] * (den // c[1]) for c in r] for r in cells],
+                       [[c[2] * (den // c[3]) for c in r] for r in cells], den)
+    m = LaurentMatrix.from_reduced(n, coeffs, trunc)
+    return m, {"n": n, "trunc": trunc,
+               "terms": [{"deg": deg, "entries": canonical[deg]} for deg in sorted(coeffs)]}
 
 
 def lowest_cell(x: int, y: int, den: int) -> list[int]:
@@ -251,31 +263,24 @@ def lowest_cell(x: int, y: int, den: int) -> list[int]:
     return [x // g, den // g, y // h, den // h]
 
 
-def laurent_json(m: LaurentMatrix) -> dict[str, Any]:
-    """The canonical form of m: its nonzero terms in increasing degree, each
-    cell [re_num, re_den, im_num, im_den] in lowest terms."""
-    terms = []
-    for deg in m.support():
-        re, im, den = m.coeffs[deg]
-        entries = []
-        for xr, yr in zip(re, im):
-            entries.append([lowest_cell(x, y, den) for x, y in zip(xr, yr)])
-        terms.append({"deg": deg, "entries": entries})
-    return {"n": m.n, "trunc": m.trunc, "terms": terms}
-
-
 # ---------------------------------------------------------------------------
 # Documents and digests.
 # ---------------------------------------------------------------------------
 
 
 def load_document(path: str) -> dict[str, Any]:
-    """Read a ds-kit/1 JSON document from a file, checking the schema tag."""
+    """Read a ds-kit/1 JSON document from a file, checking the schema tag.
+    Line ends are translated as in text mode, so errors name the same places."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too long an int
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -296,13 +301,15 @@ def dumps(obj: Any) -> str:
     """The text of json.dumps(obj, sort_keys=True, indent=2), written without
     json's pure-Python encoder, which indent selects.
 
-    obj is built of dict with str keys, list, str, int, bool and None, exactly
-    those types and not subclasses of them; any other type, a tuple or float
-    among them, raises TypeError.  An int past the interpreter's digit limit
-    raises ValueError, as in json.  A rectangular array of ints, one whose
-    lists at each level all have one nonzero length and whose leaves all
-    have type int, is written by one `%` format, built once for its shape
-    and indentation (`_array_format`).
+    obj is built of dict with str keys, list, str, int, bool, None and
+    `LaurentMatrix`, exactly those types and not subclasses of them; any other
+    type, a tuple or float among them, raises TypeError.  A `LaurentMatrix` is
+    written as its canonical form {"n", "terms", "trunc"}, each term by one `%`
+    format (`_term_format`) from its cells in lowest terms.  An int past the
+    interpreter's digit limit raises ValueError, as in json.  A rectangular
+    array of ints, one whose lists at each level all have one nonzero length
+    and whose leaves all have type int, is written by one `%` format, built
+    once for its shape and indentation (`_array_format`).
     """
     return _dumps(obj, "\n")
 
@@ -345,6 +352,20 @@ def _dumps(obj: Any, nl: str) -> str:
         return "false"
     if t is int:
         return int.__repr__(obj)
+    if t is LaurentMatrix:
+        inner = nl + "  "
+        fmt = _term_format(obj.n, inner + "  ")
+        terms = []
+        for deg in sorted(obj.coeffs):
+            re, im, den = obj.coeffs[deg]
+            cells = [deg]
+            for x, y in zip(chain(*re), chain(*im)):
+                g, h = gcd(x, den), gcd(y, den)
+                cells += x // g, den // g, y // h, den // h
+            terms.append(fmt % tuple(cells))
+        body = "[" + inner + "  " + ("," + inner + "  ").join(terms) + inner + "]" if terms else "[]"
+        trunc = "null" if obj.trunc is None else int.__repr__(obj.trunc)
+        return '{%s"n": %d,%s"terms": %s,%s"trunc": %s%s}' % (inner, obj.n, inner, body, inner, trunc, nl)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
@@ -355,6 +376,15 @@ def _array_format(shape: tuple[int, ...], nl: str) -> str:
     inner = nl + "  "
     item = _array_format(shape[1:], inner) if len(shape) > 1 else "%d"
     return "[" + inner + ("," + inner).join([item] * shape[0]) + nl + "]"
+
+
+@lru_cache(maxsize=64)
+def _term_format(n: int, nl: str) -> str:
+    """The `%` format that writes a term {"deg", "entries"} of an n x n
+    `LaurentMatrix` from its degree and cells, as `_dumps` at the line break nl."""
+    inner = nl + "  "
+    return ("{" + inner + '"deg": %d,' + inner + '"entries": '
+            + _array_format((n, n, 4), inner) + nl + "}")
 
 
 def digest_of(payload: Any) -> str:

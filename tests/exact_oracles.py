@@ -16,6 +16,8 @@ reading of a document cell into a `Scalar` and back (`parse_scalar`,
 that was the body of `orbit_dim`, the rigidity index chi from local data
 (`rigidity_index`, regular points and one Coxeter point), the dominance-least orbit of a characteristic polynomial
 (`ds_generator`, the reading `coxeter_ds_decide`'s block count replaces),
+an orbit's partition and block count at an eigenvalue (`partition_for`,
+`block_count`),
 the Scalar-keyed factor sequences, factor ranks and
 pairwise resonance test (the oracles for `core.residue_arm` and
 `core.congruent_pair`), the dual partition by its definition (the oracle
@@ -30,7 +32,9 @@ with a Scalar matrix scaled to a Z[i] triple (`gaussian`) and read back
 recursion on Scalars (the oracle for `regsing_normalize`), Scalar views of
 a `LaurentMatrix` and its construction from Scalar matrices (`laurent`,
 `monomial`), the Scalar route of a Laurent-matrix
-document (the oracle for `jsonio.parse_laurent` and `jsonio.laurent_json`),
+document (the oracle for `jsonio.parse_laurent` and for `jsonio.dumps` of a
+`LaurentMatrix`), a document read in text mode (the oracle for
+`jsonio.load_document`),
 the former cell route of `jsonio`, each cell reduced and then made a triple
 (`reduced`, `reduced_cell`, `cell_triple` and the former readers of orbit
 lists, type lists and Laurent matrices, the oracles for `jsonio._cell` and
@@ -62,6 +66,7 @@ imported only when `sympy_charpoly`, `sympy_rank` or `is_nonresonant` runs.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import operator
 import re as _re
@@ -75,15 +80,17 @@ from dskit.core import (
     Partition,
     Triple,
     _int_str,
+    _over,
     as_partition,
     as_triple,
     congruent_pair,
     dual_partition,
+    gaussian_str,
     min_partition_with_r_parts,
     residue_arm,
 )
 from dskit.errors import BudgetExceededError, InputError, ResonantError, TruncationError
-from dskit.jsonio import _check_scalar, orbit_json, parse_orbit, unram_type_json
+from dskit.jsonio import SCHEMA, _check_scalar, orbit_json, parse_orbit, unram_type_json
 from dskit.formal import (
     CertifiedSlope,
     CoxeterFormalType,
@@ -385,8 +392,22 @@ def dominance_leq(p: Partition, q: Partition) -> bool:
     return True
 
 
+def partition_for(o: OrbitSpec, eig: Factor) -> Partition:
+    """The partition of o at its eigenvalue eig."""
+    key = _over(eig, o.den)
+    for xy, part in zip(zip(o.re, o.im), o.parts):
+        if xy == key:
+            return part
+    raise InputError(f"{gaussian_str(*as_triple(eig))} is not an eigenvalue of this orbit")
+
+
+def block_count(o: OrbitSpec, eig: Factor) -> int:
+    """The number of Jordan blocks of o at its eigenvalue eig."""
+    return len(partition_for(o, eig))
+
+
 def max_block(o: OrbitSpec, eig: ScalarLike) -> int:
-    return o.partition_for(triple(eig))[0]
+    return partition_for(o, triple(eig))[0]
 
 
 def min_poly_degree(o: OrbitSpec) -> int:
@@ -438,7 +459,7 @@ def ds_generator(r: int, q: CharPolySpec) -> OrbitSpec:
 
 def charpoly_from_orbit(o: OrbitSpec) -> CharPolySpec:
     """The characteristic polynomial of o as its roots with multiplicities."""
-    return CharPolySpec((e, weight(o.partition_for(triple(e)))) for e in eigenvalues(o))
+    return CharPolySpec((e, weight(partition_for(o, triple(e)))) for e in eigenvalues(o))
 
 
 def scalar_default_factor_sequence(o: OrbitSpec) -> tuple[Scalar, ...]:
@@ -682,12 +703,12 @@ def closed_rule_is_rigid_coxeter_gl(n: int, r: int, o: OrbitSpec) -> bool:
         raise InputError(f"orbit lives in gl_{o.n}, expected gl_{n}")
     if not o.is_nilpotent():
         raise InputError("orbit must be nilpotent")
-    if o.block_count(0) > r:
+    if block_count(o, 0) > r:
         raise InputError(
-            f"orbit has {o.block_count(0)} Jordan blocks, outside the "
+            f"orbit has {block_count(o, 0)} Jordan blocks, outside the "
             f"<= {r} filter"
         )
-    if o.block_count(0) != min(r, n):
+    if block_count(o, 0) != min(r, n):
         return False
     minimal = OrbitSpec(n, [(0, min_partition_with_r_parts(r, n))])
     return o == minimal and ((n - 1) % r == 0 or (n + 1) % r == 0)
@@ -1261,9 +1282,9 @@ def scalar_parse_laurent(obj, path: str = "matrix") -> tuple[int, int | None, di
 
 def scalar_laurent_json(n: int, trunc: int | None, coeffs: Mapping[int, Matrix]) -> dict:
     """The canonical form of Scalar coefficient matrices, each cell written
-    from its `Fraction` parts by `jsonio.scalar_json`: the oracle for
-    `jsonio.laurent_json` and for the canonical form `jsonio.parse_laurent`
-    keeps."""
+    from its `Fraction` parts by `scalar_json`: the oracle for the canonical
+    form `jsonio.parse_laurent` keeps and `jsonio.dumps` writes for a
+    `LaurentMatrix`."""
     return {"n": n, "trunc": trunc, "terms": [
         {"deg": deg, "entries": [[scalar_json(c) for c in row] for row in coeffs[deg]]}
         for deg in sorted(coeffs)
@@ -1271,8 +1292,9 @@ def scalar_laurent_json(n: int, trunc: int | None, coeffs: Mapping[int, Matrix])
 
 
 def scalar_gauge_json(g: LaurentMatrix) -> dict:
-    """The gauge `regsing_normalize` returns, read back to Scalars with
-    `from_gaussian` and written by `scalar_laurent_json`."""
+    """A `LaurentMatrix`, a gauge `regsing_normalize` returns among them, read
+    back to Scalars with `from_gaussian` and written by `scalar_laurent_json`:
+    the `default` with which json.dumps writes a verdict as `jsonio.dumps`."""
     return scalar_laurent_json(g.n, g.trunc, scalar_coeffs(g))
 
 
@@ -1432,6 +1454,24 @@ def former_parse_laurent(obj, path: str = "matrix") -> tuple[LaurentMatrix, dict
         canonical.append({"deg": deg, "entries": cells})
     canonical.sort(key=lambda t: t["deg"])
     return LaurentMatrix(n, coeffs, trunc), {"n": n, "trunc": trunc, "terms": canonical}
+
+
+def text_mode_load_document(path: str) -> dict:
+    """`jsonio.load_document` as a file read in text mode, `json.load(open(path,
+    encoding="utf-8"))`: the oracle for the documents and the messages of
+    `load_document`, which reads bytes."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError("$: document must be a JSON object")
+    if doc.get("schema") != SCHEMA:
+        raise InputError(f"schema: expected {SCHEMA!r}, got {doc.get('schema')!r}")
+    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dskit import cli
 from dskit.cli import _build_parser, run
 from dskit.errors import InputError
 from dskit.rootsys import DEFAULT_BUDGET
-from exact_oracles import Scalar, ZERO, parse_scalar
+from exact_oracles import Scalar, ZERO, parse_scalar, scalar_gauge_json
 
 SCHEMA = "ds-kit/1"
 
@@ -1383,7 +1383,9 @@ def test_every_subcommand_runs_with_sympy_blocked(tmp_path):
 
 def test_each_verdict_is_the_text_of_json_dumps(tmp_path, capsys, monkeypatch):
     # one verdict of each subcommand, the budget-capped fuchsian-ds among
-    # them, through a spy on the writer that `run` prints with
+    # them, through a spy on the writer that `run` prints with; the gauge of
+    # normalize-regsing is a LaurentMatrix, which json writes by its Scalar
+    # canonical form
     from dskit import jsonio
 
     seen = []
@@ -1416,7 +1418,8 @@ def test_each_verdict_is_the_text_of_json_dumps(tmp_path, capsys, monkeypatch):
     for argv, code in requests:
         assert run(argv) == code, argv
         out = capsys.readouterr().out
-        assert out == json.dumps(seen[-1], sort_keys=True, indent=2) + "\n", argv
+        want = json.dumps(seen[-1], sort_keys=True, indent=2, default=scalar_gauge_json)
+        assert out == want + "\n", argv
     assert len(seen) == len(requests)
     assert {v["command"] for v in seen} == set(_option_layout())
     assert seen[1]["result"]["kind"] == "Inconclusive"

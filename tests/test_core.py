@@ -30,6 +30,7 @@ from exact_oracles import (
     CharPolySpec,
     Scalar,
     arm_factors,
+    block_count,
     dominance_leq,
     dual_by_definition,
     dual_square_orbit_dim,
@@ -50,6 +51,7 @@ from exact_oracles import (
     orbit_determinant,
     orbit_trace,
     pairwise_congruent_pair,
+    partition_for,
     rank,
     scalar_default_factor_sequence,
     scalar_factor_ranks,
@@ -437,9 +439,11 @@ def test_orbit_invariants():
     o = OrbitSpec(4, [(Fraction(1, 2), (2, 1)), (-1, (1,))])
     assert orbit_trace(o) == Scalar(Fraction(1, 2)) * 3 + Scalar(-1)
     assert orbit_determinant(o) == Scalar(Fraction(1, 8)) * Scalar(-1)
-    assert weight(o.partition_for(Fraction(1, 2))) == 3
+    assert weight(partition_for(o, Fraction(1, 2))) == 3
     assert max_block(o, Fraction(1, 2)) == 2
-    assert o.block_count(Fraction(1, 2)) == 2
+    assert block_count(o, Fraction(1, 2)) == 2
+    with pytest.raises(InputError, match=r"^1/3 is not an eigenvalue of this orbit$"):
+        partition_for(o, Fraction(1, 3))
     assert min_poly_degree(o) == 3
     assert not o.is_scalar()
     assert not o.is_nilpotent()
@@ -462,10 +466,10 @@ def test_orbit_translate_negate():
     o = OrbitSpec(3, [(1, (2,)), (0, (1,))])
     t = translated(o, Fraction(1, 2))
     assert eigenvalues(t) == (Scalar(Fraction(1, 2)), Scalar(Fraction(3, 2)))
-    assert t.partition_for(Fraction(3, 2)) == (2,)
+    assert partition_for(t, Fraction(3, 2)) == (2,)
     n = negated(o)
     assert eigenvalues(n) == (Scalar(-1), Scalar(0))
-    assert n.partition_for(-1) == (2,)
+    assert partition_for(n, -1) == (2,)
 
 
 def test_a_triple_is_reduced_and_a_malformed_one_is_refused_by_name():

@@ -31,6 +31,7 @@ from exact_oracles import (
     ds_generator,
     from_gaussian,
     orbit_trace,
+    partition_for,
     random_form,
     scalar_coxeter_ds_decide,
 )
@@ -148,7 +149,7 @@ def test_decide_matches_block_count_against_dominance():
                 expect = dominance_leq(min_partition_with_r_parts(r, m), parts)
                 assert coxeter_ds_decide(t, o) == expect
                 generator = ds_generator(r, charpoly_from_orbit(o))
-                assert dominance_leq(generator.partition_for(0), parts) == expect
+                assert dominance_leq(partition_for(generator, 0), parts) == expect
 
 
 # real parts over denominators 1, 2, 3, 4 and 7, imaginary parts 0, +-1/2, 1/3 and 1

@@ -3,6 +3,7 @@ import json
 import random
 import re
 from collections import Counter
+from math import gcd
 
 import pytest
 
@@ -10,12 +11,14 @@ from dskit import jsonio
 from dskit.core import as_triple, parse_gaussian
 from dskit.errors import InputError, ResonantError, TruncationError
 from dskit.formal import regsing_normalize
+from dskit.laurent import LaurentMatrix
 from exact_oracles import (
     former_parse_laurent,
     former_parse_orbit_list,
     former_parse_type_list,
     laurent,
     scalar_gauge_json,
+    text_mode_load_document,
     scalar_laurent_json,
     scalar_parse_laurent,
 )
@@ -139,6 +142,83 @@ def test_dumps_refuses_an_int_past_the_digit_limit_as_json_does():
             jsonio.dumps(obj)
 
 
+def _coefficient(rng, n):
+    """An n x n coefficient (re, im, den) with entries now and then zero,
+    non-real, negative or past 64 bits, over a den of either sign, which
+    `LaurentMatrix` keeps over its least positive denominator."""
+    def entry():
+        return rng.choice([0, rng.randint(-12, 12), rng.choice([-1, 1]) * rng.randint(0, 10**25)])
+    den = rng.choice([1, 2, 3, 6, 7, 12, -4, -9])
+    re = [[entry() for _ in range(n)] for _ in range(n)]
+    im = [[entry() if rng.random() < 0.3 else 0 for _ in range(n)] for _ in range(n)]
+    return re, im, den
+
+
+def _gauge(rng, n):
+    """The gauge of d + M dz/z to a random order 1..4, M with B_0 upper
+    triangular, its eigenvalues (k + i m_k) / 7, k = 1..n, non-resonant."""
+    b0 = ([[7 * rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)],
+          [[0] * n for _ in range(n)], 7)
+    for k in range(n):
+        b0[0][k][k], b0[1][k][k] = k + 1, rng.choice([0, 0, 1, -2])
+    order = rng.randint(1, 4)
+    m = LaurentMatrix(n, {0: b0, **{deg: _coefficient(rng, n) for deg in range(1, order)}})
+    return regsing_normalize(m, order)
+
+
+def _kinds_of(m, kinds):
+    kinds["trunc_none" if m.trunc is None else "trunc_int"] += 1
+    kinds["zero_matrix"] += m.is_zero()
+    for re, im, den in m.coeffs.values():
+        cells = [(x, y) for xr, yr in zip(re, im) for x, y in zip(xr, yr)]
+        kinds["nonreal"] += any(y for _, y in cells)
+        kinds["negative"] += any(x < 0 or y < 0 for x, y in cells)
+        kinds["unreduced"] += any(x and gcd(x, den) > 1 for x, _ in cells)
+
+
+def test_dumps_writes_a_laurent_matrix_as_json_writes_its_canonical_form():
+    # seed 4401, 1,200 draws at n = 1..6: a gauge of `regsing_normalize` one
+    # time in three, else a matrix of zero to four terms at degrees -3..5
+    # with a trunc of None or -2..7, now and then dropping every term.  Each
+    # is written alone, as the gauge of a verdict and inside a list, and must
+    # be the text json.dumps gives with the Scalar canonical form
+    # (`scalar_gauge_json`) as its default.  Counts at this seed: 369 gauges,
+    # 257 zero matrices, trunc None 441 times and an int 759 times, and
+    # 1,338 non-real, 1,507 negative and 1,223 unreduced terms
+    rng = random.Random(4401)
+    kinds = Counter()
+    for _ in range(1200):
+        n = rng.randint(1, 6)
+        if rng.random() < 1 / 3:
+            m = _gauge(rng, n)
+            kinds["gauge"] += 1
+        else:
+            degs = rng.sample(range(-3, 6), rng.choice([0, 1, 2, 4]))
+            m = LaurentMatrix(n, {deg: _coefficient(rng, n) for deg in degs},
+                              rng.choice([None, rng.randint(-2, 7)]))
+        kinds[f"n={n}"] += 1
+        _kinds_of(m, kinds)
+        verdict = {"schema": jsonio.SCHEMA, "command": "normalize-regsing", "inputs_digest": "0" * 64,
+                   "result": {"gauge": m}, "notes": []}
+        for obj in (m, verdict, [m, {"m": m}]):
+            want = json.dumps(obj, sort_keys=True, indent=2, default=scalar_gauge_json)
+            assert jsonio.dumps(obj) == want, want
+    assert len(kinds) == 13 and min(kinds.values()) >= 50, kinds
+
+
+@pytest.mark.parametrize("m", [
+    LaurentMatrix(1, {0: ([[10**4400]], [[0]], 1)}),
+    LaurentMatrix(2, {1: ([[1, 0], [0, 1]], [[0, 0], [0, 0]], 10**4400 + 1)}, 3),
+    LaurentMatrix(1, {10**4400: ([[1]], [[0]], 1)}),
+    LaurentMatrix(1, {0: ([[1]], [[0]], 1)}, 10**4400),
+])
+def test_dumps_refuses_a_laurent_matrix_past_the_digit_limit_as_json_does(m):
+    with pytest.raises(ValueError):
+        json.dumps(m, sort_keys=True, indent=2, default=scalar_gauge_json)
+    with pytest.raises(ValueError):
+        jsonio.dumps({"gauge": m})
+
+
 def test_dumps_keeps_bools_apart_from_ints():
     for obj in ([True, 1, False, 0], {"t": True, "one": 1}, [1, True], [0, False]):
         assert jsonio.dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
@@ -194,17 +274,22 @@ def _laurent_doc(rng, kinds):
 
 def _scalar_route(doc, order):
     """The digest's canonical form and the printed gauge on Scalars: each cell
-    a `Fraction` pair, the gauge read back by `from_gaussian`."""
+    a `Fraction` pair, the gauge read back by `from_gaussian` and written by
+    json."""
     n, trunc, coeffs = scalar_parse_laurent(doc)
     canonical = scalar_laurent_json(n, trunc, coeffs)
     m = laurent(n, coeffs, trunc)
-    return canonical, jsonio.dumps(scalar_gauge_json(regsing_normalize(m, order)))
+    return canonical, json.dumps(scalar_gauge_json(regsing_normalize(m, order)),
+                                 sort_keys=True, indent=2)
 
 
 def _integer_route(doc, order):
+    """The same on the package's integers: M as `parse_laurent` reads it, which
+    must hold each term as `LaurentMatrix.__init__` would keep it and be the
+    matrix its canonical form writes, and the gauge as `dumps` writes it."""
     m, canonical = jsonio.parse_laurent(doc)
-    assert jsonio.laurent_json(m) == canonical
-    return canonical, jsonio.dumps(jsonio.laurent_json(regsing_normalize(m, order)))
+    assert m == LaurentMatrix(m.n, m.coeffs, m.trunc) and scalar_gauge_json(m) == canonical
+    return canonical, jsonio.dumps(regsing_normalize(m, order))
 
 
 def _outcome(route, doc, order):
@@ -423,3 +508,59 @@ def test_the_one_cell_reader_matches_the_former_route():
             outcomes[key] = outcomes.get(key, 0) + 1
     assert min(kinds.values()) >= 30, kinds
     assert len(outcomes) == 6 and min(outcomes.values()) >= 90, outcomes
+
+
+_DOC = b'{"schema": "ds-kit/1", "matrix": {"n": 1, "terms": []}}'
+
+# each file as bytes: malformed and well-formed documents with CR LF, lone CR
+# and mixed line ends, a raw CR in a string, a BOM, bytes that are not UTF-8,
+# an empty file, a non-object, nesting 100,000 deep and a 5,000-digit integer
+_FILES = {
+    "crlf_missing_comma": b'{\r\n  "schema": "ds-kit/1",\r\n  "matrix": {"n": 1 "terms": []}\r\n}\r\n',
+    "cr_missing_comma": b'{\r  "schema": "ds-kit/1",\r  "matrix": {"n": 1 "terms": []}\r}\r',
+    "mixed_missing_value": b'{\n\r\n\r"schema": "ds-kit/1",\r\n "x": [1, 2,\r\r\n ]}',
+    "crlf_unterminated": b'{\r\n"schema": "ds-kit/1",\r\n"x": "abc\r\n}',
+    "cr_in_string": b'{"schema": "ds-kit/1", "x": "a\rb"}',
+    "crlf_schema": b'{\r\n"schema": "ds-kit/2"\r\n}\r\n',
+    "crlf_document": _DOC.replace(b", ", b",\r\n"),
+    "cr_document": _DOC.replace(b", ", b",\r"),
+    "bom": b"\xef\xbb\xbf" + _DOC,
+    "crlf_bom": b"\xef\xbb\xbf" + _DOC.replace(b", ", b",\r\n"),
+    "invalid_byte": b'{\r\n"schema": "ds-kit/1",\r\n"x": "\xff"}',
+    "truncated_sequence": b'{"schema": "ds-kit/1", "x": "\xe2\x82',
+    "encoded_surrogate": b'{"schema": "ds-kit/1", "x": "\xed\xa0\x80"}',
+    "non_ascii": '{"schema": "ds-kit/1", "x": "é€😀\\r"}'.encode(),
+    "empty": b"",
+    "line_ends_only": b"\r\n\r",
+    "not_an_object": b"[1,\r\n 2]",
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+    "deep_field": b'{"schema": "ds-kit/1", "x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    "long_int": b'{"schema": "ds-kit/1", "n": ' + b"7" * 5000 + b"}",
+}
+
+
+def _loaded(load, path):
+    try:
+        return load(path)
+    except InputError as exc:
+        return "InputError", str(exc)
+
+
+def test_load_document_reads_bytes_as_text_mode_does(tmp_path):
+    # the same document or the same message as json.load(open(path,
+    # encoding="utf-8")) on each file above, a missing path and a directory
+    paths = {"missing": tmp_path / "missing.json", "directory": tmp_path}
+    for name, data in _FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_bytes(data)
+    got = {name: _loaded(jsonio.load_document, str(path)) for name, path in paths.items()}
+    for name, path in paths.items():
+        assert got[name] == _loaded(text_mode_load_document, str(path)), name
+    docs = [name for name, v in got.items() if type(v) is dict]
+    assert sorted(docs) == ["cr_document", "crlf_document", "non_ascii"], got
+    assert got["crlf_document"] == json.loads(_DOC) and got["non_ascii"]["x"] == "é€😀\r"
+    assert "line 3 column 21 (char 46)" in got["crlf_missing_comma"][1]
+    assert "line 3 column 21 (char 46)" in got["cr_missing_comma"][1]
+    assert "can't decode byte 0xff in position 32" in got["invalid_byte"][1]
+    assert "Unexpected UTF-8 BOM" in got["bom"][1] and "recursion" in got["deep"][1]
+    assert "digits" in got["long_int"][1] and got["missing"][1].startswith("cannot read")
